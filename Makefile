@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-workers bench-loadbal bench-overlap bench-serve bench-hier bench-all bench-diff generate generate-check test-noasm serve-smoke tcp-smoke
+.PHONY: all build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-workers bench-loadbal bench-overlap bench-serve bench-hier bench-all bench-diff generate generate-check test-noasm bench-module serve-smoke tcp-smoke
 
 all: check
 
@@ -45,10 +45,12 @@ fuzz-smoke:
 generate:
 	$(GO) generate ./...
 
-# Drift check: the committed generated kernels must match what the
-# generator emits today.
+# Drift check: the committed generated kernels (mxm_gen.go,
+# mxmbt_gen.go, grad3_gen.go, deriv_gen.go) must match what the
+# generator emits today, and it must emit no file that is not committed.
 generate-check: generate
 	git diff --exit-code -- internal/sem
+	test -z "$$(git ls-files --others --exclude-standard -- internal/sem)"
 
 # The pure-Go fallback build: the semnoasm tag disables the AVX2
 # assembly backend; the kernel packages and their consumers must build
@@ -56,6 +58,14 @@ generate-check: generate
 test-noasm:
 	$(GO) build -tags semnoasm ./...
 	$(GO) test -tags semnoasm ./internal/sem/... ./internal/solver/... ./internal/bench/...
+	$(GO) test -tags semnoasm -run TestKernelPathGolden .
+
+# The wall-clock benchmark harness is a Go module of its own
+# (benchmark/go.mod, `replace repro => ../`), so the root `go build
+# ./...` and `go test ./...` never compile it. It imports the sem,
+# solver, gs and comm APIs; vet and test it whenever those change.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Quick worker-sweep smoke: the derivative kernel across pool widths
 # (1..NumCPU) plus the gs zero-alloc benches. Fast enough for check/CI;
@@ -81,7 +91,7 @@ serve-smoke:
 tcp-smoke:
 	./scripts/tcp_smoke.sh
 
-check: vet build test race chaos test-noasm bench-sweep bench-smoke serve-smoke tcp-smoke
+check: vet build test race chaos test-noasm bench-module bench-sweep bench-smoke serve-smoke tcp-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -24,23 +24,6 @@ import (
 	"repro/internal/sem"
 )
 
-func traitsFor(dir sem.Direction, v sem.KernelVariant) hw.Traits {
-	switch {
-	case dir == sem.DirR && v == sem.Optimized:
-		return hw.DudrOptimized
-	case dir == sem.DirR:
-		return hw.DudrBasic
-	case dir == sem.DirS && v == sem.Optimized:
-		return hw.DudsOptimized
-	case dir == sem.DirS:
-		return hw.DudsBasic
-	case dir == sem.DirT && v == sem.Optimized:
-		return hw.DudtOptimized
-	default:
-		return hw.DudtBasic
-	}
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kernelbench: ")
@@ -144,7 +127,7 @@ func runOne(machine hw.Machine, variants []sem.KernelVariant, n, nel, steps, wor
 		for _, dir := range []sem.Direction{sem.DirT, sem.DirR, sem.DirS} {
 			wall, ops := timeDeriv(pl, dir, v, ref, u, du, nel, steps)
 			est := hw.Model(machine, hw.Ops{Mul: ops.Mul, Add: ops.Add, Load: ops.Load, Store: ops.Store},
-				traitsFor(dir, v))
+				hw.DerivTraits(int(dir), v == sem.Optimized))
 			rows = append(rows, report.KernelEstimate(dir.String(), wall, est))
 		}
 		title := fmt.Sprintf("Figure 5 — partial derivatives WITH loop transformations (%v)", v)
@@ -197,10 +180,9 @@ func runSweep(machine hw.Machine, variants []sem.KernelVariant, steps int) {
 // spectral-element kernels produce (k = N is the 1D operator size), in
 // the derivative kernel's dominant shape m = N^2, n = N, batched over
 // elements. Each column is labeled with the kernel that actually ran:
-// variants outside their specialization range (e.g. "specialized" for
-// k outside [4, 10]) are footnoted with their effective fallback
-// instead of silently crediting the named variant with the fallback's
-// numbers. The measurement core lives in internal/bench so
+// variants outside their specialization range (e.g. "generated" for
+// k > 16) are footnoted with their effective fallback instead of
+// silently crediting the named variant with the fallback's numbers. The measurement core lives in internal/bench so
 // cmd/benchdiff can re-run the identical sweep.
 func runMxM(tune bool) []bench.MxMRecord {
 	records := bench.MxMSweep(bench.MxMSweepOptions{Tune: tune})

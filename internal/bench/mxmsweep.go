@@ -18,8 +18,8 @@ import (
 
 // MxMSweepOptions parameterize the sweep.
 type MxMSweepOptions struct {
-	// Ks lists the reduction sizes to measure (nil = 4..16, the hand-
-	// specialized range plus the generated range's upper half).
+	// Ks lists the reduction sizes to measure (nil = 4..16, the
+	// generated kernels' practical range).
 	Ks []int
 	// Nel is the number of elements per batched call (0 = 32).
 	Nel int

@@ -71,6 +71,22 @@ var (
 	DudsBasic     = Traits{VecFrac: 0.08, OverheadPerFlop: 0.58, MissRate: 0.030}
 )
 
+// DerivTraits returns the traits of the derivative kernel along reference
+// direction dir (0, 1, 2 = r, s, t; sem.Direction's values) with or
+// without the loop transformations — the one place the (direction,
+// variant) pair is mapped onto the table above.
+func DerivTraits(dir int, optimized bool) Traits {
+	table := [3][2]Traits{
+		{DudrBasic, DudrOptimized},
+		{DudsBasic, DudsOptimized},
+		{DudtBasic, DudtOptimized},
+	}
+	if optimized {
+		return table[dir][1]
+	}
+	return table[dir][0]
+}
+
 // Ops mirrors sem.OpCount without importing it, keeping hw free of
 // package dependencies; use FromCounts to convert.
 type Ops struct {

@@ -4,52 +4,23 @@ import "fmt"
 
 // ApplyDir applies an arbitrary (n x n) row-major operator mat along one
 // reference direction of element data (the generalization of Deriv to any
-// 1D operator — transposed derivative, filter, mass scaling). It uses the
-// fused streaming loop structures. du must not alias u.
+// 1D operator — transposed derivative, filter, mass scaling). Along r and
+// t it runs the kernels of Deriv(dir, Optimized, ...); along s it
+// accumulates in ascending l (the MxMAuto table's kernel per slab)
+// rather than in dudsOpt's four lanes. du must not alias u.
 func ApplyDir(dir Direction, mat []float64, n int, u, du []float64, nel int) OpCount {
-	n3 := n * n * n
-	if len(mat) < n*n {
-		panic(fmt.Sprintf("sem: operator needs %d entries, got %d", n*n, len(mat)))
+	checkAxis("apply", mat, n, u, du, nel)
+	var fn axisFunc
+	switch dir {
+	case DirR:
+		fn = derivResolve(DirR, Optimized, n)
+	case DirS:
+		fn = applySMxM
+	case DirT:
+		fn = applyTMxM
+	default:
+		panic(fmt.Sprintf("sem: bad direction %d", int(dir)))
 	}
-	if len(u) < nel*n3 || len(du) < nel*n3 {
-		panic(fmt.Sprintf("sem: apply needs %d values, got u=%d du=%d", nel*n3, len(u), len(du)))
-	}
-	for e := 0; e < nel; e++ {
-		ue := u[e*n3 : (e+1)*n3]
-		de := du[e*n3 : (e+1)*n3]
-		switch dir {
-		case DirR:
-			dudrOpt(mat, n, ue, de)
-		case DirS:
-			applySOpt(mat, n, ue, de)
-		case DirT:
-			dudtOpt(mat, n, ue, de)
-		default:
-			panic(fmt.Sprintf("sem: bad direction %d", int(dir)))
-		}
-	}
+	fn(mat, n, u, du, nel)
 	return derivOps(n, nel)
-}
-
-// applySOpt is the fused (j-l-i streaming) variant of the s-direction
-// apply: dst rows accumulate scaled source rows, all unit stride over i.
-func applySOpt(d []float64, n int, u, du []float64) {
-	n2 := n * n
-	for k := 0; k < n; k++ {
-		slab := n2 * k
-		for j := 0; j < n; j++ {
-			dst := du[slab+n*j : slab+n*j+n]
-			for i := range dst {
-				dst[i] = 0
-			}
-			dj := d[j*n : j*n+n]
-			for l := 0; l < n; l++ {
-				djl := dj[l]
-				src := u[slab+n*l : slab+n*l+n]
-				for i, v := range src {
-					dst[i] += djl * v
-				}
-			}
-		}
-	}
 }

@@ -1,51 +1,28 @@
 package sem
 
-import "fmt"
-
 // The fused gradient kernel: dudr, duds, and dudt of one element in a
 // single pass over its planes, instead of three sweeps that each re-read
 // all N^3 points of u from memory. Orders with a generated
 // specialization (N in [4, 16], see grad3_gen.go) read each source plane
 // once and produce all three derivative contributions from it while it
-// is hot in cache; other orders fall back to the three Optimized sweeps,
+// is hot in cache; other orders run the three Deriv(Optimized) kernels,
 // which compute the same thing with more memory traffic.
 //
-// Bit-exactness contract: Grad3Fused is bit-identical to
-// Grad3(Optimized, ...) at every order — the generated kernels replicate
-// the Optimized sweeps' partial-sum grouping and accumulation order
-// exactly, and the test suite pins this.
-
-// DerivOps is the structural cost of one direction's derivative for nel
-// elements of order n — exported so call sites that fuse the three
-// directions into one pass can still charge the hw model per direction,
-// keeping modeled time identical to the unfused path.
-func DerivOps(n, nel int) OpCount {
-	return derivOps(n, nel)
-}
+// Bit-exactness contract: Grad3Fused is bit-identical to three
+// Deriv(dir, Optimized, ...) sweeps at every order — the generated
+// kernels are built from the same per-plane loop bodies — and the test
+// suite pins this.
 
 // Grad3Fused computes all three reference-space derivatives of u for
-// nel elements in one pass per element. Results are bit-identical to
-// Grad3(Optimized, ...); the returned operation count equals the sum of
-// the three per-direction counts.
+// nel elements in one pass per element. The returned operation count
+// equals the sum of the three per-direction counts.
 func Grad3Fused(ref *Ref1D, u, ur, us, ut []float64, nel int) OpCount {
-	n := ref.N
-	n3 := n * n * n
-	if len(u) < nel*n3 || len(ur) < nel*n3 || len(us) < nel*n3 || len(ut) < nel*n3 {
-		panic(fmt.Sprintf("sem: grad3 needs %d values, got u=%d ur=%d us=%d ut=%d",
-			nel*n3, len(u), len(ur), len(us), len(ut)))
-	}
-	for e := 0; e < nel; e++ {
-		lo, hi := e*n3, (e+1)*n3
-		grad3FusedElem(ref.D, n, u[lo:hi], ur[lo:hi], us[lo:hi], ut[lo:hi])
-	}
-	return derivOps(n, nel).Times(3)
+	return Grad3FusedPool(nil, ref, u, ur, us, ut, nel)
 }
 
-func grad3FusedElem(d []float64, n int, u, ur, us, ut []float64) {
-	if grad3FusedGen(d, n, u, ur, us, ut) {
-		return
+// grad3Elems runs one generated fused kernel over elements [lo, hi).
+func grad3Elems(fused func(d, u, ur, us, ut []float64), d []float64, n3 int, u, ur, us, ut []float64, lo, hi int) {
+	for e := lo; e < hi; e++ {
+		fused(d, u[e*n3:(e+1)*n3], ur[e*n3:(e+1)*n3], us[e*n3:(e+1)*n3], ut[e*n3:(e+1)*n3])
 	}
-	dudrOpt(d, n, u, ur)
-	dudsOpt(d, n, u, us)
-	dudtOpt(d, n, u, ut)
 }

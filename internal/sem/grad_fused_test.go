@@ -1,84 +1,6 @@
 package sem
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-
-	"repro/internal/pool"
-)
-
-// TestGrad3FusedBitIdentical: the fused one-pass gradient must be
-// bit-identical to the three separate Optimized sweeps at every order —
-// generated specializations (N in [4, 16]) and the fallback alike. The
-// generated kernels replicate the Optimized kernels' 4-lane partial-sum
-// grouping and plane accumulation order exactly; this test pins that
-// contract.
-func TestGrad3FusedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 17} {
-		ref := NewRef1D(n)
-		nel := 3
-		n3 := n * n * n
-		u := randSlice(rng, nel*n3)
-		ur := make([]float64, nel*n3)
-		us := make([]float64, nel*n3)
-		ut := make([]float64, nel*n3)
-		wantOps := Grad3(Optimized, ref, u, ur, us, ut, nel)
-
-		fr := make([]float64, nel*n3)
-		fs := make([]float64, nel*n3)
-		ft := make([]float64, nel*n3)
-		ops := Grad3Fused(ref, u, fr, fs, ft, nel)
-		if ops != wantOps {
-			t.Fatalf("n=%d: fused ops %+v != unfused %+v", n, ops, wantOps)
-		}
-		for i := range ur {
-			if math.Float64bits(ur[i]) != math.Float64bits(fr[i]) {
-				t.Fatalf("n=%d: dudr not bit-identical at %d", n, i)
-			}
-			if math.Float64bits(us[i]) != math.Float64bits(fs[i]) {
-				t.Fatalf("n=%d: duds not bit-identical at %d", n, i)
-			}
-			if math.Float64bits(ut[i]) != math.Float64bits(ft[i]) {
-				t.Fatalf("n=%d: dudt not bit-identical at %d", n, i)
-			}
-		}
-	}
-}
-
-// TestGrad3FusedPoolBitIdentical: chunking the element loop over the
-// worker pool must not change a single bit at any width.
-func TestGrad3FusedPoolBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	n, nel := 8, 13
-	ref := NewRef1D(n)
-	n3 := n * n * n
-	u := randSlice(rng, nel*n3)
-	ur := make([]float64, nel*n3)
-	us := make([]float64, nel*n3)
-	ut := make([]float64, nel*n3)
-	serialOps := Grad3Fused(ref, u, ur, us, ut, nel)
-
-	for _, w := range []int{1, 2, 3, 8} {
-		p := pool.New(w)
-		fr := make([]float64, nel*n3)
-		fs := make([]float64, nel*n3)
-		ft := make([]float64, nel*n3)
-		ops := Grad3FusedPool(p, ref, u, fr, fs, ft, nel)
-		p.Close()
-		if ops != serialOps {
-			t.Fatalf("workers=%d: ops %+v != serial %+v", w, ops, serialOps)
-		}
-		for i := range ur {
-			if math.Float64bits(ur[i]) != math.Float64bits(fr[i]) ||
-				math.Float64bits(us[i]) != math.Float64bits(fs[i]) ||
-				math.Float64bits(ut[i]) != math.Float64bits(ft[i]) {
-				t.Fatalf("workers=%d: pooled fused gradient diverges at %d", w, i)
-			}
-		}
-	}
-}
+import "testing"
 
 // TestDerivOpsExported: the exported per-direction cost must match what
 // DerivPool reports, since fused call sites charge the hw model with it.

@@ -1,10 +1,13 @@
 package sem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pool"
 )
 
 // fillField evaluates f at every LGL point of nel identical elements.
@@ -88,7 +91,7 @@ func TestGrad3LinearField(t *testing.T) {
 	ur := make([]float64, nel*n3)
 	us := make([]float64, nel*n3)
 	ut := make([]float64, nel*n3)
-	ops := Grad3(Optimized, ref, u, ur, us, ut, nel)
+	ops := Grad3Fused(ref, u, ur, us, ut, nel)
 	for i := range ur {
 		if !almost(ur[i], 2, 1e-10) || !almost(us[i], -3, 1e-10) || !almost(ut[i], 5, 1e-10) {
 			t.Fatalf("grad of linear field wrong at %d: %v %v %v", i, ur[i], us[i], ut[i])
@@ -96,7 +99,7 @@ func TestGrad3LinearField(t *testing.T) {
 	}
 	wantFlops := int64(3 * 2 * nel * n3 * ref.N)
 	if ops.Flops() != wantFlops {
-		t.Fatalf("Grad3 flops = %d, want %d", ops.Flops(), wantFlops)
+		t.Fatalf("Grad3Fused flops = %d, want %d", ops.Flops(), wantFlops)
 	}
 }
 
@@ -140,6 +143,34 @@ func TestDerivPanicsOnShortSlices(t *testing.T) {
 		}
 	}()
 	Deriv(DirR, Basic, ref, make([]float64, 10), make([]float64, 10), 1)
+}
+
+// TestDerivRejectsBadDirection: an out-of-range Direction used to fall
+// through Deriv's switch — du untouched, a full derivOps returned and
+// charged — while ApplyDir panicked. Every entry now rejects it, as
+// they do an unknown variant.
+func TestDerivRejectsBadDirection(t *testing.T) {
+	ref := NewRef1D(4)
+	u, du := make([]float64, 64), make([]float64, 64)
+	p := pool.New(2)
+	defer p.Close()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	for _, dir := range []Direction{-1, 3} {
+		for _, v := range []KernelVariant{Basic, Optimized} {
+			mustPanic(fmt.Sprintf("Deriv(%d, %v)", int(dir), v), func() { Deriv(dir, v, ref, u, du, 1) })
+			mustPanic(fmt.Sprintf("DerivPool(%d, %v)", int(dir), v), func() { DerivPool(p, dir, v, ref, u, du, 1) })
+		}
+		mustPanic(fmt.Sprintf("ApplyDir(%d)", int(dir)), func() { ApplyDir(dir, ref.D, 4, u, du, 1) })
+	}
+	mustPanic("Deriv(variant 7)", func() { Deriv(DirR, KernelVariant(7), ref, u, du, 1) })
 }
 
 func TestDirectionAndVariantStrings(t *testing.T) {

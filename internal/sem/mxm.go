@@ -29,13 +29,10 @@ const (
 	// MxMFusedUnroll is MxMFused with the inner loop unrolled by four —
 	// the transformation set CMT-bone inherits from Nek5000.
 	MxMFusedUnroll
-	// MxMSpecialized uses a fully k-unrolled kernel (Nek5000's
-	// hand-specialized mxm44 family) when k is in [4, 10], falling back
-	// to MxMFusedUnroll otherwise.
-	MxMSpecialized
 	// MxMGenerated uses the go:generate-emitted fully k-unrolled kernels
-	// (internal/sem/gen) for k in [1, 16], falling back to MxMFusedUnroll
-	// otherwise. Bit-identical to MxMBasic.
+	// (internal/sem/gen; Nek5000's hand-specialized mxm44 family extended
+	// to every practical order) for k in [1, 16], falling back to
+	// MxMFusedUnroll otherwise. Bit-identical to MxMBasic.
 	MxMGenerated
 	// MxMSIMD uses the AVX2 assembly kernel on amd64 hosts with AVX2
 	// support (disabled by the semnoasm build tag), falling back to
@@ -61,8 +58,6 @@ func (v MxMVariant) String() string {
 		return "fused"
 	case MxMFusedUnroll:
 		return "fused+unroll"
-	case MxMSpecialized:
-		return "specialized"
 	case MxMGenerated:
 		return "generated"
 	case MxMSIMD:
@@ -76,7 +71,7 @@ func (v MxMVariant) String() string {
 // MxMVariants lists all kernel variants, for sweeps and ablations.
 var MxMVariants = []MxMVariant{
 	MxMBasic, MxMUnroll, MxMFused, MxMFusedUnroll,
-	MxMSpecialized, MxMGenerated, MxMSIMD, MxMAuto,
+	MxMGenerated, MxMSIMD, MxMAuto,
 }
 
 // checkMxMShape rejects degenerate dimensions before any slicing. The
@@ -102,18 +97,30 @@ func MxM(v MxMVariant, a []float64, m int, b []float64, k int, c []float64, n in
 	return mxmOps(m, n, k)
 }
 
+// MxMBatch computes c[e] = a[e] * b for e in [0, nel), where a holds nel
+// consecutive (m x k) blocks and c holds nel consecutive (m x n) blocks —
+// nel independent products sharing one B operator. One call resolves the
+// kernel once and loops elements. Returns the total structural operation
+// count.
+func MxMBatch(v MxMVariant, a []float64, m int, b []float64, k int, c []float64, n, nel int) OpCount {
+	if nel <= 0 {
+		panic(fmt.Sprintf("sem: mxm batch needs nel >= 1, got %d", nel))
+	}
+	checkMxMShape("mxm batch", m, k, n, len(a)/nel, len(b), len(c)/nel)
+	fn, _ := mxmResolve(v, k)
+	mk, mn := m*k, m*n
+	for e := 0; e < nel; e++ {
+		fn(a[e*mk:(e+1)*mk], m, b, k, c[e*mn:(e+1)*mn], n)
+	}
+	return mxmOps(m, n, k).Times(int64(nel))
+}
+
 // mxmFunc is the uniform kernel signature used by the dispatch table.
 type mxmFunc func(a []float64, m int, b []float64, k int, c []float64, n int)
 
 // Fallback-wrapped kernels, so a resolved function is always total even
 // if the specialization range is probed outside resolve (defensive; the
 // resolver only hands them out in range).
-func mxmSpecializedOrFallback(a []float64, m int, b []float64, k int, c []float64, n int) {
-	if !mxmSpecialized(a, m, b, k, c, n) {
-		mxmFusedUnroll(a, m, b, k, c, n)
-	}
-}
-
 func mxmGenOrFallback(a []float64, m int, b []float64, k int, c []float64, n int) {
 	if !mxmGen(a, m, b, k, c, n) {
 		mxmFusedUnroll(a, m, b, k, c, n)
@@ -128,10 +135,10 @@ func mxmSIMDOrFallback(a []float64, m int, b []float64, k int, c []float64, n in
 
 // mxmResolve maps (variant, k) to the kernel that will actually run and
 // its effective name. Variants with bounded specialization ranges
-// (specialized, generated, simd) resolve to their fallback outside the
-// range — the name reports the fallback, which is what benchmarks must
-// print (the kernelbench -mxm table used to credit "specialized" with
-// fused+unroll numbers for k outside [4, 10]).
+// (generated, simd) resolve to their fallback outside the range — the
+// name reports the fallback, which is what benchmarks must print. For
+// MxMAuto the name is the table entry's own; MxMEffective adds the
+// "auto:" prefix, keeping string building off the dispatch path.
 func mxmResolve(v MxMVariant, k int) (mxmFunc, string) {
 	switch v {
 	case MxMBasic:
@@ -141,11 +148,6 @@ func mxmResolve(v MxMVariant, k int) (mxmFunc, string) {
 	case MxMFused:
 		return mxmFused, "fused"
 	case MxMFusedUnroll:
-		return mxmFusedUnroll, "fused+unroll"
-	case MxMSpecialized:
-		if k >= 4 && k <= 10 {
-			return mxmSpecializedOrFallback, "specialized"
-		}
 		return mxmFusedUnroll, "fused+unroll"
 	case MxMGenerated:
 		if k >= 1 && k <= mxmGenMaxK {
@@ -163,12 +165,11 @@ func mxmResolve(v MxMVariant, k int) (mxmFunc, string) {
 	case MxMAuto:
 		if k >= 1 && k <= mxmGenMaxK {
 			t := mxmAutoTab.Load()
-			return t.fn[k], "auto:" + t.name[k]
+			return t.fn[k], t.name[k]
 		}
 		// Out-of-table k: same static preference order as the default
 		// table, without the per-k tuning.
-		fn, name := mxmResolve(MxMSIMD, k)
-		return fn, "auto:" + name
+		return mxmResolve(MxMSIMD, k)
 	}
 	panic(fmt.Sprintf("sem: unknown mxm variant %d", int(v)))
 }
@@ -179,6 +180,9 @@ func mxmResolve(v MxMVariant, k int) (mxmFunc, string) {
 // MxMAuto (prefixed "auto:").
 func MxMEffective(v MxMVariant, k int) string {
 	_, name := mxmResolve(v, k)
+	if v == MxMAuto {
+		return "auto:" + name
+	}
 	return name
 }
 

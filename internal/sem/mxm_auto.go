@@ -80,9 +80,6 @@ func mxmTuneCandidates(k int) (fns []mxmFunc, names []string) {
 		names = append(names, name)
 	}
 	add(mxmFusedUnroll, "fused+unroll")
-	if k >= 4 && k <= 10 {
-		add(mxmSpecializedOrFallback, "specialized")
-	}
 	if k >= 1 && k <= mxmGenMaxK {
 		add(mxmGenOrFallback, "generated")
 	}

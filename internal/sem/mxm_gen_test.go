@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/pool"
 )
 
 // The generated, SIMD, and auto variants share one correctness bar: bit
@@ -135,16 +133,6 @@ func TestMxMAutoExactAndTuned(t *testing.T) {
 // labeling bug: a variant outside its specialization range must report
 // the fallback that actually runs, not its own name.
 func TestMxMEffectiveNames(t *testing.T) {
-	for k := 4; k <= 10; k++ {
-		if got := MxMEffective(MxMSpecialized, k); got != "specialized" {
-			t.Errorf("specialized k=%d: effective %q", k, got)
-		}
-	}
-	for _, k := range []int{1, 2, 3, 11, 12, 16} {
-		if got := MxMEffective(MxMSpecialized, k); got != "fused+unroll" {
-			t.Errorf("specialized k=%d: effective %q, want fused+unroll", k, got)
-		}
-	}
 	for k := 1; k <= mxmGenMaxK; k++ {
 		if got := MxMEffective(MxMGenerated, k); got != "generated" {
 			t.Errorf("generated k=%d: effective %q", k, got)
@@ -168,8 +156,7 @@ func TestMxMEffectiveNames(t *testing.T) {
 		}
 	}
 	names := map[MxMVariant]string{
-		MxMSpecialized: "specialized", MxMGenerated: "generated",
-		MxMSIMD: "simd", MxMAuto: "auto",
+		MxMGenerated: "generated", MxMSIMD: "simd", MxMAuto: "auto",
 	}
 	for v, want := range names {
 		if v.String() != want {
@@ -241,24 +228,12 @@ func TestMxMBatchMatchesSingle(t *testing.T) {
 		if ops != mxmOps(m, n, k).Times(int64(nel)) {
 			t.Fatalf("%v: batch ops = %+v", v, ops)
 		}
-		// Pooled form, at several widths, must match exactly.
-		for _, w := range []int{1, 2, 4} {
-			p := pool.New(w)
-			pg := make([]float64, nel*m*n)
-			MxMBatchPool(p, v, a, m, b, k, pg, n, nel)
-			p.Close()
-			for i := range pg {
-				if math.Float64bits(pg[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("%v workers=%d: pooled batch diverges at %d", v, w, i)
-				}
-			}
-		}
 	}
 }
 
 // FuzzMxMVariants pits every variant against MxMBasic across random
 // shapes with m != n and k in [1, 20]. All order-preserving variants —
-// fused, fused+unroll, specialized, generated, simd, auto — must be
+// fused, fused+unroll, generated, simd, auto — must be
 // bit-identical; MxMUnroll is the one variant whose defined semantics
 // reassociate the reduction (4-way partial sums), so it alone is
 // checked against a tolerance. The transposed-B entry point is fuzzed

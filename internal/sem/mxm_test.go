@@ -133,37 +133,3 @@ func TestOpCountArithmetic(t *testing.T) {
 		t.Fatalf("Flops = %d", a.Flops())
 	}
 }
-
-// TestMxMSpecializedExact: every hand-unrolled k specialization must be
-// bit-identical to the basic triple loop — both accumulate the k-term dot
-// product strictly left to right, so even rounding must agree. This keeps
-// the specialized variant eligible anywhere bit-reproducibility is
-// asserted (the solver's determinism contracts).
-func TestMxMSpecializedExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for k := 4; k <= 10; k++ {
-		for _, mn := range [][2]int{{1, 1}, {k, k}, {13, 6}, {6, 17}} {
-			m, n := mn[0], mn[1]
-			a := randSlice(rng, m*k)
-			b := randSlice(rng, k*n)
-			want := make([]float64, m*n)
-			MxM(MxMBasic, a, m, b, k, want, n)
-			got := make([]float64, m*n)
-			if !mxmSpecialized(a, m, b, k, got, n) {
-				t.Fatalf("k=%d has no specialization", k)
-			}
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("k=%d m=%d n=%d: c[%d] = %x, want %x (not bit-identical)",
-						k, m, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
-		}
-	}
-	// And the dispatch boundaries: k outside [4, 10] reports false.
-	for _, k := range []int{1, 2, 3, 11, 12} {
-		if mxmSpecialized(make([]float64, 2*k), 2, make([]float64, k*2), k, make([]float64, 4), 2) {
-			t.Fatalf("k=%d unexpectedly specialized", k)
-		}
-	}
-}

@@ -19,63 +19,54 @@ import (
 // Size validation happens up front on the caller goroutine, so misuse
 // panics at the call site rather than inside a pool helper.
 
-// DerivPool is Deriv with the element loop fanned out over p.
-func DerivPool(p *pool.Pool, dir Direction, v KernelVariant, ref *Ref1D, u, du []float64, nel int) OpCount {
+// forElems runs fn over nel elements, fanned out over p in contiguous
+// chunks; a nil or 1-wide pool (or a single element) runs it inline with
+// no closure.
+func forElems(p *pool.Pool, fn axisFunc, d []float64, n int, u, du []float64, nel int) {
 	if p.Workers() == 1 || nel <= 1 {
-		return Deriv(dir, v, ref, u, du, nel)
+		fn(d, n, u, du, nel)
+		return
 	}
-	n := ref.N
 	n3 := n * n * n
-	if len(u) < nel*n3 || len(du) < nel*n3 {
-		panic(fmt.Sprintf("sem: deriv needs %d values, got u=%d du=%d", nel*n3, len(u), len(du)))
-	}
 	p.For(nel, func(lo, hi int) {
-		Deriv(dir, v, ref, u[lo*n3:hi*n3], du[lo*n3:hi*n3], hi-lo)
+		fn(d, n, u[lo*n3:hi*n3], du[lo*n3:hi*n3], hi-lo)
 	})
-	return derivOps(n, nel)
 }
 
-// Grad3Pool computes all three reference-space derivatives over p.
-func Grad3Pool(p *pool.Pool, v KernelVariant, ref *Ref1D, u, ur, us, ut []float64, nel int) OpCount {
-	ops := DerivPool(p, DirR, v, ref, u, ur, nel)
-	ops = ops.Plus(DerivPool(p, DirS, v, ref, u, us, nel))
-	ops = ops.Plus(DerivPool(p, DirT, v, ref, u, ut, nel))
-	return ops
+// DerivPool is Deriv with the element loop fanned out over p: validated
+// and resolved once, then every chunk runs the same kernel.
+func DerivPool(p *pool.Pool, dir Direction, v KernelVariant, ref *Ref1D, u, du []float64, nel int) OpCount {
+	n := ref.N
+	checkAxis("deriv", ref.D, n, u, du, nel)
+	fn := derivResolve(dir, v, n)
+	forElems(p, fn, ref.D, n, u, du, nel)
+	return derivOps(n, nel)
 }
 
 // Grad3FusedPool is Grad3Fused with the element loop fanned out over p.
 func Grad3FusedPool(p *pool.Pool, ref *Ref1D, u, ur, us, ut []float64, nel int) OpCount {
-	if p.Workers() == 1 || nel <= 1 {
-		return Grad3Fused(ref, u, ur, us, ut, nel)
-	}
 	n := ref.N
 	n3 := n * n * n
-	if len(u) < nel*n3 || len(ur) < nel*n3 || len(us) < nel*n3 || len(ut) < nel*n3 {
+	if nel < 0 || len(u) < nel*n3 || len(ur) < nel*n3 || len(us) < nel*n3 || len(ut) < nel*n3 {
 		panic(fmt.Sprintf("sem: grad3 needs %d values, got u=%d ur=%d us=%d ut=%d",
 			nel*n3, len(u), len(ur), len(us), len(ut)))
 	}
-	p.For(nel, func(lo, hi int) {
-		Grad3Fused(ref, u[lo*n3:hi*n3], ur[lo*n3:hi*n3], us[lo*n3:hi*n3], ut[lo*n3:hi*n3], hi-lo)
-	})
-	return derivOps(n, nel).Times(3)
-}
-
-// ApplyDirPool is ApplyDir with the element loop fanned out over p.
-func ApplyDirPool(p *pool.Pool, dir Direction, mat []float64, n int, u, du []float64, nel int) OpCount {
+	if n < derivGenMinN || n > derivGenMaxN {
+		for dir, du := range [][]float64{DirR: ur, DirS: us, DirT: ut} {
+			fn := derivResolve(Direction(dir), Optimized, n)
+			forElems(p, fn, ref.D, n, u, du, nel)
+		}
+		return derivOps(n, nel).Times(3)
+	}
+	fused := grad3FusedGen[n]
 	if p.Workers() == 1 || nel <= 1 {
-		return ApplyDir(dir, mat, n, u, du, nel)
+		grad3Elems(fused, ref.D, n3, u, ur, us, ut, 0, nel)
+	} else {
+		p.For(nel, func(lo, hi int) {
+			grad3Elems(fused, ref.D, n3, u, ur, us, ut, lo, hi)
+		})
 	}
-	n3 := n * n * n
-	if len(mat) < n*n {
-		panic(fmt.Sprintf("sem: operator needs %d entries, got %d", n*n, len(mat)))
-	}
-	if len(u) < nel*n3 || len(du) < nel*n3 {
-		panic(fmt.Sprintf("sem: apply needs %d values, got u=%d du=%d", nel*n3, len(u), len(du)))
-	}
-	p.For(nel, func(lo, hi int) {
-		ApplyDir(dir, mat, n, u[lo*n3:hi*n3], du[lo*n3:hi*n3], hi-lo)
-	})
-	return derivOps(n, nel)
+	return derivOps(n, nel).Times(3)
 }
 
 // Full2FacePool is Full2Face with the element loop fanned out over p.

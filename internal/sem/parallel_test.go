@@ -45,15 +45,19 @@ func TestPoolKernelsMatchSerial(t *testing.T) {
 				}
 				sameBits(t, "DerivPool "+dir.String(), got, want)
 			}
+		}
 
-			want := make([]float64, nel*n3)
-			got := make([]float64, nel*n3)
-			opsS := ApplyDir(dir, ref.Dt, n, u, want, nel)
-			opsP := ApplyDirPool(p, dir, ref.Dt, n, u, got, nel)
-			if opsS != opsP {
-				t.Fatalf("ApplyDirPool(%v) ops = %+v, serial %+v", dir, opsP, opsS)
-			}
-			sameBits(t, "ApplyDirPool "+dir.String(), got, want)
+		var wantG, gotG [3][]float64
+		for d := range wantG {
+			wantG[d] = make([]float64, nel*n3)
+			gotG[d] = make([]float64, nel*n3)
+		}
+		opsG := Grad3Fused(ref, u, wantG[0], wantG[1], wantG[2], nel)
+		if got := Grad3FusedPool(p, ref, u, gotG[0], gotG[1], gotG[2], nel); got != opsG {
+			t.Fatalf("Grad3FusedPool ops = %+v, serial %+v", got, opsG)
+		}
+		for d := range wantG {
+			sameBits(t, "Grad3FusedPool "+Direction(d).String(), gotG[d], wantG[d])
 		}
 
 		fl := FaceSliceLen(n, nel)

@@ -96,7 +96,7 @@ type Config struct {
 	TuneTrials int
 	// TuneMxM, when set, runs the small-matrix kernel autotuner once per
 	// process at solver construction (sem.TuneMxMDefault): every mxm
-	// kernel — generated, SIMD, specialized — is verified bit-exact and
+	// kernel — generated, SIMD, fused+unroll — is verified bit-exact and
 	// timed at the derivative kernel's dominant shapes, and MxMAuto call
 	// sites dispatch to each shape's measured winner. All candidates are
 	// bit-identical, so tuning never changes results, only wall time.
@@ -258,6 +258,9 @@ func (c *Config) Validate(p int) error {
 	}
 	if c.CFL <= 0 {
 		return fmt.Errorf("solver: CFL must be positive, got %g", c.CFL)
+	}
+	if c.Variant != sem.Basic && c.Variant != sem.Optimized {
+		return fmt.Errorf("solver: unknown kernel variant %v", c.Variant)
 	}
 	for gid, m := range c.HotElems {
 		if m <= 0 {

@@ -215,7 +215,7 @@ func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous boo
 				stop = s.span("ax_deriv_"+dir.String(), obs.CatKernel)
 				ops := sem.DerivPool(s.pool, dir, s.Cfg.Variant, s.Ref,
 					s.fx[off:off+volr], s.dwork[off:off+volr], nelr)
-				s.chargeCompute(ops, derivTraits(dir, s.Cfg.Variant))
+				s.chargeCompute(ops, s.derivTraits[d])
 				stop()
 
 				s.pool.For(volr, func(lo, hi int) {

@@ -64,6 +64,10 @@ type Solver struct {
 	deaBufs *sem.DealiasBufs // per-worker dealiasing buffers
 	wsPart  []float64        // per-slot wave-speed partial maxima
 
+	// Cfg.Variant resolved once at construction to the hw traits charged
+	// per derivative direction.
+	derivTraits [3]hw.Traits
+
 	// Geometry: uniform unit-cube elements, so d(ref)/d(phys) = 2.
 	rx float64
 	// liftScale[d] = 2/(h_d * w_0): the diagonal lift factor at face
@@ -173,6 +177,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	}
 	for d := 0; d < 3; d++ {
 		s.liftScale[d] = s.rx / ref.W[0]
+		s.derivTraits[d] = hw.DerivTraits(d, cfg.Variant == sem.Optimized)
 	}
 	s.allocScratch()
 
@@ -458,25 +463,6 @@ func (s *Solver) Ownership() *mesh.Ownership {
 // rebalance epochs). Close the returned func to end it.
 func (s *Solver) TraceSpan(name string, cat obs.Category) func() {
 	return s.span(name, cat)
-}
-
-// derivTraits returns the hw traits matching the configured kernel
-// variant and direction.
-func derivTraits(dir sem.Direction, v sem.KernelVariant) hw.Traits {
-	switch {
-	case dir == sem.DirR && v == sem.Optimized:
-		return hw.DudrOptimized
-	case dir == sem.DirR:
-		return hw.DudrBasic
-	case dir == sem.DirS && v == sem.Optimized:
-		return hw.DudsOptimized
-	case dir == sem.DirS:
-		return hw.DudsBasic
-	case dir == sem.DirT && v == sem.Optimized:
-		return hw.DudtOptimized
-	default:
-		return hw.DudtBasic
-	}
 }
 
 // pointwiseTraits models simple streaming arithmetic (flux evaluation,

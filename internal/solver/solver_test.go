@@ -370,6 +370,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(4); err == nil {
 		t.Fatal("indivisible elem grid accepted")
 	}
+	bad = cfg
+	bad.Variant = sem.KernelVariant(7)
+	if err := bad.Validate(4); err == nil {
+		t.Fatal("unknown kernel variant accepted")
+	}
 }
 
 func TestPaperFig7Config(t *testing.T) {

@@ -65,8 +65,7 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 			sem.Grad3FusedPool(s.pool, s.Ref, s.gradQ[q],
 				s.gradD[q][0], s.gradD[q][1], s.gradD[q][2], nel)
 			for d := 0; d < 3; d++ {
-				dir := sem.Direction(d)
-				s.chargeCompute(sem.DerivOps(s.Ref.N, nel), derivTraits(dir, s.Cfg.Variant))
+				s.chargeCompute(sem.DerivOps(s.Ref.N, nel), s.derivTraits[d])
 			}
 		}
 		stop()
@@ -79,7 +78,7 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 				dir := sem.Direction(d)
 				stop := s.span("ax_deriv_"+dir.String(), obs.CatKernel)
 				ops := sem.DerivPool(s.pool, dir, s.Cfg.Variant, s.Ref, s.gradQ[q], s.gradD[q][d], nel)
-				s.chargeCompute(ops, derivTraits(dir, s.Cfg.Variant))
+				s.chargeCompute(ops, s.derivTraits[d])
 				stop()
 			}
 		}
