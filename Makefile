@@ -20,6 +20,7 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/pool/... ./internal/gs/... ./internal/sem/...
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap' ./internal/solver/...
+	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3' ./internal/solver/
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5
@@ -30,14 +31,17 @@ chaos:
 		./internal/fault/... ./internal/comm/... ./internal/checkpoint/...
 
 # 10-second fuzz smoke per target (one target per invocation, as go
-# test requires): the binary parsers plus the differential mxm-kernel
-# fuzzer (every variant vs MxMBasic, bit-exact).
+# test requires): the binary parsers plus the differential kernel
+# fuzzers (every mxm variant vs MxMBasic; every r/s derivative kernel vs
+# the hand loops and each other, bit-exact — without -race, which builds
+# the AVX2 r/s kernels out).
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadParticles$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDecodeOwnershipWire$$' -fuzztime 10s ./internal/mesh/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMVariants$$' -fuzztime 10s ./internal/sem/
+	$(GO) test -run '^$$' -fuzz '^FuzzDerivKernels$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/comm/tcptransport/
 
 # Re-run the kernel generator (internal/sem/gen) over the committed
@@ -46,15 +50,19 @@ generate:
 	$(GO) generate ./...
 
 # Drift check: the committed generated kernels (mxm_gen.go,
-# mxmbt_gen.go, grad3_gen.go, deriv_gen.go) must match what the
-# generator emits today, and it must emit no file that is not committed.
+# mxmbt_gen.go, grad3_gen.go, deriv_gen.go and the AVX2 assembly
+# deriv_avx2_amd64.s with its declarations deriv_avx2_gen.go) must
+# match what the generator emits today, and it must emit no file that is
+# not committed.
 generate-check: generate
 	git diff --exit-code -- internal/sem
 	test -z "$$(git ls-files --others --exclude-standard -- internal/sem)"
 
 # The pure-Go fallback build: the semnoasm tag disables the AVX2
 # assembly backend; the kernel packages and their consumers must build
-# and pass bit-exactness tests without it.
+# and pass bit-exactness tests without it (the r/s kernel table and
+# fuzz corpus, the volume-pipeline goldens and the allocation ceiling
+# run on the generated Go kernels here).
 test-noasm:
 	$(GO) build -tags semnoasm ./...
 	$(GO) test -tags semnoasm ./internal/sem/... ./internal/solver/... ./internal/bench/...

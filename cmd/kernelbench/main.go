@@ -136,7 +136,36 @@ func runOne(machine hw.Machine, variants []sem.KernelVariant, n, nel, steps, wor
 		}
 		fmt.Print(report.Fig5or6KernelTable(title, rows))
 		fmt.Println()
+		if v == sem.Optimized {
+			printDerivBackends(n, nel, steps)
+		}
 	}
+}
+
+// printDerivBackends times every bit-identical r and s kernel the
+// Deriv(Optimized) table can hold at this order — the generated Go
+// kernel and, on AVX2 hosts, the assembly one — through the tuner, which
+// verifies each against the hand-written loops first. Orders outside the
+// generated range have the hand loops only and print nothing.
+func printDerivBackends(n, nel, steps int) {
+	results := sem.TuneDeriv([]int{n}, nel, steps)
+	if len(results) == 0 {
+		return
+	}
+	fmt.Printf("r/s kernel backends (AVX2=%v; * = what Deriv runs), Gflop/s:\n", sem.HasSIMD())
+	flops := 2 * float64(n) * float64(nel*n*n*n)
+	for _, res := range results {
+		fmt.Printf("%-6s", res.Dir)
+		for _, c := range res.Candidates {
+			mark := " "
+			if c.Name == res.Winner {
+				mark = "*"
+			}
+			fmt.Printf(" %12s %7.2f%s", c.Name, flops/c.Secs/1e9, mark)
+		}
+		fmt.Println()
+	}
+	fmt.Println()
 }
 
 // runSweep scans the paper's N = 5..25 polynomial range at roughly

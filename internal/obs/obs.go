@@ -198,3 +198,19 @@ func (r *RankTracer) Span(name string, cat Category) func() {
 		})
 	}
 }
+
+// Record adds a span whose extents the caller measured itself: wall
+// interval [start, start+dur) and virtual interval [vt0, vt1]. It serves
+// regions whose work is interleaved with other regions' and so cannot be
+// bracketed by one Span call; the caller lays the wall intervals out.
+func (r *RankTracer) Record(name string, cat Category, start time.Time, dur time.Duration, vt0, vt1 float64) {
+	if r == nil {
+		return
+	}
+	w0 := start.Sub(r.t.epoch).Seconds()
+	r.t.addSpan(Span{
+		Rank: r.rank, Name: name, Cat: cat,
+		WallStart: w0, WallEnd: w0 + dur.Seconds(),
+		VTStart: vt0, VTEnd: vt1,
+	})
+}

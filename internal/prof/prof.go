@@ -67,29 +67,44 @@ func (p *Profiler) Start(name string) func() {
 		}
 		f := p.stack[depth-1]
 		p.stack = p.stack[:depth-1]
-		total := time.Since(f.start).Seconds()
-		acc, ok := p.regions[f.name]
-		if !ok {
-			acc = &regionAcc{}
-			p.regions[f.name] = acc
-		}
-		acc.calls++
-		acc.total += total
-		acc.self += total - f.child
-		parent := "<root>"
-		if depth >= 2 {
-			p.stack[depth-2].child += total
-			parent = p.stack[depth-2].name
-		}
-		ek := [2]string{parent, f.name}
-		e, ok := p.edges[ek]
-		if !ok {
-			e = &edgeAcc{}
-			p.edges[ek] = e
-		}
-		e.calls++
-		e.total += total
+		p.record(f.name, 1, time.Since(f.start).Seconds(), f.child)
 	}
+}
+
+// record credits calls finished invocations of region name, total
+// seconds inclusive of child seconds in nested regions, to the flat
+// profile and to the arc from the innermost region still open.
+func (p *Profiler) record(name string, calls int64, total, child float64) {
+	acc, ok := p.regions[name]
+	if !ok {
+		acc = &regionAcc{}
+		p.regions[name] = acc
+	}
+	acc.calls += calls
+	acc.total += total
+	acc.self += total - child
+	parent := "<root>"
+	if depth := len(p.stack); depth >= 1 {
+		p.stack[depth-1].child += total
+		parent = p.stack[depth-1].name
+	}
+	ek := [2]string{parent, name}
+	e, ok := p.edges[ek]
+	if !ok {
+		e = &edgeAcc{}
+		p.edges[ek] = e
+	}
+	e.calls += calls
+	e.total += total
+}
+
+// Add records calls finished invocations of region name that together
+// took seconds, as children of the innermost open region — for a caller
+// that runs a region's work in pieces interleaved with other regions'
+// (one element at a time, say) and times the pieces itself, where no
+// single Start/stop pair could bracket it.
+func (p *Profiler) Add(name string, calls int64, seconds float64) {
+	p.record(name, calls, seconds, 0)
 }
 
 // Finish closes the profiler's wall-clock window; further Starts reopen

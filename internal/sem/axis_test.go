@@ -128,10 +128,11 @@ func TestAxisKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDerivResolve pins what the single entry runs: a generated kernel
-// along r and s and the mxm table along t at every N in [4, 16] — never
-// the hand-written fallback — the fallback only outside that range, and
-// the untransformed loops for Basic.
+// TestDerivResolve pins what the single entry runs: along r and s at
+// every N in [4, 16] the AVX2 kernel when the host has one (and the
+// build is not a -race one) — not the generated scalar kernel — and the
+// generated kernel otherwise, never the hand-written fallback; the mxm table along t; the fallback
+// only outside that range; and the untransformed loops for Basic.
 func TestDerivResolve(t *testing.T) {
 	ptr := func(f axisFunc) uintptr { return reflect.ValueOf(f).Pointer() }
 	for n := 1; n <= 24; n++ {
@@ -141,6 +142,18 @@ func TestDerivResolve(t *testing.T) {
 			if want[DirR] == nil || ptr(want[DirR]) == ptr(dudrOpt) ||
 				want[DirS] == nil || ptr(want[DirS]) == ptr(dudsOpt) {
 				t.Fatalf("n=%d: no generated kernel in the table", n)
+			}
+			for _, dir := range []Direction{DirR, DirS} {
+				simd, ok := derivSIMD(dir)
+				if ok != (HasSIMD() && !raceEnabled) {
+					t.Fatalf("derivSIMD(%v) = %v with HasSIMD() = %v, race detector %v", dir, ok, HasSIMD(), raceEnabled)
+				}
+				if ok {
+					if ptr(simd.fn) == ptr(want[dir]) {
+						t.Fatalf("n=%d %v: the AVX2 kernel is the generated scalar one", n, dir)
+					}
+					want[dir] = simd.fn
+				}
 			}
 		}
 		basic := [3]axisFunc{DirR: dudrBasic, DirS: dudsBasic, DirT: dudtBasic}

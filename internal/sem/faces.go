@@ -36,28 +36,41 @@ func FaceSign(f int) int {
 // OppositeFace returns the face on the other side of the element.
 func OppositeFace(f int) int { return f ^ 1 }
 
-// faceIndex returns the linear index within an element of face point
-// (p, q) on face f, for N points per direction. Face points are ordered
-// so that two elements sharing a face enumerate the shared points
-// identically: (p, q) run over the two non-normal directions in (r,s,t)
-// order.
-func faceIndex(n, f, p, q int) int {
+// faceLayout returns where face f's points sit within an element of N
+// points per direction: point (p, q) is at off + sp*p + sq*q. Face points
+// are ordered so that two elements sharing a face enumerate the shared
+// points identically: (p, q) run over the two non-normal directions in
+// (r,s,t) order.
+func faceLayout(n, f int) (off, sp, sq int) {
 	last := n - 1
 	switch f {
 	case FaceRMinus:
-		return 0 + n*p + n*n*q // (j,k) = (p,q)
+		return 0, n, n * n // (j,k) = (p,q)
 	case FaceRPlus:
-		return last + n*p + n*n*q
+		return last, n, n * n
 	case FaceSMinus:
-		return p + 0 + n*n*q // (i,k) = (p,q)
+		return 0, 1, n * n // (i,k) = (p,q)
 	case FaceSPlus:
-		return p + n*last + n*n*q
+		return n * last, 1, n * n
 	case FaceTMinus:
-		return p + n*q + 0 // (i,j) = (p,q)
+		return 0, 1, n // (i,j) = (p,q)
 	case FaceTPlus:
-		return p + n*q + n*n*last
+		return n * n * last, 1, n
 	}
 	panic(fmt.Sprintf("sem: bad face %d", f))
+}
+
+// gatherFace copies face f of the element ue into dst (N^2 values).
+func gatherFace(n, f int, ue, dst []float64) {
+	off, sp, sq := faceLayout(n, f)
+	for q := 0; q < n; q++ {
+		row := dst[n*q : n*q+n]
+		at := off + sq*q
+		for p := range row {
+			row[p] = ue[at]
+			at += sp
+		}
+	}
 }
 
 // Full2Face gathers the six boundary planes of each of nel elements from
@@ -74,12 +87,7 @@ func Full2Face(n int, u []float64, nel int, faces []float64) OpCount {
 		ue := u[e*n3 : (e+1)*n3]
 		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
 		for f := 0; f < NFaces; f++ {
-			dst := fe[f*n2 : (f+1)*n2]
-			for q := 0; q < n; q++ {
-				for p := 0; p < n; p++ {
-					dst[p+n*q] = ue[faceIndex(n, f, p, q)]
-				}
-			}
+			gatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
 		}
 	}
 	moved := int64(nel) * NFaces * int64(n2)
@@ -100,12 +108,7 @@ func Full2FaceDir(n int, u []float64, nel int, faces []float64, dim int) OpCount
 		ue := u[e*n3 : (e+1)*n3]
 		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
 		for f := 2 * dim; f <= 2*dim+1; f++ {
-			dst := fe[f*n2 : (f+1)*n2]
-			for q := 0; q < n; q++ {
-				for p := 0; p < n; p++ {
-					dst[p+n*q] = ue[faceIndex(n, f, p, q)]
-				}
-			}
+			gatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
 		}
 	}
 	moved := int64(nel) * 2 * int64(n2)
@@ -124,10 +127,12 @@ func Face2FullAdd(n int, faces []float64, nel int, u []float64) OpCount {
 		ue := u[e*n3 : (e+1)*n3]
 		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
 		for f := 0; f < NFaces; f++ {
-			src := fe[f*n2 : (f+1)*n2]
+			off, sp, sq := faceLayout(n, f)
 			for q := 0; q < n; q++ {
-				for p := 0; p < n; p++ {
-					ue[faceIndex(n, f, p, q)] += src[p+n*q]
+				at := off + sq*q
+				for _, v := range fe[f*n2+n*q : f*n2+n*q+n] {
+					ue[at] += v
+					at += sp
 				}
 			}
 		}

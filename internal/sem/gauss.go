@@ -50,7 +50,7 @@ func GaussWeights(x []float64) []float64 {
 // over-integration rule.
 func NewRef1DGauss(n int) *Ref1D {
 	x := GLLNodes(n)
-	nf := (3*n + 1) / 2
+	nf := fineOrder(n)
 	xf := GaussNodes(nf)
 	d := DerivMatrix(x)
 	return &Ref1D{

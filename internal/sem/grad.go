@@ -90,13 +90,16 @@ func DerivOps(n, nel int) OpCount {
 }
 
 // One kernel path. Every production "apply an n x n operator along an
-// axis" — Deriv, DerivPool, ApplyDir, the Grad3Fused fallback, and
-// through them the solver's flux divergence and gradients and Nekbone's
-// ax — resolves its kernel here, once per call, and runs it over the
-// whole batch of elements:
+// axis" — Deriv, DerivPool, ElemDeriv, ApplyDir, the Grad3Fused fallback,
+// and through them the solver's flux divergence and gradients and
+// Nekbone's ax — resolves its kernel here, once per call, and runs it
+// over the whole batch of elements:
 //
-//   - r and s, N in [4, 16]: the per-order kernels internal/sem/gen emits
-//     from the same per-plane loop bodies as grad3FusedN* (deriv_gen.go);
+//   - r and s, N in [4, 16]: the entry of the per-order table the tuner
+//     maintains (derivAutoTab) — the AVX2 kernel internal/sem/gen emits
+//     (deriv_avx2_amd64.s) where the host has AVX2, else the Go kernel it
+//     emits from the same per-plane loop bodies as grad3FusedN*
+//     (deriv_gen.go). The two are bit-identical on every input;
 //   - t at every N: the direction is a plain row-major product
 //     du(n x n^2) = D(n x n) u(n x n^2) with ascending-l accumulation, so
 //     it runs the MxMAuto table's kernel (AVX2, generated or fused+unroll);
@@ -109,8 +112,14 @@ func DerivOps(n, nel int) OpCount {
 // because that is the accumulation order every recorded result — the
 // solver's physics, BENCH_*_baseline.json, benchmark/golden — was
 // produced with; a strictly ascending dot product (what the mxm kernels
-// compute) rounds differently. The Basic variant stays what the paper's
-// Figure 6 measures: the untransformed loop nests below.
+// compute) rounds differently. That is also why the AVX2 kernel puts
+// four outputs, not four terms, in a vector: each lane then walks the
+// scalar expression tree, multiply and add kept separate. (One corner
+// the hand loops do not share with the generated kernels, Go or AVX2:
+// their partial sums start from +0 rather than from the lane's first
+// product, so an output whose every term is -0 is +0 there and -0 here.)
+// The Basic variant stays what the paper's Figure 6 measures: the
+// untransformed loop nests below.
 
 // axisFunc applies the n x n row-major operator d along one reference
 // axis of nel contiguous N^3 elements. du must not alias u.
@@ -125,19 +134,50 @@ func derivResolve(dir Direction, v KernelVariant, n int) axisFunc {
 	case Basic:
 		return [...]axisFunc{dudrBasic, dudsBasic, dudtBasic}[dir]
 	case Optimized:
-		if dir == DirT {
+		switch {
+		case dir == DirT:
 			return applyTMxM
+		case n >= derivGenMinN && n <= derivGenMaxN:
+			return derivAutoTab.Load().k[dir][n].fn
+		case dir == DirR:
+			return dudrOpt
 		}
-		gen, fallback := derivRGen[:], axisFunc(dudrOpt)
-		if dir == DirS {
-			gen, fallback = derivSGen[:], dudsOpt
-		}
-		if n >= derivGenMinN && n <= derivGenMaxN {
-			return gen[n]
-		}
-		return fallback
+		return dudsOpt
 	}
 	panic(fmt.Sprintf("sem: bad kernel variant %d", int(v)))
+}
+
+// ElemDeriv is Deriv with validation and kernel resolution done once,
+// for callers that differentiate one element at a time while it is
+// cache-resident (the solver's volume pipeline) instead of sweeping a
+// whole batch per direction.
+type ElemDeriv struct {
+	n  int
+	fn [3]axisFunc
+	op [3][]float64 // the operator as fn[dir] takes it
+}
+
+// NewElemDeriv resolves the three kernels Deriv(dir, v, ref, ...) runs.
+func NewElemDeriv(v KernelVariant, ref *Ref1D) ElemDeriv {
+	k := ElemDeriv{n: ref.N}
+	for dir := DirR; dir <= DirT; dir++ {
+		k.fn[dir], k.op[dir] = derivResolve(dir, v, ref.N), ref.D
+	}
+	if v == Optimized && ref.N >= derivGenMinN && ref.N <= derivGenMaxN {
+		// An r kernel that wants the operator transposed gets Ref1D's
+		// copy rather than transposing D anew for every element.
+		if r := derivAutoTab.Load().k[DirR][ref.N]; r.fnT != nil {
+			k.fn[DirR], k.op[DirR] = r.fnT, ref.Dt
+		}
+	}
+	return k
+}
+
+// Apply differentiates the single element u (N^3 values) along dir into
+// du, bit-identical to Deriv on that element. du must not alias u.
+func (k *ElemDeriv) Apply(dir Direction, u, du []float64) {
+	n3 := k.n * k.n * k.n
+	k.fn[dir](k.op[dir], k.n, u[:n3], du[:n3], 1)
 }
 
 // checkAxis validates one axis-apply call up front, on the caller's

@@ -220,10 +220,14 @@ type Ref1D struct {
 	JB []float64 // back-interpolation NF -> N (N x NF)
 }
 
+// fineOrder is the dealiasing mesh size for n points per direction:
+// ceil(3N/2), Nek's rule.
+func fineOrder(n int) int { return (3*n + 1) / 2 }
+
 // NewRef1D builds the reference operators for n LGL points per direction.
 func NewRef1D(n int) *Ref1D {
 	x := GLLNodes(n)
-	nf := (3*n + 1) / 2 // ceil(3N/2), Nek's dealiasing rule
+	nf := fineOrder(n)
 	xf := GLLNodes(nf)
 	d := DerivMatrix(x)
 	return &Ref1D{

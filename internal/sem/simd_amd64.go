@@ -8,7 +8,8 @@ package sem
 // with separate VMULPD/VADDPD — deliberately no FMA, whose single
 // rounding would break bit-identity with the scalar kernels. The
 // semnoasm build tag swaps in the pure-Go fallback (simd_noasm.go), so
-// the portable path stays honest and CI-covered.
+// the portable path stays honest and CI-covered. (The r/s derivative
+// kernels' AVX2 backend is deriv_simd_amd64.go.)
 
 // mxmAVX2Asm computes C (m x n) = A (m x k) * B (k x n), row-major.
 // Requires m, k, n >= 1 and AVX2; the caller guards both.

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"time"
+
 	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/sem"
@@ -146,93 +148,209 @@ func (s *Solver) faceExtractRuns(in *[NumFields][]float64, runs [][2]int) {
 	stop()
 }
 
+// The stages of the volume pipeline a slot's stopwatch separates; all
+// but volRest are profiler regions.
+const (
+	volFlux = iota // compute_flux: Euler (+ viscous) flux, three directions
+	volFace        // full2face_cmt: viscous flux traces
+	volR           // ax_deriv_dudr
+	volS           // ax_deriv_duds
+	volT           // ax_deriv_dudt
+	volRest        // metric scaling + negation into rhs (unnamed, as ever)
+	numVolStages
+)
+
+// derivRegion names the profiler region of each derivative direction.
+var derivRegion = [3]string{"ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt"}
+
+// volSlot is one pool slot's private state in the volume pipeline.
+type volSlot struct {
+	buf  []float64                   // 6*N^3: the element's three flux components, then their derivatives
+	secs [numVolStages]time.Duration // this run's stopwatch totals
+}
+
+// volJob is the run volumeElems is working through. It lives in the
+// Solver (with the closure over it built once, in New) so that a run
+// dispatches to the pool without allocating.
+type volJob struct {
+	in      *[NumFields][]float64
+	kern    sem.ElemDeriv
+	elo     int
+	viscous bool
+}
+
 // volumeRuns is the derivative kernel (ax_) phase — the dominant cost —
-// over the given element runs. For each field and direction: pointwise
-// flux, then the tensor-product derivative, accumulated with the constant
-// metric into the divergence and negated into s.rhs. In the viscous path
-// the face traces of the total flux are extracted here too (both sides
-// then average them via gs, a BR1-style viscous interface flux).
+// over the given element runs, one element at a time: for each field the
+// three directional fluxes are evaluated into slot scratch, D is applied
+// along r, s and t while they are in cache, and the divergence, scaled by
+// the constant metric and negated, goes straight into s.rhs. In the
+// viscous path the flux carries the viscous terms and its face traces
+// are extracted here too (both sides then average them via gs, a
+// BR1-style viscous interface flux). Per point this is the arithmetic of
+// a sweep-per-(field, direction) formulation in the same order, so the
+// state is bit-identical to one; volumeCharges then bills the run as
+// those sweeps.
 func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous bool) {
+	s.vol.in, s.vol.viscous = in, viscous
+	s.vol.kern = sem.NewElemDeriv(s.Cfg.Variant, s.Ref)
+	for _, run := range runs {
+		for i := range s.volSlots {
+			s.volSlots[i].secs = [numVolStages]time.Duration{} // a slot a short run leaves idle reports nothing
+		}
+		s.vol.elo = run[0]
+		start := time.Now()
+		s.pool.ForSlots(run[1]-run[0], s.volBody)
+		s.volumeCharges(run[1]-run[0], viscous, start, time.Since(start))
+	}
+}
+
+// volumeElems runs the volume pipeline over elements [lo, hi) of the
+// current run on pool slot slot.
+func (s *Solver) volumeElems(slot, lo, hi int) {
+	job, sl := &s.vol, &s.volSlots[slot]
+	in := job.in
 	n := s.Cfg.N
 	n3 := n * n * n
 	fpe := sem.NFaces * n * n
-	pr, en := s.prP, in[IEnergy]
-	for _, run := range runs {
-		elo, ehi := run[0], run[1]
-		nelr := ehi - elo
-		off := elo * n3
-		volr := nelr * n3
+	rx := s.rx
+	// Scratch: the three flux components, then their derivatives. (Sliced
+	// to a length the compiler can see is n3, which keeps bounds checks
+	// out of the pointwise loops.)
+	f0, f1, f2 := sl.buf[:n3], sl.buf[n3:][:n3], sl.buf[2*n3:][:n3]
+	g0, g1, g2 := sl.buf[3*n3:][:n3], sl.buf[4*n3:][:n3], sl.buf[5*n3:][:n3]
+	f, g := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}
+	// The stopwatch: lap(stage) books the time since the previous lap.
+	// It totals locally — slots are neighbours in memory — and hands over
+	// once, at the end.
+	t0 := time.Now()
+	var last time.Duration
+	var secs [numVolStages]time.Duration
+	lap := func(stage int) {
+		now := time.Since(t0)
+		secs[stage] += now - last
+		last = now
+	}
+	for e := job.elo + lo; e < job.elo+hi; e++ {
+		base := e * n3
+		pr, en := s.prP[base:base+n3], in[IEnergy][base:base+n3]
+		v0, v1, v2 := s.velP[0][base:base+n3], s.velP[1][base:base+n3], s.velP[2][base:base+n3]
 		for c := 0; c < NumFields; c++ {
-			s.pool.For(volr, func(lo, hi int) {
-				dv := s.div[off+lo : off+hi]
-				for i := range dv {
-					dv[i] = 0
+			src := f // what the derivative kernels read
+			switch {
+			case c == IRho:
+				// The mass flux is the momentum: differentiate it in place.
+				for d := 0; d < 3; d++ {
+					src[d] = in[IMomX+d][base : base+n3]
 				}
-			})
-			for d := 0; d < 3; d++ {
-				stop := s.span("compute_flux", obs.CatKernel)
-				vn := s.velP[d]
-				switch {
-				case c == IRho:
-					copy(s.fx[off:off+volr], in[IMomX+d][off:off+volr])
-				case c == IMomX+d:
-					uc := in[c]
-					s.pool.For(volr, func(lo, hi int) {
-						for i := off + lo; i < off+hi; i++ {
-							s.fx[i] = uc[i]*vn[i] + pr[i]
-						}
-					})
-				case c == IEnergy:
-					s.pool.For(volr, func(lo, hi int) {
-						for i := off + lo; i < off+hi; i++ {
-							s.fx[i] = vn[i] * (en[i] + pr[i])
-						}
-					})
-				default:
-					uc := in[c]
-					s.pool.For(volr, func(lo, hi int) {
-						for i := off + lo; i < off+hi; i++ {
-							s.fx[i] = uc[i] * vn[i]
-						}
-					})
+			case c == IEnergy:
+				for i := 0; i < n3; i++ {
+					h := en[i] + pr[i]
+					f0[i], f1[i], f2[i] = v0[i]*h, v1[i]*h, v2[i]*h
 				}
-				if viscous {
-					s.addViscousFluxRange(c, d, off, volr)
+			default:
+				uc := in[c][base : base+n3]
+				for i := 0; i < n3; i++ {
+					u := uc[i]
+					f0[i], f1[i], f2[i] = u*v0[i], u*v1[i], u*v2[i]
 				}
-				s.chargeCompute(sem.OpCount{Mul: int64(volr), Add: int64(volr),
-					Load: int64(volr) * 2, Store: int64(volr)}, pointwiseTraits)
-				stop()
-
-				if viscous {
-					stop = s.span("full2face_cmt", obs.CatKernel)
-					moveOps := sem.Full2FaceDirPool(s.pool, n, s.fx[off:off+volr], nelr,
-						s.faceF[c][elo*fpe:ehi*fpe], d)
-					s.chargeCompute(moveOps, pointwiseTraits)
-					stop()
+				fn := f[c-IMomX][:n3] // the normal component carries the pressure
+				for i := 0; i < n3; i++ {
+					fn[i] += pr[i]
 				}
-
-				dir := sem.Direction(d)
-				stop = s.span("ax_deriv_"+dir.String(), obs.CatKernel)
-				ops := sem.DerivPool(s.pool, dir, s.Cfg.Variant, s.Ref,
-					s.fx[off:off+volr], s.dwork[off:off+volr], nelr)
-				s.chargeCompute(ops, s.derivTraits[d])
-				stop()
-
-				s.pool.For(volr, func(lo, hi int) {
-					for i := off + lo; i < off+hi; i++ {
-						s.div[i] += s.rx * s.dwork[i]
-					}
-				})
 			}
-			rc := s.rhs[c]
-			s.pool.For(volr, func(lo, hi int) {
-				for i := off + lo; i < off+hi; i++ {
-					rc[i] = -s.div[i]
+			if job.viscous {
+				if c != IRho { // no viscous mass flux
+					for d := 0; d < 3; d++ {
+						s.subViscousFlux(c, d, base, f[d])
+					}
 				}
-			})
+				lap(volFlux)
+				faces := s.faceF[c][e*fpe : (e+1)*fpe]
+				for d := 0; d < 3; d++ {
+					sem.Full2FaceDir(n, src[d], 1, faces, d)
+				}
+				lap(volFace)
+			} else {
+				lap(volFlux)
+			}
+			for d := 0; d < 3; d++ {
+				job.kern.Apply(sem.Direction(d), src[d], g[d])
+				lap(volR + d)
+			}
+			rc := s.rhs[c][base : base+n3]
+			for i := 0; i < n3; i++ {
+				rc[i] = -(((0 + rx*g0[i]) + rx*g1[i]) + rx*g2[i])
+			}
+			lap(volRest)
 		}
-		s.chargeCompute(sem.OpCount{Mul: int64(volr) * 3 * NumFields, Add: int64(volr) * 4 * NumFields,
-			Load: int64(volr) * 2, Store: int64(volr)}, pointwiseTraits)
+	}
+	sl.secs = secs
+}
+
+// volumeCharges bills one run of nelr elements that volumeElems finished
+// in the wall interval [start, start+wall) the way whole-rank sweeps
+// would have: one charge per (field, direction) flux evaluation, trace
+// extraction and derivative, in that order and under the rhs phase, then
+// the divergence's charge outside it — the virtual clock, its per-phase
+// split and every trace span's virtual extent come out bit for bit what
+// that sequence gives. (One charge per element would not: the model's
+// products round differently.) The profiler regions get the call counts
+// of the sweeps, and each stage the share of wall its stopwatches saw,
+// summed over slots; tracer spans tile the interval in the same
+// proportion.
+func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall time.Duration) {
+	n := s.Cfg.N
+	volr := int64(nelr) * int64(n*n*n)
+	var secs [numVolStages]time.Duration
+	var sum time.Duration
+	for i := range s.volSlots {
+		for k, d := range s.volSlots[i].secs {
+			secs[k] += d
+			sum += d
+		}
+	}
+	if sum > 0 {
+		for k := range secs {
+			secs[k] = time.Duration(float64(wall) * float64(secs[k]) / float64(sum))
+		}
+	}
+
+	clock := s.Rank.Clock()
+	at := start // where the next span starts in the wall domain
+	span := func(name string, dur time.Duration, vt0 float64) {
+		s.rt.Record(name, obs.CatKernel, at, dur, vt0, clock.Now())
+		at = at.Add(dur)
+	}
+	popPhase := clock.PushPhase(obs.PhaseOf("compute_flux", obs.CatKernel))
+	moved := int64(nelr) * 2 * int64(n*n)
+	for c := 0; c < NumFields; c++ {
+		for d := 0; d < 3; d++ {
+			vt0 := clock.Now()
+			if viscous {
+				s.chargeCompute(sem.OpCount{Mul: volr * 6, Add: volr * 6, Load: volr * 8, Store: volr}, pointwiseTraits)
+			}
+			s.chargeCompute(sem.OpCount{Mul: volr, Add: volr, Load: volr * 2, Store: volr}, pointwiseTraits)
+			span("compute_flux", secs[volFlux]/(3*NumFields), vt0)
+			if viscous {
+				vt0 = clock.Now()
+				s.chargeCompute(sem.OpCount{Load: moved, Store: moved}, pointwiseTraits)
+				span("full2face_cmt", secs[volFace]/(3*NumFields), vt0)
+			}
+			vt0 = clock.Now()
+			s.chargeCompute(sem.DerivOps(n, nelr), s.derivTraits[d])
+			span(derivRegion[d], secs[volR+d]/NumFields, vt0)
+		}
+	}
+	popPhase()
+	s.chargeCompute(sem.OpCount{Mul: volr * 3 * NumFields, Add: volr * 4 * NumFields,
+		Load: volr * 2, Store: volr}, pointwiseTraits)
+
+	s.Prof.Add("compute_flux", 3*NumFields, secs[volFlux].Seconds())
+	if viscous {
+		s.Prof.Add("full2face_cmt", 3*NumFields, secs[volFace].Seconds())
+	}
+	for d, name := range derivRegion {
+		s.Prof.Add(name, NumFields, secs[volR+d].Seconds())
 	}
 }
 

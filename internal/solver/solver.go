@@ -41,9 +41,6 @@ type Solver struct {
 	// Scratch (allocated once).
 	rhs    [NumFields][]float64
 	u1, u2 [NumFields][]float64 // RK stages
-	fx     []float64            // flux component being differentiated
-	dwork  []float64            // derivative output
-	div    []float64            // accumulated divergence
 	velP   [3][]float64         // pointwise velocity (primitive pass)
 	prP    []float64            // pointwise pressure (primitive pass)
 	// viscous-path storage (allocated when Mu > 0)
@@ -62,7 +59,12 @@ type Solver struct {
 	// virtual-time traces are identical at any worker count.
 	pool    *pool.Pool
 	deaBufs *sem.DealiasBufs // per-worker dealiasing buffers
-	wsPart  []float64        // per-slot wave-speed partial maxima
+	// The volume pipeline (volumeRuns): per-slot scratch, the run in
+	// progress, and the pool body over it.
+	volSlots []volSlot
+	vol      volJob
+	volBody  func(slot, lo, hi int)
+	wsPart   []float64 // per-slot wave-speed partial maxima
 
 	// Cfg.Variant resolved once at construction to the hw traits charged
 	// per derivative direction.
@@ -168,6 +170,11 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	s.pool = pool.New(cfg.Workers)
 	s.pool.Observe(cfg.Metrics)
 	s.wsPart = make([]float64, s.pool.Workers())
+	s.volSlots = make([]volSlot, s.pool.Workers())
+	for i := range s.volSlots {
+		s.volSlots[i].buf = make([]float64, 6*cfg.N*cfg.N*cfg.N)
+	}
+	s.volBody = s.volumeElems
 	if cfg.Dealias {
 		s.deaBufs = ref.NewDealiasBufs(s.pool.Workers())
 	}
@@ -221,9 +228,6 @@ func (s *Solver) allocScratch() {
 		s.u1[c] = make([]float64, vol)
 		s.u2[c] = make([]float64, vol)
 	}
-	s.fx = make([]float64, vol)
-	s.dwork = make([]float64, vol)
-	s.div = make([]float64, vol)
 	for d := 0; d < 3; d++ {
 		s.velP[d] = make([]float64, vol)
 	}

@@ -408,3 +408,51 @@ func TestAutoTuneRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStepAllocs pins the heap allocations of one steady-state timestep
+// (dt reduction, SSP-RK3 step, telemetry) on a serial pool. The ceilings
+// are a third of what a step allocated when the volume phase opened a
+// profiler region, a tracer span and a clock phase per (field,
+// direction) sweep and a pool closure per pointwise pass — 521 objects
+// inviscid, 746 viscous+dealiased; the element-resident pipeline opens
+// none of them (95 and 149 when this was written).
+func TestStepAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		viscous bool
+		max     float64
+	}{
+		{"inviscid", false, 521 / 3},
+		{"viscous", true, 746 / 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := comm.RunSimple(1, func(r *comm.Rank) error {
+				cfg := DefaultConfig(1, 5, 2)
+				cfg.Workers = 1
+				if tc.viscous {
+					cfg.Mu = 0.01
+					cfg.Dealias = true
+				}
+				s, err := New(r, cfg)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				s.SetInitial(GaussianPulse(1, 1, 1, 0.1, 0.5))
+				step := 0
+				s.AdvanceStep(step) // first step: profiler maps, clock phases
+				got := testing.AllocsPerRun(10, func() {
+					step++
+					s.AdvanceStep(step)
+				})
+				if got > tc.max {
+					t.Errorf("%.0f allocations per step, want at most %.0f", got, tc.max)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -76,7 +76,7 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 		for q := 0; q < numGradQ; q++ {
 			for d := 0; d < 3; d++ {
 				dir := sem.Direction(d)
-				stop := s.span("ax_deriv_"+dir.String(), obs.CatKernel)
+				stop := s.span(derivRegion[d], obs.CatKernel)
 				ops := sem.DerivPool(s.pool, dir, s.Cfg.Variant, s.Ref, s.gradQ[q], s.gradD[q][d], nel)
 				s.chargeCompute(ops, s.derivTraits[d])
 				stop()
@@ -98,68 +98,50 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 		Load: int64(vol) * numGradQ * 3, Store: int64(vol) * numGradQ * 3}, pointwiseTraits)
 }
 
-// addViscousFlux subtracts the viscous flux of conserved variable c
-// along direction d from s.fx (which already holds the Euler flux).
+// subViscousFlux subtracts the viscous flux of conserved variable c (a
+// momentum component or the energy) along direction d from f, which
+// holds the Euler flux of the element whose first point is base.
 // Requires computeGradients.
-func (s *Solver) addViscousFlux(c, d int) {
-	s.addViscousFluxRange(c, d, 0, len(s.fx))
-}
-
-// addViscousFluxRange is addViscousFlux over the point range
-// [off, off+volr) — the overlap path calls it per element run; values are
-// pointwise, so any split is bit-identical to the full sweep.
-func (s *Solver) addViscousFluxRange(c, d, off, volr int) {
+func (s *Solver) subViscousFlux(c, d, base int, f []float64) {
 	mu := s.Cfg.Mu
-	// Fourier conductivity: kappa = mu * cp / Pr, cp = Gamma/(Gamma-1)
-	// with R = 1.
-	kappa := mu * Gamma / (Gamma - 1) / s.Cfg.Pr
+	dudx := s.gradD[gradVx][0][base:]
+	dvdy := s.gradD[gradVy][1][base:]
+	dwdz := s.gradD[gradVz][2][base:]
 
-	dudx := s.gradD[gradVx]
-	dvdx := s.gradD[gradVy]
-	dwdx := s.gradD[gradVz]
-
-	switch {
-	case c == IRho:
-		// No viscous mass flux.
-	case c >= IMomX && c <= IMomZ:
+	if c != IEnergy {
 		i := c - IMomX // stress row
 		// tau_{i,d} = mu (dv_i/dx_d + dv_d/dx_i) - (2/3) mu div(v) delta_{i,d}
-		gi := s.gradD[gradVx+i][d]
-		gd := s.gradD[gradVx+d][i]
+		gi := s.gradD[gradVx+i][d][base:]
+		gd := s.gradD[gradVx+d][i][base:]
 		if i == d {
-			s.pool.For(volr, func(lo, hi int) {
-				for p := off + lo; p < off+hi; p++ {
-					divv := dudx[0][p] + dvdx[1][p] + dwdx[2][p]
-					tau := mu*(gi[p]+gd[p]) - (2.0/3.0)*mu*divv
-					s.fx[p] -= tau
-				}
-			})
-		} else {
-			s.pool.For(volr, func(lo, hi int) {
-				for p := off + lo; p < off+hi; p++ {
-					s.fx[p] -= mu * (gi[p] + gd[p])
-				}
-			})
-		}
-	case c == IEnergy:
-		// Work of the stress plus heat conduction:
-		// F_visc,E[d] = sum_i v_i tau_{i,d} + kappa dT/dx_d.
-		gT := s.gradD[gradT][d]
-		s.pool.For(volr, func(lo, hi int) {
-			for p := off + lo; p < off+hi; p++ {
-				divv := dudx[0][p] + dvdx[1][p] + dwdx[2][p]
-				var work float64
-				for i := 0; i < 3; i++ {
-					tau := mu * (s.gradD[gradVx+i][d][p] + s.gradD[gradVx+d][i][p])
-					if i == d {
-						tau -= (2.0 / 3.0) * mu * divv
-					}
-					work += s.velP[i][p] * tau
-				}
-				s.fx[p] -= work + kappa*gT[p]
+			for p := range f {
+				divv := dudx[p] + dvdy[p] + dwdz[p]
+				tau := mu*(gi[p]+gd[p]) - (2.0/3.0)*mu*divv
+				f[p] -= tau
 			}
-		})
+		} else {
+			for p := range f {
+				f[p] -= mu * (gi[p] + gd[p])
+			}
+		}
+		return
 	}
-	s.chargeCompute(sem.OpCount{Mul: int64(volr) * 6, Add: int64(volr) * 6,
-		Load: int64(volr) * 8, Store: int64(volr)}, pointwiseTraits)
+	// Work of the stress plus heat conduction:
+	// F_visc,E[d] = sum_i v_i tau_{i,d} + kappa dT/dx_d, with the Fourier
+	// conductivity kappa = mu * cp / Pr, cp = Gamma/(Gamma-1) and R = 1.
+	kappa := mu * Gamma / (Gamma - 1) / s.Cfg.Pr
+	gT := s.gradD[gradT][d][base:]
+	for p := range f {
+		q := base + p
+		divv := dudx[p] + dvdy[p] + dwdz[p]
+		var work float64
+		for i := 0; i < 3; i++ {
+			tau := mu * (s.gradD[gradVx+i][d][q] + s.gradD[gradVx+d][i][q])
+			if i == d {
+				tau -= (2.0 / 3.0) * mu * divv
+			}
+			work += s.velP[i][q] * tau
+		}
+		f[p] -= work + kappa*gT[p]
+	}
 }
