@@ -20,7 +20,7 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/pool/... ./internal/gs/... ./internal/sem/...
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap' ./internal/solver/...
-	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3' ./internal/solver/
+	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5
@@ -34,7 +34,8 @@ chaos:
 # test requires): the binary parsers plus the differential kernel
 # fuzzers (every mxm variant vs MxMBasic; every r/s derivative kernel vs
 # the hand loops and each other, bit-exact — without -race, which builds
-# the AVX2 r/s kernels out).
+# the AVX2 r/s kernels out; every gs entry point vs a map-based
+# gather-scatter).
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadParticles$$' -fuzztime 10s ./internal/checkpoint/
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMVariants$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivKernels$$' -fuzztime 10s ./internal/sem/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzGSLocal$$' -fuzztime 10s ./internal/gs/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/comm/tcptransport/
 
 # Re-run the kernel generator (internal/sem/gen) over the committed
@@ -150,7 +152,8 @@ bench-all:
 # cover and diff. Deterministic modeled metrics gate at 2%; wall-clock
 # metrics are report-only (CI hosts differ from the recording host).
 # Exit 1 on regression, with critical-path blame lines naming the
-# responsible rank and phase.
+# responsible rank and phase. The gate writes no tracked file: only
+# bench-all (the -record run) rewrites CRITPATH_REPORT.txt.
 bench-diff:
 	$(GO) run ./cmd/benchdiff -threshold 0.02 BENCH_loadbal_baseline.json BENCH_overlap_baseline.json BENCH_workers_baseline.json BENCH_serve_baseline.json BENCH_hier_baseline.json
-	$(GO) run ./cmd/benchdiff -threshold 0.02 -critpath CRITPATH_REPORT.txt BENCH_trajectory.json
+	$(GO) run ./cmd/benchdiff -threshold 0.02 BENCH_trajectory.json

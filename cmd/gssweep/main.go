@@ -3,7 +3,9 @@
 // crystal router, and — when feasible — all_reduce) for both CMT-bone's
 // DG face-exchange pattern and Nekbone's continuous dssum pattern on the
 // same problem setup, reporting avg/min/max times across ranks and the
-// method each mini-app's tuner selects.
+// method each mini-app's tuner selects. Beside each pattern it prints the
+// rate of the local gather-scatter kernels on rank 0 (ns per point, and
+// the GB/s that implies for their computed index and value traffic).
 //
 // The default setup is scaled down from the paper's (256 ranks, 100
 // elements/rank, N=10) to run quickly in-process; pass -paper for the
@@ -68,9 +70,10 @@ func main() {
 		*n, per[0], per[1], per[2])
 	fmt.Printf("  Network model: %s\n\n", model)
 
-	sweep := func(app string, idsOf func(*mesh.Local) []int64) ([]gs.Timing, gs.Method) {
+	sweep := func(app string, idsOf func(*mesh.Local) []int64) ([]gs.Timing, gs.Method, gs.LocalRate) {
 		var timings []gs.Timing
 		var chosen gs.Method
+		var local gs.LocalRate
 		_, err := comm.Run(*np, comm.Options{Model: model, Grid: procGrid, Periodic: periodic},
 			func(r *comm.Rank) error {
 				g := gs.Setup(r, idsOf(box.Partition(r.ID())))
@@ -78,17 +81,18 @@ func main() {
 				if r.ID() == 0 {
 					timings = ts
 					chosen = m
+					local = g.LocalRate(20 * *trials)
 				}
 				return nil
 			})
 		if err != nil {
 			log.Fatalf("%s sweep: %v", app, err)
 		}
-		return timings, chosen
+		return timings, chosen, local
 	}
 
-	cmtTimings, cmtChoice := sweep("CMT-bone", func(l *mesh.Local) []int64 { return l.DGFaceIDs() })
-	nekTimings, nekChoice := sweep("Nekbone", func(l *mesh.Local) []int64 { return l.ContinuousIDs() })
+	cmtTimings, cmtChoice, cmtLocal := sweep("CMT-bone", func(l *mesh.Local) []int64 { return l.DGFaceIDs() })
+	nekTimings, nekChoice, nekLocal := sweep("Nekbone", func(l *mesh.Local) []int64 { return l.ContinuousIDs() })
 
 	var rows []report.Fig7Row
 	for _, t := range cmtTimings {
@@ -101,6 +105,15 @@ func main() {
 		"CMT-bone": cmtChoice,
 		"Nekbone":  nekChoice,
 	}))
+
+	fmt.Printf("\nLocal gs kernels on rank 0 (OpSum: local pass + remote gather and scatter, best of %d):\n", 20**trials)
+	for _, row := range []struct {
+		app string
+		lr  gs.LocalRate
+	}{{"CMT-bone", cmtLocal}, {"Nekbone", nekLocal}} {
+		fmt.Printf("  %-9s %7d points  %6.2f ns/point  %6.1f GB/s computed (index + value bytes over that time)\n",
+			row.app, row.lr.Points, row.lr.NsPerPoint, row.lr.GBps)
+	}
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)

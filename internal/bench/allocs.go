@@ -18,14 +18,15 @@ type AllocsRecord struct {
 }
 
 // AllocsGuard measures steady-state heap allocations per gather-scatter
-// exchange for every method — the zero-alloc acceptance bar of the gs
-// package, runnable outside `go test` so benchdiff can track it. GC is
-// pinned during the measurement so sync.Pool contents are stable; the
-// residual count is a few bookkeeping allocations from the fence
-// barriers, far below one per op.
+// exchange for every method — in place, out of place and split-phase
+// (Pending), a third of the operations each — the zero-alloc acceptance
+// bar of the gs package, runnable outside `go test` so benchdiff can
+// track it. GC is pinned during the measurement so sync.Pool contents are
+// stable; the residual count is a few bookkeeping allocations from the
+// fence barriers, far below one per op.
 func AllocsGuard() ([]AllocsRecord, error) {
 	const p = 8
-	const opsPerRank = 20
+	const opsPerRank = 21 // seven rounds of the three forms
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	benchIDs := func(r, p, blk, overlap int) []int64 {
@@ -47,8 +48,18 @@ func AllocsGuard() ([]AllocsRecord, error) {
 			for i := range vals {
 				vals[i] = float64(i%7) + 1
 			}
-			for w := 0; w < 3; w++ {
+			g.SetMethod(m)
+			out := make([]float64, len(vals))
+			fields, outs := [][]float64{vals}, [][]float64{out}
+			pend := g.NewPending()
+			ops := func() {
 				g.OpWith(vals, comm.OpSum, m)
+				g.OpTo(out, vals, comm.OpSum)
+				pend.Begin(outs, fields, comm.OpSum)
+				pend.Finish()
+			}
+			for w := 0; w < 3; w++ {
+				ops()
 			}
 			r.Barrier()
 			var m0, m1 runtime.MemStats
@@ -56,8 +67,8 @@ func AllocsGuard() ([]AllocsRecord, error) {
 				runtime.ReadMemStats(&m0)
 			}
 			r.Barrier()
-			for i := 0; i < opsPerRank; i++ {
-				g.OpWith(vals, comm.OpSum, m)
+			for i := 0; i < opsPerRank/3; i++ {
+				ops()
 			}
 			r.Barrier()
 			if r.ID() == 0 {

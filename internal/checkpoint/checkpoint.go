@@ -42,6 +42,22 @@ type Meta struct {
 	Time     float64
 }
 
+// maxN bounds a header's points per direction: far above anything the
+// solver runs (the paper's range is 5-25), and small enough that
+// Nel*N^3 cannot overflow 64 bits.
+const maxN = 1 << 10
+
+// volume validates the header's sizes and returns Nel*N^3, the length of
+// each field array. Nothing may be computed from N or Nel before it.
+func (m Meta) volume() (int, error) {
+	if m.N >= 2 && m.N <= maxN && m.Nel >= 1 {
+		if vol := int64(m.Nel) * int64(m.N) * int64(m.N) * int64(m.N); vol <= math.MaxInt {
+			return int(vol), nil
+		}
+	}
+	return 0, fmt.Errorf("checkpoint: implausible header: N=%d Nel=%d", m.N, m.Nel)
+}
+
 // Snapshot is one rank's checkpoint contents.
 type Snapshot struct {
 	Meta Meta
@@ -110,8 +126,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: read header: %w", err)
 	}
 	m := snap.Meta
-	if m.N < 2 || m.Nel < 1 {
-		return nil, fmt.Errorf("checkpoint: implausible header: N=%d Nel=%d", m.N, m.Nel)
+	vol, err := m.volume()
+	if err != nil {
+		return nil, err
 	}
 	if version >= 2 {
 		gids, err := readInt64sChunked(r, int(m.Nel))
@@ -126,7 +143,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 		}
 		snap.GIDs = gids
 	}
-	vol := int(m.Nel) * int(m.N) * int(m.N) * int(m.N)
 	for c := 0; c < solver.NumFields; c++ {
 		// Read in bounded chunks so a forged header claiming a huge
 		// element count fails at EOF instead of exhausting memory.

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -52,10 +54,46 @@ func FuzzRead(f *testing.F) {
 		// Guard against headers claiming giant element counts: Read
 		// must fail cleanly, not OOM (the Nel/N sanity check).
 		snap, err := Read(bytes.NewReader(data))
-		if err == nil && snap == nil {
+		if err != nil {
+			return
+		}
+		if snap == nil {
 			t.Fatal("nil snapshot without error")
 		}
+		m := snap.Meta
+		want := int64(m.Nel) * int64(m.N) * int64(m.N) * int64(m.N)
+		for c := range snap.U {
+			if int64(len(snap.U[c])) != want {
+				t.Fatalf("field %d has %d values, header N=%d Nel=%d promises %d", c, len(snap.U[c]), m.N, m.Nel, want)
+			}
+		}
 	})
+}
+
+// TestReadRejectsOverflowingHeader pins the two forged headers whose
+// Nel*N^3 wrapped an unchecked int: negative (makeslice panic) and zero
+// (an empty snapshot returned with a nil error). They are also corpus
+// entries under testdata/fuzz/FuzzRead.
+func TestReadRejectsOverflowingHeader(t *testing.T) {
+	for _, c := range []struct{ n, nel int32 }{
+		{2097151, 2},    // wraps negative
+		{2097152, 1024}, // wraps to 0
+		{maxN + 1, 1},
+		{1, 1},
+		{4, 0},
+	} {
+		var buf bytes.Buffer
+		meta := Meta{N: c.n, ElemGrid: [3]int32{2, 1, 1}, ProcGrid: [3]int32{1, 1, 1}, Nel: c.nel}
+		for _, v := range []interface{}{Magic, uint32(1), meta} {
+			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := Read(&buf)
+		if err == nil || !strings.Contains(err.Error(), "implausible header") {
+			t.Errorf("N=%d Nel=%d: got snapshot %v, error %v; want an implausible-header error", c.n, c.nel, snap != nil, err)
+		}
+	}
 }
 
 // FuzzReadParticles exercises the particle parser the same way.

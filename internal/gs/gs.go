@@ -72,10 +72,10 @@ func (m Method) String() string {
 const gsTag = 0x675f // "gs"
 
 // neighbor is one rank this rank shares ids with, plus the canonical
-// (id-sorted) list of shared slots, identical on both sides.
+// (id-sorted) list of shared remote slots, identical on both sides.
 type neighbor struct {
 	rank  int
-	slots []int // indices into the shared-id table
+	slots []int32 // indices into the remote slot list (index.remID)
 }
 
 // GS is a configured gather-scatter handle bound to one rank and one id
@@ -84,24 +84,19 @@ type GS struct {
 	rank *comm.Rank
 	n    int // expected vector length
 
-	ids      []int64 // distinct active ids, ascending (the shared-id table)
-	groups   [][]int // per table entry: local vector indices holding it
-	partial  []float64
-	sendBufs map[int][]float64 // reusable per-neighbor assembly buffers
-
-	fieldsPartial  []float64         // reusable k-field partial buffer (OpFields)
-	fieldsSendBufs map[int][]float64 // reusable per-neighbor packed buffers (OpFields)
-
+	ix        index      // the flat local map
 	neighbors []neighbor // ascending rank order
 
-	// Persistent receive requests for the pairwise paths (one per
-	// neighbor) and the crystal-router stage exchange, so the steady-state
-	// exchange posts no allocations.
-	reqs []comm.Request
-	creq comm.Request
+	// Exchange sites of the blocking entry points: Op's (one field) and
+	// OpFields' (k packed fields). Their buffers and receive requests are
+	// persistent, so the steady-state exchange posts no allocations.
+	one, packed site
+	dst1, src1  [1][]float64 // Op's vector as a one-field list
+	locVals     []float64    // one value per local group (index.local's scratch)
+	creq        comm.Request // crystal-router stage receive
 
-	// crystal-router id lookup
-	slotOf map[int64]int
+	// crystal-router id lookup: id -> remote slot
+	slotOf map[int64]int32
 
 	// crystal-router reusable routing state: three item buffers rotated
 	// between the live set, the keep partition, and the send partition,
@@ -119,9 +114,8 @@ type GS struct {
 	// remotely-shared ids. Built lazily on first use — at scale it is
 	// enormous, which is exactly why the paper finds the method "too
 	// expensive".
-	sharedMask   []bool // per table entry: id held by >= 2 ranks
-	globalShared int64  // count of globally distinct remotely-shared ids
-	bigIdx       []int  // per table entry: dense position, -1 if unshared
+	globalShared int64   // count of globally distinct remotely-shared ids
+	bigIdx       []int32 // per remote slot: dense position
 	bigLen       int
 
 	method Method // current default method (set by Tune or SetMethod)
@@ -137,14 +131,41 @@ type GS struct {
 // the global id of values[i] in later Op calls; negative ids mark entries
 // that never participate. Setup is collective over all ranks of r.
 func Setup(r *comm.Rank, ids []int64) *GS {
+	if len(ids) > math.MaxInt32 {
+		panic(fmt.Sprintf("gs: vector length %d exceeds the int32 index lists", len(ids)))
+	}
 	r.SetSite("gs_setup")
 	defer r.SetSite("")
+	return newGS(r, discover(r, ids))
+}
 
-	g := &GS{
-		rank: r, n: len(ids), method: Pairwise,
-		sendBufs:       map[int][]float64{},
-		fieldsSendBufs: map[int][]float64{},
+// newGS builds a handle from a discovery result — fresh from discover or
+// recorded (SetupFromTopology). It keeps no reference to t.
+func newGS(r *comm.Rank, t *Topology) *GS {
+	g := &GS{rank: r, n: t.N, method: Pairwise, globalShared: t.GlobalShared}
+	var remOf []int32
+	g.ix, remOf = buildIndex(t)
+	g.locVals = make([]float64, len(g.ix.locID))
+	g.slotOf = make(map[int64]int32, len(g.ix.remID))
+	for m, id := range g.ix.remID {
+		g.slotOf[id] = int32(m)
 	}
+	for _, nb := range t.Neighbors {
+		slots := make([]int32, len(nb.Slots))
+		for i, s := range nb.Slots {
+			slots[i] = remOf[s]
+		}
+		g.neighbors = append(g.neighbors, neighbor{rank: nb.Rank, slots: slots})
+	}
+	g.one, g.packed = g.newSite(gsTag), g.newSite(gsTag+2)
+	return g
+}
+
+// discover is Setup's collective phase: it finds, for every id this rank
+// holds, the other ranks holding it, and returns the active id table with
+// the per-neighbor slot lists.
+func discover(r *comm.Rank, ids []int64) *Topology {
+	t := &Topology{N: len(ids)}
 
 	// Group local indices by id.
 	byID := map[int64][]int{}
@@ -247,27 +268,22 @@ func Setup(r *comm.Rank, ids []int64) *GS {
 	// Active ids: remotely shared, or duplicated locally.
 	for _, id := range distinct {
 		if len(remote[id]) > 0 || len(byID[id]) > 1 {
-			g.ids = append(g.ids, id)
-			g.groups = append(g.groups, byID[id])
-			g.sharedMask = append(g.sharedMask, len(remote[id]) > 0)
+			t.IDs = append(t.IDs, id)
+			t.Groups = append(t.Groups, byID[id])
+			t.SharedMask = append(t.SharedMask, len(remote[id]) > 0)
 		}
-	}
-	g.partial = make([]float64, len(g.ids))
-	g.slotOf = make(map[int64]int, len(g.ids))
-	for s, id := range g.ids {
-		g.slotOf[id] = s
 	}
 
 	// Exact global count of distinct remotely-shared ids: each owner
 	// counts the shared ids it adjudicated; one integer allreduce sums
 	// them. This sizes the all_reduce big vector without building it.
 	counts := r.AllreduceInts(comm.OpSum, []int64{int64(len(shared))})
-	g.globalShared = counts[0]
+	t.GlobalShared = counts[0]
 
-	// Per-neighbor slot lists, canonical because g.ids is id-sorted on
+	// Per-neighbor slot lists, canonical because the table is id-sorted on
 	// every rank.
 	nbSlots := map[int][]int{}
-	for s, id := range g.ids {
+	for s, id := range t.IDs {
 		for _, q := range remote[id] {
 			nbSlots[q] = append(nbSlots[q], s)
 		}
@@ -278,11 +294,9 @@ func Setup(r *comm.Rank, ids []int64) *GS {
 	}
 	sort.Ints(ranks)
 	for _, q := range ranks {
-		g.neighbors = append(g.neighbors, neighbor{rank: q, slots: nbSlots[q]})
-		g.sendBufs[q] = make([]float64, len(nbSlots[q]))
+		t.Neighbors = append(t.Neighbors, TopoNeighbor{Rank: q, Slots: nbSlots[q]})
 	}
-	g.reqs = make([]comm.Request, len(g.neighbors))
-	return g
+	return t
 }
 
 // bigScratch returns the persistent all_reduce dense-vector scratch,
@@ -305,12 +319,7 @@ func (g *GS) ensureBigVector() {
 		return
 	}
 	r := g.rank
-	var mine []int64
-	for s, id := range g.ids {
-		if g.sharedMask[s] {
-			mine = append(mine, id)
-		}
-	}
+	mine := g.ix.remID
 	counts := r.AllgatherInts(int64(len(mine)))
 	maxCount := int64(0)
 	for _, c := range counts {
@@ -338,18 +347,14 @@ func (g *GS) ensureBigVector() {
 		}
 	}
 	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-	pos := make(map[int64]int, len(union))
+	pos := make(map[int64]int32, len(union))
 	for i, id := range union {
-		pos[id] = i
+		pos[id] = int32(i)
 	}
 	g.bigLen = len(union)
-	g.bigIdx = make([]int, len(g.ids))
-	for s, id := range g.ids {
-		if g.sharedMask[s] {
-			g.bigIdx[s] = pos[id]
-		} else {
-			g.bigIdx[s] = -1
-		}
+	g.bigIdx = make([]int32, len(mine))
+	for m, id := range mine {
+		g.bigIdx[m] = pos[id]
 	}
 }
 
@@ -364,7 +369,9 @@ func (g *GS) Neighbors() []int {
 
 // SharedSlots returns the number of active (shared or locally duplicated)
 // ids on this rank.
-func (g *GS) SharedSlots() int { return len(g.ids) }
+func (g *GS) SharedSlots() int {
+	return len(g.ix.pairID) + len(g.ix.locID) + len(g.ix.remID)
+}
 
 // BigVectorLen returns the length of the dense vector the all_reduce
 // method would operate on — a direct measure of why it does not scale.
@@ -406,67 +413,115 @@ func (g *GS) Op(values []float64, op comm.ReduceOp) {
 // combined value replaces each of them. OpWith is collective: every rank
 // must call it with the same op and method.
 func (g *GS) OpWith(values []float64, op comm.ReduceOp, m Method) {
-	if len(values) != g.n {
-		panic(fmt.Sprintf("gs: vector length %d, setup saw %d", len(values), g.n))
+	g.opTo(values, values, op, m)
+}
+
+// OpTo is Op out of place: the combined values go to dst and src is left
+// as it was. Only entries whose id is active — shared with another rank
+// or held more than once here — are written; the rest of dst is not
+// touched (it is not a copy of src). dst may be src, which is Op.
+func (g *GS) OpTo(dst, src []float64, op comm.ReduceOp) {
+	g.opTo(dst, src, op, g.method)
+}
+
+func (g *GS) opTo(dst, src []float64, op comm.ReduceOp, m Method) {
+	g.dst1[0], g.src1[0] = dst, src
+	g.run(g.dst1[:], g.src1[:], op, m, &g.one, "gs_op")
+	g.dst1[0], g.src1[0] = nil, nil
+}
+
+// OpFields performs the gather-scatter over k field vectors at once,
+// packing all fields' partials into a single message per neighbor — the
+// Nek gs library's gs_op_fields. For a solver exchanging five conserved
+// variables this trades 5 latency-bound messages per neighbor for one
+// bandwidth-bound message, the latency/bandwidth trade the ablation
+// benches quantify. Semantics match calling Op on each field.
+//
+// The packed path is implemented for Pairwise and AllReduce; the crystal
+// router routes per-field (its per-stage merging already aggregates
+// traffic), which keeps results identical across methods.
+func (g *GS) OpFields(fields [][]float64, op comm.ReduceOp, m Method) {
+	g.OpFieldsTo(fields, fields, op, m)
+}
+
+// OpFieldsTo is OpFields out of place, field by field as OpTo.
+func (g *GS) OpFieldsTo(dst, src [][]float64, op comm.ReduceOp, m Method) {
+	if len(src) == 0 && len(dst) == 0 {
+		return
 	}
+	g.run(dst, src, op, m, &g.packed, "gs_op_fields")
+}
+
+// checkFields panics unless dst and src are equally many vectors of the
+// setup's length.
+func (g *GS) checkFields(dst, src [][]float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("gs: %d destination fields for %d sources", len(dst), len(src)))
+	}
+	for fi := range src {
+		if len(src[fi]) != g.n || len(dst[fi]) != g.n {
+			panic(fmt.Sprintf("gs: field %d length %d -> %d, setup saw %d", fi, len(src[fi]), len(dst[fi]), g.n))
+		}
+	}
+}
+
+// run is the one gather-scatter body behind every blocking entry point:
+// gather the remotely-shared slots of each field into st's partials,
+// exchange them by method m, finish the local-only ids, and scatter the
+// exchanged slots. Under Pairwise the local pass runs between posting the
+// messages and waiting for them, where it costs the exchange nothing.
+func (g *GS) run(dst, src [][]float64, op comm.ReduceOp, m Method, st *site, span string) {
+	g.checkFields(dst, src)
 	g.rank.SetSite("gs_op")
 	defer g.rank.SetSite("")
-	defer g.spans.Span("gs_op", obs.CatGS)()
+	defer g.spans.Span(span, obs.CatGS)()
 
-	// Gather: combine local occurrences into one partial per id.
-	for s, grp := range g.groups {
-		acc := values[grp[0]]
-		for _, idx := range grp[1:] {
-			acc = combine2(op, acc, values[idx])
-		}
-		g.partial[s] = acc
+	k, nr := len(src), len(g.ix.remID)
+	g.gatherRemote(st, src, op)
+	if m == Pairwise {
+		g.post(st, k)
 	}
-
+	g.localPass(dst, src, op)
 	switch m {
 	case Pairwise:
-		g.exchangePairwise(op)
+		g.complete(st, k, op)
 	case CrystalRouter:
-		g.exchangeCrystal(op)
+		// Per-field routing.
+		for fi := 0; fi < k; fi++ {
+			g.exchangeCrystal(op, st.partial[fi*nr:(fi+1)*nr])
+		}
 	case AllReduce:
-		g.exchangeAllReduce(op)
+		g.exchangeAllReduce(op, st.partial[:k*nr], k)
 	default:
 		panic(fmt.Sprintf("gs: unknown method %d", int(m)))
 	}
+	g.scatterRemote(dst, st)
+}
 
-	// Scatter: write the combined value back to every occurrence.
-	for s, grp := range g.groups {
-		v := g.partial[s]
-		for _, idx := range grp {
-			values[idx] = v
-		}
+// gatherRemote folds each field's remotely-shared slots into st's
+// partials, field-major: partial[fi*nr+slot].
+func (g *GS) gatherRemote(st *site, src [][]float64, op comm.ReduceOp) {
+	nr := len(g.ix.remID)
+	if cap(st.partial) < len(src)*nr {
+		st.partial = make([]float64, len(src)*nr)
+	}
+	for fi, f := range src {
+		gather(st.partial[fi*nr:(fi+1)*nr], f, g.ix.remOff, g.ix.remIdx, op)
 	}
 }
 
-func combine2(op comm.ReduceOp, a, b float64) float64 {
-	switch op {
-	case comm.OpSum:
-		return a + b
-	case comm.OpProd:
-		return a * b
-	case comm.OpMin:
-		return math.Min(a, b)
-	case comm.OpMax:
-		return math.Max(a, b)
+// localPass finishes every local-only id of every field.
+func (g *GS) localPass(dst, src [][]float64, op comm.ReduceOp) {
+	for fi, f := range src {
+		g.ix.local(dst[fi], f, g.locVals, op)
 	}
-	panic(fmt.Sprintf("gs: unknown op %v", op))
 }
 
-// identity returns op's neutral element, used to pad the big vector.
-func identity(op comm.ReduceOp) float64 {
-	switch op {
-	case comm.OpSum:
-		return 0
-	case comm.OpProd:
-		return 1
-	case comm.OpMin:
-		return math.Inf(1)
-	case comm.OpMax:
-		return math.Inf(-1)
+// scatterRemote writes st's exchanged partials to every occurrence of the
+// remotely-shared slots.
+func (g *GS) scatterRemote(dst [][]float64, st *site) {
+	nr := len(g.ix.remID)
+	for fi, f := range dst {
+		scatter(f, st.partial[fi*nr:(fi+1)*nr], g.ix.remOff, g.ix.remIdx)
 	}
-	panic(fmt.Sprintf("gs: unknown op %v", op))
 }

@@ -23,7 +23,7 @@ func serialGS(ids [][]int64, values [][]float64, op comm.ReduceOp) [][]float64 {
 				acc[id] = values[r][i]
 				seen[id] = true
 			} else {
-				acc[id] = combine2(op, acc[id], values[r][i])
+				acc[id] = combiner(op)(acc[id], values[r][i])
 			}
 		}
 	}

@@ -12,34 +12,75 @@ import (
 // steady-state exchange performs zero heap allocations (the gs
 // benchmarks assert this with -benchmem).
 
-// exchangePairwise implements the direct algorithm: one nonblocking send
-// of this rank's partials to every sharing neighbor, then a wait per
+// site is the persistent state of one exchange site — Op's, OpFields',
+// or a Pending's: its point-to-point tag, the partials of the
+// remotely-shared slots (k fields, field-major), and per neighbor a packed
+// send buffer and a receive request.
+type site struct {
+	tag      int
+	partial  []float64
+	sendBufs [][]float64
+	reqs     []comm.Request
+}
+
+func (g *GS) newSite(tag int) site {
+	return site{
+		tag:      tag,
+		sendBufs: make([][]float64, len(g.neighbors)),
+		reqs:     make([]comm.Request, len(g.neighbors)),
+	}
+}
+
+// post and complete are the direct (pairwise) algorithm: one nonblocking
+// send of this rank's partials to every sharing neighbor, then a wait per
 // inbound message, combining as they arrive. This is the method CMT-bone
 // selects in the paper's Figure 7 — its face exchange touches at most six
 // neighbors, so direct messages beat any routed scheme.
-func (g *GS) exchangePairwise(op comm.ReduceOp) {
+//
+// post snapshots and sends first (each neighbor must receive this rank's
+// own partial, untouched by combining) — for every neighbor one message
+// carrying, for every shared slot, the k field partials contiguously —
+// then posts the receives into the persistent requests.
+func (g *GS) post(st *site, k int) {
 	r := g.rank
-	// Snapshot and post all sends first (each neighbor must receive this
-	// rank's own partial, untouched by combining).
-	for _, nb := range g.neighbors {
-		buf := g.sendBufs[nb.rank]
-		for i, s := range nb.slots {
-			buf[i] = g.partial[s]
-		}
-		r.IsendMsg(nb.rank, gsTag, buf, nil)
-	}
-	// Post receives into the persistent requests, then combine in
-	// completion order, recycling each message once combined.
+	nr := len(g.ix.remID)
 	for i, nb := range g.neighbors {
-		r.IrecvInto(&g.reqs[i], nb.rank, gsTag)
+		if cap(st.sendBufs[i]) < k*len(nb.slots) {
+			st.sendBufs[i] = make([]float64, k*len(nb.slots))
+		}
+		buf := st.sendBufs[i][:k*len(nb.slots)]
+		if k == 1 {
+			for j, s := range nb.slots {
+				buf[j] = st.partial[s]
+			}
+		} else {
+			for j, s := range nb.slots {
+				for fi := 0; fi < k; fi++ {
+					buf[j*k+fi] = st.partial[fi*nr+int(s)]
+				}
+			}
+		}
+		r.IsendMsg(nb.rank, st.tag, buf, nil)
 	}
 	for i, nb := range g.neighbors {
-		data, _ := g.reqs[i].Wait()
-		for j, s := range nb.slots {
-			g.partial[s] = combine2(op, g.partial[s], data[j])
-		}
-		g.reqs[i].Free()
+		r.IrecvInto(&st.reqs[i], nb.rank, st.tag)
 	}
+}
+
+// complete waits for every neighbor's message in ascending rank order,
+// combines it into the partials and recycles it; it returns the latest
+// modeled arrival time among them.
+func (g *GS) complete(st *site, k int, op comm.ReduceOp) (lastArrival float64) {
+	nr := len(g.ix.remID)
+	for i, nb := range g.neighbors {
+		data, _ := st.reqs[i].Wait()
+		accumulate(st.partial, nr, nb.slots, data, k, op)
+		if a := st.reqs[i].Arrival(); a > lastArrival {
+			lastArrival = a
+		}
+		st.reqs[i].Free()
+	}
+	return lastArrival
 }
 
 // item is one routed (destination, id, value) tuple of the crystal
@@ -102,14 +143,14 @@ func (g *GS) exchangeStage(partner int, send, base []item) []item {
 
 // merge combines tuples with equal (dest, id), the per-stage message
 // compaction that makes the router's volume manageable.
-func (g *GS) merge(its []item, op comm.ReduceOp) []item {
+func (g *GS) merge(its []item, f func(a, b float64) float64) []item {
 	g.sorter.items = its
 	sort.Sort(&g.sorter)
 	g.sorter.items = nil
 	out := its[:0]
 	for _, it := range its {
 		if n := len(out); n > 0 && out[n-1].dest == it.dest && out[n-1].id == it.id {
-			out[n-1].val = combine2(op, out[n-1].val, it.val)
+			out[n-1].val = f(out[n-1].val, it.val)
 		} else {
 			out = append(out, it)
 		}
@@ -124,7 +165,9 @@ func (g *GS) merge(its []item, op comm.ReduceOp) []item {
 // with equal (destination, id) along the way. It completes in log2 P
 // stages regardless of the neighbor pattern — which is exactly why it
 // loses to pairwise when the pattern is a sparse 6-neighbor stencil.
-func (g *GS) exchangeCrystal(op comm.ReduceOp) {
+// partial holds one field's remote-slot partials.
+func (g *GS) exchangeCrystal(op comm.ReduceOp, partial []float64) {
+	f := combiner(op)
 	r := g.rank
 	p := r.Size()
 	me := r.ID()
@@ -136,7 +179,7 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp) {
 	sendBuf := g.itemsC[:0]
 	for _, nb := range g.neighbors {
 		for _, s := range nb.slots {
-			cur = append(cur, item{nb.rank, g.ids[s], g.partial[s]})
+			cur = append(cur, item{nb.rank, g.ix.remID[s], partial[s]})
 		}
 	}
 
@@ -176,10 +219,10 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp) {
 					keep = append(keep, it)
 				}
 			}
-			send = g.merge(send, op)
+			send = g.merge(send, f)
 			keep = g.exchangeStage(partner, send, keep)
 			// Rotate: the old live buffer becomes the next keep target.
-			cur, spare, sendBuf = g.merge(keep, op), cur, send
+			cur, spare, sendBuf = g.merge(keep, f), cur, send
 		}
 		// Unfold: hand the high partner its traffic.
 		if me+p2 < p {
@@ -200,7 +243,7 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp) {
 	// Everything left is addressed to this rank: combine into partials.
 	for _, it := range cur {
 		if s, ok := g.slotOf[it.id]; ok {
-			g.partial[s] = combine2(op, g.partial[s], it.val)
+			partial[s] = f(partial[s], it.val)
 		}
 	}
 
@@ -210,11 +253,11 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp) {
 
 // exchangeAllReduce implements "all_reduce onto a big vector": partials
 // are scattered into a dense vector indexed by the global union of
-// active ids, padded with op's identity, and a single Allreduce combines
-// everything everywhere. Simple and pattern-oblivious — and, as the
-// paper finds, too expensive for either mini-app at this problem size.
-// The dense vector is persistent handle scratch, identity-reset in place
-// each call.
+// remotely-shared ids (k fields stacked into one k-times-longer vector),
+// padded with op's identity, and a single Allreduce combines everything
+// everywhere. Simple and pattern-oblivious — and, as the paper finds, too
+// expensive for either mini-app at this problem size. The dense vector
+// is persistent handle scratch, identity-reset in place each call.
 //
 // On a hierarchical communicator (comm.CollHier) the Allreduce below
 // rides the two-level node-leader tree automatically: intra-node reduce,
@@ -223,22 +266,23 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp) {
 // where its combine order is bit-identical to the flat tree (power-of-two
 // node sizes and node count), so exchange results, and therefore tuning
 // decisions, are unchanged. TestHierCommBitIdentical pins this.
-func (g *GS) exchangeAllReduce(op comm.ReduceOp) {
+func (g *GS) exchangeAllReduce(op comm.ReduceOp, partial []float64, k int) {
 	g.ensureBigVector()
-	big := g.bigScratch(g.bigLen)
+	nr := len(g.bigIdx)
+	big := g.bigScratch(k * g.bigLen)
 	id := identity(op)
 	for i := range big {
 		big[i] = id
 	}
 	for s, pos := range g.bigIdx {
-		if pos >= 0 {
-			big[pos] = g.partial[s]
+		for fi := 0; fi < k; fi++ {
+			big[fi*g.bigLen+int(pos)] = partial[fi*nr+s]
 		}
 	}
 	g.rank.Allreduce(op, big)
 	for s, pos := range g.bigIdx {
-		if pos >= 0 {
-			g.partial[s] = big[pos]
+		for fi := 0; fi < k; fi++ {
+			partial[fi*nr+s] = big[fi*g.bigLen+int(pos)]
 		}
 	}
 }

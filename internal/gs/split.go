@@ -5,18 +5,15 @@
 // receives; the caller then runs interior work; Finish combines the
 // local-only slots, completes the receives, and scatters everything back.
 //
-// Bit-identity with the blocking OpFields is by construction: per slot the
-// local gather order (grp[0], then grp[1:]), the neighbor combine order
-// (ascending rank), and the scatter are the same code in the same order —
-// only the interleaving with unrelated caller compute changes. Remotely
-// shared slots never mix with local-only slots, so gathering the two
-// classes on opposite sides of the caller's interior phase is a pure
-// reordering of independent work.
+// Bit-identity with the blocking OpFields is by construction: both are
+// the same kernels — remote gather, post, local pass, complete, remote
+// scatter (GS.run) — and Begin/Finish only cut that sequence in two
+// around the caller's interior phase. Remotely shared slots never mix
+// with local-only ids, so gathering the two classes on opposite sides of
+// it is a pure reordering of independent work.
 package gs
 
 import (
-	"fmt"
-
 	"repro/internal/comm"
 	"repro/internal/obs"
 )
@@ -28,18 +25,13 @@ import (
 //
 // Only the pairwise method runs split-phase; under the crystal router or
 // all_reduce (whose collectives cannot be posted halfway) Begin records
-// the arguments and Finish falls back to the blocking OpFields, so
+// the arguments and Finish falls back to the blocking OpFieldsTo, so
 // callers never need to special-case the tuned method.
 type Pending struct {
-	g      *GS
-	tag    int // distinct per Pending, so concurrent exchanges never mix
-	op     comm.ReduceOp
-	fields [][]float64
-	k      int
-
-	partial  []float64         // k*ns packed partials, OpFields layout
-	sendBufs map[int][]float64 // persistent per-neighbor packed buffers
-	reqs     []comm.Request
+	g        *GS
+	st       site // distinct tag per Pending, so concurrent exchanges never mix
+	op       comm.ReduceOp
+	dst, src [][]float64
 
 	active   bool
 	fallback bool
@@ -51,40 +43,31 @@ type Pending struct {
 // Pendings in the same (deterministic) order agree on tags without
 // communicating.
 func (g *GS) NewPending() *Pending {
-	p := &Pending{
-		g:        g,
-		tag:      gsTag + 3 + g.pendings,
-		sendBufs: map[int][]float64{},
-		reqs:     make([]comm.Request, len(g.neighbors)),
-	}
+	p := &Pending{g: g, st: g.newSite(gsTag + 3 + g.pendings)}
 	g.pendings++
 	return p
 }
 
-// Begin starts a gather-scatter over k field vectors: it gathers the
+// Begin starts a gather-scatter of the k field vectors src into dst (dst
+// may be src; see OpTo for what is written): it gathers the
 // remotely-shared slots, posts one packed send per neighbor, and posts
-// the matching receives. The caller may then mutate any vector entries
+// the matching receives. The caller may then produce any src entries
 // that do not belong to remotely-shared groups (interior work) before
 // calling Finish. Begin/Finish pairs on the same Pending must not nest.
-func (p *Pending) Begin(fields [][]float64, op comm.ReduceOp) {
+func (p *Pending) Begin(dst, src [][]float64, op comm.ReduceOp) {
 	if p.active {
 		panic("gs: Begin on an already-active Pending")
 	}
 	g := p.g
-	for fi, f := range fields {
-		if len(f) != g.n {
-			panic(fmt.Sprintf("gs: field %d length %d, setup saw %d", fi, len(f), g.n))
-		}
-	}
+	g.checkFields(dst, src)
 	p.active = true
 	p.op = op
-	p.fields = append(p.fields[:0], fields...)
-	p.k = len(fields)
-	if g.method != Pairwise || p.k == 0 {
-		p.fallback = true
+	p.dst = append(p.dst[:0], dst...)
+	p.src = append(p.src[:0], src...)
+	p.fallback = g.method != Pairwise || len(src) == 0
+	if p.fallback {
 		return
 	}
-	p.fallback = false
 
 	r := g.rank
 	r.SetSite("gs_op")
@@ -92,48 +75,18 @@ func (p *Pending) Begin(fields [][]float64, op comm.ReduceOp) {
 	defer g.spans.Span("gs_begin", obs.CatGS)()
 
 	p.t0 = r.Clock().Now()
-	k, ns := p.k, len(g.ids)
-	if cap(p.partial) < k*ns {
-		p.partial = make([]float64, k*ns)
-	}
-	partial := p.partial[:k*ns]
-
-	// Gather only the remotely-shared slots — every occurrence of a
-	// remotely-shared id lives on a boundary element, which the caller
-	// has finished before Begin. Local-only slots wait for Finish.
-	for fi, f := range fields {
-		base := fi * ns
-		for s, grp := range g.groups {
-			if !g.sharedMask[s] {
-				continue
-			}
-			acc := f[grp[0]]
-			for _, idx := range grp[1:] {
-				acc = combine2(op, acc, f[idx])
-			}
-			partial[base+s] = acc
-		}
-	}
-
-	for _, nb := range g.neighbors {
-		buf := p.sendBuf(nb.rank, k*len(nb.slots))
-		for i, s := range nb.slots {
-			for fi := 0; fi < k; fi++ {
-				buf[i*k+fi] = partial[fi*ns+s]
-			}
-		}
-		r.IsendMsg(nb.rank, p.tag, buf, nil)
-	}
-	for i, nb := range g.neighbors {
-		r.IrecvInto(&p.reqs[i], nb.rank, p.tag)
-	}
+	// Every occurrence of a remotely-shared id lives on a boundary
+	// element, which the caller has finished before Begin. Local-only ids
+	// wait for Finish.
+	g.gatherRemote(&p.st, src, op)
+	g.post(&p.st, len(src))
 }
 
-// Finish completes the exchange begun by Begin: it gathers the local-only
-// slots, waits for every neighbor's message (combining in ascending rank
-// order, as the blocking path does), scatters all slots back into the
-// field vectors, and accounts the communication time hidden behind the
-// compute the caller ran between Begin and Finish.
+// Finish completes the exchange begun by Begin: it finishes the local-only
+// ids, waits for every neighbor's message (combining in ascending rank
+// order, as the blocking path does), scatters the exchanged slots into
+// dst, and accounts the communication time hidden behind the compute the
+// caller ran between Begin and Finish.
 func (p *Pending) Finish() {
 	if !p.active {
 		panic("gs: Finish without Begin")
@@ -141,7 +94,7 @@ func (p *Pending) Finish() {
 	p.active = false
 	g := p.g
 	if p.fallback {
-		g.OpFields(p.fields, p.op, g.method)
+		g.OpFieldsTo(p.dst, p.src, p.op, g.method)
 		return
 	}
 
@@ -150,66 +103,17 @@ func (p *Pending) Finish() {
 	defer r.SetSite("")
 	defer g.spans.Span("gs_finish", obs.CatGS)()
 
-	k, ns := p.k, len(g.ids)
-	partial := p.partial[:k*ns]
-	op := p.op
-
-	// Gather the local-only slots now that the caller's interior phase
-	// has produced every vector entry.
-	for fi, f := range p.fields {
-		base := fi * ns
-		for s, grp := range g.groups {
-			if g.sharedMask[s] {
-				continue
-			}
-			acc := f[grp[0]]
-			for _, idx := range grp[1:] {
-				acc = combine2(op, acc, f[idx])
-			}
-			partial[base+s] = acc
-		}
-	}
+	// Now that the caller's interior phase has produced every vector entry.
+	g.localPass(p.dst, p.src, p.op)
 
 	// The compute between Begin and Finish ends here; anything the wire
 	// delivered before this instant was hidden behind it.
 	computeEnd := r.Clock().Now()
-	lastArrival := p.t0
-	for i, nb := range g.neighbors {
-		data, _ := p.reqs[i].Wait()
-		for j, s := range nb.slots {
-			for fi := 0; fi < k; fi++ {
-				partial[fi*ns+s] = combine2(op, partial[fi*ns+s], data[j*k+fi])
-			}
-		}
-		if a := p.reqs[i].Arrival(); a > lastArrival {
-			lastArrival = a
-		}
-		p.reqs[i].Free()
-	}
+	lastArrival := max(p.t0, g.complete(&p.st, len(p.src), p.op))
 	if len(g.neighbors) > 0 {
 		r.Clock().AccountOverlap(p.t0, computeEnd, lastArrival)
 	}
-
-	for fi, f := range p.fields {
-		base := fi * ns
-		for s, grp := range g.groups {
-			v := partial[base+s]
-			for _, idx := range grp {
-				f[idx] = v
-			}
-		}
-	}
-}
-
-// sendBuf returns the persistent packed send buffer for neighbor q, grown
-// to at least n and sliced to exactly n.
-func (p *Pending) sendBuf(q, n int) []float64 {
-	buf := p.sendBufs[q]
-	if cap(buf) < n {
-		buf = make([]float64, n)
-		p.sendBufs[q] = buf
-	}
-	return buf[:n]
+	g.scatterRemote(p.dst, &p.st)
 }
 
 // RemoteShared reports, per vector index of the setup id layout, whether
@@ -218,13 +122,8 @@ func (p *Pending) sendBuf(q, n int) []float64 {
 // sets for compute/communication overlap.
 func (g *GS) RemoteShared() []bool {
 	out := make([]bool, g.n)
-	for s, grp := range g.groups {
-		if !g.sharedMask[s] {
-			continue
-		}
-		for _, idx := range grp {
-			out[idx] = true
-		}
+	for _, idx := range g.ix.remIdx {
+		out[idx] = true
 	}
 	return out
 }

@@ -53,7 +53,7 @@ func TestSplitMatchesBlocking(t *testing.T) {
 					}
 				}
 				pend := g.NewPending()
-				pend.Begin(got, op)
+				pend.Begin(got, got, op)
 				for fi := range got {
 					for i := range final {
 						if !shared[i] {
@@ -96,7 +96,8 @@ func TestSplitReuse(t *testing.T) {
 			}
 			want := append([]float64(nil), vals...)
 			g.OpFields([][]float64{want}, comm.OpSum, Pairwise)
-			pend.Begin([][]float64{vals}, comm.OpSum)
+			f := [][]float64{vals}
+			pend.Begin(f, f, comm.OpSum)
 			pend.Finish()
 			for i := range vals {
 				if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
@@ -128,7 +129,8 @@ func TestSplitOverlapAccounting(t *testing.T) {
 		}
 		pend := g.NewPending()
 		for step := 0; step < 3; step++ {
-			pend.Begin([][]float64{vals}, comm.OpSum)
+			f := [][]float64{vals}
+			pend.Begin(f, f, comm.OpSum)
 			r.Clock().Advance(computeDt) // the overlapped interior phase
 			pend.Finish()
 		}
@@ -155,7 +157,7 @@ func BenchmarkGSAllocSplitFields(b *testing.B) {
 		}
 		pend := g.NewPending()
 		steadyLoop(b, r, func() {
-			pend.Begin(fields, comm.OpSum)
+			pend.Begin(fields, fields, comm.OpSum)
 			pend.Finish()
 		})
 	})

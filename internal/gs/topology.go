@@ -2,6 +2,7 @@ package gs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/comm"
@@ -38,21 +39,50 @@ type Topology struct {
 }
 
 // Topology extracts this handle's discovery result as a deep copy, safe
-// to reuse after the handle (and its run) are gone.
+// to reuse after the handle (and its run) are gone: the three index
+// classes merged back, by id, into one table.
 func (g *GS) Topology() *Topology {
+	ix := &g.ix
+	n := g.SharedSlots()
 	t := &Topology{
 		N:            g.n,
-		IDs:          append([]int64(nil), g.ids...),
-		Groups:       make([][]int, len(g.groups)),
-		SharedMask:   append([]bool(nil), g.sharedMask...),
+		IDs:          make([]int64, 0, n),
+		Groups:       make([][]int, 0, n),
+		SharedMask:   make([]bool, 0, n),
 		GlobalShared: g.globalShared,
 		Neighbors:    make([]TopoNeighbor, len(g.neighbors)),
 	}
-	for i, grp := range g.groups {
-		t.Groups[i] = append([]int(nil), grp...)
+	add := func(id int64, shared bool, idx ...int32) {
+		grp := make([]int, len(idx))
+		for i, v := range idx {
+			grp[i] = int(v)
+		}
+		t.IDs = append(t.IDs, id)
+		t.Groups = append(t.Groups, grp)
+		t.SharedMask = append(t.SharedMask, shared)
+	}
+	before := func(id int64, ids []int64, at int) bool { return at == len(ids) || id < ids[at] }
+	tableOf := make([]int, len(ix.remID)) // remote slot -> table slot
+	for p, l, m := 0, 0, 0; len(t.IDs) < n; {
+		switch {
+		case p < len(ix.pairID) && before(ix.pairID[p], ix.locID, l) && before(ix.pairID[p], ix.remID, m):
+			add(ix.pairID[p], false, ix.pairA[p], ix.pairB[p])
+			p++
+		case l < len(ix.locID) && before(ix.locID[l], ix.remID, m):
+			add(ix.locID[l], false, ix.locIdx[ix.locOff[l]:ix.locOff[l+1]]...)
+			l++
+		default:
+			tableOf[m] = len(t.IDs)
+			add(ix.remID[m], true, ix.remIdx[ix.remOff[m]:ix.remOff[m+1]]...)
+			m++
+		}
 	}
 	for i, nb := range g.neighbors {
-		t.Neighbors[i] = TopoNeighbor{Rank: nb.rank, Slots: append([]int(nil), nb.slots...)}
+		slots := make([]int, len(nb.slots))
+		for j, m := range nb.slots {
+			slots[j] = tableOf[m]
+		}
+		t.Neighbors[i] = TopoNeighbor{Rank: nb.rank, Slots: slots}
 	}
 	return t
 }
@@ -61,8 +91,8 @@ func (g *GS) Topology() *Topology {
 // and this rank's id; it guards SetupFromTopology against a cache entry
 // recorded for a different partition shape.
 func (t *Topology) Validate(p, self int) error {
-	if t.N < 0 {
-		return fmt.Errorf("gs: topology has negative vector length %d", t.N)
+	if t.N < 0 || t.N > math.MaxInt32 {
+		return fmt.Errorf("gs: topology vector length %d outside [0, 2^31)", t.N)
 	}
 	if len(t.Groups) != len(t.IDs) || len(t.SharedMask) != len(t.IDs) {
 		return fmt.Errorf("gs: topology table lengths disagree: %d ids, %d groups, %d shared flags",
@@ -97,6 +127,9 @@ func (t *Topology) Validate(p, self int) error {
 			if s < 0 || s >= len(t.IDs) {
 				return fmt.Errorf("gs: topology neighbor %d slot %d outside table", nb.Rank, s)
 			}
+			if !t.SharedMask[s] {
+				return fmt.Errorf("gs: topology neighbor %d slot %d not marked shared", nb.Rank, s)
+			}
 		}
 	}
 	return nil
@@ -114,28 +147,5 @@ func SetupFromTopology(r *comm.Rank, t *Topology) (*GS, error) {
 	if err := t.Validate(r.Size(), r.ID()); err != nil {
 		return nil, err
 	}
-	g := &GS{
-		rank: r, n: t.N, method: Pairwise,
-		sendBufs:       map[int][]float64{},
-		fieldsSendBufs: map[int][]float64{},
-		ids:            append([]int64(nil), t.IDs...),
-		groups:         make([][]int, len(t.Groups)),
-		sharedMask:     append([]bool(nil), t.SharedMask...),
-		globalShared:   t.GlobalShared,
-	}
-	for i, grp := range t.Groups {
-		g.groups[i] = append([]int(nil), grp...)
-	}
-	g.partial = make([]float64, len(g.ids))
-	g.slotOf = make(map[int64]int, len(g.ids))
-	for s, id := range g.ids {
-		g.slotOf[id] = s
-	}
-	for _, nb := range t.Neighbors {
-		slots := append([]int(nil), nb.Slots...)
-		g.neighbors = append(g.neighbors, neighbor{rank: nb.Rank, slots: slots})
-		g.sendBufs[nb.Rank] = make([]float64, len(slots))
-	}
-	g.reqs = make([]comm.Request, len(g.neighbors))
-	return g, nil
+	return newGS(r, t), nil
 }

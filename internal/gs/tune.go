@@ -2,6 +2,7 @@ package gs
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/comm"
@@ -136,4 +137,45 @@ func (g *GS) timeMethods(trials int) []Timing {
 		})
 	}
 	return timings
+}
+
+// LocalRate is the measured speed of a handle's local kernels.
+type LocalRate struct {
+	// Points is the number of vector entries one operation touches (every
+	// occurrence of an active id).
+	Points int
+	// NsPerPoint is wall nanoseconds per point per operation, best trial.
+	NsPerPoint float64
+	// GBps is computed, not measured, traffic over that time: per point an
+	// int32 index read, a value read and a value written, plus per CSR
+	// group an offset read and, for remote slots, the partial's round trip.
+	GBps float64
+}
+
+// LocalRate times the local half of an OpSum on scratch data — the pass
+// over local-only ids, the remote gather and the remote scatter, with no
+// exchange between them — the way kernelbench gives the derivative
+// kernels a rate. Not collective; the handle's state is untouched.
+func (g *GS) LocalRate(trials int) LocalRate {
+	ix := &g.ix
+	src, dst := make([]float64, g.n), make([]float64, g.n)
+	for i := range src {
+		src[i] = float64(i%13) + 0.5
+	}
+	partial := make([]float64, len(ix.remID))
+	points := 2*len(ix.pairA) + len(ix.locIdx) + len(ix.remIdx)
+	groups := len(ix.locID) + len(ix.remID)
+	bytes := float64(points*(4+8+8) + groups*4 + len(ix.remID)*16)
+	best := math.Inf(1)
+	for t := 0; t < max(trials, 1); t++ {
+		start := time.Now()
+		gather(partial, src, ix.remOff, ix.remIdx, comm.OpSum)
+		ix.local(dst, src, g.locVals, comm.OpSum)
+		scatter(dst, partial, ix.remOff, ix.remIdx)
+		best = min(best, time.Since(start).Seconds())
+	}
+	if points == 0 {
+		return LocalRate{}
+	}
+	return LocalRate{Points: points, NsPerPoint: best * 1e9 / float64(points), GBps: bytes / best / 1e9}
 }

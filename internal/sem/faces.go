@@ -60,14 +60,30 @@ func faceLayout(n, f int) (off, sp, sq int) {
 	panic(fmt.Sprintf("sem: bad face %d", f))
 }
 
-// gatherFace copies face f of the element ue into dst (N^2 values).
-func gatherFace(n, f int, ue, dst []float64) {
+// GatherFace copies face f of the element ue (N^3 values) into dst (N^2
+// values). It and AddFace are the only walks over faceLayout's strides:
+// the whole-array kernels below and the solver's element-resident surface
+// passes are all built on them.
+func GatherFace(n, f int, ue, dst []float64) {
 	off, sp, sq := faceLayout(n, f)
 	for q := 0; q < n; q++ {
 		row := dst[n*q : n*q+n]
 		at := off + sq*q
 		for p := range row {
 			row[p] = ue[at]
+			at += sp
+		}
+	}
+}
+
+// AddFace adds vals (N^2 values) onto face f of the element ue — the
+// inverse walk of GatherFace.
+func AddFace(n, f int, vals, ue []float64) {
+	off, sp, sq := faceLayout(n, f)
+	for q := 0; q < n; q++ {
+		at := off + sq*q
+		for _, v := range vals[n*q : n*q+n] {
+			ue[at] += v
 			at += sp
 		}
 	}
@@ -87,7 +103,7 @@ func Full2Face(n int, u []float64, nel int, faces []float64) OpCount {
 		ue := u[e*n3 : (e+1)*n3]
 		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
 		for f := 0; f < NFaces; f++ {
-			gatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
+			GatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
 		}
 	}
 	moved := int64(nel) * NFaces * int64(n2)
@@ -108,7 +124,7 @@ func Full2FaceDir(n int, u []float64, nel int, faces []float64, dim int) OpCount
 		ue := u[e*n3 : (e+1)*n3]
 		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
 		for f := 2 * dim; f <= 2*dim+1; f++ {
-			gatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
+			GatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
 		}
 	}
 	moved := int64(nel) * 2 * int64(n2)
@@ -127,14 +143,7 @@ func Face2FullAdd(n int, faces []float64, nel int, u []float64) OpCount {
 		ue := u[e*n3 : (e+1)*n3]
 		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
 		for f := 0; f < NFaces; f++ {
-			off, sp, sq := faceLayout(n, f)
-			for q := 0; q < n; q++ {
-				at := off + sq*q
-				for _, v := range fe[f*n2+n*q : f*n2+n*q+n] {
-					ue[at] += v
-					at += sp
-				}
-			}
+			AddFace(n, f, fe[f*n2:(f+1)*n2], ue)
 		}
 	}
 	moved := int64(nel) * NFaces * int64(n2)

@@ -84,18 +84,6 @@ func (s *Solver) InteriorElems() int {
 	return n
 }
 
-// copyTraces copies the face traces of the given element runs from src
-// into dst (the exchange working copies).
-func (s *Solver) copyTraces(dst, src *[NumFields][]float64, runs [][2]int) {
-	fpe := sem.NFaces * s.Cfg.N * s.Cfg.N
-	for _, run := range runs {
-		lo, hi := run[0]*fpe, run[1]*fpe
-		for c := 0; c < NumFields; c++ {
-			copy(dst[c][lo:hi], src[c][lo:hi])
-		}
-	}
-}
-
 // computeRHSOverlap is computeRHS with the interior/boundary split: the
 // same helpers over reordered element runs, with the exchange posted as
 // soon as the boundary traces exist. The inviscid path overlaps both
@@ -114,20 +102,14 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 	if !viscous {
 		// Boundary faces first, then both exchanges in flight across the
 		// entire interior phase.
-		s.faceExtractRuns(in, s.bndRuns)
-		s.surfaceFluxRuns(s.bndRuns)
-		s.copyTraces(&s.exU, &s.faceU, s.bndRuns)
-		s.copyTraces(&s.exF, &s.faceF, s.bndRuns)
+		s.chargeSurfaceFlux(s.faceRuns(in, s.bndRuns, true))
 		stop := s.span("gs_op", obs.CatGS)
-		s.pendU.Begin(s.exU[:], comm.OpSum)
-		s.pendF.Begin(s.exF[:], comm.OpSum)
+		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
+		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
 		stop()
 
 		s.volumeRuns(in, s.intRuns, false)
-		s.faceExtractRuns(in, s.intRuns)
-		s.surfaceFluxRuns(s.intRuns)
-		s.copyTraces(&s.exU, &s.faceU, s.intRuns)
-		s.copyTraces(&s.exF, &s.faceF, s.intRuns)
+		s.chargeSurfaceFlux(s.faceRuns(in, s.intRuns, true))
 
 		stop = s.span("gs_op", obs.CatGS)
 		s.pendU.Finish()
@@ -139,22 +121,18 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		// The state exchange starts as soon as the boundary traces are
 		// extracted; the flux exchange needs the boundary volume pass
 		// (which extracts the viscous flux traces) before it can start.
-		s.faceExtractRuns(in, s.bndRuns)
-		s.copyTraces(&s.exU, &s.faceU, s.bndRuns)
+		s.faceRuns(in, s.bndRuns, false)
 		stop := s.span("gs_op", obs.CatGS)
-		s.pendU.Begin(s.exU[:], comm.OpSum)
+		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
 		stop()
 
 		s.volumeRuns(in, s.bndRuns, true)
-		s.copyTraces(&s.exF, &s.faceF, s.bndRuns)
 		stop = s.span("gs_op", obs.CatGS)
-		s.pendF.Begin(s.exF[:], comm.OpSum)
+		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
 		stop()
 
 		s.volumeRuns(in, s.intRuns, true)
-		s.faceExtractRuns(in, s.intRuns)
-		s.copyTraces(&s.exU, &s.faceU, s.intRuns)
-		s.copyTraces(&s.exF, &s.faceF, s.intRuns)
+		s.faceRuns(in, s.intRuns, false)
 
 		stop = s.span("gs_op", obs.CatGS)
 		s.pendU.Finish()

@@ -27,13 +27,13 @@ func pressure(u *[NumFields]float64) float64 {
 	return (Gamma - 1) * (u[IEnergy] - ke)
 }
 
-// wallCorrection returns (f - f*).n for conserved field c at a slip-wall
-// face point: the ghost state mirrors the interior trace with the normal
-// momentum negated, so with the Lax-Friedrichs flux
+// wallCorrection fills out[c] with (f - f*).n for every conserved field
+// at the slip-wall face point idx: the ghost state mirrors the interior
+// trace with the normal momentum negated, so with the Lax-Friedrichs flux
 // (f - f*).n = sign*(F_in - F_ghost)/2 - lambda*(u_in - u_ghost)/2.
 // Mass and energy fluxes cancel exactly (the box is sealed); normal
 // momentum feels the wall's pressure reaction.
-func (s *Solver) wallCorrection(c, d int, sign float64, idx int, lam float64) float64 {
+func (s *Solver) wallCorrection(d int, sign float64, idx int, lam float64, out *[NumFields]float64) {
 	var us, ug, fin, fg [NumFields]float64
 	for cc := 0; cc < NumFields; cc++ {
 		us[cc] = s.faceU[cc][idx]
@@ -47,7 +47,9 @@ func (s *Solver) wallCorrection(c, d int, sign float64, idx int, lam float64) fl
 	velG := vel
 	velG[d] = -vel[d]
 	eulerFlux(d, &ug, &velG, p, &fg)
-	return sign*(fin[c]-fg[c])/2 - lam*(us[c]-ug[c])/2
+	for c := range out {
+		out[c] = sign*(fin[c]-fg[c])/2 - lam*(us[c]-ug[c])/2
+	}
 }
 
 // allRun returns the whole local element set as a single run — the
@@ -76,28 +78,23 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	if viscous {
 		s.computeGradients(in)
 	}
-	s.faceExtractRuns(in, all)
+	flux := s.faceRuns(in, all, !viscous)
 	s.volumeRuns(in, all, viscous)
-	if !viscous {
-		s.surfaceFluxRuns(all)
-	}
+	s.chargeSurfaceFlux(flux)
 
-	// --- gs_op: nearest-neighbor exchange of state and flux traces.
-	// After the exchange each shared face point holds in+out sums;
-	// unshared (true boundary) points are untouched.
+	// --- gs_op: nearest-neighbor exchange of state and flux traces, out
+	// of place. After the exchange each shared face point of exU/exF
+	// holds the in+out sum; unshared (true boundary) points are not
+	// written, and nothing reads them.
 	stop := s.span("gs_op", obs.CatGS)
-	for c := 0; c < NumFields; c++ {
-		copy(s.exU[c], s.faceU[c])
-		copy(s.exF[c], s.faceF[c])
-	}
 	if s.Cfg.PackedExchange {
 		// gs_op_fields: one packed message per neighbor per exchange.
-		s.gsh.OpFields(s.exU[:], comm.OpSum, s.gsh.Method())
-		s.gsh.OpFields(s.exF[:], comm.OpSum, s.gsh.Method())
+		s.gsh.OpFieldsTo(s.exU[:], s.faceU[:], comm.OpSum, s.gsh.Method())
+		s.gsh.OpFieldsTo(s.exF[:], s.faceF[:], comm.OpSum, s.gsh.Method())
 	} else {
 		for c := 0; c < NumFields; c++ {
-			s.gsh.Op(s.exU[c], comm.OpSum)
-			s.gsh.Op(s.exF[c], comm.OpSum)
+			s.gsh.OpTo(s.exU[c], s.faceU[c], comm.OpSum)
+			s.gsh.OpTo(s.exF[c], s.faceF[c], comm.OpSum)
 		}
 	}
 	stop()
@@ -126,26 +123,137 @@ func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	stop()
 }
 
-// faceExtractRuns is full2face_cmt over the given element runs: gather
-// the surface traces of the state into s.faceU.
-func (s *Solver) faceExtractRuns(in *[NumFields][]float64, runs [][2]int) {
+// faceJob is the run faceElems is working through (kept in the Solver,
+// like volJob, so a run dispatches to the pool without allocating).
+type faceJob struct {
+	in   *[NumFields][]float64
+	elo  int
+	flux bool
+}
+
+// fluxBill is what a faceRuns pass owes for the surface flux it
+// evaluated: the wall interval it took and the face points it covered
+// (zero when it evaluated none).
+type fluxBill struct {
+	start  time.Time
+	wall   time.Duration
+	points int
+}
+
+// faceRuns is full2face_cmt over the given element runs — gather the
+// surface traces of the state into s.faceU — and, with flux set, the
+// inviscid surface compute_flux in the same pass: the normal Euler flux
+// at each face point into s.faceF, evaluated from the element's traces
+// while they are in cache (the viscous path extracts it from the volume
+// flux in volumeRuns instead). It bills and reports full2face_cmt as the
+// whole-rank sweep it replaces, and returns the flux's bill for the
+// caller to settle (chargeSurfaceFlux) where that sweep stood.
+func (s *Solver) faceRuns(in *[NumFields][]float64, runs [][2]int, flux bool) fluxBill {
 	if len(runs) == 0 {
-		return
+		return fluxBill{}
 	}
 	n := s.Cfg.N
-	n3 := n * n * n
-	fpe := sem.NFaces * n * n
-	stop := s.span("full2face_cmt", obs.CatKernel)
-	var moveOps sem.OpCount
+	for i := range s.volSlots {
+		s.volSlots[i].face = [2]time.Duration{}
+	}
+	s.face.in, s.face.flux = in, flux
+	nelr := 0
+	start := time.Now()
 	for _, run := range runs {
-		elo, ehi := run[0], run[1]
+		s.face.elo = run[0]
+		s.pool.ForSlots(run[1]-run[0], s.faceBody)
+		nelr += run[1] - run[0]
+	}
+	wall := time.Since(start)
+	// The pass's wall time, split as the slots' stopwatches saw it.
+	var ext, flx time.Duration
+	for i := range s.volSlots {
+		ext += s.volSlots[i].face[0]
+		flx += s.volSlots[i].face[1]
+	}
+	extWall := wall
+	if flx > 0 {
+		extWall = time.Duration(float64(wall) * float64(ext) / float64(ext+flx))
+	}
+	moved := int64(nelr) * sem.NFaces * int64(n*n) * NumFields
+	s.replay("full2face_cmt", start, extWall, sem.OpCount{Load: moved, Store: moved})
+	if !flux {
+		return fluxBill{}
+	}
+	return fluxBill{start: start.Add(extWall), wall: wall - extWall, points: nelr * sem.NFaces * n * n}
+}
+
+// chargeSurfaceFlux bills and reports the surface flux a faceRuns pass
+// evaluated, as the compute_flux_surface sweep.
+func (s *Solver) chargeSurfaceFlux(b fluxBill) {
+	if b.points == 0 {
+		return
+	}
+	l := int64(b.points)
+	s.replay("compute_flux_surface", b.start, b.wall, sem.OpCount{Mul: l * 6, Add: l * 4, Load: l * 2, Store: l})
+}
+
+// replay charges ops for work already done in the wall interval [start,
+// start+wall) and reports it as one call of the kernel region name, under
+// that region's accounting phase — what s.span around the work and the
+// charge would have produced.
+func (s *Solver) replay(name string, start time.Time, wall time.Duration, ops sem.OpCount) {
+	clock := s.Rank.Clock()
+	popPhase := clock.PushPhase(obs.PhaseOf(name, obs.CatKernel))
+	vt0 := clock.Now()
+	s.chargeCompute(ops, pointwiseTraits)
+	s.rt.Record(name, obs.CatKernel, start, wall, vt0, clock.Now())
+	popPhase()
+	s.Prof.Add(name, 1, wall.Seconds())
+}
+
+// faceElems runs the surface pass over elements [lo, hi) of the current
+// run on pool slot slot. Every element is the same work, so the slot's
+// stopwatch (extraction, flux) clocks the first one only.
+func (s *Solver) faceElems(slot, lo, hi int) {
+	job := &s.face
+	n := s.Cfg.N
+	n2, n3 := n*n, n*n*n
+	fpe := sem.NFaces * n2
+	first := job.elo + lo
+	var t0, t1 time.Time
+	if job.flux {
+		t0 = time.Now()
+	}
+	for e := first; e < job.elo+hi; e++ {
 		for c := 0; c < NumFields; c++ {
-			moveOps = moveOps.Plus(sem.Full2FacePool(s.pool, n,
-				in[c][elo*n3:ehi*n3], ehi-elo, s.faceU[c][elo*fpe:ehi*fpe]))
+			sem.Full2Face(n, job.in[c][e*n3:(e+1)*n3], 1, s.faceU[c][e*fpe:(e+1)*fpe])
+		}
+		if !job.flux {
+			continue
+		}
+		if e == first {
+			t1 = time.Now()
+		}
+		for f := 0; f < sem.NFaces; f++ {
+			// The normal Euler flux of eulerFlux, on whole face slabs.
+			d := sem.FaceDir(f)
+			base := e*fpe + f*n2
+			rho, en := s.faceU[IRho][base:base+n2], s.faceU[IEnergy][base:base+n2]
+			mx, my, mz := s.faceU[IMomX][base:base+n2], s.faceU[IMomY][base:base+n2], s.faceU[IMomZ][base:base+n2]
+			mn := s.faceU[IMomX+d][base : base+n2]
+			f0, f4 := s.faceF[IRho][base:base+n2], s.faceF[IEnergy][base:base+n2]
+			f1, f2, f3 := s.faceF[IMomX][base:base+n2], s.faceF[IMomY][base:base+n2], s.faceF[IMomZ][base:base+n2]
+			fn := s.faceF[IMomX+d][base : base+n2]
+			for q := range rho {
+				r, x, y, z := rho[q], mx[q], my[q], mz[q]
+				vn := mn[q] * (1 / r)
+				p := (Gamma - 1) * (en[q] - 0.5*(x*x+y*y+z*z)/r)
+				f0[q] = mn[q]
+				f1[q], f2[q], f3[q] = x*vn, y*vn, z*vn
+				fn[q] += p
+				f4[q] = vn * (en[q] + p)
+			}
+		}
+		if e == first {
+			s.volSlots[slot].face = [2]time.Duration{t1.Sub(t0), time.Since(t1)}
 		}
 	}
-	s.chargeCompute(moveOps, pointwiseTraits)
-	stop()
 }
 
 // The stages of the volume pipeline a slot's stopwatch separates; all
@@ -167,6 +275,7 @@ var derivRegion = [3]string{"ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt"}
 type volSlot struct {
 	buf  []float64                   // 6*N^3: the element's three flux components, then their derivatives
 	secs [numVolStages]time.Duration // this run's stopwatch totals
+	face [2]time.Duration            // faceRuns' stopwatch, one element: extraction, surface flux
 }
 
 // volJob is the run volumeElems is working through. It lives in the
@@ -354,50 +463,6 @@ func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall tim
 	}
 }
 
-// surfaceFluxRuns is the inviscid surface compute_flux over the given
-// element runs: the normal flux at face points evaluated directly from
-// the local trace (the viscous path extracts it from the volume flux in
-// volumeRuns instead).
-func (s *Solver) surfaceFluxRuns(runs [][2]int) {
-	if len(runs) == 0 {
-		return
-	}
-	n := s.Cfg.N
-	n2 := n * n
-	stop := s.span("compute_flux_surface", obs.CatKernel)
-	faceLen := 0
-	for _, run := range runs {
-		rlo := run[0]
-		s.pool.For(run[1]-run[0], func(elo, ehi int) {
-			var us, fs [NumFields]float64
-			var velPt [3]float64
-			for e := rlo + elo; e < rlo+ehi; e++ {
-				for f := 0; f < sem.NFaces; f++ {
-					d := sem.FaceDir(f)
-					base := e*sem.NFaces*n2 + f*n2
-					for q := 0; q < n2; q++ {
-						idx := base + q
-						for c := 0; c < NumFields; c++ {
-							us[c] = s.faceU[c][idx]
-						}
-						inv := 1 / us[IRho]
-						velPt[0], velPt[1], velPt[2] = us[IMomX]*inv, us[IMomY]*inv, us[IMomZ]*inv
-						p := pressure(&us)
-						eulerFlux(d, &us, &velPt, p, &fs)
-						for c := 0; c < NumFields; c++ {
-							s.faceF[c][idx] = fs[c]
-						}
-					}
-				}
-			}
-		})
-		faceLen += (run[1] - run[0]) * sem.NFaces * n2
-	}
-	s.chargeCompute(sem.OpCount{Mul: int64(faceLen) * 6, Add: int64(faceLen) * 4,
-		Load: int64(faceLen) * 2, Store: int64(faceLen)}, pointwiseTraits)
-	stop()
-}
-
 // rhsTail is everything after the face exchange — numerical flux + lift,
 // source terms, and dealiasing — identical in the blocking and overlap
 // paths (both run it over all elements once the exchanged traces are
@@ -405,49 +470,19 @@ func (s *Solver) surfaceFluxRuns(runs [][2]int) {
 func (s *Solver) rhsTail() {
 	n := s.Cfg.N
 	nel := s.Local.Nel
-	n2 := n * n
 	vol := nel * n * n * n
 	faceLen := sem.FaceSliceLen(n, nel)
 
-	// --- numerical flux (Lax-Friedrichs) and lift: the correction
-	// (f - f*).n at each exchanged face point, scaled by the diagonal
-	// lift factor, scatter-added into the volume residual. Boundary
-	// face points (bmask == 0) either pass untouched (freestream) or
-	// see a mirror ghost state (slip wall).
+	// --- numerical flux (Lax-Friedrichs) and lift, one element and one
+	// face at a time: the correction (f - f*).n at each exchanged face
+	// point, scaled by the diagonal lift factor, added into the volume
+	// residual of every field while the face's traces are in cache —
+	// faces in sem order, so each volume point sees the additions the
+	// five whole-rank Face2FullAdd sweeps made, in their order. Domain
+	// boundary faces see a mirror ghost state (slip wall) or no
+	// correction (freestream).
 	stop := s.span("numerical_flux", obs.CatKernel)
-	lam := s.lambda
-	wall := s.Cfg.BC == BCWall
-	for c := 0; c < NumFields; c++ {
-		fc, uc := s.faceF[c], s.faceU[c]
-		fsum, usum := s.exF[c], s.exU[c]
-		dst := s.faceW
-		s.pool.For(nel, func(elo, ehi int) {
-			for e := elo; e < ehi; e++ {
-				for f := 0; f < sem.NFaces; f++ {
-					d := sem.FaceDir(f)
-					sign := float64(sem.FaceSign(f))
-					scale := s.liftScale[d]
-					base := e*sem.NFaces*n2 + f*n2
-					for q := 0; q < n2; q++ {
-						idx := base + q
-						if s.bmask[idx] == 0 {
-							if wall {
-								dst[idx] = scale * s.wallCorrection(c, d, sign, idx, lam)
-							} else {
-								dst[idx] = 0
-							}
-							continue
-						}
-						// (f - f*).n with the Lax-Friedrichs flux, written
-						// in terms of the exchanged in+out sums.
-						corr := sign*(fc[idx]-0.5*fsum[idx]) - lam*(uc[idx]-0.5*usum[idx])
-						dst[idx] = scale * corr
-					}
-				}
-			}
-		})
-		sem.Face2FullAddPool(s.pool, n, dst, nel, s.rhs[c])
-	}
+	s.pool.ForSlots(nel, s.liftBody)
 	s.chargeCompute(sem.OpCount{Mul: int64(faceLen) * NumFields * 4, Add: int64(faceLen) * NumFields * 4,
 		Load: int64(faceLen) * NumFields * 4, Store: int64(faceLen) * NumFields}, pointwiseTraits)
 	stop()
@@ -481,5 +516,56 @@ func (s *Solver) rhsTail() {
 		}
 		s.chargeCompute(ops, pointwiseTraits)
 		stop()
+	}
+}
+
+// liftElems is the numerical flux and lift over elements [lo, hi) on
+// pool slot slot (whose scratch holds one face of corrections per field).
+func (s *Solver) liftElems(slot, lo, hi int) {
+	n := s.Cfg.N
+	n2, n3 := n*n, n*n*n
+	lam := s.lambda
+	wall := s.Cfg.BC == BCWall
+	var w [NumFields][]float64
+	for c := range w {
+		w[c] = s.volSlots[slot].buf[c*n2:][:n2]
+	}
+	var corr [NumFields]float64
+	for e := lo; e < hi; e++ {
+		for f := 0; f < sem.NFaces; f++ {
+			d := sem.FaceDir(f)
+			sign := float64(sem.FaceSign(f))
+			scale := s.liftScale[d]
+			base := (e*sem.NFaces + f) * n2
+			switch {
+			case !s.bndFace[e*sem.NFaces+f]:
+				// (f - f*).n with the Lax-Friedrichs flux, written in
+				// terms of the exchanged in+out sums.
+				for c := 0; c < NumFields; c++ {
+					fc, uc := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
+					fsum, usum := s.exF[c][base:base+n2], s.exU[c][base:base+n2]
+					wc := w[c]
+					for q := range wc {
+						wc[q] = scale * (sign*(fc[q]-0.5*fsum[q]) - lam*(uc[q]-0.5*usum[q]))
+					}
+				}
+			case wall:
+				for q := 0; q < n2; q++ {
+					s.wallCorrection(d, sign, base+q, lam, &corr)
+					for c := range corr {
+						w[c][q] = scale * corr[c]
+					}
+				}
+			default:
+				// Freestream: a zero correction, still added — x + 0 is x
+				// for every x but -0.
+				for c := range w {
+					clear(w[c])
+				}
+			}
+			for c := 0; c < NumFields; c++ {
+				sem.AddFace(n, f, w[c], s.rhs[c][e*n3:(e+1)*n3])
+			}
+		}
 	}
 }

@@ -50,8 +50,9 @@ type Solver struct {
 	faceF [NumFields][]float64   // face traces of the normal flux
 	exU   [NumFields][]float64   // exchanged (in+out summed) state traces
 	exF   [NumFields][]float64   // exchanged flux traces
-	faceW []float64              // per-field correction workspace
-	bmask []float64              // 1 on exchanged face points, 0 on true boundaries
+	// bndFace[e*6+f] marks the faces with no neighbor (non-periodic
+	// domain boundary): never exchanged, corrected by Cfg.BC instead.
+	bndFace []bool
 
 	// Intra-rank worker pool for the element-indexed kernels (Workers
 	// in Config). The pool parallelizes wall time only: modeled time is
@@ -59,11 +60,15 @@ type Solver struct {
 	// virtual-time traces are identical at any worker count.
 	pool    *pool.Pool
 	deaBufs *sem.DealiasBufs // per-worker dealiasing buffers
-	// The volume pipeline (volumeRuns): per-slot scratch, the run in
-	// progress, and the pool body over it.
+	// The element-resident pipelines (volumeRuns, faceRuns, the lift in
+	// rhsTail): per-slot scratch, the runs in progress, and the pool
+	// bodies over them.
 	volSlots []volSlot
 	vol      volJob
+	face     faceJob
 	volBody  func(slot, lo, hi int)
+	faceBody func(slot, lo, hi int)
+	liftBody func(slot, lo, hi int)
 	wsPart   []float64 // per-slot wave-speed partial maxima
 
 	// Cfg.Variant resolved once at construction to the hw traits charged
@@ -174,7 +179,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	for i := range s.volSlots {
 		s.volSlots[i].buf = make([]float64, 6*cfg.N*cfg.N*cfg.N)
 	}
-	s.volBody = s.volumeElems
+	s.volBody, s.faceBody, s.liftBody = s.volumeElems, s.faceElems, s.liftElems
 	if cfg.Dealias {
 		s.deaBufs = ref.NewDealiasBufs(s.pool.Workers())
 	}
@@ -216,8 +221,8 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 
 // allocScratch (re)allocates every local-size-dependent working array —
 // everything except the conserved state U and the source fields, which
-// Remap migrates rather than rebuilds — and refreshes the boundary mask
-// and per-element work weights. Called at construction and after every
+// Remap migrates rather than rebuilds — and refreshes the boundary-face
+// flags and per-element work weights. Called at construction and after every
 // element migration.
 func (s *Solver) allocScratch() {
 	local, cfg := s.Local, &s.Cfg
@@ -239,7 +244,6 @@ func (s *Solver) allocScratch() {
 		s.exU[c] = make([]float64, faceLen)
 		s.exF[c] = make([]float64, faceLen)
 	}
-	s.faceW = make([]float64, faceLen)
 	if cfg.Mu > 0 {
 		for q := 0; q < numGradQ; q++ {
 			s.gradQ[q] = make([]float64, vol)
@@ -249,20 +253,11 @@ func (s *Solver) allocScratch() {
 		}
 	}
 
-	// Boundary mask: face points without a neighbor (non-periodic domain
-	// boundary) get no numerical-flux correction.
-	s.bmask = make([]float64, faceLen)
-	n2 := cfg.N * cfg.N
+	s.bndFace = make([]bool, local.Nel*sem.NFaces)
 	for e := 0; e < local.Nel; e++ {
 		for f := 0; f < sem.NFaces; f++ {
-			v := 0.0
-			if _, ok := local.FaceNeighbor(e, f); ok {
-				v = 1
-			}
-			base := e*sem.NFaces*n2 + f*n2
-			for i := 0; i < n2; i++ {
-				s.bmask[base+i] = v
-			}
+			_, ok := local.FaceNeighbor(e, f)
+			s.bndFace[e*sem.NFaces+f] = !ok
 		}
 	}
 	s.initWeights()

@@ -69,8 +69,27 @@ func runVolumeGolden(t *testing.T, viscous, overlap bool, workers int) volumeGol
 // viscous+dealias, blocking and overlapped, at pool widths 1 and 3, to
 // the recorded bytes.
 func TestVolumeGolden(t *testing.T) {
+	type row struct{ viscous, overlap bool }
+	rows := map[string]row{}
+	var keys []string
+	for _, viscous := range []bool{false, true} {
+		for _, overlap := range []bool{false, true} {
+			key := fmt.Sprintf("viscous=%v/overlap=%v", viscous, overlap)
+			keys, rows[key] = append(keys, key), row{viscous, overlap}
+		}
+	}
+	holdToGolden(t, volumeGoldenPath, keys, func(key string, workers int) any {
+		return runVolumeGolden(t, rows[key].viscous, rows[key].overlap, workers)
+	})
+}
+
+// holdToGolden runs every keyed row at pool widths 1 and 3 (subtests
+// workers=1, workers=3), requires the two widths to agree, and compares
+// each row's JSON with the file at path. A missing file is recorded from
+// the run, which then fails, so a missing golden never passes.
+func holdToGolden(t *testing.T, path string, keys []string, run func(key string, workers int) any) {
 	want := map[string]json.RawMessage{}
-	raw, err := os.ReadFile(volumeGoldenPath)
+	raw, err := os.ReadFile(path)
 	record := errors.Is(err, os.ErrNotExist)
 	if !record {
 		if err != nil {
@@ -83,33 +102,30 @@ func TestVolumeGolden(t *testing.T) {
 	got := map[string]json.RawMessage{}
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			for _, viscous := range []bool{false, true} {
-				for _, overlap := range []bool{false, true} {
-					key := fmt.Sprintf("viscous=%v/overlap=%v", viscous, overlap)
-					g, err := json.Marshal(runVolumeGolden(t, viscous, overlap, workers))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if prev, ok := got[key]; ok && !bytes.Equal(g, prev) {
-						t.Errorf("%s: workers=%d differs from workers=1:\n got  %s\n want %s", key, workers, g, prev)
-					}
-					got[key] = g
-					if !record && !bytes.Equal(g, compactJSON(t, want[key])) {
-						t.Errorf("%s moved:\n got  %s\n want %s", key, g, want[key])
-					}
+			for _, key := range keys {
+				g, err := json.Marshal(run(key, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prev, ok := got[key]; ok && !bytes.Equal(g, prev) {
+					t.Errorf("%s: workers=%d differs from workers=1:\n got  %s\n want %s", key, workers, g, prev)
+				}
+				got[key] = g
+				if !record && !bytes.Equal(g, compactJSON(t, want[key])) {
+					t.Errorf("%s moved:\n got  %s\n want %s", key, g, want[key])
 				}
 			}
 		})
 	}
 	if record && !t.Failed() {
-		raw, err := json.MarshalIndent(got, "", "  ")
+		raw, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(volumeGoldenPath, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("%s was missing: recorded it from this run; re-run to compare", volumeGoldenPath)
+		t.Fatalf("%s was missing: recorded it from this run; re-run to compare", path)
 	}
 }
 
