@@ -46,7 +46,7 @@ func BenchmarkFig04ExecutionProfile(b *testing.B) {
 		}
 		b.StopTimer()
 		var deriv, total float64
-		for _, reg := range s.Prof.Flat() {
+		for _, reg := range s.Rec.Flat() {
 			total += reg.Self
 			switch reg.Name {
 			case "ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt":

@@ -29,7 +29,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/solver"
 )
@@ -267,7 +266,7 @@ func main() {
 	}
 
 	reports := make([]solver.Report, *np)
-	profs := make([]*prof.Profiler, *np)
+	recs := make([]*obs.RankTracer, *np)
 	methods := make([]gs.Method, *np)
 	balancers := make([]*loadbal.Balancer, *np)
 	var flowDiag diag.Summary
@@ -336,7 +335,7 @@ func main() {
 			}
 			reports[r.ID()] = s.RunWith(*steps, after)
 		}
-		profs[r.ID()] = s.Prof
+		recs[r.ID()] = s.Rec
 		methods[r.ID()] = s.GS().Method()
 		if *showDiag {
 			d := diag.Compute(s)
@@ -433,14 +432,8 @@ func main() {
 		fmt.Printf("density modal spectrum (decay ratio %.2e):\n%s", spectrum.DecayRatio(), spectrum.Format())
 	}
 	if *showProfile {
-		liveProfs := profs[:0]
-		for _, p := range profs {
-			if p != nil {
-				liveProfs = append(liveProfs, p)
-			}
-		}
 		fmt.Println()
-		fmt.Print(report.Fig4ExecutionProfile(liveProfs, stats))
+		fmt.Print(report.Fig4ExecutionProfile(obs.Merge(recs...), stats))
 	}
 	if *showMPI {
 		fmt.Println()

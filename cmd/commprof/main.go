@@ -14,7 +14,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/comm"
 	"repro/internal/netmodel"
-	"repro/internal/prof"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/solver"
 )
@@ -31,7 +31,7 @@ func main() {
 	which := flag.String("profile", "all", "which profile to print: exec, mpirank, mpitop, mpisize, all")
 	modeled := flag.Bool("modeled", true, "base Figure 8 fractions on modeled (cluster) time instead of host wall time")
 	traceFile := flag.String("trace", "", "write a per-message CSV trace to this file (network-model input)")
-	traceCap := flag.Int("trace-cap", 0, "cap the in-memory message trace at this many events (0 = unbounded); excess events are counted, not stored")
+	traceCap := flag.Int("trace-cap", 0, fmt.Sprintf("cap the in-memory message trace at this many events (0 = %d); excess events are counted, not stored", obs.DefaultCap))
 	cli.Parse()
 
 	model, err := netmodel.ByName(*netName)
@@ -41,13 +41,14 @@ func main() {
 	cfg := solver.DefaultConfig(*np, *n, *local)
 
 	opts := cfg.CommOptions(model)
-	var tracer *comm.MemTracer
+	var tel *obs.Tracer
 	if *traceFile != "" {
-		tracer = &comm.MemTracer{Cap: *traceCap}
-		opts.Tracer = tracer
+		tel = obs.NewTracer()
+		tel.Cap = *traceCap
+		opts.Tracer = obs.NewCommTracer(tel, nil)
 	}
 
-	profs := make([]*prof.Profiler, *np)
+	recs := make([]*obs.RankTracer, *np)
 	stats, err := comm.Run(*np, opts, func(r *comm.Rank) error {
 		s, err := solver.New(r, cfg)
 		if err != nil {
@@ -57,7 +58,7 @@ func main() {
 			float64(cfg.ElemGrid[0])/2, float64(cfg.ElemGrid[1])/2, float64(cfg.ElemGrid[2])/2,
 			0.1, 0.5))
 		s.Run(*steps)
-		profs[r.ID()] = s.Prof
+		recs[r.ID()] = s.Rec
 		return nil
 	})
 	if err != nil {
@@ -69,7 +70,7 @@ func main() {
 
 	show := func(name string) bool { return *which == "all" || *which == name }
 	if show("exec") {
-		fmt.Print(report.Fig4ExecutionProfile(profs, stats))
+		fmt.Print(report.Fig4ExecutionProfile(obs.Merge(recs...), stats))
 		fmt.Println()
 	}
 	if show("mpirank") {
@@ -83,23 +84,24 @@ func main() {
 	if show("mpisize") {
 		fmt.Print(report.Fig10MessageSizes(stats.AggregateSites(), 12))
 	}
-	if tracer != nil {
+	if tel != nil {
+		flows := tel.Flows()
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tracer.WriteCSV(f); err != nil {
+		if err := obs.WriteFlowsCSV(f, flows); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		sum := tracer.Summarize()
+		sum := obs.SummarizeFlows(flows)
 		fmt.Printf("\ntrace: %d messages, %d bytes (mean %.1f B, mean %.2f hops) -> %s\n",
 			sum.Messages, sum.Bytes, sum.MeanBytes, sum.MeanHops, *traceFile)
-		if sum.Dropped > 0 {
-			fmt.Printf("trace: -trace-cap %d reached, %d further events dropped (excluded from the totals above)\n",
-				*traceCap, sum.Dropped)
+		if _, dropped := tel.Dropped(); dropped > 0 {
+			fmt.Printf("trace: cap of %d reached, %d further events dropped (excluded from the totals above)\n",
+				len(flows), dropped)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"repro/internal/gs"
 	nb "repro/internal/nekbone"
 	"repro/internal/netmodel"
-	"repro/internal/prof"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -50,7 +50,7 @@ func main() {
 		*np, *n, (*local)*(*local)*(*local), *iters, *gsName, model.Name)
 
 	reports := make([]nb.Report, *np)
-	profs := make([]*prof.Profiler, *np)
+	recs := make([]*obs.RankTracer, *np)
 	methods := make([]gs.Method, *np)
 	stats, err := comm.Run(*np, comm.Options{
 		Model: model, Grid: cfg.ProcGrid, Periodic: cfg.Periodic,
@@ -60,7 +60,7 @@ func main() {
 			return err
 		}
 		reports[r.ID()] = s.Run()
-		profs[r.ID()] = s.Prof
+		recs[r.ID()] = s.Rec
 		methods[r.ID()] = s.GS().Method()
 		return nil
 	})
@@ -75,7 +75,7 @@ func main() {
 
 	if *showProfile {
 		fmt.Println()
-		fmt.Print(report.Fig4ExecutionProfile(profs, stats))
+		fmt.Print(report.Fig4ExecutionProfile(obs.Merge(recs...), stats))
 		fmt.Println()
 		fmt.Print(report.Fig9TopMPICalls(stats.AggregateSites(), 20, stats.TotalAppWall()))
 	}

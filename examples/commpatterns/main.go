@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -27,8 +28,8 @@ func main() {
 
 	// 2. Trace every wire message of a small run: an allreduce's
 	// recursive-doubling rounds become visible.
-	var tracer comm.MemTracer
-	_, err = comm.Run(8, comm.Options{Model: netmodel.QDR, Tracer: &tracer,
+	tel := obs.NewTracer()
+	_, err = comm.Run(8, comm.Options{Model: netmodel.QDR, Tracer: obs.NewCommTracer(tel, nil),
 		Grid: [3]int{2, 2, 2}}, func(r *comm.Rank) error {
 		r.SetSite("demo_allreduce")
 		r.Allreduce(comm.OpSum, []float64{float64(r.ID())})
@@ -37,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum := tracer.Summarize()
+	sum := obs.SummarizeFlows(tel.Flows())
 	fmt.Printf("\nallreduce on 8 ranks: %d wire messages (recursive doubling: 8 x log2(8)),\n",
 		sum.Messages)
 	fmt.Printf("  %d bytes total, mean hop distance %.2f on the 2x2x2 grid\n",

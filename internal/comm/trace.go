@@ -1,12 +1,5 @@
 package comm
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
-
 // Message tracing. Section VI of the paper motivates collecting "size,
 // frequency, average distance etc." of communication to build network
 // models for system simulation; a Tracer receives every wire-level
@@ -28,120 +21,6 @@ type TraceEvent struct {
 // goroutines concurrently and must be safe for concurrent use.
 type Tracer interface {
 	Record(TraceEvent)
-}
-
-// MemTracer is an in-memory Tracer collecting events. Cap, when > 0,
-// bounds how many events are retained: a long run cannot grow the
-// tracer without bound, and the overflow is reported by Dropped rather
-// than silently lost.
-type MemTracer struct {
-	// Cap is the maximum number of retained events (0 = unbounded).
-	// Set it before the run starts.
-	Cap int
-
-	mu      sync.Mutex
-	events  []TraceEvent
-	dropped int64
-}
-
-// Record implements Tracer.
-func (m *MemTracer) Record(e TraceEvent) {
-	m.mu.Lock()
-	if m.Cap > 0 && len(m.events) >= m.Cap {
-		m.dropped++
-	} else {
-		m.events = append(m.events, e)
-	}
-	m.mu.Unlock()
-}
-
-// Dropped returns how many events were discarded because the tracer was
-// at Cap.
-func (m *MemTracer) Dropped() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropped
-}
-
-// Events returns the recorded events sorted by send time (stable on
-// source rank for equal times).
-func (m *MemTracer) Events() []TraceEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]TraceEvent(nil), m.events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].SendVT != out[j].SendVT {
-			return out[i].SendVT < out[j].SendVT
-		}
-		return out[i].Src < out[j].Src
-	})
-	return out
-}
-
-// Len returns the number of recorded events.
-func (m *MemTracer) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
-}
-
-// MultiTracer fans every event out to several tracers, so one run can
-// feed e.g. both a CSV message dump and the telemetry layer's flow
-// converter.
-type MultiTracer []Tracer
-
-// Record implements Tracer.
-func (ts MultiTracer) Record(e TraceEvent) {
-	for _, t := range ts {
-		t.Record(e)
-	}
-}
-
-// Summary aggregates the trace for quick inspection.
-type TraceSummary struct {
-	Messages  int64
-	Bytes     int64
-	MeanBytes float64
-	MeanHops  float64
-	MaxHops   int
-	Dropped   int64 // events discarded at Cap (not in the aggregates)
-}
-
-// Summarize computes aggregate statistics over the trace.
-func (m *MemTracer) Summarize() TraceSummary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var s TraceSummary
-	var hops int64
-	for _, e := range m.events {
-		s.Messages++
-		s.Bytes += e.Bytes
-		hops += int64(e.Hops)
-		if e.Hops > s.MaxHops {
-			s.MaxHops = e.Hops
-		}
-	}
-	if s.Messages > 0 {
-		s.MeanBytes = float64(s.Bytes) / float64(s.Messages)
-		s.MeanHops = float64(hops) / float64(s.Messages)
-	}
-	s.Dropped = m.dropped
-	return s
-}
-
-// WriteCSV dumps the trace in CSV form (one row per message), the input
-// format for offline network simulators.
-func (m *MemTracer) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "src,dst,tag,bytes,hops,send_vt,arrive_vt,site"); err != nil {
-		return err
-	}
-	for _, e := range m.Events() {
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.9f,%.9f,%s\n",
-			e.Src, e.Dst, e.Tag, e.Bytes, e.Hops, e.SendVT, e.ArriveVT, e.Site); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // trace is the internal hook called on every wire message.

@@ -189,8 +189,7 @@ func (rn *Runner) crashNow(step int) bool {
 // computes the same death list at the same step.
 func (rn *Runner) heartbeat(step int) ([]int, error) {
 	r := rn.s.Rank
-	stop := rn.s.TraceSpan("heartbeat", obs.CatComm)
-	defer stop()
+	defer rn.s.Rec.Region("heartbeat", obs.CatComm).End()
 	r.SetSite("heartbeat")
 	defer r.SetSite("")
 	tag := heartbeatTagBase + step
@@ -226,8 +225,7 @@ func (rn *Runner) heartbeat(step int) ([]int, error) {
 // is implied by the collective step structure: no rank can pass the next
 // timestep's reductions until every rank has finished writing this set.
 func (rn *Runner) writeCheckpoint(step int) error {
-	stop := rn.s.TraceSpan("auto_checkpoint", obs.CatComm)
-	defer stop()
+	defer rn.s.Rec.Region("auto_checkpoint", obs.CatComm).End()
 	if err := checkpoint.WriteFile(rn.cfg.CkptDir, ckptTag(step), rn.s, int64(step), rn.s.SimTime()); err != nil {
 		return err
 	}
@@ -244,8 +242,7 @@ func (rn *Runner) writeCheckpoint(step int) error {
 // and roll back to the latest complete auto-checkpoint.
 func (rn *Runner) recoverFrom(dead []int) error {
 	old := rn.s
-	stop := old.TraceSpan("recovery", obs.CatComm)
-	defer stop()
+	defer old.Rec.Region("recovery", obs.CatComm).End()
 	r := old.Rank
 	for _, d := range dead {
 		rn.DeadRanks = append(rn.DeadRanks, r.WorldIDOf(d))

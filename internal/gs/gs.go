@@ -124,7 +124,7 @@ type GS struct {
 	// exchange handle its own deterministic point-to-point tag.
 	pendings int
 
-	spans *obs.RankTracer // telemetry spans around exchanges (nil = off)
+	spans *obs.RankTracer // the owning rank's recorder, for spans around exchanges (nil = off)
 }
 
 // Setup builds a gather-scatter handle for the given id vector: ids[i] is
@@ -393,8 +393,10 @@ func (g *GS) FeasibleMethods() []Method {
 	return Methods
 }
 
-// SetSpanner attaches a telemetry span recorder: every exchange emits
-// one span on the owning rank's track. nil (the default) disables it.
+// SetSpanner attaches the owning rank's region recorder: every exchange
+// emits one span on that rank's track — a span only, so the caller's
+// region around the exchange stays the one Figure 4 row. nil (the
+// default) disables it.
 func (g *GS) SetSpanner(rt *obs.RankTracer) { g.spans = rt }
 
 // Method returns the currently selected default exchange method.
@@ -474,7 +476,7 @@ func (g *GS) run(dst, src [][]float64, op comm.ReduceOp, m Method, st *site, spa
 	g.checkFields(dst, src)
 	g.rank.SetSite("gs_op")
 	defer g.rank.SetSite("")
-	defer g.spans.Span(span, obs.CatGS)()
+	defer g.spans.Span(span, obs.CatGS).End()
 
 	k, nr := len(src), len(g.ix.remID)
 	g.gatherRemote(st, src, op)

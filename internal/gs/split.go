@@ -72,7 +72,7 @@ func (p *Pending) Begin(dst, src [][]float64, op comm.ReduceOp) {
 	r := g.rank
 	r.SetSite("gs_op")
 	defer r.SetSite("")
-	defer g.spans.Span("gs_begin", obs.CatGS)()
+	defer g.spans.Span("gs_begin", obs.CatGS).End()
 
 	p.t0 = r.Clock().Now()
 	// Every occurrence of a remotely-shared id lives on a boundary
@@ -101,7 +101,7 @@ func (p *Pending) Finish() {
 	r := g.rank
 	r.SetSite("gs_op")
 	defer r.SetSite("")
-	defer g.spans.Span("gs_finish", obs.CatGS)()
+	defer g.spans.Span("gs_finish", obs.CatGS).End()
 
 	// Now that the caller's interior phase has produced every vector entry.
 	g.localPass(p.dst, p.src, p.op)

@@ -89,8 +89,7 @@ func (b *Balancer) elemBytes() int {
 
 // epoch runs one collective measure / plan / migrate round.
 func (b *Balancer) epoch() {
-	stop := b.s.TraceSpan("rebalance_epoch", obs.CatStep)
-	defer stop()
+	defer b.s.Rec.Region("rebalance_epoch", obs.CatStep).End()
 
 	// Measure: attribute this epoch's kernel seconds to elements by
 	// weight share, add the particle surcharge, smooth.

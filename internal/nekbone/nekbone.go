@@ -20,7 +20,7 @@ import (
 	"repro/internal/gs"
 	"repro/internal/hw"
 	"repro/internal/mesh"
-	"repro/internal/prof"
+	"repro/internal/obs"
 	"repro/internal/sem"
 )
 
@@ -70,7 +70,7 @@ type Solver struct {
 	Rank  *comm.Rank
 	Local *mesh.Local
 	Ref   *sem.Ref1D
-	Prof  *prof.Profiler
+	Rec   *obs.RankTracer // this rank's region recorder (profile only: no span sink)
 
 	gsh     *gs.GS
 	invMult []float64 // 1/multiplicity per point (for assembled dot products)
@@ -101,7 +101,8 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	}
 	local := box.Partition(r.ID())
 	ref := sem.NewRef1D(cfg.N)
-	s := &Solver{Cfg: cfg, Rank: r, Local: local, Ref: ref, Prof: prof.New()}
+	s := &Solver{Cfg: cfg, Rank: r, Local: local, Ref: ref,
+		Rec: (*obs.Tracer)(nil).Rank(r.WorldID(), r.Clock())}
 
 	n := cfg.N
 	vol := local.Nel * n * n * n
@@ -122,13 +123,13 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		}
 	}
 
-	stop := s.Prof.Start("gs_setup")
+	reg := s.Rec.Region("gs_setup", obs.CatComm)
 	s.gsh = gs.Setup(r, local.ContinuousIDs())
-	stop()
+	reg.End()
 	if cfg.AutoTune {
-		stop := s.Prof.Start("gs_autotune")
+		reg := s.Rec.Region("gs_autotune", obs.CatComm)
 		gs.TuneModeled(s.gsh, cfg.TuneTrials)
-		stop()
+		reg.End()
 	} else {
 		s.gsh.SetMethod(cfg.GSMethod)
 	}
@@ -203,21 +204,21 @@ func (s *Solver) GS() *gs.GS { return s.gsh }
 // DSSum performs the direct-stiffness summation: values at shared GLL
 // points are summed across all elements (and ranks) holding them.
 func (s *Solver) DSSum(u []float64) {
-	stop := s.Prof.Start("dssum")
+	reg := s.Rec.Region("dssum", obs.CatGS)
 	s.gsh.Op(u, comm.OpSum)
-	stop()
+	reg.End()
 }
 
 // GLSC2 returns the assembled global inner product of two redundantly
 // stored continuous vectors (weighted by inverse multiplicity so shared
 // points count once). Collective vector reduction.
 func (s *Solver) GLSC2(a, b []float64) float64 {
-	stop := s.Prof.Start("glsc")
+	reg := s.Rec.Region("glsc", obs.CatKernel)
 	local := 0.0
 	for i := range a {
 		local += a[i] * b[i] * s.invMult[i]
 	}
-	stop()
+	reg.End()
 	s.Rank.SetSite("glsc")
 	out := s.Rank.Allreduce(comm.OpSum, []float64{local})
 	s.Rank.SetSite("")
@@ -241,7 +242,7 @@ func (s *Solver) chargeCompute(ops sem.OpCount, tr hw.Traits) {
 // points); w comes out continuous. This is Nekbone's ax kernel — the same
 // small-matrix-multiply structure as CMT-bone's derivative kernel.
 func (s *Solver) Ax(u, w []float64) {
-	stop := s.Prof.Start("ax")
+	reg := s.Rec.Region("ax", obs.CatKernel)
 	n := s.Cfg.N
 	nel := s.Local.Nel
 	rx := 2.0 // d(ref)/d(phys) for unit-cube elements
@@ -270,7 +271,7 @@ func (s *Solver) Ax(u, w []float64) {
 	for i := range w {
 		w[i] += s.tmp[i] + mass*s.w3[i]*u[i]
 	}
-	stop()
+	reg.End()
 	vol := int64(len(u))
 	ops = ops.Plus(sem.OpCount{Mul: 6 * vol, Add: 4 * vol, Load: 8 * vol, Store: 4 * vol})
 	s.chargeCompute(ops, axTraits)
@@ -286,8 +287,7 @@ type Residuals []float64
 // iteration. With Config.Jacobi the iteration is diagonally
 // preconditioned. f must be continuous. Collective.
 func (s *Solver) CG(f []float64, iters int) ([]float64, Residuals) {
-	stopAll := s.Prof.Start("cg_solve")
-	defer stopAll()
+	defer s.Rec.Region("cg_solve", obs.CatStep).End()
 
 	n := len(f)
 	x := make([]float64, n)
@@ -366,7 +366,7 @@ func (s *Solver) Run() Report {
 		f[i] *= s.invMult[i]
 	}
 	_, res := s.CG(f, s.Cfg.Iters)
-	s.Prof.Finish()
+	s.Rec.Finish()
 	final := 0.0
 	if len(res) > 0 {
 		final = res[len(res)-1]

@@ -121,11 +121,11 @@ type Clock struct {
 	overlapHidden float64
 
 	// Per-phase accounting: every advance of the clock is attributed to
-	// the currently pushed phase label (""), so post-hoc analysis can
-	// split a rank's modeled time into compute/wait/send per application
-	// phase without re-deriving it from spans. Accounting never changes
-	// `now`: modeled results are bit-identical with or without phases
-	// pushed.
+	// the currently set phase label ("" outside any), so post-hoc
+	// analysis can split a rank's modeled time into compute/wait/send per
+	// application phase without re-deriving it from spans. Accounting
+	// never changes `now`: modeled results are bit-identical with or
+	// without phases set.
 	phase  string
 	splits map[string]*PhaseSplit
 	cur    *PhaseSplit // cached splits[phase]
@@ -167,17 +167,14 @@ func (c *Clock) split() *PhaseSplit {
 	return c.cur
 }
 
-// PushPhase switches the accounting phase and returns the closure that
-// restores the previous one; nest pushes like spans. The empty name is a
-// no-op (keep the enclosing phase), so callers can pass an unmapped
-// label through without special-casing.
-func (c *Clock) PushPhase(name string) func() {
-	if name == "" {
-		return func() {}
+// SetPhase switches the accounting phase and returns the previous one,
+// for the caller to set back; nest switches like spans.
+func (c *Clock) SetPhase(name string) (prev string) {
+	prev = c.phase
+	if name != prev {
+		c.phase, c.cur = name, nil
 	}
-	prevPhase, prevCur := c.phase, c.cur
-	c.phase, c.cur = name, nil
-	return func() { c.phase, c.cur = prevPhase, prevCur }
+	return prev
 }
 
 // Phase returns the current accounting phase label ("" outside any).

@@ -180,18 +180,17 @@ func TestInjectionFactorStallsSender(t *testing.T) {
 func TestPhaseAccountingSumsToNow(t *testing.T) {
 	c := NewClock(GigE)
 	// Nested phases interleaved with every kind of clock mutation.
-	pop := c.PushPhase("rhs")
+	outside := c.SetPhase("rhs")
 	c.AdvanceCompute(1e-3)
 	c.Advance(2e-4)
-	inner := c.PushPhase("gs-exchange")
+	outer := c.SetPhase("gs-exchange")
 	arrival := c.SendStamp(4096, 2)
 	c.WaitUntil(arrival)
-	inner()
-	if c.Phase() != "rhs" {
-		t.Fatalf("phase after pop = %q, want rhs", c.Phase())
+	if got := c.SetPhase(outer); got != "gs-exchange" || c.Phase() != "rhs" {
+		t.Fatalf("after setting back: previous %q, phase %q, want gs-exchange and rhs", got, c.Phase())
 	}
 	c.Advance(5e-5)
-	pop()
+	c.SetPhase(outside)
 	// Charges outside any phase land in the "" bucket.
 	c.AdvanceCompute(3e-4)
 	c.WaitUntil(c.Now()) // no-op wait charges nothing
@@ -215,31 +214,29 @@ func TestPhaseAccountingSumsToNow(t *testing.T) {
 	}
 }
 
-func TestPushPhaseEmptyKeepsEnclosing(t *testing.T) {
+func TestSetPhaseSameKeepsAccumulating(t *testing.T) {
 	c := NewClock(Loopback)
-	pop := c.PushPhase("rk")
-	noop := c.PushPhase("")
+	c.SetPhase("rk")
 	c.Advance(1e-6)
-	noop()
-	pop()
-	if got := c.PhaseSplits()["rk"].Compute; got == 0 {
-		t.Fatalf("empty push must keep enclosing phase, rk.Compute = %v", got)
+	if prev := c.SetPhase("rk"); prev != "rk" {
+		t.Fatalf("previous phase = %q, want rk", prev)
+	}
+	c.Advance(1e-6)
+	if got := c.PhaseSplits()["rk"].Compute; got != 2e-6 {
+		t.Fatalf("re-setting the current phase must keep its split, rk.Compute = %v", got)
 	}
 }
 
 func TestPhaseAccountingDoesNotPerturbClock(t *testing.T) {
 	run := func(withPhases bool) float64 {
 		c := NewClock(QDR)
-		var pop func()
 		if withPhases {
-			pop = c.PushPhase("rhs")
+			c.SetPhase("rhs")
 		}
 		c.AdvanceCompute(1e-3)
 		a := c.SendStamp(1<<16, 3)
 		c.WaitUntil(a)
-		if withPhases {
-			pop()
-		}
+		c.SetPhase("")
 		return c.Now()
 	}
 	if a, b := run(true), run(false); a != b {

@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"fmt"
+	"io"
+	"sort"
+
 	"repro/internal/comm"
 )
 
@@ -35,15 +39,59 @@ func NewCommTracer(trace *Tracer, reg *Registry) *CommTracer {
 
 // Record implements comm.Tracer.
 func (c *CommTracer) Record(e comm.TraceEvent) {
-	if c.trace != nil {
-		c.trace.AddFlow(Flow{
-			Src: e.Src, Dst: e.Dst, Tag: e.Tag, Bytes: e.Bytes,
-			SendVT: e.SendVT, ArriveVT: e.ArriveVT, Site: e.Site,
-		})
-	}
+	c.trace.AddFlow(Flow{
+		Src: e.Src, Dst: e.Dst, Tag: e.Tag, Bytes: e.Bytes,
+		SendVT: e.SendVT, ArriveVT: e.ArriveVT, Site: e.Site, Hops: e.Hops,
+	})
 	if c.msgs != nil {
 		c.msgs.Add(1)
 		c.bytes.Add(e.Bytes)
 		c.sizes.Observe(float64(e.Bytes))
 	}
+}
+
+// FlowSummary aggregates a message trace — the "size, frequency, average
+// distance" dataset the paper's Section VI wants for network models.
+type FlowSummary struct {
+	Messages, Bytes     int64
+	MeanBytes, MeanHops float64
+	MaxHops             int
+}
+
+// SummarizeFlows computes aggregate statistics over flows.
+func SummarizeFlows(flows []Flow) FlowSummary {
+	var s FlowSummary
+	var hops int64
+	for _, f := range flows {
+		s.Messages++
+		s.Bytes += f.Bytes
+		hops += int64(f.Hops)
+		s.MaxHops = max(s.MaxHops, f.Hops)
+	}
+	if s.Messages > 0 {
+		s.MeanBytes = float64(s.Bytes) / float64(s.Messages)
+		s.MeanHops = float64(hops) / float64(s.Messages)
+	}
+	return s
+}
+
+// WriteFlowsCSV dumps flows as CSV, one row per message ordered by send
+// time (stable on source rank for equal times) — the input format for
+// offline network simulators.
+func WriteFlowsCSV(w io.Writer, flows []Flow) error {
+	flows = append([]Flow(nil), flows...)
+	sort.SliceStable(flows, func(i, j int) bool {
+		a, b := flows[i], flows[j]
+		return a.SendVT < b.SendVT || a.SendVT == b.SendVT && a.Src < b.Src
+	})
+	if _, err := fmt.Fprintln(w, "src,dst,tag,bytes,hops,send_vt,arrive_vt,site"); err != nil {
+		return err
+	}
+	for _, f := range flows {
+		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.9f,%.9f,%s\n",
+			f.Src, f.Dst, f.Tag, f.Bytes, f.Hops, f.SendVT, f.ArriveVT, f.Site); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -5,12 +5,14 @@
 //
 // It provides three facilities:
 //
-//   - Span tracing (Tracer / RankTracer): per-rank begin/end spans for
-//     RK stages, kernels, gather-scatter exchanges, and communication
-//     phases, each stamped in two clock domains — host wall time and the
-//     netmodel virtual clock — exported as Chrome/Perfetto trace-event
-//     JSON (WritePerfetto) that loads directly in ui.perfetto.dev, with
-//     one track per rank and flow arrows for every wire message.
+//   - Region recording (RankTracer, one per rank): every instrumented
+//     region — RK stage, kernel, gather-scatter exchange — is opened by
+//     one call that pushes its accounting phase on the virtual clock and
+//     feeds Figure 4's flat profile and call graph (Merge). With a Tracer
+//     attached the regions are retained as spans stamped in two clock
+//     domains — host wall time and the netmodel virtual clock — and
+//     exported as Chrome/Perfetto trace-event JSON (WritePerfetto), one
+//     track per rank and a flow arrow for every wire message.
 //   - A concurrency-safe metrics Registry (counters, gauges,
 //     fixed-bucket histograms) whose snapshot is served live over expvar
 //     and folded into the per-timestep JSONL stream (StepCollector).
@@ -71,6 +73,7 @@ type Flow struct {
 	// to jump rank timelines when walking wall time).
 	SendWall float64
 	Site     string
+	Hops     int // switch-hop distance under the processor grid
 }
 
 // DefaultCap bounds the number of spans (and, separately, flows) a
@@ -106,13 +109,10 @@ func (t *Tracer) limit() int {
 	return DefaultCap
 }
 
-// Rank returns the per-rank recording handle for rank id running under
-// clock. A nil Tracer returns a nil handle, whose methods are no-ops,
-// so call sites need no telemetry-enabled checks.
+// Rank returns the region recorder of rank id running under clock. A nil
+// Tracer returns one too: it aggregates the profile and drives the clock's
+// phase accounting like any other, and retains no span.
 func (t *Tracer) Rank(id int, clock *netmodel.Clock) *RankTracer {
-	if t == nil {
-		return nil
-	}
 	return &RankTracer{t: t, rank: id, clock: clock}
 }
 
@@ -164,53 +164,4 @@ func (t *Tracer) Dropped() (spans, flows int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.droppedSpans, t.droppedFlows
-}
-
-// RankTracer records spans for one rank. It is owned by the rank's
-// goroutine (only the final append synchronizes, inside the shared
-// Tracer). The nil RankTracer is valid and records nothing.
-type RankTracer struct {
-	t     *Tracer
-	rank  int
-	clock *netmodel.Clock
-}
-
-// Span opens a named span and returns the closure that ends it:
-//
-//	stop := rt.Span("ax_deriv_dudr", obs.CatKernel)
-//	... kernel ...
-//	stop()
-//
-// Both clock domains are stamped at open and close. End the span after
-// any virtual-clock charge for the work it covers, so the virtual-time
-// extent includes the modeled cost.
-func (r *RankTracer) Span(name string, cat Category) func() {
-	if r == nil {
-		return func() {}
-	}
-	wall0 := time.Since(r.t.epoch).Seconds()
-	vt0 := r.clock.Now()
-	return func() {
-		r.t.addSpan(Span{
-			Rank: r.rank, Name: name, Cat: cat,
-			WallStart: wall0, WallEnd: time.Since(r.t.epoch).Seconds(),
-			VTStart: vt0, VTEnd: r.clock.Now(),
-		})
-	}
-}
-
-// Record adds a span whose extents the caller measured itself: wall
-// interval [start, start+dur) and virtual interval [vt0, vt1]. It serves
-// regions whose work is interleaved with other regions' and so cannot be
-// bracketed by one Span call; the caller lays the wall intervals out.
-func (r *RankTracer) Record(name string, cat Category, start time.Time, dur time.Duration, vt0, vt1 float64) {
-	if r == nil {
-		return
-	}
-	w0 := start.Sub(r.t.epoch).Seconds()
-	r.t.addSpan(Span{
-		Rank: r.rank, Name: name, Cat: cat,
-		WallStart: w0, WallEnd: w0 + dur.Seconds(),
-		VTStart: vt0, VTEnd: vt1,
-	})
 }

@@ -31,9 +31,9 @@ func TestConcurrentEmission(t *testing.T) {
 			c := reg.Counter("test.msgs")
 			h := reg.Histogram("test.sizes", MsgSizeBuckets)
 			for i := 0; i < iters; i++ {
-				stop := rt.Span("kernel", CatKernel)
+				kern := rt.Region("kernel", CatKernel)
 				clock.Advance(1e-6)
-				stop()
+				kern.End()
 				tr.AddFlow(Flow{Src: rank, Dst: (rank + 1) % ranks, Bytes: 64})
 				c.Add(1)
 				h.Observe(float64(i))
@@ -68,7 +68,7 @@ func TestTracerCap(t *testing.T) {
 	clock := netmodel.NewClock(netmodel.QDR)
 	rt := tr.Rank(0, clock)
 	for i := 0; i < 25; i++ {
-		rt.Span("s", CatKernel)()
+		rt.Region("s", CatKernel).End()
 		tr.AddFlow(Flow{})
 	}
 	if got := len(tr.Spans()); got != 10 {
@@ -84,8 +84,9 @@ func TestTracerCap(t *testing.T) {
 // nil-safe — the telemetry-off path of every call site.
 func TestNilTelemetryIsNoOp(t *testing.T) {
 	var tr *Tracer
-	rt := tr.Rank(3, nil)
-	rt.Span("anything", CatStep)()
+	var rt *RankTracer // a gs handle nobody gave a recorder
+	rt.Span("anything", CatGS).End()
+	rt.Region("anything", CatStep).End()
 	tr.AddFlow(Flow{})
 	var reg *Registry
 	reg.Counter("c").Add(1)
@@ -110,12 +111,12 @@ func TestPerfettoGolden(t *testing.T) {
 	clock0 := netmodel.NewClock(netmodel.QDR)
 	clock1 := netmodel.NewClock(netmodel.QDR)
 	rt0, rt1 := tr.Rank(0, clock0), tr.Rank(1, clock1)
-	stop := rt0.Span("timestep", CatStep)
+	reg := rt0.Region("timestep", CatStep)
 	clock0.Advance(2e-3)
-	stop()
-	stop = rt1.Span("ax_deriv_dudr", CatKernel)
+	reg.End()
+	reg = rt1.Region("ax_deriv_dudr", CatKernel)
 	clock1.Advance(1e-3)
-	stop()
+	reg.End()
 	tr.AddFlow(Flow{Src: 0, Dst: 1, Tag: 7, Bytes: 512, SendVT: 1e-4, ArriveVT: 3e-4, Site: "gs_op"})
 
 	var buf bytes.Buffer

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/sem"
 	"repro/internal/solver"
 )
@@ -282,7 +283,7 @@ func (c *Cloud) FluidVelocityAt(p [3]float64) [3]float64 {
 // MassLoading > 0, and migrates particles that left the rank's subdomain.
 // Collective.
 func (c *Cloud) Step(dt float64) {
-	stop := c.s.Prof.Start("particle_update")
+	reg := c.s.Rec.Region("particle_update", obs.CatKernel)
 	if c.Cfg.MassLoading > 0 {
 		c.s.EnableSource()
 		c.s.ZeroSource()
@@ -301,7 +302,7 @@ func (c *Cloud) Step(dt float64) {
 			c.deposit(p, drag)
 		}
 	}
-	stop()
+	reg.End()
 	c.Migrate()
 }
 

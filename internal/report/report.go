@@ -1,6 +1,6 @@
 // Package report renders the reproduction outputs: for every table and
 // figure of the paper's evaluation, a text table in the same shape, fed
-// by the profilers and models of the other packages.
+// by the recorders and models of the other packages.
 package report
 
 import (
@@ -12,7 +12,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/gs"
 	"repro/internal/hw"
-	"repro/internal/prof"
+	"repro/internal/obs"
 )
 
 // bar renders a crude horizontal bar for terminal "plots".
@@ -28,13 +28,13 @@ func bar(frac float64, width int) string {
 }
 
 // Fig4ExecutionProfile renders the gprof-style flat profile and partial
-// call graph (paper Figure 4) from merged per-rank profilers. gprof
-// samples CPU time, so time blocked inside MPI must not inflate the
+// call graph (paper Figure 4) from the ranks' merged region recorders.
+// gprof samples CPU time, so time blocked inside MPI must not inflate the
 // communication regions: when stats is non-nil, each region's self time
 // is reduced by the MPI wall time recorded under the same call-site
 // label (gs_op, gs_setup, glsum, ...), clamped at zero.
-func Fig4ExecutionProfile(profs []*prof.Profiler, stats *comm.Stats) string {
-	flat, edges, elapsed := prof.Merge(profs)
+func Fig4ExecutionProfile(p obs.Profile, stats *comm.Stats) string {
+	flat := append([]obs.RegionStat(nil), p.Flat...)
 	if stats != nil {
 		mpiBySite := map[string]float64{}
 		for _, s := range stats.AggregateSites() {
@@ -42,30 +42,33 @@ func Fig4ExecutionProfile(profs []*prof.Profiler, stats *comm.Stats) string {
 		}
 		for i := range flat {
 			if w, ok := mpiBySite[flat[i].Name]; ok {
-				flat[i].Self -= w
-				if flat[i].Self < 0 {
-					flat[i].Self = 0
-				}
+				flat[i].Self = max(flat[i].Self-w, 0)
 			}
 		}
 		sort.SliceStable(flat, func(i, j int) bool { return flat[i].Self > flat[j].Self })
 	}
+	sumSelf := 0.0
+	for _, r := range flat {
+		sumSelf += r.Self
+	}
 	var b strings.Builder
 	b.WriteString("Figure 4 — CMT-bone execution profile (gprof equivalent)\n")
 	b.WriteString("Flat profile (CPU-time view, MPI blocking excluded, all ranks merged):\n")
-	b.WriteString(prof.FormatFlat(flat, sumSelf(flat)))
-	b.WriteString("\nPartial call graph:\n")
-	b.WriteString(prof.FormatCallGraph(edges))
-	fmt.Fprintf(&b, "\nTotal profiled wall time across ranks: %.3fs\n", elapsed)
-	return b.String()
-}
-
-func sumSelf(flat []prof.RegionStat) float64 {
-	t := 0.0
+	fmt.Fprintf(&b, "%7s %12s %12s %10s  %s\n", "% time", "self(s)", "total(s)", "calls", "name")
 	for _, r := range flat {
-		t += r.Self
+		pct := 0.0
+		if sumSelf > 0 {
+			pct = 100 * r.Self / sumSelf
+		}
+		fmt.Fprintf(&b, "%6.2f%% %12.6f %12.6f %10d  %s\n", pct, r.Self, r.Total, r.Calls, r.Name)
 	}
-	return t
+	b.WriteString("\nPartial call graph:\n")
+	fmt.Fprintf(&b, "%12s %10s  %s\n", "total(s)", "calls", "parent -> child")
+	for _, e := range p.Edges {
+		fmt.Fprintf(&b, "%12.6f %10d  %s -> %s\n", e.Total, e.Calls, e.Parent, e.Child)
+	}
+	fmt.Fprintf(&b, "\nTotal profiled wall time across ranks: %.3fs\n", p.Elapsed)
+	return b.String()
 }
 
 // KernelRow is one line of the Figures 5-6 tables.

@@ -7,15 +7,15 @@ import (
 	"repro/internal/comm"
 	"repro/internal/gs"
 	"repro/internal/hw"
-	"repro/internal/prof"
+	"repro/internal/obs"
 )
 
-func sampleRun(t *testing.T) (*comm.Stats, []*prof.Profiler) {
+func sampleRun(t *testing.T) (*comm.Stats, obs.Profile) {
 	t.Helper()
-	profs := make([]*prof.Profiler, 2)
+	recs := make([]*obs.RankTracer, 2)
 	stats, err := comm.RunSimple(2, func(r *comm.Rank) error {
-		p := prof.New()
-		stop := p.Start("gs_op")
+		p := (*obs.Tracer)(nil).Rank(r.ID(), r.Clock())
+		reg := p.Region("gs_op", obs.CatGS)
 		r.SetSite("gs_op")
 		if r.ID() == 0 {
 			r.Send(1, 0, []float64{1, 2, 3})
@@ -25,21 +25,21 @@ func sampleRun(t *testing.T) (*comm.Stats, []*prof.Profiler) {
 			r.Send(0, 0, []float64{4})
 		}
 		r.SetSite("")
-		stop()
+		reg.End()
 		p.Finish()
-		profs[r.ID()] = p
+		recs[r.ID()] = p
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, profs
+	return stats, obs.Merge(recs...)
 }
 
 func TestFig4Rendering(t *testing.T) {
-	stats, profs := sampleRun(t)
-	out := Fig4ExecutionProfile(profs, stats)
-	for _, want := range []string{"Figure 4", "gs_op", "% time", "call graph"} {
+	stats, prof := sampleRun(t)
+	out := Fig4ExecutionProfile(prof, stats)
+	for _, want := range []string{"Figure 4", "gs_op", "% time", "self(s)", "call graph", "parent -> child", "<root> -> gs_op"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Fig4 output missing %q:\n%s", want, out)
 		}
@@ -47,9 +47,9 @@ func TestFig4Rendering(t *testing.T) {
 }
 
 func TestFig4MPISubtraction(t *testing.T) {
-	stats, profs := sampleRun(t)
-	with := Fig4ExecutionProfile(profs, stats)
-	without := Fig4ExecutionProfile(profs, nil)
+	stats, prof := sampleRun(t)
+	with := Fig4ExecutionProfile(prof, stats)
+	without := Fig4ExecutionProfile(prof, nil)
 	if with == without {
 		t.Fatal("MPI subtraction had no effect on the rendered profile")
 	}

@@ -1,8 +1,11 @@
 package report
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -52,41 +55,46 @@ func TestDecodeGarbageRejected(t *testing.T) {
 	}
 }
 
-// The v0 baseline formats must keep decoding forever: committed
-// baselines in the repo root are the regression reference benchdiff
-// compares fresh runs against, and the kernelbench v0 list format
-// (superseded on disk when the workers baseline was re-recorded under
-// the unified schema) is pinned by a testdata fixture.
-func TestDecodeCommittedV0Baselines(t *testing.T) {
+// Every committed BENCH_*.json at the repo root is a current-schema
+// trajectory: benchdiff reads them all through one decoder.
+func TestCommittedBaselinesAreSchemaV1(t *testing.T) {
 	_, thisFile, _, _ := runtime.Caller(0)
-	root := filepath.Join(filepath.Dir(thisFile), "..", "..")
-	cases := []struct {
-		file  string
-		suite string
-		nRes  int
-	}{
-		{filepath.Join("internal", "report", "testdata", "v0_kernelbench_workers.json"), "kernelbench", 3},
-		{"BENCH_loadbal_baseline.json", "scalebench-loadbal", 3},
-		{"BENCH_overlap_baseline.json", "scalebench-overlap", 2},
+	files, err := filepath.Glob(filepath.Join(filepath.Dir(thisFile), "..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		tr, err := ReadTrajectory(filepath.Join(root, c.file))
+	if len(files) < 6 {
+		t.Fatalf("found %d BENCH_*.json at the repo root, want the 6 committed ones: %v", len(files), files)
+	}
+	for _, f := range files {
+		tr, err := ReadTrajectory(f)
 		if err != nil {
-			t.Fatalf("%s: %v", c.file, err)
+			t.Errorf("%v", err)
+			continue
 		}
-		if tr.SchemaVersion != 0 {
-			t.Fatalf("%s: v0 baseline decoded as schema %d", c.file, tr.SchemaVersion)
+		if tr.SchemaVersion != 1 || len(tr.Results) == 0 {
+			t.Errorf("%s: schema_version %d with %d results, want version 1 and results", f, tr.SchemaVersion, len(tr.Results))
 		}
-		if len(tr.Results) != c.nRes {
-			t.Fatalf("%s: %d results, want %d", c.file, len(tr.Results), c.nRes)
+	}
+}
+
+// A document without schema_version — a pre-schema study document, a
+// bare record array — is ErrNoSchemaVersion, and the error names the file.
+func TestNoSchemaVersionIsTypedError(t *testing.T) {
+	for name, doc := range map[string]string{
+		"study.json": `{"n": 5, "hot_rank": 3, "scenarios": [{"scenario": "skewed", "makespan_s": 0.04}]}`,
+		"array.json": `[{"bench": "deriv", "workers": 1}]`,
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range tr.Results {
-			if r.Suite != c.suite {
-				t.Fatalf("%s: suite %q, want %q", c.file, r.Suite, c.suite)
-			}
-			if len(r.Metrics) == 0 {
-				t.Fatalf("%s: result %s has no metrics", c.file, r.Key())
-			}
+		_, err := ReadTrajectory(path)
+		if !errors.Is(err, ErrNoSchemaVersion) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: err = %v, want ErrNoSchemaVersion naming the file", name, err)
 		}
+	}
+	if _, err := DecodeTrajectory([]byte(`{"schema_version": 1, "results"`)); err == nil || errors.Is(err, ErrNoSchemaVersion) {
+		t.Errorf("truncated document: err = %v, want the JSON error", err)
 	}
 }

@@ -188,10 +188,12 @@ type Config struct {
 	// pool_busy_workers). Shared by all ranks.
 	Metrics *obs.Registry
 
-	// Obs, when non-nil, receives per-rank telemetry spans for every
-	// timestep, RK stage, kernel, and exchange (export with
-	// Obs.WritePerfetto). Shared by all ranks; recording never touches
-	// the virtual clock, so modeled results are unchanged.
+	// Obs, when non-nil, retains every region the ranks' recorders open
+	// (timestep, RK stage, kernel, exchange) as a span (export with
+	// Obs.WritePerfetto). Nil means aggregate only: Solver.Rec still keeps
+	// the Figure 4 profile and drives the phase accounting. Shared by all
+	// ranks; recording never advances the virtual clock, so modeled
+	// results are unchanged.
 	Obs *obs.Tracer
 	// Steps, when non-nil, receives one step-metrics record per
 	// timestep per rank (the JSONL stream). Shared by all ranks.

@@ -103,18 +103,18 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		// Boundary faces first, then both exchanges in flight across the
 		// entire interior phase.
 		s.chargeSurfaceFlux(s.faceRuns(in, s.bndRuns, true))
-		stop := s.span("gs_op", obs.CatGS)
+		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
 		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
-		stop()
+		reg.End()
 
 		s.volumeRuns(in, s.intRuns, false)
 		s.chargeSurfaceFlux(s.faceRuns(in, s.intRuns, true))
 
-		stop = s.span("gs_op", obs.CatGS)
+		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Finish()
 		s.pendF.Finish()
-		stop()
+		reg.End()
 
 		s.volumeRuns(in, s.bndRuns, false)
 	} else {
@@ -122,22 +122,22 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		// extracted; the flux exchange needs the boundary volume pass
 		// (which extracts the viscous flux traces) before it can start.
 		s.faceRuns(in, s.bndRuns, false)
-		stop := s.span("gs_op", obs.CatGS)
+		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
-		stop()
+		reg.End()
 
 		s.volumeRuns(in, s.bndRuns, true)
-		stop = s.span("gs_op", obs.CatGS)
+		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
-		stop()
+		reg.End()
 
 		s.volumeRuns(in, s.intRuns, true)
 		s.faceRuns(in, s.intRuns, false)
 
-		stop = s.span("gs_op", obs.CatGS)
+		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Finish()
 		s.pendF.Finish()
-		stop()
+		reg.End()
 	}
 
 	s.rhsTail()

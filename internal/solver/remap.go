@@ -36,7 +36,7 @@ func (s *Solver) Remap(newOwn *mesh.Ownership, sidecar []float64, k int) (newSid
 	if len(sidecar) != old.Nel*k {
 		panic(fmt.Sprintf("solver: Remap sidecar has %d floats, want %d*%d", len(sidecar), old.Nel, k))
 	}
-	stop := s.span("rebalance_migrate", obs.CatComm)
+	reg := s.Rec.Region("rebalance_migrate", obs.CatComm)
 	s.Rank.SetSite("loadbal_migrate")
 
 	rank := s.Rank.ID()
@@ -138,6 +138,6 @@ func (s *Solver) Remap(newOwn *mesh.Ownership, sidecar []float64, k int) (newSid
 	s.setupGS()
 	s.gsh.SetMethod(method)
 	s.rebuildOverlap()
-	stop()
+	reg.End()
 	return newSidecar, movedElems, movedBytes
 }

@@ -86,7 +86,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	// of place. After the exchange each shared face point of exU/exF
 	// holds the in+out sum; unshared (true boundary) points are not
 	// written, and nothing reads them.
-	stop := s.span("gs_op", obs.CatGS)
+	reg := s.Rec.Region("gs_op", obs.CatGS)
 	if s.Cfg.PackedExchange {
 		// gs_op_fields: one packed message per neighbor per exchange.
 		s.gsh.OpFieldsTo(s.exU[:], s.faceU[:], comm.OpSum, s.gsh.Method())
@@ -97,7 +97,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 			s.gsh.OpTo(s.exF[c], s.faceF[c], comm.OpSum)
 		}
 	}
-	stop()
+	reg.End()
 
 	s.rhsTail()
 }
@@ -106,7 +106,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 // per point, shared by all 15 (field, direction) flux evaluations.
 func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	vol := len(s.prP)
-	stop := s.span("compute_primitive", obs.CatKernel)
+	reg := s.Rec.Region("compute_primitive", obs.CatKernel)
 	rho, mx, my, mz, en := in[IRho], in[IMomX], in[IMomY], in[IMomZ], in[IEnergy]
 	vx, vy, vz, pr := s.velP[0], s.velP[1], s.velP[2], s.prP
 	s.pool.For(vol, func(lo, hi int) {
@@ -120,7 +120,7 @@ func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	})
 	s.chargeCompute(sem.OpCount{Mul: int64(vol) * 8, Add: int64(vol) * 3,
 		Load: int64(vol) * NumFields, Store: int64(vol) * 4}, pointwiseTraits)
-	stop()
+	reg.End()
 }
 
 // faceJob is the run faceElems is working through (kept in the Solver,
@@ -195,16 +195,15 @@ func (s *Solver) chargeSurfaceFlux(b fluxBill) {
 
 // replay charges ops for work already done in the wall interval [start,
 // start+wall) and reports it as one call of the kernel region name, under
-// that region's accounting phase — what s.span around the work and the
+// that region's accounting phase — what a Region around the work and the
 // charge would have produced.
 func (s *Solver) replay(name string, start time.Time, wall time.Duration, ops sem.OpCount) {
 	clock := s.Rank.Clock()
-	popPhase := clock.PushPhase(obs.PhaseOf(name, obs.CatKernel))
+	prev := clock.SetPhase(obs.PhaseOf(name, obs.CatKernel))
 	vt0 := clock.Now()
 	s.chargeCompute(ops, pointwiseTraits)
-	s.rt.Record(name, obs.CatKernel, start, wall, vt0, clock.Now())
-	popPhase()
-	s.Prof.Add(name, 1, wall.Seconds())
+	s.Rec.Add(name, obs.CatKernel, start, wall, vt0, clock.Now())
+	clock.SetPhase(prev)
 }
 
 // faceElems runs the surface pass over elements [lo, hi) of the current
@@ -257,7 +256,7 @@ func (s *Solver) faceElems(slot, lo, hi int) {
 }
 
 // The stages of the volume pipeline a slot's stopwatch separates; all
-// but volRest are profiler regions.
+// but volRest are recorder regions.
 const (
 	volFlux = iota // compute_flux: Euler (+ viscous) flux, three directions
 	volFace        // full2face_cmt: viscous flux traces
@@ -268,7 +267,7 @@ const (
 	numVolStages
 )
 
-// derivRegion names the profiler region of each derivative direction.
+// derivRegion names the region of each derivative direction.
 var derivRegion = [3]string{"ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt"}
 
 // volSlot is one pool slot's private state in the volume pipeline.
@@ -314,7 +313,8 @@ func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous boo
 }
 
 // volumeElems runs the volume pipeline over elements [lo, hi) of the
-// current run on pool slot slot.
+// current run on pool slot slot. Every element is the same work, so the
+// slot's stopwatch clocks the first one only, as faceElems' does.
 func (s *Solver) volumeElems(slot, lo, hi int) {
 	job, sl := &s.vol, &s.volSlots[slot]
 	in := job.in
@@ -328,16 +328,19 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 	f0, f1, f2 := sl.buf[:n3], sl.buf[n3:][:n3], sl.buf[2*n3:][:n3]
 	g0, g1, g2 := sl.buf[3*n3:][:n3], sl.buf[4*n3:][:n3], sl.buf[5*n3:][:n3]
 	f, g := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}
-	// The stopwatch: lap(stage) books the time since the previous lap.
-	// It totals locally — slots are neighbours in memory — and hands over
-	// once, at the end.
+	// The stopwatch: while clocked, lap(stage) books the time since the
+	// previous lap. It totals locally — slots are neighbours in memory —
+	// and hands over once, after the first element.
 	t0 := time.Now()
+	clocked := true
 	var last time.Duration
 	var secs [numVolStages]time.Duration
 	lap := func(stage int) {
-		now := time.Since(t0)
-		secs[stage] += now - last
-		last = now
+		if clocked {
+			now := time.Since(t0)
+			secs[stage] += now - last
+			last = now
+		}
 	}
 	for e := job.elo + lo; e < job.elo+hi; e++ {
 		base := e * n3
@@ -392,8 +395,10 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 			}
 			lap(volRest)
 		}
+		if clocked {
+			sl.secs, clocked = secs, false
+		}
 	}
-	sl.secs = secs
 }
 
 // volumeCharges bills one run of nelr elements that volumeElems finished
@@ -403,10 +408,9 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 // the divergence's charge outside it — the virtual clock, its per-phase
 // split and every trace span's virtual extent come out bit for bit what
 // that sequence gives. (One charge per element would not: the model's
-// products round differently.) The profiler regions get the call counts
-// of the sweeps, and each stage the share of wall its stopwatches saw,
-// summed over slots; tracer spans tile the interval in the same
-// proportion.
+// products round differently.) The regions get one call per sweep, each
+// stage's calls tiling the share of wall the slots' stopwatches saw for
+// it on their first element.
 func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall time.Duration) {
 	n := s.Cfg.N
 	volr := int64(nelr) * int64(n*n*n)
@@ -425,12 +429,12 @@ func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall tim
 	}
 
 	clock := s.Rank.Clock()
-	at := start // where the next span starts in the wall domain
-	span := func(name string, dur time.Duration, vt0 float64) {
-		s.rt.Record(name, obs.CatKernel, at, dur, vt0, clock.Now())
+	at := start // where the next call starts in the wall domain
+	call := func(name string, dur time.Duration, vt0 float64) {
+		s.Rec.Add(name, obs.CatKernel, at, dur, vt0, clock.Now())
 		at = at.Add(dur)
 	}
-	popPhase := clock.PushPhase(obs.PhaseOf("compute_flux", obs.CatKernel))
+	prev := clock.SetPhase(obs.PhaseOf("compute_flux", obs.CatKernel))
 	moved := int64(nelr) * 2 * int64(n*n)
 	for c := 0; c < NumFields; c++ {
 		for d := 0; d < 3; d++ {
@@ -439,28 +443,20 @@ func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall tim
 				s.chargeCompute(sem.OpCount{Mul: volr * 6, Add: volr * 6, Load: volr * 8, Store: volr}, pointwiseTraits)
 			}
 			s.chargeCompute(sem.OpCount{Mul: volr, Add: volr, Load: volr * 2, Store: volr}, pointwiseTraits)
-			span("compute_flux", secs[volFlux]/(3*NumFields), vt0)
+			call("compute_flux", secs[volFlux]/(3*NumFields), vt0)
 			if viscous {
 				vt0 = clock.Now()
 				s.chargeCompute(sem.OpCount{Load: moved, Store: moved}, pointwiseTraits)
-				span("full2face_cmt", secs[volFace]/(3*NumFields), vt0)
+				call("full2face_cmt", secs[volFace]/(3*NumFields), vt0)
 			}
 			vt0 = clock.Now()
 			s.chargeCompute(sem.DerivOps(n, nelr), s.derivTraits[d])
-			span(derivRegion[d], secs[volR+d]/NumFields, vt0)
+			call(derivRegion[d], secs[volR+d]/NumFields, vt0)
 		}
 	}
-	popPhase()
+	clock.SetPhase(prev)
 	s.chargeCompute(sem.OpCount{Mul: volr * 3 * NumFields, Add: volr * 4 * NumFields,
 		Load: volr * 2, Store: volr}, pointwiseTraits)
-
-	s.Prof.Add("compute_flux", 3*NumFields, secs[volFlux].Seconds())
-	if viscous {
-		s.Prof.Add("full2face_cmt", 3*NumFields, secs[volFace].Seconds())
-	}
-	for d, name := range derivRegion {
-		s.Prof.Add(name, NumFields, secs[volR+d].Seconds())
-	}
 }
 
 // rhsTail is everything after the face exchange — numerical flux + lift,
@@ -481,17 +477,17 @@ func (s *Solver) rhsTail() {
 	// five whole-rank Face2FullAdd sweeps made, in their order. Domain
 	// boundary faces see a mirror ghost state (slip wall) or no
 	// correction (freestream).
-	stop := s.span("numerical_flux", obs.CatKernel)
+	reg := s.Rec.Region("numerical_flux", obs.CatKernel)
 	s.pool.ForSlots(nel, s.liftBody)
 	s.chargeCompute(sem.OpCount{Mul: int64(faceLen) * NumFields * 4, Add: int64(faceLen) * NumFields * 4,
 		Load: int64(faceLen) * NumFields * 4, Store: int64(faceLen) * NumFields}, pointwiseTraits)
-	stop()
+	reg.End()
 
 	// --- source terms: the conservation law's R (multiphase coupling).
 	// Zero — i.e. absent — in the paper's current CMT-bone; populated by
 	// couplers such as the particle cloud.
 	if s.Source[0] != nil {
-		stop = s.span("source_terms", obs.CatKernel)
+		reg = s.Rec.Region("source_terms", obs.CatKernel)
 		for c := 0; c < NumFields; c++ {
 			src := s.Source[c]
 			dst := s.rhs[c]
@@ -503,19 +499,19 @@ func (s *Solver) rhsTail() {
 		}
 		s.chargeCompute(sem.OpCount{Add: int64(vol) * NumFields,
 			Load: 2 * int64(vol) * NumFields, Store: int64(vol) * NumFields}, pointwiseTraits)
-		stop()
+		reg.End()
 	}
 
 	// --- dealiasing: map each field to the fine mesh and back (cost
 	// path of the dealiased flux evaluation).
 	if s.Cfg.Dealias {
-		stop = s.span("dealias", obs.CatKernel)
+		reg = s.Rec.Region("dealias", obs.CatKernel)
 		var ops sem.OpCount
 		for c := 0; c < NumFields; c++ {
 			ops = ops.Plus(s.Ref.DealiasRoundTripPool(s.pool, s.rhs[c], nel, s.deaBufs))
 		}
 		s.chargeCompute(ops, pointwiseTraits)
-		stop()
+		reg.End()
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/prof"
 	"repro/internal/sem"
 )
 
@@ -20,7 +19,11 @@ type Solver struct {
 	Rank  *comm.Rank
 	Local *mesh.Local
 	Ref   *sem.Ref1D
-	Prof  *prof.Profiler
+	// Rec is this rank's region recorder: every instrumented region of the
+	// solver, and of the subsystems layered on it (load balancer, fault
+	// runner, particle cloud), opens on it. It always aggregates the
+	// Figure 4 profile and retains spans only when Config.Obs is set.
+	Rec *obs.RankTracer
 
 	gsh *gs.GS // face-point gather-scatter
 
@@ -116,11 +119,10 @@ type Solver struct {
 	// Lambda is the current global maximum wave speed (set by Lambda()).
 	lambda float64
 
-	// Telemetry (nil handles record nothing).
-	rt        *obs.RankTracer // this rank's span recorder
-	prevSplit comm.OpTotals   // MPI totals at the end of the last step
-	prevVT    float64         // virtual clock at the end of the last step
-	simTime   float64         // accumulated simulated time
+	// Step telemetry.
+	prevSplit comm.OpTotals // MPI totals at the end of the last step
+	prevVT    float64       // virtual clock at the end of the last step
+	simTime   float64       // accumulated simulated time
 }
 
 // New builds a solver on rank r. Collective: every rank must call it with
@@ -163,9 +165,8 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		Rank:  r,
 		Local: local,
 		Ref:   ref,
-		Prof:  prof.New(),
+		Rec:   cfg.Obs.Rank(r.WorldID(), r.Clock()),
 		rx:    2, // reference element [-1,1] onto unit cube
-		rt:    cfg.Obs.Rank(r.WorldID(), r.Clock()),
 		ow:    cfg.Ownership,
 	}
 	vol := local.Nel * cfg.N * cfg.N * cfg.N
@@ -204,14 +205,14 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 			return nil, fmt.Errorf("solver: cached gs topology: %w", err)
 		}
 		s.gsh = gsh
-		s.gsh.SetSpanner(s.rt)
+		s.gsh.SetSpanner(s.Rec)
 	} else {
 		s.setupGS()
 	}
 	if cfg.AutoTune {
-		stop := s.span("gs_autotune", obs.CatComm)
+		reg := s.Rec.Region("gs_autotune", obs.CatComm)
 		gs.TuneModeled(s.gsh, cfg.TuneTrials)
-		stop()
+		reg.End()
 	} else {
 		s.gsh.SetMethod(cfg.GSMethod)
 	}
@@ -290,34 +291,10 @@ func (s *Solver) initWeights() {
 // element set (gs_setup, with its generalized all-to-all discovery
 // phase). Collective.
 func (s *Solver) setupGS() {
-	stop := s.span("gs_setup", obs.CatComm)
+	reg := s.Rec.Region("gs_setup", obs.CatComm)
 	s.gsh = gs.Setup(s.Rank, s.Local.DGFaceIDs())
-	stop()
-	s.gsh.SetSpanner(s.rt)
-}
-
-// span opens both a profiler region and a telemetry span under the same
-// name — and pushes the matching accounting phase on the rank's virtual
-// clock, so every modeled advance inside the region is attributed to its
-// application phase (always on; the clock's `now` is untouched, so
-// results are bit-identical). Returns the closure ending all three.
-// Close it after the kernel's chargeCompute so the span's virtual-time
-// extent covers the modeled cost of the work.
-func (s *Solver) span(name string, cat obs.Category) func() {
-	popPhase := s.Rank.Clock().PushPhase(obs.PhaseOf(name, cat))
-	stopProf := s.Prof.Start(name)
-	if s.rt == nil {
-		return func() {
-			stopProf()
-			popPhase()
-		}
-	}
-	stopSpan := s.rt.Span(name, cat)
-	return func() {
-		stopProf()
-		stopSpan()
-		popPhase()
-	}
+	reg.End()
+	s.gsh.SetSpanner(s.Rec)
 }
 
 // GS exposes the face gather-scatter handle (for reporting).
@@ -455,13 +432,6 @@ func (s *Solver) Ownership() *mesh.Ownership {
 		s.ow = s.Local.Box.UniformOwnership()
 	}
 	return s.ow
-}
-
-// TraceSpan opens a named profiler region + telemetry span on this rank
-// (for subsystems layered on the solver, e.g. the load balancer's
-// rebalance epochs). Close the returned func to end it.
-func (s *Solver) TraceSpan(name string, cat obs.Category) func() {
-	return s.span(name, cat)
 }
 
 // pointwiseTraits models simple streaming arithmetic (flux evaluation,

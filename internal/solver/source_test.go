@@ -128,7 +128,7 @@ func TestFilterStabilizesStrongPulse(t *testing.T) {
 		}
 		// The filter region must actually have run.
 		found := false
-		for _, reg := range s.Prof.Flat() {
+		for _, reg := range s.Rec.Flat() {
 			if reg.Name == "spectral_filter" && reg.Calls > 0 {
 				found = true
 			}

@@ -12,9 +12,7 @@ import (
 // Lax-Friedrichs dissipation coefficient and the CFL speed. Collective
 // (allreduce max, one of the mini-app's vector reductions).
 func (s *Solver) MaxWaveSpeed() float64 {
-	popPhase := s.Rank.Clock().PushPhase(obs.PhaseOf("wave_speed", obs.CatKernel))
-	stop := s.Prof.Start("wave_speed")
-	stopSpan := s.rt.Span("wave_speed", obs.CatKernel)
+	reg := s.Rec.Region("wave_speed", obs.CatKernel)
 	// Per-slot partial maxima: max is order-insensitive, so chunked
 	// partials merged on the rank goroutine are bit-identical to the
 	// serial sweep at any worker count.
@@ -45,18 +43,15 @@ func (s *Solver) MaxWaveSpeed() float64 {
 			local = v
 		}
 	}
-	stop()
 	s.chargeCompute(sem.OpCount{Mul: int64(len(s.U[IRho])) * 8, Add: int64(len(s.U[IRho])) * 5,
 		Load: int64(len(s.U[IRho])) * NumFields, Store: 0}, pointwiseTraits)
-	stopSpan()
-	popPhase()
-	popPhase = s.Rank.Clock().PushPhase(obs.PhaseOf("glmax", obs.CatComm))
-	defer popPhase()
-	stopRed := s.rt.Span("glmax", obs.CatComm)
+	reg.End()
+	// The reduction is a span, not a region: Figure 4 has no row for it.
+	red := s.Rec.Span("glmax", obs.CatComm)
 	s.Rank.SetSite("glmax")
 	out := s.Rank.Allreduce(comm.OpMax, []float64{local})
 	s.Rank.SetSite("")
-	stopRed()
+	red.End()
 	s.lambda = out[0]
 	return out[0]
 }
@@ -76,14 +71,13 @@ func (s *Solver) StableDt() float64 {
 
 // Step advances the state by one SSP-RK3 step of size dt. Collective.
 func (s *Solver) Step(dt float64) {
-	stop := s.span("timestep", obs.CatStep)
-	defer stop()
+	defer s.Rec.Region("timestep", obs.CatStep).End()
 
 	vol := len(s.U[IRho])
 
 	// Stage 1: u1 = U + dt RHS(U).
 	s.rhsEval(&s.U)
-	stopUpd := s.span("rk_update", obs.CatRK)
+	reg := s.Rec.Region("rk_update", obs.CatRK)
 	for c := 0; c < NumFields; c++ {
 		uc, rc, o := s.U[c], s.rhs[c], s.u1[c]
 		s.pool.For(vol, func(lo, hi int) {
@@ -92,10 +86,10 @@ func (s *Solver) Step(dt float64) {
 			}
 		})
 	}
-	stopUpd()
+	reg.End()
 	// Stage 2: u2 = 3/4 U + 1/4 (u1 + dt RHS(u1)).
 	s.rhsEval(&s.u1)
-	stopUpd = s.span("rk_update", obs.CatRK)
+	reg = s.Rec.Region("rk_update", obs.CatRK)
 	for c := 0; c < NumFields; c++ {
 		uc, u1c, rc, o := s.U[c], s.u1[c], s.rhs[c], s.u2[c]
 		s.pool.For(vol, func(lo, hi int) {
@@ -104,10 +98,10 @@ func (s *Solver) Step(dt float64) {
 			}
 		})
 	}
-	stopUpd()
+	reg.End()
 	// Stage 3: U = 1/3 U + 2/3 (u2 + dt RHS(u2)).
 	s.rhsEval(&s.u2)
-	stopUpd = s.span("rk_update", obs.CatRK)
+	reg = s.Rec.Region("rk_update", obs.CatRK)
 	for c := 0; c < NumFields; c++ {
 		uc, u2c, rc := s.U[c], s.u2[c], s.rhs[c]
 		s.pool.For(vol, func(lo, hi int) {
@@ -118,19 +112,19 @@ func (s *Solver) Step(dt float64) {
 	}
 	s.chargeCompute(sem.OpCount{Mul: int64(vol) * NumFields * 6, Add: int64(vol) * NumFields * 4,
 		Load: int64(vol) * NumFields * 8, Store: int64(vol) * NumFields * 3}, pointwiseTraits)
-	stopUpd()
+	reg.End()
 
 	// Spectral filter (shock-capturing proxy): attenuate the highest
 	// Legendre modes of every conserved field.
 	if s.filterMat != nil {
-		stopF := s.span("spectral_filter", obs.CatKernel)
+		reg := s.Rec.Region("spectral_filter", obs.CatKernel)
 		var ops sem.OpCount
 		for c := 0; c < NumFields; c++ {
 			ops = ops.Plus(sem.FilterElements(s.filterMat, s.Cfg.N, s.U[c], s.Local.Nel,
 				s.Cfg.FilterStrength, s.filterScratch))
 		}
 		s.chargeCompute(ops, pointwiseTraits)
-		stopF()
+		reg.End()
 	}
 }
 
@@ -262,10 +256,10 @@ func (s *Solver) AdvanceStep(step int) float64 {
 	return dt
 }
 
-// FinishReport closes the profiler and summarizes the run — the shared
+// FinishReport closes the recorder's wall-clock window and summarizes the run — the shared
 // tail of Run/RunWith and of external step drivers.
 func (s *Solver) FinishReport(steps int, dt float64) Report {
-	s.Prof.Finish()
+	s.Rec.Finish()
 	return Report{
 		Steps:     steps,
 		Dt:        dt,

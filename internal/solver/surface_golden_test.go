@@ -109,7 +109,7 @@ func runSurfaceGolden(t *testing.T, c surfaceCase, workers int) surfaceGolden {
 		out.StateFNV[r.ID()] = fmt.Sprintf("%016x", h.Sum64())
 		out.Phases[r.ID()] = r.Clock().PhaseSplits()
 		calls := map[string]int64{}
-		for _, reg := range s.Prof.Flat() {
+		for _, reg := range s.Rec.Flat() {
 			calls[reg.Name] = reg.Calls
 		}
 		out.Calls[r.ID()] = calls

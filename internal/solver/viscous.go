@@ -38,7 +38,7 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 	vol := len(s.prP)
 
 	// Temperature with the gas constant R = 1: T = p / rho.
-	stop := s.span("compute_primitive", obs.CatKernel)
+	reg := s.Rec.Region("compute_primitive", obs.CatKernel)
 	tq := s.gradQ[gradT]
 	rho := in[IRho]
 	s.pool.For(vol, func(lo, hi int) {
@@ -50,7 +50,7 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 	copy(s.gradQ[gradVy], s.velP[1])
 	copy(s.gradQ[gradVz], s.velP[2])
 	s.chargeCompute(sem.OpCount{Mul: int64(vol), Load: 2 * int64(vol), Store: int64(vol)}, pointwiseTraits)
-	stop()
+	reg.End()
 
 	if s.Cfg.Variant == sem.Optimized {
 		// Fused pass: all three directions of every quantity in one sweep
@@ -58,9 +58,9 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 		// generated kernels replicate the Optimized accumulation order
 		// exactly). The hw model is still charged per direction with the
 		// same structural counts and traits the unfused path reports, so
-		// modeled time is unchanged; only wall time and the profiler span
+		// modeled time is unchanged; only wall time and the region
 		// structure move.
-		stop := s.span("ax_grad3_fused", obs.CatKernel)
+		reg := s.Rec.Region("ax_grad3_fused", obs.CatKernel)
 		for q := 0; q < numGradQ; q++ {
 			sem.Grad3FusedPool(s.pool, s.Ref, s.gradQ[q],
 				s.gradD[q][0], s.gradD[q][1], s.gradD[q][2], nel)
@@ -68,7 +68,7 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 				s.chargeCompute(sem.DerivOps(s.Ref.N, nel), s.derivTraits[d])
 			}
 		}
-		stop()
+		reg.End()
 	} else {
 		// The Basic variant keeps the three unfused sweeps: it is the
 		// paper's untransformed ablation point, and fusion is itself a
@@ -76,10 +76,10 @@ func (s *Solver) computeGradients(in *[NumFields][]float64) {
 		for q := 0; q < numGradQ; q++ {
 			for d := 0; d < 3; d++ {
 				dir := sem.Direction(d)
-				stop := s.span(derivRegion[d], obs.CatKernel)
+				reg := s.Rec.Region(derivRegion[d], obs.CatKernel)
 				ops := sem.DerivPool(s.pool, dir, s.Cfg.Variant, s.Ref, s.gradQ[q], s.gradD[q][d], nel)
 				s.chargeCompute(ops, s.derivTraits[d])
-				stop()
+				reg.End()
 			}
 		}
 	}

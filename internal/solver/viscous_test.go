@@ -197,7 +197,7 @@ func TestViscousAmplifiesDerivativeKernelCount(t *testing.T) {
 			}
 			s.SetInitial(shearWaveIC(1, 0.01))
 			s.Step(1e-4)
-			for _, reg := range s.Prof.Flat() {
+			for _, reg := range s.Rec.Flat() {
 				switch reg.Name {
 				case "ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt":
 					calls += reg.Calls

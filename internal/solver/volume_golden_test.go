@@ -52,7 +52,7 @@ func runVolumeGolden(t *testing.T, viscous, overlap bool, workers int) volumeGol
 		s.Run(steps)
 		out.Phases[r.ID()] = r.Clock().PhaseSplits()
 		calls := map[string]int64{}
-		for _, reg := range s.Prof.Flat() {
+		for _, reg := range s.Rec.Flat() {
 			calls[reg.Name] = reg.Calls
 		}
 		out.Calls[r.ID()] = calls

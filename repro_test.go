@@ -32,7 +32,7 @@ func TestFig4DerivativeDominates(t *testing.T) {
 		s.Run(3)
 		self := map[string]float64{}
 		total := 0.0
-		for _, reg := range s.Prof.Flat() {
+		for _, reg := range s.Rec.Flat() {
 			self[reg.Name] += reg.Self
 			total += reg.Self
 		}
