@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-workers bench-loadbal bench-overlap bench-serve bench-hier bench-all bench-diff generate generate-check test-noasm bench-module serve-smoke tcp-smoke
+.PHONY: all build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-all bench-diff generate generate-check test-noasm bench-module serve-smoke tcp-smoke
 
 all: check
 
@@ -79,7 +79,7 @@ bench-module:
 
 # Quick worker-sweep smoke: the derivative kernel across pool widths
 # (1..NumCPU) plus the gs zero-alloc benches. Fast enough for check/CI;
-# full baselines come from `make bench-workers`.
+# the full table is `go run ./cmd/kernelbench -workersweep`.
 bench-sweep:
 	$(GO) test -run xxx -bench 'WorkerSweep|GSAlloc' -benchmem -benchtime 20x . ./internal/gs/
 
@@ -106,54 +106,20 @@ check: vet build test race chaos test-noasm bench-module bench-sweep bench-smoke
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Regenerate the worker-sweep + mxm-sweep baseline
-# (BENCH_workers_baseline.json): the derivative kernel across pool
-# widths plus every mxm variant (generated/SIMD/auto included) across
-# the k range, with effective-kernel labels.
-bench-workers:
-	$(GO) run ./cmd/kernelbench -n 9 -nel 64 -steps 200 -workersweep -mxm -json BENCH_workers_baseline.json
-
-# Regenerate the dynamic load-balancing baseline
-# (BENCH_loadbal_baseline.json): balanced vs skewed vs skewed+loadbal
-# makespans on the one-hot-rank scenario.
-bench-loadbal:
-	$(GO) run ./cmd/scalebench -n 5 -maxranks 8 -loadbal -loadbal-json BENCH_loadbal_baseline.json
-
-# Regenerate the compute/communication overlap baseline
-# (BENCH_overlap_baseline.json): blocking vs split-phase exchange
-# makespans on a communication-bound (GigE) configuration.
-bench-overlap:
-	$(GO) run ./cmd/scalebench -n 5 -maxranks 8 -net gige -overlap -overlap-json BENCH_overlap_baseline.json
-
-# Regenerate the job-server load baseline (BENCH_serve_baseline.json):
-# sustained jobs/sec, time-to-first-step percentiles, preemption
-# latency, and the warm/cold artifact-cache setup split, from the
-# open-loop generator against an in-process server.
-bench-serve:
-	$(GO) run ./cmd/serveload -steps 30 -json BENCH_serve_baseline.json
-
-# Regenerate the hierarchical-collectives scaling baseline
-# (BENCH_hier_baseline.json): flat vs two-level collectives on modeled
-# fat-tree and dragonfly fabrics at 256..4096 ranks. Entirely modeled
-# (virtual clocks), so the file is bit-reproducible on any host.
-bench-hier:
-	$(GO) run ./cmd/scalebench -maxranks 1 -hier -hier-json BENCH_hier_baseline.json
-
-# Run every bench suite in-process (loadbal + overlap studies traced,
-# kernel worker sweep, allocation guard, job-server load generation)
-# and write the unified schema-versioned trajectory plus the
-# critical-path reports. This is the single file future benchdiff runs
-# compare against — it carries critical-path summaries, so regressions
-# get blame lines.
+# Record the one committed baseline, BENCH_trajectory.json: the
+# modeled loadbal and overlap studies (traced, so rows carry
+# critical-path summaries and regressions get blame lines), the
+# hierarchical-collectives study and the gs allocation guard. Only rows
+# the gate compares are recorded: deterministic modeled metrics and
+# allocs/op at its absolute floor.
 bench-all:
-	$(GO) run ./cmd/benchdiff -record BENCH_trajectory.json -critpath CRITPATH_REPORT.txt
+	$(GO) run ./cmd/benchdiff -record BENCH_trajectory.json
 
-# The regression gate: re-run every suite the committed baselines
-# cover and diff. Deterministic modeled metrics gate at 2%; wall-clock
-# metrics are report-only (CI hosts differ from the recording host).
-# Exit 1 on regression, with critical-path blame lines naming the
-# responsible rank and phase. The gate writes no tracked file: only
-# bench-all (the -record run) rewrites CRITPATH_REPORT.txt.
+# The regression gate: re-run the same suites and diff against the
+# baseline. Modeled metrics gate at 2%, allocs/op at one per op, and a
+# baseline row the fresh run no longer produces fails too. Exit 1 on
+# failure, with critical-path blame lines naming the responsible rank
+# and phase. The full critical-path reports go to the untracked
+# critpath-report.txt (CI uploads it as an artifact).
 bench-diff:
-	$(GO) run ./cmd/benchdiff -threshold 0.02 BENCH_loadbal_baseline.json BENCH_overlap_baseline.json BENCH_workers_baseline.json BENCH_serve_baseline.json BENCH_hier_baseline.json
-	$(GO) run ./cmd/benchdiff -threshold 0.02 BENCH_trajectory.json
+	$(GO) run ./cmd/benchdiff -threshold 0.02 -critpath critpath-report.txt BENCH_trajectory.json

@@ -1,444 +1,122 @@
-// Command benchdiff is the continuous performance-regression harness:
-// it loads committed BENCH_*.json baselines (any schema version),
-// re-runs the same measurements in-process, and compares.
+// Command benchdiff is the modeled-time regression gate. It runs one
+// fixed suite list in-process — the loadbal, overlap and hierarchical-
+// collectives studies (virtual clocks, bit-reproducible on any host)
+// and the gather-scatter allocation guard — and either records it as
+// the one committed baseline (-record, `make bench-all`) or compares it
+// against that baseline.
 //
-// Deterministic modeled metrics (virtual-clock makespans, modeled MPI
-// fractions) are bit-reproducible, so they gate tightly (-threshold).
-// Wall-clock metrics are noisy and host-dependent; by default they are
-// report-only, and with -wall-threshold they gate using repetition-based
-// confidence bounds (-reps). When a regression is found on a scenario
-// whose runs carry critical-path summaries, benchdiff prints a blame
-// diff — which rank/phase bucket of the critical path grew.
+// Deterministic metrics gate at -threshold, allocs/op at its absolute
+// floor of one; a baseline row the fresh run no longer produces fails
+// the gate too. When a regression is found on a scenario whose runs
+// carry critical-path summaries, benchdiff prints a blame diff — which
+// rank/phase bucket of the critical path grew.
 //
-//	benchdiff BENCH_loadbal_baseline.json BENCH_overlap_baseline.json
 //	benchdiff -record BENCH_trajectory.json
+//	benchdiff BENCH_trajectory.json
 //	benchdiff -hot 16 BENCH_trajectory.json   # inject a skew, watch it fail
 //
-// Exit status: 0 clean, 1 regressions found, 2 error.
+// Exit status: 0 clean; 1 on a regression, a missing row or an error;
+// 2 on a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cli"
 	"repro/internal/report"
-	"repro/internal/sem"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
 
-	record := flag.String("record", "", "run all suites and write a fresh trajectory to this file instead of comparing")
+	record := flag.String("record", "", "run the suites and write a fresh baseline to this file instead of comparing")
 	threshold := flag.Float64("threshold", 0.02, "relative worsening tolerated on deterministic (modeled) metrics")
-	wallThreshold := flag.Float64("wall-threshold", 0, "gate wall-clock metrics beyond this relative worsening (0 = report-only)")
-	reps := flag.Int("reps", 3, "kernel-sweep repetitions for wall-clock confidence bounds")
 	topBlame := flag.Int("top", 3, "critical-path blame lines per regression")
 	critOut := flag.String("critpath", "", "write the fresh run's full critical-path reports to this file")
-	freshOut := flag.String("fresh", "", "also write the fresh trajectory to this file")
 	hot := flag.Float64("hot", 0, "inject a hot-rank compute skew of this factor into the fresh loadbal study (regression demo)")
 	verbose := flag.Bool("v", false, "list bit-identical metrics and unmatched scenarios too")
-	// Positional arguments are the baseline files, so plain flag.Parse
-	// (not cli.Parse, which rejects positionals).
+	// The baseline is a positional argument, so plain flag.Parse (not
+	// cli.Parse, which rejects positionals).
 	flag.Parse()
 
+	wantArgs := 1
 	if *record != "" {
-		traj, crit, err := freshRun(suiteSet{loadbal: true, overlap: true, hier: true, kernel: true, mxm: true, allocs: true, serveload: true},
-			nil, *reps, *hot)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := traj.WriteFile(*record); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recorded %d results to %s\n", len(traj.Results), *record)
-		writeCrit(*critOut, crit)
-		return
+		wantArgs = 0
 	}
-
-	paths := flag.Args()
-	if len(paths) == 0 {
-		log.Print("no baselines given; usage: benchdiff [flags] BENCH_baseline.json...")
+	if flag.NArg() != wantArgs {
+		log.Print("usage: benchdiff [flags] BENCH_trajectory.json | benchdiff -record FILE")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	base := &report.Trajectory{SchemaVersion: report.SchemaVersion}
-	for _, p := range paths {
-		t, err := report.ReadTrajectory(p)
-		if err != nil {
+	var base *report.Trajectory
+	if *record == "" {
+		var err error
+		if base, err = report.ReadTrajectory(flag.Arg(0)); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("baseline %s: schema v%d, %d results\n", p, t.SchemaVersion, len(t.Results))
-		base.Results = append(base.Results, t.Results...)
-		if base.Host.NumCPU == 0 {
-			base.Host = t.Host
-		}
+		fmt.Printf("baseline %s: schema v%d, %d results\n", flag.Arg(0), base.SchemaVersion, len(base.Results))
 	}
 
-	want := suitesOf(base)
-	fresh, crit, err := freshRun(want, base, *reps, *hot)
+	fresh, crit, err := freshRun(*hot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *freshOut != "" {
-		if err := fresh.WriteFile(*freshOut); err != nil {
-			log.Fatal(err)
-		}
-	}
 	writeCrit(*critOut, crit)
 
-	opts := bench.CompareOptions{
-		Threshold:     *threshold,
-		WallThreshold: *wallThreshold,
-		WallCI:        fresh.wallCI,
-		TopBlame:      *topBlame,
+	if *record != "" {
+		if err := fresh.WriteFile(*record); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("recorded %d results to %s\n", len(fresh.Results), *record)
+		return
 	}
-	if base.Host.NumCPU != 0 && base.Host.NumCPU != runtime.NumCPU() && *wallThreshold > 0 {
-		fmt.Printf("note: baseline host had %d CPUs, this host %d — wall-clock comparisons are cross-machine\n",
-			base.Host.NumCPU, runtime.NumCPU())
-	}
-	cmp := bench.Compare(base, fresh.Trajectory, opts)
+	cmp := bench.Compare(base, fresh, bench.CompareOptions{Threshold: *threshold, TopBlame: *topBlame})
 	fmt.Println()
 	fmt.Print(cmp.Format(*verbose))
-	if len(cmp.Regressions) > 0 {
+	if len(cmp.Regressions) > 0 || len(cmp.Missing) > 0 {
 		os.Exit(1)
 	}
 }
 
-// suiteSet selects which measurement suites a fresh run performs.
-type suiteSet struct {
-	loadbal, overlap, hier, kernel, mxm, allocs, serveload bool
-}
-
-func suitesOf(t *report.Trajectory) suiteSet {
-	var s suiteSet
-	for i := range t.Results {
-		switch t.Results[i].Suite {
-		case "scalebench-loadbal":
-			s.loadbal = true
-		case "scalebench-overlap":
-			s.overlap = true
-		case "scalebench-hier":
-			s.hier = true
-		case "kernelbench":
-			s.kernel = true
-		case "kernelbench-mxm":
-			s.mxm = true
-		case "allocs":
-			s.allocs = true
-		case "serveload":
-			s.serveload = true
-		}
+// freshRun performs the fixed suite list in-process and returns it as a
+// trajectory plus the critical-path reports of the traced runs.
+func freshRun(hot float64) (*report.Trajectory, []string, error) {
+	fmt.Println("running loadbal study (traced)...")
+	lb, err := bench.LoadbalStudy(bench.LoadbalOptions{Trace: true, HotFactor: hot})
+	if err != nil {
+		return nil, nil, err
 	}
-	return s
-}
+	fmt.Println("running overlap study (traced)...")
+	ov, err := bench.OverlapStudy(bench.OverlapOptions{Trace: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Println("running hierarchical-collectives study...")
+	hier, err := bench.RunHierStudy(bench.HierOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Println("running steady-state allocation guard...")
+	allocs, err := bench.AllocsGuard()
+	if err != nil {
+		return nil, nil, err
+	}
 
-// freshTrajectory bundles the fresh measurements with the wall-clock
-// confidence half-widths the repetitions produced.
-type freshTrajectory struct {
-	*report.Trajectory
-	wallCI map[string]float64
-}
-
-// freshRun performs the selected suites in-process and returns the
-// unified trajectory plus the critical-path reports of the traced runs.
-func freshRun(want suiteSet, base *report.Trajectory, reps int, hot float64) (*freshTrajectory, []string, error) {
-	traj := report.New(nil)
-	out := &freshTrajectory{Trajectory: traj, wallCI: map[string]float64{}}
+	traj := report.New(lb.Results())
+	traj.Results = append(traj.Results, ov.Results()...)
+	traj.Results = append(traj.Results, hier.Results()...)
+	traj.Results = append(traj.Results, bench.AllocsResults(allocs)...)
 	var crit []string
-
-	if want.loadbal {
-		opts := bench.LoadbalOptions{Trace: true, HotFactor: hot}
-		fmt.Printf("running loadbal study (traced)...\n")
-		res, err := bench.LoadbalStudy(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		traj.Results = append(traj.Results, res.Results()...)
-		for _, s := range res.Scenarios {
-			if s.Critpath != nil {
-				crit = append(crit, fmt.Sprintf("== scalebench-loadbal/%s ==\n%s",
-					s.Scenario, s.Critpath.Format(5)))
-			}
+	for _, r := range traj.Results {
+		if r.Critpath != nil {
+			crit = append(crit, fmt.Sprintf("== %s ==\n%s", r.Key(), r.Critpath.Format(5)))
 		}
 	}
-	if want.overlap {
-		fmt.Printf("running overlap study (traced)...\n")
-		res, err := bench.OverlapStudy(bench.OverlapOptions{Trace: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		traj.Results = append(traj.Results, res.Results()...)
-		for _, s := range res.Scenarios {
-			if s.Critpath != nil {
-				crit = append(crit, fmt.Sprintf("== scalebench-overlap/%s ==\n%s",
-					s.Scenario, s.Critpath.Format(5)))
-			}
-		}
-	}
-	if want.hier {
-		opts := hierOptsFrom(base)
-		fmt.Printf("running hierarchical-collectives study (up to %d modeled ranks)...\n", opts.MaxRanks)
-		res, err := bench.RunHierStudy(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		traj.Results = append(traj.Results, res.Results()...)
-		for _, s := range res.Scenarios {
-			if s.Critpath != nil && len(s.Critpath.CongestedLinks) > 0 {
-				crit = append(crit, fmt.Sprintf("== scalebench-hier/%s ==\n%s",
-					s.Scenario, s.Critpath.Format(5)))
-			}
-		}
-	}
-	if want.kernel {
-		opts := sweepOptsFrom(base)
-		fmt.Printf("running kernel worker sweep (n=%d nel=%d steps=%d, %d reps)...\n",
-			opts.N, opts.Nel, opts.Steps, reps)
-		results, ci := repeatedSweep(opts, reps)
-		traj.Results = append(traj.Results, results...)
-		for k, v := range ci {
-			out.wallCI[k] = v
-		}
-	}
-	if want.mxm {
-		opts := mxmOptsFrom(base)
-		fmt.Printf("running small-matrix mxm sweep (%d ks, nel=%d, tuned)...\n", len(opts.Ks), opts.Nel)
-		traj.Results = append(traj.Results, bench.MxMResults(bench.MxMSweep(opts))...)
-	}
-	if want.allocs {
-		fmt.Printf("running steady-state allocation guard...\n")
-		recs, err := bench.AllocsGuard()
-		if err != nil {
-			return nil, nil, err
-		}
-		traj.Results = append(traj.Results, bench.AllocsResults(recs)...)
-	}
-	if want.serveload {
-		opts := serveOptsFrom(base)
-		opts.Defaults()
-		fmt.Printf("running job-server load generation (%d jobs, %d slots)...\n", opts.Jobs, opts.Slots)
-		res, err := bench.ServeLoad(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		traj.Results = append(traj.Results, res.Results(opts)...)
-	}
-	return out, crit, nil
-}
-
-// serveOptsFrom reconstructs the load-generation configuration from the
-// baseline's recorded parameters, so the fresh run replays the committed
-// script. A nil baseline (record mode) uses the defaults.
-func serveOptsFrom(base *report.Trajectory) bench.ServeLoadOptions {
-	var opts bench.ServeLoadOptions
-	opts.Steps = 30 // record-mode default: long enough that preemption occurs
-	if base == nil {
-		return opts
-	}
-	for i := range base.Results {
-		r := &base.Results[i]
-		if r.Suite != "serveload" {
-			continue
-		}
-		geti := func(key string, dst *int) {
-			if v, ok := r.Params[key]; ok {
-				fmt.Sscanf(v, "%d", dst)
-			}
-		}
-		geti("slots", &opts.Slots)
-		geti("jobs", &opts.Jobs)
-		geti("tenants", &opts.Tenants)
-		geti("ranks", &opts.Ranks)
-		geti("n", &opts.N)
-		geti("steps", &opts.Steps)
-		break
-	}
-	return opts
-}
-
-// hierOptsFrom reconstructs the hierarchical-collectives study
-// configuration from the baseline's recorded parameters, so the fresh
-// run sweeps exactly the committed (topology, rank count) grid. A nil
-// baseline (record mode) uses the committed-baseline defaults.
-func hierOptsFrom(base *report.Trajectory) bench.HierOptions {
-	var opts bench.HierOptions
-	if base == nil {
-		return opts
-	}
-	seenTopo := map[string]bool{}
-	for i := range base.Results {
-		r := &base.Results[i]
-		if r.Suite != "scalebench-hier" {
-			continue
-		}
-		if v, err := strconv.Atoi(r.Params["ranks"]); err == nil && v > opts.MaxRanks {
-			opts.MaxRanks = v
-		}
-		if topo := r.Params["topo"]; topo != "" && !seenTopo[topo] {
-			seenTopo[topo] = true
-			opts.Topos = append(opts.Topos, topo)
-		}
-		if v, err := strconv.Atoi(r.Params["iters"]); err == nil {
-			opts.Iters = v
-		}
-		if v, err := strconv.Atoi(r.Params["diag_len"]); err == nil {
-			opts.DiagLen = v
-		}
-		if v, err := strconv.Atoi(r.Params["resid_len"]); err == nil {
-			opts.ResidLen = v
-		}
-		if v, err := strconv.ParseFloat(r.Params["load"], 64); err == nil {
-			opts.Load = v
-			if v == 0 {
-				opts.Load = -1 // preserve an explicitly idle-fabric baseline
-			}
-		}
-	}
-	return opts
-}
-
-// sweepOptsFrom reconstructs the kernel-sweep configuration from the
-// baseline's recorded parameters and scenarios, so the fresh run
-// measures exactly the committed points. A nil baseline (record mode)
-// uses the committed-baseline defaults.
-func sweepOptsFrom(base *report.Trajectory) bench.SweepOptions {
-	opts := bench.SweepOptions{Workers: []int{1}, Variant: sem.Optimized}
-	if base == nil {
-		return opts
-	}
-	seen := map[int]bool{}
-	var widths []int
-	for i := range base.Results {
-		r := &base.Results[i]
-		if r.Suite != "kernelbench" {
-			continue
-		}
-		if v, err := strconv.Atoi(r.Params["n"]); err == nil {
-			opts.N = v
-		}
-		if v, err := strconv.Atoi(r.Params["nel"]); err == nil {
-			opts.Nel = v
-		}
-		if v, err := strconv.Atoi(r.Params["steps"]); err == nil {
-			opts.Steps = v
-		}
-		// Scenario format: "<dir>/<variant>/workers=<w>".
-		parts := strings.Split(r.Scenario, "/")
-		if len(parts) == 3 {
-			if v, err := cli.ParseVariant(parts[1]); err == nil {
-				opts.Variant = v
-			}
-			var w int
-			if _, err := fmt.Sscanf(parts[2], "workers=%d", &w); err == nil && !seen[w] {
-				seen[w] = true
-				widths = append(widths, w)
-			}
-		}
-	}
-	if len(widths) > 0 {
-		sort.Ints(widths)
-		opts.Workers = widths
-	}
-	return opts
-}
-
-// mxmOptsFrom reconstructs the mxm-sweep configuration from the
-// baseline's recorded parameters and scenarios. A nil baseline (record
-// mode) uses the committed-baseline defaults. The fresh run always
-// tunes, matching how the recorded baseline is produced.
-func mxmOptsFrom(base *report.Trajectory) bench.MxMSweepOptions {
-	opts := bench.MxMSweepOptions{Tune: true}
-	if base == nil {
-		opts.Ks = defaultMxMKs()
-		opts.Nel = 32
-		return opts
-	}
-	seen := map[int]bool{}
-	for i := range base.Results {
-		r := &base.Results[i]
-		if r.Suite != "kernelbench-mxm" {
-			continue
-		}
-		if v, err := strconv.Atoi(r.Params["nel"]); err == nil {
-			opts.Nel = v
-		}
-		// Scenario format: "k=<k>/<variant>".
-		var k int
-		if _, err := fmt.Sscanf(r.Scenario, "k=%d/", &k); err == nil && !seen[k] {
-			seen[k] = true
-			opts.Ks = append(opts.Ks, k)
-		}
-	}
-	sort.Ints(opts.Ks)
-	if len(opts.Ks) == 0 {
-		opts.Ks = defaultMxMKs()
-	}
-	return opts
-}
-
-func defaultMxMKs() []int {
-	var ks []int
-	for k := 4; k <= 16; k++ {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
-// repeatedSweep runs the worker sweep reps times, reporting per-metric
-// means with 95%-style confidence half-widths (2*stderr) for the
-// comparison's wall-clock noise bounds.
-func repeatedSweep(opts bench.SweepOptions, reps int) ([]report.BenchResult, map[string]float64) {
-	if reps < 1 {
-		reps = 1
-	}
-	var runs [][]report.BenchResult
-	for i := 0; i < reps; i++ {
-		runs = append(runs, bench.SweepResults(bench.WorkerSweep(opts)))
-	}
-	results := make([]report.BenchResult, len(runs[0]))
-	ci := map[string]float64{}
-	for ri := range runs[0] {
-		r := runs[0][ri] // key, params, metric order are identical across reps
-		for mi := range r.Metrics {
-			var vals []float64
-			for _, run := range runs {
-				vals = append(vals, run[ri].Metrics[mi].Value)
-			}
-			mean, half := meanCI(vals)
-			r.Metrics[mi].Value = mean
-			ci[r.Key()+"|"+r.Metrics[mi].Name] = half
-		}
-		results[ri] = r
-	}
-	return results, ci
-}
-
-// meanCI returns the sample mean and 2*stderr (0 for a single rep).
-func meanCI(vals []float64) (float64, float64) {
-	n := float64(len(vals))
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	mean := sum / n
-	if len(vals) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, v := range vals {
-		ss += (v - mean) * (v - mean)
-	}
-	return mean, 2 * math.Sqrt(ss/(n-1)) / math.Sqrt(n)
+	return traj, crit, nil
 }
 
 // writeCrit writes the collected critical-path reports, if requested.

@@ -38,7 +38,6 @@ func main() {
 	tune := flag.Bool("tune", true, "run the mxm autotuner before the -mxm sweep (the auto column reflects the tuned table)")
 	workers := flag.Int("workers", 1, "intra-rank worker pool width for the element loop (0 = NumCPU)")
 	workerSweep := flag.Bool("workersweep", false, "sweep the worker count 1,2,4..NumCPU on the derivative kernel")
-	jsonPath := flag.String("json", "", "write the worker-sweep and/or mxm-sweep records to this JSON file")
 	cli.Parse()
 
 	if *workers == 0 {
@@ -63,19 +62,11 @@ func main() {
 	}
 
 	if *mxm || *workerSweep {
-		var results []report.BenchResult
 		if *workerSweep {
-			results = append(results, bench.SweepResults(runWorkerSweep(variants[0], *n, *nel, *steps))...)
+			runWorkerSweep(variants[0], *n, *nel, *steps)
 		}
 		if *mxm {
-			results = append(results, bench.MxMResults(runMxM(*tune))...)
-		}
-		if *jsonPath != "" {
-			traj := report.New(results)
-			if err := traj.WriteFile(*jsonPath); err != nil {
-				log.Fatalf("-json: %v", err)
-			}
-			fmt.Printf("\nwrote %d results to %s (schema v%d)\n", len(traj.Results), *jsonPath, report.SchemaVersion)
+			runMxM(*tune)
 		}
 		return
 	}
@@ -87,16 +78,13 @@ func main() {
 }
 
 // runWorkerSweep times the derivative kernel across worker counts and
-// prints wall time and speedup versus serial. The measurement core
-// lives in internal/bench so cmd/benchdiff can re-run the identical
-// sweep; the caller records the returned records as a schema-versioned
-// report.Trajectory.
-func runWorkerSweep(v sem.KernelVariant, n, nel, steps int) []bench.SweepRecord {
+// prints wall time and speedup versus serial.
+func runWorkerSweep(v sem.KernelVariant, n, nel, steps int) {
 	fmt.Printf("Derivative kernel worker sweep: N=%d, Nel=%d, %d steps, NumCPU=%d (%v)\n\n",
 		n, nel, steps, runtime.NumCPU(), v)
 	fmt.Printf("%8s %6s %12s %10s %9s\n", "workers", "dir", "wall(s)", "Gflop/s", "speedup")
 
-	return bench.WorkerSweep(bench.SweepOptions{
+	bench.WorkerSweep(bench.SweepOptions{
 		N: n, Nel: nel, Steps: steps, Variant: v,
 		Each: func(r bench.SweepRecord) {
 			fmt.Printf("%8d %6s %12.4f %10.2f %8.2fx\n", r.Workers, r.Dir, r.Wall, r.Gflops, r.Speedup)
@@ -211,9 +199,8 @@ func runSweep(machine hw.Machine, variants []sem.KernelVariant, steps int) {
 // elements. Each column is labeled with the kernel that actually ran:
 // variants outside their specialization range (e.g. "generated" for
 // k > 16) are footnoted with their effective fallback instead of
-// silently crediting the named variant with the fallback's numbers. The measurement core lives in internal/bench so
-// cmd/benchdiff can re-run the identical sweep.
-func runMxM(tune bool) []bench.MxMRecord {
+// silently crediting the named variant with the fallback's numbers.
+func runMxM(tune bool) {
 	records := bench.MxMSweep(bench.MxMSweepOptions{Tune: tune})
 
 	fmt.Printf("Small-matrix mxm sweep: shape (N*N x N) x (N x N), batched, AVX2=%v, tuned=%v\n\n",
@@ -247,7 +234,6 @@ func runMxM(tune bool) []bench.MxMRecord {
 			fmt.Printf("    %s\n", n)
 		}
 	}
-	return records
 }
 
 // timeDeriv runs one direction/variant for the given number of steps on

@@ -22,7 +22,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/report"
 	"repro/internal/solver"
 )
 
@@ -52,12 +51,9 @@ func main() {
 	useLB := flag.Bool("loadbal", false, "append the skewed-load scenario study (balanced / skewed / skewed+loadbal)")
 	lbThreshold := flag.Float64("imbalance-threshold", 1.2, "rank cost imbalance triggering a rebalance in the loadbal scenario")
 	lbEvery := flag.Int("rebalance-every", 2, "steps between load-balance epochs in the loadbal scenario")
-	lbJSON := flag.String("loadbal-json", "", "write the loadbal scenario results as JSON to this file")
 	useOverlap := flag.Bool("overlap", false, "append the compute/communication overlap study (blocking vs split-phase exchange)")
-	overlapJSON := flag.String("overlap-json", "", "write the overlap study results as JSON to this file")
 	useHier := flag.Bool("hier", false, "append the hierarchical-collectives scaling study (flat vs two-level collectives on modeled fat-tree and dragonfly fabrics)")
 	hierMaxRanks := flag.Int("hier-maxranks", 4096, "largest modeled rank count of the -hier study (sweeps 256, 1024, ... up to this)")
-	hierJSON := flag.String("hier-json", "", "write the -hier study results as JSON to this file")
 	smoke := flag.Bool("smoke", false, "run the canonical 4-rank smoke scenario and write its diagnostics JSON (see -smoke-json); with -transport=tcp this process hosts one rank")
 	smokeJSON := flag.String("smoke-json", "smoke.json", "diagnostics output path for -smoke (written by rank 0's process)")
 	transportName := flag.String("transport", "inproc", "smoke communicator backend: inproc or tcp")
@@ -150,21 +146,19 @@ func main() {
 	}
 
 	if *useLB {
-		loadbalStudy(*n, model, loadbal.Config{Threshold: *lbThreshold, Every: *lbEvery}, *lbJSON)
+		loadbalStudy(*n, model, loadbal.Config{Threshold: *lbThreshold, Every: *lbEvery})
 	}
 	if *useOverlap {
-		overlapStudy(*n, model, *overlapJSON)
+		overlapStudy(*n, model)
 	}
 	if *useHier {
-		hierStudy(*hierMaxRanks, *hierJSON)
+		hierStudy(*hierMaxRanks)
 	}
 }
 
 // hierStudy runs the flat-vs-hierarchical collectives sweep (measurement
 // core in internal/bench, shared with benchdiff) and prints its table.
-// All quantities are modeled, so the JSON artifact is a valid benchdiff
-// baseline on any host.
-func hierStudy(maxRanks int, jsonPath string) {
+func hierStudy(maxRanks int) {
 	res, err := bench.RunHierStudy(bench.HierOptions{MaxRanks: maxRanks})
 	if err != nil {
 		log.Fatalf("hier study: %v", err)
@@ -183,21 +177,11 @@ func hierStudy(maxRanks int, jsonPath string) {
 			s.Topo, s.Ranks, s.Method, 1e6*s.DiagTime, 1e6*s.ResidTime,
 			1e6*s.BcastTime, 1e6*s.BarrierTime, vsFlat)
 	}
-
-	if jsonPath != "" {
-		if err := report.New(res.Results()).WriteFile(jsonPath); err != nil {
-			log.Fatalf("-hier-json: %v", err)
-		}
-		fmt.Printf("\nwrote %s (schema v%d)\n", jsonPath, report.SchemaVersion)
-	}
 }
 
-// overlapStudy runs the split-phase-vs-blocking study (the measurement
-// core lives in internal/bench so benchdiff re-runs the identical
-// configuration) and prints its table. The JSON artifact is a
-// schema-versioned report.Trajectory carrying critical-path summaries,
-// usable directly as a benchdiff baseline.
-func overlapStudy(nGLL int, model netmodel.Model, jsonPath string) {
+// overlapStudy runs the split-phase-vs-blocking study (measurement core
+// in internal/bench, shared with benchdiff) and prints its table.
+func overlapStudy(nGLL int, model netmodel.Model) {
 	res, err := bench.OverlapStudy(bench.OverlapOptions{
 		N: nGLL, Workers: workers, Trace: true, Net: model, NetSet: true,
 	})
@@ -214,20 +198,11 @@ func overlapStudy(nGLL int, model netmodel.Model, jsonPath string) {
 			s.Scenario, s.Ranks, s.Makespan, 100*s.MPIFrac, s.HiddenSeconds,
 			s.InteriorElems, s.BoundaryElems, 100*s.ReductionVsBlocking)
 	}
-
-	if jsonPath != "" {
-		if err := report.New(res.Results()).WriteFile(jsonPath); err != nil {
-			log.Fatalf("-overlap-json: %v", err)
-		}
-		fmt.Printf("\nwrote %s (schema v%d)\n", jsonPath, report.SchemaVersion)
-	}
 }
 
 // loadbalStudy runs the skewed-load study (measurement core in
-// internal/bench, shared with benchdiff) and prints its table. The JSON
-// artifact is a schema-versioned report.Trajectory with critical-path
-// summaries attached.
-func loadbalStudy(nGLL int, model netmodel.Model, lbCfg loadbal.Config, jsonPath string) {
+// internal/bench, shared with benchdiff) and prints its table.
+func loadbalStudy(nGLL int, model netmodel.Model, lbCfg loadbal.Config) {
 	res, err := bench.LoadbalStudy(bench.LoadbalOptions{
 		N: nGLL, Workers: workers, Threshold: lbCfg.Threshold, Every: lbCfg.Every,
 		Trace: true, Net: model, NetSet: true,
@@ -244,13 +219,6 @@ func loadbalStudy(nGLL int, model netmodel.Model, lbCfg loadbal.Config, jsonPath
 		fmt.Printf("%-15s %7d %15.6f %8.2f%% %12d %11d %10.1f%%\n",
 			s.Scenario, s.Ranks, s.Makespan, 100*s.MPIFrac, s.Rebalances, s.MigratedElems,
 			100*s.ReductionVsSkewed)
-	}
-
-	if jsonPath != "" {
-		if err := report.New(res.Results()).WriteFile(jsonPath); err != nil {
-			log.Fatalf("-loadbal-json: %v", err)
-		}
-		fmt.Printf("\nwrote %s (schema v%d)\n", jsonPath, report.SchemaVersion)
 	}
 }
 

@@ -3,12 +3,12 @@
 // submits a fixed script of jobs across tenants and priorities, and
 // reports sustained throughput, time-to-first-step percentiles,
 // preemption latency, and the warm/cold setup split of the artifact
-// cache. With -json it writes the schema-versioned bench results that
-// benchdiff gates against.
+// cache. Every latency is wall clock, so it prints a report and gates
+// nothing; ServeLoad's test holds the liveness (every job finishes).
 //
 // Example:
 //
-//	serveload -slots 2 -jobs 24 -json BENCH_serve_baseline.json
+//	serveload -slots 2 -jobs 24 -rate 50
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cli"
-	"repro/internal/report"
 )
 
 func main() {
@@ -34,7 +33,6 @@ func main() {
 	local := flag.Int("local", 1, "elements per rank per direction")
 	steps := flag.Int("steps", 5, "timesteps per job")
 	rate := flag.Float64("rate", 0, "open-loop submission rate in jobs/sec (0 = burst)")
-	jsonOut := flag.String("json", "", "write the bench results as schema-versioned JSON to this file")
 	cli.Parse()
 
 	opts := bench.ServeLoadOptions{
@@ -54,12 +52,5 @@ func main() {
 	if res.Preemptions > 0 {
 		fmt.Printf("preemptions: %d (latency p50 %.4fs  p99 %.4fs), %d resumes\n",
 			res.Preemptions, res.PreemptP50, res.PreemptP99, res.Resumes)
-	}
-
-	if *jsonOut != "" {
-		if err := report.New(res.Results(opts)).WriteFile(*jsonOut); err != nil {
-			log.Fatalf("-json: %v", err)
-		}
-		fmt.Printf("wrote %s (schema v%d)\n", *jsonOut, report.SchemaVersion)
 	}
 }

@@ -128,35 +128,24 @@ func TestCompareCatchesInjectedSkew(t *testing.T) {
 	}
 }
 
-// Wall-clock metrics must not gate by default (report-only), and must
-// gate when a wall threshold is set.
-func TestCompareWallGating(t *testing.T) {
-	base := trajOf([]report.BenchResult{{
-		Suite: "kernelbench", Scenario: "dudr/optimized/workers=1",
-		Metrics: []report.Metric{{Name: "wall_seconds", Value: 1.0, Unit: "s", LessIsBetter: true}},
-	}})
-	cur := trajOf([]report.BenchResult{{
-		Suite: "kernelbench", Scenario: "dudr/optimized/workers=1",
-		Metrics: []report.Metric{{Name: "wall_seconds", Value: 1.5, Unit: "s", LessIsBetter: true}},
-	}})
-	cmp := Compare(base, cur, CompareOptions{})
+// A baseline row or metric the fresh run no longer produces (a renamed
+// scenario) must fail the gate and be named in the summary line, not
+// silently drop out of it.
+func TestCompareMissingRowFails(t *testing.T) {
+	a, b, _ := studies(t)
+	cur := trajOf(b.Results()[1:]) // drops scalebench-loadbal/balanced
+	cur.Results[0].Metrics = cur.Results[0].Metrics[1:]
+	cmp := Compare(trajOf(a.Results()), cur, CompareOptions{})
+	want := []string{"scalebench-loadbal/balanced", "scalebench-loadbal/skewed makespan_s"}
+	if strings.Join(cmp.Missing, "|") != strings.Join(want, "|") {
+		t.Fatalf("missing = %q, want %q", cmp.Missing, want)
+	}
 	if len(cmp.Regressions) != 0 {
-		t.Fatalf("wall metric gated without -wall-threshold: %+v", cmp.Regressions)
+		t.Fatalf("regressions = %+v", cmp.Regressions)
 	}
-	if cmp.Deltas[0].Note == "" {
-		t.Fatal("ungated wall delta should carry a report-only note")
-	}
-	cmp = Compare(base, cur, CompareOptions{WallThreshold: 0.1})
-	if len(cmp.Regressions) != 1 {
-		t.Fatalf("wall regression not caught under -wall-threshold: %+v", cmp.Deltas)
-	}
-	// A CI wider than the excursion suppresses the regression.
-	cmp = Compare(base, cur, CompareOptions{
-		WallThreshold: 0.1,
-		WallCI:        map[string]float64{"kernelbench/dudr/optimized/workers=1|wall_seconds": 0.6},
-	})
-	if len(cmp.Regressions) != 0 {
-		t.Fatalf("regression within the noise CI must not gate: %+v", cmp.Regressions)
+	out := cmp.Format(false)
+	if !strings.Contains(out, "2 missing from fresh run: "+strings.Join(want, ", ")+"\n") {
+		t.Fatalf("summary line does not name the missing rows:\n%s", out)
 	}
 }
 
@@ -183,9 +172,5 @@ func TestWorkerSweepSmall(t *testing.T) {
 		if r.Wall <= 0 || r.Gflops <= 0 || r.Speedup != 1 {
 			t.Fatalf("record = %+v", r)
 		}
-	}
-	res := SweepResults(recs)
-	if len(res) != 3 || res[0].Suite != "kernelbench" {
-		t.Fatalf("results = %+v", res)
 	}
 }

@@ -16,14 +16,6 @@ type CompareOptions struct {
 	// are bit-stable, so this only has to absorb intentional small
 	// drifts; default 0.02.
 	Threshold float64
-	// WallThreshold gates wall-clock metrics when > 0. The default 0
-	// reports wall deltas without gating: baselines recorded on a
-	// different host are not comparable wall-wise.
-	WallThreshold float64
-	// WallCI maps "suite/scenario|metric" to an absolute confidence
-	// half-width for the fresh measurement (from repetitions); a wall
-	// regression must exceed both the relative threshold and the CI.
-	WallCI map[string]float64
 	// TopBlame bounds the critical-path blame lines per regression
 	// (default 3).
 	TopBlame int
@@ -31,7 +23,7 @@ type CompareOptions struct {
 
 // Delta is one metric compared across two trajectories.
 type Delta struct {
-	Key           string  // suite/scenario
+	Key           string // suite/scenario
 	Metric        string
 	Unit          string
 	Base, Cur     float64
@@ -39,15 +31,17 @@ type Delta struct {
 	Deterministic bool
 	Worse         bool // moved in the metric's bad direction
 	Regression    bool // worse beyond the applicable threshold
-	Note          string
 }
 
 // Comparison is the result of diffing a fresh run against a baseline.
 type Comparison struct {
 	Deltas      []Delta
 	Regressions []Delta
-	// Missing lists baseline result keys the fresh run did not produce;
-	// New lists fresh keys absent from the baseline (not regressions).
+	// Missing lists baseline results ("suite/scenario") and metrics
+	// ("suite/scenario metric") the fresh run did not produce: a renamed
+	// row would otherwise silently stop being gated, so they fail the
+	// gate like regressions. New lists fresh keys absent from the
+	// baseline (not regressions).
 	Missing []string
 	New     []string
 	// Blame maps a regressed key to its critical-path blame lines, when
@@ -66,8 +60,10 @@ func absFloor(unit string) float64 {
 }
 
 // Compare diffs cur against base, scenario by scenario, metric by
-// metric. Metrics present on only one side are skipped (schema growth
-// is not a regression).
+// metric. Every baseline metric gates: a deterministic one beyond
+// Threshold, allocs/op beyond its absolute floor (the baseline holds no
+// other kind). Rows and metrics only cur has are schema growth, not
+// regressions.
 func Compare(base, cur *report.Trajectory, opts CompareOptions) *Comparison {
 	if opts.Threshold == 0 {
 		opts.Threshold = 0.02
@@ -87,6 +83,7 @@ func Compare(base, cur *report.Trajectory, opts CompareOptions) *Comparison {
 		for _, bm := range br.Metrics {
 			cm, ok := cr.Metric(bm.Name)
 			if !ok {
+				out.Missing = append(out.Missing, key+" "+bm.Name)
 				continue
 			}
 			d := Delta{
@@ -102,24 +99,11 @@ func Compare(base, cur *report.Trajectory, opts CompareOptions) *Comparison {
 			} else {
 				d.Worse = cm.Value < bm.Value
 			}
-			worseBy := abs(cm.Value - bm.Value)
-			switch {
-			case !d.Worse:
-				// Improvement or equal: never a regression.
-			case bm.Deterministic:
-				d.Regression = worseBy > max(opts.Threshold*abs(bm.Value), absFloor(bm.Unit))
-			case bm.Unit == "allocs/op":
-				// Absolute bar independent of host speed.
-				d.Regression = worseBy > absFloor(bm.Unit)
-			case opts.WallThreshold > 0:
-				bound := max(opts.WallThreshold*abs(bm.Value), absFloor(bm.Unit))
-				if ci := opts.WallCI[key+"|"+bm.Name]; ci > bound {
-					bound = ci
-				}
-				d.Regression = worseBy > bound
-			default:
-				d.Note = "wall-clock, report-only"
+			bar := absFloor(bm.Unit)
+			if bm.Deterministic {
+				bar = max(opts.Threshold*abs(bm.Value), bar)
 			}
+			d.Regression = d.Worse && abs(cm.Value-bm.Value) > bar
 			out.Deltas = append(out.Deltas, d)
 			if d.Regression {
 				out.Regressions = append(out.Regressions, d)
@@ -160,11 +144,7 @@ func (c *Comparison) Format(verbose bool) string {
 		} else if d.Worse {
 			mark = "~"
 		}
-		fmt.Fprintf(&b, "  %s %-22s %14.9g -> %-14.9g %+7.2f%%", mark, d.Metric, d.Base, d.Cur, 100*d.Rel)
-		if d.Note != "" {
-			fmt.Fprintf(&b, "  (%s)", d.Note)
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "  %s %-22s %14.9g -> %-14.9g %+7.2f%%\n", mark, d.Metric, d.Base, d.Cur, 100*d.Rel)
 		if d.Regression && !blamed[d.Key] {
 			blamed[d.Key] = true
 			for _, l := range c.Blame[d.Key] {
@@ -178,11 +158,12 @@ func (c *Comparison) Format(verbose bool) string {
 			stable++
 		}
 	}
-	fmt.Fprintf(&b, "%d metrics compared, %d bit-identical, %d regressions\n",
-		len(c.Deltas), stable, len(c.Regressions))
-	for _, k := range c.Missing {
-		fmt.Fprintf(&b, "missing from fresh run: %s\n", k)
+	fmt.Fprintf(&b, "%d metrics compared, %d bit-identical, %d regressions, %d missing from fresh run",
+		len(c.Deltas), stable, len(c.Regressions), len(c.Missing))
+	if len(c.Missing) > 0 {
+		fmt.Fprintf(&b, ": %s", strings.Join(c.Missing, ", "))
 	}
+	b.WriteString("\n")
 	if verbose {
 		sort.Strings(c.New)
 		for _, k := range c.New {

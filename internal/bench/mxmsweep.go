@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
-	"repro/internal/report"
 	"repro/internal/sem"
 )
 
@@ -13,8 +11,8 @@ import (
 // sizes the spectral-element kernels produce (k = N is the 1D operator
 // size), in the derivative kernel's dominant shape m = N^2, n = N,
 // batched over elements the way the solver calls it. This is the
-// measurement behind `kernelbench -mxm` and the "kernelbench-mxm"
-// baseline suite cmd/benchdiff re-runs.
+// measurement behind `kernelbench -mxm`; it is wall clock, so it prints
+// a table and gates nothing.
 
 // MxMSweepOptions parameterize the sweep.
 type MxMSweepOptions struct {
@@ -37,10 +35,10 @@ type MxMSweepOptions struct {
 
 // MxMRecord is one (k, variant) measurement.
 type MxMRecord struct {
-	K, M, N   int
-	Nel       int
-	Steps     int
-	Variant   string
+	K, M, N int
+	Nel     int
+	Steps   int
+	Variant string
 	// Effective is the kernel that actually ran (sem.MxMEffective):
 	// variants outside their specialization range report their
 	// fallback here instead of silently crediting the named variant.
@@ -123,27 +121,4 @@ func MxMSweep(opts MxMSweepOptions) []MxMRecord {
 		records = append(records, kRecs...)
 	}
 	return records
-}
-
-// MxMResults converts sweep records into the unified schema under suite
-// "kernelbench-mxm". Both metrics are wall-clock derived, so they are
-// report-only under benchdiff's default gating.
-func MxMResults(records []MxMRecord) []report.BenchResult {
-	var out []report.BenchResult
-	for _, r := range records {
-		out = append(out, report.BenchResult{
-			Suite:    "kernelbench-mxm",
-			Scenario: fmt.Sprintf("k=%02d/%s", r.K, r.Variant),
-			Params: map[string]string{
-				"m": fmt.Sprint(r.M), "n": fmt.Sprint(r.N),
-				"nel": fmt.Sprint(r.Nel), "steps": fmt.Sprint(r.Steps),
-				"effective": r.Effective,
-			},
-			Metrics: []report.Metric{
-				{Name: "gflops_per_sec", Value: r.Gflops, Unit: "gflop/s"},
-				{Name: "speedup_vs_fused_unroll", Value: r.SpeedupVsFU, Unit: "x"},
-			},
-		})
-	}
-	return out
 }

@@ -40,28 +40,3 @@ func TestMxMSweepEffectiveLabels(t *testing.T) {
 		}
 	}
 }
-
-func TestMxMResultsSchema(t *testing.T) {
-	recs := MxMSweep(MxMSweepOptions{Ks: []int{12}, Nel: 2, FlopBudget: 1})
-	results := MxMResults(recs)
-	if len(results) != len(recs) {
-		t.Fatalf("got %d results for %d records", len(results), len(recs))
-	}
-	for i, r := range results {
-		if r.Suite != "kernelbench-mxm" {
-			t.Errorf("suite %q", r.Suite)
-		}
-		if !strings.HasPrefix(r.Scenario, "k=12/") {
-			t.Errorf("scenario %q", r.Scenario)
-		}
-		if r.Params["effective"] != recs[i].Effective {
-			t.Errorf("%s: params effective %q != record %q", r.Scenario, r.Params["effective"], recs[i].Effective)
-		}
-		if _, ok := r.Metric("gflops_per_sec"); !ok {
-			t.Errorf("%s: missing gflops_per_sec", r.Scenario)
-		}
-		if _, ok := r.Metric("speedup_vs_fused_unroll"); !ok {
-			t.Errorf("%s: missing speedup metric", r.Scenario)
-		}
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/serve"
 )
 
@@ -235,36 +234,4 @@ func percentile(vals []float64, q float64) float64 {
 	sort.Float64s(s)
 	i := int(q * float64(len(s)-1))
 	return s[i]
-}
-
-// Results converts the load run into schema-versioned bench results.
-// The job/completion counts are deterministic (the load script is
-// fixed); every latency is wall clock and therefore report-only in
-// regression gating.
-func (r *ServeLoadResult) Results(opts ServeLoadOptions) []report.BenchResult {
-	opts.Defaults()
-	params := map[string]string{
-		"slots":   fmt.Sprint(opts.Slots),
-		"jobs":    fmt.Sprint(opts.Jobs),
-		"tenants": fmt.Sprint(opts.Tenants),
-		"ranks":   fmt.Sprint(opts.Ranks),
-		"n":       fmt.Sprint(opts.N),
-		"steps":   fmt.Sprint(opts.Steps),
-	}
-	return []report.BenchResult{{
-		Suite:    "serveload",
-		Scenario: fmt.Sprintf("slots=%d/jobs=%d", opts.Slots, opts.Jobs),
-		Params:   params,
-		Metrics: []report.Metric{
-			{Name: "jobs_completed", Value: float64(r.Completed), Deterministic: true},
-			{Name: "jobs_per_sec", Value: r.JobsPerSec, Unit: "1/s"},
-			{Name: "ttfs_p50", Value: r.TTFSP50, Unit: "s", LessIsBetter: true},
-			{Name: "ttfs_p99", Value: r.TTFSP99, Unit: "s", LessIsBetter: true},
-			{Name: "cold_setup", Value: r.ColdSetupS, Unit: "s", LessIsBetter: true},
-			{Name: "warm_setup", Value: r.WarmSetupS, Unit: "s", LessIsBetter: true},
-			{Name: "preempt_latency_p50", Value: r.PreemptP50, Unit: "s", LessIsBetter: true},
-			{Name: "preempt_latency_p99", Value: r.PreemptP99, Unit: "s", LessIsBetter: true},
-			{Name: "preemptions", Value: float64(r.Preemptions)},
-		},
-	}}
 }

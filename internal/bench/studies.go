@@ -1,9 +1,9 @@
 // Package bench holds the measurement cores of the repo's benchmark
-// commands — the loadbal and overlap scenario studies of scalebench,
-// the derivative-kernel worker sweep of kernelbench, and the
-// steady-state allocation guard — so cmd/benchdiff can re-run exactly
-// the committed-baseline measurements in-process and compare, and the
-// bench commands stay thin front-ends.
+// commands — the loadbal, overlap and hierarchical-collectives studies
+// of scalebench, the kernel sweeps of kernelbench, the job-server load
+// run of serveload, and the steady-state allocation guard — so the
+// commands stay thin front-ends and cmd/benchdiff re-runs the modeled
+// studies and the guard in-process against BENCH_trajectory.json.
 //
 // Every modeled quantity (virtual-clock makespans, modeled MPI
 // fractions) is deterministic: compute is charged analytically, so two
@@ -26,14 +26,14 @@ import (
 
 // LoadbalOptions parameterize the skewed-load scenario study.
 type LoadbalOptions struct {
-	N          int     // GLL points per direction (0 = 5, the baseline's)
-	Workers    int     // pool width per rank (0 = DefaultWorkers)
-	HotFactor  float64 // hot-rank cost multiplier (0 = 4, the baseline's)
-	Threshold  float64 // imbalance triggering a rebalance (0 = 1.2)
-	Every      int     // steps between epochs (0 = 2)
-	Trace      bool    // record spans/flows and attach critpath summaries
-	Net        netmodel.Model
-	NetSet     bool // Net is meaningful (zero Model is unusable)
+	N         int     // GLL points per direction (0 = 5, the baseline's)
+	Workers   int     // pool width per rank (0 = DefaultWorkers)
+	HotFactor float64 // hot-rank cost multiplier (0 = 4, the baseline's)
+	Threshold float64 // imbalance triggering a rebalance (0 = 1.2)
+	Every     int     // steps between epochs (0 = 2)
+	Trace     bool    // record spans/flows and attach critpath summaries
+	Net       netmodel.Model
+	NetSet    bool // Net is meaningful (zero Model is unusable)
 }
 
 // LBScenario is one measured scenario of the loadbal study.
@@ -62,8 +62,7 @@ type LoadbalResult struct {
 
 // LoadbalStudy measures the dynamic load balancer against a one-hot-rank
 // cost skew: balanced (floor), skewed static (ceiling), and skewed with
-// the balancer on. Identical in configuration to the committed
-// BENCH_loadbal_baseline.json when opts is zero.
+// the balancer on. Zero opts is the configuration benchdiff gates.
 func LoadbalStudy(opts LoadbalOptions) (*LoadbalResult, error) {
 	const np, localElems, hotRank, steps = 8, 2, 3, 12
 	n := opts.N
@@ -197,7 +196,7 @@ func (r *LoadbalResult) Results() []report.BenchResult {
 			Metrics: []report.Metric{
 				{Name: "makespan_s", Value: s.Makespan, Unit: "s", Deterministic: true, LessIsBetter: true},
 				{Name: "mpi_frac", Value: s.MPIFrac, Unit: "frac", Deterministic: true, LessIsBetter: true},
-				{Name: "reduction_vs_skewed", Value: s.ReductionVsSkewed, Unit: "frac"},
+				{Name: "reduction_vs_skewed", Value: s.ReductionVsSkewed, Unit: "frac", Deterministic: true},
 			},
 			Critpath: s.Critpath,
 		})
@@ -235,8 +234,8 @@ type OverlapResult struct {
 }
 
 // OverlapStudy measures the split-phase exchange against the blocking
-// baseline on a communication-bound configuration. Identical to the
-// committed BENCH_overlap_baseline.json when opts is zero.
+// baseline on a communication-bound configuration. Zero opts is the
+// configuration benchdiff gates.
 func OverlapStudy(opts OverlapOptions) (*OverlapResult, error) {
 	const np, localElems, steps = 8, 3, 8
 	n := opts.N
@@ -336,7 +335,7 @@ func (r *OverlapResult) Results() []report.BenchResult {
 			Metrics: []report.Metric{
 				{Name: "makespan_s", Value: s.Makespan, Unit: "s", Deterministic: true, LessIsBetter: true},
 				{Name: "mpi_frac", Value: s.MPIFrac, Unit: "frac", Deterministic: true, LessIsBetter: true},
-				{Name: "reduction_vs_blocking", Value: s.ReductionVsBlocking, Unit: "frac"},
+				{Name: "reduction_vs_blocking", Value: s.ReductionVsBlocking, Unit: "frac", Deterministic: true},
 			},
 			Critpath: s.Critpath,
 		})

@@ -1,24 +1,22 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"time"
 
 	"repro/internal/pool"
-	"repro/internal/report"
 	"repro/internal/sem"
 )
 
 // SweepOptions parameterize the derivative-kernel worker sweep.
 type SweepOptions struct {
-	N       int                // GLL points per direction (0 = 9)
-	Nel     int                // elements (0 = 64)
-	Steps   int                // repetitions (0 = 200)
-	Variant sem.KernelVariant  // kernel variant (default Optimized)
-	Workers []int              // widths to sweep (nil = 1,2,4..NumCPU)
-	Each    func(SweepRecord)  // optional per-record progress callback
+	N       int               // GLL points per direction (0 = 9)
+	Nel     int               // elements (0 = 64)
+	Steps   int               // repetitions (0 = 200)
+	Variant sem.KernelVariant // kernel variant (default Optimized)
+	Workers []int             // widths to sweep (nil = 1,2,4..NumCPU)
+	Each    func(SweepRecord) // optional per-record progress callback
 }
 
 // SweepRecord is one (direction, workers) measurement.
@@ -107,24 +105,4 @@ func WorkerSweep(opts SweepOptions) []SweepRecord {
 		pl.Close()
 	}
 	return records
-}
-
-// SweepResults converts sweep records into the unified schema.
-func SweepResults(records []SweepRecord) []report.BenchResult {
-	var out []report.BenchResult
-	for _, r := range records {
-		out = append(out, report.BenchResult{
-			Suite:    "kernelbench",
-			Scenario: fmt.Sprintf("%s/%s/workers=%d", r.Dir, r.Variant, r.Workers),
-			Params: map[string]string{
-				"n": fmt.Sprint(r.N), "nel": fmt.Sprint(r.Nel), "steps": fmt.Sprint(r.Steps),
-			},
-			Metrics: []report.Metric{
-				{Name: "wall_seconds", Value: r.Wall, Unit: "s", LessIsBetter: true},
-				{Name: "gflops_per_sec", Value: r.Gflops, Unit: "gflop/s"},
-				{Name: "speedup_vs_serial", Value: r.Speedup, Unit: "x"},
-			},
-		})
-	}
-	return out
 }

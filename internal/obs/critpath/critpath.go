@@ -340,7 +340,8 @@ func Analyze(spans []obs.Span, flows []obs.Flow, d Domain) (*Analysis, error) {
 	for r, ss := range byRank {
 		tl := buildTimeline(ss, d)
 		tls[r] = &tl
-		if tl.final > a.Makespan {
+		// A tie goes to the lowest rank, not to map iteration order.
+		if tl.final > a.Makespan || (tl.final == a.Makespan && r < a.CritRank) {
 			a.Makespan, a.CritRank = tl.final, r
 		}
 	}
@@ -348,7 +349,10 @@ func Analyze(spans []obs.Span, flows []obs.Flow, d Domain) (*Analysis, error) {
 		a.Slack[r] = a.Makespan - tl.final
 	}
 
-	// Inbound flows per rank, ascending by arrival in this domain.
+	// Inbound flows per rank, ascending by arrival in this domain. Equal
+	// arrivals are ordered by the rest of the flow rather than by the
+	// order the rank goroutines happened to record them in, so the walk
+	// (and the summary a baseline stores) is reproducible.
 	inbound := make(map[int][]*obs.Flow)
 	for i := range flows {
 		f := &flows[i]
@@ -356,9 +360,20 @@ func Analyze(spans []obs.Span, flows []obs.Flow, d Domain) (*Analysis, error) {
 	}
 	for _, fs := range inbound {
 		sort.Slice(fs, func(i, j int) bool {
-			_, ai := flowTimes(fs[i], d)
-			_, aj := flowTimes(fs[j], d)
-			return ai < aj
+			fi, fj := fs[i], fs[j]
+			si, ai := flowTimes(fi, d)
+			sj, aj := flowTimes(fj, d)
+			switch {
+			case ai != aj:
+				return ai < aj
+			case si != sj:
+				return si < sj
+			case fi.Src != fj.Src:
+				return fi.Src < fj.Src
+			case fi.Site != fj.Site:
+				return fi.Site < fj.Site
+			}
+			return fi.Bytes < fj.Bytes
 		})
 	}
 	// latestFlow returns the inbound flow to r with the largest arrival

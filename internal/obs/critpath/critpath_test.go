@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -206,6 +207,50 @@ func TestAnalyzeThreeRankChain(t *testing.T) {
 	// Heaviest edge first: the 1->2 wire (2.5s) over the 0->1 wire (1.8s).
 	if a.Edges[0].Src != 1 || a.Edges[0].Dst != 2 {
 		t.Fatalf("top edge = %+v, want 1->2", a.Edges[0])
+	}
+}
+
+// Ties are broken by content, not by the order the rank goroutines
+// recorded spans and flows in (or map order): ranks 2 and 3 finish
+// together, and two messages reach rank 2 at the same instant. A
+// re-recorded baseline must carry the same summary.
+func TestAnalyzeTiesIndependentOfRecordOrder(t *testing.T) {
+	spans := []obs.Span{
+		span(0, "compute_flux", obs.CatKernel, 0, 4),
+		span(0, "gs_op", obs.CatGS, 4, 4.5),
+		span(1, "compute_flux", obs.CatKernel, 0, 3),
+		span(1, "gs_op", obs.CatGS, 3, 4.5),
+		span(2, "gs_op", obs.CatGS, 0, 8),
+		span(3, "gs_op", obs.CatGS, 0, 8),
+	}
+	flows := []obs.Flow{
+		{Src: 0, Dst: 2, Bytes: 64, SendVT: 4, ArriveVT: 7, Site: "gs_op"},
+		{Src: 1, Dst: 2, Bytes: 64, SendVT: 3, ArriveVT: 7, Site: "gs_op"},
+	}
+	a, err := Analyze(spans, flows, Virtual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Summary()
+	if want.CritRank != 2 || len(want.Edges) != 1 || want.Edges[0].Src != 0 {
+		t.Fatalf("summary = %+v, want crit rank 2 and the edge from rank 0", want)
+	}
+	for i := 0; i < 20; i++ {
+		rs := append([]obs.Span(nil), spans...)
+		rf := append([]obs.Flow(nil), flows...)
+		if i%2 == 1 {
+			for l, r := 0, len(rs)-1; l < r; l, r = l+1, r-1 {
+				rs[l], rs[r] = rs[r], rs[l]
+			}
+			rf[0], rf[1] = rf[1], rf[0]
+		}
+		b, err := Analyze(rs, rf, Virtual)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Summary(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: summary %+v, want %+v", i, got, want)
+		}
 	}
 }
 

@@ -139,7 +139,13 @@ func (a *Analysis) Summary() Summary {
 		if s.Edges[i].Src != s.Edges[j].Src {
 			return s.Edges[i].Src < s.Edges[j].Src
 		}
-		return s.Edges[i].Dst < s.Edges[j].Dst
+		if s.Edges[i].Dst != s.Edges[j].Dst {
+			return s.Edges[i].Dst < s.Edges[j].Dst
+		}
+		if s.Edges[i].Phase != s.Edges[j].Phase {
+			return s.Edges[i].Phase < s.Edges[j].Phase
+		}
+		return s.Edges[i].Site < s.Edges[j].Site
 	})
 	for r, sl := range a.Slack {
 		s.Slack = append(s.Slack, RankSlack{Rank: r, Slack: sl})

@@ -13,7 +13,7 @@ import (
 )
 
 // SchemaVersion is the current version of the unified bench-result
-// schema, which every committed BENCH_*.json carries.
+// schema, which the committed BENCH_trajectory.json carries.
 const SchemaVersion = 1
 
 // Metric is one named scalar measurement with its comparison semantics.
@@ -23,8 +23,8 @@ type Metric struct {
 	Unit  string  `json:"unit,omitempty"` // "s", "gflop/s", "frac", "bytes", "allocs/op", "x"
 	// Deterministic marks modeled values that are bit-reproducible on
 	// any host (virtual-clock makespans, modeled fractions, counts).
-	// benchdiff gates these tightly; non-deterministic (wall-clock)
-	// metrics get repetition-based noise bounds instead.
+	// benchdiff gates these at its relative threshold; the only other
+	// kind a baseline holds is allocs/op, gated at an absolute floor.
 	Deterministic bool `json:"deterministic,omitempty"`
 	// LessIsBetter orients regression detection: true for times and
 	// fractions, false for throughput and speedups.
@@ -35,11 +35,11 @@ type Metric struct {
 // configuration space with its measured metrics and, when the run was
 // traced, its critical-path digest.
 type BenchResult struct {
-	// Suite names the producing benchmark family: "kernelbench",
-	// "scalebench-loadbal", "scalebench-overlap", "allocs".
+	// Suite names the producing benchmark family: "scalebench-loadbal",
+	// "scalebench-overlap", "scalebench-hier", "allocs".
 	Suite string `json:"suite"`
 	// Scenario identifies the point within the suite, e.g.
-	// "skewed+loadbal" or "dudr/workers=1".
+	// "skewed+loadbal" or "fat-tree/p256/hier".
 	Scenario string `json:"scenario"`
 	// Params records the configuration knobs that produced the result.
 	Params map[string]string `json:"params,omitempty"`
@@ -63,8 +63,7 @@ func (r *BenchResult) Metric(name string) (Metric, bool) {
 // Key identifies a result across runs for diffing.
 func (r *BenchResult) Key() string { return r.Suite + "/" + r.Scenario }
 
-// Host describes the machine a trajectory was recorded on; wall-clock
-// comparisons across differing hosts are noise, and benchdiff says so.
+// Host describes the machine a trajectory was recorded on.
 type Host struct {
 	NumCPU int    `json:"num_cpu"`
 	GOOS   string `json:"goos,omitempty"`

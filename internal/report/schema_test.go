@@ -55,25 +55,32 @@ func TestDecodeGarbageRejected(t *testing.T) {
 	}
 }
 
-// Every committed BENCH_*.json at the repo root is a current-schema
-// trajectory: benchdiff reads them all through one decoder.
+// BENCH_trajectory.json is the one committed baseline, a current-schema
+// trajectory holding only rows the gate compares: every metric is
+// deterministic or allocs/op (gated at its absolute floor), so
+// report-only wall-clock rows cannot be committed again.
 func TestCommittedBaselinesAreSchemaV1(t *testing.T) {
 	_, thisFile, _, _ := runtime.Caller(0)
-	files, err := filepath.Glob(filepath.Join(filepath.Dir(thisFile), "..", "..", "BENCH_*.json"))
+	root := filepath.Join(filepath.Dir(thisFile), "..", "..")
+	files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 6 {
-		t.Fatalf("found %d BENCH_*.json at the repo root, want the 6 committed ones: %v", len(files), files)
+	if len(files) != 1 || filepath.Base(files[0]) != "BENCH_trajectory.json" {
+		t.Fatalf("found %v at the repo root, want exactly BENCH_trajectory.json", files)
 	}
-	for _, f := range files {
-		tr, err := ReadTrajectory(f)
-		if err != nil {
-			t.Errorf("%v", err)
-			continue
-		}
-		if tr.SchemaVersion != 1 || len(tr.Results) == 0 {
-			t.Errorf("%s: schema_version %d with %d results, want version 1 and results", f, tr.SchemaVersion, len(tr.Results))
+	tr, err := ReadTrajectory(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.SchemaVersion != 1 || len(tr.Results) == 0 {
+		t.Fatalf("schema_version %d with %d results, want version 1 and results", tr.SchemaVersion, len(tr.Results))
+	}
+	for _, r := range tr.Results {
+		for _, m := range r.Metrics {
+			if !m.Deterministic && m.Unit != "allocs/op" {
+				t.Errorf("%s %s: neither deterministic nor allocs/op, so the gate would not compare it", r.Key(), m.Name)
+			}
 		}
 	}
 }

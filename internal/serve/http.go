@@ -65,7 +65,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", fmt.Sprintf("/jobs/%d", j.ID))
-	writeJSON(w, http.StatusCreated, j.status())
+	writeJSON(w, http.StatusCreated, s.jobStatus(j))
 }
 
 // jobFrom resolves the {id} path value; a nil return means the response
@@ -89,7 +89,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeJSON(w, http.StatusOK, s.jobStatus(j))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -102,7 +102,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Cancel(j.ID)
-	writeJSON(w, http.StatusOK, j.status())
+	writeJSON(w, http.StatusOK, s.jobStatus(j))
 }
 
 // handleSteps streams the job's step events as JSON Lines, flushing
@@ -132,10 +132,7 @@ func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
 		count, state := j.waitChange(sent)
 		if count <= sent && terminal(state) {
 			// Drained and terminal: emit the final status line.
-			s.mu.Lock()
-			st := j.status()
-			s.mu.Unlock()
-			_ = enc.Encode(map[string]any{"final": st})
+			_ = enc.Encode(map[string]any{"final": s.jobStatus(j)})
 			if flusher != nil {
 				flusher.Flush()
 			}

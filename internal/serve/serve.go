@@ -64,8 +64,8 @@ type Server struct {
 	nextID    int64
 	nextSeq   int64
 	jobs      map[int64]*Job
-	queue     []*Job          // StateQueued / StateSuspended, awaiting dispatch
-	running   map[int64]*Job  // jobs holding a slot (Running or Suspending)
+	queue     []*Job         // StateQueued / StateSuspended, awaiting dispatch
+	running   map[int64]*Job // jobs holding a slot (Running or Suspending)
 	freeSlots []int
 	usage     map[string]float64 // tenant -> consumed rank-seconds (fair share)
 	wg        sync.WaitGroup
@@ -164,6 +164,14 @@ func (s *Server) cancelLocked(j *Job) {
 	case StateRunning, StateSuspending:
 		j.ctl.Store(ctlCancel)
 	}
+}
+
+// jobStatus snapshots one job under the server mutex, which guards the
+// scheduling fields (slots, resumes, ...) that status reads.
+func (s *Server) jobStatus(j *Job) Status {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.status()
 }
 
 // Statuses snapshots every job, newest first.
@@ -363,10 +371,7 @@ func (s *Server) WaitJob(id int64) (Status, error) {
 		var st JobState
 		n, st = j.waitChange(n)
 		if terminal(st) {
-			s.mu.Lock()
-			out := j.status()
-			s.mu.Unlock()
-			return out, nil
+			return s.jobStatus(j), nil
 		}
 	}
 }

@@ -231,15 +231,15 @@ func TestPreemptionOrder(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.Job(lo.ID).status().Preemptions >= 1 {
+		if srv.jobStatus(lo).Preemptions >= 1 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.Job(lo.ID).status().Preemptions; got < 1 {
+	if got := srv.jobStatus(lo).Preemptions; got < 1 {
 		t.Fatalf("lowest-priority job has %d preemptions, want >= 1", got)
 	}
-	if got := srv.Job(mid.ID).status().Preemptions; got != 0 {
+	if got := srv.jobStatus(mid).Preemptions; got != 0 {
 		t.Fatalf("mid-priority job was preempted (%d) while a weaker victim ran", got)
 	}
 	srv.Cancel(lo.ID)
