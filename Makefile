@@ -16,11 +16,15 @@ test:
 # The concurrency-heavy packages (the rank goroutine substrate, the
 # telemetry layer every rank records into, the intra-rank worker pool,
 # and the gather-scatter + solver paths that drive the pool under
-# rank-level concurrency) additionally run under the race detector.
+# rank-level concurrency) additionally run under the race detector. The
+# TCP send path shares each socket between the sending rank's inline
+# write and the writer goroutine's backlog drain; repetition is what
+# catches a bad hand-over between them.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/pool/... ./internal/gs/... ./internal/sem/...
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap' ./internal/solver/...
 	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
+	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/netmodel"
@@ -128,6 +129,20 @@ var Contracts = []Contract{
 			}
 			return nil
 		},
+	},
+	{
+		// Sends are eager whatever the wire's buffers hold: both ranks
+		// send one 16 MB message and then 200 small ones on two tags
+		// before either posts a receive. The big message overflows any
+		// socket buffer, so over TCP most of it takes the backlog path
+		// and the small ones queue behind it. Every send returns, every
+		// payload arrives bit-exact, per-(src, tag) order holds, and the
+		// whole exchange finishes within a deadline.
+		Name:          "eager-send-backlog",
+		Ranks:         2,
+		Deterministic: true,
+		Opts:          gigeOpts,
+		Rank:          eagerSendBacklog,
 	},
 	{
 		// Collectives agree with serial references computed locally from
@@ -369,6 +384,62 @@ func intPayload(rng *rand.Rand, n int) []float64 {
 		out[i] = float64(rng.Intn(16) - 8)
 	}
 	return out
+}
+
+// backlogWord is element i of rank's payload in eager-send-backlog: a
+// splitmix64 bit pattern with exponent bit 62 cleared, so every value is
+// finite and bit-exact comparison covers all other bits.
+func backlogWord(seed int64, rank, i int) float64 {
+	x := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(rank)<<40 ^ uint64(i)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return math.Float64frombits(x &^ (1 << 62))
+}
+
+func eagerSendBacklog(r *comm.Rank, seed int64) error {
+	const (
+		bigLen   = 2 << 20 // float64s: 16 MB
+		small    = 200
+		deadline = 60 * time.Second
+	)
+	start := time.Now()
+	id, peer := r.ID(), 1-r.ID()
+	big := make([]float64, bigLen)
+	for i := range big {
+		big[i] = backlogWord(seed, id, i)
+	}
+	r.Send(peer, 1, big)
+	for i := 0; i < small; i++ {
+		r.IsendMsg(peer, 2+i%2, []float64{backlogWord(seed, id, -1-i)}, []int64{int64(i)})
+	}
+
+	got := r.Recv(peer, 1)
+	if len(got) != bigLen {
+		return fmt.Errorf("16 MB message arrived with %d elements, want %d", len(got), bigLen)
+	}
+	for i, v := range got {
+		if want := backlogWord(seed, peer, i); math.Float64bits(v) != math.Float64bits(want) {
+			return fmt.Errorf("16 MB message element %d = %x, want %x", i, math.Float64bits(v), math.Float64bits(want))
+		}
+	}
+	for tag := 2; tag <= 3; tag++ {
+		for i := tag - 2; i < small; i += 2 {
+			data, ints, _ := r.RecvMsg(peer, tag)
+			if len(ints) != 1 || ints[0] != int64(i) {
+				return fmt.Errorf("tag %d: got message %v, want %d (FIFO order)", tag, ints, i)
+			}
+			if want := backlogWord(seed, peer, -1-i); len(data) != 1 || math.Float64bits(data[0]) != math.Float64bits(want) {
+				return fmt.Errorf("tag %d message %d payload %v, want %v", tag, i, data, want)
+			}
+		}
+	}
+	if el := time.Since(start); el > deadline {
+		return fmt.Errorf("exchange took %v, deadline %v", el, deadline)
+	}
+	return nil
 }
 
 func collectivesVsSerial(r *comm.Rank, seed int64) error {

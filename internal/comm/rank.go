@@ -22,6 +22,11 @@ type Rank struct {
 	// collRegion.done resets it to 0 (point-to-point traffic = lone
 	// flow). Owned by the rank goroutine like every other Rank field.
 	flows int
+
+	// out is the frame deliverRemote lends to Transport.Send, reused so
+	// a remote send does not allocate; the transport only borrows it for
+	// the call.
+	out Frame
 }
 
 // ID returns this rank's index in [0, Size).
@@ -220,12 +225,13 @@ func (r *Rank) deliverRemote(dst, tag int, data []float64, ints []int64) int64 {
 				badData := append([]float64(nil), data...)
 				badInts := append([]int64(nil), ints...)
 				flipPayloadBit(badData, badInts, act.FlipBit)
-				_ = t.Send(dstWorld, &Frame{
+				r.out = Frame{
 					Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag,
 					Data: badData, Ints: badInts,
 					SendVT: sendVT, Arrival: arrival,
 					CRC: crc, Framed: framed,
-				})
+				}
+				_ = t.Send(dstWorld, &r.out)
 				arrival += rto
 				c.retransmits.Add(1)
 			}
@@ -234,12 +240,14 @@ func (r *Rank) deliverRemote(dst, tag int, data []float64, ints []int64) int64 {
 	// A send error means the peer is gone; like an eager send into a dead
 	// rank's mailbox it is dropped silently — the death surfaces on the
 	// receive side as DeadRankError.
-	_ = t.Send(dstWorld, &Frame{
+	r.out = Frame{
 		Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag,
 		Data: data, Ints: ints,
 		SendVT: sendVT, Arrival: arrival,
 		CRC: crc, Framed: framed,
-	})
+	}
+	_ = t.Send(dstWorld, &r.out)
+	r.out = Frame{} // do not keep the caller's payload reachable
 	c.trace(c.worldIDOf(r.id), dstWorld, tag, nbytes, hops, sendVT, arrival, r.prof.site)
 	return nbytes
 }

@@ -40,7 +40,8 @@ func TestParseRendezvous(t *testing.T) {
 
 func TestJobHelloRoundTrip(t *testing.T) {
 	wire := appendJobHello(nil, "job-7", 3, 8, "10.1.2.3:4567")
-	typ, body, err := readWire(bytes.NewReader(wire))
+	var buf []byte
+	typ, body, err := readWire(bytes.NewReader(wire), &buf)
 	if err != nil || typ != typJobHello {
 		t.Fatalf("typ %d err %v", typ, err)
 	}

@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 )
@@ -88,11 +89,14 @@ func appendWire(dst []byte, typ byte, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// readWire reads and validates one wire message. The body buffer is
-// freshly allocated and owned by the caller. io.EOF is returned only at
-// a clean message boundary; a partial read is ErrTruncated.
-func readWire(r io.Reader) (typ byte, body []byte, err error) {
-	var h [headerLen]byte
+// readWire reads and validates one wire message into *buf, reusing its
+// capacity for the header and then the body: the returned body aliases
+// *buf and is valid until the next call with the same buffer. io.EOF is
+// returned only at a clean message boundary; a partial read is
+// ErrTruncated.
+func readWire(r io.Reader, buf *[]byte) (typ byte, body []byte, err error) {
+	*buf = slices.Grow((*buf)[:0], headerLen)
+	h := (*buf)[:headerLen]
 	if _, err := io.ReadFull(r, h[:1]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
@@ -113,53 +117,55 @@ func readWire(r io.Reader) (typ byte, body []byte, err error) {
 	if n > MaxBodyBytes {
 		return 0, nil, ErrBadLength
 	}
-	body, err = readBody(r, n)
+	sum := binary.LittleEndian.Uint32(h[10:]) // the body overwrites h
+	body, err = readBody(r, n, buf)
 	if err != nil {
 		return 0, nil, err
 	}
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(h[10:]) {
+	if crc32.Checksum(body, castagnoli) != sum {
 		return 0, nil, ErrBadCRC
 	}
 	return typ, body, nil
 }
 
-// readBody reads an n-byte body in bounded chunks, so memory grows with
-// the bytes a peer actually sends rather than with a declared length —
-// a lying header cannot allocate MaxBodyBytes from a short stream.
-func readBody(r io.Reader, n int) ([]byte, error) {
+// readBody reads an n-byte body into *buf. A buffer already large enough
+// is filled in one read; a short one grows by at most one chunk past the
+// bytes that have arrived, so memory grows with what a peer actually
+// sends rather than with a declared length — a lying header cannot
+// allocate MaxBodyBytes from a short stream.
+func readBody(r io.Reader, n int, buf *[]byte) ([]byte, error) {
 	const chunk = 64 << 10
-	cap0 := n
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	body := make([]byte, 0, cap0)
+	body := (*buf)[:0]
 	for len(body) < n {
-		take := n - len(body)
-		if take > chunk {
-			take = chunk
-		}
 		off := len(body)
-		body = append(body, make([]byte, take)...)
+		end := n
+		if end > cap(body) {
+			end = min(n, max(cap(body), off+chunk))
+			body = slices.Grow(body, end-off)
+			*buf = body
+		}
+		body = body[:end]
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
 			return nil, ErrTruncated
 		}
 	}
+	*buf = body
 	return body, nil
 }
 
-// appendData appends a type-data wire message carrying f to dst.
+// appendData appends a type-data wire message carrying f to dst, growing
+// dst once to the message's full size.
 func appendData(dst []byte, f *comm.Frame) []byte {
 	bodyLen := dataFixedLen + 8*(len(f.Data)+len(f.Ints))
-	var h [headerLen]byte
+	start := len(dst)
+	dst = slices.Grow(dst, headerLen+bodyLen)[:start+headerLen+bodyLen]
+	h := dst[start : start+headerLen]
 	binary.LittleEndian.PutUint32(h[0:], wireMagic)
 	h[4] = wireVersion
 	h[5] = typData
 	binary.LittleEndian.PutUint32(h[6:], uint32(bodyLen))
-	// CRC is computed over the body after it is written.
-	dst = append(dst, h[:]...)
-	bodyStart := len(dst)
 
-	var b [dataFixedLen]byte
+	b := dst[start+headerLen:]
 	binary.LittleEndian.PutUint64(b[0:], f.Ctx)
 	binary.LittleEndian.PutUint32(b[8:], uint32(f.Src))
 	binary.LittleEndian.PutUint32(b[12:], uint32(f.Dst))
@@ -167,67 +173,62 @@ func appendData(dst []byte, f *comm.Frame) []byte {
 	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(f.SendVT))
 	binary.LittleEndian.PutUint64(b[32:], math.Float64bits(f.Arrival))
 	binary.LittleEndian.PutUint32(b[40:], f.CRC)
+	b[44] = 0
 	if f.Framed {
 		b[44] = flagFramed
 	}
 	binary.LittleEndian.PutUint32(b[45:], uint32(len(f.Data)))
 	binary.LittleEndian.PutUint32(b[49:], uint32(len(f.Ints)))
-	dst = append(dst, b[:]...)
-	var w [8]byte
+	off := dataFixedLen
 	for _, v := range f.Data {
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-		dst = append(dst, w[:]...)
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+		off += 8
 	}
 	for _, v := range f.Ints {
-		binary.LittleEndian.PutUint64(w[:], uint64(v))
-		dst = append(dst, w[:]...)
+		binary.LittleEndian.PutUint64(b[off:], uint64(v))
+		off += 8
 	}
-	binary.LittleEndian.PutUint32(dst[bodyStart-4:bodyStart], crc32.Checksum(dst[bodyStart:], castagnoli))
+	binary.LittleEndian.PutUint32(h[10:], crc32.Checksum(b, castagnoli))
 	return dst
 }
 
-// decodeData decodes a type-data body into a Frame. The element counts
-// are cross-validated against the body length before any payload
-// allocation, so a corrupted count cannot over-allocate.
-func decodeData(body []byte) (*comm.Frame, error) {
+// decodeData decodes a type-data body into f, overwriting every field and
+// reusing the capacity of f.Data and f.Ints. The element counts are
+// cross-validated against the body length before the payload slices can
+// grow, so a corrupted count cannot over-allocate.
+func decodeData(body []byte, f *comm.Frame) error {
 	if len(body) < dataFixedLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	nData := binary.LittleEndian.Uint32(body[45:])
 	nInts := binary.LittleEndian.Uint32(body[49:])
 	if nData > MaxBodyBytes/8 || nInts > MaxBodyBytes/8 {
-		return nil, ErrBadLength
+		return ErrBadLength
 	}
 	want := dataFixedLen + 8*(int(nData)+int(nInts))
 	if len(body) != want {
-		return nil, fmt.Errorf("%w: data body %d bytes, counts need %d", ErrBadLength, len(body), want)
+		return fmt.Errorf("%w: data body %d bytes, counts need %d", ErrBadLength, len(body), want)
 	}
-	f := &comm.Frame{
-		Ctx:     binary.LittleEndian.Uint64(body[0:]),
-		Src:     int(int32(binary.LittleEndian.Uint32(body[8:]))),
-		Dst:     int(int32(binary.LittleEndian.Uint32(body[12:]))),
-		Tag:     int(int64(binary.LittleEndian.Uint64(body[16:]))),
-		SendVT:  math.Float64frombits(binary.LittleEndian.Uint64(body[24:])),
-		Arrival: math.Float64frombits(binary.LittleEndian.Uint64(body[32:])),
-		CRC:     binary.LittleEndian.Uint32(body[40:]),
-		Framed:  body[44]&flagFramed != 0,
-	}
+	f.Ctx = binary.LittleEndian.Uint64(body[0:])
+	f.Src = int(int32(binary.LittleEndian.Uint32(body[8:])))
+	f.Dst = int(int32(binary.LittleEndian.Uint32(body[12:])))
+	f.Tag = int(int64(binary.LittleEndian.Uint64(body[16:])))
+	f.SendVT = math.Float64frombits(binary.LittleEndian.Uint64(body[24:]))
+	f.Arrival = math.Float64frombits(binary.LittleEndian.Uint64(body[32:]))
+	f.CRC = binary.LittleEndian.Uint32(body[40:])
+	f.Framed = body[44]&flagFramed != 0
 	off := dataFixedLen
-	if nData > 0 {
-		f.Data = make([]float64, nData)
-		for i := range f.Data {
-			f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-			off += 8
-		}
+	f.Data = slices.Grow(f.Data[:0], int(nData))[:nData]
+	for i := range f.Data {
+		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
+		off += 8
 	}
-	if nInts > 0 {
-		f.Ints = make([]int64, nInts)
-		for i := range f.Ints {
-			f.Ints[i] = int64(binary.LittleEndian.Uint64(body[off:]))
-			off += 8
-		}
+	f.Ints = slices.Grow(f.Ints[:0], int(nInts))[:nInts]
+	for i := range f.Ints {
+		f.Ints[i] = int64(binary.LittleEndian.Uint64(body[off:]))
+		off += 8
 	}
-	return f, nil
+	return nil
 }
 
 // appendDead appends a death-notice wire message for world rank w.

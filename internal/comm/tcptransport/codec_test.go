@@ -31,6 +31,17 @@ func frameEqual(a, b *comm.Frame) bool {
 	return true
 }
 
+// cloneFrame deep-copies a decoded frame out of a reused Frame.
+func cloneFrame(f *comm.Frame) *comm.Frame {
+	c := *f
+	c.Data = append([]float64(nil), f.Data...)
+	c.Ints = append([]int64(nil), f.Ints...)
+	return &c
+}
+
+// TestDataRoundTrip decodes every frame through one reused body buffer
+// and Frame, forward and then backward, so each frame is also decoded
+// over the leftovers of a larger one.
 func TestDataRoundTrip(t *testing.T) {
 	frames := []*comm.Frame{
 		{},
@@ -39,28 +50,37 @@ func TestDataRoundTrip(t *testing.T) {
 		{Ctx: math.MaxUint64, Data: []float64{1, 2, 3}, Ints: []int64{-9, 0, 1 << 62},
 			CRC: 0xdeadbeef, Framed: true, SendVT: math.MaxFloat64},
 	}
-	for i, f := range frames {
-		wire := appendData(nil, f)
-		typ, body, err := readWire(bytes.NewReader(wire))
-		if err != nil {
-			t.Fatalf("frame %d: readWire: %v", i, err)
-		}
-		if typ != typData {
-			t.Fatalf("frame %d: type %d", i, typ)
-		}
-		got, err := decodeData(body)
-		if err != nil {
-			t.Fatalf("frame %d: decodeData: %v", i, err)
-		}
-		if !frameEqual(f, got) {
-			t.Fatalf("frame %d: round trip mismatch:\n  sent %+v\n  got  %+v", i, f, got)
+	var enc, buf []byte
+	var got comm.Frame
+	for pass := 0; pass < 2; pass++ {
+		for k := range frames {
+			i := k
+			if pass == 1 {
+				i = len(frames) - 1 - k
+			}
+			f := frames[i]
+			enc = appendData(enc[:0], f)
+			typ, body, err := readWire(bytes.NewReader(enc), &buf)
+			if err != nil {
+				t.Fatalf("frame %d: readWire: %v", i, err)
+			}
+			if typ != typData {
+				t.Fatalf("frame %d: type %d", i, typ)
+			}
+			if err := decodeData(body, &got); err != nil {
+				t.Fatalf("frame %d: decodeData: %v", i, err)
+			}
+			if !frameEqual(f, &got) {
+				t.Fatalf("pass %d frame %d: round trip mismatch:\n  sent %+v\n  got  %+v", pass, i, f, &got)
+			}
 		}
 	}
 }
 
 func TestControlRoundTrip(t *testing.T) {
+	var buf []byte
 	wire := appendDead(nil, 12)
-	typ, body, err := readWire(bytes.NewReader(wire))
+	typ, body, err := readWire(bytes.NewReader(wire), &buf)
 	if err != nil || typ != typDead {
 		t.Fatalf("dead: type %d err %v", typ, err)
 	}
@@ -69,7 +89,7 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 
 	wire = appendHello(nil, 3, "127.0.0.1:4242")
-	typ, body, err = readWire(bytes.NewReader(wire))
+	typ, body, err = readWire(bytes.NewReader(wire), &buf)
 	if err != nil || typ != typHello {
 		t.Fatalf("hello: type %d err %v", typ, err)
 	}
@@ -79,7 +99,7 @@ func TestControlRoundTrip(t *testing.T) {
 
 	addrs := []string{"a:1", "", "b:22", "c:333"}
 	wire = appendTable(nil, addrs)
-	typ, body, err = readWire(bytes.NewReader(wire))
+	typ, body, err = readWire(bytes.NewReader(wire), &buf)
 	if err != nil || typ != typTable {
 		t.Fatalf("table: type %d err %v", typ, err)
 	}
@@ -102,6 +122,10 @@ func TestReadWireRejects(t *testing.T) {
 		mutate(b)
 		return b
 	}
+	// A header declaring 100 MB, followed by only 10 bytes of body.
+	lying := append(corrupt(func(b []byte) {
+		binary.LittleEndian.PutUint32(b[6:], 100<<20)
+	})[:headerLen], make([]byte, 10)...)
 	cases := []struct {
 		name string
 		wire []byte
@@ -116,32 +140,100 @@ func TestReadWireRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[6:], MaxBodyBytes+1)
 		}), ErrBadLength},
 		{"body bit flip", corrupt(func(b []byte) { b[headerLen+20] ^= 1 }), ErrBadCRC},
+		{"lying length on a reused buffer", lying, ErrTruncated},
+	}
+	// One buffer across every case, as the reader loop reuses it, primed
+	// by a good frame.
+	var buf []byte
+	if _, _, err := readWire(bytes.NewReader(good), &buf); err != nil {
+		t.Fatalf("good frame: %v", err)
 	}
 	for _, tc := range cases {
-		if _, _, err := readWire(bytes.NewReader(tc.wire)); err != tc.want {
+		if _, _, err := readWire(bytes.NewReader(tc.wire), &buf); err != tc.want {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
+	}
+	if cap(buf) > 64<<10 {
+		t.Errorf("a lying length grew the body buffer to %d bytes, want at most one 64 KiB chunk", cap(buf))
 	}
 }
 
 func TestDecodeDataRejectsCountMismatch(t *testing.T) {
 	// A body whose element counts disagree with its length must error
-	// before any payload allocation.
+	// before the payload slices grow.
+	var f comm.Frame
 	body := make([]byte, dataFixedLen)
 	binary.LittleEndian.PutUint32(body[45:], 1<<30) // nData claims 8 GiB
-	if _, err := decodeData(body); err == nil {
+	if err := decodeData(body, &f); err == nil {
 		t.Fatal("oversized count accepted")
 	}
 	body = make([]byte, dataFixedLen+8)
 	binary.LittleEndian.PutUint32(body[45:], 2) // two floats, one present
-	if _, err := decodeData(body); err == nil {
+	if err := decodeData(body, &f); err == nil {
 		t.Fatal("count/length mismatch accepted")
+	}
+	if cap(f.Data) != 0 || cap(f.Ints) != 0 {
+		t.Fatalf("rejected bodies grew the frame: cap Data %d, Ints %d", cap(f.Data), cap(f.Ints))
+	}
+}
+
+// decoded is one wire message of a fuzz input as the codec saw it, copied
+// out of any reused buffer.
+type decoded struct {
+	typ   byte
+	body  []byte
+	frame *comm.Frame // typData only; nil when decodeData failed
+	ferr  string
+}
+
+// decodeStream reads raw message by message until the first read error,
+// which it returns. Messages go through *buf and fr when fr is non-nil,
+// else through a fresh buffer and Frame each.
+func decodeStream(t *testing.T, raw []byte, buf *[]byte, fr *comm.Frame) ([]decoded, error) {
+	br := bytes.NewReader(raw)
+	var out []decoded
+	for {
+		b, f := buf, fr
+		if fr == nil {
+			b, f = new([]byte), new(comm.Frame)
+		}
+		typ, body, err := readWire(br, b)
+		if err != nil {
+			return out, err // every malformed input must land here, not panic
+		}
+		if len(body) > MaxBodyBytes {
+			t.Fatalf("readWire returned %d-byte body above cap", len(body))
+		}
+		d := decoded{typ: typ, body: append([]byte(nil), body...)}
+		switch typ {
+		case typData:
+			if err := decodeData(body, f); err != nil {
+				d.ferr = err.Error()
+				break
+			}
+			// Decoded payload sizes are bounded by the body that carried
+			// them.
+			if 8*(len(f.Data)+len(f.Ints)) > len(body) {
+				t.Fatalf("decoded payload larger than body")
+			}
+			d.frame = cloneFrame(f)
+		case typDead:
+			decodeDead(body)
+		case typHello:
+			decodeHello(body)
+		case typTable:
+			decodeTable(body)
+		}
+		out = append(out, d)
 	}
 }
 
 // FuzzReadFrame holds the codec to its contract under arbitrary input:
 // truncated, oversized, and corrupt frames must error — never panic and
-// never allocate beyond the declared caps. Wired into `make fuzz-smoke`.
+// never allocate beyond the declared caps. Every input is decoded twice,
+// fresh and through one body buffer and Frame left dirty by a larger
+// earlier frame, and both must agree exactly: no byte of an earlier frame
+// may leak into a shorter one. Wired into `make fuzz-smoke`.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(appendData(nil, &comm.Frame{Data: []float64{1, 2, 3}, Ints: []int64{4}, Framed: true, CRC: 9}))
 	f.Add(appendDead(nil, 3))
@@ -150,40 +242,47 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(appendWire(nil, typBye, nil))
 	f.Add([]byte{0x57, 0x54, 0x4d, 0x43}) // reversed magic
 	f.Add(make([]byte, headerLen))
+
+	// The dirty state: a 4 KiB frame of all-ones bits, read and decoded.
+	big := &comm.Frame{Ctx: math.MaxUint64, Src: -7, Dst: -7, Tag: -7, CRC: math.MaxUint32, Framed: true,
+		SendVT: math.NaN(), Arrival: math.NaN(), Data: make([]float64, 256), Ints: make([]int64, 256)}
+	for i := range big.Data {
+		big.Data[i] = math.Float64frombits(math.MaxUint64)
+		big.Ints[i] = -1
+	}
+	bigWire := appendData(nil, big)
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		br := bytes.NewReader(raw)
-		for {
-			typ, body, err := readWire(br)
-			if err != nil {
-				return // every malformed input must land here, not panic
+		fresh, ferr := decodeStream(t, raw, nil, nil)
+
+		var buf []byte
+		var fr comm.Frame
+		if _, body, err := readWire(bytes.NewReader(bigWire), &buf); err != nil || decodeData(body, &fr) != nil {
+			t.Fatalf("dirtying frame: %v", err)
+		}
+		reused, rerr := decodeStream(t, raw, &buf, &fr)
+
+		if ferr != rerr || len(fresh) != len(reused) {
+			t.Fatalf("fresh decode: %d messages then %v; reused: %d then %v", len(fresh), ferr, len(reused), rerr)
+		}
+		for i := range fresh {
+			a, b := fresh[i], reused[i]
+			if a.typ != b.typ || !bytes.Equal(a.body, b.body) || a.ferr != b.ferr ||
+				(a.frame == nil) != (b.frame == nil) || (a.frame != nil && !frameEqual(a.frame, b.frame)) {
+				t.Fatalf("message %d: fresh and reused decodes differ:\n  fresh  %+v\n  reused %+v", i, a, b)
 			}
-			if len(body) > MaxBodyBytes {
-				t.Fatalf("readWire returned %d-byte body above cap", len(body))
+			if a.frame == nil {
+				continue
 			}
-			switch typ {
-			case typData:
-				if fr, err := decodeData(body); err == nil {
-					// Decoded payload sizes are bounded by the body that
-					// carried them.
-					if 8*(len(fr.Data)+len(fr.Ints)) > len(body) {
-						t.Fatalf("decoded payload larger than body")
-					}
-					reenc := appendData(nil, fr)
-					typ2, body2, err2 := readWire(bytes.NewReader(reenc))
-					if err2 != nil || typ2 != typData {
-						t.Fatalf("re-encode failed: %v", err2)
-					}
-					fr2, err2 := decodeData(body2)
-					if err2 != nil || !frameEqual(fr, fr2) {
-						t.Fatalf("decode/encode/decode not stable")
-					}
-				}
-			case typDead:
-				decodeDead(body)
-			case typHello:
-				decodeHello(body)
-			case typTable:
-				decodeTable(body)
+			reenc := appendData(nil, a.frame)
+			var rb []byte
+			typ2, body2, err2 := readWire(bytes.NewReader(reenc), &rb)
+			if err2 != nil || typ2 != typData {
+				t.Fatalf("re-encode failed: %v", err2)
+			}
+			var fr2 comm.Frame
+			if err2 := decodeData(body2, &fr2); err2 != nil || !frameEqual(a.frame, &fr2) {
+				t.Fatalf("decode/encode/decode not stable")
 			}
 		}
 	})

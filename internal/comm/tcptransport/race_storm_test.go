@@ -14,9 +14,10 @@ import (
 // eager sends at every peer concurrently with the transport's reader and
 // writer goroutines, across both tag-matched and wildcard receives. Under
 // `-race` (the CI race job runs ./internal/comm/..., which includes this
-// package) the detector watches the sendq handoff, the direct-delivery
-// completion from the reader goroutine, and the teardown path all at
-// once. Payload contents are seeded per (src, batch) so delivery is also
+// package, and repeats this test 20 times) the detector watches the
+// socket's hand-over between inline writes and the writer's backlog,
+// the direct-delivery completion from the reader goroutine's reused
+// frame, and the teardown path all at once. Payload contents are seeded per (src, batch) so delivery is also
 // verified, not just survived.
 func TestTCPIsendIrecvStorm(t *testing.T) {
 	const size = 3

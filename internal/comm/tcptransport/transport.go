@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/comm"
@@ -68,52 +69,82 @@ func (c *Config) closeTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// sendq is a per-peer unbounded outbound queue drained by one writer
-// goroutine. Pushes never block, which is what keeps comm's eager-send
-// guarantee over a real socket: if the kernel buffer fills mid-pairwise
-// exchange, frames queue here instead of blocking the sending rank.
+// sendq is a per-peer outbound path. A message is encoded into enc, the
+// peer's reused buffer, and written to the socket on the sending
+// goroutine by one non-blocking write when nothing is ahead of it; only
+// what the kernel does not take then is copied onto the unbounded
+// backlog, which the peer's writer goroutine drains. Sends never block,
+// which is what keeps comm's eager-send guarantee over a real socket: if
+// the kernel buffer fills mid-pairwise exchange, bytes queue here instead
+// of blocking the sending rank.
 type sendq struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	bufs    [][]byte
-	closed  bool // no further pushes; writer exits after draining
-	discard bool // writer hit a dead socket; drop instead of accumulate
-}
-
-func newSendq() *sendq {
-	q := &sendq{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *sendq) push(b []byte) {
-	q.mu.Lock()
-	if q.closed || q.discard {
-		q.mu.Unlock()
-		return
-	}
-	q.bufs = append(q.bufs, b)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// close stops accepting pushes; the writer drains what is queued, then
-// exits. Safe to call more than once.
-func (q *sendq) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
+	enc     []byte   // encode buffer, reused under mu
+	bufs    [][]byte // backlog, in send order
+	writing bool     // the writer is writing a backlog batch outside mu
+	closed  bool     // no further sends; writer exits after draining
+	discard bool     // a write hit a dead socket; drop instead of accumulate
 }
 
 // peer is one remote process of the mesh.
 type peer struct {
 	rank     int
 	conn     net.Conn
-	q        *sendq
+	q        sendq
 	byed     atomic.Bool // received their goodbye
 	readDone chan struct{}
 	wrDone   chan struct{}
+
+	// The inline write's state (see writeNow): the socket's raw handle
+	// and the write callback bound to it once, so a write does not
+	// allocate, plus the callback's argument and results. Used only
+	// under q.mu.
+	raw   syscall.RawConn
+	rawFn func(fd uintptr) bool
+	wb    []byte
+	wn    int
+	werr  error
+}
+
+// send is the one enqueue-or-write path for every outbound message
+// (data, death notice, goodbye): encode appends the message to the
+// peer's reused buffer under q.mu. With no backlog and the writer idle,
+// every earlier byte is already in the kernel, so writing the message
+// now keeps per-peer FIFO order; otherwise, or for whatever that write
+// leaves, the bytes are copied onto the backlog behind what is queued.
+func (p *peer) send(encode func([]byte) []byte) {
+	q := &p.q
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || q.discard {
+		return
+	}
+	q.enc = encode(q.enc[:0])
+	b := q.enc
+	if len(q.bufs) == 0 && !q.writing {
+		n, err := p.writeNow(b)
+		if err != nil {
+			// Peer is gone; stop accumulating and let receive-side
+			// dead-rank detection handle the rest.
+			q.discard = true
+			return
+		}
+		if b = b[n:]; len(b) == 0 {
+			return
+		}
+	}
+	q.bufs = append(q.bufs, append([]byte(nil), b...))
+	q.cond.Signal()
+}
+
+// close stops accepting sends; the writer drains the backlog, then
+// exits. Safe to call more than once.
+func (q *sendq) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.cond.Broadcast()
 }
 
 // Transport is a comm.Transport over a TCP full mesh, one process per
@@ -178,23 +209,24 @@ func (t *Transport) Start(rcv comm.Receiver) error {
 }
 
 // Send implements comm.Transport: serialize now (the frame's payload
-// slices are only borrowed) and queue on the destination process's
-// writer. A departed peer swallows the frame, matching the semantics of
-// an eager send into a dead rank's mailbox.
+// slices are only borrowed) and write to the destination process's
+// socket, or queue behind its backlog. A departed peer swallows the
+// frame, matching the semantics of an eager send into a dead rank's
+// mailbox.
 func (t *Transport) Send(dstWorld int, f *comm.Frame) error {
 	if dstWorld < 0 || dstWorld >= len(t.peers) || t.peers[dstWorld] == nil {
 		return fmt.Errorf("tcptransport: no peer hosts world rank %d", dstWorld)
 	}
-	t.peers[dstWorld].q.push(appendData(nil, f))
+	t.peers[dstWorld].send(func(b []byte) []byte { return appendData(b, f) })
 	return nil
 }
 
 // NotifyDead implements comm.Transport: announce a hosted rank's death
-// to every peer, ordered after all frames already queued to each.
+// to every peer, ordered after all frames already sent to each.
 func (t *Transport) NotifyDead(world int) {
 	for _, p := range t.peers {
 		if p != nil {
-			p.q.push(appendDead(nil, world))
+			p.send(func(b []byte) []byte { return appendDead(b, world) })
 		}
 	}
 }
@@ -209,7 +241,7 @@ func (t *Transport) Close() error {
 		if p == nil {
 			continue
 		}
-		p.q.push(appendWire(nil, typBye, nil))
+		p.send(func(b []byte) []byte { return appendWire(b, typBye, nil) })
 		p.q.close()
 	}
 	deadline := time.NewTimer(t.cfg.closeTimeout())
@@ -268,35 +300,37 @@ func (t *Transport) teardownConns() {
 	}
 }
 
-// writeLoop drains one peer's queue onto its socket. On exit (queue
-// closed and drained) it half-closes the connection so the peer's reader
-// sees a clean EOF after the goodbye.
+// writeLoop drains one peer's backlog onto its socket, blocking in the
+// network poller while the kernel buffer is full. While it writes, the
+// writing flag sends every new message to the backlog behind the batch.
+// On exit (queue closed and drained) it half-closes the connection so
+// the peer's reader sees a clean EOF after the goodbye.
 func (t *Transport) writeLoop(p *peer) {
 	defer close(p.wrDone)
+	q := &p.q
+	q.mu.Lock()
 	for {
-		p.q.mu.Lock()
-		for len(p.q.bufs) == 0 && !p.q.closed {
-			p.q.cond.Wait()
+		for len(q.bufs) == 0 && !q.closed {
+			q.cond.Wait()
 		}
-		batch := p.q.bufs
-		p.q.bufs = nil
-		closed := p.q.closed
-		p.q.mu.Unlock()
-		if len(batch) > 0 && !p.q.discard {
-			bufs := net.Buffers(batch)
-			if _, err := bufs.WriteTo(p.conn); err != nil {
-				// Peer is gone; stop accumulating and let receive-side
-				// dead-rank detection handle the rest.
-				p.q.mu.Lock()
-				p.q.discard = true
-				p.q.bufs = nil
-				p.q.mu.Unlock()
-			}
+		if len(q.bufs) == 0 {
+			break // closed and drained
 		}
-		if closed {
-			break
+		batch := net.Buffers(q.bufs)
+		q.bufs = nil
+		q.writing = true
+		q.mu.Unlock()
+		_, err := batch.WriteTo(p.conn)
+		q.mu.Lock()
+		q.writing = false
+		if err != nil {
+			// Peer is gone; stop accumulating and let receive-side
+			// dead-rank detection handle the rest.
+			q.discard = true
+			q.bufs = nil
 		}
 	}
+	q.mu.Unlock()
 	if tc, ok := p.conn.(*net.TCPConn); ok {
 		tc.CloseWrite()
 	}
@@ -306,11 +340,16 @@ func (t *Transport) writeLoop(p *peer) {
 // to the receiver, death notices to the fault plane, a goodbye marks the
 // departure graceful. A broken stream (EOF without goodbye, protocol
 // error) is a process failure: every rank it hosts is reported dead.
+// Every message is read into one body buffer and every data frame decoded
+// into one Frame, both owned by this loop and reused; the receiver only
+// borrows the frame for the DeliverFrame call.
 func (t *Transport) readLoop(p *peer) {
 	defer close(p.readDone)
 	br := bufio.NewReaderSize(p.conn, 1<<16)
+	var buf []byte
+	var f comm.Frame
 	for {
-		typ, body, err := readWire(br)
+		typ, body, err := readWire(br, &buf)
 		if err != nil {
 			if !p.byed.Load() && !t.down.Load() {
 				t.rcv.PeerDead(p.rank)
@@ -319,14 +358,13 @@ func (t *Transport) readLoop(p *peer) {
 		}
 		switch typ {
 		case typData:
-			f, err := decodeData(body)
-			if err != nil {
+			if err := decodeData(body, &f); err != nil {
 				if !t.down.Load() {
 					t.rcv.PeerDead(p.rank)
 				}
 				return
 			}
-			t.rcv.DeliverFrame(f)
+			t.rcv.DeliverFrame(&f)
 		case typDead:
 			w, err := decodeDead(body)
 			if err != nil {
@@ -359,13 +397,19 @@ func (t *Transport) addPeer(rank int, conn net.Conn) error {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	t.peers[rank] = &peer{
+	p := &peer{
 		rank:     rank,
 		conn:     conn,
-		q:        newSendq(),
 		readDone: make(chan struct{}),
 		wrDone:   make(chan struct{}),
 	}
+	p.q.cond = sync.NewCond(&p.q.mu)
+	if sc, ok := conn.(syscall.Conn); ok {
+		// Without a raw handle every message takes the writer's path, so
+		// the error needs no other handling.
+		p.raw, _ = sc.SyscallConn()
+	}
+	t.peers[rank] = p
 	return nil
 }
 
@@ -374,7 +418,8 @@ func (t *Transport) addPeer(rank int, conn net.Conn) error {
 func readWireDeadline(conn net.Conn, d time.Time) (byte, []byte, error) {
 	conn.SetReadDeadline(d)
 	defer conn.SetReadDeadline(time.Time{})
-	return readWire(conn)
+	var buf []byte
+	return readWire(conn, &buf)
 }
 
 // writeWireDeadline writes one pre-encoded wire message under a deadline.

@@ -263,6 +263,56 @@ func TestTCPShrinkReformation(t *testing.T) {
 	})
 }
 
+// TestTCPPendedFrameOutlivesReaderBuffer: the reader decodes every frame
+// into one reused Frame and lends it to DeliverFrame, so a frame for a
+// communicator this process has not registered yet must be pended as a
+// copy. Rank 1 sends on a child communicator before rank 0 has created
+// it, then sends same-shaped world traffic that overwrites the reader's
+// Frame; after rank 0 registers the child, the pended payload must be
+// the one sent on it.
+func TestTCPPendedFrameOutlivesReaderBuffer(t *testing.T) {
+	const size, n, world = 2, 64, 8
+	payload := func(base int) []float64 {
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = float64(base + i)
+		}
+		return p
+	}
+	runTCP(t, size, comm.Options{}, func(r *comm.Rank) error {
+		if r.ID() == 1 {
+			sub, err := r.Shrink([]int{0, 1})
+			if err != nil {
+				return err
+			}
+			sub.Send(0, 7, payload(1000))
+			for k := 0; k < world; k++ {
+				r.Send(0, 7, payload(2000+100*k))
+			}
+			return nil
+		}
+		// The world messages follow the child's frame on the same stream,
+		// so once they are all received the child's frame has been pended
+		// and the reader's Frame reused world times over.
+		for k := 0; k < world; k++ {
+			if got := r.Recv(1, 7); got[0] != float64(2000+100*k) {
+				return fmt.Errorf("world message %d = %v", k, got[0])
+			}
+		}
+		sub, err := r.Shrink([]int{0, 1})
+		if err != nil {
+			return err
+		}
+		got, want := sub.Recv(1, 7), payload(1000)
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("pended payload overwritten: element %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+		return nil
+	})
+}
+
 // TestTCPChaosCRCRetransmit drives the fault plane over real sockets: a
 // corrupted first copy crosses the wire as its own frame, is rejected by
 // the receiver's CRC check, and the clean retransmission lands — with

@@ -51,8 +51,9 @@ func (f *Frame) Bytes() int64 { return 8 * int64(len(f.Data)+len(f.Ints)) }
 // may be called from transport-owned goroutines concurrently.
 type Receiver interface {
 	// DeliverFrame routes one inbound frame into the destination
-	// mailbox. The frame's payload slices are owned by the receiver
-	// from this point on.
+	// mailbox. The frame and its payload slices are borrowed for the
+	// call, as Send borrows them: the transport may reuse them as soon
+	// as it returns, so anything kept must be copied.
 	DeliverFrame(f *Frame)
 	// PeerDead reports that world rank w died: an explicit death notice,
 	// or a peer process disconnecting without a graceful goodbye. The
@@ -165,13 +166,16 @@ func (g *ctxRegistry) register(ctx uint64, c *Comm) {
 	}
 }
 
-// route delivers an inbound frame to its communicator, pending it if the
-// communicator does not exist locally yet.
+// route delivers a borrowed inbound frame to its communicator, pending a
+// copy if the communicator does not exist locally yet.
 func (g *ctxRegistry) route(f *Frame) {
 	g.mu.Lock()
 	c := g.comms[f.Ctx]
 	if c == nil {
-		g.pending[f.Ctx] = append(g.pending[f.Ctx], f)
+		kept := *f
+		kept.Data = append([]float64(nil), f.Data...)
+		kept.Ints = append([]int64(nil), f.Ints...)
+		g.pending[f.Ctx] = append(g.pending[f.Ctx], &kept)
 		g.mu.Unlock()
 		return
 	}
