@@ -56,13 +56,19 @@ generate:
 	$(GO) generate ./...
 
 # Drift check: the committed generated kernels (mxm_gen.go,
-# mxmbt_gen.go, grad3_gen.go, deriv_gen.go and the AVX2 assembly
-# deriv_avx2_amd64.s with its declarations deriv_avx2_gen.go) must
-# match what the generator emits today, and it must emit no file that is
-# not committed.
+# mxmbt_gen.go, deriv_gen.go and the AVX2 assembly deriv_avx2_amd64.s
+# with its declarations deriv_avx2_gen.go) must match what the generator
+# emits today, it must emit no file that is not committed, and no file
+# carrying its header may be one it no longer emits (a deleted emitter's
+# old output would otherwise keep compiling unnoticed).
 generate-check: generate
 	git diff --exit-code -- internal/sem
 	test -z "$$(git ls-files --others --exclude-standard -- internal/sem)"
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	(cd internal/sem && $(GO) run ./gen -dir "$$tmp" >/dev/null) && \
+	stale=$$(for f in $$(grep -l '^// Code generated by repro/internal/sem/gen' internal/sem/*.go internal/sem/*.s); do \
+		[ -e "$$tmp/$${f##*/}" ] || echo "$$f"; done) && \
+	if [ -n "$$stale" ]; then echo "generated by internal/sem/gen but no longer emitted:" $$stale; exit 1; fi
 
 # The pure-Go fallback build: the semnoasm tag disables the AVX2
 # assembly backend; the kernel packages and their consumers must build

@@ -9,10 +9,11 @@ const (
 )
 
 // derivRGen and derivSGen hold the r- and s-direction kernels of every
-// generated order (nil elsewhere). A kernel runs the same per-plane loop
-// body as grad3FusedN* over all nel*n planes of a batch of elements, so
-// it is bit-identical to dudrOpt / dudsOpt. The order is baked in; the
-// n argument only fills out the axisFunc signature.
+// generated order (nil elsewhere). A kernel runs one per-plane loop body
+// over all nel*n planes of a batch of elements, keeping the 4-lane
+// partial-sum grouping of dudrOpt / dudsOpt, so it is bit-identical to
+// them. The order is baked in; the n argument only fills out the
+// axisFunc signature.
 var derivRGen = [...]axisFunc{
 	4:  derivRN4,
 	5:  derivRN5,

@@ -1,6 +1,6 @@
-// Command gen emits the fully-unrolled small-matrix and fused-gradient
+// Command gen emits the fully-unrolled small-matrix and derivative
 // kernel specializations for package sem. It is run via go:generate from
-// internal/sem and writes six files next to the package sources:
+// internal/sem and writes five files next to the package sources:
 //
 //	mxm_gen.go    — mxmGenK1..K16: C = A*B with the reduction (k) loop
 //	                fully unrolled, the Nek5000 mxm44 playbook extended
@@ -9,8 +9,6 @@
 //	                (n x k row-major), the shape TensorApply3's first
 //	                stage needs — unrolled dot products of contiguous
 //	                rows, with no transposed copy of the operator.
-//	grad3_gen.go  — grad3FusedN4..N16: dudr/duds/dudt of one element in a
-//	                single pass over its planes.
 //	deriv_gen.go  — derivRN4..N16 / derivSN4..N16: one direction's
 //	                derivative over a whole batch of elements — what
 //	                sem.Deriv(Optimized) runs along r and s without AVX2.
@@ -18,10 +16,9 @@
 //	                same r/s dot products four outputs to a vector, and
 //	                their Go declarations — what it runs with AVX2.
 //
-// Each direction's per-plane loop body exists once, in planeR / planeS /
-// planeT below: a grad3FusedN* kernel is the three bodies under one
-// plane loop, a derivRN* / derivSN* kernel is one of them. (The t
-// direction alone is a plain row-major mxm with ascending-l
+// Each of r and s has its per-plane loop body once, in planeR / planeS
+// below; a derivRN* / derivSN* kernel is that body over every plane of a
+// batch. (The t direction is a plain row-major mxm with ascending-l
 // accumulation, so sem.Deriv resolves it through the MxMAuto table
 // instead of a kernel of its own.)
 //
@@ -32,10 +29,9 @@
 //     rounding agrees and the kernels stay eligible wherever
 //     bit-reproducibility is asserted.
 //   - planeR/planeS replicate the 4-lane partial-sum grouping of the
-//     hand-written dudrOpt/dudsOpt loops and planeT accumulates source
-//     planes in ascending l like mxm, so every grad3FusedN*, derivRN* and
-//     derivSN* kernel is bit-identical to the Optimized sweeps it
-//     replaces (which survive as the fallback outside [nMin, nMax]).
+//     hand-written dudrOpt/dudsOpt loops, so every derivRN* and derivSN*
+//     kernel is bit-identical to the Optimized sweeps it replaces (which
+//     survive as the fallback outside [nMin, nMax]).
 //   - lanedAVX2N* evaluates lanedDot's expression tree in every vector
 //     lane — separate VMULPD/VADDPD, no FMA, a lane's first product
 //     written straight into its accumulator — so it is bit-identical to
@@ -58,7 +54,7 @@ import (
 )
 
 // kMin/kMax bound the generated reduction sizes; nMin/nMax bound the
-// generated fused-gradient orders. The paper's practical range is N in
+// generated derivative orders. The paper's practical range is N in
 // [5, 16]; k down to 1 costs nothing and keeps the dispatcher total.
 const (
 	kMin = 1
@@ -76,7 +72,6 @@ func main() {
 	files := map[string]string{
 		"mxm_gen.go":         genMxM(),
 		"mxmbt_gen.go":       genMxMBT(),
-		"grad3_gen.go":       genGrad3(),
 		"deriv_gen.go":       genDeriv(),
 		"deriv_avx2_gen.go":  genLanedDecls(),
 		"deriv_avx2_amd64.s": genLanedAsm(),
@@ -239,18 +234,6 @@ func planeS(b *bytes.Buffer, n int) {
 	b.WriteString("\t\t\t}\n\t\t}\n")
 }
 
-// planeT emits source plane l's contribution to dudt: scaled into every
-// output plane, so ascending l gives mxm's accumulation order. In scope:
-// d, l, src and the zeroed output ut.
-func planeT(b *bytes.Buffer, n int) {
-	n2 := n * n
-	b.WriteString("\t\t// dudt: accumulate this source plane into every output plane.\n")
-	fmt.Fprintf(b, "\t\tfor kk := 0; kk < %d; kk++ {\n", n)
-	fmt.Fprintf(b, "\t\t\tdkl := d[kk*%d+l]\n", n)
-	fmt.Fprintf(b, "\t\t\tdst := ut[kk*%d : kk*%d+%d]\n", n2, n2, n2)
-	b.WriteString("\t\t\tfor i, v := range src {\n\t\t\t\tdst[i] += dkl * v\n\t\t\t}\n\t\t}\n")
-}
-
 // table emits the per-order dispatch table name[n] = prefix<n>.
 func table(b *bytes.Buffer, name, typ, prefix string) {
 	fmt.Fprintf(b, "var %s = [...]%s{\n", name, typ)
@@ -260,42 +243,16 @@ func table(b *bytes.Buffer, name, typ, prefix string) {
 	b.WriteString("}\n\n")
 }
 
-func genGrad3() string {
-	var b bytes.Buffer
-	header(&b, "fused per-order gradient kernels")
-	b.WriteString(`// grad3FusedGen holds the one-pass dudr/duds/dudt kernel of every order
-// with a generated specialization (nil elsewhere). Each is bit-identical
-// to the three Optimized sweeps: the dudr/duds dot products keep the
-// 4-lane partial-sum grouping of dudrOpt/dudsOpt, and dudt accumulates
-// source planes in ascending order.
-`)
-	table(&b, "grad3FusedGen", "func(d, u, ur, us, ut []float64)", "grad3FusedN")
-
-	for n := nMin; n <= nMax; n++ {
-		n2 := n * n
-		fmt.Fprintf(&b, "// grad3FusedN%d computes all three reference-space derivatives of one\n", n)
-		fmt.Fprintf(&b, "// %d^3 element in a single pass over its %d planes.\n", n, n)
-		fmt.Fprintf(&b, "func grad3FusedN%d(d, u, ur, us, ut []float64) {\n", n)
-		fmt.Fprintf(&b, "\tut = ut[:%d]\n\tfor i := range ut {\n\t\tut[i] = 0\n\t}\n", n2*n)
-		fmt.Fprintf(&b, "\tfor l := 0; l < %d; l++ {\n", n)
-		fmt.Fprintf(&b, "\t\tsrc := u[l*%d : l*%d+%d]\n", n2, n2, n2)
-		planeR(&b, n)
-		planeS(&b, n)
-		planeT(&b, n)
-		b.WriteString("\t}\n}\n\n")
-	}
-	return b.String()
-}
-
 func genDeriv() string {
 	var b bytes.Buffer
 	header(&b, "per-order single-direction derivative kernels")
 	fmt.Fprintf(&b, "// derivGenMinN..derivGenMaxN are the orders with generated kernels.\nconst (\n\tderivGenMinN = %d\n\tderivGenMaxN = %d\n)\n\n", nMin, nMax)
 	b.WriteString(`// derivRGen and derivSGen hold the r- and s-direction kernels of every
-// generated order (nil elsewhere). A kernel runs the same per-plane loop
-// body as grad3FusedN* over all nel*n planes of a batch of elements, so
-// it is bit-identical to dudrOpt / dudsOpt. The order is baked in; the
-// n argument only fills out the axisFunc signature.
+// generated order (nil elsewhere). A kernel runs one per-plane loop body
+// over all nel*n planes of a batch of elements, keeping the 4-lane
+// partial-sum grouping of dudrOpt / dudsOpt, so it is bit-identical to
+// them. The order is baked in; the n argument only fills out the
+// axisFunc signature.
 `)
 	table(&b, "derivRGen", "axisFunc", "derivRN")
 	table(&b, "derivSGen", "axisFunc", "derivSN")

@@ -82,24 +82,25 @@ func derivOps(n, nel int) OpCount {
 }
 
 // DerivOps is the structural cost of one direction's derivative for nel
-// elements of order n — exported so call sites that fuse the three
-// directions into one pass can still charge the hw model per direction,
-// keeping modeled time identical to the unfused path.
+// elements of order n — exported so call sites that compute several
+// directions in one call (Grad3FusedPool, the element-resident volume
+// pipeline) can still charge the hw model per direction, keeping
+// modeled time identical to one sweep per direction.
 func DerivOps(n, nel int) OpCount {
 	return derivOps(n, nel)
 }
 
 // One kernel path. Every production "apply an n x n operator along an
-// axis" — Deriv, DerivPool, ElemDeriv, ApplyDir, the Grad3Fused fallback,
-// and through them the solver's flux divergence and gradients and
-// Nekbone's ax — resolves its kernel here, once per call, and runs it
-// over the whole batch of elements:
+// axis" — Deriv, DerivPool, ElemDeriv, ApplyDir, Grad3FusedPool, and
+// through them the solver's flux divergence and gradients and Nekbone's
+// ax — resolves its kernel here, once per call, and runs it over the
+// whole batch of elements:
 //
 //   - r and s, N in [4, 16]: the entry of the per-order table the tuner
 //     maintains (derivAutoTab) — the AVX2 kernel internal/sem/gen emits
 //     (deriv_avx2_amd64.s) where the host has AVX2, else the Go kernel it
-//     emits from the same per-plane loop bodies as grad3FusedN*
-//     (deriv_gen.go). The two are bit-identical on every input;
+//     emits from the same dot products (deriv_gen.go). The two are
+//     bit-identical on every input;
 //   - t at every N: the direction is a plain row-major product
 //     du(n x n^2) = D(n x n) u(n x n^2) with ascending-l accumulation, so
 //     it runs the MxMAuto table's kernel (AVX2, generated or fused+unroll);
@@ -110,8 +111,8 @@ func DerivOps(n, nel int) OpCount {
 // r and s keep the 4-lane partial-sum grouping of dudrOpt / dudsOpt
 // (lane p sums the terms with l = p mod 4, lanes combine left to right)
 // because that is the accumulation order every recorded result — the
-// solver's physics, BENCH_*_baseline.json, benchmark/golden — was
-// produced with; a strictly ascending dot product (what the mxm kernels
+// solver's physics, the kernel-path and volume goldens, benchmark/golden
+// — was produced with; a strictly ascending dot product (what the mxm kernels
 // compute) rounds differently. That is also why the AVX2 kernel puts
 // four outputs, not four terms, in a vector: each lane then walks the
 // scalar expression tree, multiply and add kept separate. (One corner

@@ -91,7 +91,7 @@ func TestGrad3LinearField(t *testing.T) {
 	ur := make([]float64, nel*n3)
 	us := make([]float64, nel*n3)
 	ut := make([]float64, nel*n3)
-	ops := Grad3Fused(ref, u, ur, us, ut, nel)
+	ops := Grad3FusedPool(nil, ref, u, ur, us, ut, nel)
 	for i := range ur {
 		if !almost(ur[i], 2, 1e-10) || !almost(us[i], -3, 1e-10) || !almost(ut[i], 5, 1e-10) {
 			t.Fatalf("grad of linear field wrong at %d: %v %v %v", i, ur[i], us[i], ut[i])
@@ -99,7 +99,11 @@ func TestGrad3LinearField(t *testing.T) {
 	}
 	wantFlops := int64(3 * 2 * nel * n3 * ref.N)
 	if ops.Flops() != wantFlops {
-		t.Fatalf("Grad3Fused flops = %d, want %d", ops.Flops(), wantFlops)
+		t.Fatalf("Grad3FusedPool flops = %d, want %d", ops.Flops(), wantFlops)
+	}
+	// The solver charges the hw model per direction with DerivOps.
+	if ops != DerivOps(ref.N, nel).Times(3) {
+		t.Fatalf("Grad3FusedPool ops %+v != 3x DerivOps", ops)
 	}
 }
 

@@ -183,9 +183,9 @@ func TestViscousParallelMatchesSerial(t *testing.T) {
 func TestViscousAmplifiesDerivativeKernelCount(t *testing.T) {
 	// The Navier-Stokes path adds 12 gradient passes per RHS: 27
 	// direction passes per RHS vs 15 inviscid. With the Optimized
-	// variant the 12 gradient passes run as one fused sweep per RHS
-	// (span "ax_grad3_fused", 4 quantities x 3 directions each), so the
-	// amplification is counted as fused calls times 12.
+	// variant the 12 gradient passes (4 quantities x 3 directions) run
+	// inside one "ax_grad3_fused" region per RHS, so the amplification
+	// is counted as that region's calls times 12.
 	count := func(mu float64) int64 {
 		var calls int64
 		_, err := comm.RunSimple(1, func(r *comm.Rank) error {
