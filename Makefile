@@ -56,8 +56,8 @@ generate:
 	$(GO) generate ./...
 
 # Drift check: the committed generated kernels (mxm_gen.go,
-# mxmbt_gen.go, deriv_gen.go and the AVX2 assembly deriv_avx2_amd64.s
-# with its declarations deriv_avx2_gen.go) must match what the generator
+# deriv_gen.go and the AVX2 assembly deriv_avx2_amd64.s with its
+# declarations deriv_avx2_gen.go) must match what the generator
 # emits today, it must emit no file that is not committed, and no file
 # carrying its header may be one it no longer emits (a deleted emitter's
 # old output would otherwise keep compiling unnoticed).

@@ -1,14 +1,10 @@
 // Command gen emits the fully-unrolled small-matrix and derivative
 // kernel specializations for package sem. It is run via go:generate from
-// internal/sem and writes five files next to the package sources:
+// internal/sem and writes four files next to the package sources:
 //
 //	mxm_gen.go    — mxmGenK1..K16: C = A*B with the reduction (k) loop
 //	                fully unrolled, the Nek5000 mxm44 playbook extended
 //	                to every practical polynomial order.
-//	mxmbt_gen.go  — mxmBTGenK1..K16: C = A*Bt with B supplied transposed
-//	                (n x k row-major), the shape TensorApply3's first
-//	                stage needs — unrolled dot products of contiguous
-//	                rows, with no transposed copy of the operator.
 //	deriv_gen.go  — derivRN4..N16 / derivSN4..N16: one direction's
 //	                derivative over a whole batch of elements — what
 //	                sem.Deriv(Optimized) runs along r and s without AVX2.
@@ -24,7 +20,7 @@
 //
 // Bit-exactness contracts (the generator's invariants, pinned by tests):
 //
-//   - mxmGenK*/mxmBTGenK* accumulate each output element's k-term dot
+//   - mxmGenK* accumulate each output element's k-term dot
 //     product strictly left to right, exactly like mxmBasic, so even
 //     rounding agrees and the kernels stay eligible wherever
 //     bit-reproducibility is asserted.
@@ -71,7 +67,6 @@ func main() {
 
 	files := map[string]string{
 		"mxm_gen.go":         genMxM(),
-		"mxmbt_gen.go":       genMxMBT(),
 		"deriv_gen.go":       genDeriv(),
 		"deriv_avx2_gen.go":  genLanedDecls(),
 		"deriv_avx2_amd64.s": genLanedAsm(),
@@ -161,39 +156,6 @@ func mxmGen(a []float64, m int, b []float64, k int, c []float64, n int) bool {
 		}
 		b.WriteString("\t\tci := c[i*n : i*n+n]\n\t\tfor j := range ci {\n")
 		expr := seqDot(k, func(l int) string { return fmt.Sprintf("a%d*b%d[j]", l, l) })
-		fmt.Fprintf(&b, "\t\t\tci[j] = %s\n", expr)
-		b.WriteString("\t\t}\n\t}\n}\n\n")
-	}
-	return b.String()
-}
-
-func genMxMBT() string {
-	var b bytes.Buffer
-	header(&b, "fully-unrolled transposed-B mxm kernels")
-	b.WriteString(`// mxmBTGen dispatches C = A*Bt — B supplied transposed, (n x k)
-// row-major — on the generated fully k-unrolled kernels; it reports false
-// when k has no specialization. Accumulation order per output element is
-// strictly left to right, bit-identical to transposing B and running
-// mxmBasic.
-func mxmBTGen(a []float64, m int, bt []float64, k int, c []float64, n int) bool {
-	switch k {
-`)
-	for k := kMin; k <= kMax; k++ {
-		fmt.Fprintf(&b, "\tcase %d:\n\t\tmxmBTGenK%d(a, m, bt, c, n)\n", k, k)
-	}
-	b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
-
-	for k := kMin; k <= kMax; k++ {
-		fmt.Fprintf(&b, "// mxmBTGenK%d: C (m x n) = A (m x %d) * Bt (n x %d)ᵀ, k fully unrolled.\n", k, k, k)
-		fmt.Fprintf(&b, "func mxmBTGenK%d(a []float64, m int, bt, c []float64, n int) {\n", k)
-		b.WriteString("\tfor i := 0; i < m; i++ {\n")
-		fmt.Fprintf(&b, "\t\tar := a[i*%d : i*%d+%d]\n", k, k, k)
-		for l := 0; l < k; l++ {
-			fmt.Fprintf(&b, "\t\ta%d := ar[%d]\n", l, l)
-		}
-		b.WriteString("\t\tci := c[i*n : i*n+n]\n\t\tfor j := range ci {\n")
-		fmt.Fprintf(&b, "\t\t\tbj := bt[j*%d : j*%d+%d]\n", k, k, k)
-		expr := seqDot(k, func(l int) string { return fmt.Sprintf("a%d*bj[%d]", l, l) })
 		fmt.Fprintf(&b, "\t\t\tci[j] = %s\n", expr)
 		b.WriteString("\t\t}\n\t}\n}\n\n")
 	}

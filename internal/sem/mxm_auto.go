@@ -216,7 +216,7 @@ func TuneMxM(shapes [][3]int, reps int) []MxMTuneResult {
 // mxmTuneShapes lists the (m, k, n) products production code sends
 // through the MxMAuto table at reduction size k: Deriv along t
 // (applyTMxM, one n x n^2 block per element), ApplyDir along s
-// (applySMxM, one n x n block per slab), and stages 2 and 3 of
+// (applySMxM, one n x n block per slab), and the three stages of
 // TensorApply3 as dealiasing calls it — ToFine from order k, and
 // FromFine of every order whose fine mesh has k points.
 // TestMxMTuneShapesMatchCallers holds the list to those callers.
@@ -224,11 +224,12 @@ func mxmTuneShapes(k int) [][3]int {
 	shapes := [][3]int{{k, k, k * k}}
 	if k > 1 {
 		nf := fineOrder(k)
-		shapes = append(shapes, [3]int{k, k, k}, [3]int{nf, k, nf}, [3]int{nf, k, nf * nf})
+		shapes = append(shapes, [3]int{k, k, k},
+			[3]int{k * k, k, nf}, [3]int{nf, k, nf}, [3]int{nf, k, nf * nf})
 	}
 	for n := 2; fineOrder(n) <= k; n++ {
 		if fineOrder(n) == k {
-			shapes = append(shapes, [3]int{n, k, n}, [3]int{n, k, n * n})
+			shapes = append(shapes, [3]int{k * k, k, n}, [3]int{n, k, n}, [3]int{n, k, n * n})
 		}
 	}
 	return shapes

@@ -3,13 +3,14 @@
 package sem
 
 // AVX2 backend for the mxm kernel. The assembly (mxm_avx2_amd64.s)
-// broadcasts one A scalar at a time and streams 8/4/1-wide down the
-// matching B row, accumulating each output lane in ascending-l order
-// with separate VMULPD/VADDPD — deliberately no FMA, whose single
-// rounding would break bit-identity with the scalar kernels. The
-// semnoasm build tag swaps in the pure-Go fallback (simd_noasm.go), so
-// the portable path stays honest and CI-covered. (The r/s derivative
-// kernels' AVX2 backend is deriv_simd_amd64.go.)
+// computes C in 4 x 8 and 4 x 4 register blocks, broadcasting one A
+// scalar per row against shared B-row vectors, and accumulates each
+// output lane from +0 in ascending-l order with separate VMULPD/VADDPD —
+// deliberately no FMA, whose single rounding would break bit-identity
+// with the scalar kernels. The semnoasm build tag swaps in the pure-Go
+// fallback (simd_noasm.go), so the portable path stays honest and
+// CI-covered. (The r/s derivative kernels' AVX2 backend is
+// deriv_simd_amd64.go.)
 
 // mxmAVX2Asm computes C (m x n) = A (m x k) * B (k x n), row-major.
 // Requires m, k, n >= 1 and AVX2; the caller guards both.

@@ -6,8 +6,9 @@ import "fmt"
 // u has dimensions (n1, n2, n3) with the first index fastest, A is
 // (m1 x n1) applied along the first index, B (m2 x n2) along the second,
 // and C (m3 x n3) along the third. The result (m1, m2, m3) is written to
-// w. scratch must hold at least m1*max(n2,m2)*n3 values... it is sized by
-// TensorScratchLen. Returns the structural operation count.
+// w. scratch holds both intermediate stages and A transposed; it must
+// have at least TensorScratchLen(m1, n1, m2, n2, m3, n3) values. Returns
+// the structural operation count of the three products.
 //
 // This is the workhorse of spectral-element dealiasing: mapping an
 // element to a finer reference mesh and back is exactly such a tensor
@@ -21,20 +22,27 @@ func TensorApply3(a []float64, m1, n1 int,
 		panic(fmt.Sprintf("sem: tensor apply size mismatch: u=%d (need %d), w=%d (need %d)",
 			len(u), n1*n2*n3, len(w), m1*m2*m3))
 	}
-	if len(scratch) < TensorScratchLen(m1, n1, m2, n2, m3, n3) {
-		panic(fmt.Sprintf("sem: tensor scratch too small: %d < %d",
-			len(scratch), TensorScratchLen(m1, n1, m2, n2, m3, n3)))
+	if need := TensorScratchLen(m1, n1, m2, n2, m3, n3); len(scratch) < need {
+		panic(fmt.Sprintf("sem: tensor scratch too small: %d < TensorScratchLen = %d",
+			len(scratch), need))
 	}
 	t1 := scratch[:m1*n2*n3]
 	t2 := scratch[m1*n2*n3 : m1*n2*n3+m1*m2*n3]
+	at := scratch[m1*n2*n3+m1*m2*n3:][:n1*m1]
 
 	var ops OpCount
 	// Stage 1, along the first index: view u as row-major (n2*n3 x n1)
 	// and multiply by A^T, giving t1 as (n2*n3 x m1) — i.e. t1 indexed
-	// [a + m1*(j + n2*k)]. A row-major (m1 x n1) is its own transpose
-	// stored transposed, which is exactly MxMBT's B-side layout, so the
-	// operator is applied in place with no per-call transposed copy.
-	ops = ops.Plus(MxMBT(u, n2*n3, a, n1, t1, m1))
+	// [a + m1*(j + n2*k)]. A^T is copied into scratch (m1*n1 values,
+	// against m1*n1*n2*n3 mul-adds) so the stage is a plain row-major
+	// product on the same kernel as the other two. The copy is not part
+	// of the returned count.
+	for i := 0; i < m1; i++ {
+		for l, ail := range a[i*n1 : (i+1)*n1] {
+			at[l*m1+i] = ail
+		}
+	}
+	ops = ops.Plus(MxM(MxMAuto, u, n2*n3, at, n1, t1, m1))
 	// Stage 2, along the second index, one k-slab at a time:
 	// t2slab(m2 x m1) = B(m2 x n2) * t1slab(n2 x m1).
 	for k := 0; k < n3; k++ {
@@ -47,9 +55,10 @@ func TensorApply3(a []float64, m1, n1 int,
 	return ops
 }
 
-// TensorScratchLen returns the scratch length TensorApply3 requires.
+// TensorScratchLen returns the scratch length TensorApply3 requires: the
+// stage-1 and stage-2 intermediates plus A transposed.
 func TensorScratchLen(m1, n1, m2, n2, m3, n3 int) int {
-	return m1*n2*n3 + m1*m2*n3
+	return m1*n2*n3 + m1*m2*n3 + m1*n1
 }
 
 // ToFine interpolates one element's N^3 values to the NF^3 fine

@@ -24,33 +24,62 @@ func TestTensorApply3Identity(t *testing.T) {
 	}
 }
 
+// TestTensorApply3MatchesDirectSum holds TensorApply3 bit for bit to
+// three MxMBasic passes in stage order — the first on A transposed — at
+// rectangular shapes (m1 != n1, including both dealiasing directions),
+// and the smallest of them to the O(n^6) direct formula, which pins what
+// the stages compute.
 func TestTensorApply3MatchesDirectSum(t *testing.T) {
-	// Small rectangular case checked against the O(n^6) direct formula.
-	n1, n2, n3 := 3, 4, 2
-	m1, m2, m3 := 2, 3, 4
 	rng := rand.New(rand.NewSource(5))
-	a := randSlice(rng, m1*n1)
-	b := randSlice(rng, m2*n2)
-	c := randSlice(rng, m3*n3)
-	u := randSlice(rng, n1*n2*n3)
-	w := make([]float64, m1*m2*m3)
-	scratch := make([]float64, TensorScratchLen(m1, n1, m2, n2, m3, n3))
-	TensorApply3(a, m1, n1, b, m2, n2, c, m3, n3, u, w, scratch)
+	for _, sh := range [][6]int{
+		{3, 4, 2, 2, 3, 4},
+		{5, 6, 7, 9, 4, 3},
+		{10, 10, 10, 15, 15, 15},
+		{15, 15, 15, 10, 10, 10},
+	} {
+		n1, n2, n3, m1, m2, m3 := sh[0], sh[1], sh[2], sh[3], sh[4], sh[5]
+		a := randSlice(rng, m1*n1)
+		b := randSlice(rng, m2*n2)
+		c := randSlice(rng, m3*n3)
+		u := randSlice(rng, n1*n2*n3)
+		w := make([]float64, m1*m2*m3)
+		scratch := make([]float64, TensorScratchLen(m1, n1, m2, n2, m3, n3))
+		ops := TensorApply3(a, m1, n1, b, m2, n2, c, m3, n3, u, w, scratch)
+		if want := tensorApplyOps(m1, n1, m2, n2, m3, n3); ops != want {
+			t.Fatalf("%v: ops = %+v, want %+v", sh, ops, want)
+		}
 
-	for kk := 0; kk < m3; kk++ {
-		for jj := 0; jj < m2; jj++ {
-			for ii := 0; ii < m1; ii++ {
-				want := 0.0
-				for k := 0; k < n3; k++ {
-					for j := 0; j < n2; j++ {
-						for i := 0; i < n1; i++ {
-							want += a[ii*n1+i] * b[jj*n2+j] * c[kk*n3+k] * u[i+n1*j+n1*n2*k]
+		t1 := make([]float64, m1*n2*n3)
+		mxmBasic(u, n2*n3, Transpose(a, m1, n1), n1, t1, m1)
+		t2 := make([]float64, m1*m2*n3)
+		for k := 0; k < n3; k++ {
+			mxmBasic(b, m2, t1[k*m1*n2:], n2, t2[k*m1*m2:], m1)
+		}
+		want := make([]float64, m1*m2*m3)
+		mxmBasic(c, m3, t2, n3, want, m1*m2)
+		for i := range want {
+			if math.Float64bits(w[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: w[%d] = %v, want %v (not bit-identical)", sh, i, w[i], want[i])
+			}
+		}
+		if n1*n2*n3 > 24 {
+			continue
+		}
+		for kk := 0; kk < m3; kk++ {
+			for jj := 0; jj < m2; jj++ {
+				for ii := 0; ii < m1; ii++ {
+					direct := 0.0
+					for k := 0; k < n3; k++ {
+						for j := 0; j < n2; j++ {
+							for i := 0; i < n1; i++ {
+								direct += a[ii*n1+i] * b[jj*n2+j] * c[kk*n3+k] * u[i+n1*j+n1*n2*k]
+							}
 						}
 					}
-				}
-				got := w[ii+m1*jj+m1*m2*kk]
-				if math.Abs(got-want) > 1e-10*(1+math.Abs(want)) {
-					t.Fatalf("tensor apply wrong at (%d,%d,%d): %v want %v", ii, jj, kk, got, want)
+					got := w[ii+m1*jj+m1*m2*kk]
+					if math.Abs(got-direct) > 1e-10*(1+math.Abs(direct)) {
+						t.Fatalf("tensor apply wrong at (%d,%d,%d): %v want %v", ii, jj, kk, got, direct)
+					}
 				}
 			}
 		}
