@@ -74,11 +74,14 @@ generate-check: generate
 # assembly backend; the kernel packages and their consumers must build
 # and pass bit-exactness tests without it (the r/s kernel table and
 # fuzz corpus, the volume-pipeline goldens and the allocation ceiling
-# run on the generated Go kernels here).
+# run on the generated Go kernels here). The arm64 cross-build compiles
+# the same fallback file set the way a non-amd64 host selects it, by
+# GOARCH rather than by the tag.
 test-noasm:
 	$(GO) build -tags semnoasm ./...
 	$(GO) test -tags semnoasm ./internal/sem/... ./internal/solver/... ./internal/bench/...
 	$(GO) test -tags semnoasm -run TestKernelPathGolden .
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # The wall-clock benchmark harness is a Go module of its own
 # (benchmark/go.mod, `replace repro => ../`), so the root `go build
@@ -111,7 +114,7 @@ serve-smoke:
 tcp-smoke:
 	./scripts/tcp_smoke.sh
 
-check: vet build test race chaos test-noasm bench-module bench-sweep bench-smoke serve-smoke tcp-smoke
+check: vet build test race chaos fuzz-smoke test-noasm bench-module bench-sweep bench-smoke serve-smoke tcp-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

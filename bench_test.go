@@ -227,8 +227,9 @@ func BenchmarkFig10MessageSizes(b *testing.B) {
 
 // ------------------------------------------------------------ Ablations
 
-// BenchmarkAblationMxM compares the four mxm loop structures on the
-// paper's small-matrix shapes (N=5..25).
+// BenchmarkAblationMxM compares every mxm variant (sem.MxMVariants: the
+// paper's four loop structures plus the generated and SIMD kernels) on
+// the paper's small-matrix shapes (N=5..25).
 func BenchmarkAblationMxM(b *testing.B) {
 	for _, n := range []int{5, 10, 16, 25} {
 		rng := rand.New(rand.NewSource(2))

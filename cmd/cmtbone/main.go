@@ -45,7 +45,6 @@ func main() {
 	steps := flag.Int("steps", 5, "timesteps")
 	gsName := flag.String("gs", "pairwise", "gather-scatter method: pairwise, crystal, allreduce")
 	autotune := flag.Bool("autotune", false, "autotune the gather-scatter method at startup")
-	tuneMxM := flag.Bool("tunemxm", false, "autotune the small-matrix mxm kernel table at startup (bit-identical results, wall time only)")
 	dealias := flag.Bool("dealias", false, "enable the dealiasing fine-mesh round trip")
 	mu := flag.Float64("mu", 0, "dynamic viscosity; > 0 enables the Navier-Stokes viscous flux path")
 	filterCutoff := flag.Int("filter", 0, "modal spectral filter cutoff (shock-capture proxy; 0 disables)")
@@ -113,7 +112,6 @@ func main() {
 	}
 	cfg.GSMethod = m
 	cfg.AutoTune = *autotune
-	cfg.TuneMxM = *tuneMxM
 	cfg.Dealias = *dealias
 	cfg.Mu = *mu
 	cfg.FilterCutoff = *filterCutoff

@@ -34,8 +34,7 @@ func main() {
 	variantName := flag.String("variant", "both", "kernel variant: optimized, basic, or both")
 	machineName := flag.String("machine", hw.Opteron6378.Name, "hw model machine: opteron-6378, i5-2500, generic")
 	sweep := flag.Bool("sweep", false, "sweep N over the paper's 5..25 range (constant total points) instead of one N")
-	mxm := flag.Bool("mxm", false, "benchmark the mxm variants across the small-k range (generated/SIMD/auto included)")
-	tune := flag.Bool("tune", true, "run the mxm autotuner before the -mxm sweep (the auto column reflects the tuned table)")
+	mxm := flag.Bool("mxm", false, "benchmark the mxm variants across the small-k range (generated/SIMD included)")
 	workers := flag.Int("workers", 1, "intra-rank worker pool width for the element loop (0 = NumCPU)")
 	workerSweep := flag.Bool("workersweep", false, "sweep the worker count 1,2,4..NumCPU on the derivative kernel")
 	cli.Parse()
@@ -66,7 +65,7 @@ func main() {
 			runWorkerSweep(variants[0], *n, *nel, *steps)
 		}
 		if *mxm {
-			runMxM(*tune)
+			runMxM()
 		}
 		return
 	}
@@ -104,8 +103,8 @@ func runOne(machine hw.Machine, variants []sem.KernelVariant, n, nel, steps, wor
 	}
 	du := make([]float64, len(u))
 
-	fmt.Printf("Derivative kernel statistics: N=%d, Nel=%d, %d timesteps, workers=%d, hw model %s\n\n",
-		n, nel, steps, workers, machine.Name)
+	fmt.Printf("Derivative kernel statistics: N=%d, Nel=%d, %d timesteps, workers=%d, AVX2=%v, hw model %s\n\n",
+		n, nel, steps, workers, sem.HasSIMD(), machine.Name)
 
 	pl := pool.New(workers)
 	defer pl.Close()
@@ -124,36 +123,7 @@ func runOne(machine hw.Machine, variants []sem.KernelVariant, n, nel, steps, wor
 		}
 		fmt.Print(report.Fig5or6KernelTable(title, rows))
 		fmt.Println()
-		if v == sem.Optimized {
-			printDerivBackends(n, nel, steps)
-		}
 	}
-}
-
-// printDerivBackends times every bit-identical r and s kernel the
-// Deriv(Optimized) table can hold at this order — the generated Go
-// kernel and, on AVX2 hosts, the assembly one — through the tuner, which
-// verifies each against the hand-written loops first. Orders outside the
-// generated range have the hand loops only and print nothing.
-func printDerivBackends(n, nel, steps int) {
-	results := sem.TuneDeriv([]int{n}, nel, steps)
-	if len(results) == 0 {
-		return
-	}
-	fmt.Printf("r/s kernel backends (AVX2=%v; * = what Deriv runs), Gflop/s:\n", sem.HasSIMD())
-	flops := 2 * float64(n) * float64(nel*n*n*n)
-	for _, res := range results {
-		fmt.Printf("%-6s", res.Dir)
-		for _, c := range res.Candidates {
-			mark := " "
-			if c.Name == res.Winner {
-				mark = "*"
-			}
-			fmt.Printf(" %12s %7.2f%s", c.Name, flops/c.Secs/1e9, mark)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
 }
 
 // runSweep scans the paper's N = 5..25 polynomial range at roughly
@@ -200,11 +170,10 @@ func runSweep(machine hw.Machine, variants []sem.KernelVariant, steps int) {
 // variants outside their specialization range (e.g. "generated" for
 // k > 16) are footnoted with their effective fallback instead of
 // silently crediting the named variant with the fallback's numbers.
-func runMxM(tune bool) {
-	records := bench.MxMSweep(bench.MxMSweepOptions{Tune: tune})
+func runMxM() {
+	records := bench.MxMSweep(bench.MxMSweepOptions{})
 
-	fmt.Printf("Small-matrix mxm sweep: shape (N*N x N) x (N x N), batched, AVX2=%v, tuned=%v\n\n",
-		sem.HasSIMD(), tune)
+	fmt.Printf("Small-matrix mxm sweep: shape (N*N x N) x (N x N), batched, AVX2=%v\n\n", sem.HasSIMD())
 	fmt.Printf("%4s", "N")
 	for _, v := range sem.MxMVariants {
 		fmt.Printf(" %14s", v)

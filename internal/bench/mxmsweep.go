@@ -25,10 +25,6 @@ type MxMSweepOptions struct {
 	// (k, variant) cell; the repetition count is derived from it so
 	// small and large k measure for comparable wall time (0 = 2e8).
 	FlopBudget float64
-	// Tune runs the mxm autotuner before measuring, so the auto column
-	// reflects the tuned table (the solver's startup behaviour with
-	// Config.TuneMxM).
-	Tune bool
 	// Each, when non-nil, receives every record as it is measured.
 	Each func(MxMRecord)
 }
@@ -67,9 +63,6 @@ func MxMSweep(opts MxMSweepOptions) []MxMRecord {
 	budget := opts.FlopBudget
 	if budget == 0 {
 		budget = 2e8
-	}
-	if opts.Tune {
-		sem.TuneMxMDefault()
 	}
 
 	var records []MxMRecord

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/sem"
@@ -28,8 +27,12 @@ func TestMxMSweepEffectiveLabels(t *testing.T) {
 	if got := byKey["generated/17"].Effective; got != "fused+unroll" {
 		t.Errorf("k=17 generated: effective %q, want fused+unroll (the labeling bug)", got)
 	}
-	if got := byKey["auto/8"].Effective; !strings.HasPrefix(got, "auto:") {
-		t.Errorf("k=8 auto: effective %q lacks auto: prefix", got)
+	wantSIMD := "fused+unroll"
+	if sem.HasSIMD() {
+		wantSIMD = "simd"
+	}
+	if got := byKey["simd/17"].Effective; got != wantSIMD {
+		t.Errorf("k=17 simd: effective %q, want %q (AVX2=%v)", got, wantSIMD, sem.HasSIMD())
 	}
 	for _, r := range records {
 		if r.Gflops <= 0 {

@@ -128,41 +128,59 @@ func TestAxisKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDerivResolve pins what the single entry runs: along r and s at
-// every N in [4, 16] the AVX2 kernel when the host has one (and the
-// build is not a -race one) — not the generated scalar kernel — and the
-// generated kernel otherwise, never the hand-written fallback; the mxm table along t; the fallback
+// TestDerivResolve pins what the single entry runs, a choice the build
+// makes: along r and s at every N in [4, 16] the AVX2 kernel when the
+// host has one (and the build is not a -race one) — not the generated
+// scalar kernel — and the generated kernel otherwise, never the
+// hand-written fallback; MxM(MxMSIMD)'s kernel along t; the fallback
 // only outside that range; and the untransformed loops for Basic.
+// NewElemDeriv resolves the same kernels, except that on the AVX2 build
+// r takes the operator transposed (Ref1D.Dt).
 func TestDerivResolve(t *testing.T) {
 	ptr := func(f axisFunc) uintptr { return reflect.ValueOf(f).Pointer() }
-	for n := 1; n <= 24; n++ {
+	for n := 2; n <= 24; n++ {
+		ref := NewRef1D(n)
 		want := [3]axisFunc{DirR: dudrOpt, DirS: dudsOpt, DirT: applyTMxM}
+		elem := want
+		elemOp := [3][]float64{ref.D, ref.D, ref.D}
 		if n >= derivGenMinN && n <= derivGenMaxN {
 			want[DirR], want[DirS] = derivRGen[n], derivSGen[n]
 			if want[DirR] == nil || ptr(want[DirR]) == ptr(dudrOpt) ||
 				want[DirS] == nil || ptr(want[DirS]) == ptr(dudsOpt) {
 				t.Fatalf("n=%d: no generated kernel in the table", n)
 			}
+			elem = want
 			for _, dir := range []Direction{DirR, DirS} {
 				simd, ok := derivSIMD(dir)
 				if ok != (HasSIMD() && !raceEnabled) {
 					t.Fatalf("derivSIMD(%v) = %v with HasSIMD() = %v, race detector %v", dir, ok, HasSIMD(), raceEnabled)
 				}
-				if ok {
-					if ptr(simd.fn) == ptr(want[dir]) {
-						t.Fatalf("n=%d %v: the AVX2 kernel is the generated scalar one", n, dir)
-					}
-					want[dir] = simd.fn
+				if !ok {
+					continue
+				}
+				if ptr(simd.fn) == ptr(want[dir]) {
+					t.Fatalf("n=%d %v: the AVX2 kernel is the generated scalar one", n, dir)
+				}
+				want[dir], elem[dir] = simd.fn, simd.fn
+				if dir == DirR {
+					elem[dir], elemOp[dir] = simd.fnT, ref.Dt
 				}
 			}
 		}
 		basic := [3]axisFunc{DirR: dudrBasic, DirS: dudsBasic, DirT: dudtBasic}
+		ek := NewElemDeriv(Optimized, ref)
 		for _, dir := range []Direction{DirR, DirS, DirT} {
 			if ptr(derivResolve(dir, Optimized, n)) != ptr(want[dir]) {
 				t.Errorf("n=%d %v: Optimized resolved to the wrong kernel", n, dir)
 			}
 			if ptr(derivResolve(dir, Basic, n)) != ptr(basic[dir]) {
 				t.Errorf("n=%d %v: Basic resolved to the wrong kernel", n, dir)
+			}
+			if ptr(ek.fn[dir]) != ptr(elem[dir]) {
+				t.Errorf("n=%d %v: NewElemDeriv resolved to the wrong kernel", n, dir)
+			}
+			if &ek.op[dir][0] != &elemOp[dir][0] {
+				t.Errorf("n=%d %v: NewElemDeriv hands the kernel the wrong operator", n, dir)
 			}
 		}
 	}

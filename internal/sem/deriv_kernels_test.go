@@ -74,23 +74,25 @@ func derivKernelsAgree(d []float64, n int, u []float64, nel int) error {
 			return fmt.Errorf("n=%d nel=%d %v: resolved kernel differs from the hand loop at %d: %x vs %x",
 				n, nel, dir, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
-		if n < derivGenMinN || n > derivGenMaxN {
+		simd, ok := derivSIMD(dir)
+		if n < derivGenMinN || n > derivGenMaxN || !ok {
 			continue
 		}
-		cands := derivCandidates(dir, n)
-		copy(want, run(cands[0].fn, d))
-		for _, k := range cands[1:] {
-			if i := diffBits(run(k.fn, d), want, false); i >= 0 {
-				return fmt.Errorf("n=%d nel=%d %v: %s differs from %s at %d: %x vs %x",
-					n, nel, dir, k.name, cands[0].name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-			if k.fnT == nil {
-				continue
-			}
-			if i := diffBits(run(k.fnT, Transpose(d, n, n)), want, false); i >= 0 {
-				return fmt.Errorf("n=%d nel=%d %v: %s given the transpose differs from %s at %d",
-					n, nel, dir, k.name, cands[0].name, i)
-			}
+		gen := derivRGen[n]
+		if dir == DirS {
+			gen = derivSGen[n]
+		}
+		copy(want, run(gen, d))
+		if i := diffBits(run(simd.fn, d), want, false); i >= 0 {
+			return fmt.Errorf("n=%d nel=%d %v: the AVX2 kernel differs from the generated Go one at %d: %x vs %x",
+				n, nel, dir, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+		if simd.fnT == nil {
+			continue
+		}
+		if i := diffBits(run(simd.fnT, Transpose(d, n, n)), want, false); i >= 0 {
+			return fmt.Errorf("n=%d nel=%d %v: the AVX2 kernel given the transpose differs from the generated Go one at %d",
+				n, nel, dir, i)
 		}
 	}
 	return nil
@@ -154,82 +156,4 @@ func FuzzDerivKernels(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestTuneDeriv tunes two orders of the r/s table and checks that every
-// candidate verified exact, the winner is what Deriv then runs, and
-// orders without generated kernels are skipped.
-func TestTuneDeriv(t *testing.T) {
-	defer derivAutoTab.Store(defaultDerivTable())
-	results := TuneDeriv([]int{3, 5, 12, 17}, 2, 5)
-	if len(results) != 4 {
-		t.Fatalf("got %d results, want r and s at n=5 and n=12", len(results))
-	}
-	for _, res := range results {
-		if res.Winner == "" {
-			t.Fatalf("n=%d %v: no winner", res.N, res.Dir)
-		}
-		for _, c := range res.Candidates {
-			if !c.Exact {
-				t.Fatalf("n=%d %v: candidate %s is not bit-exact", res.N, res.Dir, c.Name)
-			}
-		}
-		if got := derivAutoTab.Load().k[res.Dir][res.N].name; got != res.Winner {
-			t.Fatalf("n=%d %v: Deriv runs %q after tuning, winner was %q", res.N, res.Dir, got, res.Winner)
-		}
-	}
-}
-
-// TestMxMTuneShapesMatchCallers pins the tuner's shape list to the code
-// that dispatches through the MxMAuto table: with a recording kernel in
-// every table slot, Deriv along t, ApplyDir along s and a dealiasing
-// round trip at every order must call exactly the shapes mxmTuneShapes
-// lists for each k — no more (a shape nobody runs would skew the summed
-// time) and no fewer.
-func TestMxMTuneShapesMatchCallers(t *testing.T) {
-	saved := mxmAutoTab.Load()
-	defer mxmAutoTab.Store(saved)
-	called := map[int]map[[3]int]bool{}
-	rec := &mxmTable{}
-	for k := 1; k <= mxmGenMaxK; k++ {
-		called[k] = map[[3]int]bool{}
-		rec.fn[k], rec.name[k] = func(a []float64, m int, b []float64, k int, c []float64, n int) {
-			called[k][[3]int{m, k, n}] = true
-			mxmBasic(a, m, b, k, c, n)
-		}, "recording"
-	}
-	mxmAutoTab.Store(rec)
-
-	for n := 2; n <= mxmGenMaxK; n++ {
-		for _, ref := range []*Ref1D{NewRef1D(n), NewRef1DGauss(n)} {
-			u := make([]float64, n*n*n)
-			du := make([]float64, n*n*n)
-			Deriv(DirT, Optimized, ref, u, du, 1)
-			ApplyDir(DirS, ref.Dt, n, u, du, 1)
-			ApplyDir(DirT, ref.Dt, n, u, du, 1)
-			uf := make([]float64, ref.NF*ref.NF*ref.NF)
-			ref.DealiasRoundTrip(u, 1, uf, make([]float64, ref.DealiasScratchLen()))
-		}
-	}
-	// N=1 is not a valid order, so nothing calls k=1.
-	for k := 2; k <= mxmGenMaxK; k++ {
-		listed := map[[3]int]bool{}
-		for _, s := range mxmTuneShapes(k) {
-			if s[1] != k {
-				t.Errorf("k=%d: tune shape %v has another reduction size", k, s)
-			}
-			if listed[s] {
-				t.Errorf("k=%d: tune shape %v listed twice", k, s)
-			}
-			listed[s] = true
-			if !called[k][s] {
-				t.Errorf("k=%d: tune shape %v is one no caller runs", k, s)
-			}
-		}
-		for s := range called[k] {
-			if !listed[s] {
-				t.Errorf("k=%d: callers run %v, which the tuner does not measure", k, s)
-			}
-		}
-	}
 }

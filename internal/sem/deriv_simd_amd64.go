@@ -18,9 +18,9 @@ func derivSIMD(dir Direction) (derivKernel, bool) {
 	case !hasAVX2:
 		return derivKernel{}, false
 	case dir == DirR:
-		return derivKernel{name: "simd", fn: derivRAVX2, fnT: derivRTAVX2}, true
+		return derivKernel{fn: derivRAVX2, fnT: derivRTAVX2}, true
 	}
-	return derivKernel{name: "simd", fn: derivSAVX2}, true
+	return derivKernel{fn: derivSAVX2}, true
 }
 
 // derivRTAVX2 is dudr on the AVX2 kernel of order n, given the operator

@@ -3,6 +3,5 @@
 package sem
 
 // Without the AVX2 backend (non-amd64, semnoasm, or a -race build — see
-// deriv_simd_amd64.go) Deriv's r/s table holds the generated Go kernels
-// only.
+// deriv_simd_amd64.go) Deriv runs the generated Go r/s kernels.
 func derivSIMD(Direction) (derivKernel, bool) { return derivKernel{}, false }

@@ -15,8 +15,8 @@
 // Each of r and s has its per-plane loop body once, in planeR / planeS
 // below; a derivRN* / derivSN* kernel is that body over every plane of a
 // batch. (The t direction is a plain row-major mxm with ascending-l
-// accumulation, so sem.Deriv resolves it through the MxMAuto table
-// instead of a kernel of its own.)
+// accumulation, so sem.Deriv runs MxM(MxMSIMD)'s kernel there instead
+// of a kernel of its own.)
 //
 // Bit-exactness contracts (the generator's invariants, pinned by tests):
 //

@@ -96,14 +96,13 @@ func DerivOps(n, nel int) OpCount {
 // ax — resolves its kernel here, once per call, and runs it over the
 // whole batch of elements:
 //
-//   - r and s, N in [4, 16]: the entry of the per-order table the tuner
-//     maintains (derivAutoTab) — the AVX2 kernel internal/sem/gen emits
-//     (deriv_avx2_amd64.s) where the host has AVX2, else the Go kernel it
-//     emits from the same dot products (deriv_gen.go). The two are
-//     bit-identical on every input;
+//   - r and s, N in [4, 16]: the AVX2 kernel internal/sem/gen emits
+//     (deriv_avx2_amd64.s) where the build has it and the host has AVX2,
+//     else the Go kernel it emits from the same dot products
+//     (deriv_gen.go). The two are bit-identical on every input;
 //   - t at every N: the direction is a plain row-major product
 //     du(n x n^2) = D(n x n) u(n x n^2) with ascending-l accumulation, so
-//     it runs the MxMAuto table's kernel (AVX2, generated or fused+unroll);
+//     it runs MxM(MxMSIMD)'s kernel (AVX2, generated or fused+unroll);
 //   - r and s outside [4, 16]: the hand-written dudrOpt / dudsOpt loops,
 //     which are also the reference the bit-identity tests compare the
 //     generated kernels against.
@@ -126,6 +125,14 @@ func DerivOps(n, nel int) OpCount {
 // axis of nel contiguous N^3 elements. du must not alias u.
 type axisFunc func(d []float64, n int, u, du []float64, nel int)
 
+// derivKernel is an AVX2 r or s kernel (derivSIMD).
+type derivKernel struct {
+	fn axisFunc
+	// fnT, where set (r only), is fn taking the operator transposed, for
+	// a caller that has the transpose at hand (ElemDeriv: Ref1D.Dt).
+	fnT axisFunc
+}
+
 // derivResolve maps (direction, variant, order) to the kernel Deriv runs.
 func derivResolve(dir Direction, v KernelVariant, n int) axisFunc {
 	if dir < DirR || dir > DirT {
@@ -139,7 +146,13 @@ func derivResolve(dir Direction, v KernelVariant, n int) axisFunc {
 		case dir == DirT:
 			return applyTMxM
 		case n >= derivGenMinN && n <= derivGenMaxN:
-			return derivAutoTab.Load().k[dir][n].fn
+			if k, ok := derivSIMD(dir); ok {
+				return k.fn
+			}
+			if dir == DirR {
+				return derivRGen[n]
+			}
+			return derivSGen[n]
 		case dir == DirR:
 			return dudrOpt
 		}
@@ -167,7 +180,7 @@ func NewElemDeriv(v KernelVariant, ref *Ref1D) ElemDeriv {
 	if v == Optimized && ref.N >= derivGenMinN && ref.N <= derivGenMaxN {
 		// An r kernel that wants the operator transposed gets Ref1D's
 		// copy rather than transposing D anew for every element.
-		if r := derivAutoTab.Load().k[DirR][ref.N]; r.fnT != nil {
+		if r, ok := derivSIMD(DirR); ok {
 			k.fn[DirR], k.op[DirR] = r.fnT, ref.Dt
 		}
 	}
@@ -204,10 +217,10 @@ func Deriv(dir Direction, v KernelVariant, ref *Ref1D, u, du []float64, nel int)
 }
 
 // applyBlocks computes du_b = d * u_b for each of the given number of
-// consecutive row-major (n x cols) blocks with the MxMAuto kernel for
+// consecutive row-major (n x cols) blocks with the MxMSIMD kernel for
 // k = n: strictly ascending-l accumulation, bit-identical to mxmBasic.
 func applyBlocks(d []float64, n int, u, du []float64, blocks, cols int) {
-	fn, _ := mxmResolve(MxMAuto, n)
+	fn, _ := mxmResolve(MxMSIMD, n)
 	sz := n * cols
 	for b := 0; b < blocks; b++ {
 		fn(d, n, u[b*sz:(b+1)*sz], n, du[b*sz:(b+1)*sz], cols)

@@ -38,13 +38,10 @@ const (
 	// support (disabled by the semnoasm build tag), falling back to
 	// MxMGenerated then MxMFusedUnroll. Bit-identical to MxMBasic: the
 	// assembly accumulates in ascending-l order with separate multiply
-	// and add (no FMA contraction).
+	// and add (no FMA contraction). It is the kernel production runs
+	// (TensorApply3, Deriv/ApplyDir along t, ApplyDir along s); the
+	// build and the host's AVX2 support pick what it resolves to.
 	MxMSIMD
-	// MxMAuto dispatches through the per-k kernel table maintained by the
-	// autotuner (see TuneMxM); the default table statically prefers SIMD,
-	// then generated, then fused+unroll. All table entries are bit-exact,
-	// so tuning never changes results — only wall time.
-	MxMAuto
 )
 
 // String implements fmt.Stringer.
@@ -62,8 +59,6 @@ func (v MxMVariant) String() string {
 		return "generated"
 	case MxMSIMD:
 		return "simd"
-	case MxMAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("MxMVariant(%d)", int(v))
 }
@@ -71,7 +66,13 @@ func (v MxMVariant) String() string {
 // MxMVariants lists all kernel variants, for sweeps and ablations.
 var MxMVariants = []MxMVariant{
 	MxMBasic, MxMUnroll, MxMFused, MxMFusedUnroll,
-	MxMGenerated, MxMSIMD, MxMAuto,
+	MxMGenerated, MxMSIMD,
+}
+
+// HasSIMD reports whether the AVX2 assembly backend is active in this
+// build on this host.
+func HasSIMD() bool {
+	return hasAVX2
 }
 
 // checkMxMShape rejects degenerate dimensions before any slicing. The
@@ -115,7 +116,7 @@ func MxMBatch(v MxMVariant, a []float64, m int, b []float64, k int, c []float64,
 	return mxmOps(m, n, k).Times(int64(nel))
 }
 
-// mxmFunc is the uniform kernel signature used by the dispatch table.
+// mxmFunc is the uniform kernel signature mxmResolve hands out.
 type mxmFunc func(a []float64, m int, b []float64, k int, c []float64, n int)
 
 // Fallback-wrapped kernels, so a resolved function is always total even
@@ -136,9 +137,7 @@ func mxmSIMDOrFallback(a []float64, m int, b []float64, k int, c []float64, n in
 // mxmResolve maps (variant, k) to the kernel that will actually run and
 // its effective name. Variants with bounded specialization ranges
 // (generated, simd) resolve to their fallback outside the range — the
-// name reports the fallback, which is what benchmarks must print. For
-// MxMAuto the name is the table entry's own; MxMEffective adds the
-// "auto:" prefix, keeping string building off the dispatch path.
+// name reports the fallback, which is what benchmarks must print.
 func mxmResolve(v MxMVariant, k int) (mxmFunc, string) {
 	switch v {
 	case MxMBasic:
@@ -162,27 +161,15 @@ func mxmResolve(v MxMVariant, k int) (mxmFunc, string) {
 			return mxmGenOrFallback, "generated"
 		}
 		return mxmFusedUnroll, "fused+unroll"
-	case MxMAuto:
-		if k >= 1 && k <= mxmGenMaxK {
-			t := mxmAutoTab.Load()
-			return t.fn[k], t.name[k]
-		}
-		// Out-of-table k: same static preference order as the default
-		// table, without the per-k tuning.
-		return mxmResolve(MxMSIMD, k)
 	}
 	panic(fmt.Sprintf("sem: unknown mxm variant %d", int(v)))
 }
 
 // MxMEffective reports the kernel MxM(v, ...) actually runs for
 // reduction size k — the variant's own name in its specialization
-// range, the fallback's name outside it, and the tuned table entry for
-// MxMAuto (prefixed "auto:").
+// range, the fallback's name outside it.
 func MxMEffective(v MxMVariant, k int) string {
 	_, name := mxmResolve(v, k)
-	if v == MxMAuto {
-		return "auto:" + name
-	}
 	return name
 }
 

@@ -3,11 +3,10 @@ package sem
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
-// The generated, SIMD, and auto variants share one correctness bar: bit
+// The generated and SIMD variants share one correctness bar: bit
 // identity with MxMBasic. Everything here asserts exact Float64bits
 // equality, never tolerances.
 
@@ -97,47 +96,24 @@ func TestMxMSIMDExact(t *testing.T) {
 	}
 }
 
-func TestMxMAutoExactAndTuned(t *testing.T) {
-	// Tune the default shapes, then verify dispatch stays bit-exact and
-	// the committed winners are reported through MxMEffective.
-	results := TuneMxM([][3]int{{25, 5, 5}, {144, 12, 12}}, 50)
-	if len(results) != 2 {
-		t.Fatalf("got %d tune results", len(results))
+// mxmSIMDWant is the kernel MxM(MxMSIMD, ...) runs at reduction size k
+// on this build — the static dispatch production relies on: AVX2 at
+// every k where the host has it, else the generated kernel up to k = 16
+// and fused+unroll above.
+func mxmSIMDWant(k int) string {
+	switch {
+	case HasSIMD():
+		return "simd"
+	case k <= mxmGenMaxK:
+		return "generated"
 	}
-	for _, res := range results {
-		if res.Winner == "" {
-			t.Fatalf("k=%d: no winner selected", res.K)
-		}
-		for _, c := range res.Candidates {
-			if !c.Exact {
-				t.Fatalf("k=%d: candidate %s is not bit-exact", res.K, c.Name)
-			}
-		}
-		want := "auto:" + res.Winner
-		if got := MxMEffective(MxMAuto, res.K); got != want {
-			t.Fatalf("k=%d: MxMEffective(auto) = %q, want %q", res.K, got, want)
-		}
-	}
-	rng := rand.New(rand.NewSource(14))
-	for _, k := range []int{1, 5, 12, 16, 20} {
-		m, n := k*k, k
-		a := randSlice(rng, m*k)
-		b := randSlice(rng, k*n)
-		want := make([]float64, m*n)
-		MxM(MxMBasic, a, m, b, k, want, n)
-		got := make([]float64, m*n)
-		MxM(MxMAuto, a, m, b, k, got, n)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("k=%d: auto dispatch not bit-identical at %d", k, i)
-			}
-		}
-	}
+	return "fused+unroll"
 }
 
 // TestMxMEffectiveNames is the regression test for the kernelbench -mxm
 // labeling bug: a variant outside its specialization range must report
-// the fallback that actually runs, not its own name.
+// the fallback that actually runs, not its own name. It also pins the
+// static dispatch of MxMSIMD at every k production can send it.
 func TestMxMEffectiveNames(t *testing.T) {
 	for k := 1; k <= mxmGenMaxK; k++ {
 		if got := MxMEffective(MxMGenerated, k); got != "generated" {
@@ -147,26 +123,46 @@ func TestMxMEffectiveNames(t *testing.T) {
 	if got := MxMEffective(MxMGenerated, mxmGenMaxK+1); got != "fused+unroll" {
 		t.Errorf("generated k=%d: effective %q, want fused+unroll", mxmGenMaxK+1, got)
 	}
-	if HasSIMD() {
-		if got := MxMEffective(MxMSIMD, 25); got != "simd" {
-			t.Errorf("simd k=25: effective %q", got)
-		}
-	} else {
-		if got := MxMEffective(MxMSIMD, 12); got != "generated" {
-			t.Errorf("simd without AVX2 k=12: effective %q, want generated", got)
-		}
-	}
-	for _, k := range []int{1, 8, 16, 17, 25} {
-		if got := MxMEffective(MxMAuto, k); !strings.HasPrefix(got, "auto:") {
-			t.Errorf("auto k=%d: effective %q lacks auto: prefix", k, got)
+	for k := 1; k <= 24; k++ {
+		if got, want := MxMEffective(MxMSIMD, k), mxmSIMDWant(k); got != want {
+			t.Errorf("simd k=%d (AVX2=%v): effective %q, want %q", k, HasSIMD(), got, want)
 		}
 	}
 	names := map[MxMVariant]string{
-		MxMGenerated: "generated", MxMSIMD: "simd", MxMAuto: "auto",
+		MxMGenerated: "generated", MxMSIMD: "simd",
 	}
 	for v, want := range names {
 		if v.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(v), v.String(), want)
+		}
+	}
+}
+
+// TestMxMSIMDSignedZero pins the one corner where the kernels MxMSIMD
+// can resolve to are not interchangeable: an output whose products are
+// all -0. The AVX2 kernel and fused+unroll accumulate from +0 and give
+// +0; the generated kernels start from the first product and give -0.
+// So the sign follows the build's dispatch: +0 at every k with AVX2,
+// else -0 for k <= 16 and +0 above.
+func TestMxMSIMDSignedZero(t *testing.T) {
+	const m, n = 5, 7
+	for k := 1; k <= 24; k++ {
+		a := make([]float64, m*k)
+		for i := range a {
+			a[i] = math.Copysign(0, -1)
+		}
+		b := make([]float64, k*n)
+		for i := range b {
+			b[i] = 1
+		}
+		c := make([]float64, m*n)
+		MxM(MxMSIMD, a, m, b, k, c, n)
+		wantNeg := mxmSIMDWant(k) == "generated"
+		for i, v := range c {
+			if v != 0 || math.Signbit(v) != wantNeg {
+				t.Fatalf("k=%d (%s): c[%d] = %x, want a zero with sign bit %v",
+					k, mxmSIMDWant(k), i, math.Float64bits(v), wantNeg)
+			}
 		}
 	}
 }
@@ -231,7 +227,7 @@ func TestMxMBatchMatchesSingle(t *testing.T) {
 
 // FuzzMxMVariants pits every variant against MxMBasic across random
 // shapes with m != n and k in [1, 20]. All order-preserving variants —
-// fused, fused+unroll, generated, simd, auto — must be
+// fused, fused+unroll, generated, simd — must be
 // bit-identical; MxMUnroll is the one variant whose defined semantics
 // reassociate the reduction (4-way partial sums), so it alone is
 // checked against a tolerance.

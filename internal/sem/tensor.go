@@ -42,16 +42,16 @@ func TensorApply3(a []float64, m1, n1 int,
 			at[l*m1+i] = ail
 		}
 	}
-	ops = ops.Plus(MxM(MxMAuto, u, n2*n3, at, n1, t1, m1))
+	ops = ops.Plus(MxM(MxMSIMD, u, n2*n3, at, n1, t1, m1))
 	// Stage 2, along the second index, one k-slab at a time:
 	// t2slab(m2 x m1) = B(m2 x n2) * t1slab(n2 x m1).
 	for k := 0; k < n3; k++ {
 		src := t1[k*m1*n2 : (k+1)*m1*n2]
 		dst := t2[k*m1*m2 : (k+1)*m1*m2]
-		ops = ops.Plus(MxM(MxMAuto, b, m2, src, n2, dst, m1))
+		ops = ops.Plus(MxM(MxMSIMD, b, m2, src, n2, dst, m1))
 	}
 	// Stage 3, along the third index: w(m3 x m1*m2) = C(m3 x n3) * t2.
-	ops = ops.Plus(MxM(MxMAuto, c, m3, t2, n3, w, m1*m2))
+	ops = ops.Plus(MxM(MxMSIMD, c, m3, t2, n3, w, m1*m2))
 	return ops
 }
 

@@ -94,13 +94,6 @@ type Config struct {
 	AutoTune bool
 	// TuneTrials is the number of timing trials per method (default 3).
 	TuneTrials int
-	// TuneMxM, when set, runs the small-matrix kernel autotuner once per
-	// process at solver construction (sem.TuneMxMDefault): every mxm
-	// kernel — generated, SIMD, fused+unroll — is verified bit-exact and
-	// timed at the derivative kernel's dominant shapes, and MxMAuto call
-	// sites dispatch to each shape's measured winner. All candidates are
-	// bit-identical, so tuning never changes results, only wall time.
-	TuneMxM bool
 	// Dealias enables the fine-mesh round trip each step.
 	Dealias bool
 	// GaussDealias switches the dealiasing fine mesh from Lobatto to

@@ -156,9 +156,6 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 			ref = sem.NewRef1D(cfg.N)
 		}
 	}
-	if cfg.TuneMxM {
-		sem.TuneMxMDefault()
-	}
 
 	s := &Solver{
 		Cfg:   cfg,
