@@ -3,9 +3,11 @@
 // communicator of -np ranks and reports the run summary, optionally with
 // the execution and MPI profiles.
 //
-// Example (the paper's Figure 7 problem setup):
+// Examples (the paper's Figure 7 problem setup; Figures 4 and 8-10 from
+// one run, with the per-message flow table for network models):
 //
 //	cmtbone -np 256 -n 10 -grid 8x8x4 -elems 40x40x16 -steps 1 -autotune
+//	cmtbone -np 16 -n 10 -steps 5 -profile -mpiprofile -trace flows.csv
 package main
 
 import (
@@ -54,7 +56,7 @@ func main() {
 	showMPI := flag.Bool("mpiprofile", false, "print the MPI (mpiP-style) profiles")
 	showDiag := flag.Bool("diag", false, "print flow diagnostics and the density modal spectrum")
 	ckptDir := flag.String("ckpt", "", "write a per-rank checkpoint of the final state into this directory")
-	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline of per-rank spans to this file")
+	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline of per-rank spans to this file; a path ending in .csv gets the per-message flow table (src, dst, tag, bytes, hops, virtual send/arrive times, call site) instead")
 	metricsOut := flag.String("metrics", "", "write a step-metrics JSONL stream (one record per timestep) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve live pprof and expvar on this address (e.g. :6060)")
 	workers := flag.Int("workers", 0, "intra-rank worker-pool width for the spectral-element kernels (0 = GOMAXPROCS/ranks, min 1)")
@@ -404,8 +406,14 @@ func main() {
 		log.Fatal(err)
 	}
 	if tel != nil {
-		fmt.Printf("trace written to %s (%d spans, %d flows; load in ui.perfetto.dev)\n",
-			*traceOut, len(tel.Spans()), len(tel.Flows()))
+		if flowsCSV(*traceOut) {
+			sum := obs.SummarizeFlows(tel.Flows())
+			fmt.Printf("trace: %d messages, %d bytes (mean %.1f B, mean %.2f hops) -> %s\n",
+				sum.Messages, sum.Bytes, sum.MeanBytes, sum.MeanHops, *traceOut)
+		} else {
+			fmt.Printf("trace written to %s (%d spans, %d flows; load in ui.perfetto.dev)\n",
+				*traceOut, len(tel.Spans()), len(tel.Flows()))
+		}
 		if ds, df := tel.Dropped(); ds+df > 0 {
 			fmt.Printf("trace: capacity reached, dropped %d spans and %d flows\n", ds, df)
 		}
@@ -459,9 +467,9 @@ type telemetrySink struct {
 	err     error
 }
 
-// Flush writes the Perfetto trace and the buffered step records and
-// closes both files, keeping the first error. Safe to call from any
-// goroutine, any number of times.
+// Flush writes the trace (Perfetto JSON, or the flow CSV for a .csv
+// path) and the buffered step records and closes both files, keeping
+// the first error. Safe to call from any goroutine, any number of times.
 func (ts *telemetrySink) Flush() error {
 	ts.once.Do(func() {
 		keep := func(err error, what string) {
@@ -470,7 +478,11 @@ func (ts *telemetrySink) Flush() error {
 			}
 		}
 		if ts.tel != nil {
-			keep(ts.tel.WritePerfetto(ts.traceFile), "-trace")
+			if flowsCSV(ts.traceFile.Name()) {
+				keep(obs.WriteFlowsCSV(ts.traceFile, ts.tel.Flows()), "-trace")
+			} else {
+				keep(ts.tel.WritePerfetto(ts.traceFile), "-trace")
+			}
 			keep(ts.traceFile.Close(), "-trace")
 		}
 		if ts.coll != nil {
@@ -482,3 +494,8 @@ func (ts *telemetrySink) Flush() error {
 	})
 	return ts.err
 }
+
+// flowsCSV reports whether a -trace path asks for the per-message flow
+// table (obs.WriteFlowsCSV, the network-model input with switch hops)
+// rather than the Perfetto timeline.
+func flowsCSV(path string) bool { return strings.HasSuffix(path, ".csv") }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/comm/tcptransport"
 	"repro/internal/loadbal"
 	"repro/internal/netmodel"
-	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/solver"
 )
@@ -44,9 +43,6 @@ func main() {
 	netName := flag.String("net", netmodel.QDR.Name, "network model: "+strings.Join(netmodel.Names(), ", "))
 	csvPath := flag.String("csv", "", "also write results as CSV to this file")
 	maxRanks := flag.Int("maxranks", 64, "largest rank count (rank counts are cubes up to this)")
-	traceOut := flag.String("trace", "", "write a Perfetto trace of the largest weak-scaling run to this file")
-	metricsOut := flag.String("metrics", "", "write the largest weak-scaling run's step-metrics JSONL to this file")
-	debugAddr := flag.String("debug-addr", "", "serve live pprof and expvar on this address for the whole sweep")
 	workersFlag := flag.Int("workers", 0, "intra-rank worker-pool width (0 = GOMAXPROCS/ranks per run, min 1)")
 	useLB := flag.Bool("loadbal", false, "append the skewed-load scenario study (balanced / skewed / skewed+loadbal)")
 	lbThreshold := flag.Float64("imbalance-threshold", 1.2, "rank cost imbalance triggering a rebalance in the loadbal scenario")
@@ -73,35 +69,17 @@ func main() {
 		return
 	}
 
-	var reg *obs.Registry
-	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *debugAddr != "" {
-		srv, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			log.Fatalf("-debug-addr: %v", err)
-		}
-		defer srv.Close()
-		fmt.Printf("debug server: http://%s/debug/pprof/ and /debug/vars\n", srv.Addr())
-	}
-
 	var counts []int
 	for c := 1; c*c*c <= *maxRanks; c++ {
 		counts = append(counts, c*c*c)
 	}
 
 	var rows []row
-	// Weak scaling: 2x2x2 elements per rank at every size. The largest
-	// run — the one whose behavior matters for extrapolation — carries
-	// the telemetry when requested.
-	for i, p := range counts {
-		m := t{"weak", p, *n, 2, [3]int{}, *steps}
-		if i == len(counts)-1 {
-			rows = append(rows, measureTelemetry(m, model, reg, *traceOut, *metricsOut))
-		} else {
-			rows = append(rows, measure(m, model))
-		}
+	// Weak scaling: 2x2x2 elements per rank at every size. To trace the
+	// largest run, give cmtbone the same shape (-np 64 -n 6 -local 2
+	// -steps 2 for the defaults) with -trace/-metrics/-debug-addr.
+	for _, p := range counts {
+		rows = append(rows, measure(t{"weak", p, *n, 2, [3]int{}, *steps}, model))
 	}
 	// Strong scaling: a fixed global mesh sized for the largest count.
 	big := counts[len(counts)-1]
@@ -337,13 +315,6 @@ type t struct {
 var workers int
 
 func measure(cfg t, model netmodel.Model) row {
-	return measureTelemetry(cfg, model, nil, "", "")
-}
-
-// measureTelemetry is measure with the telemetry layer attached: when
-// traceOut / metricsOut are set, the run streams spans and step metrics
-// into those files (and counters into reg for the live debug server).
-func measureTelemetry(cfg t, model netmodel.Model, reg *obs.Registry, traceOut, metricsOut string) row {
 	sc := solver.DefaultConfig(cfg.ranks, cfg.n, max(cfg.local, 1))
 	if cfg.mode == "strong" {
 		sc.ElemGrid = cfg.global
@@ -352,35 +323,8 @@ func measureTelemetry(cfg t, model netmodel.Model, reg *obs.Registry, traceOut, 
 	if sc.Workers == 0 {
 		sc.Workers = pool.DefaultWorkers(cfg.ranks)
 	}
-	sc.Metrics = reg
-	opts := sc.CommOptions(model)
-	var tel *obs.Tracer
-	var traceFile *os.File
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			log.Fatalf("-trace: %v", err)
-		}
-		traceFile = f
-		tel = obs.NewTracer()
-		sc.Obs = tel
-	}
-	var coll *obs.StepCollector
-	var metricsFile *os.File
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			log.Fatalf("-metrics: %v", err)
-		}
-		metricsFile = f
-		coll = obs.NewStepCollector(f, cfg.ranks, reg)
-		sc.Steps = coll
-	}
-	if reg != nil {
-		opts.Tracer = obs.NewCommTracer(tel, reg)
-	}
 	var flops int64
-	stats, err := comm.Run(cfg.ranks, opts, func(r *comm.Rank) error {
+	stats, err := comm.Run(cfg.ranks, sc.CommOptions(model), func(r *comm.Rank) error {
 		s, err := solver.New(r, sc)
 		if err != nil {
 			return err
@@ -397,27 +341,6 @@ func measureTelemetry(cfg t, model netmodel.Model, reg *obs.Registry, traceOut, 
 	})
 	if err != nil {
 		log.Fatalf("%s/%d ranks: %v", cfg.mode, cfg.ranks, err)
-	}
-	if tel != nil {
-		if err := tel.WritePerfetto(traceFile); err != nil {
-			log.Fatalf("-trace: %v", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			log.Fatalf("-trace: %v", err)
-		}
-		fmt.Printf("trace of %s/%d ranks written to %s (%d spans, %d flows)\n",
-			cfg.mode, cfg.ranks, traceOut, len(tel.Spans()), len(tel.Flows()))
-	}
-	if coll != nil {
-		n, err := coll.Flush()
-		if err != nil {
-			log.Fatalf("-metrics: %v", err)
-		}
-		if err := metricsFile.Close(); err != nil {
-			log.Fatalf("-metrics: %v", err)
-		}
-		fmt.Printf("step metrics of %s/%d ranks written to %s (%d records)\n",
-			cfg.mode, cfg.ranks, metricsOut, n)
 	}
 	mpi := 0.0
 	for _, f := range stats.RankMPIFractions() {

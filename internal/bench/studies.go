@@ -1,9 +1,9 @@
 // Package bench holds the measurement cores of the repo's benchmark
 // commands — the loadbal, overlap and hierarchical-collectives studies
-// of scalebench, the kernel sweeps of kernelbench, the job-server load
-// run of serveload, and the steady-state allocation guard — so the
-// commands stay thin front-ends and cmd/benchdiff re-runs the modeled
-// studies and the guard in-process against BENCH_trajectory.json.
+// of scalebench, the kernel sweeps of kernelbench, and the steady-state
+// allocation guard — so the commands stay thin front-ends and
+// cmd/benchdiff re-runs the modeled studies and the guard in-process
+// against BENCH_trajectory.json.
 //
 // Every modeled quantity (virtual-clock makespans, modeled MPI
 // fractions) is deterministic: compute is charged analytically, so two

@@ -89,19 +89,24 @@ func (r *RankTracer) open(name string, cat Category, profiled bool) Region {
 	return Region{r, len(r.stack)}
 }
 
-// End closes the region; it panics unless that is the innermost open one.
+// End closes the region, first closing any region still open inside it,
+// innermost first: a panic unwinding through a deferred End (a
+// DeadRankError, say) skips the inner Ends, and must surface as itself.
+// It panics if the region is no longer open.
 func (g Region) End() {
 	r := g.r
 	if r == nil {
 		return
 	}
-	if len(r.stack) != g.depth {
+	if len(r.stack) < g.depth {
 		panic(fmt.Sprintf("obs: unbalanced End: closing region %d with %d open", g.depth, len(r.stack)))
 	}
-	f := r.stack[g.depth-1]
-	r.stack = r.stack[:g.depth-1]
-	r.finish(f.node, f.name, f.cat, f.start, time.Since(f.start), f.vt0, r.clock.Now())
-	r.clock.SetPhase(f.prevPhase)
+	for len(r.stack) >= g.depth {
+		f := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+		r.finish(f.node, f.name, f.cat, f.start, time.Since(f.start), f.vt0, r.clock.Now())
+		r.clock.SetPhase(f.prevPhase)
+	}
 }
 
 // Add records one finished call of region name whose extents the caller

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/netmodel"
 )
 
@@ -112,16 +114,62 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 }
 
+// TestUnbalancedEndPanics: ending an outer region closes the regions
+// still open inside it, innermost first; ending a region that is no
+// longer open panics.
 func TestUnbalancedEndPanics(t *testing.T) {
-	p, _ := recorder()
-	a := p.Region("a", CatKernel)
-	p.Region("b", CatKernel) // never ended before a
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unbalanced End must panic")
+	t.Run("outer End closes the inner", func(t *testing.T) {
+		p, clock := recorder()
+		step := p.Region("timestep", CatStep)
+		p.Region("compute_flux", CatKernel) // never ended
+		p.Span("glmax", CatComm)            // nor this
+		clock.Advance(1e-6)                 // charged under glmax's phase
+		step.End()
+		if clock.Phase() != "" {
+			t.Fatalf("phase %q left set", clock.Phase())
 		}
-	}()
-	a.End()
+		got := edgeCalls(Merge(p))
+		if len(got) != 2 || got["<root>->timestep"] != 1 || got["timestep->compute_flux"] != 1 {
+			t.Fatalf("edges = %v, want <root>->timestep and timestep->compute_flux once each", got)
+		}
+		if sp := clock.PhaseSplits(); sp[PhaseReduce].Compute != 1e-6 {
+			t.Fatalf("phase splits = %+v", sp)
+		}
+		if len(p.stack) != 0 {
+			t.Fatalf("%d regions still open", len(p.stack))
+		}
+	})
+	t.Run("double End panics", func(t *testing.T) {
+		p, _ := recorder()
+		a := p.Region("a", CatKernel)
+		a.End()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ending a region that is no longer open must panic")
+			}
+		}()
+		a.End()
+	})
+}
+
+// TestDeadRankErrorSurvivesOpenRegions: a rank unwinding from a
+// DeadRankError through a deferred region End, with an inner region
+// still open, must report the typed error — not a secondary panic from
+// the recorder.
+func TestDeadRankErrorSurvivesOpenRegions(t *testing.T) {
+	_, err := comm.RunSimple(2, func(r *comm.Rank) error {
+		if r.ID() != 0 {
+			return nil
+		}
+		rt := (*Tracer)(nil).Rank(r.ID(), r.Clock())
+		defer rt.Region("timestep", CatStep).End()
+		rt.Region("gs_op", CatGS) // left open by the panic
+		panic(comm.DeadRankError{Rank: 1, World: 1})
+	})
+	var dead comm.DeadRankError
+	if !errors.As(err, &dead) || dead.World != 1 {
+		t.Fatalf("comm.Run error = %v, want a DeadRankError naming world 1", err)
+	}
 }
 
 func TestMergeAcrossRanks(t *testing.T) {

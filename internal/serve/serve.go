@@ -360,7 +360,7 @@ func (s *Server) maybePreemptLocked() {
 }
 
 // WaitJob blocks until the job reaches a terminal state and returns its
-// final status (a convenience for tests and the load generator).
+// final status (a convenience for tests and embedders).
 func (s *Server) WaitJob(id int64) (Status, error) {
 	j := s.Job(id)
 	if j == nil {

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -398,6 +400,56 @@ func TestWarmSetupFasterThanCold(t *testing.T) {
 	if wm >= cm {
 		t.Fatalf("warm setup median %.6fs is not below cold median %.6fs (cold %v, warm %v)",
 			wm, cm, cold, warm)
+	}
+}
+
+// TestConcurrentSubmitsAllFinish is the server's liveness under load:
+// concurrent HTTP submissions from three tenants, every third one high
+// priority (so preemption and fair share both run), must all end done.
+// Arrivals are a millisecond apart, so later ones land while the
+// scheduler dispatches queued jobs: under -race this checks that the
+// submit handler reads a job's fields only under the server mutex.
+func TestConcurrentSubmitsAllFinish(t *testing.T) {
+	srv := New(Config{Slots: 2})
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const jobs = 8
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		spec := JobSpec{Tenant: fmt.Sprintf("tenant%d", i%3), Ranks: 2, N: 5, LocalElems: 1, Steps: 3}
+		if i%3 == 2 {
+			spec.Priority = 7
+		}
+		body, _ := json.Marshal(spec)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(i) * time.Millisecond)
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var st Status
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusCreated {
+				errs[i] = fmt.Errorf("submit %d: status %d (%v)", i, resp.StatusCode, err)
+				return
+			}
+			if st, errs[i] = srv.WaitJob(st.ID); errs[i] == nil && st.State != StateDone {
+				errs[i] = fmt.Errorf("job %d (tenant %s, priority %d) ended %s (%s)", st.ID, st.Tenant, st.Priority, st.State, st.Error)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
