@@ -18,7 +18,6 @@ func runWithHier(t *testing.T, hier bool) (dt, mass, energy, wavespeed float64) 
 	opts := cfg.CommOptions(netmodel.QDR)
 	if hier {
 		opts.Hierarchy = comm.BlockHierarchy(np, perNode)
-		opts.Collectives = comm.CollHier
 	}
 	reps := make([]solver.Report, np)
 	_, err := comm.Run(np, opts, func(r *comm.Rank) error {
@@ -51,9 +50,8 @@ func runWithHier(t *testing.T, hier bool) (dt, mass, energy, wavespeed float64) 
 // TestHierPhysicsInvariance is the hierarchical-collectives contract at
 // the solver level: switching the communicator's collectives between
 // flat and two-level trees must not change a single bit of the physics —
-// timestep, mass, energy, wave speed — because the hierarchy is only
-// enabled on layouts where its combine order reproduces the flat one
-// exactly.
+// timestep, mass, energy, wave speed — because on a power-of-two block
+// layout the hierarchical combine order reproduces the flat one exactly.
 func TestHierPhysicsInvariance(t *testing.T) {
 	dtF, massF, energyF, wsF := runWithHier(t, false)
 	dtH, massH, energyH, wsH := runWithHier(t, true)

@@ -137,7 +137,11 @@ func runHierScenario(opts HierOptions, topoName string, ranks int, hier bool) (H
 
 	commOpts := comm.Options{Model: model}
 	if hier {
-		commOpts.Collectives = comm.CollHier
+		h, err := comm.NewHierarchy(topo.NodeMap())
+		if err != nil {
+			return HierScenario{}, err
+		}
+		commOpts.Hierarchy = h
 	}
 	var tel *obs.Tracer
 	if opts.ReplayMax > 0 && ranks <= opts.ReplayMax {

@@ -2,8 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 )
 
@@ -168,9 +166,9 @@ func (c collRegion) done(bytes int64) {
 }
 
 // Barrier blocks until every rank has entered it. The flat path is a
-// dissemination barrier (ceil(log2 P) rounds); with hierarchical
-// collectives selected, ranks gather on their node leader, the leaders
-// disseminate, and the release fans back out within each node.
+// dissemination barrier (ceil(log2 P) rounds); with a Hierarchy, ranks
+// gather on their node leader, the leaders disseminate, and the release
+// fans back out within each node.
 func (r *Rank) Barrier() {
 	coll := r.collStart("MPI_Barrier")
 	var bytes int64
@@ -224,7 +222,7 @@ func (r *Rank) AllreduceErr(op ReduceOp, data []float64) (out []float64, err err
 }
 
 // Bcast broadcasts data from root using a binomial tree (two-level
-// node-leader trees with hierarchical collectives selected; broadcast
+// node-leader trees when the communicator has a Hierarchy; broadcast
 // moves bytes without combining, so either path yields identical
 // results). Non-root ranks pass nil and receive the broadcast value;
 // root gets its own slice back.
@@ -318,43 +316,27 @@ func (r *Rank) Reduce(op ReduceOp, root int, data []float64) []float64 {
 	return data
 }
 
-// rabenseifnerMinLenDefault is the default vector length above which
-// Allreduce switches from recursive doubling (latency-optimal, log2 P
-// messages of the full vector) to the Rabenseifner algorithm
-// (bandwidth-optimal: reduce-scatter then allgather, moving ~2x the
-// vector total instead of log2(P)x) — the size-based algorithm switch
-// real MPI libraries make. Tune per machine with
-// Options.RabenseifnerMinLen or the CMT_RABENSEIFNER_MINLEN environment
-// variable.
-const rabenseifnerMinLenDefault = 4096
-
-// resolveRabMinLen applies the Options > environment > default
-// precedence for the algorithm-switch length.
-func resolveRabMinLen(opt int) int {
-	if opt > 0 {
-		return opt
-	}
-	if s := os.Getenv("CMT_RABENSEIFNER_MINLEN"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return rabenseifnerMinLenDefault
-}
+// rabenseifnerMinLen is the vector length from which Allreduce switches
+// from recursive doubling (latency-optimal, log2 P messages of the full
+// vector) to the Rabenseifner algorithm (bandwidth-optimal:
+// reduce-scatter then allgather, moving ~2x the vector total instead of
+// log2(P)x) — the size-based algorithm switch real MPI libraries make.
+const rabenseifnerMinLen = 4096
 
 // Allreduce combines data across all ranks and leaves the result on every
 // rank, updating data in place and returning it. Small vectors use
 // recursive doubling — two-level node-leader recursive doubling when the
-// hierarchical method is selected, which cuts the per-node fabric
-// injection from one flow per rank to one per node. Large vectors use the
-// flat Rabenseifner reduce-scatter/allgather algorithm regardless: it is
-// bandwidth-optimal, and the hierarchical small-vector path would move
-// the full vector log2(nodes) times.
+// communicator has a Hierarchy, which cuts the per-node fabric injection
+// from one flow per rank to one per node. Vectors of rabenseifnerMinLen
+// or more on more than two ranks use the flat Rabenseifner
+// reduce-scatter/allgather algorithm regardless: it is bandwidth-optimal,
+// and the hierarchical small-vector path would move the full vector
+// log2(nodes) times.
 func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 	coll := r.collStart("MPI_Allreduce")
 	var bytes int64
 	switch {
-	case len(data) >= r.comm.rabMinLen && r.comm.size > 2:
+	case len(data) >= rabenseifnerMinLen && r.comm.size > 2:
 		bytes = r.allreduceRabenseifner(op, data)
 	case r.hierOn():
 		bytes = r.allreduceHier(op, data, nil)
@@ -444,7 +426,7 @@ func (r *Rank) allreduceRabenseifner(op ReduceOp, data []float64) int64 {
 
 // AllreduceInts is Allreduce for int64 payloads. Integer reductions are
 // exact under any combine order, so the hierarchical path applies
-// whenever selected, regardless of layout.
+// whenever a Hierarchy is set, regardless of layout.
 func (r *Rank) AllreduceInts(op ReduceOp, ints []int64) []int64 {
 	coll := r.collStart("MPI_Allreduce")
 	var bytes int64

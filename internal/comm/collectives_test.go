@@ -366,7 +366,7 @@ func TestAllreduceRabenseifnerLargeVectors(t *testing.T) {
 	// path; results must match the serial sum exactly, including odd
 	// lengths and non-power-of-two rank counts.
 	for _, p := range []int{3, 4, 5, 7, 8} {
-		for _, n := range []int{rabenseifnerMinLenDefault, rabenseifnerMinLenDefault + 1, rabenseifnerMinLenDefault + 1023} {
+		for _, n := range []int{rabenseifnerMinLen, rabenseifnerMinLen + 1, rabenseifnerMinLen + 1023} {
 			inputs := make([][]float64, p)
 			want := make([]float64, n)
 			rng := rand.New(rand.NewSource(int64(p*100000 + n)))
@@ -396,8 +396,80 @@ func TestAllreduceRabenseifnerLargeVectors(t *testing.T) {
 	}
 }
 
+// TestRabenseifnerMatchesRecursiveDoubling cross-checks the two flat
+// allreduce algorithms at the switch length, bit for bit, on payloads
+// where every association is exact: integer-valued sums and full-mantissa
+// min/max. A divergence is implementation drift in one of them, not
+// rounding.
+func TestRabenseifnerMatchesRecursiveDoubling(t *testing.T) {
+	const n = rabenseifnerMinLen
+	for _, p := range []int{3, 4, 5, 8, 12} {
+		_, err := RunSimple(p, func(r *Rank) error {
+			for _, c := range []struct {
+				op    ReduceOp
+				probe []float64
+			}{
+				{OpSum, collProbeInts(r.ID(), n, 0x51ab)},
+				{OpMin, collProbe(r.ID(), n, 0x7a11)},
+				{OpMax, collProbe(r.ID(), n, 0x7a11)},
+			} {
+				rd := append([]float64(nil), c.probe...)
+				rab := append([]float64(nil), c.probe...)
+				r.allreduceRaw(c.op, rd, nil)
+				r.allreduceRabenseifner(c.op, rab)
+				for i := range rd {
+					if math.Float64bits(rd[i]) != math.Float64bits(rab[i]) {
+						t.Errorf("p=%d %v rank %d slot %d: recursive doubling %x, Rabenseifner %x",
+							p, c.op, r.ID(), i, math.Float64bits(rd[i]), math.Float64bits(rab[i]))
+						return nil
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestAllreduceSwitchLength pins where Allreduce changes algorithm, read
+// off the MPI_Allreduce byte count each rank's profile records. At p=4
+// recursive doubling sends the whole vector log2(4) = 2 times (16n
+// bytes); Rabenseifner sends n/2 + n/4 in the reduce-scatter and
+// n/4 + n/2 in the allgather (12n bytes).
+func TestAllreduceSwitchLength(t *testing.T) {
+	const p = 4
+	for _, c := range []struct {
+		n         int
+		wantBytes int64
+	}{
+		{rabenseifnerMinLen, 12 * rabenseifnerMinLen},
+		{rabenseifnerMinLen - 1, 16 * (rabenseifnerMinLen - 1)},
+	} {
+		stats, err := RunSimple(p, func(r *Rank) error {
+			r.Allreduce(OpSum, make([]float64, c.n))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, prof := range stats.Profiles {
+			var got int64 = -1
+			for _, cs := range prof.Calls() {
+				if cs.Op == "MPI_Allreduce" {
+					got = cs.Bytes
+				}
+			}
+			if got != c.wantBytes {
+				t.Errorf("n=%d rank %d: MPI_Allreduce recorded %d bytes, want %d", c.n, id, got, c.wantBytes)
+			}
+		}
+	}
+}
+
 func TestAllreduceLargeMinMax(t *testing.T) {
-	const p, n = 6, rabenseifnerMinLenDefault + 7
+	const p, n = 6, rabenseifnerMinLen + 7
 	_, err := RunSimple(p, func(r *Rank) error {
 		buf := make([]float64, n)
 		for i := range buf {

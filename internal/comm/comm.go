@@ -51,36 +51,18 @@ type Options struct {
 	// Tracer, when non-nil, receives every wire-level message (see
 	// TraceEvent) for offline network modeling.
 	Tracer Tracer
-	// ComputeFactors, when non-nil (length == size), slows each rank's
-	// modeled compute by the given factor (1 = nominal, 1.5 = 50%
-	// slower) — straggler injection for load-imbalance studies.
-	ComputeFactors []float64
 	// Faults, when non-nil, installs a fault-injection plane that sees
 	// every wire message and may drop (with retransmit), corrupt (with
 	// CRC detection and retransmit) or delay it. Installing a fault
-	// plane forces CRC framing on.
+	// plane turns CRC framing on.
 	Faults FaultPlane
-	// CRC enables per-message CRC framing even without a fault plane:
-	// every payload is checksummed at send and verified at receive.
-	CRC bool
 	// Hierarchy, when non-nil, declares the node grouping of the ranks
-	// (which ranks share a physical node) and enables the two-level
-	// hierarchical collectives. When nil but Model.Topo is set and
-	// Collectives is CollHier, the hierarchy is derived from the
-	// topology's node map.
+	// (which ranks share a physical node), and the communicator runs the
+	// two-level hierarchical collectives over it; nil runs the flat ones.
+	// On power-of-two block layouts the two are bit-identical; other
+	// layouts give correct results that may differ in the last bits of
+	// float reductions (see Hierarchy).
 	Hierarchy *Hierarchy
-	// Collectives selects the initial collective dispatch method. The
-	// zero value (CollFlat) runs the classic single-level algorithms;
-	// CollHier turns on the node-leader two-level algorithms
-	// unconditionally, trusting the caller that the layout preserves
-	// bit-identical results (power-of-two node sizes and counts) — use
-	// TuneCollectives to verify and pick automatically instead.
-	Collectives CollMethod
-	// RabenseifnerMinLen overrides the vector length at which Allreduce
-	// switches from recursive doubling to the Rabenseifner algorithm.
-	// 0 consults the CMT_RABENSEIFNER_MINLEN environment variable, then
-	// falls back to the built-in default (4096).
-	RabenseifnerMinLen int
 }
 
 // Comm is the shared state of one communicator: the mailboxes and the
@@ -94,23 +76,18 @@ type Comm struct {
 	hasGrid  bool
 	tracer   Tracer
 
-	// Hierarchical-collective state. hier is the node grouping (nil =
-	// no hierarchy known); collMethod is the committed dispatch method
-	// (a CollMethod, atomic because TuneCollectives writes it while
-	// other ranks may be dispatching); rabMinLen is the recursive-
-	// doubling/Rabenseifner switch length; flatFlows is the per-node
-	// concurrent-sender count flat collectives declare to topology
-	// congestion pricing (every rank of a node injects at once).
-	hier       *Hierarchy
-	collMethod atomic.Int32
-	rabMinLen  int
-	flatFlows  int
+	// Hierarchical-collective state. hier is the node grouping; the
+	// collectives are hierarchical exactly when it is non-nil. flatFlows
+	// is the per-node concurrent-sender count flat collectives declare to
+	// topology congestion pricing (every rank of a node injects at once).
+	hier      *Hierarchy
+	flatFlows int
 
-	// Fault plane state. faults/crc are inherited by shrunken
-	// sub-communicators; dead is per-communicator (one flag per member),
-	// set by Rank.Kill and observed by blocked receives.
+	// Fault plane state. faults is inherited by shrunken
+	// sub-communicators and turns CRC framing on; dead is
+	// per-communicator (one flag per member), set by Rank.Kill and
+	// observed by blocked receives.
 	faults FaultPlane
-	crc    bool
 	dead   []atomic.Bool
 
 	// Shrink bookkeeping. parent/parentOf link a shrunken communicator
@@ -164,9 +141,9 @@ func (c *Comm) putMessage(m *message) {
 }
 
 // directEligible reports whether the posted-receive direct-delivery fast
-// path may be used: CRC framing and the fault plane both need the staged
-// message envelope (to verify or re-send frames), so either disables it.
-func (c *Comm) directEligible() bool { return !c.crc && c.faults == nil }
+// path may be used: the fault plane and its CRC framing need the staged
+// message envelope (to verify or re-send frames), so they disable it.
+func (c *Comm) directEligible() bool { return c.faults == nil }
 
 // rankDead reports whether member id of this communicator was killed.
 func (c *Comm) rankDead(id int) bool { return c.dead[id].Load() }
@@ -351,29 +328,14 @@ func newComm(size int, opts Options) (*Comm, error) {
 	c := &Comm{size: size, model: model, tracer: opts.Tracer}
 	c.root = c
 	c.faults = opts.Faults
-	c.crc = opts.CRC || opts.Faults != nil
 	c.dead = make([]atomic.Bool, size)
 	if topo := model.Topo; topo != nil && topo.Ranks() < size {
 		return nil, fmt.Errorf("comm: topology %s hosts %d ranks, need %d", topo.Name(), topo.Ranks(), size)
 	}
 	c.hier = opts.Hierarchy
-	if c.hier == nil && model.Topo != nil && opts.Collectives == CollHier {
-		h, err := NewHierarchy(model.Topo.NodeMap()[:size])
-		if err != nil {
-			return nil, err
-		}
-		c.hier = h
-	}
 	if c.hier != nil && c.hier.size() != size {
 		return nil, fmt.Errorf("comm: hierarchy maps %d ranks, communicator has %d", c.hier.size(), size)
 	}
-	if opts.Collectives == CollHier {
-		if c.hier == nil {
-			return nil, fmt.Errorf("comm: Collectives=CollHier needs a Hierarchy or a topology model")
-		}
-		c.collMethod.Store(int32(CollHier))
-	}
-	c.rabMinLen = resolveRabMinLen(opts.RabenseifnerMinLen)
 	c.flatFlows = 1
 	if c.hier != nil {
 		c.flatFlows = c.hier.MaxRanksPerNode()
@@ -401,7 +363,7 @@ func newComm(size int, opts Options) (*Comm, error) {
 // all mailboxes are closed so blocked ranks unwind promptly. Ranks not in
 // locals are hosted elsewhere; their Stats entries stay zero (with empty
 // profiles, so aggregations need no nil checks).
-func runRanks(c *Comm, opts Options, locals []int, fn func(*Rank) error) (*Stats, error) {
+func runRanks(c *Comm, locals []int, fn func(*Rank) error) (*Stats, error) {
 	size := c.size
 	stats := &Stats{
 		Size:          size,
@@ -430,9 +392,6 @@ func runRanks(c *Comm, opts Options, locals []int, fn func(*Rank) error) (*Stats
 				id:    id,
 				clock: netmodel.NewClock(c.model),
 				prof:  newProfile(id),
-			}
-			if opts.ComputeFactors != nil && id < len(opts.ComputeFactors) {
-				r.clock.SetComputeFactor(opts.ComputeFactors[id])
 			}
 			defer func() {
 				if p := recover(); p != nil {
@@ -505,7 +464,7 @@ func Run(size int, opts Options, fn func(*Rank) error) (*Stats, error) {
 	for i := range locals {
 		locals[i] = i
 	}
-	return runRanks(c, opts, locals, fn)
+	return runRanks(c, locals, fn)
 }
 
 // RunSimple is Run with the loopback network model and no grid. It is the

@@ -330,9 +330,8 @@ func gigeOpts() comm.Options { return comm.Options{Model: netmodel.GigE} }
 func hierOpts(ranks, perNode int) func() comm.Options {
 	return func() comm.Options {
 		return comm.Options{
-			Model:       netmodel.GigE,
-			Hierarchy:   comm.BlockHierarchy(ranks, perNode),
-			Collectives: comm.CollHier,
+			Model:     netmodel.GigE,
+			Hierarchy: comm.BlockHierarchy(ranks, perNode),
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // White-box tests of the posted-receive direct-delivery fast path: when a
-// receive is already posted at send time (and the communicator needs no
-// CRC framing or fault plane), the sender copies the payload straight
-// into the request-owned buffers, skipping the message envelope.
+// receive is already posted at send time (and the communicator has no
+// fault plane, hence no CRC framing), the sender copies the payload
+// straight into the request-owned buffers, skipping the message envelope.
 
 // TestDirectDeliveryOrdering drives both completion paths through one
 // receiver and checks non-overtaking: a message queued before the receive
@@ -59,15 +59,20 @@ func TestDirectDeliveryOrdering(t *testing.T) {
 }
 
 // TestDirectDeliveryMatchesStaged runs the identical posted-receive
-// exchange on a plain communicator (direct eligible) and a CRC-framed one
-// (staged only) and requires bit-identical payloads and identical modeled
-// times — the fast path must be invisible except to the allocator.
+// exchange on a plain communicator (direct eligible) and on one with a
+// fault plane that injects nothing (CRC-framed, staged only) and requires
+// bit-identical payloads and identical modeled times — the fast path must
+// be invisible except to the allocator.
 func TestDirectDeliveryMatchesStaged(t *testing.T) {
-	run := func(crc bool) ([]float64, float64, float64) {
+	run := func(staged bool) ([]float64, float64, float64) {
 		t.Helper()
 		var data []float64
 		var arrival float64
-		stats, err := Run(2, Options{Model: netmodel.QDR, CRC: crc}, func(r *Rank) error {
+		opts := Options{Model: netmodel.QDR}
+		if staged {
+			opts.Faults = &scriptedFaults{} // no script: every message passes clean
+		}
+		stats, err := Run(2, opts, func(r *Rank) error {
 			const tag, hs = 5, 50
 			if r.ID() == 0 {
 				r.Recv(1, hs)
@@ -80,8 +85,8 @@ func TestDirectDeliveryMatchesStaged(t *testing.T) {
 			d, _ := req.Wait()
 			data = append([]float64(nil), d...)
 			arrival = req.Arrival()
-			if req.direct == crc {
-				t.Errorf("crc=%v but direct=%v", crc, req.direct)
+			if req.direct == staged {
+				t.Errorf("staged=%v but direct=%v", staged, req.direct)
 			}
 			req.Free()
 			return nil

@@ -264,14 +264,18 @@ func TestDelayPricesVirtualTime(t *testing.T) {
 	}
 }
 
-// TestCRCFramingIsVTInvariant: enabling CRC framing without faults must
-// not change modeled time or payloads — checksums ride outside the
-// modeled byte counts.
+// TestCRCFramingIsVTInvariant: the CRC framing a fault plane turns on
+// must not change modeled time or payloads when the plane injects
+// nothing — checksums ride outside the modeled byte counts.
 func TestCRCFramingIsVTInvariant(t *testing.T) {
 	run := func(crc bool) []float64 {
 		t.Helper()
 		vts := make([]float64, 4)
-		_, err := Run(4, Options{Model: netmodel.QDR, CRC: crc}, func(r *Rank) error {
+		opts := Options{Model: netmodel.QDR}
+		if crc {
+			opts.Faults = &scriptedFaults{} // no script: every message passes clean
+		}
+		_, err := Run(4, opts, func(r *Rank) error {
 			data := []float64{float64(r.ID())}
 			sum := r.Allreduce(OpSum, data)
 			if sum[0] != 6 {

@@ -8,16 +8,20 @@ import "fmt"
 // broadcast within a node first and run the inter-node phase over the
 // leaders only, so each node injects one flow into the fabric per round
 // instead of one per rank — the per-node communication structure CMT-nek
-// inherits from Nek5000.
+// inherits from Nek5000. A communicator runs these collectives exactly
+// when Options.Hierarchy is set.
 //
 // Bit-identity: with power-of-two uniform node sizes, a power-of-two
 // node count and a block (contiguous) rank→node map, the hierarchical
 // allreduce associates floating-point sums along exactly the same
 // combine tree as the flat recursive-doubling path, so results are
-// bit-identical with hierarchy on or off. TuneCollectives verifies this
-// on probe data and refuses to select the hierarchical method when the
-// layout breaks the equivalence (non-power-of-two nodes, irregular
-// maps). Integer reductions and broadcasts are exact under any layout.
+// bit-identical with hierarchy on or off (TestHierBitIdenticalPow2, the
+// hier-collectives-vs-flat conformance contract, and
+// TestHierPhysicsInvariance pin this). Other layouts (non-power-of-two
+// nodes, irregular maps) are correct but may differ from flat in the
+// last bits of float reductions, and nothing refuses them
+// (TestHierCollectivesCorrectIrregular). Integer reductions and
+// broadcasts are exact under any layout.
 type Hierarchy struct {
 	nodeOf  []int   // rank -> node index (dense, 0-based)
 	nodes   [][]int // node -> ascending member ranks
@@ -130,11 +134,9 @@ const (
 	hierTagRedLeader = collTagBase + 26 // reduce: inter-leader binomial
 )
 
-// hierOn reports whether collectives should take the hierarchical path.
-func (r *Rank) hierOn() bool {
-	c := r.comm
-	return c.hier != nil && CollMethod(c.collMethod.Load()) == CollHier
-}
+// hierOn reports whether collectives take the hierarchical path: exactly
+// when the communicator has a Hierarchy.
+func (r *Rank) hierOn() bool { return r.comm.hier != nil }
 
 // allreduceHier is the two-level allreduce: binomial intra-node reduce
 // onto the node leader, recursive-doubling allreduce across the leaders,

@@ -70,7 +70,7 @@ func runCollect(t *testing.T, p int, opts Options, fn func(*Rank) []float64) [][
 // switch methods without perturbing physics.
 func TestHierBitIdenticalPow2(t *testing.T) {
 	const p, rpn = 16, 4
-	hierOpts := Options{Hierarchy: BlockHierarchy(p, rpn), Collectives: CollHier}
+	hierOpts := Options{Hierarchy: BlockHierarchy(p, rpn)}
 	for _, op := range []ReduceOp{OpSum, OpProd, OpMin, OpMax} {
 		for _, n := range []int{1, 5, 64} {
 			flat := runCollect(t, p, Options{}, func(r *Rank) []float64 {
@@ -96,7 +96,7 @@ func TestHierBitIdenticalPow2(t *testing.T) {
 // only float bit-identity needs the pow2 shape).
 func TestHierCollectivesCorrectIrregular(t *testing.T) {
 	const p = 11
-	opts := Options{Hierarchy: BlockHierarchy(p, 3), Collectives: CollHier}
+	opts := Options{Hierarchy: BlockHierarchy(p, 3)}
 	_, err := Run(p, opts, func(r *Rank) error {
 		id := r.ID()
 		// Allreduce ints: exact under any association.
@@ -141,81 +141,31 @@ func TestHierCollectivesCorrectIrregular(t *testing.T) {
 	}
 }
 
-// TuneCollectives must reject the hierarchical method on layouts that
-// break float bit-identity, and keep the flat dispatch.
-func TestTuneRejectsIrregularLayout(t *testing.T) {
-	const p = 12 // 3 ranks per node: intra tree != flat RD low rounds
-	opts := Options{Hierarchy: BlockHierarchy(p, 3)}
-	_, err := Run(p, opts, func(r *Rank) error {
-		method, _, hierOK := TuneCollectives(r, 1, true)
-		if hierOK {
-			t.Errorf("rank %d: irregular layout passed verification", r.ID())
-		}
-		if method != CollFlat {
-			t.Errorf("rank %d: selected %v", r.ID(), method)
-		}
-		if r.hierOn() {
-			t.Errorf("rank %d: hier dispatch on after rejection", r.ID())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// On a congested fat-tree topology model, the tuner must verify the
-// pow2 hierarchy bit-exact and select it by modeled time.
-func TestTuneSelectsHierOnTopology(t *testing.T) {
-	const p = 64
-	topo, err := netmodel.FatTree(netmodel.FatTreeConfig{
-		RanksPerNode: 8, NodesPerLeaf: 4, Leaves: 2, Oversub: 2,
-		IntraAlpha: 2.5e-7, IntraBeta: 8e-11,
-		LinkAlpha: 6.5e-7, LinkBeta: 3.1e-10,
-		SpineAlpha: 5e-7, SpineBeta: 3.1e-10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := netmodel.QDR
-	model.Topo = topo
-	opts := Options{Model: model, Hierarchy: BlockHierarchy(p, 8)}
-	_, err = Run(p, opts, func(r *Rank) error {
-		method, timings, hierOK := TuneCollectives(r, 2, true)
-		if !hierOK {
-			t.Errorf("rank %d: pow2 block layout failed verification", r.ID())
-			return nil
-		}
-		if len(timings) != 2 {
-			t.Errorf("rank %d: %d timings", r.ID(), len(timings))
-			return nil
-		}
-		if method != CollHier {
-			t.Errorf("rank %d: selected %v (flat %.3e hier %.3e)",
-				r.ID(), method, timings[0].ModelMax, timings[1].ModelMax)
-		}
-		if !r.hierOn() {
-			t.Errorf("rank %d: winner not committed", r.ID())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Auto-derived hierarchy: CollHier with a topology model and no explicit
-// Hierarchy must group ranks by the topology's node map.
+// A hierarchy built from a topology's node map groups the ranks the way
+// the topology hosts them, and the hierarchical collectives run over it.
 func TestHierAutoDerivedFromTopology(t *testing.T) {
 	topo, err := netmodel.FatTreeCluster(64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h, err := NewHierarchy(topo.NodeMap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.NumNodes() != topo.Nodes() || h.MaxRanksPerNode() != topo.RanksPerNode() {
+		t.Fatalf("hierarchy %d nodes of <= %d, topology %d nodes of %d",
+			h.NumNodes(), h.MaxRanksPerNode(), topo.Nodes(), topo.RanksPerNode())
+	}
+	for r := 0; r < 64; r++ {
+		if h.NodeOf(r) != topo.NodeOf(r) {
+			t.Fatalf("rank %d: hierarchy node %d, topology node %d", r, h.NodeOf(r), topo.NodeOf(r))
+		}
+	}
 	model := netmodel.QDR
 	model.Topo = topo
-	_, err = Run(64, Options{Model: model, Collectives: CollHier}, func(r *Rank) error {
-		if r.comm.hier == nil || !r.hierOn() {
-			t.Errorf("rank %d: hierarchy not derived", r.ID())
+	_, err = Run(64, Options{Model: model, Hierarchy: h}, func(r *Rank) error {
+		if !r.hierOn() {
+			t.Errorf("rank %d: hierarchical collectives off", r.ID())
 			return nil
 		}
 		got := r.AllreduceInts(OpSum, []int64{1})
@@ -243,56 +193,11 @@ func TestTopologyTooSmallRejected(t *testing.T) {
 	}
 }
 
-// RabenseifnerMinLen must be tunable via Options and environment, with
-// Options taking precedence.
-func TestRabenseifnerMinLenTunable(t *testing.T) {
-	if got := resolveRabMinLen(0); got != rabenseifnerMinLenDefault {
-		t.Fatalf("default = %d", got)
-	}
-	if got := resolveRabMinLen(512); got != 512 {
-		t.Fatalf("option = %d", got)
-	}
-	t.Setenv("CMT_RABENSEIFNER_MINLEN", "128")
-	if got := resolveRabMinLen(0); got != 128 {
-		t.Fatalf("env = %d", got)
-	}
-	if got := resolveRabMinLen(512); got != 512 {
-		t.Fatalf("option should beat env, got %d", got)
-	}
-	t.Setenv("CMT_RABENSEIFNER_MINLEN", "bogus")
-	if got := resolveRabMinLen(0); got != rabenseifnerMinLenDefault {
-		t.Fatalf("bogus env = %d", got)
-	}
-
-	// End to end: with the switch lowered to 16, a 16-long vector takes
-	// the Rabenseifner path (watch its distinctive tag traffic via the
-	// byte count differing from recursive doubling at p=4: RD sends
-	// 2*16*8 bytes per rank, reduce-scatter+allgather sends 8+4+4+8
-	// floats = 24*8 bytes).
-	_, err := Run(4, Options{RabenseifnerMinLen: 16}, func(r *Rank) error {
-		data := collProbeInts(r.ID(), 16, 0xfeed)
-		want := append([]float64(nil), data...)
-		r2 := append([]float64(nil), data...)
-		r.allreduceRabenseifner(OpSum, want)
-		got := r.Allreduce(OpSum, r2)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("rank %d: dispatch did not take Rabenseifner path (slot %d)", r.ID(), i)
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Shrinking a hierarchical communicator must drop to flat collectives
 // (the survivor set has no guaranteed node layout) and still work.
 func TestShrinkDropsHierarchy(t *testing.T) {
 	const p = 8
-	opts := Options{Hierarchy: BlockHierarchy(p, 4), Collectives: CollHier}
+	opts := Options{Hierarchy: BlockHierarchy(p, 4)}
 	_, err := Run(p, opts, func(r *Rank) error {
 		if r.ID() == 5 {
 			r.Kill()
@@ -317,4 +222,40 @@ func TestShrinkDropsHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// collProbe fills a deterministic pseudo-random probe vector: full
+// mantissas so any change in floating-point association shows up
+// bitwise.
+func collProbe(rank, n int, salt uint64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		h := uint64(rank+1)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + salt
+		h ^= h >> 31
+		h *= 0x94d049bb133111eb
+		h ^= h >> 29
+		// Uniform in [1, 2) with full mantissa entropy, sign-flipped on
+		// odd hashes: sums are well-conditioned but association-
+		// sensitive in the low bits.
+		v := 1 + float64(h>>12)/(1<<52)
+		if h&1 != 0 {
+			v = -v
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// collProbeInts fills an integer-valued float probe in [-8, 8): sums of
+// up to ~2^49 such values are exact, so any two associations agree
+// bitwise — the payload used to cross-check algorithms whose combine
+// trees legitimately differ.
+func collProbeInts(rank, n int, salt uint64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		h := uint64(rank+1)*0xd1342543de82ef95 + uint64(i)*0xaf251af3b0f025b5 + salt
+		h ^= h >> 33
+		out[i] = float64(int64(h%16) - 8)
+	}
+	return out
 }

@@ -164,8 +164,8 @@ func (b *mailbox) peek(src, tag int, c *Comm) *message {
 
 // matchOrPost either completes req from an already-queued message or
 // registers it for direct delivery, atomically — the receive side of the
-// fast path. Only called when the communicator carries no CRC framing,
-// so no frame-check loop is needed.
+// fast path. Only called when the communicator has no fault plane, hence
+// no CRC framing, so no frame-check loop is needed.
 func (b *mailbox) matchOrPost(req *Request, src, tag int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

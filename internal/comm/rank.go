@@ -125,7 +125,7 @@ func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 		return r.deliverRemote(dst, tag, data, ints)
 	}
 	if c.directEligible() {
-		// Fast path: without CRC framing or a fault plane nothing can
+		// Fast path: without a fault plane (and its CRC framing) nothing can
 		// reject or reorder the payload, so deliver straight to the
 		// destination mailbox — into an already-posted receive's buffers
 		// when one matches (one copy, no envelope), or a staged message
@@ -144,7 +144,7 @@ func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 	m.data = append(m.data[:0], data...)
 	m.ints = append(m.ints[:0], ints...)
 	nbytes := m.bytes()
-	if c.crc {
+	if c.faults != nil {
 		m.crc = payloadCRC(m.data, m.ints)
 		m.framed = true
 	}
@@ -201,7 +201,7 @@ func (r *Rank) deliverRemote(dst, tag int, data []float64, ints []int64) int64 {
 	nbytes := 8 * int64(len(data)+len(ints))
 	var crc uint32
 	framed := false
-	if c.crc {
+	if c.faults != nil {
 		crc = payloadCRC(data, ints)
 		framed = true
 	}

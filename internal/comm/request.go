@@ -7,13 +7,14 @@ import "time"
 // which is where the mini-app — like its MPI parent — accumulates its
 // synchronization time (Figure 9's dominant MPI_Wait).
 //
-// On communicators without CRC framing or a fault plane, an Irecv posted
-// before the matching send completes by direct delivery: the sender copies
-// the payload into the request-owned buf/ibuf, skipping the message
-// envelope. The buffers persist across IrecvInto reposts, so steady-state
-// exchanges stay allocation-free. All completion state is written either
-// by the owning rank goroutine or by a sender holding the owner's mailbox
-// lock, which the owner re-acquires before reading (waitRequest/Test).
+// On communicators without a fault plane (hence without CRC framing), an
+// Irecv posted before the matching send completes by direct delivery: the
+// sender copies the payload into the request-owned buf/ibuf, skipping the
+// message envelope. The buffers persist across IrecvInto reposts, so
+// steady-state exchanges stay allocation-free. All completion state is
+// written either by the owning rank goroutine or by a sender holding the
+// owner's mailbox lock, which the owner re-acquires before reading
+// (waitRequest/Test).
 type Request struct {
 	rank     *Rank
 	src, tag int

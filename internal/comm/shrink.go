@@ -53,16 +53,14 @@ func (r *Rank) Shrink(members []int) (*Rank, error) {
 			model:    c.model,
 			tracer:   c.tracer,
 			faults:   c.faults,
-			crc:      c.crc,
 			parent:   c,
 			root:     c.root,
 			parentOf: append([]int(nil), members...),
 			dead:     make([]atomic.Bool, len(members)),
 			// The node hierarchy does NOT survive a shrink: the survivor
-			// set has no guaranteed layout, so collectives drop back to
-			// the flat algorithms (hier nil, collMethod zero). Algorithm
-			// tunables and the flat congestion declaration carry over.
-			rabMinLen: c.rabMinLen,
+			// set has no guaranteed layout, so hier stays nil and the
+			// collectives run the flat algorithms. The flat congestion
+			// declaration carries over.
 			flatFlows: c.flatFlows,
 		}
 		sub.worldOf = make([]int, len(members))

@@ -153,8 +153,8 @@ func TestTCPCollectivesMatchInProcess(t *testing.T) {
 }
 
 // TestTCPPostedReceiveDirectDelivery exercises the fast path end to end:
-// without CRC framing a posted Irecv must be completed directly by the
-// transport's reader goroutine.
+// without a fault plane (hence without CRC framing) a posted Irecv must
+// be completed directly by the transport's reader goroutine.
 func TestTCPPostedReceiveDirectDelivery(t *testing.T) {
 	const size = 2
 	runTCP(t, size, comm.Options{}, func(r *comm.Rank) error {

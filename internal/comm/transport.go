@@ -252,7 +252,7 @@ func (c *Comm) isLocalWorld(w int) bool {
 // a goroutine for every rank the transport hosts locally, wires frames
 // addressed to remote ranks through the transport, and waits for the
 // local ranks. All processes must use identical Options (the network
-// model, grid, CRC and fault configuration are part of the communicator
+// model, grid, hierarchy and fault configuration are part of the communicator
 // contract; a fault plane is installed per process and sees the sends of
 // locally hosted ranks).
 //
@@ -292,7 +292,7 @@ func RunDistributed(t Transport, opts Options, fn func(*Rank) error) (*Stats, er
 	if err := t.Start(commReceiver{root: c}); err != nil {
 		return nil, fmt.Errorf("comm: transport start: %w", err)
 	}
-	stats, err := runRanks(c, opts, locals, fn)
+	stats, err := runRanks(c, locals, fn)
 	if err != nil {
 		t.Abort()
 		return nil, err

@@ -12,8 +12,8 @@ import (
 // the communicator's collectives are flat or hierarchical: the setup
 // path adjudicates ownership with an integer allreduce and the
 // all_reduce method combines on the dense vector, and both ride the
-// two-level node-leader tree under comm.CollHier. The comm layer only
-// enables that tree on layouts where its combine order matches the flat
+// two-level node-leader tree when the communicator has a Hierarchy. On a
+// power-of-two block layout that tree's combine order matches the flat
 // one exactly — this test pins the end-to-end consequence.
 func TestHierCommBitIdentical(t *testing.T) {
 	const p, perNode, slots = 8, 4, 24
@@ -38,7 +38,6 @@ func TestHierCommBitIdentical(t *testing.T) {
 		var opts comm.Options
 		if hier {
 			opts.Hierarchy = comm.BlockHierarchy(p, perNode)
-			opts.Collectives = comm.CollHier
 		}
 		out := make([][]float64, p)
 		_, err := comm.Run(p, opts, func(r *comm.Rank) error {

@@ -259,13 +259,13 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp, partial []float64) {
 // expensive for either mini-app at this problem size. The dense vector
 // is persistent handle scratch, identity-reset in place each call.
 //
-// On a hierarchical communicator (comm.CollHier) the Allreduce below
-// rides the two-level node-leader tree automatically: intra-node reduce,
-// leader exchange, intra-node broadcast. No gs-level awareness is
-// needed — the comm layer only enables the hierarchical path on layouts
-// where its combine order is bit-identical to the flat tree (power-of-two
-// node sizes and node count), so exchange results, and therefore tuning
-// decisions, are unchanged. TestHierCommBitIdentical pins this.
+// On a hierarchical communicator (one built with comm.Options.Hierarchy)
+// the Allreduce below rides the two-level node-leader tree
+// automatically: intra-node reduce, leader exchange, intra-node
+// broadcast. No gs-level awareness is needed — on power-of-two block
+// layouts that tree's combine order is bit-identical to the flat one,
+// so exchange results, and therefore tuning decisions, are unchanged.
+// TestHierCommBitIdentical pins this.
 func (g *GS) exchangeAllReduce(op comm.ReduceOp, partial []float64, k int) {
 	g.ensureBigVector()
 	nr := len(g.bigIdx)

@@ -112,7 +112,6 @@ func Names() []string {
 type Clock struct {
 	model Model
 	now   float64
-	speed float64 // compute slowdown factor (1 = nominal)
 
 	// overlapHidden accumulates the modeled seconds of communication
 	// hidden behind compute by split-phase exchanges: for each
@@ -147,7 +146,7 @@ func (p PhaseSplit) Total() float64 { return p.Compute + p.Wait + p.Send }
 
 // NewClock returns a clock at time zero running under model m.
 func NewClock(m Model) *Clock {
-	return &Clock{model: m, speed: 1}
+	return &Clock{model: m}
 }
 
 // split returns the accumulator of the current phase, creating it on
@@ -192,17 +191,6 @@ func (c *Clock) PhaseSplits() map[string]PhaseSplit {
 	return out
 }
 
-// SetComputeFactor scales all subsequent compute advances: 1 is the
-// nominal machine, 1.5 models a rank running 50% slower (a straggler —
-// thermal throttling, a noisy neighbor, or simply more work). Stragglers
-// are how modeled runs reproduce the load-imbalance signature the paper
-// reads out of its Figure 8/9 MPI_Wait profiles.
-func (c *Clock) SetComputeFactor(f float64) {
-	if f > 0 {
-		c.speed = f
-	}
-}
-
 // Model returns the machine model the clock runs under.
 func (c *Clock) Model() Model { return c.model }
 
@@ -213,19 +201,17 @@ func (c *Clock) Now() float64 { return c.now }
 // host wall time.
 func (c *Clock) AdvanceCompute(wall float64) {
 	if wall > 0 {
-		dt := wall * c.model.GammaCompute * c.speed
+		dt := wall * c.model.GammaCompute
 		c.now += dt
 		c.split().Compute += dt
 	}
 }
 
-// Advance adds dt virtual seconds (dt >= 0) of modeled compute, scaled by
-// the rank's compute factor.
+// Advance adds dt virtual seconds (dt >= 0) of modeled compute.
 func (c *Clock) Advance(dt float64) {
 	if dt > 0 {
-		d := dt * c.speed
-		c.now += d
-		c.split().Compute += d
+		c.now += dt
+		c.split().Compute += dt
 	}
 }
 

@@ -94,7 +94,7 @@ type Solver struct {
 
 	// kernelSec accumulates the virtual seconds this rank's clock
 	// advanced inside chargeCompute — the measured per-rank kernel time
-	// (including straggler compute factors) the load balancer's cost
+	// (including hot-element work weights) the load balancer's cost
 	// model consumes.
 	kernelSec float64
 
@@ -388,9 +388,9 @@ func GaussianPulse(cx, cy, cz, amp, sigma float64) func(x, y, z float64) [NumFie
 // compute phases between messages). The charge is scaled by the
 // per-element work weights (Config.HotElems): every charged kernel is
 // volume-proportional, so a rank's compute cost is the mean weight of
-// its elements times the structural cost. The advance (including any
-// straggler compute factor) is also accumulated into kernelSec, the
-// measured kernel time the load balancer's cost model reads.
+// its elements times the structural cost. The advance is also
+// accumulated into kernelSec, the measured kernel time the load
+// balancer's cost model reads.
 func (s *Solver) chargeCompute(ops sem.OpCount, tr hw.Traits) {
 	s.Ops = s.Ops.Plus(ops)
 	t := hw.Time(s.Cfg.Machine, hw.Ops{Mul: ops.Mul, Add: ops.Add, Load: ops.Load, Store: ops.Store}, tr)
@@ -402,8 +402,8 @@ func (s *Solver) chargeCompute(ops sem.OpCount, tr hw.Traits) {
 }
 
 // KernelSeconds returns the cumulative modeled compute seconds charged on
-// this rank (virtual-clock advance of every kernel, including straggler
-// compute factors) — the measurement feed of the load balancer.
+// this rank (virtual-clock advance of every kernel, including hot-element
+// work weights) — the measurement feed of the load balancer.
 func (s *Solver) KernelSeconds() float64 { return s.kernelSec }
 
 // ElemCostShares fills dst (grown if needed) with each local element's
