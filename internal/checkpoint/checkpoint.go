@@ -198,13 +198,6 @@ func readInt64sChunked(r io.Reader, n int) ([]int64, error) {
 	return out, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Restore copies a snapshot's fields into a compatible solver, returning
 // the recorded step and time. The solver must match the snapshot's mesh
 // shape and rank.

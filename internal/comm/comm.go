@@ -9,7 +9,10 @@
 // non-overtaking order. Sends are eager (buffered) and never block, which
 // matches the small-message regime of the mini-app and keeps the runtime
 // deadlock-free by construction; all waiting happens on the receive side,
-// exactly where the paper observes it (MPI_Wait, Figure 9).
+// exactly where the paper observes it (MPI_Wait, Figure 9). When every
+// rank runs in this process with a CPU of its own, a blocked receive
+// polls briefly before it parks (mailbox.await), sparing an exchange the
+// goroutine park and wake-up; modeled time is unaffected.
 //
 // Two kinds of time are tracked. Host wall time is measured around every
 // operation, giving an mpiP-style profile (Figures 8-10). In addition each
@@ -22,6 +25,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,6 +79,14 @@ type Comm struct {
 	periodic [3]bool
 	hasGrid  bool
 	tracer   Tracer
+
+	// spin gates the bounded poll a blocked receive makes before it
+	// parks (mailbox.await). It is fixed at creation: true only when
+	// every member runs in this process and each can hold its own P
+	// (size <= GOMAXPROCS), since an oversubscribed spinner holds the
+	// CPU its sender needs and a transport's waits are woken by a reader
+	// goroutine. Shrunken sub-communicators inherit it.
+	spin bool
 
 	// Hierarchical-collective state. hier is the node grouping; the
 	// collectives are hierarchical exactly when it is non-nil. flatFlows
@@ -319,13 +331,14 @@ func (s *Stats) MaxVirtualTime() float64 {
 }
 
 // newComm builds a world communicator from Options. It is shared by Run
-// (in-process, all ranks local) and RunDistributed (some ranks remote).
-func newComm(size int, opts Options) (*Comm, error) {
+// (inProcess: all ranks local) and RunDistributed (behind a transport).
+func newComm(size int, opts Options, inProcess bool) (*Comm, error) {
 	model := opts.Model
 	if model.Name == "" {
 		model = netmodel.Loopback
 	}
 	c := &Comm{size: size, model: model, tracer: opts.Tracer}
+	c.spin = inProcess && size <= runtime.GOMAXPROCS(0)
 	c.root = c
 	c.faults = opts.Faults
 	c.dead = make([]atomic.Bool, size)
@@ -352,7 +365,7 @@ func newComm(size int, opts Options) (*Comm, error) {
 	}
 	c.boxes = make([]*mailbox, size)
 	for i := range c.boxes {
-		c.boxes[i] = newMailbox()
+		c.boxes[i] = newMailbox(c.spin)
 	}
 	return c, nil
 }
@@ -456,7 +469,7 @@ func Run(size int, opts Options, fn func(*Rank) error) (*Stats, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("comm: size must be >= 1, got %d", size)
 	}
-	c, err := newComm(size, opts)
+	c, err := newComm(size, opts, true)
 	if err != nil {
 		return nil, err
 	}

@@ -62,6 +62,7 @@ func (r *Rank) Shrink(members []int) (*Rank, error) {
 			// collectives run the flat algorithms. The flat congestion
 			// declaration carries over.
 			flatFlows: c.flatFlows,
+			spin:      c.spin,
 		}
 		sub.worldOf = make([]int, len(members))
 		for i, m := range members {
@@ -69,7 +70,7 @@ func (r *Rank) Shrink(members []int) (*Rank, error) {
 		}
 		sub.boxes = make([]*mailbox, len(members))
 		for i := range sub.boxes {
-			sub.boxes[i] = newMailbox()
+			sub.boxes[i] = newMailbox(sub.spin)
 		}
 		if c.children == nil {
 			c.children = make(map[string]*Comm)

@@ -281,7 +281,7 @@ func RunDistributed(t Transport, opts Options, fn func(*Rank) error) (*Stats, er
 		}
 		localWorld[w] = true
 	}
-	c, err := newComm(size, opts)
+	c, err := newComm(size, opts, false)
 	if err != nil {
 		return nil, err
 	}
