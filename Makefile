@@ -18,8 +18,9 @@ test:
 # and the gather-scatter + solver paths that drive the pool under
 # rank-level concurrency) additionally run under the race detector. The
 # TCP send path shares each socket between the sending rank's inline
-# write and the writer goroutine's backlog drain; repetition is what
-# catches a bad hand-over between them. A blocked receive polls before it
+# write and the writer goroutine's backlog drain, and each inbound
+# stream passes between the waiting rank and the reader goroutine;
+# repetition is what catches a bad hand-over between them. A blocked receive polls before it
 # parks only when every rank has a CPU of its own, so the mailbox wake-up
 # table repeats under -race and the comm tests also run on one P, where
 # every wait takes the park-only path.
@@ -29,7 +30,7 @@ race:
 	GOMAXPROCS=1 $(GO) test ./internal/comm/...
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap' ./internal/solver/...
 	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
-	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
+	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5

@@ -106,7 +106,7 @@ func TestMailboxAwaitWakeups(t *testing.T) {
 			for _, ph := range phases {
 				w, k, ph := w, k, ph
 				t.Run(w.name+"/"+k.name+"/"+ph.name, func(t *testing.T) {
-					c, err := newComm(2, Options{}, true)
+					c, err := newComm(2, Options{}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,6 +147,70 @@ func wantValue(v float64) func(o outcome) error {
 	}
 }
 
+// TestMailboxAwaitBackoff pins the back-off of a transport's poll: after
+// m consecutive polls that run out, the next 2^m-1 waits park without
+// polling, and a poll that sees a change starts the count again.
+func TestMailboxAwaitBackoff(t *testing.T) {
+	tr := &countingTransport{parked: make(chan struct{}, 1)}
+	b := newMailbox(time.Microsecond, tr)
+	tr.b = b
+	// wait runs one await; hit makes every Poll look like a delivery.
+	// It reports whether the wait polled and whether it parked.
+	wait := func(hit bool) (polled, parked bool) {
+		tr.hit, tr.polls = hit, 0
+		done := make(chan struct{})
+		go func() {
+			b.mu.Lock()
+			b.await()
+			b.mu.Unlock()
+			close(done)
+		}()
+		select {
+		case <-tr.parked:
+			parked = true
+			b.wake()
+			<-done
+		case <-done:
+		}
+		return tr.polls > 0, parked
+	}
+	for i, want := range []struct{ hit, polled, parked bool }{
+		{false, true, true},  // miss 1: skip 1
+		{false, false, true}, //
+		{false, true, true},  // miss 2: skip 3
+		{false, false, true},
+		{false, false, true},
+		{false, false, true},
+		{true, true, false},  // a hit clears the count
+		{false, true, true},  // miss 1 again: skip 1
+		{false, false, true}, //
+		{true, true, false},
+	} {
+		if polled, parked := wait(want.hit); polled != want.polled || parked != want.parked {
+			t.Fatalf("wait %d: polled %v parked %v, want %v and %v", i, polled, parked, want.polled, want.parked)
+		}
+	}
+}
+
+// countingTransport counts Poll calls, makes each one look like a
+// delivery to b when hit is set, and reports every Park on parked.
+type countingTransport struct {
+	localTransport
+	b      *mailbox
+	hit    bool
+	polls  int
+	parked chan struct{}
+}
+
+func (c *countingTransport) Poll() {
+	c.polls++
+	if c.hit {
+		c.b.seq.Add(1)
+	}
+}
+
+func (c *countingTransport) Park() { c.parked <- struct{}{} }
+
 // localTransport hosts every rank of a RunDistributed world in this
 // process and never carries a frame.
 type localTransport struct{ size int }
@@ -165,54 +229,61 @@ func (localTransport) Send(int, *Frame) error { return nil }
 func (localTransport) NotifyDead(int)         {}
 func (localTransport) Close() error           { return nil }
 func (localTransport) Abort()                 {}
+func (localTransport) Poll()                  {}
+func (localTransport) Park()                  {}
 
-// TestSpinGate pins when a communicator polls before parking: only when
-// every member runs in this process and fits in GOMAXPROCS, and a Shrink
-// child keeps its parent's decision whatever its own size.
+// TestSpinGate pins when a communicator polls before parking: iff the
+// world has no more ranks than GOMAXPROCS, with or without a transport,
+// and a Shrink child keeps its parent's budget and transport whatever its
+// own size.
 func TestSpinGate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	// gate reports rank 0's communicator gate and that of a one-member
-	// Shrink child of it.
-	gate := func(run func(fn func(*Rank) error) error) (spin, child bool) {
+	// gate reports the poll budget of rank 0's mailbox, checking that
+	// every mailbox of its communicator and of a one-member Shrink child
+	// of it has the same budget and polls tr.
+	gate := func(size int, tr Transport, run func(fn func(*Rank) error) error) time.Duration {
 		t.Helper()
+		var budget time.Duration
 		err := run(func(r *Rank) error {
 			if r.ID() != 0 {
 				return nil
-			}
-			spin = r.comm.spin
-			if got := r.comm.boxes[0].budget; (got == spinBudget) != spin {
-				return fmt.Errorf("gate %v but mailbox budget %v", spin, got)
 			}
 			sub, err := r.Shrink([]int{0})
 			if err != nil {
 				return err
 			}
-			child = sub.comm.spin
+			budget = r.comm.boxes[0].budget
+			for _, b := range append(append([]*mailbox(nil), r.comm.boxes...), sub.comm.boxes...) {
+				if b.budget != budget || b.tr != tr {
+					return fmt.Errorf("mailbox budget %v transport %v, want %v and %v", b.budget, b.tr, budget, tr)
+				}
+			}
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("size %d: %v", size, err)
 		}
-		return spin, child
+		return budget
 	}
-	inProcess := func(size int) func(fn func(*Rank) error) error {
-		return func(fn func(*Rank) error) error {
-			_, err := Run(size, Options{}, fn)
+	for _, tc := range []struct {
+		size int
+		want time.Duration
+	}{{2, spinBudget}, {3, 0}} {
+		inProcess := func(fn func(*Rank) error) error {
+			_, err := Run(tc.size, Options{}, fn)
 			return err
 		}
-	}
-	if spin, child := gate(inProcess(2)); !spin || !child {
-		t.Errorf("Run(2) at GOMAXPROCS 2: spin %v, shrunk child %v; want both true", spin, child)
-	}
-	if spin, child := gate(inProcess(3)); spin || child {
-		t.Errorf("Run(3) at GOMAXPROCS 2: spin %v, shrunk child %v; want both false", spin, child)
-	}
-	distributed := func(fn func(*Rank) error) error {
-		_, err := RunDistributed(localTransport{size: 2}, Options{}, fn)
-		return err
-	}
-	if spin, child := gate(distributed); spin || child {
-		t.Errorf("RunDistributed: spin %v, shrunk child %v; want both false", spin, child)
+		if got := gate(tc.size, nil, inProcess); got != tc.want {
+			t.Errorf("Run(%d) at GOMAXPROCS 2: budget %v, want %v", tc.size, got, tc.want)
+		}
+		tr := localTransport{size: tc.size}
+		distributed := func(fn func(*Rank) error) error {
+			_, err := RunDistributed(tr, Options{}, fn)
+			return err
+		}
+		if got := gate(tc.size, tr, distributed); got != tc.want {
+			t.Errorf("RunDistributed(%d) at GOMAXPROCS 2: budget %v, want %v", tc.size, got, tc.want)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // White-box tests of the mailbox, the correctness core of the transport.
 
 func TestMailboxFIFOPerSourceTag(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	for i := 0; i < 5; i++ {
 		b.put(&message{src: 1, tag: 7, data: []float64{float64(i)}})
 	}
@@ -22,7 +22,7 @@ func TestMailboxFIFOPerSourceTag(t *testing.T) {
 }
 
 func TestMailboxSelectiveMatching(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	b.put(&message{src: 1, tag: 1})
 	b.put(&message{src: 2, tag: 1})
 	b.put(&message{src: 1, tag: 2})
@@ -38,7 +38,7 @@ func TestMailboxSelectiveMatching(t *testing.T) {
 }
 
 func TestMailboxTryTake(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	if m := b.tryTake(AnySource, AnyTag); m != nil {
 		t.Fatal("tryTake on empty box returned a message")
 	}
@@ -55,7 +55,7 @@ func TestMailboxTryTake(t *testing.T) {
 }
 
 func TestMailboxPeekDoesNotConsume(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	b.put(&message{src: 5, tag: 9, data: []float64{1}})
 	if m := b.peek(5, 9, nil); m == nil || m.data[0] != 1 {
 		t.Fatal("peek failed")
@@ -66,7 +66,7 @@ func TestMailboxPeekDoesNotConsume(t *testing.T) {
 }
 
 func TestMailboxBlockingTakeWakesOnPut(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	done := make(chan *message, 1)
 	go func() { done <- b.take(3, 3) }()
 	time.Sleep(2 * time.Millisecond) // let the taker block
@@ -82,7 +82,7 @@ func TestMailboxBlockingTakeWakesOnPut(t *testing.T) {
 }
 
 func TestMailboxCloseUnblocksTakers(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	var wg sync.WaitGroup
 	panicked := make(chan bool, 3)
 	for i := 0; i < 3; i++ {
@@ -104,7 +104,7 @@ func TestMailboxCloseUnblocksTakers(t *testing.T) {
 }
 
 func TestMailboxPutAfterCloseDropped(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	b.close()
 	b.put(&message{src: 0, tag: 0}) // must not panic
 	defer func() {
@@ -116,7 +116,7 @@ func TestMailboxPutAfterCloseDropped(t *testing.T) {
 }
 
 func TestMailboxConcurrentProducersConsumers(t *testing.T) {
-	b := newMailbox(false)
+	b := newMailbox(0, nil)
 	const producers, per = 4, 200
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

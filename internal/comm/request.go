@@ -104,14 +104,18 @@ func (r *Rank) IrecvInto(req *Request, src, tag int) {
 }
 
 // Test reports whether the request has completed, matching a queued
-// message if one is available, without blocking. The completion flag is
-// read under the mailbox lock because a sender may be completing a posted
-// request concurrently.
+// message if one is available, without blocking. Behind a transport it
+// first polls it, so a caller looping on Test makes progress. The
+// completion flag is read under the mailbox lock because a sender may be
+// completing a posted request concurrently.
 func (req *Request) Test() bool {
 	if req.isSend {
 		return true
 	}
 	b := req.rank.comm.boxes[req.rank.id]
+	if b.tr != nil {
+		b.tr.Poll()
+	}
 	b.mu.Lock()
 	for {
 		if req.done {

@@ -62,15 +62,16 @@ func (r *Rank) Shrink(members []int) (*Rank, error) {
 			// collectives run the flat algorithms. The flat congestion
 			// declaration carries over.
 			flatFlows: c.flatFlows,
-			spin:      c.spin,
 		}
 		sub.worldOf = make([]int, len(members))
 		for i, m := range members {
 			sub.worldOf[i] = c.worldIDOf(m)
 		}
+		// The wait policy is the world's: the same poll budget and
+		// transport as the parent's mailboxes.
 		sub.boxes = make([]*mailbox, len(members))
 		for i := range sub.boxes {
-			sub.boxes[i] = newMailbox(sub.spin)
+			sub.boxes[i] = newMailbox(c.boxes[0].budget, c.boxes[0].tr)
 		}
 		if c.children == nil {
 			c.children = make(map[string]*Comm)

@@ -13,6 +13,13 @@
 // framing (Frame.CRC/Framed), which is verified by the receiving mailbox,
 // not here: fault-plane-injected corruption must cross the wire intact so
 // the receiver's reject-and-retransmit path is exercised end to end.
+//
+// A send is one non-blocking write(2) on the sending rank's goroutine;
+// only what the kernel refuses queues for a per-peer writer goroutine.
+// Receiving is the mirror image (rankread.go): a blocked rank reads its
+// peers' sockets itself while it polls (Poll), and a per-peer reader
+// goroutine reads only while the rank sleeps (after Park), so in a
+// steady exchange a frame reaches its rank with no goroutine wake-up.
 package tcptransport
 
 import (

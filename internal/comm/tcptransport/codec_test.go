@@ -204,44 +204,98 @@ func decodeStream(t *testing.T, raw []byte, buf *[]byte, fr *comm.Frame) ([]deco
 		if len(body) > MaxBodyBytes {
 			t.Fatalf("readWire returned %d-byte body above cap", len(body))
 		}
-		d := decoded{typ: typ, body: append([]byte(nil), body...)}
-		switch typ {
-		case typData:
-			if err := decodeData(body, f); err != nil {
-				d.ferr = err.Error()
+		out = append(out, decodeMsg(t, typ, body, f))
+	}
+}
+
+// decodeMsg decodes one wire message's body by its type, through f for a
+// data message, and returns it copied out of any reused buffer.
+func decodeMsg(t *testing.T, typ byte, body []byte, f *comm.Frame) decoded {
+	d := decoded{typ: typ, body: append([]byte(nil), body...)}
+	switch typ {
+	case typData:
+		if err := decodeData(body, f); err != nil {
+			d.ferr = err.Error()
+			break
+		}
+		// Decoded payload sizes are bounded by the body that carried
+		// them.
+		if 8*(len(f.Data)+len(f.Ints)) > len(body) {
+			t.Fatalf("decoded payload larger than body")
+		}
+		d.frame = cloneFrame(f)
+	case typDead:
+		decodeDead(body)
+	case typHello:
+		decodeHello(body)
+	case typTable:
+		decodeTable(body)
+	}
+	return d
+}
+
+// streamDecode feeds raw through the inbound stream parser (inStream) the
+// way reads fill it, in pieces whose lengths cycle through cuts (each
+// byte plus one; all of raw in one piece when cuts is empty) and cut
+// again by the room each read has. It returns the messages dispatched
+// and the error that ended the stream. The buffer may never hold more
+// than one chunk or a quarter past the bytes that have arrived.
+func streamDecode(t *testing.T, raw, cuts []byte) ([]decoded, error) {
+	var s inStream
+	var out []decoded
+	arrived := 0
+	for i := 0; ; i++ {
+		for {
+			typ, body, ok, err := s.next()
+			if err != nil {
+				return out, err
+			}
+			if !ok {
 				break
 			}
-			// Decoded payload sizes are bounded by the body that carried
-			// them.
-			if 8*(len(f.Data)+len(f.Ints)) > len(body) {
-				t.Fatalf("decoded payload larger than body")
-			}
-			d.frame = cloneFrame(f)
-		case typDead:
-			decodeDead(body)
-		case typHello:
-			decodeHello(body)
-		case typTable:
-			decodeTable(body)
+			out = append(out, decodeMsg(t, typ, body, &s.f))
 		}
-		out = append(out, d)
+		if arrived == len(raw) {
+			// What readWire reports for a stream ending here.
+			if s.off < len(s.buf) {
+				return out, ErrTruncated
+			}
+			return out, io.EOF
+		}
+		room := s.space()
+		if cap(s.buf) > arrived+max(streamChunk, arrived/4) {
+			t.Fatalf("stream buffer of %d bytes after %d arrived", cap(s.buf), arrived)
+		}
+		piece := len(raw) - arrived
+		if len(cuts) > 0 {
+			piece = min(piece, 1+int(cuts[i%len(cuts)]))
+		}
+		n := copy(room, raw[arrived:arrived+piece])
+		s.buf = s.buf[:len(s.buf)+n]
+		arrived += n
 	}
 }
 
 // FuzzReadFrame holds the codec to its contract under arbitrary input:
 // truncated, oversized, and corrupt frames must error — never panic and
-// never allocate beyond the declared caps. Every input is decoded twice,
-// fresh and through one body buffer and Frame left dirty by a larger
-// earlier frame, and both must agree exactly: no byte of an earlier frame
-// may leak into a shorter one. Wired into `make fuzz-smoke`.
+// never allocate beyond the declared caps. Every input is decoded three
+// times: fresh, through one body buffer and Frame left dirty by a larger
+// earlier frame, and through the inbound stream parser in fuzz-chosen
+// pieces. All three must agree exactly, on the messages and on the error
+// that ends them: no byte of an earlier frame may leak into a shorter
+// one, and where a read happens to cut the stream must not matter. Wired
+// into `make fuzz-smoke`.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(appendData(nil, &comm.Frame{Data: []float64{1, 2, 3}, Ints: []int64{4}, Framed: true, CRC: 9}))
-	f.Add(appendDead(nil, 3))
-	f.Add(appendHello(nil, 1, "127.0.0.1:9"))
-	f.Add(appendTable(nil, []string{"a:1", "b:2"}))
-	f.Add(appendWire(nil, typBye, nil))
-	f.Add([]byte{0x57, 0x54, 0x4d, 0x43}) // reversed magic
-	f.Add(make([]byte, headerLen))
+	f.Add(appendData(nil, &comm.Frame{Data: []float64{1, 2, 3}, Ints: []int64{4}, Framed: true, CRC: 9}), []byte{4, 0, 30})
+	f.Add(appendDead(nil, 3), []byte{})
+	f.Add(appendHello(nil, 1, "127.0.0.1:9"), []byte{0})
+	f.Add(appendTable(nil, []string{"a:1", "b:2"}), []byte{13})
+	f.Add(appendWire(nil, typBye, nil), []byte{2, 255})
+	f.Add([]byte{0x57, 0x54, 0x4d, 0x43}, []byte{1}) // reversed magic
+	f.Add(make([]byte, headerLen), []byte{})
+	// A frame larger than one chunk, then a small one: the stream buffer
+	// must grow past its first 64 KiB and then be reused.
+	f.Add(appendWire(appendData(nil, &comm.Frame{Data: make([]float64, 9000)}), typBye, nil), []byte{255, 200, 7})
 
 	// The dirty state: a 4 KiB frame of all-ones bits, read and decoded.
 	big := &comm.Frame{Ctx: math.MaxUint64, Src: -7, Dst: -7, Tag: -7, CRC: math.MaxUint32, Framed: true,
@@ -252,8 +306,17 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	bigWire := appendData(nil, big)
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw, cuts []byte) {
 		fresh, ferr := decodeStream(t, raw, nil, nil)
+		streamed, serr := streamDecode(t, raw, cuts)
+		if serr != ferr || len(streamed) != len(fresh) {
+			t.Fatalf("readWire: %d messages then %v; stream: %d then %v", len(fresh), ferr, len(streamed), serr)
+		}
+		for i := range fresh {
+			if !decodedEqual(fresh[i], streamed[i]) {
+				t.Fatalf("message %d: readWire and stream decodes differ:\n  readWire %+v\n  stream   %+v", i, fresh[i], streamed[i])
+			}
+		}
 
 		var buf []byte
 		var fr comm.Frame
@@ -267,8 +330,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		for i := range fresh {
 			a, b := fresh[i], reused[i]
-			if a.typ != b.typ || !bytes.Equal(a.body, b.body) || a.ferr != b.ferr ||
-				(a.frame == nil) != (b.frame == nil) || (a.frame != nil && !frameEqual(a.frame, b.frame)) {
+			if !decodedEqual(a, b) {
 				t.Fatalf("message %d: fresh and reused decodes differ:\n  fresh  %+v\n  reused %+v", i, a, b)
 			}
 			if a.frame == nil {
@@ -286,4 +348,9 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+func decodedEqual(a, b decoded) bool {
+	return a.typ == b.typ && bytes.Equal(a.body, b.body) && a.ferr == b.ferr &&
+		(a.frame == nil) == (b.frame == nil) && (a.frame == nil || frameEqual(a.frame, b.frame))
 }

@@ -1,7 +1,6 @@
 package tcptransport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -105,6 +104,21 @@ type peer struct {
 	wb    []byte
 	wn    int
 	werr  error
+
+	// The inbound stream (rankread.go) and its owner's lock. want says
+	// the rank has polled since the reader's turn began; kick starts a
+	// turn. The read callbacks (see readNow, awaitRead) are bound once;
+	// their argument and results are used only under rmu.
+	rmu    sync.Mutex
+	in     inStream
+	want   atomic.Bool
+	kick   *kicker
+	rdNow  func(fd uintptr)
+	rdWait func(fd uintptr) bool
+	rb     []byte
+	rn     int
+	rerr   error
+	rheld  bool
 }
 
 // send is the one enqueue-or-write path for every outbound message
@@ -192,7 +206,8 @@ func (t *Transport) Size() int { return t.cfg.Size }
 func (t *Transport) LocalRanks() []int { return []int{t.cfg.Rank} }
 
 // Start spawns the per-peer reader and writer goroutines and begins
-// delivering inbound frames into rcv.
+// delivering inbound frames into rcv: on the rank goroutine while it
+// polls, on the reader goroutines while it sleeps (see rankread.go).
 func (t *Transport) Start(rcv comm.Receiver) error {
 	if t.started.Swap(true) {
 		return fmt.Errorf("tcptransport: Start called twice")
@@ -236,7 +251,7 @@ func (t *Transport) NotifyDead(world int) {
 // every peer's goodbye (or death notice) arrives so no departure is
 // mistaken for a crash — on either side.
 func (t *Transport) Close() error {
-	t.down.Store(true)
+	t.shutdown()
 	for _, p := range t.peers {
 		if p == nil {
 			continue
@@ -280,7 +295,7 @@ func (t *Transport) Close() error {
 // Abort implements comm.Transport: immediate teardown, no goodbye. Peers
 // observe the disconnect as the death of this process's rank.
 func (t *Transport) Abort() {
-	t.down.Store(true)
+	t.shutdown()
 	for _, p := range t.peers {
 		if p != nil {
 			p.q.close()
@@ -289,13 +304,25 @@ func (t *Transport) Abort() {
 	t.teardownConns()
 }
 
+// shutdown marks teardown begun and starts every reader's last turn,
+// which reads its stream to the end.
+func (t *Transport) shutdown() {
+	t.down.Store(true)
+	for _, p := range t.peers {
+		if p != nil {
+			p.kick.kick()
+		}
+	}
+}
+
 func (t *Transport) teardownConns() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
 	for _, p := range t.peers {
-		if p != nil && p.conn != nil {
+		if p != nil {
 			p.conn.Close()
+			p.kick.close()
 		}
 	}
 }
@@ -336,57 +363,6 @@ func (t *Transport) writeLoop(p *peer) {
 	}
 }
 
-// readLoop decodes one peer's inbound stream and routes it: data frames
-// to the receiver, death notices to the fault plane, a goodbye marks the
-// departure graceful. A broken stream (EOF without goodbye, protocol
-// error) is a process failure: every rank it hosts is reported dead.
-// Every message is read into one body buffer and every data frame decoded
-// into one Frame, both owned by this loop and reused; the receiver only
-// borrows the frame for the DeliverFrame call.
-func (t *Transport) readLoop(p *peer) {
-	defer close(p.readDone)
-	br := bufio.NewReaderSize(p.conn, 1<<16)
-	var buf []byte
-	var f comm.Frame
-	for {
-		typ, body, err := readWire(br, &buf)
-		if err != nil {
-			if !p.byed.Load() && !t.down.Load() {
-				t.rcv.PeerDead(p.rank)
-			}
-			return
-		}
-		switch typ {
-		case typData:
-			if err := decodeData(body, &f); err != nil {
-				if !t.down.Load() {
-					t.rcv.PeerDead(p.rank)
-				}
-				return
-			}
-			t.rcv.DeliverFrame(&f)
-		case typDead:
-			w, err := decodeDead(body)
-			if err != nil {
-				if !t.down.Load() {
-					t.rcv.PeerDead(p.rank)
-				}
-				return
-			}
-			t.rcv.PeerDead(w)
-		case typBye:
-			p.byed.Store(true)
-			// Keep reading: the clean EOF follows the peer's half-close.
-		default:
-			// Unknown type from a same-version peer: protocol error.
-			if !t.down.Load() && !p.byed.Load() {
-				t.rcv.PeerDead(p.rank)
-			}
-			return
-		}
-	}
-}
-
 func (t *Transport) addPeer(rank int, conn net.Conn) error {
 	if rank < 0 || rank >= t.cfg.Size || rank == t.cfg.Rank {
 		return fmt.Errorf("tcptransport: bogus peer rank %d", rank)
@@ -403,10 +379,14 @@ func (t *Transport) addPeer(rank int, conn net.Conn) error {
 		readDone: make(chan struct{}),
 		wrDone:   make(chan struct{}),
 	}
+	var err error
+	if p.kick, err = newKicker(); err != nil {
+		return fmt.Errorf("tcptransport: peer %d: %w", rank, err)
+	}
 	p.q.cond = sync.NewCond(&p.q.mu)
 	if sc, ok := conn.(syscall.Conn); ok {
-		// Without a raw handle every message takes the writer's path, so
-		// the error needs no other handling.
+		// Without a raw handle every message takes the writer's path and
+		// every read the reader's, so the error needs no other handling.
 		p.raw, _ = sc.SyscallConn()
 	}
 	t.peers[rank] = p

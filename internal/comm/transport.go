@@ -96,6 +96,19 @@ type Transport interface {
 	// Peers observe the disconnect as a failure (PeerDead), which is the
 	// correct signal: the local process is unwinding from an error.
 	Abort()
+	// Poll delivers, on the calling rank goroutine, whatever inbound
+	// frames have already arrived, and never blocks. A blocked receive
+	// calls it on every turn of its bounded poll (mailbox.await), and
+	// Request.Test calls it first, so a rank that loops on Test makes
+	// progress without ever blocking (MPI's progress rule). Delivering on
+	// the waiting rank spares a frame the wake-up of a transport
+	// goroutine and then of the rank.
+	Poll()
+	// Park tells the transport that a local rank is about to sleep on its
+	// mailbox, so the transport's own goroutines must deliver inbound
+	// frames until a rank polls again. It is called with the mailbox lock
+	// held: it must neither block nor deliver.
+	Park()
 }
 
 // childCtx derives the deterministic routing id of a shrunken
@@ -281,11 +294,10 @@ func RunDistributed(t Transport, opts Options, fn func(*Rank) error) (*Stats, er
 		}
 		localWorld[w] = true
 	}
-	c, err := newComm(size, opts, false)
+	c, err := newComm(size, opts, t)
 	if err != nil {
 		return nil, err
 	}
-	c.transport = t
 	c.localWorld = localWorld
 	c.reg = newCtxRegistry()
 	c.reg.register(worldCtx, c)
