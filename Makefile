@@ -34,10 +34,11 @@ race:
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5
-# seeds, message-fault bit-identity, dead-sender detection, shrink, and
-# the remapped-restore path. Deterministic — same seeds every run.
+# seeds, a crash under the load balancer, message-fault bit-identity,
+# dead-sender detection, shrink, and the remapped-restore path (element
+# records, costs included). Deterministic — same seeds every run.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestMessageFaults|TestStall|TestWaitErr|TestKill|TestShrink|TestBlockingRecv|TestDrop|TestCorruption|TestDelay|TestRehome|TestRestoreRemapped' \
+	$(GO) test -race -run 'TestChaos|TestLoadbalCrash|TestMessageFaults|TestStall|TestWaitErr|TestKill|TestShrink|TestBlockingRecv|TestDrop|TestCorruption|TestDelay|TestRehome|TestRestoreRemapped|TestRestoreCarriesCosts' \
 		./internal/fault/... ./internal/comm/... ./internal/checkpoint/...
 
 # 10-second fuzz smoke per target (one target per invocation, as go
@@ -48,7 +49,6 @@ chaos:
 # gather-scatter).
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
-	$(GO) test -race -run '^$$' -fuzz '^FuzzReadParticles$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDecodeOwnershipWire$$' -fuzztime 10s ./internal/mesh/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMVariants$$' -fuzztime 10s ./internal/sem/

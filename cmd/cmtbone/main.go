@@ -150,11 +150,6 @@ func main() {
 
 	var spec *fault.Spec
 	if *faultsSpec != "" {
-		if *useLB {
-			// Recovery re-homes elements itself; two subsystems rewriting
-			// the ownership mid-run would fight over the partition.
-			log.Fatalf("-faults cannot be combined with -loadbal")
-		}
 		spec, err = fault.Load(*faultsSpec)
 		if err != nil {
 			log.Fatalf("-faults: %v", err)
@@ -303,6 +298,14 @@ func main() {
 		s.SetInitial(solver.GaussianPulse(
 			float64(cfg.ElemGrid[0])/2, float64(cfg.ElemGrid[1])/2, float64(cfg.ElemGrid[2])/2,
 			0.1, float64(cfg.ElemGrid[0])/8+0.25))
+		var b *loadbal.Balancer
+		if *useLB {
+			b = loadbal.New(s, nil, reg, loadbal.Config{
+				Threshold: *lbThreshold,
+				Every:     *lbEvery,
+			})
+			balancers[r.ID()] = b
+		}
 		if spec != nil {
 			rn, err := fault.NewRunner(s, fault.Config{
 				Spec: spec, CkptDir: *ckptDir, CkptEvery: *ckptEvery,
@@ -313,9 +316,17 @@ func main() {
 				return err
 			}
 			// The runner owns the current solver: after a recovery the
-			// original is already closed and replaced.
+			// original is already closed and replaced, and the balancer
+			// follows the replacement.
 			defer rn.Close()
-			rep, err := rn.Run(*steps)
+			var after func(int)
+			if b != nil {
+				after = func(step int) {
+					b.Follow(rn.Solver())
+					b.AfterStep(step)
+				}
+			}
+			rep, err := rn.Run(*steps, after)
 			if err != nil {
 				return err
 			}
@@ -325,12 +336,7 @@ func main() {
 		} else {
 			defer s.Close()
 			var after func(int)
-			if *useLB {
-				b := loadbal.New(s, nil, reg, loadbal.Config{
-					Threshold: *lbThreshold,
-					Every:     *lbEvery,
-				})
-				balancers[r.ID()] = b
+			if b != nil {
 				after = b.AfterStep
 			}
 			reports[r.ID()] = s.RunWith(*steps, after)
@@ -389,7 +395,7 @@ func main() {
 		}
 	}
 	if *useLB {
-		b := balancers[0]
+		b := balancers[live]
 		moved, bytes := 0, int64(0)
 		for _, rb := range balancers {
 			moved += rb.MovedElems

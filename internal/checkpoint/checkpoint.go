@@ -1,16 +1,25 @@
 // Package checkpoint provides restart files for the mini-app: each rank
-// serializes its conserved-variable fields plus enough metadata to
-// validate a resume. Production Nek-family codes lean on restart files
-// for long campaigns; the mini-app carries the same capability so
-// checkpoint I/O cost can be included in performance studies.
+// serializes its element records plus enough metadata to validate a
+// resume. Production Nek-family codes lean on restart files for long
+// campaigns; the mini-app carries the same capability so checkpoint I/O
+// cost can be included in performance studies.
 //
-// The format is a fixed little-endian binary layout (stdlib
+// The format (version 3) is a fixed little-endian binary layout (stdlib
 // encoding/binary): a magic/version header, the mesh shape, the step
-// counter and simulation time, the rank's global element id list (format
-// version 2 — records arbitrary element->rank ownership so a run can
-// checkpoint after a dynamic rebalance and restore the exact partition),
-// then the five field arrays. Version-1 files (no gid list, implied
-// uniform box split) still read.
+// counter and simulation time, the writing rank, its element count and
+// a flags word (sources present, cost estimates primed), then one
+// element record per local element in ascending gid order — the record
+// solver.Solver.Remap moves between ranks (gid, conserved fields,
+// sources iff enabled, the load balancer's cost estimate). The gids
+// record arbitrary element->rank ownership, so a run can checkpoint
+// after a dynamic rebalance and restore the exact partition, and a crash
+// recovery can restore onto any survivor partition. Files of versions 1
+// and 2 (fields only) fail with a VersionError.
+//
+// Every restore — a rank's own file, an in-memory preemption image, or
+// a whole checkpoint set after a crash — is one routine: keep the
+// records this rank owns and require every local element to be covered
+// exactly once.
 package checkpoint
 
 import (
@@ -28,8 +37,25 @@ import (
 // Magic identifies checkpoint files ("CMTB" + format version).
 const (
 	Magic   uint32 = 0x434d5442
-	Version uint32 = 2
+	Version uint32 = 3
 )
+
+// Header flags.
+const (
+	// FlagSources marks records that carry source values.
+	FlagSources uint32 = 1 << iota
+	// FlagCostPrimed marks cost estimates that hold a measured sample
+	// (solver.Solver.CostPrimed).
+	FlagCostPrimed
+)
+
+// VersionError reports a checkpoint written in a format version this
+// build does not read.
+type VersionError struct{ Version uint32 }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("checkpoint: format version %d is not supported (this build reads version %d)", e.Version, Version)
+}
 
 // Meta is the validated header of a checkpoint.
 type Meta struct {
@@ -38,38 +64,48 @@ type Meta struct {
 	ProcGrid [3]int32
 	Rank     int32
 	Nel      int32
+	Flags    uint32
 	Step     int64
 	Time     float64
 }
 
 // maxN bounds a header's points per direction: far above anything the
-// solver runs (the paper's range is 5-25), and small enough that
-// Nel*N^3 cannot overflow 64 bits.
+// solver runs (the paper's range is 5-25).
 const maxN = 1 << 10
 
-// volume validates the header's sizes and returns Nel*N^3, the length of
-// each field array. Nothing may be computed from N or Nel before it.
-func (m Meta) volume() (int, error) {
-	if m.N >= 2 && m.N <= maxN && m.Nel >= 1 {
-		if vol := int64(m.Nel) * int64(m.N) * int64(m.N) * int64(m.N); vol <= math.MaxInt {
-			return int(vol), nil
+// recordLen returns the length of each of the header's element records.
+func (m Meta) recordLen() int { return solver.RecordLen(int(m.N), m.Flags&FlagSources != 0) }
+
+// size validates the header's sizes and returns Nel*recordLen, the
+// length of the record data. Nothing may be computed from N or Nel
+// before it.
+func (m Meta) size() (int, error) {
+	if m.N >= 2 && m.N <= maxN && m.Nel >= 1 && m.Flags&^(FlagSources|FlagCostPrimed) == 0 {
+		if l := m.recordLen(); int64(m.Nel) <= math.MaxInt/int64(l) {
+			return int(m.Nel) * l, nil
 		}
 	}
-	return 0, fmt.Errorf("checkpoint: implausible header: N=%d Nel=%d", m.N, m.Nel)
+	return 0, fmt.Errorf("checkpoint: implausible header: N=%d Nel=%d flags=%#x", m.N, m.Nel, m.Flags)
 }
 
 // Snapshot is one rank's checkpoint contents.
 type Snapshot struct {
 	Meta Meta
-	// GIDs lists the rank's global element ids in local (ascending)
-	// order. Nil for version-1 files, which imply the uniform box split.
+	// GIDs lists the records' global element ids, ascending.
 	GIDs []int64
-	U    [solver.NumFields][]float64
+	// Records holds Meta.Nel element records back to back, in GIDs order.
+	Records []float64
 }
 
-// metaOf captures the solver's identity for the header.
-func metaOf(s *solver.Solver, step int64, time float64) Meta {
-	return Meta{
+// Record returns the i-th element record.
+func (sn *Snapshot) Record(i int) []float64 {
+	l := sn.Meta.recordLen()
+	return sn.Records[i*l : (i+1)*l]
+}
+
+// Write serializes rank state s at the given step/time to w.
+func Write(w io.Writer, s *solver.Solver, step int64, time float64) error {
+	meta := Meta{
 		N: int32(s.Cfg.N),
 		ElemGrid: [3]int32{int32(s.Cfg.ElemGrid[0]), int32(s.Cfg.ElemGrid[1]),
 			int32(s.Cfg.ElemGrid[2])},
@@ -80,27 +116,22 @@ func metaOf(s *solver.Solver, step int64, time float64) Meta {
 		Step: step,
 		Time: time,
 	}
-}
-
-// Write serializes rank state s at the given step/time to w.
-func Write(w io.Writer, s *solver.Solver, step int64, time float64) error {
-	meta := metaOf(s, step, time)
+	if s.Source[0] != nil {
+		meta.Flags |= FlagSources
+	}
+	if s.CostPrimed {
+		meta.Flags |= FlagCostPrimed
+	}
 	for _, v := range []interface{}{Magic, Version, meta} {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 			return fmt.Errorf("checkpoint: write header: %w", err)
 		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, s.Local.GIDs()); err != nil {
-		return fmt.Errorf("checkpoint: write gids: %w", err)
-	}
-	n3 := s.Cfg.N * s.Cfg.N * s.Cfg.N
-	want := s.Local.Nel * n3
-	for c := 0; c < solver.NumFields; c++ {
-		if len(s.U[c]) != want {
-			return fmt.Errorf("checkpoint: field %d has %d values, want %d", c, len(s.U[c]), want)
-		}
-		if err := binary.Write(w, binary.LittleEndian, s.U[c]); err != nil {
-			return fmt.Errorf("checkpoint: write field %d: %w", c, err)
+	rec := make([]float64, 0, s.RecordLen())
+	for e := 0; e < s.Local.Nel; e++ {
+		rec = s.AppendRecord(rec[:0], e)
+		if err := binary.Write(w, binary.LittleEndian, rec); err != nil {
+			return fmt.Errorf("checkpoint: write element %d: %w", e, err)
 		}
 	}
 	return nil
@@ -118,46 +149,41 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
 		return nil, fmt.Errorf("checkpoint: read version: %w", err)
 	}
-	if version != 1 && version != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
+	if version != Version {
+		return nil, &VersionError{Version: version}
 	}
-	var snap Snapshot
+	snap := &Snapshot{}
 	if err := binary.Read(r, binary.LittleEndian, &snap.Meta); err != nil {
 		return nil, fmt.Errorf("checkpoint: read header: %w", err)
 	}
 	m := snap.Meta
-	vol, err := m.volume()
+	size, err := m.size()
 	if err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		gids, err := readInt64sChunked(r, int(m.Nel))
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: read gids: %w", err)
-		}
-		total := int64(m.ElemGrid[0]) * int64(m.ElemGrid[1]) * int64(m.ElemGrid[2])
-		for i, g := range gids {
-			if g < 0 || g >= total || (i > 0 && g <= gids[i-1]) {
-				return nil, fmt.Errorf("checkpoint: gid list not ascending in [0,%d)", total)
-			}
-		}
-		snap.GIDs = gids
+	// Read in bounded chunks so a forged header claiming a huge element
+	// count fails at EOF instead of exhausting memory.
+	if snap.Records, err = readFloatsChunked(r, size); err != nil {
+		return nil, fmt.Errorf("checkpoint: read records: %w", err)
 	}
-	for c := 0; c < solver.NumFields; c++ {
-		// Read in bounded chunks so a forged header claiming a huge
-		// element count fails at EOF instead of exhausting memory.
-		field, err := readFloatsChunked(r, vol)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: read field %d: %w", c, err)
+	for _, v := range snap.Records {
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("checkpoint: records contain NaN")
 		}
-		for _, v := range field {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("checkpoint: field %d contains NaN", c)
-			}
-		}
-		snap.U[c] = field
 	}
-	return &snap, nil
+	total := int64(m.ElemGrid[0]) * int64(m.ElemGrid[1]) * int64(m.ElemGrid[2])
+	snap.GIDs = make([]int64, m.Nel)
+	for i := range snap.GIDs {
+		rec, err := solver.DecodeRecord(snap.Record(i), int(m.N), m.Flags&FlagSources != 0)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: record %d: %w", i, err)
+		}
+		if rec.GID >= total || (i > 0 && rec.GID <= snap.GIDs[i-1]) {
+			return nil, fmt.Errorf("checkpoint: gid list not ascending in [0,%d)", total)
+		}
+		snap.GIDs[i] = rec.GID
+	}
+	return snap, nil
 }
 
 // readFloatsChunked reads exactly n float64s, allocating as data arrives.
@@ -166,10 +192,7 @@ func readFloatsChunked(r io.Reader, n int) ([]float64, error) {
 	out := make([]float64, 0, min(n, chunk))
 	buf := make([]float64, chunk)
 	for len(out) < n {
-		want := n - len(out)
-		if want > chunk {
-			want = chunk
-		}
+		want := min(n-len(out), chunk)
 		if err := binary.Read(r, binary.LittleEndian, buf[:want]); err != nil {
 			return nil, err
 		}
@@ -178,61 +201,89 @@ func readFloatsChunked(r io.Reader, n int) ([]float64, error) {
 	return out, nil
 }
 
-// readInt64sChunked reads exactly n int64s, allocating as data arrives —
-// like readFloatsChunked, it makes a forged header claiming a huge count
-// fail at EOF instead of exhausting memory.
-func readInt64sChunked(r io.Reader, n int) ([]int64, error) {
-	const chunk = 1 << 16
-	out := make([]int64, 0, min(n, chunk))
-	buf := make([]int64, chunk)
-	for len(out) < n {
-		want := n - len(out)
-		if want > chunk {
-			want = chunk
-		}
-		if err := binary.Read(r, binary.LittleEndian, buf[:want]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:want]...)
-	}
-	return out, nil
-}
-
-// Restore copies a snapshot's fields into a compatible solver, returning
-// the recorded step and time. The solver must match the snapshot's mesh
-// shape and rank.
+// Restore stores a rank's own snapshot into a compatible solver,
+// returning the recorded step and time. The snapshot must hold exactly
+// the solver's local elements.
 func Restore(s *solver.Solver, snap *Snapshot) (step int64, time float64, err error) {
-	m := snap.Meta
-	if int(m.N) != s.Cfg.N ||
-		int(m.ElemGrid[0]) != s.Cfg.ElemGrid[0] ||
-		int(m.ElemGrid[1]) != s.Cfg.ElemGrid[1] ||
-		int(m.ElemGrid[2]) != s.Cfg.ElemGrid[2] ||
-		int(m.ProcGrid[0]) != s.Cfg.ProcGrid[0] ||
-		int(m.ProcGrid[1]) != s.Cfg.ProcGrid[1] ||
-		int(m.ProcGrid[2]) != s.Cfg.ProcGrid[2] {
-		return 0, 0, fmt.Errorf("checkpoint: mesh mismatch: snapshot N=%d grid=%v procs=%v vs config N=%d grid=%v procs=%v",
-			m.N, m.ElemGrid, m.ProcGrid, s.Cfg.N, s.Cfg.ElemGrid, s.Cfg.ProcGrid)
+	if int(snap.Meta.Nel) != s.Local.Nel {
+		return 0, 0, fmt.Errorf("checkpoint: element count mismatch: %d vs %d (restore with the snapshot's ownership)",
+			snap.Meta.Nel, s.Local.Nel)
 	}
-	if int(m.Rank) != s.Rank.ID() {
-		return 0, 0, fmt.Errorf("checkpoint: rank mismatch: snapshot %d, solver %d", m.Rank, s.Rank.ID())
+	return restore(s, 1, func(int) (*Snapshot, error) { return snap, nil })
+}
+
+// RestoreRemapped restores a checkpoint set written by nfiles ranks into
+// a solver whose partition — and possibly communicator size — no longer
+// matches the files: the failure-recovery path, where survivors of a rank
+// crash rebuild solvers over a re-homed ownership map and resume from the
+// last complete checkpoint. Every calling rank reads all nfiles files and
+// keeps the elements its current ownership assigns to it. Collective in
+// effect: all ranks must call it against the same checkpoint set.
+func RestoreRemapped(s *solver.Solver, dir, tag string, nfiles int) (step int64, simTime float64, err error) {
+	return restore(s, nfiles, func(rank int) (*Snapshot, error) { return ReadFile(dir, tag, rank) })
+}
+
+// restore is the one restore routine. It reads n images, one at a time,
+// and stores the records s's rank owns under its current ownership;
+// every local element must be covered exactly once. Every image must
+// match the solver's mesh shape (N, element grid, processor grid — crash
+// survivors keep the original box) and agree on step, time and flags.
+// Sources are enabled when the images carry them, and the cost estimates
+// come back primed or not as they were written.
+func restore(s *solver.Solver, n int, image func(i int) (*Snapshot, error)) (step int64, simTime float64, err error) {
+	if n < 1 {
+		return 0, 0, fmt.Errorf("checkpoint: restore from %d images", n)
 	}
-	if int(m.Nel) != s.Local.Nel {
-		return 0, 0, fmt.Errorf("checkpoint: element count mismatch: %d vs %d", m.Nel, s.Local.Nel)
-	}
-	if snap.GIDs != nil {
-		for e, g := range s.Local.GIDs() {
-			if snap.GIDs[e] != g {
-				return 0, 0, fmt.Errorf("checkpoint: element %d is gid %d in snapshot, %d in solver (restore with the snapshot's ownership)",
-					e, snap.GIDs[e], g)
-			}
+	own := s.Ownership()
+	me := s.Rank.ID()
+	filled := make([]bool, s.Local.Nel)
+	var first Meta
+	for i := 0; i < n; i++ {
+		snap, err := image(i)
+		if err != nil {
+			return 0, 0, err
 		}
-	} else if !s.Ownership().IsUniform() {
-		return 0, 0, fmt.Errorf("checkpoint: version-1 snapshot implies the uniform split, solver has a rebalanced partition")
+		m := snap.Meta
+		if int(m.N) != s.Cfg.N ||
+			int(m.ElemGrid[0]) != s.Cfg.ElemGrid[0] ||
+			int(m.ElemGrid[1]) != s.Cfg.ElemGrid[1] ||
+			int(m.ElemGrid[2]) != s.Cfg.ElemGrid[2] ||
+			int(m.ProcGrid[0]) != s.Cfg.ProcGrid[0] ||
+			int(m.ProcGrid[1]) != s.Cfg.ProcGrid[1] ||
+			int(m.ProcGrid[2]) != s.Cfg.ProcGrid[2] {
+			return 0, 0, fmt.Errorf("checkpoint: mesh mismatch in image %d: snapshot N=%d grid=%v procs=%v vs config N=%d grid=%v procs=%v",
+				i, m.N, m.ElemGrid, m.ProcGrid, s.Cfg.N, s.Cfg.ElemGrid, s.Cfg.ProcGrid)
+		}
+		if i == 0 {
+			first = m
+			if m.Flags&FlagSources != 0 {
+				s.EnableSource()
+			}
+		} else if m.Step != first.Step || m.Time != first.Time || m.Flags != first.Flags {
+			return 0, 0, fmt.Errorf("checkpoint: image %d is at step %d/time %g/flags %#x, set started at step %d/time %g/flags %#x",
+				i, m.Step, m.Time, m.Flags, first.Step, first.Time, first.Flags)
+		}
+		for j, g := range snap.GIDs {
+			if own.Owner(g) != me {
+				continue
+			}
+			e, err := s.StoreRecord(snap.Record(j))
+			if err != nil {
+				return 0, 0, fmt.Errorf("checkpoint: image %d: %w", i, err)
+			}
+			if filled[e] {
+				return 0, 0, fmt.Errorf("checkpoint: element %d restored twice", g)
+			}
+			filled[e] = true
+		}
 	}
-	for c := 0; c < solver.NumFields; c++ {
-		copy(s.U[c], snap.U[c])
+	for e, ok := range filled {
+		if !ok {
+			return 0, 0, fmt.Errorf("checkpoint: no image covers local element %d (gid %d)", e, s.Local.GID(e))
+		}
 	}
-	return m.Step, m.Time, nil
+	s.CostPrimed = first.Flags&FlagCostPrimed != 0
+	return first.Step, first.Time, nil
 }
 
 // FilePath returns the per-rank checkpoint path under dir for the given
@@ -270,30 +321,25 @@ func ReadFile(dir, tag string, rank int) (*Snapshot, error) {
 }
 
 // ReadOwnership reconstructs the element->rank map recorded by a full
-// set of per-rank checkpoint files under dir (headers and gid lists
-// only; field data is not read). Pass the resulting Ownership through
-// Config.Ownership so the restored run resumes on the exact partition it
-// checkpointed with — including one produced by a mid-run rebalance.
-// Version-1 checkpoint sets return the uniform split.
+// set of per-rank checkpoint files under dir. Pass the resulting
+// Ownership through Config.Ownership so the restored run resumes on the
+// exact partition it checkpointed with — including one produced by a
+// mid-run rebalance.
 func ReadOwnership(dir, tag string, box *mesh.Box) (*mesh.Ownership, error) {
-	p := box.Ranks()
 	owner := make([]int, box.TotalElems())
 	for i := range owner {
 		owner[i] = -1
 	}
-	sawGIDs := false
-	for rank := 0; rank < p; rank++ {
-		gids, uniform, err := readGIDHeader(dir, tag, rank)
+	for rank := 0; rank < box.Ranks(); rank++ {
+		snap, err := ReadFile(dir, tag, rank)
 		if err != nil {
 			return nil, err
 		}
-		if uniform {
-			gids = box.Partition(rank).GIDs()
-		} else {
-			sawGIDs = true
+		if int(snap.Meta.Rank) != rank {
+			return nil, fmt.Errorf("checkpoint: rank %d file recorded for rank %d", rank, snap.Meta.Rank)
 		}
-		for _, g := range gids {
-			if g < 0 || g >= int64(len(owner)) || owner[g] != -1 {
+		for _, g := range snap.GIDs {
+			if g >= int64(len(owner)) || owner[g] != -1 {
 				return nil, fmt.Errorf("checkpoint: rank %d claims gid %d already owned or out of range", rank, g)
 			}
 			owner[g] = rank
@@ -304,45 +350,5 @@ func ReadOwnership(dir, tag string, box *mesh.Box) (*mesh.Ownership, error) {
 			return nil, fmt.Errorf("checkpoint: no rank owns element %d", g)
 		}
 	}
-	if !sawGIDs {
-		return box.UniformOwnership(), nil
-	}
 	return mesh.NewOwnership(box, owner)
-}
-
-// readGIDHeader reads one file's header and gid list, stopping before
-// the field data. uniform is true for version-1 files.
-func readGIDHeader(dir, tag string, rank int) (gids []int64, uniform bool, err error) {
-	f, err := os.Open(FilePath(dir, tag, rank))
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	var magic, version uint32
-	var meta Meta
-	for _, v := range []interface{}{&magic, &version, &meta} {
-		if err := binary.Read(f, binary.LittleEndian, v); err != nil {
-			return nil, false, fmt.Errorf("checkpoint: read header of rank %d: %w", rank, err)
-		}
-	}
-	if magic != Magic {
-		return nil, false, fmt.Errorf("checkpoint: bad magic %#x in rank %d file", magic, rank)
-	}
-	if version == 1 {
-		return nil, true, nil
-	}
-	if version != Version {
-		return nil, false, fmt.Errorf("checkpoint: unsupported version %d in rank %d file", version, rank)
-	}
-	if int(meta.Rank) != rank {
-		return nil, false, fmt.Errorf("checkpoint: rank %d file recorded for rank %d", rank, meta.Rank)
-	}
-	if meta.Nel < 0 {
-		return nil, false, fmt.Errorf("checkpoint: negative element count in rank %d file", rank)
-	}
-	gids, err = readInt64sChunked(f, int(meta.Nel))
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: read gids of rank %d: %w", rank, err)
-	}
-	return gids, false, nil
 }

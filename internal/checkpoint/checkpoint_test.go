@@ -20,6 +20,21 @@ func mkSolver(t testing.TB, r *comm.Rank, p int) *solver.Solver {
 	return s
 }
 
+// fieldOf gathers conserved field c from a snapshot's records, in local
+// element order.
+func fieldOf(t testing.TB, snap *Snapshot, c int) []float64 {
+	t.Helper()
+	var out []float64
+	for i := range snap.GIDs {
+		rec, err := solver.DecodeRecord(snap.Record(i), int(snap.Meta.N), snap.Meta.Flags&FlagSources != 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec.U[c]...)
+	}
+	return out
+}
+
 func TestRoundtripInMemory(t *testing.T) {
 	_, err := comm.RunSimple(1, func(r *comm.Rank) error {
 		s := mkSolver(t, r, 1)
@@ -38,8 +53,9 @@ func TestRoundtripInMemory(t *testing.T) {
 			t.Errorf("meta = %+v", snap.Meta)
 		}
 		for c := 0; c < solver.NumFields; c++ {
+			field := fieldOf(t, snap, c)
 			for i := range s.U[c] {
-				if snap.U[c][i] != s.U[c][i] {
+				if field[i] != s.U[c][i] {
 					t.Errorf("field %d differs at %d", c, i)
 					return nil
 				}
@@ -100,64 +116,97 @@ func TestReadRejectsGarbage(t *testing.T) {
 
 func TestResumeEquivalence(t *testing.T) {
 	// Running 6 steps straight must equal running 3, checkpointing,
-	// restoring into a fresh solver, and running 3 more.
+	// restoring into a fresh solver, and running 3 more — bit for bit in
+	// all five fields. The resumed solver is built without sources: a
+	// constant source must come back from the checkpoint's records.
 	const p = 2
-	direct := make([][]float64, p)
-	resumed := make([][]float64, p)
-
-	_, err := comm.RunSimple(p, func(r *comm.Rank) error {
-		s := mkSolver(t, r, p)
-		s.Run(6)
-		direct[r.ID()] = append([]float64(nil), s.U[solver.IEnergy]...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	snaps := make([]*Snapshot, p)
-	_, err = comm.RunSimple(p, func(r *comm.Rank) error {
-		s := mkSolver(t, r, p)
-		s.Run(3)
-		var buf bytes.Buffer
-		if err := Write(&buf, s, 3, 0); err != nil {
-			return err
-		}
-		snap, err := Read(&buf)
-		if err != nil {
-			return err
-		}
-		snaps[r.ID()] = snap
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = comm.RunSimple(p, func(r *comm.Rank) error {
-		s := mkSolver(t, r, p)
-		step, _, err := Restore(s, snaps[r.ID()])
-		if err != nil {
-			return err
-		}
-		if step != 3 {
-			t.Errorf("restored step = %d", step)
-		}
-		s.Run(3)
-		resumed[r.ID()] = append([]float64(nil), s.U[solver.IEnergy]...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for rank := 0; rank < p; rank++ {
-		for i := range direct[rank] {
-			if math.Abs(direct[rank][i]-resumed[rank][i]) > 1e-12*(1+math.Abs(direct[rank][i])) {
-				t.Fatalf("rank %d: resumed run diverges at %d: %v vs %v",
-					rank, i, resumed[rank][i], direct[rank][i])
+	for _, tc := range []struct {
+		name   string
+		source float64 // constant density source; 0 leaves sources off
+	}{
+		{"plain", 0},
+		{"constant-source", 0.01},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := func(r *comm.Rank) *solver.Solver {
+				s := mkSolver(t, r, p)
+				if tc.source != 0 {
+					src := s.EnableSource()
+					for i := range src[solver.IRho] {
+						src[solver.IRho][i] = tc.source
+					}
+				}
+				return s
 			}
-		}
+			direct := make([][solver.NumFields][]float64, p)
+			resumed := make([][solver.NumFields][]float64, p)
+			keep := func(s *solver.Solver, into [][solver.NumFields][]float64) {
+				for c := 0; c < solver.NumFields; c++ {
+					into[s.Rank.ID()][c] = append([]float64(nil), s.U[c]...)
+				}
+			}
+
+			_, err := comm.RunSimple(p, func(r *comm.Rank) error {
+				s := setup(r)
+				s.Run(6)
+				keep(s, direct)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			snaps := make([]*Snapshot, p)
+			_, err = comm.RunSimple(p, func(r *comm.Rank) error {
+				s := setup(r)
+				s.Run(3)
+				var buf bytes.Buffer
+				if err := Write(&buf, s, 3, 0); err != nil {
+					return err
+				}
+				snap, err := Read(&buf)
+				if err != nil {
+					return err
+				}
+				snaps[r.ID()] = snap
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			_, err = comm.RunSimple(p, func(r *comm.Rank) error {
+				s := mkSolver(t, r, p)
+				step, _, err := Restore(s, snaps[r.ID()])
+				if err != nil {
+					return err
+				}
+				if step != 3 {
+					t.Errorf("restored step = %d", step)
+				}
+				s.Run(3)
+				keep(s, resumed)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for rank := 0; rank < p; rank++ {
+				for c := 0; c < solver.NumFields; c++ {
+					differ := 0
+					for i, v := range direct[rank][c] {
+						if math.Float64bits(v) != math.Float64bits(resumed[rank][c][i]) {
+							differ++
+						}
+					}
+					if differ > 0 {
+						t.Errorf("rank %d field %d: %d of %d resumed values differ bitwise from the direct run",
+							rank, c, differ, len(direct[rank][c]))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,9 +36,8 @@ func validCheckpointBytes(f *testing.F) []byte {
 // FuzzRead throws arbitrary bytes at the checkpoint parser; it must
 // reject or parse, never panic or allocate absurdly.
 func FuzzRead(f *testing.F) {
-	// Seed with a valid header prefix and some corruptions.
-	valid := []byte{0x42, 0x54, 0x4d, 0x43, 1, 0, 0, 0}
-	f.Add(valid)
+	// Seed with a current header prefix and some corruptions.
+	f.Add([]byte{0x42, 0x54, 0x4d, 0x43, byte(Version), 0, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{0x42, 0x54, 0x4d, 0x43})
 	f.Add(bytes.Repeat([]byte{0xff}, 128))
@@ -61,46 +62,52 @@ func FuzzRead(f *testing.F) {
 			t.Fatal("nil snapshot without error")
 		}
 		m := snap.Meta
-		want := int64(m.Nel) * int64(m.N) * int64(m.N) * int64(m.N)
-		for c := range snap.U {
-			if int64(len(snap.U[c])) != want {
-				t.Fatalf("field %d has %d values, header N=%d Nel=%d promises %d", c, len(snap.U[c]), m.N, m.Nel, want)
-			}
+		l := solver.RecordLen(int(m.N), m.Flags&FlagSources != 0)
+		if len(snap.GIDs) != int(m.Nel) || int64(len(snap.Records)) != int64(m.Nel)*int64(l) {
+			t.Fatalf("%d records (%d values) parsed, header N=%d Nel=%d flags=%#x promises %d records of %d",
+				len(snap.GIDs), len(snap.Records), m.N, m.Nel, m.Flags, m.Nel, l)
 		}
 	})
 }
 
-// TestReadRejectsOverflowingHeader pins the two forged headers whose
-// Nel*N^3 wrapped an unchecked int: negative (makeslice panic) and zero
-// (an empty snapshot returned with a nil error). They are also corpus
-// entries under testdata/fuzz/FuzzRead.
+// TestReadRejectsOverflowingHeader pins the forged headers whose sizes
+// wrapped an unchecked int: negative (makeslice panic) and zero (an
+// empty snapshot returned with a nil error). Under the current version
+// they must fail as implausible; the same headers in format version 1
+// — the testdata/fuzz/FuzzRead corpus entries header-volume-wraps-* —
+// must fail with a VersionError naming version 1, and their v3
+// equivalents are the corpus entries v3-header-volume-wraps-*.
 func TestReadRejectsOverflowingHeader(t *testing.T) {
-	for _, c := range []struct{ n, nel int32 }{
-		{2097151, 2},    // wraps negative
-		{2097152, 1024}, // wraps to 0
-		{maxN + 1, 1},
-		{1, 1},
-		{4, 0},
+	for _, c := range []struct {
+		version uint32
+		n, nel  int32
+	}{
+		{Version, 2097151, 2},    // wraps negative
+		{Version, 2097152, 1024}, // wraps to 0
+		{Version, maxN + 1, 1},
+		{Version, 1, 1},
+		{Version, 4, 0},
+		{1, 2097151, 2},
+		{1, 2097152, 1024},
 	} {
 		var buf bytes.Buffer
 		meta := Meta{N: c.n, ElemGrid: [3]int32{2, 1, 1}, ProcGrid: [3]int32{1, 1, 1}, Nel: c.nel}
-		for _, v := range []interface{}{Magic, uint32(1), meta} {
+		for _, v := range []interface{}{Magic, c.version, meta} {
 			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
 				t.Fatal(err)
 			}
 		}
 		snap, err := Read(&buf)
+		if c.version != Version {
+			var ve *VersionError
+			if !errors.As(err, &ve) || ve.Version != c.version || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", c.version)) {
+				t.Errorf("v%d N=%d Nel=%d: got snapshot %v, error %v; want a VersionError naming version %d",
+					c.version, c.n, c.nel, snap != nil, err, c.version)
+			}
+			continue
+		}
 		if err == nil || !strings.Contains(err.Error(), "implausible header") {
 			t.Errorf("N=%d Nel=%d: got snapshot %v, error %v; want an implausible-header error", c.n, c.nel, snap != nil, err)
 		}
 	}
-}
-
-// FuzzReadParticles exercises the particle parser the same way.
-func FuzzReadParticles(f *testing.F) {
-	f.Add([]byte{0x50, 0x54, 0x4d, 0x43, 1, 0, 0, 0})
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = ReadParticles(bytes.NewReader(data))
-	})
 }

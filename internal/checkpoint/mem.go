@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/solver"
@@ -13,9 +14,7 @@ import (
 // slots) and restart files stay one format. No temp-dir round trip.
 func WriteBytes(s *solver.Solver, step int64, time float64) ([]byte, error) {
 	var buf bytes.Buffer
-	// Header + gids + five field arrays of float64.
-	n3 := s.Cfg.N * s.Cfg.N * s.Cfg.N
-	buf.Grow(8 + 52 + 8*s.Local.Nel + 8*solver.NumFields*s.Local.Nel*n3)
+	buf.Grow(8 + binary.Size(Meta{}) + 8*s.Local.Nel*s.RecordLen())
 	if err := Write(&buf, s, step, time); err != nil {
 		return nil, err
 	}
@@ -26,16 +25,12 @@ func WriteBytes(s *solver.Solver, step int64, time float64) ([]byte, error) {
 // WriteBytes (or read from a checkpoint file — the formats are
 // identical).
 func ReadBytes(b []byte) (*Snapshot, error) {
-	snap, err := Read(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return Read(bytes.NewReader(b))
 }
 
-// RestoreBytes is the suspend/resume fast path: decode an in-memory
-// checkpoint and copy it into a compatible solver, returning the
-// recorded step and simulated time.
+// RestoreBytes is the suspend/resume fast path: decode a rank's own
+// in-memory checkpoint and restore it into a compatible solver,
+// returning the recorded step and simulated time.
 func RestoreBytes(s *solver.Solver, b []byte) (step int64, time float64, err error) {
 	snap, err := ReadBytes(b)
 	if err != nil {

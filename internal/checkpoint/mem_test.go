@@ -53,12 +53,10 @@ func TestBytesMatchesFilePath(t *testing.T) {
 		if fromMem.Meta != fromDisk.Meta {
 			t.Errorf("rank %d: meta differs: mem %+v disk %+v", r.ID(), fromMem.Meta, fromDisk.Meta)
 		}
-		for c := 0; c < solver.NumFields; c++ {
-			for i := range fromMem.U[c] {
-				if math.Float64bits(fromMem.U[c][i]) != math.Float64bits(fromDisk.U[c][i]) {
-					t.Errorf("rank %d: field %d differs at %d", r.ID(), c, i)
-					return nil
-				}
+		for i := range fromMem.Records {
+			if math.Float64bits(fromMem.Records[i]) != math.Float64bits(fromDisk.Records[i]) {
+				t.Errorf("rank %d: record value %d differs", r.ID(), i)
+				return nil
 			}
 		}
 

@@ -150,6 +150,79 @@ func TestRestoreAcrossRebalance(t *testing.T) {
 	}
 }
 
+// TestRestoreCarriesCosts: the load balancer's per-element cost
+// estimates travel in the element records. A set written after a
+// rebalance restores every estimate bit for bit, primed, onto a
+// different partition; a set written before the first epoch restores an
+// unprimed model.
+func TestRestoreCarriesCosts(t *testing.T) {
+	const np, steps = 8, 4
+	cfg := rebalCfg(t)
+	dir := t.TempDir()
+	var mu sync.Mutex
+	written := make(map[int64]float64)
+	_, err := comm.Run(np, cfg.CommOptions(netmodel.QDR), func(r *comm.Rank) error {
+		s, err := solver.New(r, cfg)
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
+		if err := WriteFile(dir, "unprimed", s, 0, 0); err != nil {
+			return err
+		}
+		b := loadbal.New(s, nil, nil, loadbal.Config{Every: 2})
+		s.RunWith(steps, b.AfterStep)
+		if b.Rebalances == 0 || !s.CostPrimed {
+			t.Errorf("rank %d: %d rebalances, primed %v; the test exercises nothing", r.ID(), b.Rebalances, s.CostPrimed)
+		}
+		mu.Lock()
+		for e, c := range s.Cost {
+			written[s.Local.GID(e)] = c
+		}
+		mu.Unlock()
+		return WriteFile(dir, "primed", s, steps, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tag := range []string{"unprimed", "primed"} {
+		restored := make(map[int64]float64)
+		_, err = comm.Run(np, cfg.CommOptions(netmodel.QDR), func(r *comm.Rank) error {
+			s, err := solver.New(r, cfg) // uniform split
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			if _, _, err := RestoreRemapped(s, dir, tag, np); err != nil {
+				return err
+			}
+			if s.CostPrimed != (tag == "primed") {
+				t.Errorf("%s set: rank %d restored CostPrimed=%v", tag, r.ID(), s.CostPrimed)
+			}
+			mu.Lock()
+			for e, c := range s.Cost {
+				restored[s.Local.GID(e)] = c
+			}
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gid, c := range restored {
+			want := 0.0
+			if tag == "primed" {
+				want = written[gid]
+			}
+			if math.Float64bits(c) != math.Float64bits(want) {
+				t.Fatalf("%s set: element %d cost %v restored, %v written", tag, gid, c, want)
+			}
+		}
+	}
+}
+
 // TestRestoreRejectsWrongPartition: restoring a rebalanced snapshot into
 // a solver on the uniform split must fail loudly, not corrupt state.
 func TestRestoreRejectsWrongPartition(t *testing.T) {

@@ -82,7 +82,7 @@ func TestMessageFaultsPreserveResults(t *testing.T) {
 				return err
 			}
 			defer rn.Close()
-			if _, err := rn.Run(steps); err != nil {
+			if _, err := rn.Run(steps, nil); err != nil {
 				return err
 			}
 			stateByGID(rn.Solver(), into, &mu)
@@ -168,7 +168,7 @@ func chaosScenario(t *testing.T, seed int64, overlap bool) {
 			return err
 		}
 		defer rn.Close()
-		if _, err := rn.Run(steps); err != nil {
+		if _, err := rn.Run(steps, nil); err != nil {
 			return err
 		}
 		stateByGID(rn.Solver(), got, &mu)
@@ -271,7 +271,7 @@ func TestStallPricesVirtualTime(t *testing.T) {
 				return err
 			}
 			defer rn.Close()
-			if _, err := rn.Run(steps); err != nil {
+			if _, err := rn.Run(steps, nil); err != nil {
 				return err
 			}
 			if r.ID() == 0 {

@@ -46,7 +46,7 @@ func TestTraceTracksKeepWorldRanksAfterShrink(t *testing.T) {
 			return err
 		}
 		defer rn.Close()
-		_, err = rn.Run(steps)
+		_, err = rn.Run(steps, nil)
 		return err
 	})
 	if err != nil {

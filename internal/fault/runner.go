@@ -38,21 +38,24 @@ type Config struct {
 }
 
 // Runner drives the solver's step loop under a fault scenario: per step,
-// in order — scheduled stalls, scheduled crashes, a heartbeat round with
-// collective recovery when it detects deaths, the periodic
-// auto-checkpoint, then the timestep itself. The ordering is load-
-// bearing: recovery runs before the checkpoint phase so a crash step can
-// never contribute a partial checkpoint set, and the crash fires before
-// the heartbeat so survivors detect it in the same step deterministically.
+// in order — scheduled stalls, a heartbeat round (in which scheduled
+// crashes fire) with collective recovery when it detects deaths, the
+// periodic auto-checkpoint, then the timestep itself. The ordering is
+// load-bearing: recovery runs before the checkpoint phase so a crash step
+// can never contribute a partial checkpoint set, and a crashing rank dies
+// after hearing every peer's ping but before sending its own, so
+// survivors detect it in the same step deterministically and none of
+// them is still inside a collective (a step hook's, say) that the
+// crashing rank had already left.
 //
 // Recovery is rollback recovery in the ULFM style: survivors shrink the
 // communicator (comm.Rank.Shrink), re-home the dead ranks' elements onto
 // themselves (Rehome, verified identical across survivors by a checksum
 // allreduce), rebuild the solver over the new ownership, and restore the
-// latest auto-checkpoint (checkpoint.RestoreRemapped). Because the
-// physics is partition-independent, the recovered run is bit-identical
-// to a fault-free run restored from the same checkpoint onto the same
-// survivor partition.
+// latest auto-checkpoint (checkpoint.RestoreRemapped), which brings
+// back every element record: fields, sources and the load balancer's
+// cost estimates. Because the physics is partition-independent, the
+// recovered run is bit-identical to a fault-free run.
 type Runner struct {
 	cfg Config
 	s   *solver.Solver
@@ -111,12 +114,15 @@ func (rn *Runner) Close() { rn.s.Close() }
 func ckptTag(step int) string { return fmt.Sprintf("auto-%06d", step) }
 
 // Run advances steps timesteps under the fault scenario and returns the
-// final report. On ranks scheduled to crash it never returns: the rank
-// unwinds via comm.Rank.Kill and comm.Run records it in Stats.Killed.
+// final report. after, when non-nil, is called at the end of every
+// timestep, as in solver.Solver.RunWith; a hook that holds the solver
+// (the load balancer) must follow Solver() after a recovery. On ranks
+// scheduled to crash it never returns: the rank unwinds via
+// comm.Rank.Kill and comm.Run records it in Stats.Killed.
 // On any abnormal exit — the kill panic, an unexpected panic, or an
 // error return — the shared step-metrics stream is synced first, so
 // records sealed before the failure survive in the output file.
-func (rn *Runner) Run(steps int) (rep solver.Report, err error) {
+func (rn *Runner) Run(steps int, after func(step int)) (rep solver.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rn.s.Cfg.Steps.Sync()
@@ -129,7 +135,7 @@ func (rn *Runner) Run(steps int) (rep solver.Report, err error) {
 	var dt float64
 	for i := 0; i < steps; i++ {
 		rn.stall(i)
-		if rn.crashNow(i) {
+		if rn.s.Rank.Size() == 1 && rn.crashes(rn.s.Rank.WorldID(), i) {
 			rn.s.Rank.Kill()
 		}
 		if i%rn.cfg.HeartbeatEvery == 0 && rn.s.Rank.Size() > 1 {
@@ -153,6 +159,9 @@ func (rn *Runner) Run(steps int) (rep solver.Report, err error) {
 			}
 		}
 		dt = rn.s.AdvanceStep(i)
+		if after != nil {
+			after(i)
+		}
 	}
 	return rn.s.FinishReport(steps, dt), nil
 }
@@ -170,11 +179,10 @@ func (rn *Runner) stall(step int) {
 	}
 }
 
-// crashNow reports whether this rank is scheduled to die at this step.
-func (rn *Runner) crashNow(step int) bool {
-	me := rn.s.Rank.WorldID()
+// crashes reports whether world rank w is scheduled to die at this step.
+func (rn *Runner) crashes(w, step int) bool {
 	for _, c := range rn.cfg.Spec.Crashes {
-		if c.Rank == me && c.Step == step {
+		if c.Rank == w && c.Step == step {
 			return true
 		}
 	}
@@ -186,7 +194,9 @@ func (rn *Runner) crashNow(step int) bool {
 // the runtime's dead-rank state rather than a wall-clock timeout: a
 // heartbeat receive from a dead peer fails with DeadRankError exactly
 // once that peer's pre-crash messages are drained, so every survivor
-// computes the same death list at the same step.
+// computes the same death list at the same step. A rank scheduled to
+// crash at this step sends no ping: it waits for the pings of every
+// peer not crashing with it and then dies.
 func (rn *Runner) heartbeat(step int) ([]int, error) {
 	r := rn.s.Rank
 	defer rn.s.Rec.Region("heartbeat", obs.CatComm).End()
@@ -194,15 +204,16 @@ func (rn *Runner) heartbeat(step int) ([]int, error) {
 	defer r.SetSite("")
 	tag := heartbeatTagBase + step
 	p, me := r.Size(), r.ID()
+	crash := rn.crashes(r.WorldID(), step)
 	ping := []float64{float64(step)}
-	for peer := 0; peer < p; peer++ {
+	for peer := 0; peer < p && !crash; peer++ {
 		if peer != me {
 			r.IsendMsg(peer, tag, ping, nil)
 		}
 	}
 	var dead []int
 	for peer := 0; peer < p; peer++ {
-		if peer == me {
+		if peer == me || crash && rn.crashes(r.WorldIDOf(peer), step) {
 			continue
 		}
 		req := r.Irecv(peer, tag)
@@ -215,6 +226,9 @@ func (rn *Runner) heartbeat(step int) ([]int, error) {
 			continue
 		}
 		req.Free()
+	}
+	if crash {
+		r.Kill()
 	}
 	rn.cfg.Metrics.Counter("fault_heartbeat_rounds").Add(1)
 	return dead, nil

@@ -12,11 +12,12 @@ import (
 
 // Balancer runs the measure / plan / migrate loop on one rank. Every
 // cfg.Every steps it folds the epoch's measured kernel seconds (and
-// particle counts) into the cost model, sum-reduces the global per-gid
-// cost vector to rank 0, which plans a space-filling-curve repartition
-// and broadcasts the decision; when the plan pays, every rank executes
-// Solver.Remap and re-migrates its particles. Hook AfterStep into
-// Solver.RunWith.
+// particle counts) into the solver's per-element cost EWMA
+// (Solver.Cost), sum-reduces the global per-gid cost vector to rank 0,
+// which plans a space-filling-curve repartition and broadcasts the
+// decision; when the plan pays, every rank executes Solver.Remap and
+// re-migrates its particles. Hook AfterStep into Solver.RunWith (or
+// fault.Runner.Run, calling Follow first).
 //
 // Construction and every epoch are collective: build one Balancer per
 // rank with identical Config and call AfterStep on all ranks every step.
@@ -24,7 +25,6 @@ type Balancer struct {
 	cfg   Config
 	s     *solver.Solver
 	cloud *particles.Cloud
-	cm    *CostModel
 
 	shares     []float64
 	prevKernel float64
@@ -52,7 +52,6 @@ func New(s *solver.Solver, cloud *particles.Cloud, metrics *obs.Registry, cfg Co
 		cfg:        cfg,
 		s:          s,
 		cloud:      cloud,
-		cm:         NewCostModel(cfg.EWMA, s.Local.Nel),
 		prevKernel: s.KernelSeconds(),
 	}
 	if metrics != nil {
@@ -76,15 +75,17 @@ func (b *Balancer) AfterStep(step int) {
 	b.epoch()
 }
 
-// elemBytes is the wire size of one migrated element (gid + conserved
-// fields, doubled when source terms are enabled, + the cost sidecar).
-func (b *Balancer) elemBytes() int {
-	n := b.s.Cfg.N
-	nf := solver.NumFields
-	if b.s.Source[0] != nil {
-		nf *= 2
+// Follow points the balancer at s when s replaces the solver it was
+// built on — the fault runner's rebuild after a recovery, which happens
+// within the current epoch. The costs come with s (restored from the
+// checkpoint's records); the kernel-seconds baseline resets to s's
+// start, so every step s has run counts toward the epoch. A no-op for
+// the current solver.
+func (b *Balancer) Follow(s *solver.Solver) {
+	if s != b.s {
+		b.s = s
+		b.prevKernel = 0
 	}
-	return (1 + nf*n*n*n + 1) * 8
 }
 
 // epoch runs one collective measure / plan / migrate round.
@@ -107,14 +108,14 @@ func (b *Balancer) epoch() {
 			sample[e] += b.cfg.ParticleCost * float64(c)
 		}
 	}
-	b.cm.Update(sample)
+	b.foldCosts(sample)
 
 	// Reduce the global per-gid cost vector to the root planner.
 	own := b.s.Ownership()
 	nGlobal := own.Box().TotalElems()
 	gcost := make([]float64, nGlobal)
 	for e := 0; e < nel; e++ {
-		gcost[b.s.Local.GID(e)] = b.cm.Costs()[e]
+		gcost[b.s.Local.GID(e)] = b.s.Cost[e]
 	}
 	r := b.s.Rank
 	r.SetSite("loadbal_plan")
@@ -125,7 +126,7 @@ func (b *Balancer) epoch() {
 	wire := make([]int64, 1+nGlobal)
 	stats := make([]float64, 4)
 	if r.ID() == 0 {
-		b.Last = Plan(own, gcost, b.elemBytes(), r.Clock().Model(), b.cfg)
+		b.Last = Plan(own, gcost, r.Size(), b.s.RecordLen()*8, r.Clock().Model(), b.cfg)
 		if b.Last.Rebalance {
 			wire[0] = 1
 		}
@@ -163,9 +164,9 @@ func (b *Balancer) epoch() {
 		return
 	}
 
-	// Migrate: rebuild ownership from the broadcast owner map, move
-	// element state + cost sidecar, then re-route particles (the cloud's
-	// owner() consults the solver's new ownership).
+	// Migrate: rebuild ownership from the broadcast owner map, move the
+	// element records (state + cost), then re-route particles (the
+	// cloud's owner() consults the solver's new ownership).
 	owner := make([]int, nGlobal)
 	for i := range owner {
 		owner[i] = int(wire[1+i])
@@ -174,8 +175,7 @@ func (b *Balancer) epoch() {
 	if err != nil {
 		panic(fmt.Sprintf("loadbal: broadcast plan invalid: %v", err))
 	}
-	newCost, movedE, movedB := b.s.Remap(newOwn, b.cm.Costs(), 1)
-	b.cm.SetCosts(newCost)
+	movedE, movedB := b.s.Remap(newOwn)
 	if b.cloud != nil {
 		b.cloud.Migrate()
 	}
@@ -188,5 +188,20 @@ func (b *Balancer) epoch() {
 		if r.ID() == 0 {
 			b.mReb.Add(1)
 		}
+	}
+}
+
+// foldCosts folds one per-element cost sample (seconds per step) into
+// the solver's cost EWMA. The first sample primes it directly.
+func (b *Balancer) foldCosts(sample []float64) {
+	s := b.s
+	if !s.CostPrimed {
+		copy(s.Cost, sample)
+		s.CostPrimed = true
+		return
+	}
+	a := b.cfg.EWMA
+	for e, v := range sample {
+		s.Cost[e] = a*v + (1-a)*s.Cost[e]
 	}
 }

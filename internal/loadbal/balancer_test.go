@@ -284,7 +284,7 @@ func TestGSExchangeOnMigratedTopology(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		s.Remap(newOwn, make([]float64, s.Local.Nel), 1)
+		s.Remap(newOwn)
 		s.Run(steps - 2)
 		local := collect(s)
 		mu.Lock()

@@ -11,8 +11,11 @@
 // modeled): each rank attributes its virtual-clock kernel seconds to
 // elements by weight share, adds a per-particle surcharge, and smooths
 // the result with an EWMA so one noisy epoch cannot thrash the
-// partition. Migration moves data only, so the global solution is
-// bit-identical to a run that never rebalanced.
+// partition. The smoothed estimate is per-element solver state
+// (Solver.Cost), carried in the element record, so it follows an element
+// through Remap, checkpoints and crash recovery. Migration moves data
+// only, so the global solution is bit-identical to a run that never
+// rebalanced.
 package loadbal
 
 // Config tunes the balancer. The zero value picks all defaults.
@@ -54,44 +57,4 @@ func (c Config) withDefaults() Config {
 		c.Horizon = c.Every
 	}
 	return c
-}
-
-// CostModel holds the per-local-element EWMA of measured cost in modeled
-// seconds per step. Its state travels with migrated elements as the
-// Remap sidecar, so an element's history follows it to its new owner.
-type CostModel struct {
-	alpha  float64
-	cost   []float64
-	primed bool
-}
-
-// NewCostModel returns a model for nel local elements with smoothing
-// factor alpha.
-func NewCostModel(alpha float64, nel int) *CostModel {
-	return &CostModel{alpha: alpha, cost: make([]float64, nel)}
-}
-
-// Update folds one per-element cost sample (seconds per step) into the
-// EWMA. The first sample primes the model directly.
-func (m *CostModel) Update(sample []float64) {
-	if !m.primed {
-		copy(m.cost, sample)
-		m.primed = true
-		return
-	}
-	a := m.alpha
-	for e, s := range sample {
-		m.cost[e] = a*s + (1-a)*m.cost[e]
-	}
-}
-
-// Costs returns the current per-local-element cost estimates. The slice
-// is live model state; treat it as read-only.
-func (m *CostModel) Costs() []float64 { return m.cost }
-
-// SetCosts replaces the model state with costs reassembled for a new
-// local element set (the sidecar returned by Solver.Remap).
-func (m *CostModel) SetCosts(c []float64) {
-	m.cost = c
-	m.primed = true
 }

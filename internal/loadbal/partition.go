@@ -150,7 +150,9 @@ func maxOf(per []float64) float64 {
 
 // Plan decides whether and how to repartition. cur is the current
 // ownership, cost the globally reduced per-gid cost vector (modeled
-// seconds per step), elemBytes the wire size of one migrated element,
+// seconds per step), p the number of ranks to partition over (the
+// communicator size, below the box's rank count after a crash
+// recovery), elemBytes the wire size of one migrated element,
 // and model the network used to price the migration Alltoallv. The plan
 // rebalances only when the measured imbalance exceeds cfg.Threshold AND
 // the makespan gain over cfg.Horizon steps clears the migration cost
@@ -158,10 +160,9 @@ func maxOf(per []float64) float64 {
 //
 // Plan is deterministic; in the distributed loop it runs on the root
 // rank only and the decision is broadcast.
-func Plan(cur *mesh.Ownership, cost []float64, elemBytes int, model netmodel.Model, cfg Config) Decision {
+func Plan(cur *mesh.Ownership, cost []float64, p, elemBytes int, model netmodel.Model, cfg Config) Decision {
 	cfg = cfg.withDefaults()
 	b := cur.Box()
-	p := b.Ranks()
 
 	before := rankCosts(cur.Owner, cost, p)
 	owner := ChainPartition(MortonOrder(b), cost, p)

@@ -136,7 +136,7 @@ func TestPlanDecision(t *testing.T) {
 	for i := range balanced {
 		balanced[i] = 1e-4
 	}
-	d := Plan(own, balanced, elemBytes, netmodel.QDR, cfg)
+	d := Plan(own, balanced, own.Box().Ranks(), elemBytes, netmodel.QDR, cfg)
 	if d.Rebalance {
 		t.Fatalf("balanced load must not trigger a rebalance: %+v", d)
 	}
@@ -148,7 +148,7 @@ func TestPlanDecision(t *testing.T) {
 	for _, gid := range b.Partition(3).GIDs() {
 		skewed[gid] = 4e-4
 	}
-	d = Plan(own, skewed, elemBytes, netmodel.QDR, cfg)
+	d = Plan(own, skewed, own.Box().Ranks(), elemBytes, netmodel.QDR, cfg)
 	if !d.Rebalance {
 		t.Fatalf("4x skew must trigger a rebalance: %+v", d)
 	}
@@ -161,7 +161,7 @@ func TestPlanDecision(t *testing.T) {
 
 	// A network so slow the migration never pays must veto the plan.
 	glacial := netmodel.Model{Name: "glacial", Alpha: 10, Beta: 1}
-	d = Plan(own, skewed, elemBytes, glacial, cfg)
+	d = Plan(own, skewed, own.Box().Ranks(), elemBytes, glacial, cfg)
 	if d.Rebalance {
 		t.Fatalf("migration cost veto failed: gain %.3g over %d steps vs cost %.3g",
 			d.GainPerStep, cfg.Every, d.MigCost)

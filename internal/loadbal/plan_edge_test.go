@@ -25,7 +25,7 @@ func TestPlanZeroCostElements(t *testing.T) {
 	box := edgeBox(t)
 	cur := box.UniformOwnership()
 	cost := make([]float64, box.TotalElems())
-	d := Plan(cur, cost, edgeElemBytes, netmodel.QDR, Config{})
+	d := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, netmodel.QDR, Config{})
 	if d.ImbalanceBefore != 1 {
 		t.Fatalf("zero-cost imbalance = %v, want the defined value 1", d.ImbalanceBefore)
 	}
@@ -46,7 +46,7 @@ func TestPlanAllCostOnOneElement(t *testing.T) {
 	cur := box.UniformOwnership()
 	cost := make([]float64, box.TotalElems())
 	cost[17] = 3.5
-	d := Plan(cur, cost, edgeElemBytes, netmodel.QDR, Config{})
+	d := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, netmodel.QDR, Config{})
 	// Imbalance is maximal (max/mean = p), well over any threshold...
 	if want := float64(box.Ranks()); d.ImbalanceBefore != want {
 		t.Fatalf("one-hot imbalance = %v, want %v", d.ImbalanceBefore, want)
@@ -85,7 +85,7 @@ func TestPlanPayForItselfThreshold(t *testing.T) {
 	cost := skewedCost(box)
 	cfg := Config{Threshold: 1.1, Horizon: 10}
 
-	base := Plan(cur, cost, edgeElemBytes, netmodel.QDR, cfg)
+	base := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, netmodel.QDR, cfg)
 	if !base.Rebalance {
 		t.Fatalf("skewed scenario does not trigger at all: %+v", base)
 	}
@@ -98,11 +98,11 @@ func TestPlanPayForItselfThreshold(t *testing.T) {
 	eps := net * 1e-9
 
 	cfg.MinGain = net - eps
-	if d := Plan(cur, cost, edgeElemBytes, netmodel.QDR, cfg); !d.Rebalance {
+	if d := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, netmodel.QDR, cfg); !d.Rebalance {
 		t.Fatalf("MinGain just below break-even (%v) blocked the migration", cfg.MinGain)
 	}
 	cfg.MinGain = net + eps
-	if d := Plan(cur, cost, edgeElemBytes, netmodel.QDR, cfg); d.Rebalance {
+	if d := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, netmodel.QDR, cfg); d.Rebalance {
 		t.Fatalf("MinGain just above break-even (%v) still migrated", cfg.MinGain)
 	}
 }
@@ -115,14 +115,14 @@ func TestPlanHorizonScalesBreakEven(t *testing.T) {
 	cur := box.UniformOwnership()
 	cost := skewedCost(box)
 
-	long := Plan(cur, cost, edgeElemBytes, netmodel.QDR, Config{Threshold: 1.1, Horizon: 1000})
+	long := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, netmodel.QDR, Config{Threshold: 1.1, Horizon: 1000})
 	if !long.Rebalance {
 		t.Fatalf("long horizon refuses a clearly amortizable migration: %+v", long)
 	}
 	// Price migration up: a slow network makes MigCost exceed one step's
 	// gain, so a one-step horizon cannot pay for it.
 	slow := netmodel.Model{Name: "slow", Alpha: 1, Beta: 1e-3, GammaCompute: 1}
-	short := Plan(cur, cost, edgeElemBytes, slow, Config{Threshold: 1.1, Horizon: 1})
+	short := Plan(cur, cost, cur.Box().Ranks(), edgeElemBytes, slow, Config{Threshold: 1.1, Horizon: 1})
 	if short.Rebalance {
 		t.Fatalf("one-step horizon on a slow network still migrates: gain=%v mig=%v",
 			short.GainPerStep, short.MigCost)

@@ -37,6 +37,14 @@ type Solver struct {
 	// couplers (e.g. internal/particles) deposit into it.
 	Source [NumFields][]float64
 
+	// Cost is each local element's measured cost estimate (modeled
+	// seconds per step, the load balancer's EWMA) and CostPrimed whether
+	// a sample has been folded into it yet. Like U it is element state:
+	// Remap, checkpoints and crash recovery carry it in the element
+	// record.
+	Cost       []float64
+	CostPrimed bool
+
 	// filter operators (nil when the spectral filter is disabled)
 	filterMat     []float64
 	filterScratch []float64
@@ -166,10 +174,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		rx:    2, // reference element [-1,1] onto unit cube
 		ow:    cfg.Ownership,
 	}
-	vol := local.Nel * cfg.N * cfg.N * cfg.N
-	for c := 0; c < NumFields; c++ {
-		s.U[c] = make([]float64, vol)
-	}
+	s.allocState(false)
 	s.pool = pool.New(cfg.Workers)
 	s.pool.Observe(cfg.Metrics)
 	s.wsPart = make([]float64, s.pool.Workers())
@@ -217,10 +222,25 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
+// allocState (re)allocates the element state an element record carries —
+// U, Cost, and Source when sources is set — zeroed, for the current
+// local element set.
+func (s *Solver) allocState(sources bool) {
+	vol := s.Local.Nel * s.Cfg.N * s.Cfg.N * s.Cfg.N
+	for c := 0; c < NumFields; c++ {
+		s.U[c] = make([]float64, vol)
+		s.Source[c] = nil
+		if sources {
+			s.Source[c] = make([]float64, vol)
+		}
+	}
+	s.Cost = make([]float64, s.Local.Nel)
+}
+
 // allocScratch (re)allocates every local-size-dependent working array —
-// everything except the conserved state U and the source fields, which
-// Remap migrates rather than rebuilds — and refreshes the boundary-face
-// flags and per-element work weights. Called at construction and after every
+// everything except the element state allocState owns, which Remap
+// migrates rather than rebuilds — and refreshes the boundary-face flags
+// and per-element work weights. Called at construction and after every
 // element migration.
 func (s *Solver) allocScratch() {
 	local, cfg := s.Local, &s.Cfg
