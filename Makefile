@@ -113,10 +113,10 @@ bench-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Multi-process transport smoke: the canonical scalebench scenario run
-# in-process and as 4 OS processes over localhost TCP must produce
-# byte-identical diagnostics (physics scalars, per-rank virtual clocks,
-# collectively-computed makespan).
+# Multi-process transport smoke: cmtbone legs (plain, load balancing,
+# message faults, crash recovery with and without load balancing,
+# diagnostics) run in-process and as 4 OS processes over localhost TCP
+# must print byte-identical summaries, wall time masked.
 tcp-smoke:
 	./scripts/tcp_smoke.sh
 

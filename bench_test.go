@@ -595,7 +595,7 @@ func BenchmarkHWModel(b *testing.B) {
 // BenchmarkTelemetryOverhead times one full timestep with the span
 // tracer attached ("on") and without it ("off") — the wall-clock cost
 // of observability. The modeled virtual time is invariant by
-// construction (TestTelemetryVTInvariance); this bench bounds the
+// construction (the telemetry row of TestOptionMatrixInvariance); this bench bounds the
 // host-side overhead, which must stay well under 10%.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	for _, telemetry := range []bool{false, true} {

@@ -1,6 +1,7 @@
 // Command cmtbone is the CMT-bone mini-app driver: it runs the
-// discontinuous Galerkin spectral-element solver on an in-process
-// communicator of -np ranks and reports the run summary, optionally with
+// discontinuous Galerkin spectral-element solver on a communicator of
+// -np ranks — in this process, or one rank per process over TCP
+// (scripts/mpirun_tcp.sh) — and reports the run summary, optionally with
 // the execution and MPI profiles.
 //
 // Examples (the paper's Figure 7 problem setup; Figures 4 and 8-10 from
@@ -16,6 +17,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -81,10 +83,6 @@ func main() {
 		log.Fatalf("-transport: unknown %q (want inproc or tcp)", *transportName)
 	case useTCP && (*tcpRank < 0 || *tcpRank >= *np):
 		log.Fatalf("-transport=tcp needs -rank in [0,%d)", *np)
-	case useTCP && *useLB:
-		// The balancer aggregates per-rank state in shared slices; over
-		// TCP each process only holds its own rank's share.
-		log.Fatalf("-transport=tcp cannot be combined with -loadbal")
 	}
 
 	cfg := solver.DefaultConfig(*np, *n, *local)
@@ -157,9 +155,6 @@ func main() {
 		if *faultSeed != 0 {
 			spec.Seed = *faultSeed
 		}
-		if len(spec.Crashes) > 0 && (*ckptDir == "" || *ckptEvery <= 0) {
-			log.Fatalf("-faults: crash scenarios need -ckpt and -ckpt-every for rollback recovery")
-		}
 	}
 
 	// Telemetry: the span tracer, metrics registry, and step collector
@@ -172,7 +167,7 @@ func main() {
 		metricsFile *os.File
 		traceFile   *os.File
 	)
-	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" || *useLB || spec != nil {
+	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
 		reg = obs.NewRegistry()
 		cfg.Metrics = reg
 	}
@@ -242,11 +237,9 @@ func main() {
 		}()
 	}
 
-	if !useTCP || *tcpRank == 0 {
-		fmt.Printf("CMT-bone: %d ranks (%dx%dx%d), %d elements/rank, N=%d, %d steps, gs=%s net=%s\n",
-			*np, cfg.ProcGrid[0], cfg.ProcGrid[1], cfg.ProcGrid[2],
-			cfg.ElemGrid[0]*cfg.ElemGrid[1]*cfg.ElemGrid[2] / *np, cfg.N, *steps, *gsName, model.Name)
-	}
+	fmt.Printf("CMT-bone: %d ranks (%dx%dx%d), %d elements/rank, N=%d, %d steps, gs=%s net=%s\n",
+		*np, cfg.ProcGrid[0], cfg.ProcGrid[1], cfg.ProcGrid[2],
+		cfg.ElemGrid[0]*cfg.ElemGrid[1]*cfg.ElemGrid[2] / *np, cfg.N, *steps, *gsName, model.Name)
 	if useTCP {
 		fmt.Printf("transport: tcp, this process is rank %d of %d\n", *tcpRank, *np)
 	}
@@ -260,17 +253,13 @@ func main() {
 		fmt.Printf("overlap: interior/boundary split with nonblocking gs exchange (results bit-identical)\n")
 	}
 
-	reports := make([]solver.Report, *np)
-	recs := make([]*obs.RankTracer, *np)
-	methods := make([]gs.Method, *np)
-	balancers := make([]*loadbal.Balancer, *np)
-	var flowDiag diag.Summary
-	var spectrum diag.Spectrum
-	recoveries := make([]int, *np)
-	// runComm dispatches between the in-process reference backend and the
-	// TCP transport. The rank program, the modeled clocks, and therefore
-	// every physics diagnostic are identical either way; over TCP this
-	// process simply hosts one rank and reports that rank's view.
+	// The rank program is the same on every backend: fault.Runner drives
+	// the steps (a nil spec and a nil balancer make it the plain step
+	// loop), then the ranks that finished compute the summary together on
+	// their final communicator. The lowest surviving rank prints it, so
+	// a multi-process run reports exactly what the in-process run does.
+	var sum *summary
+	recs := make([]*obs.RankTracer, *np) // this process's recorders, for -profile
 	runComm := func(fn func(*comm.Rank) error) (*comm.Stats, error) {
 		if !useTCP {
 			return comm.Run(*np, opts, fn)
@@ -304,56 +293,40 @@ func main() {
 				Threshold: *lbThreshold,
 				Every:     *lbEvery,
 			})
-			balancers[r.ID()] = b
 		}
-		if spec != nil {
-			rn, err := fault.NewRunner(s, fault.Config{
-				Spec: spec, CkptDir: *ckptDir, CkptEvery: *ckptEvery,
-				HeartbeatEvery: *hbEvery, Metrics: reg,
-			})
-			if err != nil {
-				s.Close()
-				return err
-			}
-			// The runner owns the current solver: after a recovery the
-			// original is already closed and replaced, and the balancer
-			// follows the replacement.
-			defer rn.Close()
-			var after func(int)
-			if b != nil {
-				after = func(step int) {
-					b.Follow(rn.Solver())
-					b.AfterStep(step)
-				}
-			}
-			rep, err := rn.Run(*steps, after)
-			if err != nil {
-				return err
-			}
-			s = rn.Solver()
-			reports[r.ID()] = rep
-			recoveries[r.ID()] = rn.Recoveries
-		} else {
-			defer s.Close()
-			var after func(int)
-			if b != nil {
-				after = b.AfterStep
-			}
-			reports[r.ID()] = s.RunWith(*steps, after)
+		rn, err := fault.NewRunner(s, fault.Config{
+			Spec: spec, CkptDir: *ckptDir, CkptEvery: *ckptEvery,
+			HeartbeatEvery: *hbEvery, Metrics: reg,
+		})
+		if err != nil {
+			s.Close()
+			return err
 		}
+		// The runner owns the current solver: after a recovery the
+		// original is closed and replaced by one on the survivors.
+		defer rn.Close()
+		rep, err := rn.Run(*steps, b)
+		if err != nil {
+			return err
+		}
+		s = rn.Solver()
 		recs[r.ID()] = s.Rec
-		methods[r.ID()] = s.GS().Method()
+		out := summary{
+			rep: rep, method: s.GS().Method(), lb: b,
+			killed: slices.Clone(rn.DeadRanks), recoveries: rn.Recoveries,
+		}
+		slices.Sort(out.killed)
 		if *showDiag {
-			d := diag.Compute(s)
-			sp := diag.ModalSpectrum(s, solver.IRho)
-			if r.ID() == 0 {
-				flowDiag, spectrum = d, sp
-			}
+			out.diag = diag.Compute(s)
+			out.spectrum = diag.ModalSpectrum(s, solver.IRho)
 		}
 		if *ckptDir != "" {
 			if err := checkpoint.WriteFile(*ckptDir, "final", s, int64(*steps), 0); err != nil {
 				return err
 			}
+		}
+		if out.gather(s.Rank, inj) {
+			sum = &out
 		}
 		return nil
 	})
@@ -366,56 +339,49 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Ranks killed by a fault scenario leave zero-valued entries; report
-	// from the first rank that finished.
-	live := 0
-	for i := range reports {
-		if reports[i].Steps != 0 {
-			live = i
-			break
+	if sum == nil && len(stats.Killed) > 0 {
+		if err := sink.Flush(); err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("faults: killed=%v in this process; the lowest surviving rank's process prints the summary\n", stats.Killed)
+		os.Exit(0)
 	}
-	rep := reports[live]
-	fmt.Printf("done: steps=%d dt=%.3e mass=%.12f energy=%.9f lambda=%.6f\n",
-		rep.Steps, rep.Dt, rep.Mass, rep.Energy, rep.WaveSpeed)
-	fmt.Printf("gather-scatter method in use: %s\n", methods[live])
-	fmt.Printf("wall time: %.3fs   modeled makespan: %.6fs   flops/rank: %.3g\n",
-		stats.Wall, stats.MaxVirtualTime(), float64(rep.Ops.Flops()))
-	if *overlap {
-		fmt.Printf("overlap: %.6fs modeled exchange time hidden behind interior compute (all ranks)\n",
-			stats.TotalOverlapHidden())
-	}
-	if inj != nil {
-		fmt.Printf("faults: killed=%v recoveries=%d drops=%d corruptions=%d (crc-detected %d) delays=%d retransmits=%d\n",
-			stats.Killed, recoveries[live], inj.Drops(), inj.Corrupts(),
-			stats.CRCDetected, inj.Delays(), stats.Retransmits)
-		if inj.Detected() < inj.Corrupts() && len(stats.Killed) == 0 {
-			fmt.Printf("faults: WARNING: %d corruptions were never received — investigate\n",
-				inj.Corrupts()-inj.Detected())
+	if sum != nil {
+		rep := sum.rep
+		fmt.Printf("done: steps=%d dt=%.3e mass=%.12f energy=%.9f lambda=%.6f\n",
+			rep.Steps, rep.Dt, rep.Mass, rep.Energy, rep.WaveSpeed)
+		fmt.Printf("gather-scatter method in use: %s\n", sum.method)
+		fmt.Printf("wall time: %.3fs   modeled makespan: %.6fs   flops/rank: %.3g\n",
+			stats.Wall, sum.makespan, float64(rep.Ops.Flops()))
+		if *overlap {
+			fmt.Printf("overlap: %.6fs modeled exchange time hidden behind interior compute (all ranks)\n", sum.hidden)
 		}
-	}
-	if *useLB {
-		b := balancers[live]
-		moved, bytes := 0, int64(0)
-		for _, rb := range balancers {
-			moved += rb.MovedElems
-			bytes += rb.MovedBytes
+		if inj != nil {
+			f := sum.faults
+			// Every drop and every corruption costs one retransmission.
+			fmt.Printf("faults: killed=%v recoveries=%d drops=%d corruptions=%d (crc-detected %d) delays=%d retransmits=%d\n",
+				sum.killed, sum.recoveries, f.Drops, f.Corrupts, f.Detected, f.Delays, f.Drops+f.Corrupts)
+			if f.Detected < f.Corrupts && len(sum.killed) == 0 {
+				fmt.Printf("faults: WARNING: %d corruptions were never received — investigate\n", f.Corrupts-f.Detected)
+			}
 		}
-		fmt.Printf("load balancing: %d epochs, %d rebalances, %d skips; %d elements migrated (%.1f KiB); imbalance %.2f -> %.2f\n",
-			b.Epochs, b.Rebalances, b.Skips, moved, float64(bytes)/1024,
-			reg.Gauge("loadbal_imbalance_before").Value(), reg.Gauge("loadbal_imbalance_after").Value())
-	}
-	if *ckptDir != "" {
-		fmt.Printf("checkpoint written to %s\n", checkpoint.FilePath(*ckptDir, "final", 0))
+		if b := sum.lb; b != nil {
+			fmt.Printf("load balancing: %d epochs, %d rebalances, %d skips; %d elements migrated (%.1f KiB); imbalance %.2f -> %.2f\n",
+				b.Epochs, b.Rebalances, b.Skips, b.MovedElems, float64(b.MovedBytes)/1024,
+				b.Last.ImbalanceBefore, b.Last.ImbalanceAfter)
+		}
+		if *ckptDir != "" {
+			fmt.Printf("checkpoint written to %s\n", checkpoint.FilePath(*ckptDir, "final", 0))
+		}
 	}
 	if err := sink.Flush(); err != nil {
 		log.Fatal(err)
 	}
 	if tel != nil {
 		if flowsCSV(*traceOut) {
-			sum := obs.SummarizeFlows(tel.Flows())
+			fs := obs.SummarizeFlows(tel.Flows())
 			fmt.Printf("trace: %d messages, %d bytes (mean %.1f B, mean %.2f hops) -> %s\n",
-				sum.Messages, sum.Bytes, sum.MeanBytes, sum.MeanHops, *traceOut)
+				fs.Messages, fs.Bytes, fs.MeanBytes, fs.MeanHops, *traceOut)
 		} else {
 			fmt.Printf("trace written to %s (%d spans, %d flows; load in ui.perfetto.dev)\n",
 				*traceOut, len(tel.Spans()), len(tel.Flows()))
@@ -430,18 +396,18 @@ func main() {
 		if err != nil {
 			log.Fatalf("-metrics: %v", err)
 		}
-		recs, err := obs.ReadSteps(f)
+		steps, err := obs.ReadSteps(f)
 		f.Close()
 		if err != nil {
 			log.Fatalf("-metrics: %v", err)
 		}
 		fmt.Println()
-		fmt.Print(report.TelemetrySummary(recs))
+		fmt.Print(report.TelemetrySummary(steps))
 	}
 
-	if *showDiag {
-		fmt.Printf("diagnostics: %s\n", flowDiag)
-		fmt.Printf("density modal spectrum (decay ratio %.2e):\n%s", spectrum.DecayRatio(), spectrum.Format())
+	if sum != nil && *showDiag {
+		fmt.Printf("diagnostics: %s\n", sum.diag)
+		fmt.Printf("density modal spectrum (decay ratio %.2e):\n%s", sum.spectrum.DecayRatio(), sum.spectrum.Format())
 	}
 	if *showProfile {
 		fmt.Println()
@@ -456,6 +422,53 @@ func main() {
 		fmt.Print(report.Fig10MessageSizes(stats.AggregateSites(), 12))
 	}
 	os.Exit(0)
+}
+
+// summary is the run report. Its fields are the same on every finishing
+// rank — the final report, the gs method, the balancer's counts, the
+// recoveries and dead ranks, the diagnostics — except what gather
+// collects from each of them.
+type summary struct {
+	rep        solver.Report
+	method     gs.Method
+	lb         *loadbal.Balancer
+	killed     []int // world ranks, ascending
+	recoveries int
+	diag       diag.Summary
+	spectrum   diag.Spectrum
+
+	makespan float64      // max of the ranks' virtual clocks
+	hidden   float64      // overlap-hidden exchange seconds, summed
+	faults   fault.Counts // fault counts, summed
+}
+
+// gather is the last act of the rank program, on the final (possibly
+// shrunken) communicator r: every rank contributes its virtual clock,
+// read before the gather so the summary's own traffic stays out of the
+// makespan, its overlap-hidden time and its share of the fault counts,
+// and rank 0 — the lowest surviving world rank — combines them in rank
+// order. It reports whether this rank prints the summary.
+func (sm *summary) gather(r *comm.Rank, inj *fault.Injector) bool {
+	var c fault.Counts
+	if inj != nil {
+		c = inj.Rank(r.WorldID())
+	}
+	mine := []float64{r.Clock().Now(), r.Clock().OverlapHiddenSeconds(),
+		float64(c.Drops), float64(c.Corrupts), float64(c.Delays), float64(c.Detected)}
+	r.SetSite("summary")
+	all := r.Gather(0, mine)
+	r.SetSite("")
+	if all == nil {
+		return false
+	}
+	for v := all; len(v) > 0; v = v[len(mine):] {
+		sm.makespan = max(sm.makespan, v[0])
+		sm.hidden += v[1]
+		sm.faults = sm.faults.Add(fault.Counts{
+			Drops: int64(v[2]), Corrupts: int64(v[3]), Delays: int64(v[4]), Detected: int64(v[5]),
+		})
+	}
+	return true
 }
 
 // telemetrySink owns the run's trace and step-metrics outputs and

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/comm"
-	"repro/internal/comm/tcptransport"
 	"repro/internal/loadbal"
 	"repro/internal/netmodel"
 	"repro/internal/pool"
@@ -50,23 +48,12 @@ func main() {
 	useOverlap := flag.Bool("overlap", false, "append the compute/communication overlap study (blocking vs split-phase exchange)")
 	useHier := flag.Bool("hier", false, "append the hierarchical-collectives scaling study (flat vs two-level collectives on modeled fat-tree and dragonfly fabrics)")
 	hierMaxRanks := flag.Int("hier-maxranks", 4096, "largest modeled rank count of the -hier study (sweeps 256, 1024, ... up to this)")
-	smoke := flag.Bool("smoke", false, "run the canonical 4-rank smoke scenario and write its diagnostics JSON (see -smoke-json); with -transport=tcp this process hosts one rank")
-	smokeJSON := flag.String("smoke-json", "smoke.json", "diagnostics output path for -smoke (written by rank 0's process)")
-	transportName := flag.String("transport", "inproc", "smoke communicator backend: inproc or tcp")
-	tcpRank := flag.Int("rank", -1, "world rank of this process (-smoke -transport=tcp)")
-	tcpPeers := flag.String("peers", "", "comma-separated listen addresses, one per rank (-smoke -transport=tcp)")
-	tcpRdv := flag.String("rdv", "", "rendezvous file path or tcp://host:port/job for a cmtbroker (-smoke -transport=tcp; alternative to -peers)")
 	cli.Parse()
 	workers = *workersFlag
 
 	model, err := netmodel.ByName(*netName)
 	if err != nil {
 		log.Fatalf("-net: %v", err)
-	}
-
-	if *smoke {
-		runSmoke(*transportName, *tcpRank, *tcpPeers, *tcpRdv, *smokeJSON, model)
-		return
 	}
 
 	var counts []int
@@ -198,106 +185,6 @@ func loadbalStudy(nGLL int, model netmodel.Model, lbCfg loadbal.Config) {
 			s.Scenario, s.Ranks, s.Makespan, 100*s.MPIFrac, s.Rebalances, s.MigratedElems,
 			100*s.ReductionVsSkewed)
 	}
-}
-
-// smokeDiag is the canonical diagnostics record of the -smoke scenario.
-// Every field is a modeled quantity (physics scalars and virtual-clock
-// times), so two runs of the same scenario must produce byte-identical
-// files regardless of transport — that equality is exactly what
-// scripts/tcp_smoke.sh asserts between an in-process run and a 4-process
-// TCP run.
-type smokeDiag struct {
-	Ranks     int       `json:"ranks"`
-	N         int       `json:"n"`
-	Steps     int       `json:"steps"`
-	Dt        float64   `json:"dt"`
-	Mass      float64   `json:"mass"`
-	Energy    float64   `json:"energy"`
-	WaveSpeed float64   `json:"wavespeed"`
-	Makespan  float64   `json:"makespan"`
-	RankVT    []float64 `json:"rank_vt"`
-}
-
-// runSmoke runs a fixed small scenario (4 ranks, N=5, 2^3 elements/rank,
-// 3 steps) on the selected transport and has rank 0's process write the
-// diagnostics JSON. The final makespan is computed by an in-program
-// Allreduce(OpMax) over the virtual clocks — the same collective on
-// every backend — so it is identical across transports by construction,
-// not by accident of who observes which rank.
-func runSmoke(transport string, rank int, peersCSV, rdv, jsonPath string, model netmodel.Model) {
-	const (
-		smokeRanks = 4
-		smokeN     = 5
-		smokeLocal = 2
-		smokeSteps = 3
-	)
-	sc := solver.DefaultConfig(smokeRanks, smokeN, smokeLocal)
-	sc.Workers = 1
-	opts := sc.CommOptions(model)
-
-	var out *smokeDiag
-	fn := func(r *comm.Rank) error {
-		s, err := solver.New(r, sc)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		s.SetInitial(solver.GaussianPulse(
-			float64(sc.ElemGrid[0])/2, float64(sc.ElemGrid[1])/2, float64(sc.ElemGrid[2])/2,
-			0.1, 0.5))
-		rep := s.Run(smokeSteps)
-		vts := r.Allgather([]float64{r.Clock().Now()})
-		makespan := r.Allreduce(comm.OpMax, []float64{r.Clock().Now()})[0]
-		if r.ID() == 0 {
-			out = &smokeDiag{
-				Ranks: smokeRanks, N: smokeN, Steps: smokeSteps,
-				Dt: rep.Dt, Mass: rep.Mass, Energy: rep.Energy, WaveSpeed: rep.WaveSpeed,
-				Makespan: makespan, RankVT: vts,
-			}
-		}
-		return nil
-	}
-
-	switch transport {
-	case "inproc":
-		if _, err := comm.Run(smokeRanks, opts, fn); err != nil {
-			log.Fatal(err)
-		}
-	case "tcp":
-		if rank < 0 || rank >= smokeRanks {
-			log.Fatalf("-transport=tcp needs -rank in [0,%d)", smokeRanks)
-		}
-		tcfg := tcptransport.Config{Rank: rank, Size: smokeRanks}
-		if rdv != "" {
-			if err := tcptransport.ParseRendezvous(rdv, &tcfg); err != nil {
-				log.Fatalf("-rdv: %v", err)
-			}
-		}
-		if peersCSV != "" {
-			tcfg.Peers = strings.Split(peersCSV, ",")
-		}
-		tr, err := tcptransport.New(tcfg)
-		if err != nil {
-			log.Fatalf("tcp transport: %v", err)
-		}
-		if _, err := comm.RunDistributed(tr, opts, fn); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("-transport: unknown %q (want inproc or tcp)", transport)
-	}
-	if out == nil {
-		return // a TCP process hosting a nonzero rank: rank 0's process writes
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("smoke: steps=%d mass=%.12f energy=%.9f makespan=%.6fs -> %s\n",
-		out.Steps, out.Mass, out.Energy, out.Makespan, jsonPath)
 }
 
 type t struct {

@@ -16,8 +16,8 @@ import "fmt"
 // allreduce associates floating-point sums along exactly the same
 // combine tree as the flat recursive-doubling path, so results are
 // bit-identical with hierarchy on or off (TestHierBitIdenticalPow2, the
-// hier-collectives-vs-flat conformance contract, and
-// TestHierPhysicsInvariance pin this). Other layouts (non-power-of-two
+// hier-collectives-vs-flat conformance contract, and the hier row of
+// TestOptionMatrixInvariance pin this). Other layouts (non-power-of-two
 // nodes, irregular maps) are correct but may differ from flat in the
 // last bits of float reductions, and nothing refuses them
 // (TestHierCollectivesCorrectIrregular). Integer reductions and

@@ -112,13 +112,11 @@ func (r *Rank) stampSend(dst int, nbytes int64) (arrival float64, hops int) {
 // belongs to the receiver the moment it is enqueued (the receiver may
 // consume and recycle it at any time).
 //
-// This is also where the fault plane intercepts the wire: a dropped or
-// corrupted first copy always ends in a clean delivery one retransmission
-// timeout later, so faults cost modeled time but can never lose data or
-// deadlock the run. Corruption relies on the non-overtaking mailbox order
-// per (source, tag): the damaged copy is enqueued before the clean one,
-// so the receiver's CRC check rejects it and the very next matching
-// message is the retransmission.
+// With a fault plane installed the message goes through intercept.
+// Corruption relies on the non-overtaking mailbox order per (source,
+// tag): the damaged copy is enqueued before the clean one, so the
+// receiver's CRC check rejects it and the very next matching message is
+// the retransmission.
 func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 	c := r.comm
 	if !c.isLocalWorld(c.worldIDOf(dst)) {
@@ -151,31 +149,17 @@ func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 	sendVT := r.clock.Now()
 	arrival, hops := r.stampSend(dst, nbytes)
 	if c.faults != nil {
-		act := c.faults.Message(c.worldIDOf(r.id), c.worldIDOf(dst), tag, nbytes, sendVT)
-		if act != (FaultAction{}) {
-			arrival += act.DelayVT
-			rto := act.RetransmitVT
-			if rto <= 0 {
-				rto = DefaultRetransmitVT
-			}
-			switch {
-			case act.Drop:
-				// The first copy is lost on the wire; the receiver only
-				// ever sees the retransmission, one timeout later.
-				arrival += rto
-				c.retransmits.Add(1)
-			case act.Corrupt && nbytes > 0:
-				bad := c.getMessage()
-				bad.src, bad.tag = r.id, tag
-				bad.data = append(bad.data[:0], m.data...)
-				bad.ints = append(bad.ints[:0], m.ints...)
-				bad.crc, bad.framed = m.crc, m.framed
-				flipPayloadBit(bad.data, bad.ints, act.FlipBit)
-				bad.arrival = arrival
-				c.boxes[dst].put(bad)
-				arrival += rto
-				c.retransmits.Add(1)
-			}
+		var f fate
+		arrival, f = r.intercept(dst, tag, nbytes, sendVT, arrival)
+		if f.corrupt {
+			bad := c.getMessage()
+			bad.src, bad.tag = r.id, tag
+			bad.data = append(bad.data[:0], m.data...)
+			bad.ints = append(bad.ints[:0], m.ints...)
+			bad.crc, bad.framed = m.crc, m.framed
+			flipPayloadBit(bad.data, bad.ints, f.flipBit)
+			bad.arrival = f.firstArrival
+			c.boxes[dst].put(bad)
 		}
 	}
 	m.arrival = arrival
@@ -208,33 +192,19 @@ func (r *Rank) deliverRemote(dst, tag int, data []float64, ints []int64) int64 {
 	sendVT := r.clock.Now()
 	arrival, hops := r.stampSend(dst, nbytes)
 	if c.faults != nil {
-		act := c.faults.Message(c.worldIDOf(r.id), dstWorld, tag, nbytes, sendVT)
-		if act != (FaultAction{}) {
-			arrival += act.DelayVT
-			rto := act.RetransmitVT
-			if rto <= 0 {
-				rto = DefaultRetransmitVT
+		var f fate
+		arrival, f = r.intercept(dst, tag, nbytes, sendVT, arrival)
+		if f.corrupt {
+			badData := append([]float64(nil), data...)
+			badInts := append([]int64(nil), ints...)
+			flipPayloadBit(badData, badInts, f.flipBit)
+			r.out = Frame{
+				Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag,
+				Data: badData, Ints: badInts,
+				SendVT: sendVT, Arrival: f.firstArrival,
+				CRC: crc, Framed: framed,
 			}
-			switch {
-			case act.Drop:
-				// The first copy is lost on the wire; the receiver only
-				// ever sees the retransmission, one timeout later.
-				arrival += rto
-				c.retransmits.Add(1)
-			case act.Corrupt && nbytes > 0:
-				badData := append([]float64(nil), data...)
-				badInts := append([]int64(nil), ints...)
-				flipPayloadBit(badData, badInts, act.FlipBit)
-				r.out = Frame{
-					Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag,
-					Data: badData, Ints: badInts,
-					SendVT: sendVT, Arrival: arrival,
-					CRC: crc, Framed: framed,
-				}
-				_ = t.Send(dstWorld, &r.out)
-				arrival += rto
-				c.retransmits.Add(1)
-			}
+			_ = t.Send(dstWorld, &r.out)
 		}
 	}
 	// A send error means the peer is gone; like an eager send into a dead
@@ -250,6 +220,45 @@ func (r *Rank) deliverRemote(dst, tag int, data []float64, ints []int64) int64 {
 	r.out = Frame{} // do not keep the caller's payload reachable
 	c.trace(c.worldIDOf(r.id), dstWorld, tag, nbytes, hops, sendVT, arrival, r.prof.site)
 	return nbytes
+}
+
+// fate is the fault plane's verdict on one wire message, in modeled
+// time: when corrupt, a copy with payload bit flipBit inverted goes out
+// first and arrives at firstArrival, ahead of the clean retransmission.
+type fate struct {
+	corrupt      bool
+	flipBit      int
+	firstArrival float64
+}
+
+// intercept is where the fault plane acts on the wire, for local and
+// remote destinations alike: it asks the plane about one message sent
+// at sendVT that would arrive at arrival, and returns the arrival of the
+// copy the receiver accepts. A dropped or corrupted first copy always
+// ends in a clean delivery one retransmission timeout later, so faults
+// cost modeled time but can never lose data or deadlock the run.
+func (r *Rank) intercept(dst, tag int, nbytes int64, sendVT, arrival float64) (float64, fate) {
+	c := r.comm
+	act := c.faults.Message(c.worldIDOf(r.id), c.worldIDOf(dst), tag, nbytes, sendVT)
+	if act == (FaultAction{}) {
+		return arrival, fate{}
+	}
+	arrival += act.DelayVT
+	rto := act.RetransmitVT
+	if rto <= 0 {
+		rto = DefaultRetransmitVT
+	}
+	switch {
+	case act.Drop:
+		// The first copy is lost on the wire; the receiver only ever
+		// sees the retransmission, one timeout later.
+		c.retransmits.Add(1)
+		return arrival + rto, fate{}
+	case act.Corrupt && nbytes > 0:
+		c.retransmits.Add(1)
+		return arrival + rto, fate{corrupt: true, flipBit: act.FlipBit, firstArrival: arrival}
+	}
+	return arrival, fate{}
 }
 
 // receive finalizes a matched message: the virtual clock waits for its

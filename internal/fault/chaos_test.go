@@ -108,20 +108,22 @@ func TestMessageFaultsPreserveResults(t *testing.T) {
 	stats, inj := run(spec, got)
 
 	compareStates(t, got, ref)
-	if inj.Corrupts() == 0 || inj.Drops() == 0 || inj.Delays() == 0 {
-		t.Fatalf("injection too quiet: drops=%d corrupts=%d delays=%d",
-			inj.Drops(), inj.Corrupts(), inj.Delays())
+	c := inj.Total()
+	if c.Corrupts == 0 || c.Drops == 0 || c.Delays == 0 {
+		t.Fatalf("injection too quiet: %+v", c)
 	}
 	// Crash-free: every corrupted copy is received, so every one must be
 	// detected — exactly, or a corruption was silently absorbed.
-	if inj.Detected() != inj.Corrupts() {
-		t.Fatalf("detected %d of %d corruptions — silent corruption", inj.Detected(), inj.Corrupts())
+	if c.Detected != c.Corrupts {
+		t.Fatalf("detected %d of %d corruptions — silent corruption", c.Detected, c.Corrupts)
 	}
-	if stats.CRCDetected != inj.Detected() {
-		t.Fatalf("comm counted %d CRC rejections, injector %d", stats.CRCDetected, inj.Detected())
+	if stats.CRCDetected != c.Detected {
+		t.Fatalf("comm counted %d CRC rejections, injector %d", stats.CRCDetected, c.Detected)
 	}
-	if stats.Retransmits == 0 {
-		t.Fatal("no retransmissions recorded despite drops and corruptions")
+	// Every drop and every corruption costs exactly one retransmission.
+	if stats.Retransmits != c.Drops+c.Corrupts {
+		t.Fatalf("comm counted %d retransmissions, injector %d drops + %d corruptions",
+			stats.Retransmits, c.Drops, c.Corrupts)
 	}
 }
 
@@ -192,8 +194,8 @@ func chaosScenario(t *testing.T, seed int64, overlap bool) {
 			t.Fatalf("survivor %d observed deaths %v, want [2]", w, deadSeen[w])
 		}
 	}
-	if inj.Detected() > inj.Corrupts() {
-		t.Fatalf("detected %d > corrupted %d", inj.Detected(), inj.Corrupts())
+	if c := inj.Total(); c.Detected > c.Corrupts {
+		t.Fatalf("detected %d > corrupted %d", c.Detected, c.Corrupts)
 	}
 
 	// Fault-free ground truth: a 3-rank run on the survivor partition,

@@ -15,16 +15,29 @@ import (
 // whole point of a deterministic chaos harness. Sequence counters are
 // keyed by world ranks, so decisions survive communicator shrinks.
 type Injector struct {
-	spec  *Spec
-	ranks int
-	seq   []atomic.Uint64 // per (src*ranks+dst) message counter
-
-	drops    atomic.Int64
-	corrupts atomic.Int64
-	delays   atomic.Int64
-	detected atomic.Int64
+	spec   *Spec
+	ranks  int
+	seq    []atomic.Uint64 // per (src*ranks+dst) message counter
+	counts []rankCounts    // per world rank
 
 	mDrops, mCorrupts, mDelays, mDetected *obs.Counter
+}
+
+// rankCounts is one world rank's share of the injected faults: drops,
+// corruptions and delays of the messages it sent, and CRC detections of
+// the corrupted copies it received.
+type rankCounts struct {
+	drops, corrupts, delays, detected atomic.Int64
+}
+
+// Counts tallies injected faults and their detections.
+type Counts struct {
+	Drops, Corrupts, Delays, Detected int64
+}
+
+// Add returns the element-wise sum of c and d.
+func (c Counts) Add(d Counts) Counts {
+	return Counts{c.Drops + d.Drops, c.Corrupts + d.Corrupts, c.Delays + d.Delays, c.Detected + d.Detected}
 }
 
 // NewInjector builds the fault plane for a run of the given world size.
@@ -35,6 +48,7 @@ func NewInjector(spec *Spec, ranks int, metrics *obs.Registry) *Injector {
 		spec:      spec,
 		ranks:     ranks,
 		seq:       make([]atomic.Uint64, ranks*ranks),
+		counts:    make([]rankCounts, ranks),
 		mDrops:    metrics.Counter("fault_drops"),
 		mCorrupts: metrics.Counter("fault_corruptions"),
 		mDelays:   metrics.Counter("fault_delays"),
@@ -68,6 +82,7 @@ func (in *Injector) Message(src, dst, tag int, bytes int64, sendVT float64) comm
 	}
 	pair := src*in.ranks + dst
 	s := in.seq[pair].Add(1) - 1
+	n := &in.counts[src]
 	h := splitmix64(uint64(in.spec.Seed) ^ splitmix64(uint64(pair)<<32|s))
 	u := unit(h)
 	rto := m.RetransmitSeconds
@@ -76,11 +91,11 @@ func (in *Injector) Message(src, dst, tag int, bytes int64, sendVT float64) comm
 	// degrades to a drop (same retransmission cost) so the corruption
 	// counter only ever counts copies that really were damaged.
 	case u < m.Drop || (u < m.Drop+m.Corrupt && bytes == 0):
-		in.drops.Add(1)
+		n.drops.Add(1)
 		in.mDrops.Add(1)
 		return comm.FaultAction{Drop: true, RetransmitVT: rto}
 	case u < m.Drop+m.Corrupt:
-		in.corrupts.Add(1)
+		n.corrupts.Add(1)
 		in.mCorrupts.Add(1)
 		return comm.FaultAction{
 			Corrupt:      true,
@@ -88,7 +103,7 @@ func (in *Injector) Message(src, dst, tag int, bytes int64, sendVT float64) comm
 			RetransmitVT: rto,
 		}
 	case u < m.Drop+m.Corrupt+m.Delay:
-		in.delays.Add(1)
+		n.delays.Add(1)
 		in.mDelays.Add(1)
 		return comm.FaultAction{DelayVT: m.DelaySeconds}
 	}
@@ -98,25 +113,31 @@ func (in *Injector) Message(src, dst, tag int, bytes int64, sendVT float64) comm
 // CRCDetected implements comm.FaultPlane: a receiver's CRC check caught
 // an injected corruption.
 func (in *Injector) CRCDetected(src, dst, tag int) {
-	in.detected.Add(1)
+	in.counts[dst].detected.Add(1)
 	in.mDetected.Add(1)
 }
 
-// Drops returns how many messages lost their first copy.
-func (in *Injector) Drops() int64 { return in.drops.Load() }
+// Rank returns world rank w's share of the counts: the faults injected
+// into the messages it sent and the corruptions it detected on receipt.
+// Over a multi-process transport each process's Injector sees only the
+// traffic of the ranks it hosts, so a run-wide tally sums Rank over the
+// ranks in a collective.
+func (in *Injector) Rank(w int) Counts {
+	n := &in.counts[w]
+	return Counts{n.drops.Load(), n.corrupts.Load(), n.delays.Load(), n.detected.Load()}
+}
 
-// Corrupts returns how many messages had a payload bit flipped.
-func (in *Injector) Corrupts() int64 { return in.corrupts.Load() }
-
-// Delays returns how many messages were delayed.
-func (in *Injector) Delays() int64 { return in.delays.Load() }
-
-// Detected returns how many corruptions receivers caught by CRC. Every
-// corrupted copy that is actually received is detected (the runtime
-// verifies CRC frames on all receive paths), so after a fault-free-of-
-// crashes run Detected equals Corrupts; with a crash, copies addressed
-// to the dead rank may go unreceived, so Detected <= Corrupts. A
-// corruption that is received but NOT detected would be silent — the
-// chaos suite asserts that never happens by checking final-state
-// bit-identity.
-func (in *Injector) Detected() int64 { return in.detected.Load() }
+// Total sums Rank over every world rank. Every corrupted copy that is
+// actually received is detected (the runtime verifies CRC frames on all
+// receive paths), so after a run without crashes Detected equals
+// Corrupts; with a crash, copies addressed to the dead rank may go
+// unreceived, so Detected <= Corrupts. A corruption that is received but
+// NOT detected would be silent — the chaos suite asserts that never
+// happens by checking final-state bit-identity.
+func (in *Injector) Total() Counts {
+	var t Counts
+	for w := range in.counts {
+		t = t.Add(in.Rank(w))
+	}
+	return t
+}

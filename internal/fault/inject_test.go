@@ -100,8 +100,8 @@ func TestInjectorOrderIndependence(t *testing.T) {
 }
 
 // TestInjectorZeroByteDegradesToDrop: corruption draws on empty payloads
-// become drops, so Corrupts() only counts copies that really had a bit
-// flipped.
+// become drops, so Corrupts only counts copies that really had a bit
+// flipped, and both are the sender's.
 func TestInjectorZeroByteDegradesToDrop(t *testing.T) {
 	spec := &Spec{Seed: 3, Messages: MsgFaults{Corrupt: 1, RetransmitSeconds: 1e-5}}
 	in := NewInjector(spec, 2, nil)
@@ -109,15 +109,15 @@ func TestInjectorZeroByteDegradesToDrop(t *testing.T) {
 	if !act.Drop || act.Corrupt {
 		t.Fatalf("zero-byte corrupt draw gave %+v, want a drop", act)
 	}
-	if in.Corrupts() != 0 || in.Drops() != 1 {
-		t.Fatalf("counters corrupts=%d drops=%d, want 0/1", in.Corrupts(), in.Drops())
+	if c := in.Rank(0); c.Corrupts != 0 || c.Drops != 1 {
+		t.Fatalf("sender counts %+v, want 0 corruptions and 1 drop", c)
 	}
 	act = in.Message(0, 1, 1, 64, 0)
 	if !act.Corrupt {
 		t.Fatalf("non-empty corrupt draw gave %+v", act)
 	}
-	if in.Corrupts() != 1 {
-		t.Fatalf("corrupts=%d, want 1", in.Corrupts())
+	if c := in.Total(); c.Corrupts != 1 || in.Rank(1) != (Counts{}) {
+		t.Fatalf("total %+v, receiver %+v: want 1 corruption, all the sender's", c, in.Rank(1))
 	}
 }
 

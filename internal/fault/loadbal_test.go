@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -55,15 +56,19 @@ func loadbalCrash(t *testing.T) (state map[int64][]float64, clocks []float64, be
 			return err
 		}
 		defer rn.Close()
-		atRecovery := -1
-		if _, err := rn.Run(steps, func(step int) {
-			if rn.Recoveries > 0 && atRecovery < 0 {
-				atRecovery = b.Rebalances
-			}
-			b.Follow(rn.Solver())
-			b.AfterStep(step)
-		}); err != nil {
+		if _, err := rn.Run(steps, b); err != nil {
 			return err
+		}
+		if rn.Recoveries != 1 {
+			return fmt.Errorf("rank %d ran %d recoveries, want 1", r.ID(), rn.Recoveries)
+		}
+		// The rebuilt solver's recorder starts at the recovery, so its
+		// migrations are the ones after it.
+		atRecovery := b.Rebalances
+		for _, reg := range rn.Solver().Rec.Flat() {
+			if reg.Name == "rebalance_migrate" {
+				atRecovery -= int(reg.Calls)
+			}
 		}
 		stateByGID(rn.Solver(), state, &mu)
 		mu.Lock()

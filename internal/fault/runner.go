@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
+	"repro/internal/loadbal"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -20,8 +21,9 @@ const heartbeatTagBase = 1 << 27
 
 // Config drives a Runner.
 type Config struct {
-	// Spec is the fault scenario (required; it also seeds the Injector
-	// installed on the communicator).
+	// Spec is the fault scenario (it also seeds the Injector installed
+	// on the communicator). Nil runs no stalls, heartbeats or
+	// auto-checkpoints: the plain step loop of solver.Solver.RunWith.
 	Spec *Spec
 	// CkptDir/CkptEvery enable periodic auto-checkpoints: every CkptEvery
 	// steps (including step 0) each rank writes dir/auto-NNNNNN files.
@@ -37,8 +39,9 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Runner drives the solver's step loop under a fault scenario: per step,
-// in order — scheduled stalls, a heartbeat round (in which scheduled
+// Runner runs the step loop: it advances the solver and, when
+// given one, the load balancer, under a fault scenario. Per step, in
+// order — scheduled stalls, a heartbeat round (in which scheduled
 // crashes fire) with collective recovery when it detects deaths, the
 // periodic auto-checkpoint, then the timestep itself. The ordering is
 // load-bearing: recovery runs before the checkpoint phase so a crash step
@@ -74,7 +77,7 @@ type Runner struct {
 // (which must still be the world communicator) and returns a runner.
 func NewRunner(s *solver.Solver, cfg Config) (*Runner, error) {
 	if cfg.Spec == nil {
-		return nil, fmt.Errorf("fault: runner needs a scenario spec")
+		return &Runner{cfg: cfg, s: s}, nil
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 1
@@ -114,15 +117,16 @@ func (rn *Runner) Close() { rn.s.Close() }
 func ckptTag(step int) string { return fmt.Sprintf("auto-%06d", step) }
 
 // Run advances steps timesteps under the fault scenario and returns the
-// final report. after, when non-nil, is called at the end of every
-// timestep, as in solver.Solver.RunWith; a hook that holds the solver
-// (the load balancer) must follow Solver() after a recovery. On ranks
-// scheduled to crash it never returns: the rank unwinds via
-// comm.Rank.Kill and comm.Run records it in Stats.Killed.
+// final report. b, when non-nil, is the load balancer: its AfterStep runs
+// at the end of every timestep, and after a recovery the runner points it
+// at the rebuilt solver. With a nil Spec and a nil b this is exactly
+// solver.Solver.RunWith(steps, nil). On ranks scheduled to crash it never
+// returns: the rank unwinds via comm.Rank.Kill and comm.Run records it in
+// Stats.Killed.
 // On any abnormal exit — the kill panic, an unexpected panic, or an
 // error return — the shared step-metrics stream is synced first, so
 // records sealed before the failure survive in the output file.
-func (rn *Runner) Run(steps int, after func(step int)) (rep solver.Report, err error) {
+func (rn *Runner) Run(steps int, b *loadbal.Balancer) (rep solver.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rn.s.Cfg.Steps.Sync()
@@ -134,36 +138,55 @@ func (rn *Runner) Run(steps int, after func(step int)) (rep solver.Report, err e
 	}()
 	var dt float64
 	for i := 0; i < steps; i++ {
-		rn.stall(i)
-		if rn.s.Rank.Size() == 1 && rn.crashes(rn.s.Rank.WorldID(), i) {
-			rn.s.Rank.Kill()
-		}
-		if i%rn.cfg.HeartbeatEvery == 0 && rn.s.Rank.Size() > 1 {
-			dead, err := rn.heartbeat(i)
+		if rn.cfg.Spec != nil {
+			resume, err := rn.beforeStep(i)
 			if err != nil {
 				return solver.Report{}, err
 			}
-			if len(dead) > 0 {
-				if err := rn.recoverFrom(dead); err != nil {
-					return solver.Report{}, err
+			if resume >= 0 {
+				if b != nil {
+					b.Follow(rn.s)
 				}
-				// Resume from the restored step: the loop increment
-				// re-executes lastCkptStep next.
-				i = rn.lastCkptStep - 1
+				// The loop increment re-executes the restored step next.
+				i = resume - 1
 				continue
 			}
 		}
-		if ck := rn.cfg.CkptEvery; ck > 0 && rn.cfg.CkptDir != "" && i%ck == 0 {
-			if err := rn.writeCheckpoint(i); err != nil {
-				return solver.Report{}, err
-			}
-		}
 		dt = rn.s.AdvanceStep(i)
-		if after != nil {
-			after(i)
+		if b != nil {
+			b.AfterStep(i)
 		}
 	}
 	return rn.s.FinishReport(steps, dt), nil
+}
+
+// beforeStep runs the scenario's phases ahead of timestep i: stalls, the
+// heartbeat round (where scheduled crashes fire) with recovery when it
+// finds deaths, then the periodic auto-checkpoint. After a recovery it
+// returns the restored step to resume from; otherwise -1.
+func (rn *Runner) beforeStep(i int) (resume int, err error) {
+	rn.stall(i)
+	if rn.s.Rank.Size() == 1 && rn.crashes(rn.s.Rank.WorldID(), i) {
+		rn.s.Rank.Kill()
+	}
+	if i%rn.cfg.HeartbeatEvery == 0 && rn.s.Rank.Size() > 1 {
+		dead, err := rn.heartbeat(i)
+		if err != nil {
+			return -1, err
+		}
+		if len(dead) > 0 {
+			if err := rn.recoverFrom(dead); err != nil {
+				return -1, err
+			}
+			return rn.lastCkptStep, nil
+		}
+	}
+	if ck := rn.cfg.CkptEvery; ck > 0 && rn.cfg.CkptDir != "" && i%ck == 0 {
+		if err := rn.writeCheckpoint(i); err != nil {
+			return -1, err
+		}
+	}
+	return -1, nil
 }
 
 // stall prices any scheduled transient stall for this rank/step straight

@@ -16,8 +16,9 @@ import (
 // (Solver.Cost), sum-reduces the global per-gid cost vector to rank 0,
 // which plans a space-filling-curve repartition and broadcasts the
 // decision; when the plan pays, every rank executes Solver.Remap and
-// re-migrates its particles. Hook AfterStep into Solver.RunWith (or
-// fault.Runner.Run, calling Follow first).
+// re-migrates its particles. Pass the balancer to fault.Runner.Run, which
+// calls AfterStep every step and Follow after a recovery (or hook
+// AfterStep into Solver.RunWith).
 //
 // Construction and every epoch are collective: build one Balancer per
 // rank with identical Config and call AfterStep on all ranks every step.
@@ -29,9 +30,11 @@ type Balancer struct {
 	shares     []float64
 	prevKernel float64
 
-	// Epochs, Rebalances and Skips count this rank's planning rounds and
-	// their outcomes; MovedElems/MovedBytes accumulate this rank's
-	// outbound migration volume. Last is the most recent decision.
+	// Epochs, Rebalances and Skips count the planning rounds and their
+	// outcomes; MovedElems/MovedBytes accumulate the global migration
+	// volume, counted from the broadcast owner maps. Every rank holds the
+	// same values, including a survivor of a crash for the rounds the
+	// dead rank took part in. Last is the most recent decision.
 	Epochs     int
 	Rebalances int
 	Skips      int
@@ -175,13 +178,19 @@ func (b *Balancer) epoch() {
 	if err != nil {
 		panic(fmt.Sprintf("loadbal: broadcast plan invalid: %v", err))
 	}
+	moved := 0
+	for gid, o := range owner {
+		if own.Owner(int64(gid)) != o {
+			moved++
+		}
+	}
 	movedE, movedB := b.s.Remap(newOwn)
 	if b.cloud != nil {
 		b.cloud.Migrate()
 	}
 	b.Rebalances++
-	b.MovedElems += movedE
-	b.MovedBytes += movedB
+	b.MovedElems += moved
+	b.MovedBytes += int64(moved) * int64(b.s.RecordLen()) * 8
 	if b.mElems != nil {
 		b.mElems.Add(int64(movedE))
 		b.mBytes.Add(movedB)

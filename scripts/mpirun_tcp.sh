@@ -10,10 +10,16 @@
 # every process and exits nonzero if any rank failed.
 #
 # Set MPIRUN_RDV to override the rendezvous — e.g. a cmtbroker URL
-# (tcp://host:port/job) for runs with no shared filesystem.
+# (tcp://host:port/job) for runs with no shared filesystem. Set
+# MPIRUN_OUT to a path prefix to send rank $i's stdout to ${MPIRUN_OUT}$i
+# instead of sharing this script's.
+#
+# cmtbone is the multi-process host: every process prints the run
+# header, and the process of the lowest surviving rank prints the same
+# summary an in-process run prints (scripts/tcp_smoke.sh checks this).
 #
 #   scripts/mpirun_tcp.sh 4 ./bin/cmtbone -np 4 -steps 2
-#   scripts/mpirun_tcp.sh 4 ./bin/scalebench -smoke -smoke-json b.json
+#   MPIRUN_OUT=out/rank scripts/mpirun_tcp.sh 4 ./bin/cmtbone -np 4 -loadbal -hot 1=4
 #   MPIRUN_RDV=tcp://127.0.0.1:9333/job1 scripts/mpirun_tcp.sh 4 ./bin/cmtbone -np 4
 set -euo pipefail
 
@@ -47,7 +53,11 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 for ((i = 0; i < np; i++)); do
-    "$@" -transport=tcp -rank="$i" -rdv="$rdv" &
+    if [ -n "${MPIRUN_OUT:-}" ]; then
+        "$@" -transport=tcp -rank="$i" -rdv="$rdv" > "${MPIRUN_OUT}$i" &
+    else
+        "$@" -transport=tcp -rank="$i" -rdv="$rdv" &
+    fi
     pids+=($!)
 done
 
