@@ -23,11 +23,13 @@ test:
 # repetition is what catches a bad hand-over between them. A blocked receive polls before it
 # parks only when every rank has a CPU of its own, so the mailbox wake-up
 # table repeats under -race and the comm tests also run on one P, where
-# every wait takes the park-only path.
+# every wait takes the park-only path; the option matrix runs there too,
+# to show that which wait path runs never reaches physics or clocks.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/pool/... ./internal/gs/... ./internal/sem/...
 	$(GO) test -race -count=50 -run 'TestMailboxAwait|TestSpinGate' ./internal/comm/
 	GOMAXPROCS=1 $(GO) test ./internal/comm/...
+	GOMAXPROCS=1 $(GO) test -run TestOptionMatrixInvariance .
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap' ./internal/solver/...
 	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
 	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
@@ -79,14 +81,15 @@ generate-check: generate
 # The pure-Go fallback build: the semnoasm tag disables the AVX2
 # assembly backend; the kernel packages and their consumers must build
 # and pass bit-exactness tests without it (the r/s kernel table and
-# fuzz corpus, the volume-pipeline goldens and the allocation ceiling
+# fuzz corpus, the volume-pipeline and viscous right-hand-side goldens,
+# the allocation ceiling, the kernel-path golden and the option matrix
 # run on the generated Go kernels here). The arm64 cross-build compiles
 # the same fallback file set the way a non-amd64 host selects it, by
 # GOARCH rather than by the tag.
 test-noasm:
 	$(GO) build -tags semnoasm ./...
 	$(GO) test -tags semnoasm ./internal/sem/... ./internal/solver/... ./internal/bench/...
-	$(GO) test -tags semnoasm -run TestKernelPathGolden .
+	$(GO) test -tags semnoasm -run 'TestKernelPathGolden|TestOptionMatrixInvariance' .
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # The wall-clock benchmark harness is a Go module of its own

@@ -95,9 +95,6 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 	viscous := s.Cfg.Mu > 0
 
 	s.rhsPrimitive(in)
-	if viscous {
-		s.computeGradients(in)
-	}
 
 	if !viscous {
 		// Boundary faces first, then both exchanges in flight across the
@@ -132,6 +129,7 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, true)
+		s.settleGradients()
 		s.faceRuns(in, s.intRuns, false)
 
 		reg = s.Rec.Region("gs_op", obs.CatGS)

@@ -66,7 +66,7 @@ func (s *Solver) allRun() [][2]int {
 // conservation law for the state in, leaving it in s.rhs. One call is one
 // pass through every kernel of the paper's Figure 4 profile; with Mu > 0
 // the viscous (compressible Navier-Stokes) flux path adds the gradient
-// sweeps of the parent code. The overlap path (computeRHSOverlap) runs
+// kernels of the parent code. The overlap path (computeRHSOverlap) runs
 // the same helpers over interior/boundary element runs instead of one
 // full run; every kernel is element-local, so both orders are
 // bit-identical.
@@ -75,11 +75,11 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	all := s.allRun()
 
 	s.rhsPrimitive(in)
-	if viscous {
-		s.computeGradients(in)
-	}
 	flux := s.faceRuns(in, all, !viscous)
 	s.volumeRuns(in, all, viscous)
+	if viscous {
+		s.settleGradients()
+	}
 	s.chargeSurfaceFlux(flux)
 
 	// --- gs_op: nearest-neighbor exchange of state and flux traces, out
@@ -103,7 +103,8 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 }
 
 // rhsPrimitive is the compute_primitive pass: velocity and pressure once
-// per point, shared by all 15 (field, direction) flux evaluations.
+// per point, shared by all 15 (field, direction) flux evaluations, and
+// with Mu > 0 the charges for the viscous gradient.
 func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	vol := len(s.prP)
 	reg := s.Rec.Region("compute_primitive", obs.CatKernel)
@@ -121,6 +122,9 @@ func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	s.chargeCompute(sem.OpCount{Mul: int64(vol) * 8, Add: int64(vol) * 3,
 		Load: int64(vol) * NumFields, Store: int64(vol) * 4}, pointwiseTraits)
 	reg.End()
+	if s.Cfg.Mu > 0 {
+		s.computeGradients()
+	}
 }
 
 // faceJob is the run faceElems is working through (kept in the Solver,
@@ -258,12 +262,16 @@ func (s *Solver) faceElems(slot, lo, hi int) {
 // The stages of the volume pipeline a slot's stopwatch separates; all
 // but volRest are recorder regions.
 const (
-	volFlux = iota // compute_flux: Euler (+ viscous) flux, three directions
-	volFace        // full2face_cmt: viscous flux traces
-	volR           // ax_deriv_dudr
-	volS           // ax_deriv_duds
-	volT           // ax_deriv_dudt
-	volRest        // metric scaling + negation into rhs (unnamed, as ever)
+	volTemp  = iota // viscous compute_primitive: T = p/rho
+	volGradR        // viscous gradient: ax_grad3_fused, or ax_deriv_dud{r,s,t} (Basic)
+	volGradS
+	volGradT
+	volFlux // compute_flux: Euler (+ viscous) flux, three directions; viscous stress and heat flux
+	volFace // full2face_cmt: viscous flux traces
+	volR    // ax_deriv_dudr
+	volS    // ax_deriv_duds
+	volT    // ax_deriv_dudt
+	volRest // metric scaling + negation into rhs (unnamed, as ever)
 	numVolStages
 )
 
@@ -272,7 +280,7 @@ var derivRegion = [3]string{"ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt"}
 
 // volSlot is one pool slot's private state in the volume pipeline.
 type volSlot struct {
-	buf  []float64                   // 6*N^3: the element's three flux components, then their derivatives
+	buf  []float64                   // 6*N^3: the element's three flux components, then their derivatives (+ 13*N^3 viscous)
 	secs [numVolStages]time.Duration // this run's stopwatch totals
 	face [2]time.Duration            // faceRuns' stopwatch, one element: extraction, surface flux
 }
@@ -328,6 +336,7 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 	f0, f1, f2 := sl.buf[:n3], sl.buf[n3:][:n3], sl.buf[2*n3:][:n3]
 	g0, g1, g2 := sl.buf[3*n3:][:n3], sl.buf[4*n3:][:n3], sl.buf[5*n3:][:n3]
 	f, g := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}
+	vis := sl.buf[6*n3:] // viscous: elemGradients' scratch
 	// The stopwatch: while clocked, lap(stage) books the time since the
 	// previous lap. It totals locally — slots are neighbours in memory —
 	// and hands over once, after the first element.
@@ -346,6 +355,9 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 		base := e * n3
 		pr, en := s.prP[base:base+n3], in[IEnergy][base:base+n3]
 		v0, v1, v2 := s.velP[0][base:base+n3], s.velP[1][base:base+n3], s.velP[2][base:base+n3]
+		if job.viscous {
+			s.elemGradients(vis, &job.kern, in[IRho][base:base+n3], base, lap)
+		}
 		for c := 0; c < NumFields; c++ {
 			src := f // what the derivative kernels read
 			switch {
@@ -373,7 +385,7 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 			if job.viscous {
 				if c != IRho { // no viscous mass flux
 					for d := 0; d < 3; d++ {
-						s.subViscousFlux(c, d, base, f[d])
+						s.subViscousFlux(c, d, base, vis, f[d])
 					}
 				}
 				lap(volFlux)
@@ -428,8 +440,17 @@ func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall tim
 		}
 	}
 
+	at := start  // where the next call starts in the wall domain
+	if viscous { // each element formed its gradient first
+		if s.grad.start.IsZero() {
+			s.grad.start = start
+		}
+		for k := volTemp; k <= volGradT; k++ {
+			s.grad.wall[k] += secs[k]
+			at = at.Add(secs[k])
+		}
+	}
 	clock := s.Rank.Clock()
-	at := start // where the next call starts in the wall domain
 	call := func(name string, dur time.Duration, vt0 float64) {
 		s.Rec.Add(name, obs.CatKernel, at, dur, vt0, clock.Now())
 		at = at.Add(dur)

@@ -54,13 +54,10 @@ type Solver struct {
 	u1, u2 [NumFields][]float64 // RK stages
 	velP   [3][]float64         // pointwise velocity (primitive pass)
 	prP    []float64            // pointwise pressure (primitive pass)
-	// viscous-path storage (allocated when Mu > 0)
-	gradQ [numGradQ][]float64    // quantities to differentiate (vx,vy,vz,T)
-	gradD [numGradQ][3][]float64 // their physical-space gradients
-	faceU [NumFields][]float64   // face traces of U
-	faceF [NumFields][]float64   // face traces of the normal flux
-	exU   [NumFields][]float64   // exchanged (in+out summed) state traces
-	exF   [NumFields][]float64   // exchanged flux traces
+	faceU  [NumFields][]float64 // face traces of U
+	faceF  [NumFields][]float64 // face traces of the normal flux
+	exU    [NumFields][]float64 // exchanged (in+out summed) state traces
+	exF    [NumFields][]float64 // exchanged flux traces
 	// bndFace[e*6+f] marks the faces with no neighbor (non-periodic
 	// domain boundary): never exchanged, corrected by Cfg.BC instead.
 	bndFace []bool
@@ -76,6 +73,7 @@ type Solver struct {
 	// bodies over them.
 	volSlots []volSlot
 	vol      volJob
+	grad     gradBill
 	face     faceJob
 	volBody  func(slot, lo, hi int)
 	faceBody func(slot, lo, hi int)
@@ -178,9 +176,13 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	s.pool = pool.New(cfg.Workers)
 	s.pool.Observe(cfg.Metrics)
 	s.wsPart = make([]float64, s.pool.Workers())
+	slotLen := 6
+	if cfg.Mu > 0 {
+		slotLen += 1 + 3*numGradQ // elemGradients' scratch
+	}
 	s.volSlots = make([]volSlot, s.pool.Workers())
 	for i := range s.volSlots {
-		s.volSlots[i].buf = make([]float64, 6*cfg.N*cfg.N*cfg.N)
+		s.volSlots[i].buf = make([]float64, slotLen*cfg.N*cfg.N*cfg.N)
 	}
 	s.volBody, s.faceBody, s.liftBody = s.volumeElems, s.faceElems, s.liftElems
 	if cfg.Dealias {
@@ -261,14 +263,6 @@ func (s *Solver) allocScratch() {
 		s.faceF[c] = make([]float64, faceLen)
 		s.exU[c] = make([]float64, faceLen)
 		s.exF[c] = make([]float64, faceLen)
-	}
-	if cfg.Mu > 0 {
-		for q := 0; q < numGradQ; q++ {
-			s.gradQ[q] = make([]float64, vol)
-			for d := 0; d < 3; d++ {
-				s.gradD[q][d] = make([]float64, vol)
-			}
-		}
 	}
 
 	s.bndFace = make([]bool, local.Nel*sem.NFaces)

@@ -214,6 +214,12 @@ func TestOptionMatrixInvariance(t *testing.T) {
 			physics: viscousDealias,
 			option:  func(m *matrixSetup) { m.cfg.Workers = 3; m.cfg.Overlap = true },
 		},
+		// The viscous path paired with each option that reorders,
+		// parallelises, migrates or restores its elements.
+		{name: "viscous+overlap", physics: viscousDealias, option: func(m *matrixSetup) { m.cfg.Overlap = true }},
+		{name: "viscous+workers=3", physics: viscousDealias, neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
+		{name: "viscous+loadbal+hot", physics: viscousDealias, option: hotRank3, check: checkMigrated},
+		{name: "viscous+crash+ckpt", physics: viscousDealias, option: crash5, check: checkCrash},
 	}
 	plains := map[bool]matrixResult{}
 	for _, row := range rows {

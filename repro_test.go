@@ -101,32 +101,45 @@ func TestFig7SelectionDivergence(t *testing.T) {
 }
 
 // TestFig9WaitDominatesMPI gates the Figure 9 claim: MPI_Wait is where
-// the communication time goes.
+// the communication time goes. Wall time is noisy from one run to the
+// next (a one-time site such as the gs setup's Alltoallv can outlast
+// MPI_Wait in a single run), so the problem runs five times and each
+// site's wall is summed over the runs; every site is sampled in the same
+// runs, so the comparison is interleaved.
 func TestFig9WaitDominatesMPI(t *testing.T) {
+	const runs = 5
 	cfg := solver.DefaultConfig(8, 6, 2)
-	stats, err := comm.Run(8, cfg.CommOptions(netmodel.QDR), func(r *comm.Rank) error {
-		s, err := solver.New(r, cfg)
+	type site struct{ op, name string }
+	wall := map[site]float64{}
+	for i := 0; i < runs; i++ {
+		stats, err := comm.Run(8, cfg.CommOptions(netmodel.QDR), func(r *comm.Rank) error {
+			s, err := solver.New(r, cfg)
+			if err != nil {
+				return err
+			}
+			s.SetInitial(solver.GaussianPulse(2, 2, 2, 0.1, 0.5))
+			s.Run(3)
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		s.SetInitial(solver.GaussianPulse(2, 2, 2, 0.1, 0.5))
-		s.Run(3)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		for _, s := range stats.AggregateSites() {
+			wall[site{s.Op, s.Site}] += s.Wall
+		}
 	}
-	sites := stats.AggregateSites()
 	var wait, maxOther float64
-	for _, s := range sites {
-		if s.Op == "MPI_Wait" {
-			wait += s.Wall
-		} else if s.Wall > maxOther {
-			maxOther = s.Wall
+	var other site
+	for s, w := range wall {
+		if s.op == "MPI_Wait" {
+			wait += w
+		} else if w > maxOther {
+			maxOther, other = w, s
 		}
 	}
 	if wait <= maxOther {
-		t.Errorf("MPI_Wait (%.4fs) must be the top MPI cost (max other: %.4fs)", wait, maxOther)
+		t.Errorf("MPI_Wait (%.4fs over %d runs) must be the top MPI cost (max other: %s@%s %.4fs)",
+			wait, runs, other.op, other.name, maxOther)
 	}
 }
 
