@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,8 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/hw"
+	"repro/internal/sem"
+	"repro/internal/solver"
 )
 
 // docFiles are the documents whose commands and identifiers are checked.
@@ -215,4 +221,146 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		t.Fatal("no package identifiers found in the docs")
 	}
 	t.Logf("%d references checked", checked)
+}
+
+// The cost-model section of DESIGN.md holds the charge schedule as a
+// table between these markers; TestCostModelDoc renders it from
+// solver.CostSchedule and fails if the document differs.
+const (
+	costModelBegin = "<!-- cost model: rendered from solver.CostSchedule by TestCostModelDoc -->"
+	costModelEnd   = "<!-- end of cost model -->"
+)
+
+// TestCostModelDoc keeps DESIGN.md's cost-model table the schedule's: one
+// row per sweep, in billing order, with the configurations that bill it
+// (rows the same in several configurations are listed once), its region,
+// phase, stopwatch stage, operations per element as multiples of a power
+// of N, and traits; a run of rows repeated back to back is listed once,
+// with its repeat count.
+func TestCostModelDoc(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(b)
+	i, j := strings.Index(doc, costModelBegin), strings.Index(doc, costModelEnd)
+	if i < 0 || j < i {
+		t.Fatalf("DESIGN.md has no %q ... %q section", costModelBegin, costModelEnd)
+	}
+	if got, want := doc[i+len(costModelBegin):j], "\n"+renderCostModel(t); got != want {
+		t.Errorf("DESIGN.md's cost-model table is not the schedule's; between the markers it should read:\n%s", want)
+	}
+}
+
+// renderCostModel renders the charge schedules of the four
+// configurations as one markdown table.
+func renderCostModel(t *testing.T) string {
+	type config struct {
+		name    string
+		viscous bool
+		variant sem.KernelVariant
+	}
+	configs := []config{
+		{"inviscid Optimized", false, sem.Optimized}, {"inviscid Basic", false, sem.Basic},
+		{"viscous Optimized", true, sem.Optimized}, {"viscous Basic", true, sem.Basic},
+	}
+	// Every count is c·N^k: read c and k off N = 2 and N = 3.
+	monomial := func(v2, v3 int64) string {
+		if v2 == 0 && v3 == 0 {
+			return ""
+		}
+		for k, p2, p3 := 0, int64(1), int64(1); k <= 8; k, p2, p3 = k+1, 2*p2, 3*p3 {
+			if c := v2 / p2; c*p2 == v2 && c*p3 == v3 {
+				s := fmt.Sprint(c)
+				if c == 1 && k > 0 {
+					s = ""
+				}
+				return s + []string{"", "N", "N²", "N³", "N⁴", "N⁵", "N⁶", "N⁷", "N⁸"}[k]
+			}
+		}
+		t.Fatalf("count %d at N=2, %d at N=3 is not c·N^k", v2, v3)
+		return ""
+	}
+	var points []string
+	byPoint := map[string][][]string{} // point -> per config, its rendered rows
+	for ci, c := range configs {
+		at2, at3 := solver.CostSchedule(2, c.viscous, c.variant), solver.CostSchedule(3, c.viscous, c.variant)
+		next := 0 // where a point this configuration bills first goes in points
+		for ri, r := range at2 {
+			q := at3[ri]
+			traits := fmt.Sprintf("%g / %g / %g", r.Traits.VecFrac, r.Traits.OverheadPerFlop, r.Traits.MissRate)
+			for d := 0; d < 3; d++ {
+				if r.Traits == hw.DerivTraits(d, c.variant == sem.Optimized) {
+					traits = "dud" + string("rst"[d])
+				}
+			}
+			row := fmt.Sprintf("%s | %s | %s | %s | %s | %s | %s | %s |",
+				blankOr(r.Region, "(unnamed)", "`"+r.Region+"`"), blankOr(r.Phase, "(enclosing)", r.Phase), blankOr(r.Stage, "—", r.Stage),
+				monomial(r.Ops.Mul, q.Ops.Mul), monomial(r.Ops.Add, q.Ops.Add), monomial(r.Ops.Load, q.Ops.Load), monomial(r.Ops.Store, q.Ops.Store), traits)
+			if byPoint[r.Point] == nil {
+				points = append(points[:next], append([]string{r.Point}, points[next:]...)...)
+				byPoint[r.Point] = make([][]string, len(configs))
+			}
+			next = slices.Index(points, r.Point) + 1
+			byPoint[r.Point][ci] = append(byPoint[r.Point][ci], row)
+		}
+	}
+	var out strings.Builder
+	out.WriteString("| point | configurations | × | region | phase | stage | mul | add | load | store | traits |\n")
+	out.WriteString("|---|---|---|---|---|---|---|---|---|---|---|\n")
+	for _, p := range points {
+		done := make([]bool, len(configs))
+		for ci, rows := range byPoint[p] {
+			if done[ci] || rows == nil {
+				continue
+			}
+			var names []string
+			for cj := ci; cj < len(configs); cj++ {
+				if !done[cj] && slices.Equal(byPoint[p][cj], rows) {
+					done[cj], names = true, append(names, configs[cj].name)
+				}
+			}
+			label := strings.Join(names, ", ")
+			switch label {
+			case "inviscid Optimized, inviscid Basic, viscous Optimized, viscous Basic":
+				label = "all"
+			case "inviscid Optimized, inviscid Basic":
+				label = "inviscid"
+			case "viscous Optimized, viscous Basic":
+				label = "viscous"
+			}
+			for i := 0; i < len(rows); {
+				period, times := repeats(rows[i:])
+				for _, row := range rows[i : i+period] {
+					fmt.Fprintf(&out, "| %s | %s | %d | %s\n", p, label, times, row)
+				}
+				i += period * times
+			}
+		}
+	}
+	return out.String()
+}
+
+// repeats finds the run of rows that repeats back to back from the start
+// and covers the most rows: its length and repeat count (1, 1 if none).
+func repeats(rows []string) (period, times int) {
+	period, times = 1, 1
+	for p := 1; 2*p <= len(rows); p++ {
+		n := 1
+		for (n+1)*p <= len(rows) && slices.Equal(rows[n*p:(n+1)*p], rows[:p]) {
+			n++
+		}
+		if n > 1 && n*p > period*times {
+			period, times = p, n
+		}
+	}
+	return period, times
+}
+
+// blankOr returns blank when s is "", else full.
+func blankOr(s, blank, full string) string {
+	if s == "" {
+		return blank
+	}
+	return full
 }

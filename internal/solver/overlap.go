@@ -99,14 +99,14 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 	if !viscous {
 		// Boundary faces first, then both exchanges in flight across the
 		// entire interior phase.
-		s.chargeSurfaceFlux(s.faceRuns(in, s.bndRuns, true))
+		s.charge(s.sched.surface, s.faceRuns(in, s.bndRuns, true))
 		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
 		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, false)
-		s.chargeSurfaceFlux(s.faceRuns(in, s.intRuns, true))
+		s.charge(s.sched.surface, s.faceRuns(in, s.intRuns, true))
 
 		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Finish()
@@ -129,7 +129,6 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, true)
-		s.settleGradients()
 		s.faceRuns(in, s.intRuns, false)
 
 		reg = s.Rec.Region("gs_op", obs.CatGS)
@@ -138,5 +137,6 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		reg.End()
 	}
 
+	s.settle()
 	s.rhsTail()
 }

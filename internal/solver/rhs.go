@@ -52,16 +52,6 @@ func (s *Solver) wallCorrection(d int, sign float64, idx int, lam float64, out *
 	}
 }
 
-// allRun returns the whole local element set as a single run — the
-// blocking path's "runs" parameter, so it executes the same helpers (and
-// the same pool partitions) as the interior/boundary split path does.
-func (s *Solver) allRun() [][2]int {
-	if s.Local.Nel == 0 {
-		return nil
-	}
-	return [][2]int{{0, s.Local.Nel}}
-}
-
 // computeRHS evaluates the semi-discrete DG right-hand side of the
 // conservation law for the state in, leaving it in s.rhs. One call is one
 // pass through every kernel of the paper's Figure 4 profile; with Mu > 0
@@ -72,15 +62,12 @@ func (s *Solver) allRun() [][2]int {
 // bit-identical.
 func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	viscous := s.Cfg.Mu > 0
-	all := s.allRun()
+	all := [][2]int{{0, s.Local.Nel}} // one run: the split path's helpers and pool partitions
 
 	s.rhsPrimitive(in)
-	flux := s.faceRuns(in, all, !viscous)
+	nf := s.faceRuns(in, all, !viscous)
 	s.volumeRuns(in, all, viscous)
-	if viscous {
-		s.settleGradients()
-	}
-	s.chargeSurfaceFlux(flux)
+	s.charge(s.sched.surface, nf) // where the surface-flux sweep stood
 
 	// --- gs_op: nearest-neighbor exchange of state and flux traces, out
 	// of place. After the exchange each shared face point of exU/exF
@@ -99,12 +86,13 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	}
 	reg.End()
 
+	s.settle()
 	s.rhsTail()
 }
 
 // rhsPrimitive is the compute_primitive pass: velocity and pressure once
 // per point, shared by all 15 (field, direction) flux evaluations, and
-// with Mu > 0 the charges for the viscous gradient.
+// with Mu > 0 the charges for the viscous gradient the volume pass forms.
 func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 	vol := len(s.prP)
 	reg := s.Rec.Region("compute_primitive", obs.CatKernel)
@@ -119,12 +107,9 @@ func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
 			pr[i] = (Gamma - 1) * (en[i] - 0.5*(mx[i]*vx[i]+my[i]*vy[i]+mz[i]*vz[i]))
 		}
 	})
-	s.chargeCompute(sem.OpCount{Mul: int64(vol) * 8, Add: int64(vol) * 3,
-		Load: int64(vol) * NumFields, Store: int64(vol) * 4}, pointwiseTraits)
+	s.charge(s.sched.primitive, s.Local.Nel)
 	reg.End()
-	if s.Cfg.Mu > 0 {
-		s.computeGradients()
-	}
+	s.charge(s.sched.gradient, s.Local.Nel)
 }
 
 // faceJob is the run faceElems is working through (kept in the Solver,
@@ -135,31 +120,15 @@ type faceJob struct {
 	flux bool
 }
 
-// fluxBill is what a faceRuns pass owes for the surface flux it
-// evaluated: the wall interval it took and the face points it covered
-// (zero when it evaluated none).
-type fluxBill struct {
-	start  time.Time
-	wall   time.Duration
-	points int
-}
-
 // faceRuns is full2face_cmt over the given element runs — gather the
 // surface traces of the state into s.faceU — and, with flux set, the
 // inviscid surface compute_flux in the same pass: the normal Euler flux
 // at each face point into s.faceF, evaluated from the element's traces
 // while they are in cache (the viscous path extracts it from the volume
-// flux in volumeRuns instead). It bills and reports full2face_cmt as the
-// whole-rank sweep it replaces, and returns the flux's bill for the
-// caller to settle (chargeSurfaceFlux) where that sweep stood.
-func (s *Solver) faceRuns(in *[NumFields][]float64, runs [][2]int, flux bool) fluxBill {
-	if len(runs) == 0 {
-		return fluxBill{}
-	}
-	n := s.Cfg.N
-	for i := range s.volSlots {
-		s.volSlots[i].face = [2]time.Duration{}
-	}
+// flux in volumeRuns instead). It bills full2face_cmt and returns how
+// many elements it covered, for the caller to bill the surface flux (an
+// inviscid schedule's) where that sweep stood.
+func (s *Solver) faceRuns(in *[NumFields][]float64, runs [][2]int, flux bool) int {
 	s.face.in, s.face.flux = in, flux
 	nelr := 0
 	start := time.Now()
@@ -168,121 +137,69 @@ func (s *Solver) faceRuns(in *[NumFields][]float64, runs [][2]int, flux bool) fl
 		s.pool.ForSlots(run[1]-run[0], s.faceBody)
 		nelr += run[1] - run[0]
 	}
-	wall := time.Since(start)
-	// The pass's wall time, split as the slots' stopwatches saw it.
-	var ext, flx time.Duration
-	for i := range s.volSlots {
-		ext += s.volSlots[i].face[0]
-		flx += s.volSlots[i].face[1]
-	}
-	extWall := wall
-	if flx > 0 {
-		extWall = time.Duration(float64(wall) * float64(ext) / float64(ext+flx))
-	}
-	moved := int64(nelr) * sem.NFaces * int64(n*n) * NumFields
-	s.replay("full2face_cmt", start, extWall, sem.OpCount{Load: moved, Store: moved})
-	if !flux {
-		return fluxBill{}
-	}
-	return fluxBill{start: start.Add(extWall), wall: wall - extWall, points: nelr * sem.NFaces * n * n}
-}
-
-// chargeSurfaceFlux bills and reports the surface flux a faceRuns pass
-// evaluated, as the compute_flux_surface sweep.
-func (s *Solver) chargeSurfaceFlux(b fluxBill) {
-	if b.points == 0 {
-		return
-	}
-	l := int64(b.points)
-	s.replay("compute_flux_surface", b.start, b.wall, sem.OpCount{Mul: l * 6, Add: l * 4, Load: l * 2, Store: l})
-}
-
-// replay charges ops for work already done in the wall interval [start,
-// start+wall) and reports it as one call of the kernel region name, under
-// that region's accounting phase — what a Region around the work and the
-// charge would have produced.
-func (s *Solver) replay(name string, start time.Time, wall time.Duration, ops sem.OpCount) {
-	clock := s.Rank.Clock()
-	prev := clock.SetPhase(obs.PhaseOf(name, obs.CatKernel))
-	vt0 := clock.Now()
-	s.chargeCompute(ops, pointwiseTraits)
-	s.Rec.Add(name, obs.CatKernel, start, wall, vt0, clock.Now())
-	clock.SetPhase(prev)
+	s.timePass(start)
+	s.charge(s.sched.face, nelr)
+	return nelr
 }
 
 // faceElems runs the surface pass over elements [lo, hi) of the current
-// run on pool slot slot. Every element is the same work, so the slot's
-// stopwatch (extraction, flux) clocks the first one only.
+// run on pool slot slot.
 func (s *Solver) faceElems(slot, lo, hi int) {
 	job := &s.face
 	n := s.Cfg.N
 	n2, n3 := n*n, n*n*n
 	fpe := sem.NFaces * n2
-	first := job.elo + lo
-	var t0, t1 time.Time
-	if job.flux {
-		t0 = time.Now()
-	}
-	for e := first; e < job.elo+hi; e++ {
+	sl := &s.volSlots[slot]
+	sl.t0, sl.last = time.Now(), 0
+	for e := job.elo + lo; e < job.elo+hi; e++ {
 		for c := 0; c < NumFields; c++ {
 			sem.Full2Face(n, job.in[c][e*n3:(e+1)*n3], 1, s.faceU[c][e*fpe:(e+1)*fpe])
 		}
-		if !job.flux {
-			continue
-		}
-		if e == first {
-			t1 = time.Now()
-		}
-		for f := 0; f < sem.NFaces; f++ {
-			// The normal Euler flux of eulerFlux, on whole face slabs.
-			d := sem.FaceDir(f)
-			base := e*fpe + f*n2
-			rho, en := s.faceU[IRho][base:base+n2], s.faceU[IEnergy][base:base+n2]
-			mx, my, mz := s.faceU[IMomX][base:base+n2], s.faceU[IMomY][base:base+n2], s.faceU[IMomZ][base:base+n2]
-			mn := s.faceU[IMomX+d][base : base+n2]
-			f0, f4 := s.faceF[IRho][base:base+n2], s.faceF[IEnergy][base:base+n2]
-			f1, f2, f3 := s.faceF[IMomX][base:base+n2], s.faceF[IMomY][base:base+n2], s.faceF[IMomZ][base:base+n2]
-			fn := s.faceF[IMomX+d][base : base+n2]
-			for q := range rho {
-				r, x, y, z := rho[q], mx[q], my[q], mz[q]
-				vn := mn[q] * (1 / r)
-				p := (Gamma - 1) * (en[q] - 0.5*(x*x+y*y+z*z)/r)
-				f0[q] = mn[q]
-				f1[q], f2[q], f3[q] = x*vn, y*vn, z*vn
-				fn[q] += p
-				f4[q] = vn * (en[q] + p)
+		sl.lap(faceExt)
+		if job.flux {
+			for f := 0; f < sem.NFaces; f++ {
+				// The normal Euler flux of eulerFlux, on whole face slabs.
+				d := sem.FaceDir(f)
+				base := e*fpe + f*n2
+				rho, en := s.faceU[IRho][base:base+n2], s.faceU[IEnergy][base:base+n2]
+				mx, my, mz := s.faceU[IMomX][base:base+n2], s.faceU[IMomY][base:base+n2], s.faceU[IMomZ][base:base+n2]
+				mn := s.faceU[IMomX+d][base : base+n2]
+				f0, f4 := s.faceF[IRho][base:base+n2], s.faceF[IEnergy][base:base+n2]
+				f1, f2, f3 := s.faceF[IMomX][base:base+n2], s.faceF[IMomY][base:base+n2], s.faceF[IMomZ][base:base+n2]
+				fn := s.faceF[IMomX+d][base : base+n2]
+				for q := range rho {
+					r, x, y, z := rho[q], mx[q], my[q], mz[q]
+					vn := mn[q] * (1 / r)
+					p := (Gamma - 1) * (en[q] - 0.5*(x*x+y*y+z*z)/r)
+					f0[q] = mn[q]
+					f1[q], f2[q], f3[q] = x*vn, y*vn, z*vn
+					fn[q] += p
+					f4[q] = vn * (en[q] + p)
+				}
 			}
+			sl.lap(faceFlux)
 		}
-		if e == first {
-			s.volSlots[slot].face = [2]time.Duration{t1.Sub(t0), time.Since(t1)}
-		}
+		sl.t0 = time.Time{}
 	}
 }
 
-// The stages of the volume pipeline a slot's stopwatch separates; all
-// but volRest are recorder regions.
-const (
-	volTemp  = iota // viscous compute_primitive: T = p/rho
-	volGradR        // viscous gradient: ax_grad3_fused, or ax_deriv_dud{r,s,t} (Basic)
-	volGradS
-	volGradT
-	volFlux // compute_flux: Euler (+ viscous) flux, three directions; viscous stress and heat flux
-	volFace // full2face_cmt: viscous flux traces
-	volR    // ax_deriv_dudr
-	volS    // ax_deriv_duds
-	volT    // ax_deriv_dudt
-	volRest // metric scaling + negation into rhs (unnamed, as ever)
-	numVolStages
-)
-
-// derivRegion names the region of each derivative direction.
-var derivRegion = [3]string{"ax_deriv_dudr", "ax_deriv_duds", "ax_deriv_dudt"}
-
-// volSlot is one pool slot's private state in the volume pipeline.
+// volSlot is one pool slot's private state in the element pipelines.
 type volSlot struct {
-	buf  []float64                   // 6*N^3: the element's three flux components, then their derivatives (+ 13*N^3 viscous)
-	secs [numVolStages]time.Duration // this run's stopwatch totals
-	face [2]time.Duration            // faceRuns' stopwatch, one element: extraction, surface flux
+	buf  []float64                // 6*N^3: the element's three flux components, then their derivatives (+ 13*N^3 viscous)
+	secs [numStages]time.Duration // its stopwatch's totals for the pass in progress
+	t0   time.Time                // set while the stopwatch runs: on the first element of the slot's share of a pass
+	last time.Duration            // the stopwatch's last lap
+	_    [64]byte                 // keeps neighbouring slots' laps off one cache line
+}
+
+// lap books the wall since the previous lap to stage while the slot's
+// stopwatch runs (one element a pass: each is the same work).
+func (sl *volSlot) lap(stage int) {
+	if !sl.t0.IsZero() {
+		now := time.Since(sl.t0)
+		sl.secs[stage] += now - sl.last
+		sl.last = now
+	}
 }
 
 // volJob is the run volumeElems is working through. It lives in the
@@ -304,25 +221,21 @@ type volJob struct {
 // are extracted here too (both sides then average them via gs, a
 // BR1-style viscous interface flux). Per point this is the arithmetic of
 // a sweep-per-(field, direction) formulation in the same order, so the
-// state is bit-identical to one; volumeCharges then bills the run as
-// those sweeps.
+// state is bit-identical to one; each run is billed as those sweeps.
 func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous bool) {
 	s.vol.in, s.vol.viscous = in, viscous
 	s.vol.kern = sem.NewElemDeriv(s.Cfg.Variant, s.Ref)
 	for _, run := range runs {
-		for i := range s.volSlots {
-			s.volSlots[i].secs = [numVolStages]time.Duration{} // a slot a short run leaves idle reports nothing
-		}
 		s.vol.elo = run[0]
 		start := time.Now()
 		s.pool.ForSlots(run[1]-run[0], s.volBody)
-		s.volumeCharges(run[1]-run[0], viscous, start, time.Since(start))
+		s.timePass(start)
+		s.charge(s.sched.volume, run[1]-run[0])
 	}
 }
 
 // volumeElems runs the volume pipeline over elements [lo, hi) of the
-// current run on pool slot slot. Every element is the same work, so the
-// slot's stopwatch clocks the first one only, as faceElems' does.
+// current run on pool slot slot.
 func (s *Solver) volumeElems(slot, lo, hi int) {
 	job, sl := &s.vol, &s.volSlots[slot]
 	in := job.in
@@ -337,26 +250,13 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 	g0, g1, g2 := sl.buf[3*n3:][:n3], sl.buf[4*n3:][:n3], sl.buf[5*n3:][:n3]
 	f, g := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}
 	vis := sl.buf[6*n3:] // viscous: elemGradients' scratch
-	// The stopwatch: while clocked, lap(stage) books the time since the
-	// previous lap. It totals locally — slots are neighbours in memory —
-	// and hands over once, after the first element.
-	t0 := time.Now()
-	clocked := true
-	var last time.Duration
-	var secs [numVolStages]time.Duration
-	lap := func(stage int) {
-		if clocked {
-			now := time.Since(t0)
-			secs[stage] += now - last
-			last = now
-		}
-	}
+	sl.t0, sl.last = time.Now(), 0
 	for e := job.elo + lo; e < job.elo+hi; e++ {
 		base := e * n3
 		pr, en := s.prP[base:base+n3], in[IEnergy][base:base+n3]
 		v0, v1, v2 := s.velP[0][base:base+n3], s.velP[1][base:base+n3], s.velP[2][base:base+n3]
 		if job.viscous {
-			s.elemGradients(vis, &job.kern, in[IRho][base:base+n3], base, lap)
+			s.elemGradients(vis, &job.kern, in[IRho][base:base+n3], base, sl)
 		}
 		for c := 0; c < NumFields; c++ {
 			src := f // what the derivative kernels read
@@ -382,102 +282,31 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 					fn[i] += pr[i]
 				}
 			}
-			if job.viscous {
-				if c != IRho { // no viscous mass flux
-					for d := 0; d < 3; d++ {
-						s.subViscousFlux(c, d, base, vis, f[d])
-					}
+			if job.viscous && c != IRho { // no viscous mass flux
+				for d := 0; d < 3; d++ {
+					s.subViscousFlux(c, d, base, vis, f[d])
 				}
-				lap(volFlux)
+			}
+			sl.lap(volFlux)
+			if job.viscous {
 				faces := s.faceF[c][e*fpe : (e+1)*fpe]
 				for d := 0; d < 3; d++ {
 					sem.Full2FaceDir(n, src[d], 1, faces, d)
 				}
-				lap(volFace)
-			} else {
-				lap(volFlux)
+				sl.lap(volFace)
 			}
 			for d := 0; d < 3; d++ {
 				job.kern.Apply(sem.Direction(d), src[d], g[d])
-				lap(volR + d)
+				sl.lap(volR + d)
 			}
 			rc := s.rhs[c][base : base+n3]
 			for i := 0; i < n3; i++ {
 				rc[i] = -(((0 + rx*g0[i]) + rx*g1[i]) + rx*g2[i])
 			}
-			lap(volRest)
+			sl.lap(volRest)
 		}
-		if clocked {
-			sl.secs, clocked = secs, false
-		}
+		sl.t0 = time.Time{}
 	}
-}
-
-// volumeCharges bills one run of nelr elements that volumeElems finished
-// in the wall interval [start, start+wall) the way whole-rank sweeps
-// would have: one charge per (field, direction) flux evaluation, trace
-// extraction and derivative, in that order and under the rhs phase, then
-// the divergence's charge outside it — the virtual clock, its per-phase
-// split and every trace span's virtual extent come out bit for bit what
-// that sequence gives. (One charge per element would not: the model's
-// products round differently.) The regions get one call per sweep, each
-// stage's calls tiling the share of wall the slots' stopwatches saw for
-// it on their first element.
-func (s *Solver) volumeCharges(nelr int, viscous bool, start time.Time, wall time.Duration) {
-	n := s.Cfg.N
-	volr := int64(nelr) * int64(n*n*n)
-	var secs [numVolStages]time.Duration
-	var sum time.Duration
-	for i := range s.volSlots {
-		for k, d := range s.volSlots[i].secs {
-			secs[k] += d
-			sum += d
-		}
-	}
-	if sum > 0 {
-		for k := range secs {
-			secs[k] = time.Duration(float64(wall) * float64(secs[k]) / float64(sum))
-		}
-	}
-
-	at := start  // where the next call starts in the wall domain
-	if viscous { // each element formed its gradient first
-		if s.grad.start.IsZero() {
-			s.grad.start = start
-		}
-		for k := volTemp; k <= volGradT; k++ {
-			s.grad.wall[k] += secs[k]
-			at = at.Add(secs[k])
-		}
-	}
-	clock := s.Rank.Clock()
-	call := func(name string, dur time.Duration, vt0 float64) {
-		s.Rec.Add(name, obs.CatKernel, at, dur, vt0, clock.Now())
-		at = at.Add(dur)
-	}
-	prev := clock.SetPhase(obs.PhaseOf("compute_flux", obs.CatKernel))
-	moved := int64(nelr) * 2 * int64(n*n)
-	for c := 0; c < NumFields; c++ {
-		for d := 0; d < 3; d++ {
-			vt0 := clock.Now()
-			if viscous {
-				s.chargeCompute(sem.OpCount{Mul: volr * 6, Add: volr * 6, Load: volr * 8, Store: volr}, pointwiseTraits)
-			}
-			s.chargeCompute(sem.OpCount{Mul: volr, Add: volr, Load: volr * 2, Store: volr}, pointwiseTraits)
-			call("compute_flux", secs[volFlux]/(3*NumFields), vt0)
-			if viscous {
-				vt0 = clock.Now()
-				s.chargeCompute(sem.OpCount{Load: moved, Store: moved}, pointwiseTraits)
-				call("full2face_cmt", secs[volFace]/(3*NumFields), vt0)
-			}
-			vt0 = clock.Now()
-			s.chargeCompute(sem.DerivOps(n, nelr), s.derivTraits[d])
-			call(derivRegion[d], secs[volR+d]/NumFields, vt0)
-		}
-	}
-	clock.SetPhase(prev)
-	s.chargeCompute(sem.OpCount{Mul: volr * 3 * NumFields, Add: volr * 4 * NumFields,
-		Load: volr * 2, Store: volr}, pointwiseTraits)
 }
 
 // rhsTail is everything after the face exchange — numerical flux + lift,
@@ -488,7 +317,6 @@ func (s *Solver) rhsTail() {
 	n := s.Cfg.N
 	nel := s.Local.Nel
 	vol := nel * n * n * n
-	faceLen := sem.FaceSliceLen(n, nel)
 
 	// --- numerical flux (Lax-Friedrichs) and lift, one element and one
 	// face at a time: the correction (f - f*).n at each exchanged face
@@ -500,8 +328,7 @@ func (s *Solver) rhsTail() {
 	// correction (freestream).
 	reg := s.Rec.Region("numerical_flux", obs.CatKernel)
 	s.pool.ForSlots(nel, s.liftBody)
-	s.chargeCompute(sem.OpCount{Mul: int64(faceLen) * NumFields * 4, Add: int64(faceLen) * NumFields * 4,
-		Load: int64(faceLen) * NumFields * 4, Store: int64(faceLen) * NumFields}, pointwiseTraits)
+	s.charge(s.sched.lift, nel)
 	reg.End()
 
 	// --- source terms: the conservation law's R (multiphase coupling).
@@ -518,8 +345,7 @@ func (s *Solver) rhsTail() {
 				}
 			})
 		}
-		s.chargeCompute(sem.OpCount{Add: int64(vol) * NumFields,
-			Load: 2 * int64(vol) * NumFields, Store: int64(vol) * NumFields}, pointwiseTraits)
+		s.charge(s.sched.source, nel)
 		reg.End()
 	}
 

@@ -73,16 +73,16 @@ type Solver struct {
 	// bodies over them.
 	volSlots []volSlot
 	vol      volJob
-	grad     gradBill
 	face     faceJob
 	volBody  func(slot, lo, hi int)
 	faceBody func(slot, lo, hi int)
 	liftBody func(slot, lo, hi int)
 	wsPart   []float64 // per-slot wave-speed partial maxima
 
-	// Cfg.Variant resolved once at construction to the hw traits charged
-	// per derivative direction.
-	derivTraits [3]hw.Traits
+	// The charge schedule and the right-hand side's ledger (charge.go).
+	sched      schedule
+	ledger     []call // room for 64 calls an element run (New)
+	pass, left pass
 
 	// Geometry: uniform unit-cube elements, so d(ref)/d(phys) = 2.
 	rx float64
@@ -194,8 +194,8 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	}
 	for d := 0; d < 3; d++ {
 		s.liftScale[d] = s.rx / ref.W[0]
-		s.derivTraits[d] = hw.DerivTraits(d, cfg.Variant == sem.Optimized)
 	}
+	s.sched = newSchedule(cfg.N, cfg.Mu > 0, cfg.Variant)
 	s.allocScratch()
 
 	if cfg.GSTopo != nil {
@@ -221,6 +221,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		s.gsh.SetMethod(cfg.GSMethod)
 	}
 	s.rebuildOverlap()
+	s.ledger = make([]call, 0, 64*(1+len(s.intRuns)+len(s.bndRuns)))
 	return s, nil
 }
 
@@ -444,10 +445,6 @@ func (s *Solver) Ownership() *mesh.Ownership {
 	}
 	return s.ow
 }
-
-// pointwiseTraits models simple streaming arithmetic (flux evaluation,
-// vector updates).
-var pointwiseTraits = hw.Traits{VecFrac: 0.6, OverheadPerFlop: 0.3, MissRate: 0.01}
 
 // TotalMass returns the global integral of the density field — conserved
 // exactly by the scheme on periodic domains. Collective (uses the vector

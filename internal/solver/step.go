@@ -43,8 +43,7 @@ func (s *Solver) MaxWaveSpeed() float64 {
 			local = v
 		}
 	}
-	s.chargeCompute(sem.OpCount{Mul: int64(len(s.U[IRho])) * 8, Add: int64(len(s.U[IRho])) * 5,
-		Load: int64(len(s.U[IRho])) * NumFields, Store: 0}, pointwiseTraits)
+	s.charge(s.sched.waveSpeed, s.Local.Nel)
 	reg.End()
 	// The reduction is a span, not a region: Figure 4 has no row for it.
 	red := s.Rec.Span("glmax", obs.CatComm)
@@ -110,8 +109,7 @@ func (s *Solver) Step(dt float64) {
 			}
 		})
 	}
-	s.chargeCompute(sem.OpCount{Mul: int64(vol) * NumFields * 6, Add: int64(vol) * NumFields * 4,
-		Load: int64(vol) * NumFields * 8, Store: int64(vol) * NumFields * 3}, pointwiseTraits)
+	s.charge(s.sched.update, s.Local.Nel)
 	reg.End()
 
 	// Spectral filter (shock-capturing proxy): attenuate the highest

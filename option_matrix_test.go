@@ -220,6 +220,19 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		{name: "viscous+workers=3", physics: viscousDealias, neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
 		{name: "viscous+loadbal+hot", physics: viscousDealias, option: hotRank3, check: checkMigrated},
 		{name: "viscous+crash+ckpt", physics: viscousDealias, option: crash5, check: checkCrash},
+		// Overlap bills its interior and boundary runs one by one, and
+		// those runs are rebuilt after a Remap and after the Shrink
+		// rebuild.
+		{
+			name:   "overlap+loadbal+hot",
+			option: func(m *matrixSetup) { hotRank3(m); m.cfg.Overlap = true },
+			check:  checkMigrated,
+		},
+		{
+			name: "viscous+overlap+crash+ckpt", physics: viscousDealias,
+			option: func(m *matrixSetup) { crash5(m); m.cfg.Overlap = true },
+			check:  checkCrash,
+		},
 	}
 	plains := map[bool]matrixResult{}
 	for _, row := range rows {
