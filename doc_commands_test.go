@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
+	"math/big"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -234,8 +237,8 @@ const (
 // TestCostModelDoc keeps DESIGN.md's cost-model table the schedule's: one
 // row per sweep, in billing order, with the configurations that bill it
 // (rows the same in several configurations are listed once), its region,
-// phase, stopwatch stage, operations per element as multiples of a power
-// of N, and traits; a run of rows repeated back to back is listed once,
+// phase, stopwatch stage, operations per element as polynomials in the
+// order N and the dealiasing mesh's M, and traits; a run of rows repeated back to back is listed once,
 // with its repeat count.
 func TestCostModelDoc(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")
@@ -264,30 +267,26 @@ func renderCostModel(t *testing.T) string {
 		{"inviscid Optimized", false, sem.Optimized}, {"inviscid Basic", false, sem.Basic},
 		{"viscous Optimized", true, sem.Optimized}, {"viscous Basic", true, sem.Basic},
 	}
-	// Every count is c·N^k: read c and k off N = 2 and N = 3.
-	monomial := func(v2, v3 int64) string {
-		if v2 == 0 && v3 == 0 {
-			return ""
-		}
-		for k, p2, p3 := 0, int64(1), int64(1); k <= 8; k, p2, p3 = k+1, 2*p2, 3*p3 {
-			if c := v2 / p2; c*p2 == v2 && c*p3 == v3 {
-				s := fmt.Sprint(c)
-				if c == 1 && k > 0 {
-					s = ""
-				}
-				return s + []string{"", "N", "N²", "N³", "N⁴", "N⁵", "N⁶", "N⁷", "N⁸"}[k]
-			}
-		}
-		t.Fatalf("count %d at N=2, %d at N=3 is not c·N^k", v2, v3)
-		return ""
-	}
 	var points []string
 	byPoint := map[string][][]string{} // point -> per config, its rendered rows
 	for ci, c := range configs {
-		at2, at3 := solver.CostSchedule(2, c.viscous, c.variant), solver.CostSchedule(3, c.viscous, c.variant)
+		var at [polyDeg + 1][polyDeg + 1][]solver.CostRow
+		for i := range at {
+			for j := range at[i] {
+				at[i][j] = solver.CostSchedule(2+i, 2+j, c.viscous, c.variant)
+			}
+		}
+		count := func(ri int, of func(sem.OpCount) int64) string {
+			var v [polyDeg + 1][polyDeg + 1]int64
+			for i := range at {
+				for j := range at[i] {
+					v[i][j] = of(at[i][j][ri].Ops)
+				}
+			}
+			return polynomial(t, v)
+		}
 		next := 0 // where a point this configuration bills first goes in points
-		for ri, r := range at2 {
-			q := at3[ri]
+		for ri, r := range at[0][0] {
 			traits := fmt.Sprintf("%g / %g / %g", r.Traits.VecFrac, r.Traits.OverheadPerFlop, r.Traits.MissRate)
 			for d := 0; d < 3; d++ {
 				if r.Traits == hw.DerivTraits(d, c.variant == sem.Optimized) {
@@ -296,7 +295,8 @@ func renderCostModel(t *testing.T) string {
 			}
 			row := fmt.Sprintf("%s | %s | %s | %s | %s | %s | %s | %s |",
 				blankOr(r.Region, "(unnamed)", "`"+r.Region+"`"), blankOr(r.Phase, "(enclosing)", r.Phase), blankOr(r.Stage, "—", r.Stage),
-				monomial(r.Ops.Mul, q.Ops.Mul), monomial(r.Ops.Add, q.Ops.Add), monomial(r.Ops.Load, q.Ops.Load), monomial(r.Ops.Store, q.Ops.Store), traits)
+				count(ri, func(o sem.OpCount) int64 { return o.Mul }), count(ri, func(o sem.OpCount) int64 { return o.Add }),
+				count(ri, func(o sem.OpCount) int64 { return o.Load }), count(ri, func(o sem.OpCount) int64 { return o.Store }), traits)
 			if byPoint[r.Point] == nil {
 				points = append(points[:next], append([]string{r.Point}, points[next:]...)...)
 				byPoint[r.Point] = make([][]string, len(configs))
@@ -339,6 +339,82 @@ func renderCostModel(t *testing.T) string {
 		}
 	}
 	return out.String()
+}
+
+// polyDeg bounds the power of N and of M in a count (the derivatives'
+// N⁴).
+const polyDeg = 4
+
+// polynomial renders a count given at N, M = 2, …, 2+polyDeg (v[i][j] at
+// N = 2+i, M = 2+j) as its sum of c·NᵃMᵇ, highest degree first, or ""
+// for zero. It fails the test on a coefficient that is not an integer.
+func polynomial(t *testing.T, v [polyDeg + 1][polyDeg + 1]int64) string {
+	t.Helper()
+	// The coefficients are W v Wᵀ, W the inverse of the nodes'
+	// Vandermonde matrix, in exact arithmetic.
+	const k = polyDeg + 1
+	var w, vm [k][k]*big.Rat
+	for i := range vm {
+		for a := range vm[i] {
+			vm[i][a] = new(big.Rat).SetInt64(int64(math.Pow(float64(2+i), float64(a))))
+			w[i][a] = new(big.Rat) // the identity
+			if i == a {
+				w[i][a].SetInt64(1)
+			}
+		}
+	}
+	for col := 0; col < k; col++ { // Gauss-Jordan; the nodes are distinct, so no pivot is 0
+		p := new(big.Rat).Inv(vm[col][col])
+		for a := 0; a < k; a++ {
+			vm[col][a].Mul(vm[col][a], p)
+			w[col][a].Mul(w[col][a], p)
+		}
+		for r := 0; r < k; r++ {
+			if r == col || vm[r][col].Sign() == 0 {
+				continue
+			}
+			f := new(big.Rat).Set(vm[r][col])
+			for a := 0; a < k; a++ {
+				vm[r][a].Sub(vm[r][a], new(big.Rat).Mul(f, vm[col][a]))
+				w[r][a].Sub(w[r][a], new(big.Rat).Mul(f, w[col][a]))
+			}
+		}
+	}
+	type term struct {
+		a, b int
+		c    int64
+	}
+	var terms []term
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			c := new(big.Rat)
+			for i := 0; i < k; i++ {
+				for j := 0; j < k; j++ {
+					x := new(big.Rat).Mul(w[a][i], w[b][j])
+					c.Add(c, x.Mul(x, new(big.Rat).SetInt64(v[i][j])))
+				}
+			}
+			if !c.IsInt() || !c.Num().IsInt64() {
+				t.Fatalf("count %v is not a polynomial in N and M with integer coefficients", v)
+			}
+			if n := c.Num().Int64(); n != 0 {
+				terms = append(terms, term{a, b, n})
+			}
+		}
+	}
+	slices.SortFunc(terms, func(x, y term) int { return cmp.Or(cmp.Compare(y.a+y.b, x.a+x.b), cmp.Compare(y.a, x.a)) })
+	power := func(x string, p int) string {
+		return []string{"", x, x + "²", x + "³", x + "⁴"}[p]
+	}
+	var parts []string
+	for _, tm := range terms {
+		c := fmt.Sprint(tm.c)
+		if tm.c == 1 && tm.a+tm.b > 0 {
+			c = ""
+		}
+		parts = append(parts, c+power("N", tm.a)+power("M", tm.b))
+	}
+	return strings.Join(parts, " + ")
 }
 
 // repeats finds the run of rows that repeats back to back from the start

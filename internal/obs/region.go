@@ -118,6 +118,13 @@ func (r *RankTracer) Add(name string, cat Category, start time.Time, dur time.Du
 	r.finish(r.current().kid(name), name, cat, start, dur, vt0, vt1)
 }
 
+// AddWall credits dur more wall to region name inside the innermost open
+// region, with no call and no span: work of a call Add recorded that was
+// done apart from the interval its span covers.
+func (r *RankTracer) AddWall(name string, dur time.Duration) {
+	r.current().kid(name).total += dur.Seconds()
+}
+
 // finish credits one call to n (if non-nil) and the span to the sink (if any).
 func (r *RankTracer) finish(n *node, name string, cat Category, start time.Time, dur time.Duration, vt0, vt1 float64) {
 	if n != nil {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -237,8 +238,8 @@ func TestRegionPushesPhase(t *testing.T) {
 }
 
 // TestNoSinkRetainsNothing: without a Tracer the recorder aggregates and
-// keeps no span, and a steady-state region, span or Add allocates
-// nothing: the handle is a value.
+// keeps no span, and a steady-state region, span, Add or AddWall
+// allocates nothing: the handle is a value.
 func TestNoSinkRetainsNothing(t *testing.T) {
 	p, clock := recorder()
 	now := time.Now()
@@ -246,6 +247,7 @@ func TestNoSinkRetainsNothing(t *testing.T) {
 		step := p.Region("timestep", CatStep)
 		p.Region("compute_flux", CatKernel).End()
 		p.Add("ax_deriv_dudr", CatKernel, now, time.Microsecond, clock.Now(), clock.Now())
+		p.AddWall("ax_deriv_dudr", time.Microsecond)
 		gs := p.Region("gs_op", CatGS)
 		p.Span("gs_op", CatGS).End() // same phase as the enclosing region: nothing to do
 		gs.End()
@@ -260,13 +262,15 @@ func TestNoSinkRetainsNothing(t *testing.T) {
 	}
 
 	// The same regions with a sink: every one of them, the Add and the
-	// span are retained, stamped in both clock domains.
+	// span are retained, stamped in both clock domains; AddWall adds to
+	// the Add's row, not a call or a span.
 	tr := NewTracer()
 	q := tr.Rank(1, clock)
 	reg := q.Region("compute_flux", CatKernel)
 	clock.Advance(1e-6)
 	reg.End()
 	q.Add("ax_deriv_dudr", CatKernel, now, time.Microsecond, 1, 2)
+	q.AddWall("ax_deriv_dudr", 2*time.Microsecond)
 	q.Span("gs_begin", CatGS).End()
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -280,5 +284,10 @@ func TestNoSinkRetainsNothing(t *testing.T) {
 	}
 	if len(q.Flat()) != 2 {
 		t.Fatalf("flat profile with a sink = %+v, want compute_flux and ax_deriv_dudr", q.Flat())
+	}
+	for _, r := range q.Flat() {
+		if r.Name == "ax_deriv_dudr" && (r.Calls != 1 || math.Abs(r.Total-3e-6) > 1e-12) {
+			t.Fatalf("Add + AddWall row = %+v, want 1 call of 3 µs", r)
+		}
 	}
 }

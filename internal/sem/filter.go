@@ -139,6 +139,13 @@ func FilterElements(f []float64, n int, u []float64, nel int, alpha float64, scr
 	return ops
 }
 
+// FilterOps is the structural count of FilterElements over nel elements
+// of n^3 points, computed without running it.
+func FilterOps(n, nel int) OpCount {
+	pts := int64(nel) * int64(n*n*n)
+	return tensorApplyOps(n, n, n, n, n, n).Times(int64(nel)).Plus(OpCount{Mul: 2 * pts, Add: pts, Load: 2 * pts, Store: pts})
+}
+
 // FilterScratchLen returns the scratch length FilterElements requires.
 func FilterScratchLen(n int) int {
 	return n*n*n + TensorScratchLen(n, n, n, n, n, n)

@@ -132,11 +132,11 @@ func tensorApplyOps(m1, n1, m2, n2, m3, n3 int) OpCount {
 	return ops.Plus(mxmOps(m3, m1*m2, n3))
 }
 
-// dealiasElemOps is the structural cost of one element's ToFine +
-// FromFine round trip.
-func (ref *Ref1D) dealiasElemOps() OpCount {
-	n, nf := ref.N, ref.NF
-	return tensorApplyOps(nf, n, nf, n, nf, n).Plus(tensorApplyOps(n, nf, n, nf, n, nf))
+// DealiasOps is the structural count of DealiasRoundTrip over nel
+// elements of n^3 points with nf fine points per direction (one ToFine
+// and one FromFine each), computed without running it.
+func DealiasOps(n, nf, nel int) OpCount {
+	return tensorApplyOps(nf, n, nf, n, nf, n).Plus(tensorApplyOps(n, nf, n, nf, n, nf)).Times(int64(nel))
 }
 
 // DealiasRoundTripPool is DealiasRoundTrip with the element loop fanned
@@ -165,5 +165,5 @@ func (ref *Ref1D) DealiasRoundTripPool(p *pool.Pool, u []float64, nel int, bufs 
 			ref.FromFine(uf, ue, scr)
 		}
 	})
-	return ref.dealiasElemOps().Times(int64(nel))
+	return DealiasOps(ref.N, ref.NF, nel)
 }

@@ -17,62 +17,74 @@ import (
 // (merged charges round differently), and settle reports them: every
 // virtual clock, phase split and span extent is the sweeps', bit for bit.
 
-// The stages of the slot stopwatch (faceElems, volumeElems). A stage's
-// wall is booked to the calls of the sweeps that name it.
+// The stages of the slot stopwatch (faceElems, volumeElems, postElems).
+// A stage's wall is booked to the calls of the sweeps that name it.
 const (
 	faceExt  = iota // full2face_cmt: the state's traces
 	faceFlux        // compute_flux_surface: the inviscid surface flux
+	volPrim         // compute_primitive: velocity and pressure
 	volTemp         // viscous compute_primitive: T = p/rho
 	volGradR        // viscous gradient: ax_grad3_fused, or ax_deriv_dud{r,s,t} (Basic)
 	volGradS
 	volGradT
-	volFlux // compute_flux: Euler (+ viscous) flux, three directions; viscous stress and heat flux
-	volFace // full2face_cmt: viscous flux traces
-	volR    // ax_deriv_dudr
-	volS    // ax_deriv_duds
-	volT    // ax_deriv_dudt
-	volRest // metric scaling + negation into rhs (unnamed, as ever)
+	volFlux    // compute_flux: Euler (+ viscous) flux, three directions; viscous stress and heat flux
+	volFace    // full2face_cmt: viscous flux traces
+	volR       // ax_deriv_dudr
+	volS       // ax_deriv_duds
+	volT       // ax_deriv_dudt
+	volRest    // metric scaling + negation into rhs (unnamed, as ever)
+	postLift   // numerical_flux: the flux correction and lift
+	postSource // source_terms
+	postDeal   // dealias: the fine-mesh round trip
+	postUpdate // rk_update
+	postFilter // spectral_filter
 	numStages
 	noStage = numStages // reported by its own Region, or (unnamed) not at all
 )
 
-var stageName = [numStages + 1]string{"face extract", "face flux", "T", "grad r", "grad s", "grad t",
-	"flux", "flux traces", "deriv r", "deriv s", "deriv t", "rest", ""}
+var stageName = [numStages + 1]string{"face extract", "face flux", "v, p", "T", "grad r", "grad s", "grad t",
+	"flux", "flux traces", "deriv r", "deriv s", "deriv t", "rest", "lift", "source", "dealias", "update", "filter", ""}
 
 // pointwiseTraits models streaming arithmetic (flux evaluation, updates).
 var pointwiseTraits = hw.Traits{VecFrac: 0.6, OverheadPerFlop: 0.3, MissRate: 0.01}
 
 // sweep is one entry of the schedule.
 type sweep struct {
-	region, phase string      // "" for the unnamed rest; "" keeps the enclosing phase
-	stage         int         // the stopwatch stage its calls share
-	ops           sem.OpCount // per element
+	region, phase string       // "" for the unnamed rest; "" keeps the enclosing phase
+	cat           obs.Category // what its calls report as
+	stage         int          // the stopwatch stage its calls share
+	ops           sem.OpCount  // per element
 	traits        hw.Traits
 }
 
 // schedule is one configuration's table: its sweeps, in order, by the
-// point of the step that bills them — in the regions so named (update:
-// the last rk_update), after each faceRuns call and volume run, before
-// any pass, and after the volume runs (overlap: each faceRuns call).
+// point of the step that bills them — in the wave-speed region, before
+// any pass, after each faceRuns call and volume run, after the volume
+// runs (overlap: each faceRuns call) and after the post-exchange pass.
 type schedule struct {
-	waveSpeed, primitive, gradient, face, surface, volume, lift, source, update []sweep
+	waveSpeed, primitive, gradient, face, surface, volume []sweep
+	lift, source, dealias, earlyUpdate, update, filter    []sweep
 }
 
-// newSchedule builds the schedule of a configuration at order n.
-func newSchedule(n int, viscous bool, v sem.KernelVariant) schedule {
+// newSchedule builds the schedule of a configuration at order n with nf
+// dealiasing points per direction.
+func newSchedule(n, nf int, viscous bool, v sem.KernelVariant) schedule {
 	n2, n3 := int64(n*n), int64(n*n*n)
 	fp := sem.NFaces * n2 // face points
 	pw := func(region string, stage int, ops sem.OpCount) sweep {
-		return sweep{region, obs.PhaseOf(region, obs.CatKernel), stage, ops, pointwiseTraits}
+		return sweep{region, obs.PhaseOf(region, obs.CatKernel), obs.CatKernel, stage, ops, pointwiseTraits}
 	}
 	deriv := func(region string, stage, d int) sweep { // "": ax_deriv_dud{r,s,t}
-		return sweep{cmp.Or(region, "ax_deriv_dud"+string("rst"[d])), obs.PhaseRHS, stage, sem.DerivOps(n, 1), hw.DerivTraits(d, v == sem.Optimized)}
+		return sweep{cmp.Or(region, "ax_deriv_dud"+string("rst"[d])), obs.PhaseRHS, obs.CatKernel, stage, sem.DerivOps(n, 1), hw.DerivTraits(d, v == sem.Optimized)}
 	}
-	rest := func(ops sem.OpCount) sweep { return sweep{"", "", noStage, ops, pointwiseTraits} }
+	rest := func(ops sem.OpCount) sweep { return sweep{"", "", obs.CatKernel, noStage, ops, pointwiseTraits} }
+	update := func(ops sem.OpCount) sweep {
+		return sweep{"rk_update", obs.PhaseOf("rk_update", obs.CatRK), obs.CatRK, postUpdate, ops, pointwiseTraits}
+	}
 
 	var sc schedule
 	sc.waveSpeed = []sweep{pw("wave_speed", noStage, sem.OpCount{Mul: 8 * n3, Add: 5 * n3, Load: NumFields * n3})}
-	sc.primitive = []sweep{pw("compute_primitive", noStage, sem.OpCount{Mul: 8 * n3, Add: 3 * n3, Load: NumFields * n3, Store: 4 * n3})}
+	sc.primitive = []sweep{pw("compute_primitive", volPrim, sem.OpCount{Mul: 8 * n3, Add: 3 * n3, Load: NumFields * n3, Store: 4 * n3})}
 	sc.face = []sweep{pw("full2face_cmt", faceExt, sem.OpCount{Load: NumFields * fp, Store: NumFields * fp})}
 	for range NumFields {
 		for d := 0; d < 3; d++ { // the flux (its viscous part first), its traces (viscous), its derivative
@@ -85,10 +97,13 @@ func newSchedule(n int, viscous bool, v sem.KernelVariant) schedule {
 		}
 	}
 	sc.volume = append(sc.volume, rest(sem.OpCount{Mul: 3 * NumFields * n3, Add: 4 * NumFields * n3, Load: 2 * n3, Store: n3}))
-	sc.lift = []sweep{pw("numerical_flux", noStage, sem.OpCount{Mul: 4 * NumFields * fp, Add: 4 * NumFields * fp, Load: 4 * NumFields * fp, Store: NumFields * fp})}
-	sc.source = []sweep{pw("source_terms", noStage, sem.OpCount{Add: NumFields * n3, Load: 2 * NumFields * n3, Store: NumFields * n3})}
-	sc.update = []sweep{{"rk_update", obs.PhaseOf("rk_update", obs.CatRK), noStage,
-		sem.OpCount{Mul: 6 * NumFields * n3, Add: 4 * NumFields * n3, Load: 8 * NumFields * n3, Store: 3 * NumFields * n3}, pointwiseTraits}}
+	sc.lift = []sweep{pw("numerical_flux", postLift, sem.OpCount{Mul: 4 * NumFields * fp, Add: 4 * NumFields * fp, Load: 4 * NumFields * fp, Store: NumFields * fp})}
+	sc.source = []sweep{pw("source_terms", postSource, sem.OpCount{Add: NumFields * n3, Load: 2 * NumFields * n3, Store: NumFields * n3})}
+	sc.dealias = []sweep{pw("dealias", postDeal, sem.DealiasOps(n, nf, NumFields))}
+	// The model bills the three stages' updates with the third.
+	sc.earlyUpdate = []sweep{update(sem.OpCount{})}
+	sc.update = []sweep{update(sem.OpCount{Mul: 6 * NumFields * n3, Add: 4 * NumFields * n3, Load: 8 * NumFields * n3, Store: 3 * NumFields * n3})}
+	sc.filter = []sweep{pw("spectral_filter", postFilter, sem.FilterOps(n, NumFields))}
 	if !viscous {
 		sc.surface = []sweep{pw("compute_flux_surface", faceFlux, sem.OpCount{Mul: 6 * fp, Add: 4 * fp, Load: 2 * fp, Store: fp})}
 		return sc
@@ -110,12 +125,15 @@ func newSchedule(n int, viscous bool, v sem.KernelVariant) schedule {
 }
 
 // call is a ledger entry, one region call: its stages (bit k: stage k),
-// wall interval (at is zero until placed) and virtual extent.
+// wall interval (at is zero until placed), wall timed apart from that
+// interval, and virtual extent.
 type call struct {
 	region   string
+	cat      obs.Category
 	stages   uint32
 	at       time.Time
 	dur      time.Duration
+	apart    time.Duration
 	vt0, vt1 float64
 }
 
@@ -145,20 +163,21 @@ func (s *Solver) charge(sweeps []sweep, nelr int) {
 			s.ledger[n-1].stages |= 1 << sw.stage
 			s.ledger[n-1].vt1 = clock.Now()
 		default:
-			s.ledger = append(s.ledger, call{sw.region, 1 << sw.stage, time.Time{}, 0, vt0, clock.Now()})
+			s.ledger = append(s.ledger, call{sw.region, sw.cat, 1 << sw.stage, time.Time{}, 0, 0, vt0, clock.Now()})
 		}
 		joins = sw.stage != noStage
 	}
 	tile(s.ledger[first:], &s.pass)
 }
 
-// tile lays the unplaced calls that share a stage of p end to end from
-// p.at, each taking of p's wall of each of its stages an even share
-// among the calls of that stage, and takes those stages' wall from p.
+// tile shares p's wall of each stage evenly among the calls that share
+// the stage, and takes it from p: a call not yet placed lies end to end
+// with the others from p.at, and one placed already (timed by an earlier
+// pass too) adds its share to its wall apart from that interval.
 func tile(calls []call, p *pass) {
 	var share [numStages]time.Duration // calls, then each one's share
 	for _, c := range calls {
-		for st := c.stages; st != 0 && c.at.IsZero(); st &= st - 1 {
+		for st := c.stages; st != 0; st &= st - 1 {
 			if k := bits.TrailingZeros32(st); p.wall[k] > 0 {
 				share[k]++
 			}
@@ -171,11 +190,15 @@ func tile(calls []call, p *pass) {
 	}
 	for i := range calls {
 		c := &calls[i]
-		for st := c.stages; st != 0 && c.at.IsZero(); st &= st - 1 {
-			c.dur += share[bits.TrailingZeros32(st)]
+		var d time.Duration
+		for st := c.stages; st != 0; st &= st - 1 {
+			d += share[bits.TrailingZeros32(st)]
 		}
-		if c.at.IsZero() && c.dur > 0 {
-			c.at, p.at = p.at, p.at.Add(c.dur)
+		switch {
+		case !c.at.IsZero():
+			c.apart += d
+		case d > 0:
+			c.dur, c.at, p.at = d, p.at, p.at.Add(d)
 		}
 	}
 }
@@ -197,10 +220,24 @@ func (s *Solver) timePass(start time.Time) {
 	}
 }
 
-// leave sets aside the last pass's untaken wall, placed after its calls,
-// for calls charged away from their passes (the viscous gradient, the
-// blocking surface flux), and opens a pass at next.
+// chargeAhead bills the primitives and the viscous gradient, which the
+// volume pass forms per element, where their whole-rank sweeps stood:
+// before any pass of the right-hand side.
+func (s *Solver) chargeAhead() {
+	s.charge(s.sched.primitive, s.Local.Nel)
+	s.charge(s.sched.gradient, s.Local.Nel)
+	s.ahead = len(s.ledger)
+}
+
+// leave tiles the last pass's untaken wall over the calls charged ahead
+// that share it — a call billed once per right-hand side and timed by
+// several passes lies in the first, since no one pass holds all of its
+// wall, and reports the others' share in the profile only — sets aside
+// what no such call shares for calls not yet charged (the blocking
+// surface flux, charged after the volume runs), and opens a pass at
+// next.
 func (s *Solver) leave(next time.Time) {
+	tile(s.ledger[:s.ahead], &s.pass)
 	for k, w := range s.pass.wall {
 		if w > 0 {
 			s.left.wall[k] += w
@@ -216,9 +253,12 @@ func (s *Solver) settle() {
 	s.leave(time.Time{})
 	tile(s.ledger, &s.left)
 	for _, c := range s.ledger {
-		s.Rec.Add(c.region, obs.CatKernel, c.at, c.dur, c.vt0, c.vt1)
+		s.Rec.Add(c.region, c.cat, c.at, c.dur, c.vt0, c.vt1)
+		if c.apart > 0 {
+			s.Rec.AddWall(c.region, c.apart)
+		}
 	}
-	s.ledger, s.left = s.ledger[:0], pass{}
+	s.ledger, s.left, s.ahead = s.ledger[:0], pass{}, 0
 }
 
 // CostRow is a sweep of a charge schedule as DESIGN.md lists it.
@@ -228,12 +268,15 @@ type CostRow struct {
 	Traits                      hw.Traits
 }
 
-// CostSchedule lists a configuration's charge schedule at order n.
-func CostSchedule(n int, viscous bool, v sem.KernelVariant) []CostRow {
-	sc := newSchedule(n, viscous, v)
-	points := []string{"wave speed", "primitive", "gradient", "face", "surface", "volume", "lift", "source", "update"}
+// CostSchedule lists a configuration's charge schedule at order n with
+// nf dealiasing points per direction.
+func CostSchedule(n, nf int, viscous bool, v sem.KernelVariant) []CostRow {
+	sc := newSchedule(n, nf, viscous, v)
+	points := []string{"wave speed", "primitive", "gradient", "face", "surface", "volume",
+		"lift", "source", "dealias", "early update", "update", "filter"}
 	var rows []CostRow
-	for i, sweeps := range [][]sweep{sc.waveSpeed, sc.primitive, sc.gradient, sc.face, sc.surface, sc.volume, sc.lift, sc.source, sc.update} {
+	for i, sweeps := range [][]sweep{sc.waveSpeed, sc.primitive, sc.gradient, sc.face, sc.surface, sc.volume,
+		sc.lift, sc.source, sc.dealias, sc.earlyUpdate, sc.update, sc.filter} {
 		for _, sw := range sweeps {
 			rows = append(rows, CostRow{points[i], sw.region, sw.phase, stageName[sw.stage], sw.ops, sw.traits})
 		}

@@ -18,7 +18,9 @@ import (
 // the derivatives to sem.DerivOps and to sem.Deriv's return, with the
 // traits hw.DerivTraits gives their direction and variant, and the trace
 // extractions to sem.Full2Face's (all fields) and sem.Full2FaceDir's (one
-// direction's flux). Pointwise entries have no kernel that counts them;
+// direction's flux), the dealiasing round trip to DealiasRoundTrip's and
+// the spectral filter to FilterElements' (both over all fields).
+// Pointwise entries have no kernel that counts them;
 // they are listed by point and region, so that a new entry must be put
 // in one group or the other.
 func TestScheduleMatchesKernels(t *testing.T) {
@@ -32,10 +34,13 @@ func TestScheduleMatchesKernels(t *testing.T) {
 		"volume/":                      false, // the divergence's metric scaling and negation
 		"lift/numerical_flux":          false,
 		"source/source_terms":          false,
+		"early update/rk_update":       false, // billed with the last
 		"update/rk_update":             false,
 	}
 	for _, n := range []int{3, 5, 10, 17} {
 		ref := sem.NewRef1D(n)
+		uf, dscr := make([]float64, ref.NF*ref.NF*ref.NF), make([]float64, ref.DealiasScratchLen())
+		filter, fscr := sem.FilterMatrix(ref.X, n-1, 1), make([]float64, sem.FilterScratchLen(n))
 		for _, nel := range []int{1, 2, 7} {
 			u := make([]float64, nel*n*n*n)
 			for i := range u {
@@ -46,7 +51,7 @@ func TestScheduleMatchesKernels(t *testing.T) {
 			for _, viscous := range []bool{false, true} {
 				for _, v := range []sem.KernelVariant{sem.Optimized, sem.Basic} {
 					traces := 0 // the volume's flux-trace entries so far: per field, one per direction in order
-					for i, r := range CostSchedule(n, viscous, v) {
+					for i, r := range CostSchedule(n, ref.NF, viscous, v) {
 						where := fmt.Sprintf("N=%d nel=%d viscous=%v %v entry %d (%s/%s)", n, nel, viscous, v, i, r.Point, r.Region)
 						got := r.Ops.Times(int64(nel))
 						var want sem.OpCount
@@ -65,6 +70,10 @@ func TestScheduleMatchesKernels(t *testing.T) {
 						case r.Region == "full2face_cmt" && r.Point == "volume":
 							want = sem.Full2FaceDir(n, u, nel, faces, traces%3)
 							traces++
+						case r.Region == "dealias":
+							want = ref.DealiasRoundTrip(u, nel, uf, dscr).Times(NumFields)
+						case r.Region == "spectral_filter":
+							want = sem.FilterElements(filter, n, u, nel, 0.5, fscr).Times(NumFields)
 						default:
 							key := r.Point + "/" + r.Region
 							if _, ok := pointwise[key]; !ok {
@@ -90,9 +99,9 @@ func TestScheduleMatchesKernels(t *testing.T) {
 
 // TestSettledCallsNest holds settle's wall layout: each call lies inside
 // the pass whose stopwatch timed it, so every rank's trace nests in the
-// wall domain as it does in the virtual one. The viscous overlapped
-// right-hand side is left out: its gradient calls take the wall of every
-// volume run, which no one run holds.
+// wall domain as it does in the virtual one — the overlapped right-hand
+// sides too, whose once-billed primitive and gradient calls take the wall
+// of the first volume run that times them.
 func TestSettledCallsNest(t *testing.T) {
 	for _, tc := range []struct {
 		viscous, overlap bool
@@ -100,6 +109,7 @@ func TestSettledCallsNest(t *testing.T) {
 	}{
 		{false, false, sem.Optimized}, {false, true, sem.Optimized},
 		{true, false, sem.Optimized}, {true, false, sem.Basic},
+		{true, true, sem.Optimized}, {true, true, sem.Basic},
 	} {
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("viscous=%v/overlap=%v/%v/workers=%d", tc.viscous, tc.overlap, tc.variant, workers)

@@ -21,9 +21,11 @@ import (
 // combine order is preserved exactly, so results are bit-identical with
 // overlap on or off.
 
-// rhsEval dispatches one right-hand-side evaluation to the overlap or
-// blocking pipeline.
-func (s *Solver) rhsEval(in *[NumFields][]float64) {
+// rhsEval dispatches one right-hand-side evaluation, and with it the
+// update of Runge-Kutta stage stage (1, 2 or 3) of step size dt, to the
+// overlap or blocking pipeline.
+func (s *Solver) rhsEval(in *[NumFields][]float64, stage int, dt float64) {
+	s.post = postJob{stage, dt}
 	if s.Cfg.Overlap {
 		s.computeRHSOverlap(in)
 	} else {
@@ -94,7 +96,7 @@ func (s *Solver) InteriorElems() int {
 func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 	viscous := s.Cfg.Mu > 0
 
-	s.rhsPrimitive(in)
+	s.chargeAhead()
 
 	if !viscous {
 		// Boundary faces first, then both exchanges in flight across the
@@ -137,6 +139,5 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		reg.End()
 	}
 
-	s.settle()
-	s.rhsTail()
+	s.postExchange()
 }

@@ -53,9 +53,10 @@ func (s *Solver) wallCorrection(d int, sign float64, idx int, lam float64, out *
 }
 
 // computeRHS evaluates the semi-discrete DG right-hand side of the
-// conservation law for the state in, leaving it in s.rhs. One call is one
-// pass through every kernel of the paper's Figure 4 profile; with Mu > 0
-// the viscous (compressible Navier-Stokes) flux path adds the gradient
+// conservation law for the state in, leaving it in s.rhs, and runs the
+// Runge-Kutta stage update s.post names over it. One call is one pass
+// through every kernel of the paper's Figure 4 profile; with Mu > 0 the
+// viscous (compressible Navier-Stokes) flux path adds the gradient
 // kernels of the parent code. The overlap path (computeRHSOverlap) runs
 // the same helpers over interior/boundary element runs instead of one
 // full run; every kernel is element-local, so both orders are
@@ -64,7 +65,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	viscous := s.Cfg.Mu > 0
 	all := [][2]int{{0, s.Local.Nel}} // one run: the split path's helpers and pool partitions
 
-	s.rhsPrimitive(in)
+	s.chargeAhead()
 	nf := s.faceRuns(in, all, !viscous)
 	s.volumeRuns(in, all, viscous)
 	s.charge(s.sched.surface, nf) // where the surface-flux sweep stood
@@ -86,30 +87,7 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	}
 	reg.End()
 
-	s.settle()
-	s.rhsTail()
-}
-
-// rhsPrimitive is the compute_primitive pass: velocity and pressure once
-// per point, shared by all 15 (field, direction) flux evaluations, and
-// with Mu > 0 the charges for the viscous gradient the volume pass forms.
-func (s *Solver) rhsPrimitive(in *[NumFields][]float64) {
-	vol := len(s.prP)
-	reg := s.Rec.Region("compute_primitive", obs.CatKernel)
-	rho, mx, my, mz, en := in[IRho], in[IMomX], in[IMomY], in[IMomZ], in[IEnergy]
-	vx, vy, vz, pr := s.velP[0], s.velP[1], s.velP[2], s.prP
-	s.pool.For(vol, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			inv := 1 / rho[i]
-			vx[i] = mx[i] * inv
-			vy[i] = my[i] * inv
-			vz[i] = mz[i] * inv
-			pr[i] = (Gamma - 1) * (en[i] - 0.5*(mx[i]*vx[i]+my[i]*vy[i]+mz[i]*vz[i]))
-		}
-	})
-	s.charge(s.sched.primitive, s.Local.Nel)
-	reg.End()
-	s.charge(s.sched.gradient, s.Local.Nel)
+	s.postExchange()
 }
 
 // faceJob is the run faceElems is working through (kept in the Solver,
@@ -185,7 +163,7 @@ func (s *Solver) faceElems(slot, lo, hi int) {
 
 // volSlot is one pool slot's private state in the element pipelines.
 type volSlot struct {
-	buf  []float64                // 6*N^3: the element's three flux components, then their derivatives (+ 13*N^3 viscous)
+	buf  []float64                // the running pass's scratch (sized in New)
 	secs [numStages]time.Duration // its stopwatch's totals for the pass in progress
 	t0   time.Time                // set while the stopwatch runs: on the first element of the slot's share of a pass
 	last time.Duration            // the stopwatch's last lap
@@ -213,8 +191,9 @@ type volJob struct {
 }
 
 // volumeRuns is the derivative kernel (ax_) phase — the dominant cost —
-// over the given element runs, one element at a time: for each field the
-// three directional fluxes are evaluated into slot scratch, D is applied
+// over the given element runs, one element at a time: the element's
+// velocity and pressure are formed in slot scratch, then for each field
+// the three directional fluxes are evaluated into slot scratch, D is applied
 // along r, s and t while they are in cache, and the divergence, scaled by
 // the constant metric and negated, goes straight into s.rhs. In the
 // viscous path the flux carries the viscous terms and its face traces
@@ -243,20 +222,29 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 	n3 := n * n * n
 	fpe := sem.NFaces * n * n
 	rx := s.rx
-	// Scratch: the three flux components, then their derivatives. (Sliced
-	// to a length the compiler can see is n3, which keeps bounds checks
-	// out of the pointwise loops.)
+	// Scratch: the three flux components, then their derivatives, the
+	// velocity and the pressure. (Sliced to a length the compiler can see
+	// is n3, which keeps bounds checks out of the pointwise loops.)
 	f0, f1, f2 := sl.buf[:n3], sl.buf[n3:][:n3], sl.buf[2*n3:][:n3]
 	g0, g1, g2 := sl.buf[3*n3:][:n3], sl.buf[4*n3:][:n3], sl.buf[5*n3:][:n3]
-	f, g := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}
-	vis := sl.buf[6*n3:] // viscous: elemGradients' scratch
+	v0, v1, v2, pr := sl.buf[6*n3:][:n3], sl.buf[7*n3:][:n3], sl.buf[8*n3:][:n3], sl.buf[9*n3:][:n3]
+	f, g, vel := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}, [3][]float64{v0, v1, v2}
+	vis := sl.buf[10*n3:] // viscous: elemGradients' scratch
 	sl.t0, sl.last = time.Now(), 0
 	for e := job.elo + lo; e < job.elo+hi; e++ {
 		base := e * n3
-		pr, en := s.prP[base:base+n3], in[IEnergy][base:base+n3]
-		v0, v1, v2 := s.velP[0][base:base+n3], s.velP[1][base:base+n3], s.velP[2][base:base+n3]
+		rho, en := in[IRho][base:][:n3], in[IEnergy][base:][:n3]
+		mx, my, mz := in[IMomX][base:][:n3], in[IMomY][base:][:n3], in[IMomZ][base:][:n3]
+		for i := 0; i < n3; i++ {
+			inv := 1 / rho[i]
+			v0[i] = mx[i] * inv
+			v1[i] = my[i] * inv
+			v2[i] = mz[i] * inv
+			pr[i] = (Gamma - 1) * (en[i] - 0.5*(mx[i]*v0[i]+my[i]*v1[i]+mz[i]*v2[i]))
+		}
+		sl.lap(volPrim)
 		if job.viscous {
-			s.elemGradients(vis, &job.kern, in[IRho][base:base+n3], base, sl)
+			s.elemGradients(vis, &job.kern, rho, vel, pr, sl)
 		}
 		for c := 0; c < NumFields; c++ {
 			src := f // what the derivative kernels read
@@ -284,7 +272,7 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 			}
 			if job.viscous && c != IRho { // no viscous mass flux
 				for d := 0; d < 3; d++ {
-					s.subViscousFlux(c, d, base, vis, f[d])
+					s.subViscousFlux(c, d, vel, vis, f[d])
 				}
 			}
 			sl.lap(volFlux)
@@ -309,106 +297,161 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 	}
 }
 
-// rhsTail is everything after the face exchange — numerical flux + lift,
-// source terms, and dealiasing — identical in the blocking and overlap
-// paths (both run it over all elements once the exchanged traces are
-// complete).
-func (s *Solver) rhsTail() {
-	n := s.Cfg.N
+// postJob is the Runge-Kutta stage postElems finishes: 1 and 2 write
+// u1, 3 writes U and filters it.
+type postJob struct {
+	stage int
+	dt    float64
+}
+
+// postExchange is everything after the face exchange, in one pass over
+// the elements: numerical flux + lift, source terms, dealiasing, the
+// stage update and, after the last stage, the spectral filter. It is
+// identical in the blocking and overlap paths (both run it over all
+// elements once the exchanged traces are complete), bills the sweeps it
+// replaces in their order and settles the right-hand side's calls.
+func (s *Solver) postExchange() {
 	nel := s.Local.Nel
-	vol := nel * n * n * n
-
-	// --- numerical flux (Lax-Friedrichs) and lift, one element and one
-	// face at a time: the correction (f - f*).n at each exchanged face
-	// point, scaled by the diagonal lift factor, added into the volume
-	// residual of every field while the face's traces are in cache —
-	// faces in sem order, so each volume point sees the additions the
-	// five whole-rank Face2FullAdd sweeps made, in their order. Domain
-	// boundary faces see a mirror ghost state (slip wall) or no
-	// correction (freestream).
-	reg := s.Rec.Region("numerical_flux", obs.CatKernel)
-	s.pool.ForSlots(nel, s.liftBody)
+	start := time.Now()
+	s.pool.ForSlots(nel, s.postBody)
+	s.timePass(start)
 	s.charge(s.sched.lift, nel)
-	reg.End()
-
-	// --- source terms: the conservation law's R (multiphase coupling).
-	// Zero — i.e. absent — in the paper's current CMT-bone; populated by
-	// couplers such as the particle cloud.
 	if s.Source[0] != nil {
-		reg = s.Rec.Region("source_terms", obs.CatKernel)
-		for c := 0; c < NumFields; c++ {
-			src := s.Source[c]
-			dst := s.rhs[c]
-			s.pool.For(vol, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] += src[i]
-				}
-			})
-		}
 		s.charge(s.sched.source, nel)
-		reg.End()
 	}
-
-	// --- dealiasing: map each field to the fine mesh and back (cost
-	// path of the dealiased flux evaluation).
 	if s.Cfg.Dealias {
-		reg = s.Rec.Region("dealias", obs.CatKernel)
-		var ops sem.OpCount
-		for c := 0; c < NumFields; c++ {
-			ops = ops.Plus(s.Ref.DealiasRoundTripPool(s.pool, s.rhs[c], nel, s.deaBufs))
+		s.charge(s.sched.dealias, nel)
+	}
+	switch s.post.stage {
+	case 1, 2:
+		s.charge(s.sched.earlyUpdate, nel)
+	case 3:
+		s.charge(s.sched.update, nel)
+		if s.filterMat != nil {
+			s.charge(s.sched.filter, nel)
 		}
-		s.chargeCompute(ops, pointwiseTraits)
-		reg.End()
+	}
+	s.settle()
+}
+
+// postElems runs the post-exchange pass over elements [lo, hi) on pool
+// slot slot. Per point every step is the whole-rank sweep's, in the
+// sweeps' order, so the state is bit-identical to theirs; the update
+// reads u1 at a point before it writes it there, so stage 2 updates u1
+// in place.
+func (s *Solver) postElems(slot, lo, hi int) {
+	job, sl := &s.post, &s.volSlots[slot]
+	n := s.Cfg.N
+	n3 := n * n * n
+	dt := job.dt
+	var w [NumFields][]float64 // the lift's scratch: one face of corrections per field
+	for c := range w {
+		w[c] = sl.buf[c*n*n:][:n*n]
+	}
+	sl.t0, sl.last = time.Now(), 0
+	for e := lo; e < hi; e++ {
+		base := e * n3
+		s.liftElem(e, &w)
+		sl.lap(postLift)
+		// Source terms: the conservation law's R (multiphase coupling).
+		// Zero — i.e. absent — in the paper's current CMT-bone; populated
+		// by couplers such as the particle cloud.
+		if s.Source[0] != nil {
+			for c := 0; c < NumFields; c++ {
+				src, rc := s.Source[c][base:][:n3], s.rhs[c][base:][:n3]
+				for i := range rc {
+					rc[i] += src[i]
+				}
+			}
+			sl.lap(postSource)
+		}
+		// Dealiasing: each field to the fine mesh and back (cost path of
+		// the dealiased flux evaluation).
+		if s.Cfg.Dealias {
+			uf := sl.buf[:s.Ref.NF*s.Ref.NF*s.Ref.NF]
+			scr := sl.buf[len(uf):]
+			for c := 0; c < NumFields; c++ {
+				s.Ref.DealiasRoundTrip(s.rhs[c][base:][:n3], 1, uf, scr)
+			}
+			sl.lap(postDeal)
+		}
+		for c := 0; c < NumFields; c++ {
+			uc, rc, u1 := s.U[c][base:][:n3], s.rhs[c][base:][:n3], s.u1[c][base:][:n3]
+			switch job.stage {
+			case 1: // u1 = U + dt RHS(U)
+				for i := range u1 {
+					u1[i] = uc[i] + dt*rc[i]
+				}
+			case 2: // u1 = 3/4 U + 1/4 (u1 + dt RHS(u1))
+				for i := range u1 {
+					u1[i] = 0.75*uc[i] + 0.25*(u1[i]+dt*rc[i])
+				}
+			case 3: // U = 1/3 U + 2/3 (u1 + dt RHS(u1))
+				for i := range uc {
+					uc[i] = uc[i]/3 + 2.0/3.0*(u1[i]+dt*rc[i])
+				}
+			}
+		}
+		sl.lap(postUpdate)
+		// Spectral filter (shock-capturing proxy): attenuate the highest
+		// Legendre modes of every conserved field.
+		if job.stage == 3 && s.filterMat != nil {
+			for c := 0; c < NumFields; c++ {
+				sem.FilterElements(s.filterMat, n, s.U[c][base:][:n3], 1, s.Cfg.FilterStrength, sl.buf)
+			}
+			sl.lap(postFilter)
+		}
+		sl.t0 = time.Time{}
 	}
 }
 
-// liftElems is the numerical flux and lift over elements [lo, hi) on
-// pool slot slot (whose scratch holds one face of corrections per field).
-func (s *Solver) liftElems(slot, lo, hi int) {
+// liftElem is the numerical flux (Lax-Friedrichs) and lift of element e,
+// one face at a time: the correction (f - f*).n at each exchanged face
+// point, scaled by the diagonal lift factor, into w, then added into the
+// volume residual of every field while the face's traces are in cache —
+// faces in sem order, so each volume point sees the additions the five
+// whole-rank Face2FullAdd sweeps made, in their order. Domain boundary
+// faces see a mirror ghost state (slip wall) or no correction
+// (freestream).
+func (s *Solver) liftElem(e int, w *[NumFields][]float64) {
 	n := s.Cfg.N
 	n2, n3 := n*n, n*n*n
 	lam := s.lambda
 	wall := s.Cfg.BC == BCWall
-	var w [NumFields][]float64
-	for c := range w {
-		w[c] = s.volSlots[slot].buf[c*n2:][:n2]
-	}
 	var corr [NumFields]float64
-	for e := lo; e < hi; e++ {
-		for f := 0; f < sem.NFaces; f++ {
-			d := sem.FaceDir(f)
-			sign := float64(sem.FaceSign(f))
-			scale := s.liftScale[d]
-			base := (e*sem.NFaces + f) * n2
-			switch {
-			case !s.bndFace[e*sem.NFaces+f]:
-				// (f - f*).n with the Lax-Friedrichs flux, written in
-				// terms of the exchanged in+out sums.
-				for c := 0; c < NumFields; c++ {
-					fc, uc := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
-					fsum, usum := s.exF[c][base:base+n2], s.exU[c][base:base+n2]
-					wc := w[c]
-					for q := range wc {
-						wc[q] = scale * (sign*(fc[q]-0.5*fsum[q]) - lam*(uc[q]-0.5*usum[q]))
-					}
-				}
-			case wall:
-				for q := 0; q < n2; q++ {
-					s.wallCorrection(d, sign, base+q, lam, &corr)
-					for c := range corr {
-						w[c][q] = scale * corr[c]
-					}
-				}
-			default:
-				// Freestream: a zero correction, still added — x + 0 is x
-				// for every x but -0.
-				for c := range w {
-					clear(w[c])
-				}
-			}
+	for f := 0; f < sem.NFaces; f++ {
+		d := sem.FaceDir(f)
+		sign := float64(sem.FaceSign(f))
+		scale := s.liftScale[d]
+		base := (e*sem.NFaces + f) * n2
+		switch {
+		case !s.bndFace[e*sem.NFaces+f]:
+			// (f - f*).n with the Lax-Friedrichs flux, written in terms of
+			// the exchanged in+out sums.
 			for c := 0; c < NumFields; c++ {
-				sem.AddFace(n, f, w[c], s.rhs[c][e*n3:(e+1)*n3])
+				fc, uc := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
+				fsum, usum := s.exF[c][base:base+n2], s.exU[c][base:base+n2]
+				wc := w[c]
+				for q := range wc {
+					wc[q] = scale * (sign*(fc[q]-0.5*fsum[q]) - lam*(uc[q]-0.5*usum[q]))
+				}
 			}
+		case wall:
+			for q := 0; q < n2; q++ {
+				s.wallCorrection(d, sign, base+q, lam, &corr)
+				for c := range corr {
+					w[c][q] = scale * corr[c]
+				}
+			}
+		default:
+			// Freestream: a zero correction, still added — x + 0 is x for
+			// every x but -0.
+			for c := range w {
+				clear(w[c])
+			}
+		}
+		for c := 0; c < NumFields; c++ {
+			sem.AddFace(n, f, w[c], s.rhs[c][e*n3:(e+1)*n3])
 		}
 	}
 }

@@ -45,19 +45,16 @@ type Solver struct {
 	Cost       []float64
 	CostPrimed bool
 
-	// filter operators (nil when the spectral filter is disabled)
-	filterMat     []float64
-	filterScratch []float64
+	// filter operator (nil when the spectral filter is disabled)
+	filterMat []float64
 
 	// Scratch (allocated once).
-	rhs    [NumFields][]float64
-	u1, u2 [NumFields][]float64 // RK stages
-	velP   [3][]float64         // pointwise velocity (primitive pass)
-	prP    []float64            // pointwise pressure (primitive pass)
-	faceU  [NumFields][]float64 // face traces of U
-	faceF  [NumFields][]float64 // face traces of the normal flux
-	exU    [NumFields][]float64 // exchanged (in+out summed) state traces
-	exF    [NumFields][]float64 // exchanged flux traces
+	rhs   [NumFields][]float64
+	u1    [NumFields][]float64 // the RK stage register
+	faceU [NumFields][]float64 // face traces of U
+	faceF [NumFields][]float64 // face traces of the normal flux
+	exU   [NumFields][]float64 // exchanged (in+out summed) state traces
+	exF   [NumFields][]float64 // exchanged flux traces
 	// bndFace[e*6+f] marks the faces with no neighbor (non-periodic
 	// domain boundary): never exchanged, corrected by Cfg.BC instead.
 	bndFace []bool
@@ -66,22 +63,23 @@ type Solver struct {
 	// in Config). The pool parallelizes wall time only: modeled time is
 	// charged analytically on the rank goroutine, so results and
 	// virtual-time traces are identical at any worker count.
-	pool    *pool.Pool
-	deaBufs *sem.DealiasBufs // per-worker dealiasing buffers
-	// The element-resident pipelines (volumeRuns, faceRuns, the lift in
-	// rhsTail): per-slot scratch, the runs in progress, and the pool
+	pool *pool.Pool
+	// The element-resident pipelines (volumeRuns, faceRuns,
+	// postExchange): per-slot scratch, the runs in progress, and the pool
 	// bodies over them.
 	volSlots []volSlot
 	vol      volJob
 	face     faceJob
+	post     postJob
 	volBody  func(slot, lo, hi int)
 	faceBody func(slot, lo, hi int)
-	liftBody func(slot, lo, hi int)
+	postBody func(slot, lo, hi int)
 	wsPart   []float64 // per-slot wave-speed partial maxima
 
 	// The charge schedule and the right-hand side's ledger (charge.go).
 	sched      schedule
-	ledger     []call // room for 64 calls an element run (New)
+	ledger     []call // room for 64 calls an element run and 64 more (New)
+	ahead      int    // the ledger's first calls, charged before their passes
 	pass, left pass
 
 	// Geometry: uniform unit-cube elements, so d(ref)/d(phys) = 2.
@@ -176,26 +174,32 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	s.pool = pool.New(cfg.Workers)
 	s.pool.Observe(cfg.Metrics)
 	s.wsPart = make([]float64, s.pool.Workers())
-	slotLen := 6
+	// A slot's scratch: the volume pass's fluxes, their derivatives, the
+	// velocity and the pressure (+ elemGradients' when viscous), which
+	// also holds the post-exchange pass's largest need — the lift's face
+	// of corrections, the filter's scratch, or the dealiasing fine mesh
+	// and scratch.
+	n3 := cfg.N * cfg.N * cfg.N
+	slotLen := 10 * n3
 	if cfg.Mu > 0 {
-		slotLen += 1 + 3*numGradQ // elemGradients' scratch
+		slotLen += (1 + 3*numGradQ) * n3
 	}
+	if cfg.Dealias {
+		slotLen = max(slotLen, ref.NF*ref.NF*ref.NF+ref.DealiasScratchLen())
+	}
+	slotLen = max(slotLen, sem.FilterScratchLen(cfg.N))
 	s.volSlots = make([]volSlot, s.pool.Workers())
 	for i := range s.volSlots {
-		s.volSlots[i].buf = make([]float64, slotLen*cfg.N*cfg.N*cfg.N)
+		s.volSlots[i].buf = make([]float64, slotLen)
 	}
-	s.volBody, s.faceBody, s.liftBody = s.volumeElems, s.faceElems, s.liftElems
-	if cfg.Dealias {
-		s.deaBufs = ref.NewDealiasBufs(s.pool.Workers())
-	}
+	s.volBody, s.faceBody, s.postBody = s.volumeElems, s.faceElems, s.postElems
 	if cfg.FilterCutoff > 0 {
 		s.filterMat = sem.FilterMatrix(ref.X, cfg.FilterCutoff, 1.0)
-		s.filterScratch = make([]float64, sem.FilterScratchLen(cfg.N))
 	}
 	for d := 0; d < 3; d++ {
 		s.liftScale[d] = s.rx / ref.W[0]
 	}
-	s.sched = newSchedule(cfg.N, cfg.Mu > 0, cfg.Variant)
+	s.sched = newSchedule(cfg.N, ref.NF, cfg.Mu > 0, cfg.Variant)
 	s.allocScratch()
 
 	if cfg.GSTopo != nil {
@@ -221,7 +225,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		s.gsh.SetMethod(cfg.GSMethod)
 	}
 	s.rebuildOverlap()
-	s.ledger = make([]call, 0, 64*(1+len(s.intRuns)+len(s.bndRuns)))
+	s.ledger = make([]call, 0, 64*(2+len(s.intRuns)+len(s.bndRuns)))
 	return s, nil
 }
 
@@ -252,12 +256,7 @@ func (s *Solver) allocScratch() {
 	for c := 0; c < NumFields; c++ {
 		s.rhs[c] = make([]float64, vol)
 		s.u1[c] = make([]float64, vol)
-		s.u2[c] = make([]float64, vol)
 	}
-	for d := 0; d < 3; d++ {
-		s.velP[d] = make([]float64, vol)
-	}
-	s.prP = make([]float64, vol)
 	faceLen := sem.FaceSliceLen(cfg.N, local.Nel)
 	for c := 0; c < NumFields; c++ {
 		s.faceU[c] = make([]float64, faceLen)

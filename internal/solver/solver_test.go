@@ -411,20 +411,22 @@ func TestAutoTuneRuns(t *testing.T) {
 
 // TestStepAllocs pins the heap allocations of one steady-state timestep
 // (dt reduction, SSP-RK3 step, telemetry) on a serial pool. The ceilings
-// are the measured counts plus 10 %: 20 objects inviscid, 59
-// viscous+dealiased — the pool closures of the pointwise passes; a
-// region allocates nothing. (A
-// step allocated 521 and 746 when the volume phase opened a region per
-// (field, direction) sweep, 59 and 125 when every region was a profiler
-// closure, a span closure and a phase closure.)
+// are the measured counts: 2 objects inviscid and viscous+dealiased, the
+// wave-speed reduction's closure and its one-value allreduce; every pass
+// of the step runs a pool body built in New, and a region allocates
+// nothing. (A step allocated 521 and 746 when the volume phase opened a
+// region per (field, direction) sweep, 59 and 125 when every region was a
+// profiler closure, a span closure and a phase closure, and 20 in both
+// while the primitives, sources and stage updates were whole-rank
+// sweeps, each with a pool closure per field.)
 func TestStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		viscous bool
 		max     float64
 	}{
-		{"inviscid", false, 22},
-		{"viscous", true, 65},
+		{"inviscid", false, 2},
+		{"viscous", true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := comm.RunSimple(1, func(r *comm.Rank) error {
@@ -446,6 +448,7 @@ func TestStepAllocs(t *testing.T) {
 					step++
 					s.AdvanceStep(step)
 				})
+				t.Logf("%.0f allocations per step", got)
 				if got > tc.max {
 					t.Errorf("%.0f allocations per step, want at most %.0f", got, tc.max)
 				}

@@ -69,61 +69,14 @@ func (s *Solver) StableDt() float64 {
 }
 
 // Step advances the state by one SSP-RK3 step of size dt. Collective.
+// Each stage's right-hand side ends in one pass over the elements that
+// also updates them (postElems), so the step holds two registers, U and
+// u1.
 func (s *Solver) Step(dt float64) {
 	defer s.Rec.Region("timestep", obs.CatStep).End()
-
-	vol := len(s.U[IRho])
-
-	// Stage 1: u1 = U + dt RHS(U).
-	s.rhsEval(&s.U)
-	reg := s.Rec.Region("rk_update", obs.CatRK)
-	for c := 0; c < NumFields; c++ {
-		uc, rc, o := s.U[c], s.rhs[c], s.u1[c]
-		s.pool.For(vol, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				o[i] = uc[i] + dt*rc[i]
-			}
-		})
-	}
-	reg.End()
-	// Stage 2: u2 = 3/4 U + 1/4 (u1 + dt RHS(u1)).
-	s.rhsEval(&s.u1)
-	reg = s.Rec.Region("rk_update", obs.CatRK)
-	for c := 0; c < NumFields; c++ {
-		uc, u1c, rc, o := s.U[c], s.u1[c], s.rhs[c], s.u2[c]
-		s.pool.For(vol, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				o[i] = 0.75*uc[i] + 0.25*(u1c[i]+dt*rc[i])
-			}
-		})
-	}
-	reg.End()
-	// Stage 3: U = 1/3 U + 2/3 (u2 + dt RHS(u2)).
-	s.rhsEval(&s.u2)
-	reg = s.Rec.Region("rk_update", obs.CatRK)
-	for c := 0; c < NumFields; c++ {
-		uc, u2c, rc := s.U[c], s.u2[c], s.rhs[c]
-		s.pool.For(vol, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				uc[i] = uc[i]/3 + 2.0/3.0*(u2c[i]+dt*rc[i])
-			}
-		})
-	}
-	s.charge(s.sched.update, s.Local.Nel)
-	reg.End()
-
-	// Spectral filter (shock-capturing proxy): attenuate the highest
-	// Legendre modes of every conserved field.
-	if s.filterMat != nil {
-		reg := s.Rec.Region("spectral_filter", obs.CatKernel)
-		var ops sem.OpCount
-		for c := 0; c < NumFields; c++ {
-			ops = ops.Plus(sem.FilterElements(s.filterMat, s.Cfg.N, s.U[c], s.Local.Nel,
-				s.Cfg.FilterStrength, s.filterScratch))
-		}
-		s.chargeCompute(ops, pointwiseTraits)
-		reg.End()
-	}
+	s.rhsEval(&s.U, 1, dt)  // u1 = U + dt RHS(U)
+	s.rhsEval(&s.u1, 2, dt) // u1 = 3/4 U + 1/4 (u1 + dt RHS(u1))
+	s.rhsEval(&s.u1, 3, dt) // U = 1/3 U + 2/3 (u1 + dt RHS(u1)), then the filter
 }
 
 // stepTelemetry emits this rank's share of the finished step into the

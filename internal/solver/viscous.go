@@ -30,18 +30,18 @@ func gradOf(vis []float64, q, d, n3 int) []float64 { return vis[(1+3*q+d)*n3:][:
 
 // elemGradients forms in vis (13 N^3 values: T, then the gradients of
 // vx, vy, vz and T along x, y, z) the stress tensor and heat flux of the
-// element whose first point is base and whose density is rho, lapping
-// each stage on sl. Every per-point expression is the whole-rank sweeps',
-// so the bits are theirs.
-func (s *Solver) elemGradients(vis []float64, kern *sem.ElemDeriv, rho []float64, base int, sl *volSlot) {
+// element whose density, velocity and pressure are rho, vel and pr,
+// lapping each stage on sl. Every per-point expression is the whole-rank
+// sweeps', so the bits are theirs.
+func (s *Solver) elemGradients(vis []float64, kern *sem.ElemDeriv, rho []float64, vel [3][]float64, pr []float64, sl *volSlot) {
 	n3 := len(rho)
 	// Temperature with the gas constant R = 1: T = p / rho.
-	t, pr := vis[:n3], s.prP[base:base+n3]
+	t := vis[:n3]
 	for i := range t {
 		t[i] = pr[i] / rho[i]
 	}
 	sl.lap(volTemp)
-	src := [numGradQ][]float64{s.velP[0][base : base+n3], s.velP[1][base : base+n3], s.velP[2][base : base+n3], t}
+	src := [numGradQ][]float64{vel[0], vel[1], vel[2], t}
 	for d := 0; d < 3; d++ {
 		for q, u := range src {
 			kern.Apply(sem.Direction(d), u, gradOf(vis, q, d, n3))
@@ -86,9 +86,9 @@ func (s *Solver) elemGradients(vis []float64, kern *sem.ElemDeriv, rho []float64
 
 // subViscousFlux subtracts the viscous flux of conserved variable c (a
 // momentum component or the energy) along direction d from f, which
-// holds the Euler flux of the element whose first point is base and
-// whose stress and heat flux elemGradients left in vis.
-func (s *Solver) subViscousFlux(c, d, base int, vis, f []float64) {
+// holds the Euler flux of the element whose velocity is vel and whose
+// stress and heat flux elemGradients left in vis.
+func (s *Solver) subViscousFlux(c, d int, vel [3][]float64, vis, f []float64) {
 	n3 := len(f)
 	if c != IEnergy {
 		tau := gradOf(vis, c-IMomX, d, n3)
@@ -100,7 +100,7 @@ func (s *Solver) subViscousFlux(c, d, base int, vis, f []float64) {
 	// The stress's work plus the heat flux, summed from +0 (which
 	// decides the sign of a zero).
 	t0, t1, t2, q := gradOf(vis, 0, d, n3), gradOf(vis, 1, d, n3), gradOf(vis, 2, d, n3), gradOf(vis, 3, d, n3)
-	v0, v1, v2 := s.velP[0][base:base+n3], s.velP[1][base:base+n3], s.velP[2][base:base+n3]
+	v0, v1, v2 := vel[0], vel[1], vel[2]
 	for p := range f {
 		var work float64
 		work += v0[p] * t0[p]

@@ -3,6 +3,7 @@ package repro
 import (
 	"io"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -133,6 +134,8 @@ func viscousDealias(cfg *solver.Config) {
 	cfg.Dealias = true
 }
 
+func filtered(cfg *solver.Config) { cfg.FilterCutoff = 3 }
+
 func hotRank3(m *matrixSetup) {
 	box, err := m.cfg.Mesh()
 	if err != nil {
@@ -233,15 +236,24 @@ func TestOptionMatrixInvariance(t *testing.T) {
 			option: func(m *matrixSetup) { crash5(m); m.cfg.Overlap = true },
 			check:  checkCrash,
 		},
+		// The spectral filter runs per element in the post-exchange pass,
+		// on every pool slot, and the slots' scratch is rebuilt with the
+		// solver after the Shrink.
+		{name: "filter+workers=3", physics: filtered, neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
+		{
+			name:   "workers=3+crash+ckpt",
+			option: func(m *matrixSetup) { crash5(m); m.cfg.Workers = 3 },
+			check:  checkCrash,
+		},
 	}
-	plains := map[bool]matrixResult{}
+	plains := map[uintptr]matrixResult{} // by physics
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			viscous := row.physics != nil
-			plain, ok := plains[viscous]
+			physics := reflect.ValueOf(row.physics).Pointer()
+			plain, ok := plains[physics]
 			if !ok {
 				plain = runMatrix(t, row.physics, nil, true)
-				plains[viscous] = plain
+				plains[physics] = plain
 			}
 			got := runMatrix(t, row.physics, row.option, false)
 			compareMatrixStates(t, got.state, plain.state)
