@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-all bench-diff generate generate-check test-noasm bench-module serve-smoke tcp-smoke
+.PHONY: all build vet fmt-check test race check chaos fuzz-smoke bench bench-smoke bench-sweep bench-all bench-diff generate generate-check test-noasm bench-module serve-smoke tcp-smoke
 
 all: check
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree, the benchmark module's included, must be as
+# gofmt prints it; the ones that are not are listed.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -49,7 +54,7 @@ chaos:
 # fuzzers (every mxm variant vs MxMBasic; every r/s derivative kernel vs
 # the hand loops and each other, bit-exact — without -race, which builds
 # the AVX2 r/s kernels out; every gs entry point vs a map-based
-# gather-scatter).
+# gather-scatter; gs discovery vs the map-based discovery).
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDecodeOwnershipWire$$' -fuzztime 10s ./internal/mesh/
@@ -57,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMVariants$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivKernels$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzGSLocal$$' -fuzztime 10s ./internal/gs/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzDiscover$$' -fuzztime 10s ./internal/gs/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/comm/tcptransport/
 
 # Re-run the kernel generator (internal/sem/gen) over the committed
@@ -124,7 +130,7 @@ serve-smoke:
 tcp-smoke:
 	./scripts/tcp_smoke.sh
 
-check: vet build test race chaos fuzz-smoke test-noasm bench-module bench-sweep bench-smoke serve-smoke tcp-smoke
+check: vet fmt-check build test race chaos fuzz-smoke test-noasm bench-module bench-sweep bench-smoke serve-smoke tcp-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -96,7 +96,12 @@ func (p *peer) awaitRead() (n int, held bool, err error) {
 		p.rmu.Lock()
 		return 0, true, err
 	}
-	return p.rn, p.rheld, p.rerr
+	if !p.rheld {
+		// waitFD gave up without rmu: p.rn and p.rerr are the polling
+		// rank's now.
+		return 0, false, nil
+	}
+	return p.rn, true, p.rerr
 }
 
 // waitFD is awaitRead's RawConn.Read callback. It reads under rmu and

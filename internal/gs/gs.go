@@ -16,7 +16,7 @@ package gs
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/obs"
@@ -95,9 +95,6 @@ type GS struct {
 	locVals     []float64    // one value per local group (index.local's scratch)
 	creq        comm.Request // crystal-router stage receive
 
-	// crystal-router id lookup: id -> remote slot
-	slotOf map[int64]int32
-
 	// crystal-router reusable routing state: three item buffers rotated
 	// between the live set, the keep partition, and the send partition,
 	// plus message staging and a persistent sorter for the per-stage merge.
@@ -146,10 +143,6 @@ func newGS(r *comm.Rank, t *Topology) *GS {
 	var remOf []int32
 	g.ix, remOf = buildIndex(t)
 	g.locVals = make([]float64, len(g.ix.locID))
-	g.slotOf = make(map[int64]int32, len(g.ix.remID))
-	for m, id := range g.ix.remID {
-		g.slotOf[id] = int32(m)
-	}
 	for _, nb := range t.Neighbors {
 		slots := make([]int32, len(nb.Slots))
 		for i, s := range nb.Slots {
@@ -164,139 +157,226 @@ func newGS(r *comm.Rank, t *Topology) *GS {
 // discover is Setup's collective phase: it finds, for every id this rank
 // holds, the other ranks holding it, and returns the active id table with
 // the per-neighbor slot lists.
+//
+// Each grouping is a run of equal ids after a stable radix sort
+// (sortByID): this rank's occurrences of an id, and at the id's owner
+// the ranks holding it. Runs come out in ascending id order and keep
+// input order within, which are the orders the messages and the table
+// are canonical in.
 func discover(r *comm.Rank, ids []int64) *Topology {
 	t := &Topology{N: len(ids)}
+	me, p := r.ID(), r.Size()
 
-	// Group local indices by id.
-	byID := map[int64][]int{}
+	// Group local indices by id. They enter in vector order, so run k,
+	// pos[runs[k]:runs[k+1]], is distinct[k]'s group in vector order.
+	keys, pos := make([]int64, 0, len(ids)), make([]int, 0, len(ids))
 	for i, id := range ids {
 		if id >= 0 {
-			byID[id] = append(byID[id], i)
+			keys, pos = append(keys, id), append(pos, i)
 		}
 	}
-	distinct := make([]int64, 0, len(byID))
-	for id := range byID {
-		distinct = append(distinct, id)
+	keys, pos = sortByID(keys, pos)
+	runs := runStarts(keys)
+	distinct := make([]int64, len(runs)-1)
+	for k := range distinct {
+		distinct[k] = keys[runs[k]]
 	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
 
 	// Discovery phase: route each distinct id to a hashed "owner" rank,
 	// which observes every rank holding it and replies with the sharer
 	// lists. This is the generalized all-to-all of gs_setup.
-	p := r.Size()
 	owner := func(id int64) int { return int(id % int64(p)) }
-
 	sendCounts := make([]int, p)
 	for _, id := range distinct {
 		sendCounts[owner(id)]++
 	}
-	sendIDs := make([]int64, 0, len(distinct))
-	// distinct is sorted by id; bucket-stable assembly per destination.
-	for dst := 0; dst < p; dst++ {
-		for _, id := range distinct {
-			if owner(id) == dst {
-				sendIDs = append(sendIDs, id)
-			}
-		}
+	// distinct is ascending, so one stable pass keeps each destination's
+	// ids ascending.
+	sendIDs := make([]int64, len(distinct))
+	next := offsets(sendCounts)
+	for _, id := range distinct {
+		q := owner(id)
+		sendIDs[next[q]] = id
+		next[q]++
 	}
 	recvIDs, recvCounts := r.AlltoallvInts(sendIDs, sendCounts)
 
-	// The owner groups ids by value and notes which ranks hold each.
-	holders := map[int64][]int{}
-	off := 0
-	for src := 0; src < p; src++ {
-		for k := 0; k < recvCounts[src]; k++ {
-			id := recvIDs[off+k]
-			holders[id] = append(holders[id], src)
+	// The owner sorts what it received, tagged with the source rank. The
+	// ids arrive in ascending-source blocks, so each run lists its id's
+	// holders in ascending rank order; a run of two or more is shared.
+	src := make([]int, 0, len(recvIDs))
+	for q, c := range recvCounts {
+		for ; c > 0; c-- {
+			src = append(src, q)
 		}
-		off += recvCounts[src]
 	}
+	held, holder := sortByID(recvIDs, src)
+	hruns := runStarts(held)
 	// Reply: for every id held by >= 2 ranks, tell each holder the full
 	// holder list, encoded [id, m, rank0..rank_{m-1}].
 	replyCounts := make([]int, p)
-	type sharedEntry struct {
-		id    int64
-		ranks []int
-	}
-	var shared []sharedEntry
-	for id, rs := range holders {
-		if len(rs) >= 2 {
-			shared = append(shared, sharedEntry{id, rs})
+	shared := 0
+	for k := 0; k+1 < len(hruns); k++ {
+		hs := holder[hruns[k]:hruns[k+1]]
+		if len(hs) < 2 {
+			continue
+		}
+		shared++
+		for _, q := range hs {
+			replyCounts[q] += 2 + len(hs)
 		}
 	}
-	sort.Slice(shared, func(i, j int) bool { return shared[i].id < shared[j].id })
-	for _, s := range shared {
-		entryLen := 2 + len(s.ranks)
-		for _, dst := range s.ranks {
-			replyCounts[dst] += entryLen
+	next = offsets(replyCounts)
+	reply := make([]int64, next[p])
+	for k := 0; k+1 < len(hruns); k++ {
+		hs := holder[hruns[k]:hruns[k+1]]
+		if len(hs) < 2 {
+			continue
 		}
-	}
-	replyOffs := make([]int, p+1)
-	for i, c := range replyCounts {
-		replyOffs[i+1] = replyOffs[i] + c
-	}
-	reply := make([]int64, replyOffs[p])
-	cursor := append([]int(nil), replyOffs[:p]...)
-	for _, s := range shared {
-		for _, dst := range s.ranks {
-			c := cursor[dst]
-			reply[c] = s.id
-			reply[c+1] = int64(len(s.ranks))
-			for k, rr := range s.ranks {
-				reply[c+2+k] = int64(rr)
+		for _, q := range hs {
+			c := next[q]
+			reply[c], reply[c+1] = held[hruns[k]], int64(len(hs))
+			for j, h := range hs {
+				reply[c+2+j] = int64(h)
 			}
-			cursor[dst] = c + 2 + len(s.ranks)
+			next[q] = c + 2 + len(hs)
 		}
 	}
 	gotReply, _ := r.AlltoallvInts(reply, replyCounts)
 
-	// Parse the sharer lists: for each of my ids, which remote ranks
-	// also hold it.
-	remote := map[int64][]int{}
-	for i := 0; i < len(gotReply); {
-		id := gotReply[i]
-		m := int(gotReply[i+1])
-		for k := 0; k < m; k++ {
-			q := int(gotReply[i+2+k])
-			if q != r.ID() {
-				remote[id] = append(remote[id], q)
-			}
+	// Each of this rank's remotely-shared ids has exactly one reply
+	// entry: note where it starts, per distinct id (-1: none).
+	entry := make([]int, len(distinct))
+	for k := range entry {
+		entry[k] = -1
+	}
+	for i := 0; i < len(gotReply); i += 2 + int(gotReply[i+1]) {
+		k, _ := slices.BinarySearch(distinct, gotReply[i])
+		entry[k] = i
+	}
+	holders := func(k int) []int64 {
+		if e := entry[k]; e >= 0 {
+			return gotReply[e+2 : e+2+int(gotReply[e+1])]
 		}
-		i += 2 + m
+		return nil
 	}
 
-	// Active ids: remotely shared, or duplicated locally.
-	for _, id := range distinct {
-		if len(remote[id]) > 0 || len(byID[id]) > 1 {
-			t.IDs = append(t.IDs, id)
-			t.Groups = append(t.Groups, byID[id])
-			t.SharedMask = append(t.SharedMask, len(remote[id]) > 0)
+	// Active ids: remotely shared, or duplicated locally. Count them and
+	// each neighbor's share of them first, so the table and the slot
+	// lists are filled in place.
+	active := func(k int) bool { return entry[k] >= 0 || runs[k+1]-runs[k] > 1 }
+	nActive, nbCount := 0, make([]int, p)
+	for k := range distinct {
+		if !active(k) {
+			continue
+		}
+		nActive++
+		for _, q := range holders(k) {
+			if int(q) != me {
+				nbCount[q]++
+			}
+		}
+	}
+	if nActive > 0 {
+		t.IDs = make([]int64, 0, nActive)
+		t.Groups = make([][]int, 0, nActive)
+		t.SharedMask = make([]bool, 0, nActive)
+	}
+	// Per-neighbor slot lists, canonical because the table is id-sorted
+	// on every rank: windows of one flat array, filled in slot order.
+	next = offsets(nbCount)
+	slots := make([]int, next[p])
+	for k, id := range distinct {
+		if !active(k) {
+			continue
+		}
+		s := len(t.IDs)
+		t.IDs = append(t.IDs, id)
+		t.Groups = append(t.Groups, pos[runs[k]:runs[k+1]:runs[k+1]])
+		t.SharedMask = append(t.SharedMask, entry[k] >= 0)
+		for _, q := range holders(k) {
+			if int(q) != me {
+				slots[next[q]] = s
+				next[q]++
+			}
+		}
+	}
+	for q, c := range nbCount {
+		if c > 0 {
+			t.Neighbors = append(t.Neighbors, TopoNeighbor{Rank: q, Slots: slots[next[q]-c : next[q] : next[q]]})
 		}
 	}
 
 	// Exact global count of distinct remotely-shared ids: each owner
 	// counts the shared ids it adjudicated; one integer allreduce sums
 	// them. This sizes the all_reduce big vector without building it.
-	counts := r.AllreduceInts(comm.OpSum, []int64{int64(len(shared))})
+	counts := r.AllreduceInts(comm.OpSum, []int64{int64(shared)})
 	t.GlobalShared = counts[0]
+	return t
+}
 
-	// Per-neighbor slot lists, canonical because the table is id-sorted on
-	// every rank.
-	nbSlots := map[int][]int{}
-	for s, id := range t.IDs {
-		for _, q := range remote[id] {
-			nbSlots[q] = append(nbSlots[q], s)
+// sortByID stably sorts the pairs (keys[i], vals[i]) by key, for
+// non-negative keys: a least-significant-digit radix sort with one
+// counting pass per 8-bit digit up to the largest key's top digit,
+// skipping a digit every key shares. It may use keys and vals as scratch
+// and returns the sorted pairs.
+func sortByID(keys []int64, vals []int) ([]int64, []int) {
+	if len(keys) < 2 {
+		return keys, vals
+	}
+	var top int64 // has the largest key's top bit
+	for _, k := range keys {
+		top |= k
+	}
+	kt, vt := make([]int64, len(keys)), make([]int, len(vals))
+	for shift := 0; shift < 63 && top>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[k>>shift&0xff]++
+		}
+		if at[keys[0]>>shift&0xff] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			d := k >> shift & 0xff
+			kt[at[d]], vt[at[d]] = k, vals[i]
+			at[d]++
+		}
+		keys, kt = kt, keys
+		vals, vt = vt, vals
+	}
+	return keys, vals
+}
+
+// runStarts returns where each run of equal keys starts, then len(keys).
+func runStarts(keys []int64) []int {
+	n := 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			n++
 		}
 	}
-	ranks := make([]int, 0, len(nbSlots))
-	for q := range nbSlots {
-		ranks = append(ranks, q)
+	starts := make([]int, 0, n+1)
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			starts = append(starts, i)
+		}
 	}
-	sort.Ints(ranks)
-	for _, q := range ranks {
-		t.Neighbors = append(t.Neighbors, TopoNeighbor{Rank: q, Slots: nbSlots[q]})
+	return append(starts, len(keys))
+}
+
+// offsets returns the exclusive prefix sums of counts: where each
+// bucket starts, then the total.
+func offsets(counts []int) []int {
+	off := make([]int, len(counts)+1)
+	for i, c := range counts {
+		off[i+1] = off[i] + c
 	}
-	return t
+	return off
 }
 
 // bigScratch returns the persistent all_reduce dense-vector scratch,
@@ -335,26 +415,19 @@ func (g *GS) ensureBigVector() {
 		padded[i] = float64(id)
 	}
 	all := r.Allgather(padded)
-	seen := map[int64]bool{}
 	var union []int64
 	for src := 0; src < r.Size(); src++ {
 		for k := int64(0); k < counts[src]; k++ {
-			id := int64(all[int64(src)*maxCount+k])
-			if !seen[id] {
-				seen[id] = true
-				union = append(union, id)
-			}
+			union = append(union, int64(all[int64(src)*maxCount+k]))
 		}
 	}
-	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-	pos := make(map[int64]int32, len(union))
-	for i, id := range union {
-		pos[id] = int32(i)
-	}
+	slices.Sort(union)
+	union = slices.Compact(union)
 	g.bigLen = len(union)
 	g.bigIdx = make([]int32, len(mine))
 	for m, id := range mine {
-		g.bigIdx[m] = pos[id]
+		k, _ := slices.BinarySearch(union, id)
+		g.bigIdx[m] = int32(k)
 	}
 }
 

@@ -1,6 +1,7 @@
 package gs
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -242,7 +243,7 @@ func (g *GS) exchangeCrystal(op comm.ReduceOp, partial []float64) {
 
 	// Everything left is addressed to this rank: combine into partials.
 	for _, it := range cur {
-		if s, ok := g.slotOf[it.id]; ok {
+		if s, ok := slices.BinarySearch(g.ix.remID, it.id); ok {
 			partial[s] = f(partial[s], it.val)
 		}
 	}

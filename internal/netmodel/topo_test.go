@@ -54,9 +54,9 @@ func TestCongestionMonotoneInLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := [][2]int{
-		{0, 1},    // intra-node
-		{0, 17},   // same leaf, different node
-		{0, 300},  // cross-leaf
+		{0, 1},   // intra-node
+		{0, 17},  // same leaf, different node
+		{0, 300}, // cross-leaf
 	}
 	for _, flows := range []int{1, 4, 16} {
 		for _, pair := range pairs {
@@ -139,7 +139,7 @@ func TestDragonflyMinRouteCounts(t *testing.T) {
 		src, dst, want int
 	}{
 		{"same node", 0, 1, 0},
-		{"same router", 0, 2, 2},            // nic up + nic down
+		{"same router", 0, 2, 2},              // nic up + nic down
 		{"same group, other router", 0, 4, 3}, // + one local hop
 		// Cross-group aligned: src on its group's gateway router for
 		// group 1 (gw = 1%2 = 1, nodes 2,3 → ranks 4..7), dst on group
