@@ -10,8 +10,8 @@ import (
 // latency-hiding optimization the paper's scaling discussion motivates —
 // the gs_op exchange cost grows into the dominant term at scale while
 // interior elements sit ready to compute. Each rank classifies its
-// elements from the gs topology: an element is *boundary* when any of its
-// face points carries a remotely-shared id, *interior* otherwise. The
+// elements from the face pairing: an element is *boundary* when any of
+// its faces is a rank-boundary face, *interior* otherwise. The
 // right-hand side then runs boundary face extraction first, posts the
 // split-phase exchange (gs.Pending.Begin), computes every interior volume
 // kernel while the messages are in flight, completes the exchange
@@ -34,34 +34,26 @@ func (s *Solver) rhsEval(in *[NumFields][]float64, stage int, dt float64) {
 }
 
 // rebuildOverlap (re)derives the interior/boundary element classification
-// from the current gs topology and recreates the split-phase exchange
-// handles. It must run whenever the gs handle is rebuilt — construction,
-// Remap (load balancing), and the post-Shrink solver rebuild — so the
-// element sets always match the live topology. No-op unless
-// Config.Overlap is set.
+// from the face pairing and recreates the split-phase exchange handles.
+// It must run whenever the gs handle is rebuilt — construction, Remap
+// (load balancing), and the post-Shrink solver rebuild — so the element
+// sets always match the live topology. No-op unless Config.Overlap is
+// set.
 func (s *Solver) rebuildOverlap() {
 	if !s.Cfg.Overlap {
 		return
 	}
 	nel := s.Local.Nel
-	fpe := sem.NFaces * s.Cfg.N * s.Cfg.N
-	shared := s.gsh.RemoteShared()
-	s.bndElem = make([]bool, nel)
-	for e := 0; e < nel; e++ {
-		base := e * fpe
-		for i := 0; i < fpe; i++ {
-			if shared[base+i] {
-				s.bndElem[e] = true
-				break
-			}
-		}
+	bndElem := make([]bool, nel)
+	for _, slot := range s.remote {
+		bndElem[int(slot)/sem.NFaces] = true
 	}
 	s.intRuns = s.intRuns[:0]
 	s.bndRuns = s.bndRuns[:0]
 	for e := 0; e < nel; {
 		lo := e
-		bnd := s.bndElem[e]
-		for e < nel && s.bndElem[e] == bnd {
+		bnd := bndElem[e]
+		for e < nel && bndElem[e] == bnd {
 			e++
 		}
 		if bnd {
@@ -103,8 +95,10 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		// entire interior phase.
 		s.charge(s.sched.surface, s.faceRuns(in, s.bndRuns, true))
 		reg := s.Rec.Region("gs_op", obs.CatGS)
-		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
-		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
+		s.saveOwn(&s.ownU, &s.faceU)
+		s.saveOwn(&s.ownF, &s.faceF)
+		s.pendU.Begin(s.faceU[:], s.faceU[:], comm.OpSum)
+		s.pendF.Begin(s.faceF[:], s.faceF[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, false)
@@ -122,12 +116,14 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		// (which extracts the viscous flux traces) before it can start.
 		s.faceRuns(in, s.bndRuns, false)
 		reg := s.Rec.Region("gs_op", obs.CatGS)
-		s.pendU.Begin(s.exU[:], s.faceU[:], comm.OpSum)
+		s.saveOwn(&s.ownU, &s.faceU)
+		s.pendU.Begin(s.faceU[:], s.faceU[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.bndRuns, true)
 		reg = s.Rec.Region("gs_op", obs.CatGS)
-		s.pendF.Begin(s.exF[:], s.faceF[:], comm.OpSum)
+		s.saveOwn(&s.ownF, &s.faceF)
+		s.pendF.Begin(s.faceF[:], s.faceF[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, true)

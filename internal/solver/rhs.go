@@ -70,24 +70,37 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	s.volumeRuns(in, all, viscous)
 	s.charge(s.sched.surface, nf) // where the surface-flux sweep stood
 
-	// --- gs_op: nearest-neighbor exchange of state and flux traces, out
-	// of place. After the exchange each shared face point of exU/exF
-	// holds the in+out sum; unshared (true boundary) points are not
-	// written, and nothing reads them.
+	// --- gs_op: nearest-neighbor exchange of the rank-boundary state and
+	// flux traces, in place. Afterwards each rank-boundary face point of
+	// faceU/faceF holds the in+out sum (its own trace is in ownU/ownF);
+	// every other point still holds its own trace.
 	reg := s.Rec.Region("gs_op", obs.CatGS)
+	s.saveOwn(&s.ownU, &s.faceU)
+	s.saveOwn(&s.ownF, &s.faceF)
 	if s.Cfg.PackedExchange {
 		// gs_op_fields: one packed message per neighbor per exchange.
-		s.gsh.OpFieldsTo(s.exU[:], s.faceU[:], comm.OpSum, s.gsh.Method())
-		s.gsh.OpFieldsTo(s.exF[:], s.faceF[:], comm.OpSum, s.gsh.Method())
+		s.gsh.OpFields(s.faceU[:], comm.OpSum, s.gsh.Method())
+		s.gsh.OpFields(s.faceF[:], comm.OpSum, s.gsh.Method())
 	} else {
 		for c := 0; c < NumFields; c++ {
-			s.gsh.OpTo(s.exU[c], s.faceU[c], comm.OpSum)
-			s.gsh.OpTo(s.exF[c], s.faceF[c], comm.OpSum)
+			s.gsh.Op(s.faceU[c], comm.OpSum)
+			s.gsh.Op(s.faceF[c], comm.OpSum)
 		}
 	}
 	reg.End()
 
 	s.postExchange()
+}
+
+// saveOwn copies the own traces of the rank-boundary faces out of face
+// into own (face k at k*N^2), before the exchange sums over them.
+func (s *Solver) saveOwn(own, face *[NumFields][]float64) {
+	n2 := s.Cfg.N * s.Cfg.N
+	for c := range face {
+		for k, slot := range s.remote {
+			copy(own[c][k*n2:(k+1)*n2], face[c][int(slot)*n2:])
+		}
+	}
 }
 
 // faceJob is the run faceElems is working through (kept in the Solver,
@@ -406,13 +419,15 @@ func (s *Solver) postElems(slot, lo, hi int) {
 }
 
 // liftElem is the numerical flux (Lax-Friedrichs) and lift of element e,
-// one face at a time: the correction (f - f*).n at each exchanged face
-// point, scaled by the diagonal lift factor, into w, then added into the
-// volume residual of every field while the face's traces are in cache —
-// faces in sem order, so each volume point sees the additions the five
-// whole-rank Face2FullAdd sweeps made, in their order. Domain boundary
-// faces see a mirror ghost state (slip wall) or no correction
-// (freestream).
+// one face at a time: the correction (f - f*).n at each face point,
+// scaled by the diagonal lift factor, into w, then added into the volume
+// residual of every field while the face's traces are in cache — faces
+// in sem order, so each volume point sees the additions the five
+// whole-rank Face2FullAdd sweeps made, in their order. A face paired on
+// this rank forms the in+out sums from its partner's traces (IEEE
+// addition commutes, so they are the gather-scatter's bits); a
+// rank-boundary face reads the exchanged sums. Domain boundary faces see
+// a mirror ghost state (slip wall) or no correction (freestream).
 func (s *Solver) liftElem(e int, w *[NumFields][]float64) {
 	n := s.Cfg.N
 	n2, n3 := n*n, n*n*n
@@ -424,13 +439,24 @@ func (s *Solver) liftElem(e int, w *[NumFields][]float64) {
 		sign := float64(sem.FaceSign(f))
 		scale := s.liftScale[d]
 		base := (e*sem.NFaces + f) * n2
-		switch {
-		case !s.bndFace[e*sem.NFaces+f]:
+		switch l := s.link[e*sem.NFaces+f]; {
+		case l >= 0:
 			// (f - f*).n with the Lax-Friedrichs flux, written in terms of
-			// the exchanged in+out sums.
+			// the in+out sums.
+			po := int(l) * n2
 			for c := 0; c < NumFields; c++ {
 				fc, uc := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
-				fsum, usum := s.exF[c][base:base+n2], s.exU[c][base:base+n2]
+				fo, uo := s.faceF[c][po:po+n2], s.faceU[c][po:po+n2]
+				wc := w[c]
+				for q := range wc {
+					wc[q] = scale * (sign*(fc[q]-0.5*(fc[q]+fo[q])) - lam*(uc[q]-0.5*(uc[q]+uo[q])))
+				}
+			}
+		case l != domainBoundary:
+			own := int(^l) * n2
+			for c := 0; c < NumFields; c++ {
+				fc, uc := s.ownF[c][own:own+n2], s.ownU[c][own:own+n2]
+				fsum, usum := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
 				wc := w[c]
 				for q := range wc {
 					wc[q] = scale * (sign*(fc[q]-0.5*fsum[q]) - lam*(uc[q]-0.5*usum[q]))

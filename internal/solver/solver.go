@@ -53,11 +53,16 @@ type Solver struct {
 	u1    [NumFields][]float64 // the RK stage register
 	faceU [NumFields][]float64 // face traces of U
 	faceF [NumFields][]float64 // face traces of the normal flux
-	exU   [NumFields][]float64 // exchanged (in+out summed) state traces
-	exF   [NumFields][]float64 // exchanged flux traces
-	// bndFace[e*6+f] marks the faces with no neighbor (non-periodic
-	// domain boundary): never exchanged, corrected by Cfg.BC instead.
-	bndFace []bool
+	// The face pairing (pairFaces). link[e*6+f] is where face f of
+	// element e finds its other side: the face slot e'*6+f' of its
+	// partner on this rank (>= 0), ^k for the k-th rank-boundary face
+	// remote[k], or domainBoundary (no neighbor: never exchanged,
+	// corrected by Cfg.BC instead). Only rank-boundary faces go through
+	// the gather-scatter, in place: ownU/ownF keep their own traces
+	// (face k at k*N^2) while faceU/faceF receive the in+out sums.
+	link       []int32
+	remote     []int32
+	ownU, ownF [NumFields][]float64
 
 	// Intra-rank worker pool for the element-indexed kernels (Workers
 	// in Config). The pool parallelizes wall time only: modeled time is
@@ -74,7 +79,9 @@ type Solver struct {
 	volBody  func(slot, lo, hi int)
 	faceBody func(slot, lo, hi int)
 	postBody func(slot, lo, hi int)
-	wsPart   []float64 // per-slot wave-speed partial maxima
+	wsBody   func(slot, lo, hi int)
+	wsPart   []float64  // per-slot wave-speed partial maxima
+	wsMax    [1]float64 // the rank's maximum, reduced in place by the allreduce
 
 	// The charge schedule and the right-hand side's ledger (charge.go).
 	sched      schedule
@@ -102,12 +109,11 @@ type Solver struct {
 	// model consumes.
 	kernelSec float64
 
-	// Overlap state (Config.Overlap): element classification from the gs
-	// topology — bndElem[e] is true when element e holds any remotely
-	// shared face point — as maximal contiguous runs, plus the reusable
-	// split-phase exchange handles for the state and flux traces.
-	// Rebuilt with the gs handle (construction, Remap, Shrink-rebuild).
-	bndElem      []bool
+	// Overlap state (Config.Overlap): the interior and boundary elements
+	// (those with a rank-boundary face) as maximal contiguous runs, plus
+	// the reusable split-phase exchange handles for the state and flux
+	// traces. Rebuilt with the gs handle (construction, Remap,
+	// Shrink-rebuild).
 	intRuns      [][2]int
 	bndRuns      [][2]int
 	pendU, pendF *gs.Pending
@@ -192,7 +198,7 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	for i := range s.volSlots {
 		s.volSlots[i].buf = make([]float64, slotLen)
 	}
-	s.volBody, s.faceBody, s.postBody = s.volumeElems, s.faceElems, s.postElems
+	s.volBody, s.faceBody, s.postBody, s.wsBody = s.volumeElems, s.faceElems, s.postElems, s.waveSpeedPoints
 	if cfg.FilterCutoff > 0 {
 		s.filterMat = sem.FilterMatrix(ref.X, cfg.FilterCutoff, 1.0)
 	}
@@ -211,6 +217,11 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		if err != nil {
 			s.pool.Close()
 			return nil, fmt.Errorf("solver: cached gs topology: %w", err)
+		}
+		if n2 := cfg.N * cfg.N; gsh.SharedSlots() != len(s.remote)*n2 {
+			s.pool.Close()
+			return nil, fmt.Errorf("solver: cached gs topology holds %d ids, the rank-boundary faces %d points",
+				gsh.SharedSlots(), len(s.remote)*n2)
 		}
 		s.gsh = gsh
 		s.gsh.SetSpanner(s.Rec)
@@ -258,21 +269,43 @@ func (s *Solver) allocScratch() {
 		s.u1[c] = make([]float64, vol)
 	}
 	faceLen := sem.FaceSliceLen(cfg.N, local.Nel)
+	s.pairFaces()
+	ownLen := len(s.remote) * cfg.N * cfg.N
 	for c := 0; c < NumFields; c++ {
 		s.faceU[c] = make([]float64, faceLen)
 		s.faceF[c] = make([]float64, faceLen)
-		s.exU[c] = make([]float64, faceLen)
-		s.exF[c] = make([]float64, faceLen)
-	}
-
-	s.bndFace = make([]bool, local.Nel*sem.NFaces)
-	for e := 0; e < local.Nel; e++ {
-		for f := 0; f < sem.NFaces; f++ {
-			_, ok := local.FaceNeighbor(e, f)
-			s.bndFace[e*sem.NFaces+f] = !ok
-		}
+		s.ownU[c] = make([]float64, ownLen)
+		s.ownF[c] = make([]float64, ownLen)
 	}
 	s.initWeights()
+}
+
+// domainBoundary is the link of a face with no neighbor.
+const domainBoundary = math.MinInt32
+
+// pairFaces rebuilds the face pairing from the mesh: the partner of face
+// f of element e is face f^1 of its neighbor element. The partner's
+// points match one to one, because DGFaceIDs numbers both sides of a
+// face fid*N^2 + idx.
+func (s *Solver) pairFaces() {
+	local := s.Local
+	s.link = make([]int32, local.Nel*sem.NFaces)
+	s.remote = s.remote[:0]
+	for e := 0; e < local.Nel; e++ {
+		for f := 0; f < sem.NFaces; f++ {
+			slot := e*sem.NFaces + f
+			nb, ok := local.FaceNeighbor(e, f)
+			switch {
+			case !ok:
+				s.link[slot] = domainBoundary
+			case nb.Rank == local.Rank:
+				s.link[slot] = int32(nb.Elem*sem.NFaces + (f ^ 1))
+			default:
+				s.link[slot] = ^int32(len(s.remote))
+				s.remote = append(s.remote, int32(slot))
+			}
+		}
+	}
 }
 
 // initWeights rebuilds the per-element work weights from Config.HotElems
@@ -303,9 +336,28 @@ func (s *Solver) initWeights() {
 // phase). Collective.
 func (s *Solver) setupGS() {
 	reg := s.Rec.Region("gs_setup", obs.CatComm)
-	s.gsh = gs.Setup(s.Rank, s.Local.DGFaceIDs())
+	s.gsh = gs.Setup(s.Rank, s.exchangeIDs())
 	reg.End()
 	s.gsh.SetSpanner(s.Rec)
+}
+
+// exchangeIDs is the gather-scatter's id vector: DGFaceIDs with the
+// later side (in face order) of every in-rank pair masked out, so those
+// ids are held once here and never combined — the lift adds the two
+// traces itself — and the handle holds the rank-boundary faces only.
+// Every id is still held, so discovery sends what it would for the whole
+// face id vector.
+func (s *Solver) exchangeIDs() []int64 {
+	ids := s.Local.DGFaceIDs()
+	n2 := s.Cfg.N * s.Cfg.N
+	for slot, l := range s.link {
+		if l >= 0 && int(l) < slot {
+			for i := slot * n2; i < (slot+1)*n2; i++ {
+				ids[i] = -1
+			}
+		}
+	}
+	return ids
 }
 
 // GS exposes the face gather-scatter handle (for reporting).

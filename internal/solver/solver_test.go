@@ -411,22 +411,24 @@ func TestAutoTuneRuns(t *testing.T) {
 
 // TestStepAllocs pins the heap allocations of one steady-state timestep
 // (dt reduction, SSP-RK3 step, telemetry) on a serial pool. The ceilings
-// are the measured counts: 2 objects inviscid and viscous+dealiased, the
-// wave-speed reduction's closure and its one-value allreduce; every pass
-// of the step runs a pool body built in New, and a region allocates
-// nothing. (A step allocated 521 and 746 when the volume phase opened a
-// region per (field, direction) sweep, 59 and 125 when every region was a
-// profiler closure, a span closure and a phase closure, and 20 in both
-// while the primitives, sources and stage updates were whole-rank
-// sweeps, each with a pool closure per field.)
+// are the measured counts: none, inviscid and viscous+dealiased. Every
+// pass of the step, the wave-speed sweep included, runs a pool body
+// built in New, the wave-speed maximum is reduced in place in a
+// persistent one-value slice, and a region allocates nothing. (A step
+// allocated 521 and 746 when the volume phase opened a region per
+// (field, direction) sweep, 59 and 125 when every region was a profiler
+// closure, a span closure and a phase closure, 20 in both while the
+// primitives, sources and stage updates were whole-rank sweeps, each
+// with a pool closure per field, and 2 while the wave-speed sweep built
+// its closure and its one-value slice every step.)
 func TestStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		viscous bool
 		max     float64
 	}{
-		{"inviscid", false, 2},
-		{"viscous", true, 2},
+		{"inviscid", false, 0},
+		{"viscous", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := comm.RunSimple(1, func(r *comm.Rank) error {

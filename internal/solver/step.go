@@ -20,23 +20,7 @@ func (s *Solver) MaxWaveSpeed() float64 {
 	for i := range part {
 		part[i] = 0
 	}
-	s.pool.ForSlots(len(s.U[IRho]), func(slot, lo, hi int) {
-		pm := 0.0
-		var u [NumFields]float64
-		for i := lo; i < hi; i++ {
-			for c := 0; c < NumFields; c++ {
-				u[c] = s.U[c][i]
-			}
-			inv := 1 / u[IRho]
-			speed2 := (u[IMomX]*u[IMomX] + u[IMomY]*u[IMomY] + u[IMomZ]*u[IMomZ]) * inv * inv
-			p := pressure(&u)
-			cs := math.Sqrt(Gamma * p * inv)
-			if v := math.Sqrt(speed2) + cs; v > pm {
-				pm = v
-			}
-		}
-		part[slot] = pm
-	})
+	s.pool.ForSlots(len(s.U[IRho]), s.wsBody)
 	local := 0.0
 	for _, v := range part {
 		if v > local {
@@ -48,11 +32,32 @@ func (s *Solver) MaxWaveSpeed() float64 {
 	// The reduction is a span, not a region: Figure 4 has no row for it.
 	red := s.Rec.Span("glmax", obs.CatComm)
 	s.Rank.SetSite("glmax")
-	out := s.Rank.Allreduce(comm.OpMax, []float64{local})
+	s.wsMax[0] = local
+	out := s.Rank.Allreduce(comm.OpMax, s.wsMax[:])
 	s.Rank.SetSite("")
 	red.End()
 	s.lambda = out[0]
 	return out[0]
+}
+
+// waveSpeedPoints folds points [lo, hi) of the state into pool slot
+// slot's partial maximum wave speed.
+func (s *Solver) waveSpeedPoints(slot, lo, hi int) {
+	pm := 0.0
+	var u [NumFields]float64
+	for i := lo; i < hi; i++ {
+		for c := 0; c < NumFields; c++ {
+			u[c] = s.U[c][i]
+		}
+		inv := 1 / u[IRho]
+		speed2 := (u[IMomX]*u[IMomX] + u[IMomY]*u[IMomY] + u[IMomZ]*u[IMomZ]) * inv * inv
+		p := pressure(&u)
+		cs := math.Sqrt(Gamma * p * inv)
+		if v := math.Sqrt(speed2) + cs; v > pm {
+			pm = v
+		}
+	}
+	s.wsPart[slot] = pm
 }
 
 // StableDt returns a CFL-stable time step for the current state:

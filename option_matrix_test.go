@@ -149,6 +149,15 @@ func hotRank3(m *matrixSetup) {
 	m.reg = obs.NewRegistry()
 }
 
+func hier(m *matrixSetup) { m.opts.Hierarchy = comm.BlockHierarchy(matrixRanks, 4) }
+
+func messageFaults(m *matrixSetup) {
+	m.spec = &fault.Spec{Seed: 12345, Messages: fault.MsgFaults{
+		Drop: 0.05, Corrupt: 0.1, Delay: 0.05,
+		DelaySeconds: 2e-6, RetransmitSeconds: 1e-5,
+	}}
+}
+
 func crash5(m *matrixSetup) {
 	m.spec = &fault.Spec{Seed: 7, Crashes: []fault.CrashSpec{{Rank: 5, Step: 4}}}
 	m.ckptEvery = 2
@@ -183,26 +192,11 @@ func TestOptionMatrixInvariance(t *testing.T) {
 			},
 			check: checkTelemetry,
 		},
-		{
-			name: "hier",
-			option: func(m *matrixSetup) {
-				m.opts.Hierarchy = comm.BlockHierarchy(matrixRanks, 4)
-			},
-			check: checkSameReports,
-		},
+		{name: "hier", option: hier, check: checkSameReports},
 		{name: "workers=3", neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
 		{name: "overlap", option: func(m *matrixSetup) { m.cfg.Overlap = true }},
 		{name: "loadbal+hot", option: hotRank3, check: checkMigrated},
-		{
-			name: "message-faults",
-			option: func(m *matrixSetup) {
-				m.spec = &fault.Spec{Seed: 12345, Messages: fault.MsgFaults{
-					Drop: 0.05, Corrupt: 0.1, Delay: 0.05,
-					DelaySeconds: 2e-6, RetransmitSeconds: 1e-5,
-				}}
-			},
-			check: checkFaultsCounted,
-		},
+		{name: "message-faults", option: messageFaults, check: checkFaultsCounted},
 		{name: "crash+ckpt", option: crash5, check: checkCrash},
 		{
 			name:   "loadbal+crash",
@@ -243,6 +237,28 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		{
 			name:   "workers=3+crash+ckpt",
 			option: func(m *matrixSetup) { crash5(m); m.cfg.Workers = 3 },
+			check:  checkCrash,
+		},
+		// The gs handle and the face pairing are rebuilt after a Remap
+		// and after the Shrink rebuild, here under hierarchical
+		// collectives; the split-phase exchange runs in place on the
+		// rank-boundary faces while the wire drops, corrupts and delays.
+		{
+			name:   "hier+loadbal+hot",
+			option: func(m *matrixSetup) { hotRank3(m); hier(m) },
+			check:  checkMigrated,
+		},
+		{
+			name: "message-faults+overlap",
+			option: func(m *matrixSetup) {
+				messageFaults(m)
+				m.cfg.Overlap = true
+			},
+			check: checkFaultsCounted,
+		},
+		{
+			name:   "hier+crash+ckpt",
+			option: func(m *matrixSetup) { crash5(m); hier(m) },
 			check:  checkCrash,
 		},
 	}
