@@ -209,6 +209,10 @@ func main() {
 		inj = fault.NewInjector(spec, *np, reg)
 		opts.Faults = inj
 	}
+	var store checkpoint.Store // auto-checkpoints under -faults
+	if *ckptDir != "" {
+		store = checkpoint.Dir(*ckptDir)
+	}
 
 	// Telemetry must survive abnormal exits: the partial trace and step
 	// stream of a run that panicked or was interrupted are exactly the
@@ -295,7 +299,7 @@ func main() {
 			})
 		}
 		rn, err := fault.NewRunner(s, fault.Config{
-			Spec: spec, CkptDir: *ckptDir, CkptEvery: *ckptEvery,
+			Spec: spec, Store: store, CkptEvery: *ckptEvery,
 			HeartbeatEvery: *hbEvery, Metrics: reg,
 		})
 		if err != nil {
@@ -305,7 +309,7 @@ func main() {
 		// The runner owns the current solver: after a recovery the
 		// original is closed and replaced by one on the survivors.
 		defer rn.Close()
-		rep, err := rn.Run(*steps, b)
+		rep, err := rn.Run(0, *steps, b)
 		if err != nil {
 			return err
 		}
@@ -320,8 +324,8 @@ func main() {
 			out.diag = diag.Compute(s)
 			out.spectrum = diag.ModalSpectrum(s, solver.IRho)
 		}
-		if *ckptDir != "" {
-			if err := checkpoint.WriteFile(*ckptDir, "final", s, int64(*steps), 0); err != nil {
+		if store != nil {
+			if err := store.Write("final", s, int64(*steps), 0); err != nil {
 				return err
 			}
 		}

@@ -60,7 +60,7 @@ func main() {
 			s.Step(s.StableDt())
 			if step%ckptEvery == 0 {
 				tag := fmt.Sprintf("step%03d", step)
-				if err := checkpoint.WriteFile(dir, tag, s, int64(step), 0); err != nil {
+				if err := checkpoint.Dir(dir).Write(tag, s, int64(step), 0); err != nil {
 					return err
 				}
 				if r.ID() == 0 {
@@ -82,7 +82,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		snap, err := checkpoint.ReadFile(dir, "step008", r.ID())
+		snap, err := checkpoint.Dir(dir).Read("step008", r.ID())
 		if err != nil {
 			return err
 		}

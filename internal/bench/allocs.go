@@ -18,8 +18,9 @@ type AllocsRecord struct {
 }
 
 // AllocsGuard measures steady-state heap allocations per gather-scatter
-// exchange for every method — in place, out of place and split-phase
-// (Pending), a third of the operations each — the zero-alloc acceptance
+// exchange for every method — one field (OpWith), a field list
+// (OpFields) and split-phase (Pending), a third of the operations each —
+// the zero-alloc acceptance
 // bar of the gs package, runnable outside `go test` so benchdiff can
 // track it. GC is pinned during the measurement so sync.Pool contents are
 // stable; the residual count is a few bookkeeping allocations from the
@@ -49,13 +50,12 @@ func AllocsGuard() ([]AllocsRecord, error) {
 				vals[i] = float64(i%7) + 1
 			}
 			g.SetMethod(m)
-			out := make([]float64, len(vals))
-			fields, outs := [][]float64{vals}, [][]float64{out}
+			fields := [][]float64{vals}
 			pend := g.NewPending()
 			ops := func() {
 				g.OpWith(vals, comm.OpSum, m)
-				g.OpTo(out, vals, comm.OpSum)
-				pend.Begin(outs, fields, comm.OpSum)
+				g.OpFields(fields, comm.OpSum, m)
+				pend.Begin(fields, comm.OpSum)
 				pend.Finish()
 			}
 			for w := 0; w < 3; w++ {

@@ -212,15 +212,13 @@ func Restore(s *solver.Solver, snap *Snapshot) (step int64, time float64, err er
 	return restore(s, 1, func(int) (*Snapshot, error) { return snap, nil })
 }
 
-// RestoreRemapped restores a checkpoint set written by nfiles ranks into
-// a solver whose partition — and possibly communicator size — no longer
-// matches the files: the failure-recovery path, where survivors of a rank
-// crash rebuild solvers over a re-homed ownership map and resume from the
-// last complete checkpoint. Every calling rank reads all nfiles files and
-// keeps the elements its current ownership assigns to it. Collective in
-// effect: all ranks must call it against the same checkpoint set.
-func RestoreRemapped(s *solver.Solver, dir, tag string, nfiles int) (step int64, simTime float64, err error) {
-	return restore(s, nfiles, func(rank int) (*Snapshot, error) { return ReadFile(dir, tag, rank) })
+// RestoreRemapped restores the set tag, written into store by nfiles
+// ranks, into a solver whose partition and communicator size need not
+// match the writers' — a resumed job, or crash survivors over a
+// re-homed ownership. Every calling rank reads all nfiles images and
+// keeps the elements it owns. All ranks must restore the same set.
+func RestoreRemapped(s *solver.Solver, store Store, tag string, nfiles int) (step int64, simTime float64, err error) {
+	return restore(s, nfiles, func(rank int) (*Snapshot, error) { return store.Read(tag, rank) })
 }
 
 // restore is the one restore routine. It reads n images, one at a time,
@@ -292,14 +290,16 @@ func FilePath(dir, tag string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.rank%04d.ckpt", tag, rank))
 }
 
-// WriteFile checkpoints one rank to its file under dir, creating dir if
+// Dir is the directory store: one file per rank and tag (FilePath).
+type Dir string
+
+// Write checkpoints one rank to its file, creating the directory if
 // needed.
-func WriteFile(dir, tag string, s *solver.Solver, step int64, time float64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func (d Dir) Write(tag string, s *solver.Solver, step int64, time float64) error {
+	if err := os.MkdirAll(string(d), 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	path := FilePath(dir, tag, s.Rank.ID())
-	f, err := os.Create(path)
+	f, err := os.Create(FilePath(string(d), tag, s.Rank.ID()))
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -310,9 +310,9 @@ func WriteFile(dir, tag string, s *solver.Solver, step int64, time float64) erro
 	return f.Close()
 }
 
-// ReadFile loads one rank's checkpoint from dir.
-func ReadFile(dir, tag string, rank int) (*Snapshot, error) {
-	f, err := os.Open(FilePath(dir, tag, rank))
+// Read loads one rank's checkpoint file.
+func (d Dir) Read(tag string, rank int) (*Snapshot, error) {
+	f, err := os.Open(FilePath(string(d), tag, rank))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -331,7 +331,7 @@ func ReadOwnership(dir, tag string, box *mesh.Box) (*mesh.Ownership, error) {
 		owner[i] = -1
 	}
 	for rank := 0; rank < box.Ranks(); rank++ {
-		snap, err := ReadFile(dir, tag, rank)
+		snap, err := Dir(dir).Read(tag, rank)
 		if err != nil {
 			return nil, err
 		}

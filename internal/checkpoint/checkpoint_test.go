@@ -215,10 +215,10 @@ func TestFileRoundtrip(t *testing.T) {
 	_, err := comm.RunSimple(2, func(r *comm.Rank) error {
 		s := mkSolver(t, r, 2)
 		s.Run(1)
-		if err := WriteFile(dir, "test", s, 1, 0.5); err != nil {
+		if err := Dir(dir).Write("test", s, 1, 0.5); err != nil {
 			return err
 		}
-		snap, err := ReadFile(dir, "test", r.ID())
+		snap, err := Dir(dir).Read("test", r.ID())
 		if err != nil {
 			return err
 		}
@@ -233,7 +233,7 @@ func TestFileRoundtrip(t *testing.T) {
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(t.TempDir(), "nope", 0); err == nil {
+	if _, err := Dir(t.TempDir()).Read("nope", 0); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestBytesMatchesFilePath proves the in-memory path and the file path
-// are the same format: WriteBytes output is byte-for-byte what WriteFile
+// are the same format: WriteBytes output is byte-for-byte what Dir.Write
 // puts on disk, and decoding either image yields equivalent snapshots
 // that restore to bit-identical solver state.
 func TestBytesMatchesFilePath(t *testing.T) {
@@ -25,7 +25,7 @@ func TestBytesMatchesFilePath(t *testing.T) {
 			t.Error(err)
 			return nil
 		}
-		if err := WriteFile(dir, "eq", s, 3, 0.375); err != nil {
+		if err := Dir(dir).Write("eq", s, 3, 0.375); err != nil {
 			t.Error(err)
 			return nil
 		}
@@ -45,7 +45,7 @@ func TestBytesMatchesFilePath(t *testing.T) {
 			t.Error(err)
 			return nil
 		}
-		fromDisk, err := ReadFile(dir, "eq", r.ID())
+		fromDisk, err := Dir(dir).Read("eq", r.ID())
 		if err != nil {
 			t.Error(err)
 			return nil
@@ -62,7 +62,7 @@ func TestBytesMatchesFilePath(t *testing.T) {
 
 		// Restore onto a fresh solver and compare state bitwise.
 		fresh := mkSolver(t, r, 2)
-		step, tm, err := RestoreBytes(fresh, mem)
+		step, tm, err := Restore(fresh, fromMem)
 		if err != nil {
 			t.Error(err)
 			return nil
@@ -98,12 +98,63 @@ func TestReadBytesRejectsTruncation(t *testing.T) {
 		if _, err := ReadBytes(buf[:len(buf)/2]); err == nil {
 			t.Error("truncated image decoded without error")
 		}
-		if _, _, err := RestoreBytes(s, nil); err == nil {
-			t.Error("empty image restored without error")
+		if _, err := ReadBytes(nil); err == nil {
+			t.Error("empty image decoded without error")
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemStoreKeepsTwoSets: the memory store holds the newest complete
+// set and the one being written, no more; the sets it holds restore
+// through RestoreRemapped like the directory store's files, and a set it
+// dropped fails with an error instead of restoring stale state.
+func TestMemStoreKeepsTwoSets(t *testing.T) {
+	const np = 2
+	var mem Mem
+	dir := Dir(t.TempDir())
+	_, err := comm.RunSimple(np, func(r *comm.Rank) error {
+		s := mkSolver(t, r, np)
+		defer s.Close()
+		for i, tag := range []string{"a", "b", "c"} {
+			s.AdvanceStep(i)
+			for _, st := range []Store{&mem, dir} {
+				if err := st.Write(tag, s, int64(i+1), s.SimTime()); err != nil {
+					return err
+				}
+			}
+			r.Barrier() // every rank finishes a set before any starts the next
+		}
+		want := append([]float64(nil), s.U[solver.IRho]...)
+		for _, st := range []Store{&mem, dir} {
+			fresh := mkSolver(t, r, np)
+			step, _, err := RestoreRemapped(fresh, st, "c", np)
+			if err != nil {
+				return err
+			}
+			if step != 3 {
+				t.Errorf("%T: restored step %d, want 3", st, step)
+			}
+			for i, v := range fresh.U[solver.IRho] {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Errorf("%T: rank %d density %d differs after restore", st, r.ID(), i)
+					break
+				}
+			}
+			fresh.Close()
+		}
+		if _, err := mem.Read("a", r.ID()); err == nil {
+			t.Error("the memory store still holds the oldest of three sets")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mem.sets["b"]; !ok || len(mem.sets) != 2 {
+		t.Fatalf("memory store holds %d sets, want b and c", len(mem.sets))
 	}
 }

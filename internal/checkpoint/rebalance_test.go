@@ -88,7 +88,7 @@ func TestRestoreAcrossRebalance(t *testing.T) {
 		if r.ID() == 0 && b.Rebalances > 0 {
 			rebalanced = true
 		}
-		return WriteFile(dir, "reb", s, preSteps, 0)
+		return Dir(dir).Write("reb", s, preSteps, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestRestoreAcrossRebalance(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		snap, err := ReadFile(dir, "reb", r.ID())
+		snap, err := Dir(dir).Read("reb", r.ID())
 		if err != nil {
 			return err
 		}
@@ -168,7 +168,7 @@ func TestRestoreCarriesCosts(t *testing.T) {
 		}
 		defer s.Close()
 		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
-		if err := WriteFile(dir, "unprimed", s, 0, 0); err != nil {
+		if err := Dir(dir).Write("unprimed", s, 0, 0); err != nil {
 			return err
 		}
 		b := loadbal.New(s, nil, nil, loadbal.Config{Every: 2})
@@ -181,7 +181,7 @@ func TestRestoreCarriesCosts(t *testing.T) {
 			written[s.Local.GID(e)] = c
 		}
 		mu.Unlock()
-		return WriteFile(dir, "primed", s, steps, 0)
+		return Dir(dir).Write("primed", s, steps, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestRestoreCarriesCosts(t *testing.T) {
 				return err
 			}
 			defer s.Close()
-			if _, _, err := RestoreRemapped(s, dir, tag, np); err != nil {
+			if _, _, err := RestoreRemapped(s, Dir(dir), tag, np); err != nil {
 				return err
 			}
 			if s.CostPrimed != (tag == "primed") {
@@ -241,7 +241,7 @@ func TestRestoreRejectsWrongPartition(t *testing.T) {
 		if b.Rebalances == 0 {
 			return nil // decision may differ per epoch; the other ranks agree anyway
 		}
-		return WriteFile(dir, "wrong", s, 4, 0)
+		return Dir(dir).Write("wrong", s, 4, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestRestoreRejectsWrongPartition(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		snap, err := ReadFile(dir, "wrong", r.ID())
+		snap, err := Dir(dir).Read("wrong", r.ID())
 		if err != nil {
 			return nil // this rank moved nothing and kept its uniform set
 		}

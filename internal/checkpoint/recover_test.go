@@ -38,7 +38,7 @@ func TestRestoreRemappedOntoFewerRanks(t *testing.T) {
 		if r.ID() == 0 {
 			simAtCkpt = s.SimTime()
 		}
-		if err := WriteFile(dir, "remap", s, preSteps, s.SimTime()); err != nil {
+		if err := Dir(dir).Write("remap", s, preSteps, s.SimTime()); err != nil {
 			return err
 		}
 		for i := preSteps; i < preSteps+postSteps; i++ {
@@ -76,7 +76,7 @@ func TestRestoreRemappedOntoFewerRanks(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		step, simTime, err := RestoreRemapped(s, dir, "remap", np)
+		step, simTime, err := RestoreRemapped(s, Dir(dir), "remap", np)
 		if err != nil {
 			return err
 		}
@@ -121,11 +121,11 @@ func TestRestoreRemappedMissingFile(t *testing.T) {
 		}
 		defer s.Close()
 		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
-		if err := WriteFile(dir, "part", s, 1, 0); err != nil {
+		if err := Dir(dir).Write("part", s, 1, 0); err != nil {
 			return err
 		}
 		// Claim there are two files; only rank 0's exists.
-		if _, _, err := RestoreRemapped(s, dir, "part", 2); err == nil {
+		if _, _, err := RestoreRemapped(s, Dir(dir), "part", 2); err == nil {
 			t.Error("incomplete checkpoint set restored without error")
 		}
 		return nil

@@ -82,7 +82,7 @@ func TestMessageFaultsPreserveResults(t *testing.T) {
 				return err
 			}
 			defer rn.Close()
-			if _, err := rn.Run(steps, nil); err != nil {
+			if _, err := rn.Run(0, steps, nil); err != nil {
 				return err
 			}
 			stateByGID(rn.Solver(), into, &mu)
@@ -164,13 +164,13 @@ func chaosScenario(t *testing.T, seed int64, overlap bool) {
 		}
 		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
 		rn, err := NewRunner(s, Config{
-			Spec: spec, CkptDir: dir, CkptEvery: ckptEvery, HeartbeatEvery: 1,
+			Spec: spec, Store: checkpoint.Dir(dir), CkptEvery: ckptEvery, HeartbeatEvery: 1,
 		})
 		if err != nil {
 			return err
 		}
 		defer rn.Close()
-		if _, err := rn.Run(steps, nil); err != nil {
+		if _, err := rn.Run(0, steps, nil); err != nil {
 			return err
 		}
 		stateByGID(rn.Solver(), got, &mu)
@@ -222,7 +222,7 @@ func chaosScenario(t *testing.T, seed int64, overlap bool) {
 			return err
 		}
 		defer s.Close()
-		step, simTime, err := checkpoint.RestoreRemapped(s, dir, ckptTag(crashStep-ckptEvery), np-1)
+		step, simTime, err := checkpoint.RestoreRemapped(s, checkpoint.Dir(dir), ckptTag(crashStep-ckptEvery), np)
 		if err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ func TestStallPricesVirtualTime(t *testing.T) {
 				return err
 			}
 			defer rn.Close()
-			if _, err := rn.Run(steps, nil); err != nil {
+			if _, err := rn.Run(0, steps, nil); err != nil {
 				return err
 			}
 			if r.ID() == 0 {
@@ -296,4 +296,57 @@ func TestStallPricesVirtualTime(t *testing.T) {
 		t.Fatalf("stall added %.9f modeled seconds to the peer, want ~0.05", stalled-clean)
 	}
 	compareStates(t, gotState, refState)
+}
+
+// TestChaosCkptOffHeartbeat: with an auto-checkpoint period that is not
+// a multiple of the heartbeat period, recovery resumes at a checkpoint
+// step with no heartbeat round. Rewriting the restored set there, under
+// the shrunken communicator's rank ids, would hand slower survivors
+// another partition's images mid-restore. Under both stores every
+// repetition must recover and finish bit-identical to the fault-free run.
+func TestChaosCkptOffHeartbeat(t *testing.T) {
+	const np, steps, reps = 4, 8, 5
+	cfg := solver.DefaultConfig(np, 4, 2)
+	run := func(t *testing.T, spec *Spec, store checkpoint.Store) map[int64][]float64 {
+		t.Helper()
+		var mu sync.Mutex
+		state := make(map[int64][]float64)
+		_, err := comm.Run(np, cfg.CommOptions(netmodel.QDR), func(r *comm.Rank) error {
+			s, err := solver.New(r, cfg)
+			if err != nil {
+				return err
+			}
+			s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
+			rn, err := NewRunner(s, Config{Spec: spec, Store: store, CkptEvery: 3, HeartbeatEvery: 2})
+			if err != nil {
+				s.Close()
+				return err
+			}
+			defer rn.Close()
+			if _, err := rn.Run(0, steps, nil); err != nil {
+				return err
+			}
+			stateByGID(rn.Solver(), state, &mu)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state
+	}
+	ref := run(t, nil, nil)
+	spec := &Spec{Seed: 1, Crashes: []CrashSpec{{Rank: 1, Step: 4}}}
+	for _, tc := range []struct {
+		name  string
+		store func() checkpoint.Store
+	}{
+		{"dir", func() checkpoint.Store { return checkpoint.Dir(t.TempDir()) }},
+		{"mem", func() checkpoint.Store { return new(checkpoint.Mem) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < reps; i++ {
+				compareStates(t, run(t, spec, tc.store()), ref)
+			}
+		})
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/loadbal"
 	"repro/internal/netmodel"
@@ -51,12 +52,12 @@ func loadbalCrash(t *testing.T) (state map[int64][]float64, clocks []float64, be
 		}
 		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
 		b := loadbal.New(s, nil, nil, loadbal.Config{Every: 2})
-		rn, err := NewRunner(s, Config{Spec: spec, CkptDir: dir, CkptEvery: ckptEvery})
+		rn, err := NewRunner(s, Config{Spec: spec, Store: checkpoint.Dir(dir), CkptEvery: ckptEvery})
 		if err != nil {
 			return err
 		}
 		defer rn.Close()
-		if _, err := rn.Run(steps, b); err != nil {
+		if _, err := rn.Run(0, steps, b); err != nil {
 			return err
 		}
 		if rn.Recoveries != 1 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -40,13 +41,13 @@ func TestTraceTracksKeepWorldRanksAfterShrink(t *testing.T) {
 		}
 		s.SetInitial(solver.GaussianPulse(1, 1, 1, 0.1, 0.5))
 		rn, err := NewRunner(s, Config{
-			Spec: spec, CkptDir: dir, CkptEvery: ckptEvery, HeartbeatEvery: 1,
+			Spec: spec, Store: checkpoint.Dir(dir), CkptEvery: ckptEvery, HeartbeatEvery: 1,
 		})
 		if err != nil {
 			return err
 		}
 		defer rn.Close()
-		_, err = rn.Run(steps, nil)
+		_, err = rn.Run(0, steps, nil)
 		return err
 	})
 	if err != nil {

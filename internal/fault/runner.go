@@ -25,16 +25,20 @@ type Config struct {
 	// on the communicator). Nil runs no stalls, heartbeats or
 	// auto-checkpoints: the plain step loop of solver.Solver.RunWith.
 	Spec *Spec
-	// CkptDir/CkptEvery enable periodic auto-checkpoints: every CkptEvery
-	// steps (including step 0) each rank writes dir/auto-NNNNNN files.
-	// Required whenever the scenario contains crashes — recovery rolls
-	// back to the latest complete set.
-	CkptDir   string
+	// Store/CkptEvery enable periodic auto-checkpoints: every CkptEvery
+	// steps (including step 0) each rank writes its image of the set
+	// auto-NNNNNN into Store. Required whenever the scenario contains
+	// crashes — recovery rolls back to the latest complete set.
+	Store     checkpoint.Store
 	CkptEvery int
 	// HeartbeatEvery is the failure-detection period in steps (default
 	// 1). Crash steps must be multiples of it so detection happens in
 	// the crash step.
 	HeartbeatEvery int
+	// Hook, when non-nil, runs after every timestep with the step, its dt
+	// and the current solver; returning true ends Run at that boundary.
+	// Every rank must return the same answer.
+	Hook func(step int, dt float64, s *solver.Solver) (stop bool)
 	// Metrics, when non-nil, receives fault_* counters.
 	Metrics *obs.Registry
 }
@@ -43,22 +47,22 @@ type Config struct {
 // given one, the load balancer, under a fault scenario. Per step, in
 // order — scheduled stalls, a heartbeat round (in which scheduled
 // crashes fire) with collective recovery when it detects deaths, the
-// periodic auto-checkpoint, then the timestep itself. The ordering is
-// load-bearing: recovery runs before the checkpoint phase so a crash step
-// can never contribute a partial checkpoint set, and a crashing rank dies
-// after hearing every peer's ping but before sending its own, so
-// survivors detect it in the same step deterministically and none of
-// them is still inside a collective (a step hook's, say) that the
-// crashing rank had already left.
+// periodic auto-checkpoint, then the timestep itself and the hook. The
+// ordering is load-bearing: recovery runs before the checkpoint phase so
+// a crash step can never contribute a partial checkpoint set, and a
+// crashing rank dies after hearing every peer's ping but before sending
+// its own, so survivors detect it in the same step deterministically and
+// none of them is still inside a collective (a step hook's, say) that
+// the crashing rank had already left.
 //
 // Recovery is rollback recovery in the ULFM style: survivors shrink the
 // communicator (comm.Rank.Shrink), re-home the dead ranks' elements onto
 // themselves (Rehome, verified identical across survivors by a checksum
 // allreduce), rebuild the solver over the new ownership, and restore the
-// latest auto-checkpoint (checkpoint.RestoreRemapped), which brings
-// back every element record: fields, sources and the load balancer's
-// cost estimates. Because the physics is partition-independent, the
-// recovered run is bit-identical to a fault-free run.
+// latest auto-checkpoint from the store (checkpoint.RestoreRemapped),
+// which brings back every element record: fields, sources and the load
+// balancer's cost estimates. Because the physics is partition-independent,
+// the recovered run is bit-identical to a fault-free run.
 type Runner struct {
 	cfg Config
 	s   *solver.Solver
@@ -76,31 +80,15 @@ type Runner struct {
 // NewRunner validates the scenario against the solver's communicator
 // (which must still be the world communicator) and returns a runner.
 func NewRunner(s *solver.Solver, cfg Config) (*Runner, error) {
-	if cfg.Spec == nil {
-		return &Runner{cfg: cfg, s: s}, nil
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 1
 	}
-	p := s.Rank.Size()
-	for _, c := range cfg.Spec.Crashes {
-		if c.Rank >= p {
-			return nil, fmt.Errorf("fault: crash rank %d outside [0,%d)", c.Rank, p)
+	if sp := cfg.Spec; sp != nil {
+		if err := sp.CheckRun(s.Rank.Size(), cfg.HeartbeatEvery); err != nil {
+			return nil, err
 		}
-		if c.Step%cfg.HeartbeatEvery != 0 {
-			return nil, fmt.Errorf("fault: crash at step %d is not a multiple of the heartbeat period %d; survivors would detect it late",
-				c.Step, cfg.HeartbeatEvery)
-		}
-		if p < 2 {
-			return nil, fmt.Errorf("fault: crash scenarios need at least 2 ranks")
-		}
-		if cfg.CkptDir == "" || cfg.CkptEvery <= 0 {
-			return nil, fmt.Errorf("fault: crash scenarios need CkptDir and CkptEvery > 0 to recover from")
-		}
-	}
-	for _, st := range cfg.Spec.Stalls {
-		if st.Rank >= p {
-			return nil, fmt.Errorf("fault: stall rank %d outside [0,%d)", st.Rank, p)
+		if len(sp.Crashes) > 0 && (cfg.Store == nil || cfg.CkptEvery <= 0) {
+			return nil, fmt.Errorf("fault: crash scenarios need a checkpoint store and CkptEvery > 0 to recover from")
 		}
 	}
 	return &Runner{cfg: cfg, s: s}, nil
@@ -116,17 +104,18 @@ func (rn *Runner) Close() { rn.s.Close() }
 
 func ckptTag(step int) string { return fmt.Sprintf("auto-%06d", step) }
 
-// Run advances steps timesteps under the fault scenario and returns the
-// final report. b, when non-nil, is the load balancer: its AfterStep runs
-// at the end of every timestep, and after a recovery the runner points it
-// at the rebuilt solver. With a nil Spec and a nil b this is exactly
-// solver.Solver.RunWith(steps, nil). On ranks scheduled to crash it never
-// returns: the rank unwinds via comm.Rank.Kill and comm.Run records it in
-// Stats.Killed.
+// Run advances the solver from step first up to steps under the fault
+// scenario and returns the report of the step it reached: steps, or
+// where the hook stopped it. b, when non-nil, is the load balancer: its
+// AfterStep runs at the end of every timestep, and after a recovery the
+// runner points it at the rebuilt solver. With a nil Spec, hook and b,
+// Run(0, steps, nil) is solver.Solver.RunWith(steps, nil). On ranks
+// scheduled to crash it never returns: the rank unwinds via
+// comm.Rank.Kill and comm.Run records it in Stats.Killed.
 // On any abnormal exit — the kill panic, an unexpected panic, or an
 // error return — the shared step-metrics stream is synced first, so
 // records sealed before the failure survive in the output file.
-func (rn *Runner) Run(steps int, b *loadbal.Balancer) (rep solver.Report, err error) {
+func (rn *Runner) Run(first, steps int, b *loadbal.Balancer) (rep solver.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rn.s.Cfg.Steps.Sync()
@@ -137,7 +126,8 @@ func (rn *Runner) Run(steps int, b *loadbal.Balancer) (rep solver.Report, err er
 		}
 	}()
 	var dt float64
-	for i := 0; i < steps; i++ {
+	i := first
+	for i < steps {
 		if rn.cfg.Spec != nil {
 			resume, err := rn.beforeStep(i)
 			if err != nil {
@@ -147,8 +137,7 @@ func (rn *Runner) Run(steps int, b *loadbal.Balancer) (rep solver.Report, err er
 				if b != nil {
 					b.Follow(rn.s)
 				}
-				// The loop increment re-executes the restored step next.
-				i = resume - 1
+				i = resume
 				continue
 			}
 		}
@@ -156,8 +145,12 @@ func (rn *Runner) Run(steps int, b *loadbal.Balancer) (rep solver.Report, err er
 		if b != nil {
 			b.AfterStep(i)
 		}
+		i++
+		if rn.cfg.Hook != nil && rn.cfg.Hook(i-1, dt, rn.s) {
+			break
+		}
 	}
-	return rn.s.FinishReport(steps, dt), nil
+	return rn.s.FinishReport(i, dt), nil
 }
 
 // beforeStep runs the scenario's phases ahead of timestep i: stalls, the
@@ -181,7 +174,9 @@ func (rn *Runner) beforeStep(i int) (resume int, err error) {
 			return rn.lastCkptStep, nil
 		}
 	}
-	if ck := rn.cfg.CkptEvery; ck > 0 && rn.cfg.CkptDir != "" && i%ck == 0 {
+	// Slower survivors may still be reading the set a recovery restored.
+	restored := rn.lastCkptFiles > 0 && i == rn.lastCkptStep
+	if ck := rn.cfg.CkptEvery; ck > 0 && i%ck == 0 && !restored && rn.cfg.Store != nil {
 		if err := rn.writeCheckpoint(i); err != nil {
 			return -1, err
 		}
@@ -263,7 +258,7 @@ func (rn *Runner) heartbeat(step int) ([]int, error) {
 // timestep's reductions until every rank has finished writing this set.
 func (rn *Runner) writeCheckpoint(step int) error {
 	defer rn.s.Rec.Region("auto_checkpoint", obs.CatComm).End()
-	if err := checkpoint.WriteFile(rn.cfg.CkptDir, ckptTag(step), rn.s, int64(step), rn.s.SimTime()); err != nil {
+	if err := rn.cfg.Store.Write(ckptTag(step), rn.s, int64(step), rn.s.SimTime()); err != nil {
 		return err
 	}
 	rn.lastCkptStep = step
@@ -323,12 +318,13 @@ func (rn *Runner) recoverFrom(dead []int) error {
 
 	cfg := old.Cfg
 	cfg.Ownership = newOwn
+	cfg.GSTopo = nil // recorded for the starting partition
 	old.Close()
 	s2, err := solver.New(sub, cfg)
 	if err != nil {
 		return fmt.Errorf("fault: recovery solver rebuild: %w", err)
 	}
-	step, simTime, err := checkpoint.RestoreRemapped(s2, rn.cfg.CkptDir, ckptTag(rn.lastCkptStep), rn.lastCkptFiles)
+	step, simTime, err := checkpoint.RestoreRemapped(s2, rn.cfg.Store, ckptTag(rn.lastCkptStep), rn.lastCkptFiles)
 	if err != nil {
 		s2.Close()
 		return fmt.Errorf("fault: recovery restore: %w", err)

@@ -114,8 +114,8 @@ func Load(pathOrJSON string) (*Spec, error) {
 }
 
 // Validate checks internal consistency. Rank bounds are checked later,
-// against the communicator (see Runner), since the spec alone does not
-// know the run size.
+// against the run (CheckRun), since the spec alone does not know the
+// run size.
 func (s *Spec) Validate() error {
 	m := s.Messages
 	for _, p := range []struct {
@@ -157,6 +157,30 @@ func (s *Spec) Validate() error {
 		}
 		if st.Seconds < 0 {
 			return fmt.Errorf("fault: stall of rank %d has negative duration", st.Rank)
+		}
+	}
+	return nil
+}
+
+// CheckRun checks the scenario against a run of p ranks with the given
+// heartbeat period: crash and stall ranks in [0,p), p >= 2 with crashes,
+// and crash steps on heartbeat steps. NewRunner calls it.
+func (s *Spec) CheckRun(p, heartbeatEvery int) error {
+	for _, c := range s.Crashes {
+		if c.Rank >= p {
+			return fmt.Errorf("fault: crash rank %d outside [0,%d)", c.Rank, p)
+		}
+		if p < 2 {
+			return fmt.Errorf("fault: crash scenarios need at least 2 ranks")
+		}
+		if c.Step%heartbeatEvery != 0 {
+			return fmt.Errorf("fault: crash at step %d is not a multiple of the heartbeat period %d; survivors would detect it late",
+				c.Step, heartbeatEvery)
+		}
+	}
+	for _, st := range s.Stalls {
+		if st.Rank >= p {
+			return fmt.Errorf("fault: stall rank %d outside [0,%d)", st.Rank, p)
 		}
 	}
 	return nil

@@ -91,7 +91,7 @@ type GS struct {
 	// OpFields' (k packed fields). Their buffers and receive requests are
 	// persistent, so the steady-state exchange posts no allocations.
 	one, packed site
-	dst1, src1  [1][]float64 // Op's vector as a one-field list
+	one1        [1][]float64 // Op's vector as a one-field list
 	locVals     []float64    // one value per local group (index.local's scratch)
 	creq        comm.Request // crystal-router stage receive
 
@@ -488,21 +488,9 @@ func (g *GS) Op(values []float64, op comm.ReduceOp) {
 // combined value replaces each of them. OpWith is collective: every rank
 // must call it with the same op and method.
 func (g *GS) OpWith(values []float64, op comm.ReduceOp, m Method) {
-	g.opTo(values, values, op, m)
-}
-
-// OpTo is Op out of place: the combined values go to dst and src is left
-// as it was. Only entries whose id is active — shared with another rank
-// or held more than once here — are written; the rest of dst is not
-// touched (it is not a copy of src). dst may be src, which is Op.
-func (g *GS) OpTo(dst, src []float64, op comm.ReduceOp) {
-	g.opTo(dst, src, op, g.method)
-}
-
-func (g *GS) opTo(dst, src []float64, op comm.ReduceOp, m Method) {
-	g.dst1[0], g.src1[0] = dst, src
-	g.run(g.dst1[:], g.src1[:], op, m, &g.one, "gs_op")
-	g.dst1[0], g.src1[0] = nil, nil
+	g.one1[0] = values
+	g.run(g.one1[:], op, m, &g.one, "gs_op")
+	g.one1[0] = nil
 }
 
 // OpFields performs the gather-scatter over k field vectors at once,
@@ -516,26 +504,18 @@ func (g *GS) opTo(dst, src []float64, op comm.ReduceOp, m Method) {
 // router routes per-field (its per-stage merging already aggregates
 // traffic), which keeps results identical across methods.
 func (g *GS) OpFields(fields [][]float64, op comm.ReduceOp, m Method) {
-	g.OpFieldsTo(fields, fields, op, m)
-}
-
-// OpFieldsTo is OpFields out of place, field by field as OpTo.
-func (g *GS) OpFieldsTo(dst, src [][]float64, op comm.ReduceOp, m Method) {
-	if len(src) == 0 && len(dst) == 0 {
+	if len(fields) == 0 {
 		return
 	}
-	g.run(dst, src, op, m, &g.packed, "gs_op_fields")
+	g.run(fields, op, m, &g.packed, "gs_op_fields")
 }
 
-// checkFields panics unless dst and src are equally many vectors of the
-// setup's length.
-func (g *GS) checkFields(dst, src [][]float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("gs: %d destination fields for %d sources", len(dst), len(src)))
-	}
-	for fi := range src {
-		if len(src[fi]) != g.n || len(dst[fi]) != g.n {
-			panic(fmt.Sprintf("gs: field %d length %d -> %d, setup saw %d", fi, len(src[fi]), len(dst[fi]), g.n))
+// checkFields panics unless every field is a vector of the setup's
+// length.
+func (g *GS) checkFields(fields [][]float64) {
+	for fi, f := range fields {
+		if len(f) != g.n {
+			panic(fmt.Sprintf("gs: field %d has length %d, setup saw %d", fi, len(f), g.n))
 		}
 	}
 }
@@ -545,18 +525,18 @@ func (g *GS) checkFields(dst, src [][]float64) {
 // exchange them by method m, finish the local-only ids, and scatter the
 // exchanged slots. Under Pairwise the local pass runs between posting the
 // messages and waiting for them, where it costs the exchange nothing.
-func (g *GS) run(dst, src [][]float64, op comm.ReduceOp, m Method, st *site, span string) {
-	g.checkFields(dst, src)
+func (g *GS) run(fields [][]float64, op comm.ReduceOp, m Method, st *site, span string) {
+	g.checkFields(fields)
 	g.rank.SetSite("gs_op")
 	defer g.rank.SetSite("")
 	defer g.spans.Span(span, obs.CatGS).End()
 
-	k, nr := len(src), len(g.ix.remID)
-	g.gatherRemote(st, src, op)
+	k, nr := len(fields), len(g.ix.remID)
+	g.gatherRemote(st, fields, op)
 	if m == Pairwise {
 		g.post(st, k)
 	}
-	g.localPass(dst, src, op)
+	g.localPass(fields, op)
 	switch m {
 	case Pairwise:
 		g.complete(st, k, op)
@@ -570,33 +550,33 @@ func (g *GS) run(dst, src [][]float64, op comm.ReduceOp, m Method, st *site, spa
 	default:
 		panic(fmt.Sprintf("gs: unknown method %d", int(m)))
 	}
-	g.scatterRemote(dst, st)
+	g.scatterRemote(fields, st)
 }
 
 // gatherRemote folds each field's remotely-shared slots into st's
 // partials, field-major: partial[fi*nr+slot].
-func (g *GS) gatherRemote(st *site, src [][]float64, op comm.ReduceOp) {
+func (g *GS) gatherRemote(st *site, fields [][]float64, op comm.ReduceOp) {
 	nr := len(g.ix.remID)
-	if cap(st.partial) < len(src)*nr {
-		st.partial = make([]float64, len(src)*nr)
+	if cap(st.partial) < len(fields)*nr {
+		st.partial = make([]float64, len(fields)*nr)
 	}
-	for fi, f := range src {
+	for fi, f := range fields {
 		gather(st.partial[fi*nr:(fi+1)*nr], f, g.ix.remOff, g.ix.remIdx, op)
 	}
 }
 
 // localPass finishes every local-only id of every field.
-func (g *GS) localPass(dst, src [][]float64, op comm.ReduceOp) {
-	for fi, f := range src {
-		g.ix.local(dst[fi], f, g.locVals, op)
+func (g *GS) localPass(fields [][]float64, op comm.ReduceOp) {
+	for _, f := range fields {
+		g.ix.local(f, g.locVals, op)
 	}
 }
 
 // scatterRemote writes st's exchanged partials to every occurrence of the
 // remotely-shared slots.
-func (g *GS) scatterRemote(dst [][]float64, st *site) {
+func (g *GS) scatterRemote(fields [][]float64, st *site) {
 	nr := len(g.ix.remID)
-	for fi, f := range dst {
+	for fi, f := range fields {
 		scatter(f, st.partial[fi*nr:(fi+1)*nr], g.ix.remOff, g.ix.remIdx)
 	}
 }

@@ -79,28 +79,28 @@ func buildIndex(t *Topology) (index, []int32) {
 	return ix, remOf
 }
 
-// local combines every local-only id's occurrences in src under op and
-// writes the result to each of them in dst (dst may be src). scratch
-// holds one value per local group.
-func (ix *index) local(dst, src, scratch []float64, op comm.ReduceOp) {
+// local combines every local-only id's occurrences in v under op and
+// writes the result back to each of them. scratch holds one value per
+// local group.
+func (ix *index) local(v, scratch []float64, op comm.ReduceOp) {
 	a, b := ix.pairA, ix.pairB[:len(ix.pairA)]
 	if op == comm.OpSum {
 		for k, ia := range a {
 			ib := b[k]
-			v := src[ia] + src[ib]
-			dst[ia], dst[ib] = v, v
+			s := v[ia] + v[ib]
+			v[ia], v[ib] = s, s
 		}
 	} else {
 		f := combiner(op)
 		for k, ia := range a {
 			ib := b[k]
-			v := f(src[ia], src[ib])
-			dst[ia], dst[ib] = v, v
+			s := f(v[ia], v[ib])
+			v[ia], v[ib] = s, s
 		}
 	}
 	if len(ix.locID) > 0 {
-		gather(scratch, src, ix.locOff, ix.locIdx, op)
-		scatter(dst, scratch, ix.locOff, ix.locIdx)
+		gather(scratch, v, ix.locOff, ix.locIdx, op)
+		scatter(v, scratch, ix.locOff, ix.locIdx)
 	}
 }
 

@@ -51,9 +51,9 @@ func refCombine(op comm.ReduceOp, a, b float64) float64 {
 }
 
 // refGS returns what a gather-scatter of vals (per rank) over ids must
-// leave in an output that held init: combined values on every occurrence
-// of an id that occurs more than once anywhere, init elsewhere.
-func refGS(ids [][]int64, vals, init [][]float64, op comm.ReduceOp) [][]float64 {
+// leave: combined values on every occurrence of an id that occurs more
+// than once anywhere, vals elsewhere.
+func refGS(ids [][]int64, vals [][]float64, op comm.ReduceOp) [][]float64 {
 	type at struct{ r, i int }
 	occ := map[int64][]at{}
 	for r := range ids {
@@ -63,9 +63,9 @@ func refGS(ids [][]int64, vals, init [][]float64, op comm.ReduceOp) [][]float64 
 			}
 		}
 	}
-	out := make([][]float64, len(init))
-	for r := range init {
-		out[r] = append([]float64(nil), init[r]...)
+	out := make([][]float64, len(vals))
+	for r := range vals {
+		out[r] = append([]float64(nil), vals[r]...)
 	}
 	for _, where := range occ {
 		if len(where) < 2 {
@@ -128,25 +128,23 @@ func mixedLayout(rng *rand.Rand, np int) [][]int64 {
 func checkGS(t *testing.T, seed int64, np int, op comm.ReduceOp, m Method) {
 	t.Helper()
 	const k = 3
-	const sentinel = 12345.0
 	rng := rand.New(rand.NewSource(seed))
 	ids := mixedLayout(rng, np)
 	pool := valuesFor(op, m)
-	// Field fi of rank r; the out-of-place destinations start as sentinel.
-	var vals, sent [k][][]float64
+	// Field fi of rank r.
+	var vals [k][][]float64
 	for fi := range vals {
-		vals[fi], sent[fi] = make([][]float64, np), make([][]float64, np)
+		vals[fi] = make([][]float64, np)
 		for r := range ids {
-			vals[fi][r], sent[fi][r] = make([]float64, len(ids[r])), make([]float64, len(ids[r]))
+			vals[fi][r] = make([]float64, len(ids[r]))
 			for i := range ids[r] {
-				vals[fi][r][i], sent[fi][r][i] = pool[rng.Intn(len(pool))], sentinel
+				vals[fi][r][i] = pool[rng.Intn(len(pool))]
 			}
 		}
 	}
-	var wantIn, wantOut [k][][]float64
+	var want [k][][]float64
 	for fi := range vals {
-		wantIn[fi] = refGS(ids, vals[fi], vals[fi], op)
-		wantOut[fi] = refGS(ids, vals[fi], sent[fi], op)
+		want[fi] = refGS(ids, vals[fi], op)
 	}
 
 	_, err := comm.RunSimple(np, func(r *comm.Rank) error {
@@ -175,34 +173,16 @@ func checkGS(t *testing.T, seed int64, np int, op comm.ReduceOp, m Method) {
 
 		v := fresh(&vals)
 		g.OpWith(v[0], op, m)
-		check("OpWith", v[:1], &wantIn)
-
-		v = fresh(&vals)
-		g.OpTo(v[0], v[0], op)
-		check("OpTo dst==src", v[:1], &wantIn)
-
-		v, d := fresh(&vals), fresh(&sent)
-		g.OpTo(d[0], v[0], op)
-		check("OpTo", d[:1], &wantOut)
-		check("OpTo source", v[:1], &vals)
+		check("OpWith", v[:1], &want)
 
 		v = fresh(&vals)
 		g.OpFields(v, op, m)
-		check("OpFields", v, &wantIn)
-
-		v, d = fresh(&vals), fresh(&sent)
-		g.OpFieldsTo(d, v, op, m)
-		check("OpFieldsTo", d, &wantOut)
+		check("OpFields", v, &want)
 
 		v = fresh(&vals)
-		pend.Begin(v, v, op)
+		pend.Begin(v, op)
 		pend.Finish()
-		check("Pending in place", v, &wantIn)
-
-		v, d = fresh(&vals), fresh(&sent)
-		pend.Begin(d, v, op)
-		pend.Finish()
-		check("Pending", d, &wantOut)
+		check("Pending", v, &want)
 
 		// A handle rebuilt from the extracted topology has the same lists.
 		g2, err := SetupFromTopology(r, g.Topology())

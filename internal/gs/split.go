@@ -25,13 +25,13 @@ import (
 //
 // Only the pairwise method runs split-phase; under the crystal router or
 // all_reduce (whose collectives cannot be posted halfway) Begin records
-// the arguments and Finish falls back to the blocking OpFieldsTo, so
+// the arguments and Finish falls back to the blocking OpFields, so
 // callers never need to special-case the tuned method.
 type Pending struct {
-	g        *GS
-	st       site // distinct tag per Pending, so concurrent exchanges never mix
-	op       comm.ReduceOp
-	dst, src [][]float64
+	g      *GS
+	st     site // distinct tag per Pending, so concurrent exchanges never mix
+	op     comm.ReduceOp
+	fields [][]float64
 
 	active   bool
 	fallback bool
@@ -48,23 +48,22 @@ func (g *GS) NewPending() *Pending {
 	return p
 }
 
-// Begin starts a gather-scatter of the k field vectors src into dst (dst
-// may be src; see OpTo for what is written): it gathers the
-// remotely-shared slots, posts one packed send per neighbor, and posts
-// the matching receives. The caller may then produce any src entries
-// that do not belong to remotely-shared groups (interior work) before
-// calling Finish. Begin/Finish pairs on the same Pending must not nest.
-func (p *Pending) Begin(dst, src [][]float64, op comm.ReduceOp) {
+// Begin starts an in-place gather-scatter of the k field vectors, as
+// OpFields: it gathers the remotely-shared slots, posts one packed send
+// per neighbor, and posts the matching receives. The caller may then
+// produce any entries that do not belong to remotely-shared groups
+// (interior work) before calling Finish. Begin/Finish pairs on the same
+// Pending must not nest.
+func (p *Pending) Begin(fields [][]float64, op comm.ReduceOp) {
 	if p.active {
 		panic("gs: Begin on an already-active Pending")
 	}
 	g := p.g
-	g.checkFields(dst, src)
+	g.checkFields(fields)
 	p.active = true
 	p.op = op
-	p.dst = append(p.dst[:0], dst...)
-	p.src = append(p.src[:0], src...)
-	p.fallback = g.method != Pairwise || len(src) == 0
+	p.fields = append(p.fields[:0], fields...)
+	p.fallback = g.method != Pairwise || len(fields) == 0
 	if p.fallback {
 		return
 	}
@@ -78,15 +77,15 @@ func (p *Pending) Begin(dst, src [][]float64, op comm.ReduceOp) {
 	// Every occurrence of a remotely-shared id lives on a boundary
 	// element, which the caller has finished before Begin. Local-only ids
 	// wait for Finish.
-	g.gatherRemote(&p.st, src, op)
-	g.post(&p.st, len(src))
+	g.gatherRemote(&p.st, fields, op)
+	g.post(&p.st, len(fields))
 }
 
 // Finish completes the exchange begun by Begin: it finishes the local-only
 // ids, waits for every neighbor's message (combining in ascending rank
-// order, as the blocking path does), scatters the exchanged slots into
-// dst, and accounts the communication time hidden behind the compute the
-// caller ran between Begin and Finish.
+// order, as the blocking path does), scatters the exchanged slots, and
+// accounts the communication time hidden behind the compute the caller
+// ran between Begin and Finish.
 func (p *Pending) Finish() {
 	if !p.active {
 		panic("gs: Finish without Begin")
@@ -94,7 +93,7 @@ func (p *Pending) Finish() {
 	p.active = false
 	g := p.g
 	if p.fallback {
-		g.OpFieldsTo(p.dst, p.src, p.op, g.method)
+		g.OpFields(p.fields, p.op, g.method)
 		return
 	}
 
@@ -104,26 +103,14 @@ func (p *Pending) Finish() {
 	defer g.spans.Span("gs_finish", obs.CatGS).End()
 
 	// Now that the caller's interior phase has produced every vector entry.
-	g.localPass(p.dst, p.src, p.op)
+	g.localPass(p.fields, p.op)
 
 	// The compute between Begin and Finish ends here; anything the wire
 	// delivered before this instant was hidden behind it.
 	computeEnd := r.Clock().Now()
-	lastArrival := max(p.t0, g.complete(&p.st, len(p.src), p.op))
+	lastArrival := max(p.t0, g.complete(&p.st, len(p.fields), p.op))
 	if len(g.neighbors) > 0 {
 		r.Clock().AccountOverlap(p.t0, computeEnd, lastArrival)
 	}
-	g.scatterRemote(p.dst, &p.st)
-}
-
-// RemoteShared reports, per vector index of the setup id layout, whether
-// that entry's id is held by another rank. Solvers use it to classify
-// elements into boundary (any remotely-shared face point) and interior
-// sets for compute/communication overlap.
-func (g *GS) RemoteShared() []bool {
-	out := make([]bool, g.n)
-	for _, idx := range g.ix.remIdx {
-		out[idx] = true
-	}
-	return out
+	g.scatterRemote(p.fields, &p.st)
 }

@@ -40,7 +40,7 @@ func TestSplitMatchesBlocking(t *testing.T) {
 				// Split run: remotely-shared entries are ready at Begin,
 				// everything else is poisoned until the "interior" phase
 				// between Begin and Finish.
-				shared := g.RemoteShared()
+				shared := remoteShared(g.Topology())
 				got := make([][]float64, 3)
 				for fi := range got {
 					got[fi] = make([]float64, len(final))
@@ -53,7 +53,7 @@ func TestSplitMatchesBlocking(t *testing.T) {
 					}
 				}
 				pend := g.NewPending()
-				pend.Begin(got, got, op)
+				pend.Begin(got, op)
 				for fi := range got {
 					for i := range final {
 						if !shared[i] {
@@ -97,7 +97,7 @@ func TestSplitReuse(t *testing.T) {
 			want := append([]float64(nil), vals...)
 			g.OpFields([][]float64{want}, comm.OpSum, Pairwise)
 			f := [][]float64{vals}
-			pend.Begin(f, f, comm.OpSum)
+			pend.Begin(f, comm.OpSum)
 			pend.Finish()
 			for i := range vals {
 				if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
@@ -130,7 +130,7 @@ func TestSplitOverlapAccounting(t *testing.T) {
 		pend := g.NewPending()
 		for step := 0; step < 3; step++ {
 			f := [][]float64{vals}
-			pend.Begin(f, f, comm.OpSum)
+			pend.Begin(f, comm.OpSum)
 			r.Clock().Advance(computeDt) // the overlapped interior phase
 			pend.Finish()
 		}
@@ -157,8 +157,22 @@ func BenchmarkGSAllocSplitFields(b *testing.B) {
 		}
 		pend := g.NewPending()
 		steadyLoop(b, r, func() {
-			pend.Begin(fields, fields, comm.OpSum)
+			pend.Begin(fields, comm.OpSum)
 			pend.Finish()
 		})
 	})
+}
+
+// remoteShared marks the vector indices whose id another rank holds: the
+// groups of every slot the topology shares with a neighbor.
+func remoteShared(t *Topology) []bool {
+	out := make([]bool, t.N)
+	for _, nb := range t.Neighbors {
+		for _, slot := range nb.Slots {
+			for _, i := range t.Groups[slot] {
+				out[i] = true
+			}
+		}
+	}
+	return out
 }

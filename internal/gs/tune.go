@@ -158,9 +158,9 @@ type LocalRate struct {
 // kernels a rate. Not collective; the handle's state is untouched.
 func (g *GS) LocalRate(trials int) LocalRate {
 	ix := &g.ix
-	src, dst := make([]float64, g.n), make([]float64, g.n)
-	for i := range src {
-		src[i] = float64(i%13) + 0.5
+	v := make([]float64, g.n)
+	for i := range v {
+		v[i] = float64(i%13) + 0.5
 	}
 	partial := make([]float64, len(ix.remID))
 	points := 2*len(ix.pairA) + len(ix.locIdx) + len(ix.remIdx)
@@ -169,9 +169,9 @@ func (g *GS) LocalRate(trials int) LocalRate {
 	best := math.Inf(1)
 	for t := 0; t < max(trials, 1); t++ {
 		start := time.Now()
-		gather(partial, src, ix.remOff, ix.remIdx, comm.OpSum)
-		ix.local(dst, src, g.locVals, comm.OpSum)
-		scatter(dst, partial, ix.remOff, ix.remIdx)
+		gather(partial, v, ix.remOff, ix.remIdx, comm.OpSum)
+		ix.local(v, g.locVals, comm.OpSum)
+		scatter(v, partial, ix.remOff, ix.remIdx)
 		best = min(best, time.Since(start).Seconds())
 	}
 	if points == 0 {

@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/diag"
+	"repro/internal/solver"
 )
 
 // JobState is the lifecycle of a submitted job.
@@ -77,9 +79,9 @@ type Job struct {
 	err   string
 
 	// Scheduling bookkeeping (guarded by the server mutex, not job.mu).
-	slot        int // current/last slot, -1 before first dispatch
-	resumeStep  int // first step of the next segment (0 = fresh start)
-	snaps       [][]byte
+	slot        int             // current/last slot, -1 before first dispatch
+	resumeStep  int             // first step of the next segment (0 = fresh start)
+	ckpt        *checkpoint.Mem // suspend image and auto-checkpoints; nil once terminal
 	preemptions int
 	resumes     int
 	slots       []int // slot history, one entry per segment
@@ -99,7 +101,7 @@ type Job struct {
 }
 
 func newJob(id, seq int64, spec JobSpec) *Job {
-	j := &Job{ID: id, Spec: spec, seq: seq, slot: -1, state: StateQueued, submitted: time.Now()}
+	j := &Job{ID: id, Spec: spec, seq: seq, slot: -1, state: StateQueued, submitted: time.Now(), ckpt: new(checkpoint.Mem)}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -119,22 +121,19 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// fail records a terminal error.
-func (j *Job) fail(err error) {
+// appendStep publishes one step event (from rank 0 of the running job)
+// and returns the time to first step for the job's first event, else 0.
+// A step replayed after a crash rollback replaces its event.
+func (j *Job) appendStep(ev StepEvent) (ttfs float64) {
 	j.mu.Lock()
-	j.state = StateFailed
-	j.err = err.Error()
+	defer j.mu.Unlock()
+	if len(j.steps) == 0 {
+		j.ttfs = time.Since(j.submitted).Seconds()
+		ttfs = j.ttfs
+	}
+	j.steps = append(j.steps[:ev.Step], ev)
 	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
-// appendStep publishes one step event (called from rank 0 of the
-// running job only).
-func (j *Job) appendStep(ev StepEvent) {
-	j.mu.Lock()
-	j.steps = append(j.steps, ev)
-	j.cond.Broadcast()
-	j.mu.Unlock()
+	return ttfs
 }
 
 // stepsFrom copies step events starting at index from; it does not
@@ -191,7 +190,7 @@ type Status struct {
 func (j *Job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
+	return Status{
 		ID: j.ID, Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
 		State: j.state, Error: j.err,
 		StepsDone: len(j.steps), StepBudget: j.Spec.withDefaults().Steps,
@@ -200,13 +199,12 @@ func (j *Job) status() Status {
 		TTFSSeconds: j.ttfs, SetupSecs: j.setupS, PreemptLatS: j.preemptLat,
 		Result: j.result,
 	}
-	return st
 }
 
 // resultFrom assembles the terminal summary.
-func resultFrom(steps int, dt, mass, energy, lambda float64, d diag.Summary, makespan float64, gsMethod string) *Result {
+func resultFrom(rep solver.Report, d diag.Summary, makespan float64, gsMethod string) *Result {
 	return &Result{
-		Steps: steps, Dt: dt, Mass: mass, Energy: energy, WaveSpeed: lambda,
+		Steps: rep.Steps, Dt: rep.Dt, Mass: rep.Mass, Energy: rep.Energy, WaveSpeed: rep.WaveSpeed,
 		KineticEn: d.KineticEnergy, InternalEn: d.InternalEnergy, MaxMach: d.MaxMach,
 		MakespanS: makespan, GSMethod: gsMethod,
 	}

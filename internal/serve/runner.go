@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -14,23 +13,30 @@ import (
 )
 
 // segment is the outcome of one dispatch: a job runs in segments
-// separated by suspensions, each segment one comm.Run on one slot.
+// separated by suspensions, each segment one fault.Runner run on one
+// slot, written by its reporting rank (topo: by every rank).
 type segment struct {
-	mu        sync.Mutex
-	canceled  bool
-	snaps     [][]byte // non-nil when the segment suspended
-	stopStep  int      // first step of the next segment after a suspend
-	report    solver.Report
-	diag      diag.Summary
-	completed bool
-	topo      []*gs.Topology // extracted on cold runs for the cache
+	reported bool
+	ctl      int64         // ctlSuspend: the store holds the images of step report.Steps
+	report   solver.Report // the step reached, and the final scalars if the budget was spent
+	diag     diag.Summary
+	topo     []*gs.Topology // extracted on cold runs for the cache
 }
+
+// A faulted job's heartbeat and auto-checkpoint periods, in steps, and
+// the set a suspend writes into the job's store.
+const (
+	heartbeatEvery = 1
+	ckptEvery      = 10
+	suspendTag     = "suspend"
+)
 
 // runSegment executes one segment of job j on the given slot: build the
 // solver on every rank (reusing cached artifacts), restore the suspend
-// image or set the initial condition, then step until the budget is
-// spent or the ranks collectively observe a suspend/cancel flag. Runs on
-// its own goroutine; rejoins the scheduler through segmentExit.
+// image or set the initial condition, then run fault.Runner until the
+// budget is spent or the ranks collectively observe a suspend/cancel
+// flag in its step hook. Runs on its own goroutine; rejoins the
+// scheduler through segmentExit.
 func (s *Server) runSegment(j *Job, slot int) {
 	defer s.wg.Done()
 	spec := j.Spec.withDefaults()
@@ -45,20 +51,23 @@ func (s *Server) runSegment(j *Job, slot int) {
 	jobReg := s.metrics.WithPrefix(fmt.Sprintf("job%d_", j.ID))
 	cfg.Metrics = jobReg
 
-	opts := comm.Options{Model: model, Grid: cfg.ProcGrid, Periodic: cfg.Periodic}
+	opts := cfg.CommOptions(model)
+	fcfg := fault.Config{Spec: spec.Faults, Store: j.ckpt, HeartbeatEvery: heartbeatEvery, Metrics: jobReg}
 	if spec.Faults != nil {
 		opts.Faults = fault.NewInjector(spec.Faults, spec.Ranks, jobReg)
+		fcfg.CkptEvery = ckptEvery
 	}
-
-	resume := j.snaps // scheduler wrote these before dispatch; stable now
 	startStep := j.resumeStep
-	firstSegment := resume == nil
+	firstSegment := startStep == 0
 	if firstSegment {
 		j.mu.Lock()
 		j.cacheHit = warm
 		j.mu.Unlock()
 	}
 	seg := &segment{}
+	if !warm {
+		seg.topo = make([]*gs.Topology, spec.Ranks)
+	}
 	segStart := time.Now()
 
 	stats, runErr := comm.Run(spec.Ranks, opts, func(r *comm.Rank) error {
@@ -66,117 +75,80 @@ func (s *Server) runSegment(j *Job, slot int) {
 		if err != nil {
 			return err
 		}
-		defer sv.Close()
-		if resume != nil {
-			_, tm, err := checkpoint.RestoreBytes(sv, resume[r.ID()])
-			if err != nil {
-				return err
-			}
-			sv.SetSimTime(tm)
-		} else {
+		if firstSegment {
 			sv.SetInitial(solver.GaussianPulse(
 				float64(cfg.ElemGrid[0])/2, float64(cfg.ElemGrid[1])/2, float64(cfg.ElemGrid[2])/2,
 				0.1, 0.5))
-		}
-		if r.ID() == 0 && firstSegment {
-			j.mu.Lock()
-			j.setupS = time.Since(segStart).Seconds()
-			j.mu.Unlock()
-		}
-
-		var dt float64
-		stop := ctlNone
-		step := startStep
-		for step < spec.Steps {
-			dt = sv.AdvanceStep(step)
-			step++
 			if r.ID() == 0 {
-				if step == 1 {
-					t := time.Since(j.submitted).Seconds()
-					j.mu.Lock()
-					j.ttfs = t
-					j.mu.Unlock()
-					s.hTTFS.Observe(t)
-				}
-				j.appendStep(StepEvent{Step: step - 1, Dt: dt, SimTime: sv.SimTime(), VT: r.Clock().Now()})
+				j.mu.Lock()
+				j.setupS = time.Since(segStart).Seconds()
+				j.mu.Unlock()
 			}
-			// All ranks agree on the control flag at the same step
-			// boundary — a collective max, so a flag raised mid-step is
-			// either seen by everyone or by no one this step. Individual
-			// flag reads would let ranks part ways and deadlock.
-			ctl := r.AllreduceInts(comm.OpMax, []int64{j.ctl.Load()})
-			if ctl[0] != ctlNone {
-				stop = ctl[0]
-				break
-			}
-		}
-
-		switch {
-		case stop == ctlCancel:
-			if r.ID() == 0 {
-				seg.mu.Lock()
-				seg.canceled = true
-				seg.mu.Unlock()
-			}
-		case stop == ctlSuspend:
-			buf, err := checkpoint.WriteBytes(sv, int64(step), sv.SimTime())
+		} else {
+			_, tm, err := checkpoint.RestoreRemapped(sv, j.ckpt, suspendTag, spec.Ranks)
 			if err != nil {
+				sv.Close()
 				return err
 			}
-			seg.mu.Lock()
-			if seg.snaps == nil {
-				seg.snaps = make([][]byte, spec.Ranks)
-			}
-			seg.snaps[r.ID()] = buf
-			seg.stopStep = step
-			seg.mu.Unlock()
-		default: // budget spent: the collective finish
-			rep := sv.FinishReport(spec.Steps, dt)
-			d := diag.Compute(sv)
-			if r.ID() == 0 {
-				seg.mu.Lock()
-				seg.report, seg.diag, seg.completed = rep, d, true
-				seg.mu.Unlock()
-			}
+			sv.SetSimTime(tm)
 		}
 
-		if !warm {
-			seg.mu.Lock()
-			if seg.topo == nil {
-				seg.topo = make([]*gs.Topology, spec.Ranks)
+		ctl := ctlNone
+		fc := fcfg
+		fc.Hook = func(step int, dt float64, sv *solver.Solver) bool {
+			if sv.Rank.ID() == 0 {
+				ev := StepEvent{Step: step, Dt: dt, SimTime: sv.SimTime(), VT: sv.Rank.Clock().Now()}
+				if ttfs := j.appendStep(ev); ttfs > 0 {
+					s.hTTFS.Observe(ttfs)
+				}
 			}
+			// A collective max: every rank takes the same exit at the same
+			// step; individual flag reads would let ranks part ways.
+			ctl = sv.Rank.AllreduceInts(comm.OpMax, []int64{j.ctl.Load()})[0]
+			return ctl != ctlNone
+		}
+		rn, err := fault.NewRunner(sv, fc)
+		if err != nil {
+			sv.Close()
+			return err
+		}
+		defer rn.Close()
+		rep, err := rn.Run(startStep, spec.Steps, nil)
+		if err != nil {
+			return err
+		}
+		sv = rn.Solver()
+		var d diag.Summary
+		switch {
+		case ctl == ctlSuspend && rep.Steps < spec.Steps:
+			if err := j.ckpt.Write(suspendTag, sv, int64(rep.Steps), sv.SimTime()); err != nil {
+				return err
+			}
+		case ctl != ctlCancel: // budget spent: the collective finish
+			ctl, d = ctlNone, diag.Compute(sv)
+		}
+		// After a recovery the runner's solver lives on the survivors,
+		// and its rank 0 — the lowest survivor — reports.
+		if sv.Rank.ID() == 0 {
+			seg.reported, seg.ctl, seg.report, seg.diag = true, ctl, rep, d
+		}
+		if !warm {
 			seg.topo[r.ID()] = sv.GS().Topology()
-			seg.mu.Unlock()
 		}
 		return nil
 	})
 
 	var makespan float64
 	if stats != nil {
-		for _, vt := range stats.VirtualTimes {
-			if vt > makespan {
-				makespan = vt
-			}
-		}
+		makespan = stats.MaxVirtualTime()
 	}
-	if runErr == nil {
-		s.cache.donate(key, completeTopo(seg.topo, spec.Ranks))
+	// Every rank of a run with no error and no kill filled its entry; a
+	// run with a kill recovered onto the survivors' partition, whose
+	// topologies are not the cache key's.
+	if runErr == nil && len(stats.Killed) == 0 {
+		s.cache.donate(key, seg.topo)
 	}
 	s.segmentExit(j, slot, spec, seg, runErr, makespan, time.Since(segStart).Seconds())
-}
-
-// completeTopo returns topo only when every rank contributed (an errored
-// run may leave holes, and a partial table must never enter the cache).
-func completeTopo(topo []*gs.Topology, ranks int) []*gs.Topology {
-	if len(topo) != ranks {
-		return nil
-	}
-	for _, t := range topo {
-		if t == nil {
-			return nil
-		}
-	}
-	return topo
 }
 
 // segmentExit rejoins the scheduler: free the slot, charge the tenant's
@@ -195,17 +167,16 @@ func (s *Server) segmentExit(j *Job, slot int, spec JobSpec, seg *segment, runEr
 
 	switch {
 	case runErr != nil:
-		j.snaps = nil
-		j.fail(runErr)
-		s.metrics.Counter("serve_jobs_failed").Add(1)
-	case seg.canceled || j.cancel.Load():
-		j.snaps = nil
-		j.setState(StateCanceled)
-		s.metrics.Counter("serve_jobs_canceled").Add(1)
-	case seg.snaps != nil:
-		// Preempted: hold the images and rejoin the queue.
-		j.snaps = seg.snaps
-		j.resumeStep = seg.stopStep
+		s.endLocked(j, StateFailed, nil, runErr)
+	case seg.ctl == ctlCancel || j.cancel.Load():
+		s.endLocked(j, StateCanceled, nil, nil)
+	case !seg.reported:
+		// A run that reported no outcome and no error (every rank
+		// killed, say) must not hang the job.
+		s.endLocked(j, StateFailed, nil, fmt.Errorf("serve: job %d segment ended with no outcome", j.ID))
+	case seg.ctl == ctlSuspend:
+		// Preempted: the store holds the images; rejoin the queue.
+		j.resumeStep = seg.report.Steps
 		lat := time.Since(j.preemptReq).Seconds()
 		j.mu.Lock()
 		j.preemptions++
@@ -215,22 +186,8 @@ func (s *Server) segmentExit(j *Job, slot int, spec JobSpec, seg *segment, runEr
 		s.metrics.Counter("serve_preemptions").Add(1)
 		j.setState(StateSuspended)
 		s.queue = append(s.queue, j)
-	case seg.completed:
-		res := resultFrom(spec.Steps, seg.report.Dt, seg.report.Mass, seg.report.Energy,
-			seg.report.WaveSpeed, seg.diag, 0, spec.GS)
-		j.mu.Lock()
-		res.MakespanS = j.makespan
-		j.result = res
-		j.state = StateDone
-		j.snaps = nil
-		j.cond.Broadcast()
-		j.mu.Unlock()
-		s.metrics.Counter("serve_jobs_done").Add(1)
 	default:
-		// A run that neither completed, suspended, nor canceled and
-		// reported no error cannot happen; fail loudly rather than hang.
-		j.fail(fmt.Errorf("serve: job %d segment ended with no outcome", j.ID))
-		s.metrics.Counter("serve_jobs_failed").Add(1)
+		s.endLocked(j, StateDone, resultFrom(seg.report, seg.diag, j.makespan, spec.GS), nil)
 	}
 	s.scheduleLocked()
 }

@@ -3,14 +3,14 @@
 // specs (mesh size, order, physics flags, fault scenario, step budget)
 // tagged with a tenant id and a priority; the server admits them against
 // a limits policy, queues them with per-tenant quotas and fair-share
-// accounting, and executes each job as one comm.Run over a fixed pool of
-// runner slots. Higher-priority submissions preempt running jobs through
-// the in-memory checkpoint path: the victim's ranks collectively agree on
-// a suspend step, serialize their state with checkpoint.WriteBytes, vacate
-// the slot, and later resume — possibly on a different slot — with
-// bit-identical final results. Setup artifacts (reference-element
-// operators, gather-scatter topologies) are cached by mesh shape, so
-// repeat submissions skip the discovery collectives.
+// accounting, and executes each job as fault.Runner runs over a fixed
+// pool of runner slots. Higher-priority submissions preempt running jobs
+// through the runner's step hook: the victim's ranks collectively agree
+// on a suspend step, write their state into the job's in-memory
+// checkpoint store, vacate the slot, and later resume — possibly on a
+// different slot — with bit-identical final results. Setup artifacts
+// (reference-element operators, gather-scatter topologies) are cached by
+// mesh shape, so repeat submissions skip the discovery collectives.
 package serve
 
 import (
@@ -157,13 +157,25 @@ func (s *Server) cancelLocked(j *Job) {
 	switch j.State() {
 	case StateQueued, StateSuspended:
 		s.dropFromQueueLocked(j)
-		j.snaps = nil
-		j.setState(StateCanceled)
-		s.metrics.Counter("serve_jobs_canceled").Add(1)
+		s.endLocked(j, StateCanceled, nil, nil)
 		s.scheduleLocked()
 	case StateRunning, StateSuspending:
 		j.ctl.Store(ctlCancel)
 	}
+}
+
+// endLocked moves j to terminal state st with its result or error,
+// releases its checkpoint store and counts it (serve_jobs_<state>).
+func (s *Server) endLocked(j *Job, st JobState, res *Result, err error) {
+	j.ckpt = nil
+	j.mu.Lock()
+	j.state, j.result = st, res
+	if err != nil {
+		j.err = err.Error()
+	}
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	s.metrics.Counter("serve_jobs_" + string(st)).Add(1)
 }
 
 // jobStatus snapshots one job under the server mutex, which guards the
@@ -313,7 +325,7 @@ func (s *Server) dispatchLocked(j *Job, slot int) {
 	s.dropFromQueueLocked(j)
 	j.slot = slot
 	j.slots = append(j.slots, slot)
-	if j.snaps != nil {
+	if j.resumeStep > 0 {
 		j.resumes++
 		s.metrics.Counter("serve_resumes").Add(1)
 	}

@@ -14,6 +14,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/comm"
+	"repro/internal/diag"
+	"repro/internal/fault"
+	"repro/internal/solver"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, Status) {
@@ -49,7 +55,7 @@ func TestSubmitBadSpecIs400WithReason(t *testing.T) {
 		{`{"tenant":"a","steps":-4}`, "steps"},
 		{`{"tenant":"a","gs":"telepathy"}`, "gs"},
 		{`{"tenant":"a","local_elems":9,"ranks":16}`, "elements"},
-		{`{"tenant":"a","faults":{"crashes":[{"rank":1,"step":2}]}}`, "crash/stall"},
+		{`{"tenant":"a","ranks":2,"faults":{"crashes":[{"rank":2,"step":2}]}}`, "crash rank 2 outside [0,2)"},
 		{`{"tenant":"a","unknown_knob":true}`, "unknown_knob"},
 		{`not json`, "bad job spec"},
 	}
@@ -490,3 +496,90 @@ func TestFairSharePick(t *testing.T) {
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
+
+// TestCrashJobRecovers: a 4-rank job whose world rank 0 crashes after
+// its first auto-checkpoint ends done on the survivors. Its step stream
+// counts each step once although the survivors replay two of them, and
+// its result — reported by the lowest survivor — is bit-identical to the
+// same scenario run directly through fault.Runner over a directory
+// store, so the memory and directory stores are interchangeable (the
+// plain job's integrals may differ in the last bits: the survivors sum
+// them over three ranks, not four). A recovered run donates nothing to
+// the setup cache; the crash job
+// submitted after a plain job of its shape starts from the cached gs
+// topologies, which recovery must not carry onto the survivors'
+// partition.
+func TestCrashJobRecovers(t *testing.T) {
+	spec := JobSpec{Tenant: "t", Ranks: 4, Steps: ckptEvery + 5, Faults: &fault.Spec{
+		Seed: 3, Crashes: []fault.CrashSpec{{Rank: 0, Step: ckptEvery + 2}},
+	}}
+	plain := spec
+	plain.Faults = nil
+	want := runDirect(t, spec)
+
+	srv := New(Config{Slots: 1})
+	defer srv.Shutdown()
+	for i, sp := range []JobSpec{spec, plain, spec} {
+		j, err := srv.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.WaitJob(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone || st.Result == nil {
+			t.Fatalf("submission %d: state %s (%s)", i, st.State, st.Error)
+		}
+		if st.CacheHit != (i == 2) {
+			t.Fatalf("submission %d: cache_hit %v", i, st.CacheHit)
+		}
+		if st.StepsDone != spec.Steps {
+			t.Fatalf("submission %d: %d steps done, want %d", i, st.StepsDone, spec.Steps)
+		}
+		if sp.Faults != nil && !sameResult(st.Result, want) {
+			t.Fatalf("submission %d: result differs from the direct crash run:\n  got  %+v\n  want %+v", i, st.Result, want)
+		}
+	}
+}
+
+// runDirect runs a faulted spec the way cmtbone does: one comm.Run, the
+// steps through fault.Runner with auto-checkpoints in a directory, the
+// summary from the lowest survivor.
+func runDirect(t *testing.T, spec JobSpec) *Result {
+	t.Helper()
+	spec = spec.withDefaults()
+	cfg, model := spec.solverConfig()
+	opts := comm.Options{Model: model, Grid: cfg.ProcGrid, Periodic: cfg.Periodic,
+		Faults: fault.NewInjector(spec.Faults, spec.Ranks, nil)}
+	store := checkpoint.Dir(t.TempDir())
+	var res *Result
+	_, err := comm.Run(spec.Ranks, opts, func(r *comm.Rank) error {
+		s, err := solver.New(r, cfg)
+		if err != nil {
+			return err
+		}
+		s.SetInitial(solver.GaussianPulse( // every job's initial condition
+			float64(cfg.ElemGrid[0])/2, float64(cfg.ElemGrid[1])/2, float64(cfg.ElemGrid[2])/2,
+			0.1, 0.5))
+		rn, err := fault.NewRunner(s, fault.Config{Spec: spec.Faults, Store: store, CkptEvery: ckptEvery})
+		if err != nil {
+			s.Close()
+			return err
+		}
+		defer rn.Close()
+		rep, err := rn.Run(0, spec.Steps, nil)
+		if err != nil {
+			return err
+		}
+		d := diag.Compute(rn.Solver())
+		if rn.Solver().Rank.ID() == 0 {
+			res = resultFrom(rep, d, 0, spec.GS)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}

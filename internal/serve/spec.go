@@ -50,10 +50,9 @@ type JobSpec struct {
 	// provide the wall-clock parallelism in a shared server).
 	Workers int `json:"workers,omitempty"`
 
-	// Faults, when non-nil, is a deterministic message-fault scenario
-	// (drop/corrupt/delay rates; CRC framing and retransmission keep
-	// results exact). Crash and stall scenarios need the disk
-	// checkpoint/heartbeat runner and are rejected at admission. A
+	// Faults, when non-nil, is a deterministic fault scenario (message
+	// faults, stalls, crashes), run as cmtbone runs it: a crash is
+	// recovered on the survivors from in-memory auto-checkpoints. A
 	// faulted job is not preemptible: its fault windows are defined on
 	// the virtual clock, which restarts on resume.
 	Faults *fault.Spec `json:"faults,omitempty"`
@@ -193,8 +192,8 @@ func (sp JobSpec) Validate(lim Limits) error {
 		if err := sp.Faults.Validate(); err != nil {
 			return fmt.Errorf("faults: %v", err)
 		}
-		if len(sp.Faults.Crashes) > 0 || len(sp.Faults.Stalls) > 0 {
-			return fmt.Errorf("faults: crash/stall scenarios need the disk-checkpoint runner; only message faults are served")
+		if err := sp.Faults.CheckRun(sp.Ranks, heartbeatEvery); err != nil {
+			return fmt.Errorf("faults: %v", err)
 		}
 	}
 	return nil

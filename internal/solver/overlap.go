@@ -97,8 +97,8 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.saveOwn(&s.ownU, &s.faceU)
 		s.saveOwn(&s.ownF, &s.faceF)
-		s.pendU.Begin(s.faceU[:], s.faceU[:], comm.OpSum)
-		s.pendF.Begin(s.faceF[:], s.faceF[:], comm.OpSum)
+		s.pendU.Begin(s.faceU[:], comm.OpSum)
+		s.pendF.Begin(s.faceF[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, false)
@@ -117,13 +117,13 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		s.faceRuns(in, s.bndRuns, false)
 		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.saveOwn(&s.ownU, &s.faceU)
-		s.pendU.Begin(s.faceU[:], s.faceU[:], comm.OpSum)
+		s.pendU.Begin(s.faceU[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.bndRuns, true)
 		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.saveOwn(&s.ownF, &s.faceF)
-		s.pendF.Begin(s.faceF[:], s.faceF[:], comm.OpSum)
+		s.pendF.Begin(s.faceF[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(in, s.intRuns, true)

@@ -58,7 +58,7 @@ func TestFacePairing(t *testing.T) {
 				}
 				link, remote, ids := s.FacePairing()
 				full[r.ID()], masked[r.ID()] = s.Local.DGFaceIDs(), ids
-				shared := gs.Setup(r, full[r.ID()]).RemoteShared()
+				shared := remoteShared(gs.Setup(r, full[r.ID()]).Topology())
 				if err := checkLinks(tc.cfg.N, full[r.ID()], link); err != nil {
 					return fmt.Errorf("rank %d: %w", r.ID(), err)
 				}
@@ -261,4 +261,18 @@ func TestCachedTopologyWithInRankPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// remoteShared marks the vector indices whose id another rank holds: the
+// groups of every slot the topology shares with a neighbor.
+func remoteShared(t *gs.Topology) []bool {
+	out := make([]bool, t.N)
+	for _, nb := range t.Neighbors {
+		for _, slot := range nb.Slots {
+			for _, i := range t.Groups[slot] {
+				out[i] = true
+			}
+		}
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/loadbal"
@@ -30,6 +31,11 @@ type matrixSetup struct {
 	spec      *fault.Spec
 	ckptEvery int
 	loadbal   bool
+	// preemptAt, when positive, stops the run through the runner's hook
+	// once it reaches that step, writes a suspend image into a memory
+	// store and resumes from it in a fresh comm.Run — the server's
+	// preemption path.
+	preemptAt int
 	reg       *obs.Registry
 	tel       *obs.Tracer
 	coll      *obs.StepCollector
@@ -67,56 +73,81 @@ func runMatrix(t *testing.T, physics func(*solver.Config), option func(*matrixSe
 		inj = fault.NewInjector(m.spec, matrixRanks, nil)
 		m.opts.Faults = inj
 	}
-	dir := t.TempDir()
+	dir := checkpoint.Dir(t.TempDir())
+	suspended := new(checkpoint.Mem)
 	res := matrixResult{
 		state: map[int64][]float64{}, reports: map[int]solver.Report{}, lbs: map[int]*loadbal.Balancer{},
 		inj: inj, reg: m.reg, tel: m.tel,
 	}
 	var mu sync.Mutex
-	stats, err := comm.Run(matrixRanks, m.opts, func(r *comm.Rank) error {
-		s, err := solver.New(r, m.cfg)
-		if err != nil {
-			return err
-		}
-		s.SetInitial(solver.GaussianPulse(
-			float64(m.cfg.ElemGrid[0])/2, float64(m.cfg.ElemGrid[1])/2, float64(m.cfg.ElemGrid[2])/2,
-			0.1, 0.5))
-		var rep solver.Report
-		var b *loadbal.Balancer
-		if plain {
-			defer s.Close()
-			rep = s.Run(matrixSteps)
-		} else {
-			if m.loadbal {
-				b = loadbal.New(s, nil, m.reg, loadbal.Config{Every: 2})
-			}
-			rn, err := fault.NewRunner(s, fault.Config{Spec: m.spec, CkptDir: dir, CkptEvery: m.ckptEvery})
+	// segment runs the steps from first on; a preempt row's first
+	// segment stops at preemptAt and the second resumes from its image.
+	segment := func(first int) (*comm.Stats, error) {
+		return comm.Run(matrixRanks, m.opts, func(r *comm.Rank) error {
+			s, err := solver.New(r, m.cfg)
 			if err != nil {
-				s.Close()
 				return err
 			}
-			defer rn.Close()
-			if rep, err = rn.Run(matrixSteps, b); err != nil {
-				return err
+			if first > 0 {
+				_, tm, err := checkpoint.RestoreRemapped(s, suspended, "suspend", matrixRanks)
+				if err != nil {
+					s.Close()
+					return err
+				}
+				s.SetSimTime(tm)
+			} else {
+				s.SetInitial(solver.GaussianPulse(
+					float64(m.cfg.ElemGrid[0])/2, float64(m.cfg.ElemGrid[1])/2, float64(m.cfg.ElemGrid[2])/2,
+					0.1, 0.5))
 			}
-			s = rn.Solver()
-		}
-		n3 := s.Cfg.N * s.Cfg.N * s.Cfg.N
-		mu.Lock()
-		defer mu.Unlock()
-		for e := 0; e < s.Local.Nel; e++ {
-			flat := make([]float64, 0, solver.NumFields*n3)
-			for c := 0; c < solver.NumFields; c++ {
-				flat = append(flat, s.U[c][e*n3:(e+1)*n3]...)
+			var rep solver.Report
+			var b *loadbal.Balancer
+			if plain {
+				defer s.Close()
+				rep = s.Run(matrixSteps)
+			} else {
+				if m.loadbal {
+					b = loadbal.New(s, nil, m.reg, loadbal.Config{Every: 2})
+				}
+				fcfg := fault.Config{Spec: m.spec, Store: dir, CkptEvery: m.ckptEvery}
+				if m.preemptAt > 0 && first == 0 {
+					fcfg.Hook = func(step int, _ float64, _ *solver.Solver) bool { return step+1 == m.preemptAt }
+				}
+				rn, err := fault.NewRunner(s, fcfg)
+				if err != nil {
+					s.Close()
+					return err
+				}
+				defer rn.Close()
+				if rep, err = rn.Run(first, matrixSteps, b); err != nil {
+					return err
+				}
+				s = rn.Solver()
+				if rep.Steps < matrixSteps {
+					return suspended.Write("suspend", s, int64(rep.Steps), s.SimTime())
+				}
 			}
-			res.state[s.Local.GID(e)] = flat
-		}
-		res.reports[r.WorldID()] = rep
-		if b != nil {
-			res.lbs[r.WorldID()] = b
-		}
-		return nil
-	})
+			n3 := s.Cfg.N * s.Cfg.N * s.Cfg.N
+			mu.Lock()
+			defer mu.Unlock()
+			for e := 0; e < s.Local.Nel; e++ {
+				flat := make([]float64, 0, solver.NumFields*n3)
+				for c := 0; c < solver.NumFields; c++ {
+					flat = append(flat, s.U[c][e*n3:(e+1)*n3]...)
+				}
+				res.state[s.Local.GID(e)] = flat
+			}
+			res.reports[r.WorldID()] = rep
+			if b != nil {
+				res.lbs[r.WorldID()] = b
+			}
+			return nil
+		})
+	}
+	stats, err := segment(0)
+	if err == nil && m.preemptAt > 0 && !plain {
+		stats, err = segment(m.preemptAt)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +188,8 @@ func messageFaults(m *matrixSetup) {
 		DelaySeconds: 2e-6, RetransmitSeconds: 1e-5,
 	}}
 }
+
+func preempt3(m *matrixSetup) { m.preemptAt = 3 }
 
 func crash5(m *matrixSetup) {
 	m.spec = &fault.Spec{Seed: 7, Crashes: []fault.CrashSpec{{Rank: 5, Step: 4}}}
@@ -261,6 +294,12 @@ func TestOptionMatrixInvariance(t *testing.T) {
 			option: func(m *matrixSetup) { crash5(m); hier(m) },
 			check:  checkCrash,
 		},
+		// The server's preemption: stop through the runner's hook, write
+		// a suspend image into a memory store, restore it onto a fresh
+		// communicator and finish there.
+		{name: "preempt+resume", option: preempt3},
+		{name: "overlap+preempt+resume", option: func(m *matrixSetup) { preempt3(m); m.cfg.Overlap = true }},
+		{name: "loadbal+hot+preempt+resume", option: func(m *matrixSetup) { hotRank3(m); preempt3(m) }},
 	}
 	plains := map[uintptr]matrixResult{} // by physics
 	for _, row := range rows {
