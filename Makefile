@@ -52,15 +52,17 @@ chaos:
 # 10-second fuzz smoke per target (one target per invocation, as go
 # test requires): the binary parsers plus the differential kernel
 # fuzzers (every mxm variant vs MxMBasic; every r/s derivative kernel vs
-# the hand loops and each other, bit-exact — without -race, which builds
-# the AVX2 r/s kernels out; every gs entry point vs a map-based
-# gather-scatter; gs discovery vs the map-based discovery).
+# the hand loops and each other, bit-exact; every pointwise solver
+# kernel's AVX2 loop vs its Go loop, bit-exact — these two without
+# -race, which builds the AVX2 kernels out; every gs entry point vs a
+# map-based gather-scatter; gs discovery vs the map-based discovery).
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDecodeOwnershipWire$$' -fuzztime 10s ./internal/mesh/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMVariants$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivKernels$$' -fuzztime 10s ./internal/sem/
+	$(GO) test -run '^$$' -fuzz '^FuzzPointwiseKernels$$' -fuzztime 10s ./internal/solver/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzGSLocal$$' -fuzztime 10s ./internal/gs/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDiscover$$' -fuzztime 10s ./internal/gs/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/comm/tcptransport/
@@ -70,19 +72,25 @@ fuzz-smoke:
 generate:
 	$(GO) generate ./...
 
-# Drift check: the committed generated kernels (mxm_gen.go,
-# deriv_gen.go and the AVX2 assembly deriv_avx2_amd64.s with its
-# declarations deriv_avx2_gen.go) must match what the generator
-# emits today, it must emit no file that is not committed, and no file
-# carrying its header may be one it no longer emits (a deleted emitter's
-# old output would otherwise keep compiling unnoticed).
+# Drift check: the committed generated kernels must match what the
+# generator emits today — in internal/sem mxm_gen.go, deriv_gen.go and
+# the AVX2 assembly deriv_avx2_amd64.s with its declarations
+# deriv_avx2_gen.go; in internal/solver the pointwise kernels'
+# pointwise_gen.go (Go loops), pointwise_avx2_amd64.s with
+# pointwise_avx2_gen.go (AVX2 loops and wrappers), pointwise_noasm_gen.go
+# (the other builds' wrappers) and pointwise_avx2_gen_test.go (the
+# differential tests' table). It must emit no file that is not
+# committed, and no file carrying its header may be one it no longer
+# emits (a deleted emitter's old output would otherwise keep compiling
+# unnoticed).
+GEN_DIRS = internal/sem internal/solver
 generate-check: generate
-	git diff --exit-code -- internal/sem
-	test -z "$$(git ls-files --others --exclude-standard -- internal/sem)"
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	(cd internal/sem && $(GO) run ./gen -dir "$$tmp" >/dev/null) && \
-	stale=$$(for f in $$(grep -l '^// Code generated by repro/internal/sem/gen' internal/sem/*.go internal/sem/*.s); do \
-		[ -e "$$tmp/$${f##*/}" ] || echo "$$f"; done) && \
+	git diff --exit-code -- $(GEN_DIRS)
+	test -z "$$(git ls-files --others --exclude-standard -- $(GEN_DIRS))"
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/sem" "$$tmp/solver" && \
+	(cd internal/sem && $(GO) run ./gen -sem "$$tmp/sem" -solver "$$tmp/solver" >/dev/null) && \
+	stale=$$(for d in $(GEN_DIRS); do for f in $$(grep -l '^// Code generated by repro/internal/sem/gen' $$d/*.go $$d/*.s); do \
+		[ -e "$$tmp/$${d##*/}/$${f##*/}" ] || echo "$$f"; done; done) && \
 	if [ -n "$$stale" ]; then echo "generated by internal/sem/gen but no longer emitted:" $$stale; exit 1; fi
 
 # The pure-Go fallback build: the semnoasm tag disables the AVX2

@@ -164,9 +164,13 @@ func (s *Spec) Validate() error {
 
 // CheckRun checks the scenario against a run of p ranks with the given
 // heartbeat period: crash and stall ranks in [0,p), p >= 2 with crashes,
-// and crash steps on heartbeat steps. NewRunner calls it.
+// crash steps on heartbeat steps, and at least one rank that never
+// crashes (the survivors finish the run and print its summary). NewRunner
+// calls it.
 func (s *Spec) CheckRun(p, heartbeatEvery int) error {
+	crashed := make(map[int]bool, len(s.Crashes))
 	for _, c := range s.Crashes {
+		crashed[c.Rank] = true
 		if c.Rank >= p {
 			return fmt.Errorf("fault: crash rank %d outside [0,%d)", c.Rank, p)
 		}
@@ -177,6 +181,9 @@ func (s *Spec) CheckRun(p, heartbeatEvery int) error {
 			return fmt.Errorf("fault: crash at step %d is not a multiple of the heartbeat period %d; survivors would detect it late",
 				c.Step, heartbeatEvery)
 		}
+	}
+	if p > 0 && len(crashed) == p {
+		return fmt.Errorf("fault: every one of the %d ranks crashes; a scenario must leave at least one rank that survives to finish the run", p)
 	}
 	for _, st := range s.Stalls {
 		if st.Rank >= p {

@@ -54,6 +54,23 @@ func TestParseSpecRejects(t *testing.T) {
 	}
 }
 
+// TestCheckRunNeedsASurvivor: a scenario that crashes every rank leaves
+// no one to finish the run, so it is refused against that world size; the
+// same crashes with one rank more pass.
+func TestCheckRunNeedsASurvivor(t *testing.T) {
+	spec, err := Parse([]byte(`{"crashes": [{"rank": 0, "step": 2}, {"rank": 1, "step": 2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = spec.CheckRun(2, 1)
+	if err == nil || !strings.Contains(err.Error(), "survives") {
+		t.Fatalf("CheckRun(2) = %v, want an error asking for a rank that survives", err)
+	}
+	if err := spec.CheckRun(3, 1); err != nil {
+		t.Fatalf("CheckRun(3) = %v, want nil (rank 2 survives)", err)
+	}
+}
+
 func TestLoadInline(t *testing.T) {
 	spec, err := Load(`{"seed": 7, "messages": {"drop": 0.1, "retransmit_seconds": 1e-5}}`)
 	if err != nil {

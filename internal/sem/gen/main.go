@@ -1,6 +1,8 @@
-// Command gen emits the fully-unrolled small-matrix and derivative
-// kernel specializations for package sem. It is run via go:generate from
-// internal/sem and writes four files next to the package sources:
+// Command gen emits the generated kernels: the fully-unrolled
+// small-matrix and derivative kernel specializations of package sem, and
+// the pointwise kernels of package solver. It is run via go:generate —
+// `go run ./gen -sem .` from internal/sem, `go run ../sem/gen -solver .`
+// from internal/solver — and writes, with -sem DIR:
 //
 //	mxm_gen.go    — mxmGenK1..K16: C = A*B with the reduction (k) loop
 //	                fully unrolled, the Nek5000 mxm44 playbook extended
@@ -11,6 +13,22 @@
 //	deriv_avx2_amd64.s / deriv_avx2_gen.go — lanedAVX2N4..N16: the
 //	                same r/s dot products four outputs to a vector, and
 //	                their Go declarations — what it runs with AVX2.
+//
+// and with -solver DIR, from the one table in pointwise.go (each kernel's
+// streams, scalars and one expression tree per written stream):
+//
+//	pointwise_gen.go        — <kernel>Go: each kernel's Go loop, used in
+//	                          every build.
+//	pointwise_avx2_amd64.s / pointwise_avx2_gen.go — <kernel>AVX2: the
+//	                          same trees four points to a vector, their
+//	                          declarations, and the wrappers the solver
+//	                          calls (AVX2 over n&^3 points, Go for the
+//	                          rest; build tag amd64 && !semnoasm && !race,
+//	                          dispatch on sem.HasSIMD()).
+//	pointwise_noasm_gen.go  — the wrappers of every other build: the Go
+//	                          loop alone.
+//	pointwise_avx2_gen_test.go — both loops of every kernel behind
+//	                          uniform adapters, for the differential tests.
 //
 // Each of r and s has its per-plane loop body once, in planeR / planeS
 // below; a derivRN* / derivSN* kernel is that body over every plane of a
@@ -32,10 +50,21 @@
 //     lane — separate VMULPD/VADDPD, no FMA, a lane's first product
 //     written straight into its accumulator — so it is bit-identical to
 //     derivRN*/derivSN* on every input, signed zeros included.
+//   - A pointwise kernel's trees keep the parenthesisation of the solver
+//     loops they replaced, so its Go loop is those loops' arithmetic. Its
+//     AVX2 loop evaluates the same trees in every lane: one VMULPD,
+//     VADDPD, VSUBPD or VDIVPD per node, never an FMA; negation is a
+//     sign-bit VXORPD and a "0 +" adds a zeroed register; constants
+//     (Gamma-1, 0.5, 2.0/3.0, ...) are float64 arguments Go computes,
+//     broadcast with VBROADCASTSD. So it is bit-identical to the Go loop
+//     on every input, signed zeros included (FuzzPointwiseKernels); an
+//     in-place kernel stores a stream only after every read of it.
+//   - Every generated .s is VEX-encoded only: no legacy-SSE instruction
+//     on an X register, no FMA (TestGeneratedAssemblyIsVEXOnly).
 //
 // The output is deterministic: same generator, same bytes. CI runs
-// `go generate ./... && git diff --exit-code` to keep the committed
-// kernels in sync with the generator.
+// `make generate-check` to keep the committed kernels in sync with the
+// generator.
 package main
 
 import (
@@ -62,15 +91,41 @@ const (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gen: ")
-	dir := flag.String("dir", ".", "output directory (the sem package dir)")
+	semDir := flag.String("sem", "", "write package sem's kernels to this directory")
+	solverDir := flag.String("solver", "", "write package solver's pointwise kernels to this directory")
 	flag.Parse()
+	if *semDir == "" && *solverDir == "" {
+		log.Fatal("nothing to write: give -sem DIR and/or -solver DIR")
+	}
+	if *semDir != "" {
+		write(*semDir, semFiles())
+	}
+	if *solverDir != "" {
+		write(*solverDir, solverFiles())
+	}
+}
 
-	files := map[string]string{
+// semFiles and solverFiles are the generator's outputs, by file name.
+func semFiles() map[string]string {
+	return map[string]string{
 		"mxm_gen.go":         genMxM(),
 		"deriv_gen.go":       genDeriv(),
 		"deriv_avx2_gen.go":  genLanedDecls(),
 		"deriv_avx2_amd64.s": genLanedAsm(),
 	}
+}
+
+func solverFiles() map[string]string {
+	return map[string]string{
+		"pointwise_gen.go":           genPointwiseGo(),
+		"pointwise_avx2_gen.go":      genPointwiseDecls(),
+		"pointwise_noasm_gen.go":     genPointwiseNoasm(),
+		"pointwise_avx2_amd64.s":     genPointwiseAsm(),
+		"pointwise_avx2_gen_test.go": genPointwiseTest(),
+	}
+}
+
+func write(dir string, files map[string]string) {
 	for name, src := range files {
 		out := []byte(src)
 		if strings.HasSuffix(name, ".go") {
@@ -80,7 +135,7 @@ func main() {
 			}
 			out = formatted
 		}
-		path := filepath.Join(*dir, name)
+		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, out, 0o644); err != nil {
 			log.Fatal(err)
 		}
@@ -88,9 +143,19 @@ func main() {
 	}
 }
 
-func header(b *bytes.Buffer, what string) {
+// header starts a generated file: the generated-code line, a build
+// constraint when tag is set, then the package clause of a Go file (pkg
+// set) or the textflag include of an assembly file.
+func header(b *bytes.Buffer, what, tag, pkg string) {
 	fmt.Fprintf(b, "// Code generated by repro/internal/sem/gen (%s). DO NOT EDIT.\n\n", what)
-	b.WriteString("package sem\n\n")
+	if tag != "" {
+		fmt.Fprintf(b, "//go:build %s\n\n", tag)
+	}
+	if pkg == "" {
+		b.WriteString("#include \"textflag.h\"\n\n")
+		return
+	}
+	fmt.Fprintf(b, "package %s\n\n", pkg)
 }
 
 // seqDot returns a strictly left-to-right k-term sum of term(l) — the
@@ -129,7 +194,7 @@ func lanedDot(n int, term func(l int) string) string {
 
 func genMxM() string {
 	var b bytes.Buffer
-	header(&b, "fully-unrolled mxm kernels")
+	header(&b, "fully-unrolled mxm kernels", "", "sem")
 	fmt.Fprintf(&b, "// mxmGenMaxK is the largest k with a generated specialization.\nconst mxmGenMaxK = %d\n\n", kMax)
 	b.WriteString(`// mxmGen dispatches C = A*B on the generated fully k-unrolled kernels;
 // it reports false when k has no specialization. Each kernel accumulates
@@ -207,7 +272,7 @@ func table(b *bytes.Buffer, name, typ, prefix string) {
 
 func genDeriv() string {
 	var b bytes.Buffer
-	header(&b, "per-order single-direction derivative kernels")
+	header(&b, "per-order single-direction derivative kernels", "", "sem")
 	fmt.Fprintf(&b, "// derivGenMinN..derivGenMaxN are the orders with generated kernels.\nconst (\n\tderivGenMinN = %d\n\tderivGenMaxN = %d\n)\n\n", nMin, nMax)
 	b.WriteString(`// derivRGen and derivSGen hold the r- and s-direction kernels of every
 // generated order (nil elsewhere). A kernel runs one per-plane loop body
@@ -248,7 +313,8 @@ func genDeriv() string {
 // so one routine serves both directions; the caller picks which operand
 // advances from plane to plane (astep/bstep, in bytes).
 
-const lanedBuildTag = "//go:build amd64 && !semnoasm && !race\n\n"
+// avx2Tag is the build constraint of every generated AVX2 file.
+const avx2Tag = "amd64 && !semnoasm && !race"
 
 // lanedVecs returns the output-row offsets of the vectors covering n
 // outputs. The last vector of a row whose length is not a multiple of
@@ -276,9 +342,7 @@ func lanedGroups(ivs []int) [][]int {
 
 func genLanedDecls() string {
 	var b bytes.Buffer
-	b.WriteString("// Code generated by repro/internal/sem/gen (AVX2 r/s derivative kernels: declarations). DO NOT EDIT.\n\n")
-	b.WriteString(lanedBuildTag)
-	b.WriteString("package sem\n\n")
+	header(&b, "AVX2 r/s derivative kernels: declarations", avx2Tag, "sem")
 	b.WriteString(`// lanedAVX2 runs the AVX2 kernel of a generated order n: for each of
 // planes consecutive n x n row-major planes, C = A*B with every output's
 // dot product in the 4-lane partial-sum order of dudrOpt/dudsOpt —
@@ -301,9 +365,7 @@ func lanedAVX2(n int, a *float64, astep uintptr, b *float64, bstep uintptr, c *f
 
 func genLanedAsm() string {
 	var b bytes.Buffer
-	b.WriteString("// Code generated by repro/internal/sem/gen (AVX2 r/s derivative kernels). DO NOT EDIT.\n\n")
-	b.WriteString(lanedBuildTag)
-	b.WriteString("#include \"textflag.h\"\n\n")
+	header(&b, "AVX2 r/s derivative kernels", avx2Tag, "")
 	b.WriteString(`// Register map, every kernel:
 //   R8 = A plane   SI = A row      R9  = astep (bytes)   R11 = planes left
 //   BX = B plane   DI = C row      R10 = bstep (bytes)   R12 = rows left

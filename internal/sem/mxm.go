@@ -2,7 +2,7 @@ package sem
 
 import "fmt"
 
-//go:generate go run ./gen -dir .
+//go:generate go run ./gen -sem .
 
 // The mxm kernel: C = A * B with A (m x k), B (k x n), C (m x n), all
 // row-major. Nek5000 — and therefore CMT-nek and CMT-bone — spends the

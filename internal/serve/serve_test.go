@@ -56,6 +56,7 @@ func TestSubmitBadSpecIs400WithReason(t *testing.T) {
 		{`{"tenant":"a","gs":"telepathy"}`, "gs"},
 		{`{"tenant":"a","local_elems":9,"ranks":16}`, "elements"},
 		{`{"tenant":"a","ranks":2,"faults":{"crashes":[{"rank":2,"step":2}]}}`, "crash rank 2 outside [0,2)"},
+		{`{"tenant":"a","ranks":2,"faults":{"crashes":[{"rank":0,"step":2},{"rank":1,"step":4}]}}`, "at least one rank that survives"},
 		{`{"tenant":"a","unknown_knob":true}`, "unknown_knob"},
 		{`not json`, "bad job spec"},
 	}

@@ -8,6 +8,11 @@ import (
 	"repro/internal/sem"
 )
 
+// The pointwise kernels (primitives, fluxes, divergence, lift
+// corrections, Runge-Kutta stages, viscous terms) are emitted by
+// internal/sem/gen into pointwise_gen.go and its AVX2 siblings.
+//go:generate go run ../sem/gen -solver .
+
 // eulerFlux fills out[c] with the flux of conserved variable c along
 // direction d, given the conserved state u and precomputed velocity and
 // pressure. All quantities are at one point.
@@ -150,29 +155,23 @@ func (s *Solver) faceElems(slot, lo, hi int) {
 		if job.flux {
 			for f := 0; f < sem.NFaces; f++ {
 				// The normal Euler flux of eulerFlux, on whole face slabs.
-				d := sem.FaceDir(f)
-				base := e*fpe + f*n2
-				rho, en := s.faceU[IRho][base:base+n2], s.faceU[IEnergy][base:base+n2]
-				mx, my, mz := s.faceU[IMomX][base:base+n2], s.faceU[IMomY][base:base+n2], s.faceU[IMomZ][base:base+n2]
-				mn := s.faceU[IMomX+d][base : base+n2]
-				f0, f4 := s.faceF[IRho][base:base+n2], s.faceF[IEnergy][base:base+n2]
-				f1, f2, f3 := s.faceF[IMomX][base:base+n2], s.faceF[IMomY][base:base+n2], s.faceF[IMomZ][base:base+n2]
-				fn := s.faceF[IMomX+d][base : base+n2]
-				for q := range rho {
-					r, x, y, z := rho[q], mx[q], my[q], mz[q]
-					vn := mn[q] * (1 / r)
-					p := (Gamma - 1) * (en[q] - 0.5*(x*x+y*y+z*z)/r)
-					f0[q] = mn[q]
-					f1[q], f2[q], f3[q] = x*vn, y*vn, z*vn
-					fn[q] += p
-					f4[q] = vn * (en[q] + p)
-				}
+				lo, hi := e*fpe+f*n2, e*fpe+(f+1)*n2
+				u, fl := &s.faceU, &s.faceF
+				surfaceFlux[sem.FaceDir(f)](u[IRho][lo:hi], u[IMomX][lo:hi], u[IMomY][lo:hi], u[IMomZ][lo:hi], u[IEnergy][lo:hi],
+					fl[IRho][lo:hi], fl[IMomX][lo:hi], fl[IMomY][lo:hi], fl[IMomZ][lo:hi], fl[IEnergy][lo:hi])
 			}
 			sl.lap(faceFlux)
 		}
 		sl.t0 = time.Time{}
 	}
 }
+
+// surfaceFlux and momentumFlux hold the generated kernels of each
+// direction (pointwise_gen.go).
+var (
+	surfaceFlux  = [3]func(rho, mx, my, mz, en, f0, f1, f2, f3, f4 []float64){surfaceFluxX, surfaceFluxY, surfaceFluxZ}
+	momentumFlux = [3]func(u, v0, v1, v2, pr, f0, f1, f2 []float64){momentumFluxX, momentumFluxY, momentumFluxZ}
+)
 
 // volSlot is one pool slot's private state in the element pipelines.
 type volSlot struct {
@@ -248,13 +247,7 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 		base := e * n3
 		rho, en := in[IRho][base:][:n3], in[IEnergy][base:][:n3]
 		mx, my, mz := in[IMomX][base:][:n3], in[IMomY][base:][:n3], in[IMomZ][base:][:n3]
-		for i := 0; i < n3; i++ {
-			inv := 1 / rho[i]
-			v0[i] = mx[i] * inv
-			v1[i] = my[i] * inv
-			v2[i] = mz[i] * inv
-			pr[i] = (Gamma - 1) * (en[i] - 0.5*(mx[i]*v0[i]+my[i]*v1[i]+mz[i]*v2[i]))
-		}
+		primitives(rho, mx, my, mz, en, v0, v1, v2, pr)
 		sl.lap(volPrim)
 		if job.viscous {
 			s.elemGradients(vis, &job.kern, rho, vel, pr, sl)
@@ -268,20 +261,9 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 					src[d] = in[IMomX+d][base : base+n3]
 				}
 			case c == IEnergy:
-				for i := 0; i < n3; i++ {
-					h := en[i] + pr[i]
-					f0[i], f1[i], f2[i] = v0[i]*h, v1[i]*h, v2[i]*h
-				}
-			default:
-				uc := in[c][base : base+n3]
-				for i := 0; i < n3; i++ {
-					u := uc[i]
-					f0[i], f1[i], f2[i] = u*v0[i], u*v1[i], u*v2[i]
-				}
-				fn := f[c-IMomX][:n3] // the normal component carries the pressure
-				for i := 0; i < n3; i++ {
-					fn[i] += pr[i]
-				}
+				energyFlux(en, pr, v0, v1, v2, f0, f1, f2)
+			default: // the normal component carries the pressure
+				momentumFlux[c-IMomX](in[c][base:][:n3], v0, v1, v2, pr, f0, f1, f2)
 			}
 			if job.viscous && c != IRho { // no viscous mass flux
 				for d := 0; d < 3; d++ {
@@ -300,10 +282,7 @@ func (s *Solver) volumeElems(slot, lo, hi int) {
 				job.kern.Apply(sem.Direction(d), src[d], g[d])
 				sl.lap(volR + d)
 			}
-			rc := s.rhs[c][base : base+n3]
-			for i := 0; i < n3; i++ {
-				rc[i] = -(((0 + rx*g0[i]) + rx*g1[i]) + rx*g2[i])
-			}
+			divergence(g0, g1, g2, s.rhs[c][base:][:n3], rx)
 			sl.lap(volRest)
 		}
 		sl.t0 = time.Time{}
@@ -392,17 +371,11 @@ func (s *Solver) postElems(slot, lo, hi int) {
 			uc, rc, u1 := s.U[c][base:][:n3], s.rhs[c][base:][:n3], s.u1[c][base:][:n3]
 			switch job.stage {
 			case 1: // u1 = U + dt RHS(U)
-				for i := range u1 {
-					u1[i] = uc[i] + dt*rc[i]
-				}
+				rkStage1(uc, rc, u1, dt)
 			case 2: // u1 = 3/4 U + 1/4 (u1 + dt RHS(u1))
-				for i := range u1 {
-					u1[i] = 0.75*uc[i] + 0.25*(u1[i]+dt*rc[i])
-				}
+				rkStage2(uc, rc, u1, dt)
 			case 3: // U = 1/3 U + 2/3 (u1 + dt RHS(u1))
-				for i := range uc {
-					uc[i] = uc[i]/3 + 2.0/3.0*(u1[i]+dt*rc[i])
-				}
+				rkStage3(uc, rc, u1, dt)
 			}
 		}
 		sl.lap(postUpdate)
@@ -446,21 +419,13 @@ func (s *Solver) liftElem(e int, w *[NumFields][]float64) {
 			po := int(l) * n2
 			for c := 0; c < NumFields; c++ {
 				fc, uc := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
-				fo, uo := s.faceF[c][po:po+n2], s.faceU[c][po:po+n2]
-				wc := w[c]
-				for q := range wc {
-					wc[q] = scale * (sign*(fc[q]-0.5*(fc[q]+fo[q])) - lam*(uc[q]-0.5*(uc[q]+uo[q])))
-				}
+				liftPair(fc, uc, s.faceF[c][po:po+n2], s.faceU[c][po:po+n2], w[c], scale, sign, lam)
 			}
 		case l != domainBoundary:
 			own := int(^l) * n2
 			for c := 0; c < NumFields; c++ {
 				fc, uc := s.ownF[c][own:own+n2], s.ownU[c][own:own+n2]
-				fsum, usum := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
-				wc := w[c]
-				for q := range wc {
-					wc[q] = scale * (sign*(fc[q]-0.5*fsum[q]) - lam*(uc[q]-0.5*usum[q]))
-				}
+				liftBoundary(fc, uc, s.faceF[c][base:base+n2], s.faceU[c][base:base+n2], w[c], scale, sign, lam)
 			}
 		case wall:
 			for q := 0; q < n2; q++ {

@@ -37,9 +37,7 @@ func (s *Solver) elemGradients(vis []float64, kern *sem.ElemDeriv, rho []float64
 	n3 := len(rho)
 	// Temperature with the gas constant R = 1: T = p / rho.
 	t := vis[:n3]
-	for i := range t {
-		t[i] = pr[i] / rho[i]
-	}
+	temperature(pr, rho, t)
 	sl.lap(volTemp)
 	src := [numGradQ][]float64{vel[0], vel[1], vel[2], t}
 	for d := 0; d < 3; d++ {
@@ -49,38 +47,18 @@ func (s *Solver) elemGradients(vis []float64, kern *sem.ElemDeriv, rho []float64
 		sl.lap(volGradR + d)
 	}
 	// Constant metric: d/dx = rx * d/dr.
-	grads := vis[n3 : (1+3*numGradQ)*n3]
-	for i := range grads {
-		grads[i] *= s.rx
-	}
+	scaleBy(vis[n3:(1+3*numGradQ)*n3], s.rx)
 	sl.lap(volRest)
 
 	// tau_{i,d} = mu (dv_i/dx_d + dv_d/dx_i) - (2/3) mu div(v) delta_{i,d}
 	// over dv_i/dx_d, symmetric bit for bit (IEEE + is commutative).
 	mu := s.Cfg.Mu
-	divv, dudx, dvdy, dwdz := t, gradOf(vis, 0, 0, n3), gradOf(vis, 1, 1, n3), gradOf(vis, 2, 2, n3)
-	for p := range divv {
-		divv[p] = dudx[p] + dvdy[p] + dwdz[p]
-	}
-	for i := 0; i < 3; i++ {
-		for d := i; d < 3; d++ {
-			gid, gdi := gradOf(vis, i, d, n3), gradOf(vis, d, i, n3)
-			for p := range gid {
-				tau := mu * (gid[p] + gdi[p])
-				if i == d {
-					tau -= (2.0 / 3.0) * mu * divv[p]
-				}
-				gid[p], gdi[p] = tau, tau
-			}
-		}
-	}
+	g := func(i, d int) []float64 { return gradOf(vis, i, d, n3) }
+	stress(g(0, 0), g(0, 1), g(0, 2), g(1, 0), g(1, 1), g(1, 2), g(2, 0), g(2, 1), g(2, 2), mu, (2.0/3.0)*mu)
 	// The heat flux over dT/dx_d, with the Fourier conductivity
 	// kappa = mu * cp / Pr, cp = Gamma/(Gamma-1) and R = 1.
 	kappa := mu * Gamma / (Gamma - 1) / s.Cfg.Pr
-	heat := vis[(1+3*3)*n3 : (1+3*numGradQ)*n3]
-	for p := range heat {
-		heat[p] = kappa * heat[p]
-	}
+	scaleBy(vis[(1+3*3)*n3:(1+3*numGradQ)*n3], kappa)
 	sl.lap(volFlux)
 }
 
@@ -91,21 +69,10 @@ func (s *Solver) elemGradients(vis []float64, kern *sem.ElemDeriv, rho []float64
 func (s *Solver) subViscousFlux(c, d int, vel [3][]float64, vis, f []float64) {
 	n3 := len(f)
 	if c != IEnergy {
-		tau := gradOf(vis, c-IMomX, d, n3)
-		for p := range f {
-			f[p] -= tau[p]
-		}
+		subtractFlux(f, gradOf(vis, c-IMomX, d, n3))
 		return
 	}
 	// The stress's work plus the heat flux, summed from +0 (which
 	// decides the sign of a zero).
-	t0, t1, t2, q := gradOf(vis, 0, d, n3), gradOf(vis, 1, d, n3), gradOf(vis, 2, d, n3), gradOf(vis, 3, d, n3)
-	v0, v1, v2 := vel[0], vel[1], vel[2]
-	for p := range f {
-		var work float64
-		work += v0[p] * t0[p]
-		work += v1[p] * t1[p]
-		work += v2[p] * t2[p]
-		f[p] -= work + q[p]
-	}
+	subtractEnergyFlux(f, vel[0], vel[1], vel[2], gradOf(vis, 0, d, n3), gradOf(vis, 1, d, n3), gradOf(vis, 2, d, n3), gradOf(vis, 3, d, n3))
 }
