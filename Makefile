@@ -51,8 +51,8 @@ chaos:
 
 # 10-second fuzz smoke per target (one target per invocation, as go
 # test requires): the binary parsers plus the differential kernel
-# fuzzers (every mxm variant vs MxMBasic; every r/s derivative kernel vs
-# the hand loops and each other, bit-exact; every pointwise solver
+# fuzzers (every kernel MxM can pick vs mxmBasic; every r/s derivative
+# kernel vs the hand loops and each other, bit-exact; every pointwise solver
 # kernel's AVX2 loop vs its Go loop, bit-exact — these two without
 # -race, which builds the AVX2 kernels out; every gs entry point vs a
 # map-based gather-scatter; gs discovery vs the map-based discovery).
@@ -60,7 +60,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDecodeOwnershipWire$$' -fuzztime 10s ./internal/mesh/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/fault/
-	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMVariants$$' -fuzztime 10s ./internal/sem/
+	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMKernels$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivKernels$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzPointwiseKernels$$' -fuzztime 10s ./internal/solver/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzGSLocal$$' -fuzztime 10s ./internal/gs/

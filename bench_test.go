@@ -227,31 +227,6 @@ func BenchmarkFig10MessageSizes(b *testing.B) {
 
 // ------------------------------------------------------------ Ablations
 
-// BenchmarkAblationMxM compares every mxm variant (sem.MxMVariants: the
-// paper's four loop structures plus the generated and SIMD kernels) on
-// the paper's small-matrix shapes (N=5..25).
-func BenchmarkAblationMxM(b *testing.B) {
-	for _, n := range []int{5, 10, 16, 25} {
-		rng := rand.New(rand.NewSource(2))
-		a := make([]float64, n*n)
-		bm := make([]float64, n*n*n) // (n x n^2): one element derivative
-		c := make([]float64, n*n*n)
-		for i := range a {
-			a[i] = rng.Float64()
-		}
-		for i := range bm {
-			bm[i] = rng.Float64()
-		}
-		for _, v := range sem.MxMVariants {
-			b.Run(v.String()+"/N="+itoa(n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sem.MxM(v, a, n, bm, n, c, n*n)
-				}
-			})
-		}
-	}
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

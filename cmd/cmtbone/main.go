@@ -79,6 +79,10 @@ func main() {
 
 	useTCP := *transportName == "tcp"
 	switch {
+	case *np < 1:
+		log.Fatalf("-np: need at least 1 rank, got %d", *np)
+	case *steps < 0:
+		log.Fatalf("-steps: must not be negative, got %d", *steps)
 	case *transportName != "inproc" && !useTCP:
 		log.Fatalf("-transport: unknown %q (want inproc or tcp)", *transportName)
 	case useTCP && (*tcpRank < 0 || *tcpRank >= *np):

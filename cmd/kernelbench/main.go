@@ -34,7 +34,6 @@ func main() {
 	variantName := flag.String("variant", "both", "kernel variant: optimized, basic, or both")
 	machineName := flag.String("machine", hw.Opteron6378.Name, "hw model machine: opteron-6378, i5-2500, generic")
 	sweep := flag.Bool("sweep", false, "sweep N over the paper's 5..25 range (constant total points) instead of one N")
-	mxm := flag.Bool("mxm", false, "benchmark the mxm variants across the small-k range (generated/SIMD included)")
 	workers := flag.Int("workers", 1, "intra-rank worker pool width for the element loop (0 = NumCPU)")
 	workerSweep := flag.Bool("workersweep", false, "sweep the worker count 1,2,4..NumCPU on the derivative kernel")
 	cli.Parse()
@@ -60,13 +59,8 @@ func main() {
 		log.Fatalf("-variant: want optimized, basic, or both, got %q", *variantName)
 	}
 
-	if *mxm || *workerSweep {
-		if *workerSweep {
-			runWorkerSweep(variants[0], *n, *nel, *steps)
-		}
-		if *mxm {
-			runMxM()
-		}
+	if *workerSweep {
+		runWorkerSweep(variants[0], *n, *nel, *steps)
 		return
 	}
 	if *sweep {
@@ -160,48 +154,6 @@ func runSweep(machine hw.Machine, variants []sem.KernelVariant, steps int) {
 			}
 		}
 		fmt.Println()
-	}
-}
-
-// runMxM benchmarks every MxM variant across the small-k range the
-// spectral-element kernels produce (k = N is the 1D operator size), in
-// the derivative kernel's dominant shape m = N^2, n = N, batched over
-// elements. Each column is labeled with the kernel that actually ran:
-// variants outside their specialization range (e.g. "generated" for
-// k > 16) are footnoted with their effective fallback instead of
-// silently crediting the named variant with the fallback's numbers.
-func runMxM() {
-	records := bench.MxMSweep(bench.MxMSweepOptions{})
-
-	fmt.Printf("Small-matrix mxm sweep: shape (N*N x N) x (N x N), batched, AVX2=%v\n\n", sem.HasSIMD())
-	fmt.Printf("%4s", "N")
-	for _, v := range sem.MxMVariants {
-		fmt.Printf(" %14s", v)
-	}
-	fmt.Println("  (Gflop/s)")
-	var notes []string
-	lastK := -1
-	for _, r := range records {
-		if r.K != lastK {
-			if lastK != -1 {
-				fmt.Println()
-			}
-			lastK = r.K
-			fmt.Printf("%4d", r.K)
-		}
-		mark := " "
-		if r.Effective != r.Variant {
-			mark = "*"
-			notes = append(notes, fmt.Sprintf("N=%d %s -> %s", r.K, r.Variant, r.Effective))
-		}
-		fmt.Printf(" %13.2f%s", r.Gflops, mark)
-	}
-	fmt.Println()
-	if len(notes) > 0 {
-		fmt.Println("\n* effective kernel differs from the requested variant:")
-		for _, n := range notes {
-			fmt.Printf("    %s\n", n)
-		}
 	}
 }
 

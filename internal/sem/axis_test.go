@@ -132,7 +132,7 @@ func TestAxisKernelsBitIdentical(t *testing.T) {
 // makes: along r and s at every N in [4, 16] the AVX2 kernel when the
 // host has one (and the build is not a -race one) — not the generated
 // scalar kernel — and the generated kernel otherwise, never the
-// hand-written fallback; MxM(MxMSIMD)'s kernel along t; the fallback
+// hand-written fallback; MxM's kernel along t; the fallback
 // only outside that range; and the untransformed loops for Basic.
 // NewElemDeriv resolves the same kernels, except that on the AVX2 build
 // r takes the operator transposed (Ref1D.Dt).

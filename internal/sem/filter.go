@@ -110,7 +110,7 @@ func FilterMatrix(x []float64, cutoff int, strength float64) []float64 {
 		}
 	}
 	f := make([]float64, n*n)
-	MxM(MxMFusedUnroll, vs, n, vinv, n, f, n)
+	mxmBasic(vs, n, vinv, n, f, n)
 	return f
 }
 

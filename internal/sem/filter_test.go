@@ -29,7 +29,7 @@ func TestInvertRoundtrip(t *testing.T) {
 		}
 		inv := invert(a, n)
 		prod := make([]float64, n*n)
-		MxM(MxMBasic, a, n, inv, n, prod, n)
+		mxmBasic(a, n, inv, n, prod, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := 0.0
@@ -65,7 +65,7 @@ func TestFilterPreservesLowModes(t *testing.T) {
 			u[i] = LegendreP(p, x[i])
 		}
 		out := make([]float64, n)
-		MxM(MxMBasic, f, n, u, n, out, 1)
+		mxmBasic(f, n, u, n, out, 1)
 		for i := range out {
 			if math.Abs(out[i]-u[i]) > 1e-10 {
 				t.Fatalf("mode %d altered: %v -> %v", p, u[i], out[i])
@@ -84,7 +84,7 @@ func TestFilterDampsHighestMode(t *testing.T) {
 		u[i] = LegendreP(n-1, x[i])
 	}
 	out := make([]float64, n)
-	MxM(MxMBasic, f, n, u, n, out, 1)
+	mxmBasic(f, n, u, n, out, 1)
 	for i := range out {
 		if math.Abs(out[i]) > 1e-9 {
 			t.Fatalf("highest mode survived filtering: out[%d] = %v", i, out[i])
@@ -142,7 +142,7 @@ func TestFilterZeroStrengthIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	u := randSlice(rng, n)
 	out := make([]float64, n)
-	MxM(MxMBasic, f, n, u, n, out, 1)
+	mxmBasic(f, n, u, n, out, 1)
 	for i := range out {
 		if math.Abs(out[i]-u[i]) > 1e-10 {
 			t.Fatalf("zero-strength filter altered data at %d", i)

@@ -33,7 +33,7 @@
 // Each of r and s has its per-plane loop body once, in planeR / planeS
 // below; a derivRN* / derivSN* kernel is that body over every plane of a
 // batch. (The t direction is a plain row-major mxm with ascending-l
-// accumulation, so sem.Deriv runs MxM(MxMSIMD)'s kernel there instead
+// accumulation, so sem.Deriv runs MxM's kernel there instead
 // of a kernel of its own.)
 //
 // Bit-exactness contracts (the generator's invariants, pinned by tests):
@@ -197,16 +197,16 @@ func genMxM() string {
 	header(&b, "fully-unrolled mxm kernels", "", "sem")
 	fmt.Fprintf(&b, "// mxmGenMaxK is the largest k with a generated specialization.\nconst mxmGenMaxK = %d\n\n", kMax)
 	b.WriteString(`// mxmGen dispatches C = A*B on the generated fully k-unrolled kernels;
-// it reports false when k has no specialization. Each kernel accumulates
-// every output element's dot product strictly left to right, bit-identical
-// to mxmBasic.
-func mxmGen(a []float64, m int, b []float64, k int, c []float64, n int) bool {
+// k must be in [1, mxmGenMaxK]. Each kernel accumulates every output
+// element's dot product strictly left to right, bit-identical to mxmBasic
+// except that an all -0 sum stays -0.
+func mxmGen(a []float64, m int, b []float64, k int, c []float64, n int) {
 	switch k {
 `)
 	for k := kMin; k <= kMax; k++ {
 		fmt.Fprintf(&b, "\tcase %d:\n\t\tmxmGenK%d(a, m, b, c, n)\n", k, k)
 	}
-	b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
+	b.WriteString("\tdefault:\n\t\tpanic(\"sem: no generated mxm kernel for this k\")\n\t}\n}\n\n")
 
 	for k := kMin; k <= kMax; k++ {
 		fmt.Fprintf(&b, "// mxmGenK%d: C (m x n) = A (m x %d) * B (%d x n), k fully unrolled.\n", k, k, k)

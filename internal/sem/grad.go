@@ -102,7 +102,7 @@ func DerivOps(n, nel int) OpCount {
 //     (deriv_gen.go). The two are bit-identical on every input;
 //   - t at every N: the direction is a plain row-major product
 //     du(n x n^2) = D(n x n) u(n x n^2) with ascending-l accumulation, so
-//     it runs MxM(MxMSIMD)'s kernel (AVX2, generated or fused+unroll);
+//     it runs MxM's kernel (AVX2, generated or fused+unroll);
 //   - r and s outside [4, 16]: the hand-written dudrOpt / dudsOpt loops,
 //     which are also the reference the bit-identity tests compare the
 //     generated kernels against.
@@ -217,10 +217,10 @@ func Deriv(dir Direction, v KernelVariant, ref *Ref1D, u, du []float64, nel int)
 }
 
 // applyBlocks computes du_b = d * u_b for each of the given number of
-// consecutive row-major (n x cols) blocks with the MxMSIMD kernel for
-// k = n: strictly ascending-l accumulation, bit-identical to mxmBasic.
+// consecutive row-major (n x cols) blocks with MxM's kernel for k = n:
+// strictly ascending-l accumulation, bit-identical to mxmBasic.
 func applyBlocks(d []float64, n int, u, du []float64, blocks, cols int) {
-	fn, _ := mxmResolve(MxMSIMD, n)
+	fn, _ := mxmKernel(n)
 	sz := n * cols
 	for b := 0; b < blocks; b++ {
 		fn(d, n, u[b*sz:(b+1)*sz], n, du[b*sz:(b+1)*sz], cols)
@@ -295,8 +295,8 @@ func dudtBasic(d []float64, n int, u, du []float64, nel int) {
 // without a generated kernel and the reference those kernels are tested
 // against. (The paper's third transformation — dudt's fused plane
 // streaming, its 2.31x — is exactly mxmFusedUnroll's loop, which is what
-// applyTMxM resolves to where no faster bit-identical kernel exists; the
-// hand-written form, dudtOpt, is kept in axis_test.go as the reference.)
+// applyTMxM runs for N > 16 on a build without AVX2; the hand-written
+// form, dudtOpt, is kept in axis_test.go as the reference.)
 
 // dudrOpt: column-sliced with the reduction unrolled by four. The access
 // pattern is the same as basic (already unit stride), so the gain is the

@@ -118,7 +118,7 @@ func TestDerivMatchesMxMConstruction(t *testing.T) {
 	Deriv(DirR, Optimized, ref, u, got, 1)
 	// Reference via mxm: (u as row-major N^2 x N) * D^T.
 	want := make([]float64, n*n*n)
-	MxM(MxMFusedUnroll, u, n*n, ref.Dt, n, want, n)
+	mxmBasic(u, n*n, ref.Dt, n, want, n)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
 			t.Fatalf("deriv != mxm at %d: %v vs %v", i, got[i], want[i])

@@ -6,10 +6,10 @@ package sem
 const mxmGenMaxK = 16
 
 // mxmGen dispatches C = A*B on the generated fully k-unrolled kernels;
-// it reports false when k has no specialization. Each kernel accumulates
-// every output element's dot product strictly left to right, bit-identical
-// to mxmBasic.
-func mxmGen(a []float64, m int, b []float64, k int, c []float64, n int) bool {
+// k must be in [1, mxmGenMaxK]. Each kernel accumulates every output
+// element's dot product strictly left to right, bit-identical to mxmBasic
+// except that an all -0 sum stays -0.
+func mxmGen(a []float64, m int, b []float64, k int, c []float64, n int) {
 	switch k {
 	case 1:
 		mxmGenK1(a, m, b, c, n)
@@ -44,9 +44,8 @@ func mxmGen(a []float64, m int, b []float64, k int, c []float64, n int) bool {
 	case 16:
 		mxmGenK16(a, m, b, c, n)
 	default:
-		return false
+		panic("sem: no generated mxm kernel for this k")
 	}
-	return true
 }
 
 // mxmGenK1: C (m x n) = A (m x 1) * B (1 x n), k fully unrolled.

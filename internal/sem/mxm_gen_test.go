@@ -3,14 +3,15 @@ package sem
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// The generated and SIMD variants share one correctness bar: bit
-// identity with MxMBasic. Everything here asserts exact Float64bits
-// equality, never tolerances.
+// Every kernel MxM can pick shares one correctness bar: bit identity
+// with mxmBasic, each kernel called directly. Everything here asserts
+// exact Float64bits equality, never tolerances.
 
-func TestMxMGeneratedExact(t *testing.T) {
+func TestMxMGenExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for k := 1; k <= mxmGenMaxK; k++ {
 		for _, mn := range [][2]int{{1, 1}, {k, k}, {k*k + 1, k}, {13, 6}, {6, 17}} {
@@ -18,11 +19,9 @@ func TestMxMGeneratedExact(t *testing.T) {
 			a := randSlice(rng, m*k)
 			b := randSlice(rng, k*n)
 			want := make([]float64, m*n)
-			MxM(MxMBasic, a, m, b, k, want, n)
+			mxmBasic(a, m, b, k, want, n)
 			got := make([]float64, m*n)
-			if !mxmGen(a, m, b, k, got, n) {
-				t.Fatalf("k=%d has no generated kernel", k)
-			}
+			mxmGen(a, m, b, k, got, n)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("k=%d m=%d n=%d: c[%d] not bit-identical", k, m, n, i)
@@ -30,28 +29,27 @@ func TestMxMGeneratedExact(t *testing.T) {
 			}
 		}
 	}
-	// Dispatch boundary: k above the generated range reports false.
+	// Range boundary: k above the generated range has no kernel.
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("mxmGen ran k=%d, above its range", mxmGenMaxK+1)
+		}
+	}()
 	k := mxmGenMaxK + 1
-	if mxmGen(make([]float64, 2*k), 2, make([]float64, k*2), k, make([]float64, 4), 2) {
-		t.Fatalf("k=%d unexpectedly generated", k)
-	}
+	mxmGen(make([]float64, 2*k), 2, make([]float64, k*2), k, make([]float64, 4), 2)
 }
 
-// TestMxMSIMDExact runs every block shape of the assembly — 4 x 8 and
+// TestMxMKernelsExact runs every block shape of the assembly — 4 x 8 and
 // 4 x 4 register blocks, the clamped last row and column blocks that
 // recompute their neighbours' elements, and the one-row path for one or
-// two leftover rows and for m < 4 or n < 4 — against MxMBasic. A is
-// laced with signed zeros so an all -0 product row tells a +0 start from
-// a first-product start, and three sentinel cells after C catch any
+// two leftover rows and for m < 4 or n < 4 — against mxmBasic, and the
+// portable kernels over the same grid. For the kernels that start from +0
+// (the assembly, fused+unroll) A is laced with signed zeros so an all -0
+// product row tells a +0 start from a first-product start; the generated
+// kernels start from the first product and differ from mxmBasic there by
+// design (TestMxMSignedZero). Three sentinel cells after C catch any
 // store past m x n.
-func TestMxMSIMDExact(t *testing.T) {
-	if !HasSIMD() {
-		// The fallback path: MxMSIMD must still be correct (it degrades
-		// to generated/fused+unroll), and mxmSIMD must refuse.
-		if mxmSIMD(make([]float64, 4), 2, make([]float64, 4), 2, make([]float64, 4), 2) {
-			t.Fatal("mxmSIMD reported success without AVX2")
-		}
-	}
+func TestMxMKernelsExact(t *testing.T) {
 	const guard = 3
 	sentinel := math.Float64frombits(0x7ff8dead0000beef)
 	var ns []int
@@ -62,33 +60,32 @@ func TestMxMSIMDExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for m := 1; m <= 20; m++ {
 		for k := 1; k <= 17; k++ {
-			a := randSlice(rng, m*k)
-			// Without AVX2, MxMSIMD runs the generated kernels, which start
-			// from the first product: on -0 they differ from MxMBasic by
-			// design (DESIGN.md), so only the assembly is held to signed zeros.
-			if HasSIMD() {
-				for i := 0; i < m*k; i += 3 {
-					a[i] = math.Copysign(0, float64(i%2)-0.5)
-				}
-			}
-			for _, n := range ns {
-				b := randSlice(rng, k*n)
-				want := make([]float64, m*n)
-				MxM(MxMBasic, a, m, b, k, want, n)
-				buf := make([]float64, m*n+guard)
-				for i := range buf {
-					buf[i] = sentinel
-				}
-				MxM(MxMSIMD, a, m, b, k, buf[:m*n:m*n], n)
-				for i := range want {
-					if math.Float64bits(buf[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("m=%d k=%d n=%d: c[%d] = %x, want %x (not bit-identical)",
-							m, k, n, i, math.Float64bits(buf[i]), math.Float64bits(want[i]))
+			for _, kn := range mxmCandidates(k)[1:] {
+				a := randSlice(rng, m*k)
+				if kn.name != "generated" {
+					for i := 0; i < m*k; i += 3 {
+						a[i] = math.Copysign(0, float64(i%2)-0.5)
 					}
 				}
-				for i := m * n; i < len(buf); i++ {
-					if math.Float64bits(buf[i]) != math.Float64bits(sentinel) {
-						t.Fatalf("m=%d k=%d n=%d: wrote past C at %d", m, k, n, i)
+				for _, n := range ns {
+					b := randSlice(rng, k*n)
+					want := make([]float64, m*n)
+					mxmBasic(a, m, b, k, want, n)
+					buf := make([]float64, m*n+guard)
+					for i := range buf {
+						buf[i] = sentinel
+					}
+					kn.fn(a, m, b, k, buf[:m*n:m*n], n)
+					for i := range want {
+						if math.Float64bits(buf[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s m=%d k=%d n=%d: c[%d] = %x, want %x (not bit-identical)",
+								kn.name, m, k, n, i, math.Float64bits(buf[i]), math.Float64bits(want[i]))
+						}
+					}
+					for i := m * n; i < len(buf); i++ {
+						if math.Float64bits(buf[i]) != math.Float64bits(sentinel) {
+							t.Fatalf("%s m=%d k=%d n=%d: wrote past C at %d", kn.name, m, k, n, i)
+						}
 					}
 				}
 			}
@@ -96,55 +93,42 @@ func TestMxMSIMDExact(t *testing.T) {
 	}
 }
 
-// mxmSIMDWant is the kernel MxM(MxMSIMD, ...) runs at reduction size k
-// on this build — the static dispatch production relies on: AVX2 at
-// every k where the host has it, else the generated kernel up to k = 16
-// and fused+unroll above.
-func mxmSIMDWant(k int) string {
+// mxmWant is the kernel MxM runs at reduction size k on this build — the
+// static dispatch production relies on: AVX2 at every k where the host
+// has it, else the generated kernel up to k = 16 and fused+unroll above.
+func mxmWant(k int) (mxmFunc, string) {
 	switch {
 	case HasSIMD():
-		return "simd"
+		return mxmAVX2, "simd"
 	case k <= mxmGenMaxK:
-		return "generated"
+		return mxmGen, "generated"
 	}
-	return "fused+unroll"
+	return mxmFusedUnroll, "fused+unroll"
 }
 
-// TestMxMEffectiveNames is the regression test for the kernelbench -mxm
-// labeling bug: a variant outside its specialization range must report
-// the fallback that actually runs, not its own name. It also pins the
-// static dispatch of MxMSIMD at every k production can send it.
+// TestMxMEffectiveNames pins the static dispatch at every k production
+// can send it: the kernel mxmKernel hands out and the name MxMEffective
+// reports for it (the name keys TestViscousRHSGolden's rows).
 func TestMxMEffectiveNames(t *testing.T) {
-	for k := 1; k <= mxmGenMaxK; k++ {
-		if got := MxMEffective(MxMGenerated, k); got != "generated" {
-			t.Errorf("generated k=%d: effective %q", k, got)
-		}
-	}
-	if got := MxMEffective(MxMGenerated, mxmGenMaxK+1); got != "fused+unroll" {
-		t.Errorf("generated k=%d: effective %q, want fused+unroll", mxmGenMaxK+1, got)
-	}
+	ptr := func(f mxmFunc) uintptr { return reflect.ValueOf(f).Pointer() }
 	for k := 1; k <= 24; k++ {
-		if got, want := MxMEffective(MxMSIMD, k), mxmSIMDWant(k); got != want {
-			t.Errorf("simd k=%d (AVX2=%v): effective %q, want %q", k, HasSIMD(), got, want)
+		wantFn, want := mxmWant(k)
+		if got := MxMEffective(k); got != want {
+			t.Errorf("k=%d (AVX2=%v): effective %q, want %q", k, HasSIMD(), got, want)
 		}
-	}
-	names := map[MxMVariant]string{
-		MxMGenerated: "generated", MxMSIMD: "simd",
-	}
-	for v, want := range names {
-		if v.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(v), v.String(), want)
+		if fn, _ := mxmKernel(k); ptr(fn) != ptr(wantFn) {
+			t.Errorf("k=%d (AVX2=%v): mxmKernel picked a kernel other than %s", k, HasSIMD(), want)
 		}
 	}
 }
 
-// TestMxMSIMDSignedZero pins the one corner where the kernels MxMSIMD
-// can resolve to are not interchangeable: an output whose products are
-// all -0. The AVX2 kernel and fused+unroll accumulate from +0 and give
-// +0; the generated kernels start from the first product and give -0.
-// So the sign follows the build's dispatch: +0 at every k with AVX2,
-// else -0 for k <= 16 and +0 above.
-func TestMxMSIMDSignedZero(t *testing.T) {
+// TestMxMSignedZero pins the one corner where the kernels MxM can pick
+// are not interchangeable: an output whose products are all -0. The AVX2
+// kernel and fused+unroll accumulate from +0 and give +0; the generated
+// kernels start from the first product and give -0. So the sign follows
+// the build's dispatch: +0 at every k with AVX2, else -0 for k <= 16 and
+// +0 above.
+func TestMxMSignedZero(t *testing.T) {
 	const m, n = 5, 7
 	for k := 1; k <= 24; k++ {
 		a := make([]float64, m*k)
@@ -156,12 +140,13 @@ func TestMxMSIMDSignedZero(t *testing.T) {
 			b[i] = 1
 		}
 		c := make([]float64, m*n)
-		MxM(MxMSIMD, a, m, b, k, c, n)
-		wantNeg := mxmSIMDWant(k) == "generated"
+		MxM(a, m, b, k, c, n)
+		_, name := mxmWant(k)
+		wantNeg := name == "generated"
 		for i, v := range c {
 			if v != 0 || math.Signbit(v) != wantNeg {
 				t.Fatalf("k=%d (%s): c[%d] = %x, want a zero with sign bit %v",
-					k, mxmSIMDWant(k), i, math.Float64bits(v), wantNeg)
+					k, name, i, math.Float64bits(v), wantNeg)
 			}
 		}
 	}
@@ -187,51 +172,23 @@ func TestMxMRejectsNonPositiveDims(t *testing.T) {
 		{"all negative", -2, -2, -2},
 	}
 	for _, tc := range cases {
-		for _, v := range MxMVariants {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: MxM(%v) did not panic", tc.name, v)
-					}
-				}()
-				MxM(v, a, tc.m, b, tc.k, c, tc.n)
-			}()
-		}
-	}
-}
-
-func TestMxMBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	m, k, n, nel := 25, 5, 5, 7
-	a := randSlice(rng, nel*m*k)
-	b := randSlice(rng, k*n)
-	want := make([]float64, nel*m*n)
-	for e := 0; e < nel; e++ {
-		MxM(MxMBasic, a[e*m*k:(e+1)*m*k], m, b, k, want[e*m*n:(e+1)*m*n], n)
-	}
-	for _, v := range MxMVariants {
-		got := make([]float64, nel*m*n)
-		ops := MxMBatch(v, a, m, b, k, got, n, nel)
-		if v != MxMUnroll {
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%v: batch not bit-identical at %d", v, i)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: MxM did not panic", tc.name)
 				}
-			}
-		}
-		if ops != mxmOps(m, n, k).Times(int64(nel)) {
-			t.Fatalf("%v: batch ops = %+v", v, ops)
-		}
+			}()
+			MxM(a, tc.m, b, tc.k, c, tc.n)
+		}()
 	}
 }
 
-// FuzzMxMVariants pits every variant against MxMBasic across random
-// shapes with m != n and k in [1, 20]. All order-preserving variants —
-// fused, fused+unroll, generated, simd — must be
-// bit-identical; MxMUnroll is the one variant whose defined semantics
-// reassociate the reduction (4-way partial sums), so it alone is
-// checked against a tolerance.
-func FuzzMxMVariants(f *testing.F) {
+// FuzzMxMKernels pits each kernel MxM can pick in this build — the AVX2
+// assembly where present, the generated kernels for k <= 16 and
+// fused+unroll — against mxmBasic across random shapes with m != n and
+// k in [1, 20], each called directly. All accumulate in ascending l, so
+// every one must be bit-identical.
+func FuzzMxMKernels(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(9), uint8(7))
 	f.Add(int64(2), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(3), uint8(16), uint8(19), uint8(3))
@@ -247,21 +204,14 @@ func FuzzMxMVariants(f *testing.F) {
 		a := randSlice(rng, m*k)
 		b := randSlice(rng, k*n)
 		want := make([]float64, m*n)
-		MxM(MxMBasic, a, m, b, k, want, n)
-		for _, v := range MxMVariants {
-			if v == MxMBasic {
-				continue
-			}
+		mxmBasic(a, m, b, k, want, n)
+		for _, kn := range mxmCandidates(k)[1:] {
 			c := make([]float64, m*n)
-			MxM(v, a, m, b, k, c, n)
+			kn.fn(a, m, b, k, c, n)
 			for i := range c {
-				if v == MxMUnroll {
-					if math.Abs(c[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-						t.Fatalf("%v m=%d k=%d n=%d: c[%d] = %v, want %v", v, m, k, n, i, c[i], want[i])
-					}
-				} else if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%v m=%d k=%d n=%d: c[%d] = %x, want %x (not bit-identical)",
-						v, m, k, n, i, math.Float64bits(c[i]), math.Float64bits(want[i]))
+				if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s m=%d k=%d n=%d: c[%d] = %x, want %x (not bit-identical)",
+						kn.name, m, k, n, i, math.Float64bits(c[i]), math.Float64bits(want[i]))
 				}
 			}
 		}

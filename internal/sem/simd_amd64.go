@@ -45,12 +45,8 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// mxmSIMD runs the AVX2 kernel when available; reports false when the
-// host lacks AVX2 (the caller falls back to a portable kernel).
-func mxmSIMD(a []float64, m int, b []float64, k int, c []float64, n int) bool {
-	if !hasAVX2 {
-		return false
-	}
+// mxmAVX2 runs the assembly kernel; mxmKernel hands it out only when
+// hasAVX2 holds.
+func mxmAVX2(a []float64, m int, b []float64, k int, c []float64, n int) {
 	mxmAVX2Asm(&a[0], m, &b[0], k, &c[0], n)
-	return true
 }

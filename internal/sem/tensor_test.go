@@ -25,7 +25,7 @@ func TestTensorApply3Identity(t *testing.T) {
 }
 
 // TestTensorApply3MatchesDirectSum holds TensorApply3 bit for bit to
-// three MxMBasic passes in stage order — the first on A transposed — at
+// three mxmBasic passes in stage order — the first on A transposed — at
 // rectangular shapes (m1 != n1, including both dealiasing directions),
 // and the smallest of them to the O(n^6) direct formula, which pins what
 // the stages compute.

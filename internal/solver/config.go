@@ -257,6 +257,12 @@ func (c *Config) Validate(p int) error {
 	if c.Variant != sem.Basic && c.Variant != sem.Optimized {
 		return fmt.Errorf("solver: unknown kernel variant %v", c.Variant)
 	}
+	if c.Mu < 0 {
+		return fmt.Errorf("solver: viscosity Mu must be >= 0, got %g", c.Mu)
+	}
+	if c.FilterCutoff < 0 {
+		return fmt.Errorf("solver: FilterCutoff must be >= 0, got %d", c.FilterCutoff)
+	}
 	for gid, m := range c.HotElems {
 		if m <= 0 {
 			return fmt.Errorf("solver: hot element %d has non-positive multiplier %g", gid, m)

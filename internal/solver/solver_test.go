@@ -375,6 +375,16 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(4); err == nil {
 		t.Fatal("unknown kernel variant accepted")
 	}
+	bad = cfg
+	bad.Mu = -1
+	if err := bad.Validate(4); err == nil {
+		t.Fatal("negative viscosity accepted")
+	}
+	bad = cfg
+	bad.FilterCutoff = -2
+	if err := bad.Validate(4); err == nil {
+		t.Fatal("negative filter cutoff accepted")
+	}
 }
 
 func TestPaperFig7Config(t *testing.T) {

@@ -24,7 +24,7 @@ import (
 // the smooth-pulse goldens never reach. It was recorded with the gradients
 // as whole-rank sweeps that the flux read back per (field, direction).
 // The corner is also where the t-direction kernels a build can run
-// differ (TestMxMSIMDSignedZero), so Optimized rows are keyed by the
+// differ (TestMxMSignedZero), so Optimized rows are keyed by the
 // kernel this build runs and the file holds rows for the AVX2 and the
 // semnoasm builds. Delete the file to re-record (the recording run
 // fails, so a missing golden never passes); record each build and merge.
@@ -128,7 +128,7 @@ func TestViscousRHSGolden(t *testing.T) {
 			for _, overlap := range []bool{false, true} {
 				key := fmt.Sprintf("n=%d/%v/overlap=%v", n, variant, overlap)
 				if variant == sem.Optimized {
-					key += "/t=" + sem.MxMEffective(sem.MxMSIMD, n)
+					key += "/t=" + sem.MxMEffective(n)
 				}
 				keys, rows[key] = append(keys, key), row{n, variant, overlap}
 			}
