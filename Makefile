@@ -37,7 +37,7 @@ race:
 	GOMAXPROCS=1 $(GO) test -run TestOptionMatrixInvariance .
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap|TestFacePairing' ./internal/solver/...
 	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
-	$(GO) test -race -count=5 -run 'TestChargeGolden/workers=3|TestViscousRHSGolden/workers=3' ./internal/solver/
+	$(GO) test -race -count=5 -run 'TestChargeGolden/workers=3|TestViscousRHSGolden/workers=3|TestTailGolden/workers=3' ./internal/solver/
 	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 

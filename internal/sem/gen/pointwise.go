@@ -89,7 +89,7 @@ func pointwiseKernels() []pwKernel {
 		return add(add(f(0), f(1)), f(2))
 	}
 
-	// volumeElems: the velocity and the pressure.
+	// volumeElem: the velocity and the pressure.
 	inv := div(one, rho)
 	var vel [3]*expr
 	for d := range vel {
@@ -104,7 +104,7 @@ func pointwiseKernels() []pwKernel {
 			{"pr", mul(gm1, sub(en, mul(half, msq(func(d int) *expr { return mul(m[d], vel[d]) }))))}},
 	})
 
-	// volumeElems: the energy flux, and the momentum fluxes with the
+	// volumeElem: the energy flux, and the momentum fluxes with the
 	// pressure on the normal component.
 	h := add(en, pr)
 	ks = append(ks, pwKernel{
@@ -131,7 +131,7 @@ func pointwiseKernels() []pwKernel {
 		})
 	}
 
-	// volumeElems: the divergence, scaled by the constant metric and
+	// volumeElem: the divergence, scaled by the constant metric and
 	// negated, summed from +0.
 	rx := sc("rx")
 	ks = append(ks, pwKernel{

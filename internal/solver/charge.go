@@ -17,7 +17,7 @@ import (
 // (merged charges round differently), and settle reports them: every
 // virtual clock, phase split and span extent is the sweeps', bit for bit.
 
-// The stages of the slot stopwatch (faceElems, volumeElems, postElems).
+// The stages of the slot stopwatch (faceElems, volumeElem, postElems).
 // A stage's wall is booked to the calls of the sweeps that name it.
 const (
 	faceExt  = iota // full2face_cmt: the state's traces
@@ -59,8 +59,9 @@ type sweep struct {
 
 // schedule is one configuration's table: its sweeps, in order, by the
 // point of the step that bills them — in the wave-speed region, before
-// any pass, after each faceRuns call and volume run, after the volume
-// runs (overlap: each faceRuns call) and after the post-exchange pass.
+// any pass, after each faceRuns call and volume run (inviscid: each run
+// ahead of the post-exchange pass that computes it), after the volume
+// charges (overlap: each faceRuns call) and after the post-exchange pass.
 type schedule struct {
 	waveSpeed, primitive, gradient, face, surface, volume []sweep
 	lift, source, dealias, earlyUpdate, update, filter    []sweep
@@ -226,16 +227,27 @@ func (s *Solver) timePass(start time.Time) {
 func (s *Solver) chargeAhead() {
 	s.charge(s.sched.primitive, s.Local.Nel)
 	s.charge(s.sched.gradient, s.Local.Nel)
-	s.ahead = len(s.ledger)
+	s.ahead, s.owed = len(s.ledger), len(s.ledger)
+}
+
+// chargeVolume bills the inviscid volume sweeps of each run at their
+// place in the step (blocking: between the face pass and the surface
+// flux; overlap: the interior runs before their face pass, the boundary
+// runs after the exchange), ahead of the post-exchange pass that computes
+// them: the calls take that pass's wall (postRuns).
+func (s *Solver) chargeVolume(runs [][2]int) {
+	for _, run := range runs {
+		s.charge(s.sched.volume, run[1]-run[0])
+	}
 }
 
 // leave tiles the last pass's untaken wall over the calls charged ahead
 // that share it — a call billed once per right-hand side and timed by
 // several passes lies in the first, since no one pass holds all of its
 // wall, and reports the others' share in the profile only — sets aside
-// what no such call shares for calls not yet charged (the blocking
-// surface flux, charged after the volume runs), and opens a pass at
-// next.
+// what no such call shares for calls not yet charged (with overlap, the
+// interior post-exchange pass's lift and update, charged after the
+// boundary pass), and opens a pass at next.
 func (s *Solver) leave(next time.Time) {
 	tile(s.ledger[:s.ahead], &s.pass)
 	for k, w := range s.pass.wall {

@@ -101,13 +101,17 @@ func TestScheduleMatchesKernels(t *testing.T) {
 // the pass whose stopwatch timed it, so every rank's trace nests in the
 // wall domain as it does in the virtual one — the overlapped right-hand
 // sides too, whose once-billed primitive and gradient calls take the wall
-// of the first volume run that times them.
+// of the first pass that times them, and the inviscid ones, whose volume
+// calls are billed ahead of the post-exchange pass that times them. It
+// also holds the whole-rank right-hand side to the viscous path: an
+// inviscid solver keeps its residual in slot scratch.
 func TestSettledCallsNest(t *testing.T) {
 	for _, tc := range []struct {
 		viscous, overlap bool
 		variant          sem.KernelVariant
 	}{
 		{false, false, sem.Optimized}, {false, true, sem.Optimized},
+		{false, false, sem.Basic}, {false, true, sem.Basic},
 		{true, false, sem.Optimized}, {true, false, sem.Basic},
 		{true, true, sem.Optimized}, {true, true, sem.Basic},
 	} {
@@ -127,6 +131,18 @@ func TestSettledCallsNest(t *testing.T) {
 				defer s.Close()
 				s.SetInitial(GaussianPulse(1.5, 1.5, 1.5, 0.1, 0.5))
 				s.Run(2)
+				held, want := 0, 0
+				for _, f := range s.rhs {
+					if f != nil {
+						held++
+					}
+				}
+				if tc.viscous {
+					want = NumFields
+				}
+				if held != want {
+					return fmt.Errorf("%s: the solver holds %d whole-rank rhs arrays, want %d", name, held, want)
+				}
 				return nil
 			})
 			if err != nil {

@@ -260,8 +260,10 @@ func (c *Config) Validate(p int) error {
 	if c.Mu < 0 {
 		return fmt.Errorf("solver: viscosity Mu must be >= 0, got %g", c.Mu)
 	}
-	if c.FilterCutoff < 0 {
-		return fmt.Errorf("solver: FilterCutoff must be >= 0, got %d", c.FilterCutoff)
+	if c.FilterCutoff < 0 || c.FilterCutoff >= c.N {
+		// A cutoff of N or more keeps every one of the N modes: the
+		// filter would run and change nothing.
+		return fmt.Errorf("solver: FilterCutoff %d outside [0,%d)", c.FilterCutoff, c.N)
 	}
 	for gid, m := range c.HotElems {
 		if m <= 0 {

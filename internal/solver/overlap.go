@@ -13,23 +13,24 @@ import (
 // elements from the face pairing: an element is *boundary* when any of
 // its faces is a rank-boundary face, *interior* otherwise. The
 // right-hand side then runs boundary face extraction first, posts the
-// split-phase exchange (gs.Pending.Begin), computes every interior volume
-// kernel while the messages are in flight, completes the exchange
-// (Finish), and computes the boundary volume kernels — so the modeled
-// step time becomes max(interior compute, exchange) + boundary compute
-// instead of the serial sum. Every kernel is element-local and the gs
+// split-phase exchange (gs.Pending.Begin), computes every interior
+// element while the messages are in flight, completes the exchange
+// (Finish), and computes the boundary elements — so the modeled step
+// time becomes max(interior compute, exchange) + boundary compute instead
+// of the serial sum. Every kernel is element-local and the gs
 // combine order is preserved exactly, so results are bit-identical with
 // overlap on or off.
 
-// rhsEval dispatches one right-hand-side evaluation, and with it the
-// update of Runge-Kutta stage stage (1, 2 or 3) of step size dt, to the
-// overlap or blocking pipeline.
+// rhsEval dispatches one right-hand-side evaluation of the state in, and
+// with it the update of Runge-Kutta stage stage (1, 2 or 3) of step size
+// dt, to the overlap or blocking pipeline.
 func (s *Solver) rhsEval(in *[NumFields][]float64, stage int, dt float64) {
-	s.post = postJob{stage, dt}
+	s.vol = volJob{in: in, kern: sem.NewElemDeriv(s.Cfg.Variant, s.Ref), viscous: s.Cfg.Mu > 0}
+	s.post = postJob{stage: stage, dt: dt}
 	if s.Cfg.Overlap {
-		s.computeRHSOverlap(in)
+		s.computeRHSOverlap()
 	} else {
-		s.computeRHS(in)
+		s.computeRHS()
 	}
 }
 
@@ -81,19 +82,20 @@ func (s *Solver) InteriorElems() int {
 // computeRHSOverlap is computeRHS with the interior/boundary split: the
 // same helpers over reordered element runs, with the exchange posted as
 // soon as the boundary traces exist. The inviscid path overlaps both
-// exchanges with the whole interior phase; the viscous path must run the
+// exchanges with the interior traces and the interior elements' whole
+// post-exchange pass (an interior element reads no rank-boundary face
+// point, and its update is its own); the viscous path must run the
 // boundary volume kernels before the flux exchange can start (they
 // extract the viscous flux traces), so its flux exchange overlaps the
-// interior phase only.
-func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
-	viscous := s.Cfg.Mu > 0
-
+// interior volume phase only, and its post-exchange pass follows the
+// exchange.
+func (s *Solver) computeRHSOverlap() {
 	s.chargeAhead()
 
-	if !viscous {
+	if !s.vol.viscous {
 		// Boundary faces first, then both exchanges in flight across the
-		// entire interior phase.
-		s.charge(s.sched.surface, s.faceRuns(in, s.bndRuns, true))
+		// interior traces and post-exchange pass.
+		s.charge(s.sched.surface, s.faceRuns(s.bndRuns, true))
 		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.saveOwn(&s.ownU, &s.faceU)
 		s.saveOwn(&s.ownF, &s.faceF)
@@ -101,39 +103,42 @@ func (s *Solver) computeRHSOverlap(in *[NumFields][]float64) {
 		s.pendF.Begin(s.faceF[:], comm.OpSum)
 		reg.End()
 
-		s.volumeRuns(in, s.intRuns, false)
-		s.charge(s.sched.surface, s.faceRuns(in, s.intRuns, true))
+		s.chargeVolume(s.intRuns)
+		s.charge(s.sched.surface, s.faceRuns(s.intRuns, true))
+		s.postRuns(s.intRuns)
 
 		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Finish()
 		s.pendF.Finish()
 		reg.End()
 
-		s.volumeRuns(in, s.bndRuns, false)
+		s.chargeVolume(s.bndRuns)
+		s.postRuns(s.bndRuns)
 	} else {
 		// The state exchange starts as soon as the boundary traces are
 		// extracted; the flux exchange needs the boundary volume pass
 		// (which extracts the viscous flux traces) before it can start.
-		s.faceRuns(in, s.bndRuns, false)
+		s.faceRuns(s.bndRuns, false)
 		reg := s.Rec.Region("gs_op", obs.CatGS)
 		s.saveOwn(&s.ownU, &s.faceU)
 		s.pendU.Begin(s.faceU[:], comm.OpSum)
 		reg.End()
 
-		s.volumeRuns(in, s.bndRuns, true)
+		s.volumeRuns(s.bndRuns)
 		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.saveOwn(&s.ownF, &s.faceF)
 		s.pendF.Begin(s.faceF[:], comm.OpSum)
 		reg.End()
 
-		s.volumeRuns(in, s.intRuns, true)
-		s.faceRuns(in, s.intRuns, false)
+		s.volumeRuns(s.intRuns)
+		s.faceRuns(s.intRuns, false)
 
 		reg = s.Rec.Region("gs_op", obs.CatGS)
 		s.pendU.Finish()
 		s.pendF.Finish()
 		reg.End()
-	}
 
-	s.postExchange()
+		s.postRuns([][2]int{{0, s.Local.Nel}})
+	}
+	s.chargePost()
 }

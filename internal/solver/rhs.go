@@ -58,21 +58,29 @@ func (s *Solver) wallCorrection(d int, sign float64, idx int, lam float64, out *
 }
 
 // computeRHS evaluates the semi-discrete DG right-hand side of the
-// conservation law for the state in, leaving it in s.rhs, and runs the
-// Runge-Kutta stage update s.post names over it. One call is one pass
-// through every kernel of the paper's Figure 4 profile; with Mu > 0 the
-// viscous (compressible Navier-Stokes) flux path adds the gradient
-// kernels of the parent code. The overlap path (computeRHSOverlap) runs
-// the same helpers over interior/boundary element runs instead of one
-// full run; every kernel is element-local, so both orders are
-// bit-identical.
-func (s *Solver) computeRHS(in *[NumFields][]float64) {
-	viscous := s.Cfg.Mu > 0
+// conservation law for the state s.vol names and runs the Runge-Kutta
+// stage update s.post names over it. One call is one pass through every
+// kernel of the paper's Figure 4 profile; with Mu > 0 the viscous
+// (compressible Navier-Stokes) flux path adds the gradient kernels of the
+// parent code. Before the exchange the inviscid path extracts the traces
+// and the surface flux only: its volume pass runs per element inside the
+// post-exchange pass, into slot scratch, and is billed here, where its
+// whole-rank sweeps stood. The viscous path's flux traces come from its
+// volume pass, which runs before the exchange into s.rhs. The overlap
+// path (computeRHSOverlap) runs the same helpers over interior/boundary
+// element runs instead of one full run; every kernel is element-local,
+// so both orders are bit-identical.
+func (s *Solver) computeRHS() {
+	viscous := s.vol.viscous
 	all := [][2]int{{0, s.Local.Nel}} // one run: the split path's helpers and pool partitions
 
 	s.chargeAhead()
-	nf := s.faceRuns(in, all, !viscous)
-	s.volumeRuns(in, all, viscous)
+	nf := s.faceRuns(all, !viscous)
+	if viscous {
+		s.volumeRuns(all)
+	} else {
+		s.chargeVolume(all)
+	}
 	s.charge(s.sched.surface, nf) // where the surface-flux sweep stood
 
 	// --- gs_op: nearest-neighbor exchange of the rank-boundary state and
@@ -94,7 +102,8 @@ func (s *Solver) computeRHS(in *[NumFields][]float64) {
 	}
 	reg.End()
 
-	s.postExchange()
+	s.postRuns(all)
+	s.chargePost()
 }
 
 // saveOwn copies the own traces of the rank-boundary faces out of face
@@ -111,7 +120,6 @@ func (s *Solver) saveOwn(own, face *[NumFields][]float64) {
 // faceJob is the run faceElems is working through (kept in the Solver,
 // like volJob, so a run dispatches to the pool without allocating).
 type faceJob struct {
-	in   *[NumFields][]float64
 	elo  int
 	flux bool
 }
@@ -124,8 +132,8 @@ type faceJob struct {
 // flux in volumeRuns instead). It bills full2face_cmt and returns how
 // many elements it covered, for the caller to bill the surface flux (an
 // inviscid schedule's) where that sweep stood.
-func (s *Solver) faceRuns(in *[NumFields][]float64, runs [][2]int, flux bool) int {
-	s.face.in, s.face.flux = in, flux
+func (s *Solver) faceRuns(runs [][2]int, flux bool) int {
+	s.face.flux = flux
 	nelr := 0
 	start := time.Now()
 	for _, run := range runs {
@@ -149,7 +157,7 @@ func (s *Solver) faceElems(slot, lo, hi int) {
 	sl.t0, sl.last = time.Now(), 0
 	for e := job.elo + lo; e < job.elo+hi; e++ {
 		for c := 0; c < NumFields; c++ {
-			sem.Full2Face(n, job.in[c][e*n3:(e+1)*n3], 1, s.faceU[c][e*fpe:(e+1)*fpe])
+			sem.Full2Face(n, s.vol.in[c][e*n3:(e+1)*n3], 1, s.faceU[c][e*fpe:(e+1)*fpe])
 		}
 		sl.lap(faceExt)
 		if job.flux {
@@ -192,9 +200,10 @@ func (sl *volSlot) lap(stage int) {
 	}
 }
 
-// volJob is the run volumeElems is working through. It lives in the
-// Solver (with the closure over it built once, in New) so that a run
-// dispatches to the pool without allocating.
+// volJob is the right-hand side's volume pass: the state it reads, the
+// derivative kernels, and the run volumeElems is working through. It
+// lives in the Solver (with the closures over it built once, in New) so
+// that a run dispatches to the pool without allocating.
 type volJob struct {
 	in      *[NumFields][]float64
 	kern    sem.ElemDeriv
@@ -202,20 +211,11 @@ type volJob struct {
 	viscous bool
 }
 
-// volumeRuns is the derivative kernel (ax_) phase — the dominant cost —
-// over the given element runs, one element at a time: the element's
-// velocity and pressure are formed in slot scratch, then for each field
-// the three directional fluxes are evaluated into slot scratch, D is applied
-// along r, s and t while they are in cache, and the divergence, scaled by
-// the constant metric and negated, goes straight into s.rhs. In the
-// viscous path the flux carries the viscous terms and its face traces
-// are extracted here too (both sides then average them via gs, a
-// BR1-style viscous interface flux). Per point this is the arithmetic of
-// a sweep-per-(field, direction) formulation in the same order, so the
-// state is bit-identical to one; each run is billed as those sweeps.
-func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous bool) {
-	s.vol.in, s.vol.viscous = in, viscous
-	s.vol.kern = sem.NewElemDeriv(s.Cfg.Variant, s.Ref)
+// volumeRuns is the viscous derivative kernel (ax_) phase over the given
+// element runs, into s.rhs: volumeElem on every element, each run billed
+// as the sweeps it replaces once it is done. (The inviscid volume pass
+// runs inside postRuns.)
+func (s *Solver) volumeRuns(runs [][2]int) {
 	for _, run := range runs {
 		s.vol.elo = run[0]
 		start := time.Now()
@@ -225,88 +225,123 @@ func (s *Solver) volumeRuns(in *[NumFields][]float64, runs [][2]int, viscous boo
 	}
 }
 
-// volumeElems runs the volume pipeline over elements [lo, hi) of the
+// volumeElems runs the viscous volume pass over elements [lo, hi) of the
 // current run on pool slot slot.
 func (s *Solver) volumeElems(slot, lo, hi int) {
-	job, sl := &s.vol, &s.volSlots[slot]
-	in := job.in
-	n := s.Cfg.N
-	n3 := n * n * n
-	fpe := sem.NFaces * n * n
-	rx := s.rx
-	// Scratch: the three flux components, then their derivatives, the
-	// velocity and the pressure. (Sliced to a length the compiler can see
-	// is n3, which keeps bounds checks out of the pointwise loops.)
-	f0, f1, f2 := sl.buf[:n3], sl.buf[n3:][:n3], sl.buf[2*n3:][:n3]
-	g0, g1, g2 := sl.buf[3*n3:][:n3], sl.buf[4*n3:][:n3], sl.buf[5*n3:][:n3]
-	v0, v1, v2, pr := sl.buf[6*n3:][:n3], sl.buf[7*n3:][:n3], sl.buf[8*n3:][:n3], sl.buf[9*n3:][:n3]
-	f, g, vel := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}, [3][]float64{v0, v1, v2}
-	vis := sl.buf[10*n3:] // viscous: elemGradients' scratch
+	sl := &s.volSlots[slot]
+	n3 := s.Cfg.N * s.Cfg.N * s.Cfg.N
+	var dst [NumFields][]float64
 	sl.t0, sl.last = time.Now(), 0
-	for e := job.elo + lo; e < job.elo+hi; e++ {
-		base := e * n3
-		rho, en := in[IRho][base:][:n3], in[IEnergy][base:][:n3]
-		mx, my, mz := in[IMomX][base:][:n3], in[IMomY][base:][:n3], in[IMomZ][base:][:n3]
-		primitives(rho, mx, my, mz, en, v0, v1, v2, pr)
-		sl.lap(volPrim)
-		if job.viscous {
-			s.elemGradients(vis, &job.kern, rho, vel, pr, sl)
+	for e := s.vol.elo + lo; e < s.vol.elo+hi; e++ {
+		for c := range dst {
+			dst[c] = s.rhs[c][e*n3:][:n3]
 		}
-		for c := 0; c < NumFields; c++ {
-			src := f // what the derivative kernels read
-			switch {
-			case c == IRho:
-				// The mass flux is the momentum: differentiate it in place.
-				for d := 0; d < 3; d++ {
-					src[d] = in[IMomX+d][base : base+n3]
-				}
-			case c == IEnergy:
-				energyFlux(en, pr, v0, v1, v2, f0, f1, f2)
-			default: // the normal component carries the pressure
-				momentumFlux[c-IMomX](in[c][base:][:n3], v0, v1, v2, pr, f0, f1, f2)
-			}
-			if job.viscous && c != IRho { // no viscous mass flux
-				for d := 0; d < 3; d++ {
-					s.subViscousFlux(c, d, vel, vis, f[d])
-				}
-			}
-			sl.lap(volFlux)
-			if job.viscous {
-				faces := s.faceF[c][e*fpe : (e+1)*fpe]
-				for d := 0; d < 3; d++ {
-					sem.Full2FaceDir(n, src[d], 1, faces, d)
-				}
-				sl.lap(volFace)
-			}
-			for d := 0; d < 3; d++ {
-				job.kern.Apply(sem.Direction(d), src[d], g[d])
-				sl.lap(volR + d)
-			}
-			divergence(g0, g1, g2, s.rhs[c][base:][:n3], rx)
-			sl.lap(volRest)
-		}
+		s.volumeElem(e, sl, sl.buf, &dst)
 		sl.t0 = time.Time{}
 	}
 }
 
-// postJob is the Runge-Kutta stage postElems finishes: 1 and 2 write
-// u1, 3 writes U and filters it.
+// volumeElem is the derivative kernel (ax_) phase — the dominant cost —
+// of element e, on slot sl's stopwatch with scratch buf: the element's
+// velocity and pressure are formed in scratch, then for each field the
+// three directional fluxes are evaluated into scratch, D is applied along
+// r, s and t while they are in cache, and the divergence, scaled by the
+// constant metric and negated, goes into dst (the element's residual,
+// N^3 points per field). In the viscous path the flux carries the
+// viscous terms and its face traces are extracted here too (both sides
+// then average them via gs, a BR1-style viscous interface flux). Per
+// point this is the arithmetic of a sweep-per-(field, direction)
+// formulation in the same order, so the state is bit-identical to one.
+func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][]float64) {
+	job := &s.vol
+	in := job.in
+	n := s.Cfg.N
+	n3 := n * n * n
+	fpe := sem.NFaces * n * n
+	// Scratch: the three flux components, then their derivatives, the
+	// velocity and the pressure. (Sliced to a length the compiler can see
+	// is n3, which keeps bounds checks out of the pointwise loops.)
+	f0, f1, f2 := buf[:n3], buf[n3:][:n3], buf[2*n3:][:n3]
+	g0, g1, g2 := buf[3*n3:][:n3], buf[4*n3:][:n3], buf[5*n3:][:n3]
+	v0, v1, v2, pr := buf[6*n3:][:n3], buf[7*n3:][:n3], buf[8*n3:][:n3], buf[9*n3:][:n3]
+	f, g, vel := [3][]float64{f0, f1, f2}, [3][]float64{g0, g1, g2}, [3][]float64{v0, v1, v2}
+	vis := buf[10*n3:] // viscous: elemGradients' scratch
+	base := e * n3
+	rho, en := in[IRho][base:][:n3], in[IEnergy][base:][:n3]
+	mx, my, mz := in[IMomX][base:][:n3], in[IMomY][base:][:n3], in[IMomZ][base:][:n3]
+	primitives(rho, mx, my, mz, en, v0, v1, v2, pr)
+	sl.lap(volPrim)
+	if job.viscous {
+		s.elemGradients(vis, &job.kern, rho, vel, pr, sl)
+	}
+	for c := 0; c < NumFields; c++ {
+		src := f // what the derivative kernels read
+		switch {
+		case c == IRho:
+			// The mass flux is the momentum: differentiate it in place.
+			for d := 0; d < 3; d++ {
+				src[d] = in[IMomX+d][base : base+n3]
+			}
+		case c == IEnergy:
+			energyFlux(en, pr, v0, v1, v2, f0, f1, f2)
+		default: // the normal component carries the pressure
+			momentumFlux[c-IMomX](in[c][base:][:n3], v0, v1, v2, pr, f0, f1, f2)
+		}
+		if job.viscous && c != IRho { // no viscous mass flux
+			for d := 0; d < 3; d++ {
+				s.subViscousFlux(c, d, vel, vis, f[d])
+			}
+		}
+		sl.lap(volFlux)
+		if job.viscous {
+			faces := s.faceF[c][e*fpe : (e+1)*fpe]
+			for d := 0; d < 3; d++ {
+				sem.Full2FaceDir(n, src[d], 1, faces, d)
+			}
+			sl.lap(volFace)
+		}
+		for d := 0; d < 3; d++ {
+			job.kern.Apply(sem.Direction(d), src[d], g[d])
+			sl.lap(volR + d)
+		}
+		divergence(g0, g1, g2, dst[c][:n3], s.rx)
+		sl.lap(volRest)
+	}
+}
+
+// postJob is the Runge-Kutta stage postElems finishes (1 and 2 write u1,
+// 3 writes U and filters it) and the run it is working through.
 type postJob struct {
 	stage int
 	dt    float64
+	elo   int
 }
 
-// postExchange is everything after the face exchange, in one pass over
-// the elements: numerical flux + lift, source terms, dealiasing, the
-// stage update and, after the last stage, the spectral filter. It is
-// identical in the blocking and overlap paths (both run it over all
-// elements once the exchanged traces are complete), bills the sweeps it
-// replaces in their order and settles the right-hand side's calls.
-func (s *Solver) postExchange() {
-	nel := s.Local.Nel
+// postRuns is everything after the face exchange, in one pass over the
+// elements of the given runs: the inviscid volume pass, numerical flux +
+// lift, source terms, dealiasing, the stage update and, after the last
+// stage, the spectral filter. The blocking path runs it over all
+// elements once the exchanged traces are complete; the inviscid overlap
+// path over the interior runs inside the exchange window and over the
+// boundary runs after it. The once-billed primitives and the volume
+// calls charged for these runs ahead of the pass (chargeVolume) take its
+// wall first; chargePost bills the rest.
+func (s *Solver) postRuns(runs [][2]int) {
 	start := time.Now()
-	s.pool.ForSlots(nel, s.postBody)
+	for _, run := range runs {
+		s.post.elo = run[0]
+		s.pool.ForSlots(run[1]-run[0], s.postBody)
+	}
 	s.timePass(start)
+	tile(s.ledger[:s.ahead], &s.pass)
+	tile(s.ledger[s.owed:], &s.pass)
+	s.owed = len(s.ledger)
+}
+
+// chargePost bills the sweeps the post-exchange pass replaces, for every
+// element and in their order, and settles the right-hand side's calls.
+func (s *Solver) chargePost() {
+	nel := s.Local.Nel
 	s.charge(s.sched.lift, nel)
 	if s.Source[0] != nil {
 		s.charge(s.sched.source, nel)
@@ -326,31 +361,50 @@ func (s *Solver) postExchange() {
 	s.settle()
 }
 
-// postElems runs the post-exchange pass over elements [lo, hi) on pool
-// slot slot. Per point every step is the whole-rank sweep's, in the
-// sweeps' order, so the state is bit-identical to theirs; the update
+// postElems runs the post-exchange pass over elements [lo, hi) of the
+// current run on pool slot slot. The element's residual lives in slot
+// scratch on the inviscid path (its volume pass runs here) and in s.rhs
+// on the viscous one. Per point every step is the whole-rank sweep's, in
+// the sweeps' order, so the state is bit-identical to theirs; the update
 // reads u1 at a point before it writes it there, so stage 2 updates u1
-// in place.
+// in place, and each element's volume pass reads its own points of the
+// state before its update writes them.
 func (s *Solver) postElems(slot, lo, hi int) {
 	job, sl := &s.post, &s.volSlots[slot]
 	n := s.Cfg.N
 	n3 := n * n * n
 	dt := job.dt
+	volume := !s.vol.viscous   // the volume pass runs here, into slot scratch
+	var r [NumFields][]float64 // the element's residual
+	scr := sl.buf              // everything else: volume, lift, dealias and filter scratch
+	if volume {
+		for c := range r {
+			r[c] = sl.buf[c*n3:][:n3]
+		}
+		scr = sl.buf[NumFields*n3:]
+	}
 	var w [NumFields][]float64 // the lift's scratch: one face of corrections per field
 	for c := range w {
-		w[c] = sl.buf[c*n*n:][:n*n]
+		w[c] = scr[c*n*n:][:n*n]
 	}
 	sl.t0, sl.last = time.Now(), 0
-	for e := lo; e < hi; e++ {
+	for e := job.elo + lo; e < job.elo+hi; e++ {
 		base := e * n3
-		s.liftElem(e, &w)
+		if volume {
+			s.volumeElem(e, sl, scr, &r)
+		} else {
+			for c := range r {
+				r[c] = s.rhs[c][base:][:n3]
+			}
+		}
+		s.liftElem(e, &w, &r)
 		sl.lap(postLift)
 		// Source terms: the conservation law's R (multiphase coupling).
 		// Zero — i.e. absent — in the paper's current CMT-bone; populated
 		// by couplers such as the particle cloud.
 		if s.Source[0] != nil {
 			for c := 0; c < NumFields; c++ {
-				src, rc := s.Source[c][base:][:n3], s.rhs[c][base:][:n3]
+				src, rc := s.Source[c][base:][:n3], r[c]
 				for i := range rc {
 					rc[i] += src[i]
 				}
@@ -360,15 +414,14 @@ func (s *Solver) postElems(slot, lo, hi int) {
 		// Dealiasing: each field to the fine mesh and back (cost path of
 		// the dealiased flux evaluation).
 		if s.Cfg.Dealias {
-			uf := sl.buf[:s.Ref.NF*s.Ref.NF*s.Ref.NF]
-			scr := sl.buf[len(uf):]
+			uf := scr[:s.Ref.NF*s.Ref.NF*s.Ref.NF]
 			for c := 0; c < NumFields; c++ {
-				s.Ref.DealiasRoundTrip(s.rhs[c][base:][:n3], 1, uf, scr)
+				s.Ref.DealiasRoundTrip(r[c], 1, uf, scr[len(uf):])
 			}
 			sl.lap(postDeal)
 		}
 		for c := 0; c < NumFields; c++ {
-			uc, rc, u1 := s.U[c][base:][:n3], s.rhs[c][base:][:n3], s.u1[c][base:][:n3]
+			uc, rc, u1 := s.U[c][base:][:n3], r[c], s.u1[c][base:][:n3]
 			switch job.stage {
 			case 1: // u1 = U + dt RHS(U)
 				rkStage1(uc, rc, u1, dt)
@@ -383,7 +436,7 @@ func (s *Solver) postElems(slot, lo, hi int) {
 		// Legendre modes of every conserved field.
 		if job.stage == 3 && s.filterMat != nil {
 			for c := 0; c < NumFields; c++ {
-				sem.FilterElements(s.filterMat, n, s.U[c][base:][:n3], 1, s.Cfg.FilterStrength, sl.buf)
+				sem.FilterElements(s.filterMat, n, s.U[c][base:][:n3], 1, s.Cfg.FilterStrength, scr)
 			}
 			sl.lap(postFilter)
 		}
@@ -393,17 +446,17 @@ func (s *Solver) postElems(slot, lo, hi int) {
 
 // liftElem is the numerical flux (Lax-Friedrichs) and lift of element e,
 // one face at a time: the correction (f - f*).n at each face point,
-// scaled by the diagonal lift factor, into w, then added into the volume
-// residual of every field while the face's traces are in cache — faces
-// in sem order, so each volume point sees the additions the five
-// whole-rank Face2FullAdd sweeps made, in their order. A face paired on
+// scaled by the diagonal lift factor, into w, then added into the
+// element's residual r of every field while the face's traces are in
+// cache — faces in sem order, so each volume point sees the additions
+// the five whole-rank Face2FullAdd sweeps made, in their order. A face paired on
 // this rank forms the in+out sums from its partner's traces (IEEE
 // addition commutes, so they are the gather-scatter's bits); a
 // rank-boundary face reads the exchanged sums. Domain boundary faces see
 // a mirror ghost state (slip wall) or no correction (freestream).
-func (s *Solver) liftElem(e int, w *[NumFields][]float64) {
+func (s *Solver) liftElem(e int, w, r *[NumFields][]float64) {
 	n := s.Cfg.N
-	n2, n3 := n*n, n*n*n
+	n2 := n * n
 	lam := s.lambda
 	wall := s.Cfg.BC == BCWall
 	var corr [NumFields]float64
@@ -442,7 +495,7 @@ func (s *Solver) liftElem(e int, w *[NumFields][]float64) {
 			}
 		}
 		for c := 0; c < NumFields; c++ {
-			sem.AddFace(n, f, w[c], s.rhs[c][e*n3:(e+1)*n3])
+			sem.AddFace(n, f, w[c], r[c])
 		}
 	}
 }

@@ -48,7 +48,8 @@ type Solver struct {
 	// filter operator (nil when the spectral filter is disabled)
 	filterMat []float64
 
-	// Scratch (allocated once).
+	// Scratch (allocated once). rhs, the viscous right-hand side, is nil
+	// on the inviscid path, whose residual lives in slot scratch.
 	rhs   [NumFields][]float64
 	u1    [NumFields][]float64 // the RK stage register
 	faceU [NumFields][]float64 // face traces of U
@@ -69,9 +70,9 @@ type Solver struct {
 	// charged analytically on the rank goroutine, so results and
 	// virtual-time traces are identical at any worker count.
 	pool *pool.Pool
-	// The element-resident pipelines (volumeRuns, faceRuns,
-	// postExchange): per-slot scratch, the runs in progress, and the pool
-	// bodies over them.
+	// The element-resident pipelines (faceRuns, volumeRuns, postRuns):
+	// per-slot scratch, the runs in progress, and the pool bodies over
+	// them.
 	volSlots []volSlot
 	vol      volJob
 	face     faceJob
@@ -87,6 +88,7 @@ type Solver struct {
 	sched      schedule
 	ledger     []call // room for 64 calls an element run and 64 more (New)
 	ahead      int    // the ledger's first calls, charged before their passes
+	owed       int    // where the volume calls the next postRuns times begin
 	pass, left pass
 
 	// Geometry: uniform unit-cube elements, so d(ref)/d(phys) = 2.
@@ -184,16 +186,19 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	// velocity and the pressure (+ elemGradients' when viscous), which
 	// also holds the post-exchange pass's largest need — the lift's face
 	// of corrections, the filter's scratch, or the dealiasing fine mesh
-	// and scratch.
+	// and scratch. On the inviscid path the element's residual (5·N³)
+	// lies ahead of it: the volume pass runs in the post-exchange pass
+	// and writes the residual that the lift, the dealiasing and the
+	// update read.
 	n3 := cfg.N * cfg.N * cfg.N
-	slotLen := 10 * n3
+	slotLen, resid := 10*n3, NumFields*n3
 	if cfg.Mu > 0 {
-		slotLen += (1 + 3*numGradQ) * n3
+		slotLen, resid = slotLen+(1+3*numGradQ)*n3, 0
 	}
 	if cfg.Dealias {
 		slotLen = max(slotLen, ref.NF*ref.NF*ref.NF+ref.DealiasScratchLen())
 	}
-	slotLen = max(slotLen, sem.FilterScratchLen(cfg.N))
+	slotLen = resid + max(slotLen, sem.FilterScratchLen(cfg.N))
 	s.volSlots = make([]volSlot, s.pool.Workers())
 	for i := range s.volSlots {
 		s.volSlots[i].buf = make([]float64, slotLen)
@@ -265,7 +270,10 @@ func (s *Solver) allocScratch() {
 	n3 := cfg.N * cfg.N * cfg.N
 	vol := local.Nel * n3
 	for c := 0; c < NumFields; c++ {
-		s.rhs[c] = make([]float64, vol)
+		s.rhs[c] = nil
+		if cfg.Mu > 0 {
+			s.rhs[c] = make([]float64, vol)
+		}
 		s.u1[c] = make([]float64, vol)
 	}
 	faceLen := sem.FaceSliceLen(cfg.N, local.Nel)

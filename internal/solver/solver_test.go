@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -384,6 +385,18 @@ func TestConfigValidation(t *testing.T) {
 	bad.FilterCutoff = -2
 	if err := bad.Validate(4); err == nil {
 		t.Fatal("negative filter cutoff accepted")
+	}
+	for _, cutoff := range []int{cfg.N, cfg.N + 4} {
+		bad = cfg
+		bad.FilterCutoff = cutoff
+		if err := bad.Validate(4); err == nil || !strings.Contains(err.Error(), "FilterCutoff") {
+			t.Fatalf("filter cutoff %d at N=%d: err %v, want the cutoff rejected", cutoff, cfg.N, err)
+		}
+	}
+	ok := cfg
+	ok.FilterCutoff = cfg.N - 1
+	if err := ok.Validate(4); err != nil {
+		t.Fatalf("filter cutoff N-1 rejected: %v", err)
 	}
 }
 

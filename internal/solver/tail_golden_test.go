@@ -17,15 +17,30 @@ import (
 // pointwise kernels' vector loops leave a remainder, and the generated Go
 // kernels finish every element and every face. It was recorded with the
 // pointwise loops written by hand; the default and the semnoasm builds
-// share it (`make test-noasm` runs it). Delete the file to re-record (the
-// recording run fails, so a missing golden never passes).
+// share it (`make test-noasm` runs it). The keys with an option suffix
+// hold the post-exchange pass's optional branches at N = 5 (dealiasing,
+// the spectral filter, a slip wall on a non-periodic axis, a constant
+// source); they were recorded before the inviscid volume pass moved into
+// that pass. Delete the file to re-record (the recording run fails, so a
+// missing golden never passes).
 const tailGoldenPath = "testdata/tail_golden.json"
 
-func runTailGolden(t *testing.T, n, workers int) []string {
+// tailOptions are the optional branches the golden's suffixed keys set.
+var tailOptions = map[string]func(*Config){
+	"dealias":  func(c *Config) { c.Dealias = true },
+	"filter=2": func(c *Config) { c.FilterCutoff = 2 },
+	"wall":     func(c *Config) { c.Periodic[0], c.BC = false, BCWall },
+	"source":   func(*Config) {}, // runTailGolden fills the source
+}
+
+func runTailGolden(t *testing.T, n, workers int, option string) []string {
 	t.Helper()
 	const np, steps = 2, 3
 	cfg := DefaultConfig(np, n, 2)
 	cfg.Workers = workers
+	if option != "" {
+		tailOptions[option](&cfg)
+	}
 	out := make([]string, np)
 	_, err := comm.Run(np, cfg.CommOptions(netmodel.QDR), func(r *comm.Rank) error {
 		s, err := New(r, cfg)
@@ -34,6 +49,13 @@ func runTailGolden(t *testing.T, n, workers int) []string {
 		}
 		defer s.Close()
 		s.SetInitial(GaussianPulse(1, 1, 1, 0.3, 0.5))
+		if option == "source" {
+			for c, f := range s.EnableSource() {
+				for i := range f {
+					f[i] = 1e-3 * float64(c+1)
+				}
+			}
+		}
 		s.Run(steps)
 		h := fnv.New64a()
 		var buf [8]byte
@@ -53,15 +75,24 @@ func runTailGolden(t *testing.T, n, workers int) []string {
 }
 
 // TestTailGolden holds the state after three inviscid steps at N in
-// {3, 5, 17} to the recorded bits, at pool widths 1 and 3.
+// {3, 5, 17}, and at N = 5 with each optional branch, to the recorded
+// bits, at pool widths 1 and 3.
 func TestTailGolden(t *testing.T) {
-	orders := map[string]int{}
+	type run struct {
+		n      int
+		option string
+	}
+	runs := map[string]run{}
 	var keys []string
 	for _, n := range []int{3, 5, 17} {
 		key := fmt.Sprintf("n=%d", n)
-		keys, orders[key] = append(keys, key), n
+		keys, runs[key] = append(keys, key), run{n, ""}
+	}
+	for _, option := range []string{"dealias", "filter=2", "wall", "source"} {
+		key := "n=5/" + option
+		keys, runs[key] = append(keys, key), run{5, option}
 	}
 	holdToGolden(t, tailGoldenPath, keys, func(key string, workers int) any {
-		return runTailGolden(t, orders[key], workers)
+		return runTailGolden(t, runs[key].n, workers, runs[key].option)
 	})
 }

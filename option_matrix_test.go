@@ -167,6 +167,17 @@ func viscousDealias(cfg *solver.Config) {
 
 func filtered(cfg *solver.Config) { cfg.FilterCutoff = 3 }
 
+// interior gives each rank 4 x 4 x 4 elements, 8 of them interior (no
+// face on a rank boundary), in four runs; at the matrix's 2 x 2 x 2
+// every element is a boundary element and overlap has no interior work.
+func interior(cfg *solver.Config) {
+	for d := range cfg.ElemGrid {
+		cfg.ElemGrid[d] = 4 * cfg.ProcGrid[d]
+	}
+}
+
+func filteredInterior(cfg *solver.Config) { filtered(cfg); interior(cfg) }
+
 func hotRank3(m *matrixSetup) {
 	box, err := m.cfg.Mesh()
 	if err != nil {
@@ -267,6 +278,12 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		// on every pool slot, and the slots' scratch is rebuilt with the
 		// solver after the Shrink.
 		{name: "filter+workers=3", physics: filtered, neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
+		// The inviscid overlap path runs the interior elements' whole
+		// post-exchange pass (volume, lift, update) inside the exchange
+		// window, on every pool slot, with the filter after the last
+		// stage; these rows' ranks hold interior elements.
+		{name: "overlap+workers=3", physics: interior, option: func(m *matrixSetup) { m.cfg.Overlap = true; m.cfg.Workers = 3 }},
+		{name: "filter+overlap", physics: filteredInterior, option: func(m *matrixSetup) { m.cfg.Overlap = true }},
 		{
 			name:   "workers=3+crash+ckpt",
 			option: func(m *matrixSetup) { crash5(m); m.cfg.Workers = 3 },
