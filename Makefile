@@ -24,8 +24,9 @@ test:
 # rank-level concurrency) additionally run under the race detector. The
 # TCP send path shares each socket between the sending rank's inline
 # write and the writer goroutine's backlog drain, and each inbound
-# stream passes between the waiting rank and the reader goroutine;
-# repetition is what catches a bad hand-over between them. A blocked receive polls before it
+# stream passes between the waiting rank and the reader goroutine, and a
+# broker's check-ins race its Close; repetition is what catches a bad
+# hand-over between them. A blocked receive polls before it
 # parks only when every rank has a CPU of its own, so the mailbox wake-up
 # table repeats under -race and the comm tests also run on one P, where
 # every wait takes the park-only path; the option matrix runs there too,
@@ -38,7 +39,7 @@ race:
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap|TestFacePairing' ./internal/solver/...
 	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
 	$(GO) test -race -count=5 -run 'TestChargeGolden/workers=3|TestViscousRHSGolden/workers=3|TestTailGolden/workers=3' ./internal/solver/
-	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
+	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestBroker|TestBootstrap|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5

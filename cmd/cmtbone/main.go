@@ -74,7 +74,7 @@ func main() {
 	transportName := flag.String("transport", "inproc", "communicator backend: inproc (all ranks in this process) or tcp (this process hosts one rank of a multi-process run; see scripts/mpirun_tcp.sh)")
 	tcpRank := flag.Int("rank", -1, "world rank of this process (tcp transport)")
 	tcpPeers := flag.String("peers", "", "comma-separated listen addresses, one per rank, identical across all processes (tcp transport)")
-	tcpRdv := flag.String("rdv", "", "rendezvous: a file path (rank 0 publishes its ephemeral address there, other ranks poll it) or tcp://host:port/job for a cmtbroker (tcp transport; alternative to -peers)")
+	tcpRdv := flag.String("rdv", "", "rendezvous: a file path (rank 0 hosts the rendezvous broker and publishes its address there, other ranks poll it) or tcp://host:port/job for a cmtbroker (tcp transport; alternative to -peers)")
 	cli.Parse()
 
 	useTCP := *transportName == "tcp"

@@ -10,162 +10,78 @@ import (
 	"time"
 )
 
-// Mesh formation. Both modes end in the same shape — a full mesh with
+// Mesh formation. Every mode ends in the same shape — a full mesh with
 // exactly one connection per rank pair, the lower-numbered side having
 // dialed — so the rest of the transport never cares how the mesh formed.
 //
-// Rendezvous mode exists because fixed ports collide in CI: every rank
-// binds an ephemeral port, and only rank 0's address must be discovered
-// out of band (a known address, or a file the launcher passes to all
-// ranks, which rank 0 writes atomically once it knows its port).
+// Without explicit peers every rank binds an ephemeral port (fixed ports
+// collide in CI) and learns the others' from a rendezvous broker
+// (broker.go): the cmtbroker at Config.BrokerAddr, or, in file mode, one
+// that rank 0 hosts for the bootstrap and publishes to the rendezvous
+// file. Either way every rank runs the same check-in.
+
+// ErrBootstrap is matched (errors.Is) by every error New returns once
+// the config is valid: a listen, dial or rendezvous-file failure, a bad
+// hello or table, an expired BootstrapTimeout, and a broker (rank 0's or
+// a cmtbroker) that closed before its job's roster was complete.
+var ErrBootstrap = errors.New("tcptransport: bootstrap")
 
 // bootstrap forms the mesh per the config, filling t.ln and t.peers.
 func (t *Transport) bootstrap() error {
 	deadline := time.Now().Add(t.cfg.bootstrapTimeout())
 	if t.cfg.Peers != nil {
-		return t.bootstrapExplicit(deadline)
-	}
-	if t.cfg.BrokerAddr != "" {
-		return t.bootstrapBroker(deadline)
-	}
-	return t.bootstrapRendezvous(deadline)
-}
-
-// bootstrapExplicit: every address is known up front; rank i listens on
-// Peers[i], dials every higher rank, accepts every lower one.
-func (t *Transport) bootstrapExplicit(deadline time.Time) error {
-	ln, err := net.Listen("tcp", t.cfg.Peers[t.cfg.Rank])
-	if err != nil {
-		return fmt.Errorf("tcptransport: listen %s: %w", t.cfg.Peers[t.cfg.Rank], err)
-	}
-	t.ln = ln
-	return t.meshConnect(deadline, t.cfg.Peers, 0)
-}
-
-// bootstrapRendezvous: ephemeral ports, rank 0 as the address broker.
-func (t *Transport) bootstrapRendezvous(deadline time.Time) error {
-	listenAddr := "127.0.0.1:0"
-	if t.cfg.Rank == 0 && t.cfg.RendezvousAddr != "" {
-		listenAddr = t.cfg.RendezvousAddr
-	}
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return fmt.Errorf("tcptransport: listen %s: %w", listenAddr, err)
-	}
-	t.ln = ln
-
-	if t.cfg.Rank == 0 {
-		if t.cfg.RendezvousFile != "" {
-			if err := publishAddr(t.cfg.RendezvousFile, ln.Addr().String()); err != nil {
-				return err
-			}
-		}
-		return t.brokerMesh(deadline)
-	}
-	return t.joinMesh(deadline)
-}
-
-// brokerMesh is rank 0's side: accept a hello from every other rank
-// (learning its mesh address; the connection itself becomes the 0<->i
-// mesh edge), then broadcast the completed address table.
-func (t *Transport) brokerMesh(deadline time.Time) error {
-	addrs := make([]string, t.cfg.Size)
-	addrs[0] = t.ln.Addr().String()
-	type helloConn struct {
-		conn net.Conn
-		rank int
-	}
-	var conns []helloConn
-	for got := 0; got < t.cfg.Size-1; got++ {
-		if dl, ok := t.ln.(*net.TCPListener); ok {
-			dl.SetDeadline(deadline)
-		}
-		conn, err := t.ln.Accept()
+		ln, err := net.Listen("tcp", t.cfg.Peers[t.cfg.Rank])
 		if err != nil {
-			return fmt.Errorf("tcptransport: rank 0 accept (have %d/%d peers): %w", got, t.cfg.Size-1, err)
+			return fmt.Errorf("listen %s: %w", t.cfg.Peers[t.cfg.Rank], err)
 		}
-		typ, body, rerr := readWireDeadline(conn, deadline)
-		if rerr != nil || typ != typHello {
-			conn.Close()
-			got-- // not a mesh peer (port scan, stray probe); keep waiting
-			continue
-		}
-		rank, addr, derr := decodeHello(body)
-		if derr != nil || rank <= 0 || rank >= t.cfg.Size || addrs[rank] != "" {
-			conn.Close()
-			return fmt.Errorf("tcptransport: rank 0 got bad hello (rank %d): %v", rank, derr)
-		}
-		addrs[rank] = addr
-		conns = append(conns, helloConn{conn, rank})
+		t.ln = ln
+		return t.meshConnect(deadline, t.cfg.Peers)
 	}
-	table := appendTable(nil, addrs)
-	for _, hc := range conns {
-		if err := writeWireDeadline(hc.conn, table, deadline); err != nil {
-			return fmt.Errorf("tcptransport: rank 0 send table to rank %d: %w", hc.rank, err)
+	var (
+		broker = t.cfg.BrokerAddr
+		host   *Broker
+		err    error
+	)
+	switch {
+	case broker != "":
+	case t.cfg.Rank == 0:
+		if host, err = hostBroker(t.cfg.RendezvousFile); err != nil {
+			return err
 		}
-		if err := t.addPeer(hc.rank, hc.conn); err != nil {
+		broker = host.Addr()
+	default:
+		if broker, err = awaitAddr(t.cfg.RendezvousFile, deadline); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// joinMesh is a non-zero rank's side: dial rank 0, introduce ourselves
-// with our own mesh address, receive the table, then form the remaining
-// edges lower-dials-higher among ranks >= 1.
-func (t *Transport) joinMesh(deadline time.Time) error {
-	addr0 := t.cfg.RendezvousAddr
-	if addr0 == "" {
-		var err error
-		addr0, err = awaitAddr(t.cfg.RendezvousFile, deadline)
-		if err != nil {
-			return err
-		}
+	addrs, err := t.checkIn(broker, deadline)
+	if host != nil {
+		// A completed roster leaves the broker before any table is
+		// sent, so closing it now cuts no rank's table short.
+		host.Close()
 	}
-	conn0, err := dialRetry(addr0, deadline)
 	if err != nil {
-		return fmt.Errorf("tcptransport: rank %d dial rank 0 at %s: %w", t.cfg.Rank, addr0, err)
-	}
-	hello := appendHello(nil, t.cfg.Rank, t.ln.Addr().String())
-	if err := writeWireDeadline(conn0, hello, deadline); err != nil {
-		return fmt.Errorf("tcptransport: rank %d hello to rank 0: %w", t.cfg.Rank, err)
-	}
-	typ, body, err := readWireDeadline(conn0, deadline)
-	if err != nil || typ != typTable {
-		return fmt.Errorf("tcptransport: rank %d awaiting address table: type %d, %v", t.cfg.Rank, typ, err)
-	}
-	addrs, err := decodeTable(body)
-	if err != nil || len(addrs) != t.cfg.Size {
-		return fmt.Errorf("tcptransport: rank %d bad address table (%d entries): %v", t.cfg.Rank, len(addrs), err)
-	}
-	if err := t.addPeer(0, conn0); err != nil {
 		return err
 	}
-	return t.meshConnect(deadline, addrs, 1)
+	return t.meshConnect(deadline, addrs)
 }
 
-// meshConnect forms the lower-dials-higher edges among ranks >= lowest,
-// given everyone's listen address: this rank dials every higher rank
-// (identifying itself with a hello) and accepts every lower one. Edges
-// already present in t.peers (rank 0's brokered connections) are skipped.
-func (t *Transport) meshConnect(deadline time.Time, addrs []string, lowest int) error {
+// meshConnect forms the lower-dials-higher edges given everyone's listen
+// address: this rank dials every higher rank (identifying itself with a
+// hello) and accepts every lower one.
+func (t *Transport) meshConnect(deadline time.Time, addrs []string) error {
 	id := t.cfg.Rank
 	type dialResult struct {
 		rank int
 		conn net.Conn
 		err  error
 	}
-	var dials int
 	results := make(chan dialResult, t.cfg.Size)
 	for j := id + 1; j < t.cfg.Size; j++ {
-		if j < lowest || t.peers[j] != nil {
-			continue
-		}
-		dials++
 		go func(j int) {
 			conn, err := dialRetry(addrs[j], deadline)
 			if err == nil {
-				err = writeWireDeadline(conn, appendHello(nil, id, ""), deadline)
+				err = writeWireDeadline(conn, appendHello(nil, id), deadline)
 				if err != nil {
 					conn.Close()
 					conn = nil
@@ -175,29 +91,23 @@ func (t *Transport) meshConnect(deadline time.Time, addrs []string, lowest int) 
 		}(j)
 	}
 
-	accepts := 0
-	for j := lowest; j < id; j++ {
-		if t.peers[j] == nil {
-			accepts++
-		}
-	}
-	for accepts > 0 {
+	for accepts := id; accepts > 0; {
 		if dl, ok := t.ln.(*net.TCPListener); ok {
 			dl.SetDeadline(deadline)
 		}
 		conn, err := t.ln.Accept()
 		if err != nil {
-			return fmt.Errorf("tcptransport: rank %d accept (%d edges pending): %w", id, accepts, err)
+			return fmt.Errorf("rank %d accept (%d edges pending): %w", id, accepts, err)
 		}
 		typ, body, rerr := readWireDeadline(conn, deadline)
 		if rerr != nil || typ != typHello {
 			conn.Close()
 			continue // stray connection; keep waiting
 		}
-		rank, _, derr := decodeHello(body)
-		if derr != nil || rank < lowest || rank >= id {
+		rank, derr := decodeHello(body)
+		if derr != nil || rank < 0 || rank >= id {
 			conn.Close()
-			return fmt.Errorf("tcptransport: rank %d got bad hello (rank %d): %v", id, rank, derr)
+			return fmt.Errorf("rank %d got bad hello (rank %d): %v", id, rank, derr)
 		}
 		if err := t.addPeer(rank, conn); err != nil {
 			return err
@@ -205,10 +115,10 @@ func (t *Transport) meshConnect(deadline time.Time, addrs []string, lowest int) 
 		accepts--
 	}
 
-	for ; dials > 0; dials-- {
+	for j := id + 1; j < t.cfg.Size; j++ {
 		res := <-results
 		if res.err != nil {
-			return fmt.Errorf("tcptransport: rank %d dial rank %d: %w", id, res.rank, res.err)
+			return fmt.Errorf("rank %d dial rank %d: %w", id, res.rank, res.err)
 		}
 		if err := t.addPeer(res.rank, res.conn); err != nil {
 			return err
@@ -251,30 +161,30 @@ func publishAddr(path, addr string) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".rendezvous-*")
 	if err != nil {
-		return fmt.Errorf("tcptransport: publish rendezvous address: %w", err)
+		return fmt.Errorf("publish rendezvous address: %w", err)
 	}
 	name := tmp.Name()
 	if _, err := tmp.WriteString(addr + "\n"); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return fmt.Errorf("tcptransport: publish rendezvous address: %w", err)
+		return fmt.Errorf("publish rendezvous address: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("tcptransport: publish rendezvous address: %w", err)
+		return fmt.Errorf("publish rendezvous address: %w", err)
 	}
 	if err := os.Rename(name, path); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("tcptransport: publish rendezvous address: %w", err)
+		return fmt.Errorf("publish rendezvous address: %w", err)
 	}
 	return nil
 }
 
-// awaitAddr polls path until rank 0's address appears or the deadline
-// expires.
+// awaitAddr polls path until the address rank 0's broker publishes there
+// appears or the deadline expires.
 func awaitAddr(path string, deadline time.Time) (string, error) {
 	if path == "" {
-		return "", errors.New("tcptransport: no rendezvous address or file configured")
+		return "", errors.New("no rendezvous file or broker configured")
 	}
 	for {
 		b, err := os.ReadFile(path)
@@ -284,7 +194,7 @@ func awaitAddr(path string, deadline time.Time) (string, error) {
 			}
 		}
 		if time.Now().After(deadline) {
-			return "", fmt.Errorf("tcptransport: rendezvous file %s empty after timeout", path)
+			return "", fmt.Errorf("rendezvous file %s empty after timeout", path)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -10,13 +10,16 @@ import (
 	"time"
 )
 
-// Rendezvous broker: a standalone TCP service that replaces the shared
-// rendezvous *file* with address exchange over the network, so a run's
-// ranks need no common filesystem — the launcher starts `cmtbroker`
-// once, and every rank is pointed at it with `-rdv tcp://host:port/job`.
+// Rendezvous broker: the one address exchange of a rendezvous bootstrap.
+// Run standalone as `cmtbroker`, it lets a run's ranks meet with no
+// common filesystem: the launcher starts it once, and every rank is
+// pointed at it with `-rdv tcp://host:port/job`. In file mode rank 0
+// hosts one on loopback for the bootstrap and publishes its address to
+// the rendezvous file.
 //
 // Protocol: each rank connects, sends a job hello (job name, its rank,
-// the world size, and its mesh listen address), and waits. When all Size
+// the world size, and its mesh listen address), and waits; a hello
+// declaring more than maxWorld ranks is refused. When all Size
 // ranks of a job have checked in, the broker sends every one of them the
 // completed address table and closes the connections; the ranks then
 // form the usual full mesh directly (lower rank dials higher). The
@@ -46,6 +49,11 @@ func ParseRendezvous(s string, cfg *Config) error {
 	return nil
 }
 
+// maxWorld caps the world size of a job and of a Transport. The broker
+// sizes a job's roster by the size its first check-in declares, so that
+// number comes off the network and must be bounded before it allocates.
+const maxWorld = 1 << 16
+
 // brokerJob is one job's partial roster on the broker.
 type brokerJob struct {
 	size  int
@@ -57,14 +65,17 @@ type brokerJob struct {
 // Broker is the rendezvous broker server. Create with NewBroker, run
 // Serve (blocking), stop with Close.
 type Broker struct {
-	ln   net.Listener
-	mu   sync.Mutex
-	jobs map[string]*brokerJob
-	// HelloTimeout bounds how long an accepted connection may take to
-	// deliver its hello (default 30s). A rank then waits on its open
-	// connection, without deadline, for the rest of its job to arrive.
-	HelloTimeout time.Duration
+	ln     net.Listener
+	mu     sync.Mutex
+	jobs   map[string]*brokerJob
+	closed bool // Close has run: refuse every further check-in
 }
+
+// helloTimeout bounds how long an accepted connection may take to
+// deliver its check-in, and the broker's write of each table. A rank
+// that has checked in waits on its open connection, without a broker
+// deadline, for the rest of its job to arrive.
+const helloTimeout = 30 * time.Second
 
 // NewBroker listens on addr (e.g. "127.0.0.1:0") and returns the broker.
 func NewBroker(addr string) (*Broker, error) {
@@ -78,11 +89,14 @@ func NewBroker(addr string) (*Broker, error) {
 // Addr returns the broker's actual listen address.
 func (b *Broker) Addr() string { return b.ln.Addr().String() }
 
-// Close stops the accept loop and drops every pending connection.
+// Close stops the accept loop and drops every pending connection, so a
+// rank waiting on an incomplete roster gets an error at once. A job
+// whose roster is complete is already on its way out and is not cut.
 func (b *Broker) Close() error {
 	err := b.ln.Close()
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.closed = true
 	for _, j := range b.jobs {
 		for _, c := range j.conns {
 			if c != nil {
@@ -90,7 +104,7 @@ func (b *Broker) Close() error {
 			}
 		}
 	}
-	b.jobs = make(map[string]*brokerJob)
+	clear(b.jobs)
 	return err
 }
 
@@ -108,22 +122,23 @@ func (b *Broker) Serve() error {
 }
 
 func (b *Broker) handle(conn net.Conn) {
-	hello := 30 * time.Second
-	if b.HelloTimeout > 0 {
-		hello = b.HelloTimeout
-	}
-	typ, body, err := readWireDeadline(conn, time.Now().Add(hello))
+	typ, body, err := readWireDeadline(conn, time.Now().Add(helloTimeout))
 	if err != nil || typ != typJobHello {
 		conn.Close()
 		return
 	}
 	job, rank, size, addr, err := decodeJobHello(body)
-	if err != nil || rank < 0 || rank >= size || size < 1 || addr == "" {
+	if err != nil || size < 1 || size > maxWorld || rank < 0 || rank >= size || addr == "" {
 		conn.Close()
 		return
 	}
 
 	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		conn.Close()
+		return
+	}
 	j := b.jobs[job]
 	if j == nil {
 		j = &brokerJob{size: size, addrs: make([]string, size), conns: make([]net.Conn, size)}
@@ -131,8 +146,8 @@ func (b *Broker) handle(conn net.Conn) {
 	}
 	if size != j.size || j.conns[rank] != nil {
 		// Size disagreement or duplicate rank: reject the newcomer, keep
-		// the roster (a retrying rank reconnects after its first
-		// connection died — that slot frees when the write fails).
+		// the roster. The first check-in holds its slot until the job
+		// completes or the broker closes, even if its rank has died.
 		b.mu.Unlock()
 		conn.Close()
 		return
@@ -148,53 +163,63 @@ func (b *Broker) handle(conn net.Conn) {
 	b.mu.Unlock()
 
 	table := appendTable(nil, j.addrs)
-	deadline := time.Now().Add(hello)
+	deadline := time.Now().Add(helloTimeout)
 	for _, c := range j.conns {
 		_ = writeWireDeadline(c, table, deadline)
 		c.Close()
 	}
 }
 
-// bootstrapBroker forms the mesh through a rendezvous broker: listen on
-// an ephemeral port, check in with the broker, receive the full address
-// table, then connect every pair directly (lower rank dials higher).
-func (t *Transport) bootstrapBroker(deadline time.Time) error {
-	ln, err := net.Listen("tcp", ":0")
+// hostBroker starts the broker rank 0 hosts in file mode, on loopback,
+// and publishes its address to file (when set) for the other ranks.
+func hostBroker(file string) (*Broker, error) {
+	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
-		return fmt.Errorf("tcptransport: listen: %w", err)
+		return nil, err
 	}
-	t.ln = ln
+	go b.Serve()
+	if file != "" {
+		if err := publishAddr(file, b.Addr()); err != nil {
+			b.Close()
+			return nil, err
+		}
+	}
+	return b, nil
+}
 
-	conn, err := dialRetry(t.cfg.BrokerAddr, deadline)
+// checkIn is a rank's half of the broker protocol: dial the broker,
+// listen on the local IP of that connection (loopback stays loopback, a
+// routed interface stays routed), check in with that mesh address, and
+// wait for the job's full address table.
+func (t *Transport) checkIn(broker string, deadline time.Time) ([]string, error) {
+	conn, err := dialRetry(broker, deadline)
 	if err != nil {
-		return fmt.Errorf("tcptransport: rank %d dial broker %s: %w", t.cfg.Rank, t.cfg.BrokerAddr, err)
+		return nil, fmt.Errorf("rank %d dial broker %s: %w", t.cfg.Rank, broker, err)
 	}
 	defer conn.Close()
-	hello := appendJobHello(nil, t.cfg.Job, t.cfg.Rank, t.cfg.Size, advertiseAddr(conn, ln))
+	local := *conn.LocalAddr().(*net.TCPAddr)
+	local.Port = 0
+	ln, err := net.ListenTCP("tcp", &local)
+	if err != nil {
+		return nil, fmt.Errorf("listen %s: %w", &local, err)
+	}
+	t.ln = ln
+	hello := appendJobHello(nil, t.cfg.Job, t.cfg.Rank, t.cfg.Size, ln.Addr().String())
 	if err := writeWireDeadline(conn, hello, deadline); err != nil {
-		return fmt.Errorf("tcptransport: rank %d hello to broker: %w", t.cfg.Rank, err)
+		return nil, fmt.Errorf("rank %d check-in with broker: %w", t.cfg.Rank, err)
 	}
 	typ, body, err := readWireDeadline(conn, deadline)
-	if err != nil || typ != typTable {
-		return fmt.Errorf("tcptransport: rank %d awaiting broker table: type %d, %v", t.cfg.Rank, typ, err)
+	if err != nil {
+		return nil, fmt.Errorf("rank %d awaiting address table: %w", t.cfg.Rank, err)
+	}
+	if typ != typTable {
+		return nil, fmt.Errorf("rank %d awaiting address table: got message type %d", t.cfg.Rank, typ)
 	}
 	addrs, err := decodeTable(body)
 	if err != nil || len(addrs) != t.cfg.Size {
-		return fmt.Errorf("tcptransport: rank %d bad broker table (%d entries): %v", t.cfg.Rank, len(addrs), err)
+		return nil, fmt.Errorf("rank %d bad address table (%d entries): %v", t.cfg.Rank, len(addrs), err)
 	}
-	return t.meshConnect(deadline, addrs, 0)
-}
-
-// advertiseAddr derives the address peers should dial: the IP this host
-// used to reach the broker (loopback stays loopback, a routed interface
-// stays routed) joined with the mesh listener's port.
-func advertiseAddr(brokerConn net.Conn, ln net.Listener) string {
-	port := ln.Addr().(*net.TCPAddr).Port
-	ip := "127.0.0.1"
-	if a, ok := brokerConn.LocalAddr().(*net.TCPAddr); ok && a.IP != nil && !a.IP.IsUnspecified() {
-		ip = a.IP.String()
-	}
-	return net.JoinHostPort(ip, fmt.Sprint(port))
+	return addrs, nil
 }
 
 // appendJobHello appends the broker check-in: job name, world rank,

@@ -39,8 +39,8 @@ const (
 	typData  = 1 // a comm.Frame between ranks
 	typBye   = 2 // graceful teardown: departure is not a death
 	typDead  = 3 // a hosted rank died (Rank.Kill); body is the world rank
-	typHello = 4 // bootstrap: dialer identifies its rank (+ mesh address)
-	typTable = 5 // bootstrap: rank 0 broadcasts the address table
+	typHello = 4 // bootstrap: a mesh dialer identifies its rank
+	typTable = 5 // bootstrap: the broker sends a job's address table
 
 	// typJobHello is a rendezvous-broker check-in: job name, world rank,
 	// world size, advertised mesh address (see broker.go). The broker
@@ -253,30 +253,19 @@ func decodeDead(body []byte) (int, error) {
 	return int(int32(binary.LittleEndian.Uint32(body))), nil
 }
 
-// appendHello appends the bootstrap hello: the dialer's world rank and
-// (possibly empty) advertised mesh listen address.
-func appendHello(dst []byte, rank int, addr string) []byte {
-	if len(addr) > math.MaxUint16 {
-		addr = addr[:math.MaxUint16]
-	}
-	b := make([]byte, 6+len(addr))
-	binary.LittleEndian.PutUint32(b[0:], uint32(rank))
-	binary.LittleEndian.PutUint16(b[4:], uint16(len(addr)))
-	copy(b[6:], addr)
-	return appendWire(dst, typHello, b)
+// appendHello appends the mesh hello: the dialer's world rank.
+func appendHello(dst []byte, rank int) []byte {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(rank))
+	return appendWire(dst, typHello, b[:])
 }
 
 // decodeHello decodes a hello body.
-func decodeHello(body []byte) (rank int, addr string, err error) {
-	if len(body) < 6 {
-		return 0, "", ErrTruncated
+func decodeHello(body []byte) (int, error) {
+	if len(body) != 4 {
+		return 0, ErrBadLength
 	}
-	rank = int(int32(binary.LittleEndian.Uint32(body[0:])))
-	n := int(binary.LittleEndian.Uint16(body[4:]))
-	if len(body) != 6+n {
-		return 0, "", ErrBadLength
-	}
-	return rank, string(body[6:]), nil
+	return int(int32(binary.LittleEndian.Uint32(body))), nil
 }
 
 // appendTable appends the bootstrap address table: one mesh listen

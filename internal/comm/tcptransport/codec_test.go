@@ -88,13 +88,13 @@ func TestControlRoundTrip(t *testing.T) {
 		t.Fatalf("dead: got %d, %v", w, err)
 	}
 
-	wire = appendHello(nil, 3, "127.0.0.1:4242")
+	wire = appendHello(nil, 3)
 	typ, body, err = readWire(bytes.NewReader(wire), &buf)
 	if err != nil || typ != typHello {
 		t.Fatalf("hello: type %d err %v", typ, err)
 	}
-	if rank, addr, err := decodeHello(body); err != nil || rank != 3 || addr != "127.0.0.1:4242" {
-		t.Fatalf("hello: got %d %q, %v", rank, addr, err)
+	if rank, err := decodeHello(body); err != nil || rank != 3 {
+		t.Fatalf("hello: got %d, %v", rank, err)
 	}
 
 	addrs := []string{"a:1", "", "b:22", "c:333"}
@@ -230,6 +230,8 @@ func decodeMsg(t *testing.T, typ byte, body []byte, f *comm.Frame) decoded {
 		decodeHello(body)
 	case typTable:
 		decodeTable(body)
+	case typJobHello:
+		decodeJobHello(body)
 	}
 	return d
 }
@@ -288,7 +290,7 @@ func streamDecode(t *testing.T, raw, cuts []byte) ([]decoded, error) {
 func FuzzReadFrame(f *testing.F) {
 	f.Add(appendData(nil, &comm.Frame{Data: []float64{1, 2, 3}, Ints: []int64{4}, Framed: true, CRC: 9}), []byte{4, 0, 30})
 	f.Add(appendDead(nil, 3), []byte{})
-	f.Add(appendHello(nil, 1, "127.0.0.1:9"), []byte{0})
+	f.Add(appendHello(nil, 1), []byte{0})
 	f.Add(appendTable(nil, []string{"a:1", "b:2"}), []byte{13})
 	f.Add(appendWire(nil, typBye, nil), []byte{2, 255})
 	f.Add([]byte{0x57, 0x54, 0x4d, 0x43}, []byte{1}) // reversed magic
@@ -296,6 +298,7 @@ func FuzzReadFrame(f *testing.F) {
 	// A frame larger than one chunk, then a small one: the stream buffer
 	// must grow past its first 64 KiB and then be reused.
 	f.Add(appendWire(appendData(nil, &comm.Frame{Data: make([]float64, 9000)}), typBye, nil), []byte{255, 200, 7})
+	f.Add(appendJobHello(nil, "job", 1, 4, "127.0.0.1:9"), []byte{5})
 
 	// The dirty state: a 4 KiB frame of all-ones bits, read and decoded.
 	big := &comm.Frame{Ctx: math.MaxUint64, Src: -7, Dst: -7, Tag: -7, CRC: math.MaxUint32, Framed: true,

@@ -12,17 +12,18 @@ import (
 )
 
 // Config describes one process of a TCP-backed run: which world rank it
-// hosts and how the full mesh is formed. Exactly one of the two bootstrap
+// hosts and how the full mesh is formed. Exactly one of the bootstrap
 // modes is used:
 //
 //   - Explicit peers: Peers lists every rank's listen address (len ==
 //     Size); rank i listens on Peers[i] and rank i dials rank j for every
 //     j > i.
-//   - Rendezvous: every rank listens on an ephemeral port; rank 0
-//     publishes its address (RendezvousAddr, or atomically written to
-//     RendezvousFile for launchers that pick ports at runtime), the
-//     others dial it, identify themselves, and receive the full address
-//     table, then the pairs among ranks >= 1 dial lower-to-higher.
+//   - Rendezvous: every rank checks in with a rendezvous broker and
+//     receives the full address table, then rank i dials every j > i.
+//     The broker is a cmtbroker at BrokerAddr, or, with RendezvousFile,
+//     one rank 0 hosts for the bootstrap and publishes there. Each rank
+//     listens on an ephemeral port of the local IP it reached the broker
+//     from, so a loopback run stays on loopback.
 type Config struct {
 	// Rank is the world rank this process hosts.
 	Rank int
@@ -30,12 +31,9 @@ type Config struct {
 	Size int
 	// Peers, when len == Size, selects explicit-peers bootstrap.
 	Peers []string
-	// RendezvousAddr is rank 0's listen address ("host:port"). On rank 0
-	// it is bound directly; on other ranks it is dialed. Empty means
-	// rank 0 binds 127.0.0.1:0 and RendezvousFile must carry the result.
-	RendezvousAddr string
-	// RendezvousFile, when set, is where rank 0 atomically publishes its
-	// actual listen address and where other ranks poll for it.
+	// RendezvousFile, when set (and BrokerAddr is not), is where rank 0
+	// atomically publishes the address of the broker it hosts and where
+	// other ranks poll for it.
 	RendezvousFile string
 	// BrokerAddr, when set, selects broker bootstrap: every rank checks
 	// in with the rendezvous broker (cmd/cmtbroker) at this address and
@@ -47,7 +45,7 @@ type Config struct {
 	// number of concurrent runs. Empty is a valid (single-job) name.
 	Job string
 	// BootstrapTimeout bounds the whole mesh-formation step (dial
-	// retries, hellos, table). Zero means 30s.
+	// retries, check-in, table, hellos). Zero means 30s.
 	BootstrapTimeout time.Duration
 	// CloseTimeout bounds the graceful-teardown linger waiting for every
 	// peer's goodbye. Zero means 30s.
@@ -177,10 +175,11 @@ var _ comm.Transport = (*Transport)(nil)
 
 // New forms the mesh: listen, bootstrap (rendezvous or explicit peers),
 // and connect to every peer. It blocks until all Size processes are
-// interconnected or the bootstrap timeout expires.
+// interconnected or the bootstrap fails; every failure after the config
+// checks wraps ErrBootstrap.
 func New(cfg Config) (*Transport, error) {
-	if cfg.Size < 1 {
-		return nil, fmt.Errorf("tcptransport: size must be >= 1, got %d", cfg.Size)
+	if cfg.Size < 1 || cfg.Size > maxWorld {
+		return nil, fmt.Errorf("tcptransport: size %d outside [1,%d]", cfg.Size, maxWorld)
 	}
 	if cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("tcptransport: rank %d outside [0,%d)", cfg.Rank, cfg.Size)
@@ -191,7 +190,7 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{cfg: cfg, peers: make([]*peer, cfg.Size)}
 	if err := t.bootstrap(); err != nil {
 		t.teardownConns()
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBootstrap, err)
 	}
 	return t, nil
 }
@@ -365,10 +364,10 @@ func (t *Transport) writeLoop(p *peer) {
 
 func (t *Transport) addPeer(rank int, conn net.Conn) error {
 	if rank < 0 || rank >= t.cfg.Size || rank == t.cfg.Rank {
-		return fmt.Errorf("tcptransport: bogus peer rank %d", rank)
+		return fmt.Errorf("bogus peer rank %d", rank)
 	}
 	if t.peers[rank] != nil {
-		return fmt.Errorf("tcptransport: duplicate connection for rank %d", rank)
+		return fmt.Errorf("duplicate connection for rank %d", rank)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -381,7 +380,7 @@ func (t *Transport) addPeer(rank int, conn net.Conn) error {
 	}
 	var err error
 	if p.kick, err = newKicker(); err != nil {
-		return fmt.Errorf("tcptransport: peer %d: %w", rank, err)
+		return fmt.Errorf("peer %d: %w", rank, err)
 	}
 	p.q.cond = sync.NewCond(&p.q.mu)
 	if sc, ok := conn.(syscall.Conn); ok {

@@ -107,25 +107,6 @@ func (o *Ownership) MaxCount() int {
 	return max
 }
 
-// Encode serializes the owner map for the wire (Bcast after a
-// repartitioning decision).
-func (o *Ownership) Encode() []int64 {
-	out := make([]int64, len(o.owner))
-	for i, r := range o.owner {
-		out[i] = int64(r)
-	}
-	return out
-}
-
-// DecodeOwnership rebuilds an Ownership from Encode's wire form.
-func DecodeOwnership(b *Box, wire []int64) (*Ownership, error) {
-	owner := make([]int, len(wire))
-	for i, r := range wire {
-		owner[i] = int(r)
-	}
-	return NewOwnership(b, owner)
-}
-
 // Equal reports whether two ownerships assign every element identically.
 func (o *Ownership) Equal(p *Ownership) bool {
 	if len(o.owner) != len(p.owner) {

@@ -72,18 +72,6 @@ func TestOwnershipRoundtrip(t *testing.T) {
 	}
 }
 
-func TestOwnershipEncodeDecode(t *testing.T) {
-	b := testBox(t)
-	o := randomOwnership(t, b, 11)
-	back, err := DecodeOwnership(b, o.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.Equal(back) {
-		t.Fatal("decode(encode) differs from original")
-	}
-}
-
 func TestOwnershipRejectsBadInput(t *testing.T) {
 	b := testBox(t)
 	if _, err := NewOwnership(b, make([]int, 3)); err == nil {

@@ -158,42 +158,6 @@ func (a *Analysis) Total() Split {
 	return t
 }
 
-// ByPhase folds the cell table over ranks.
-func (a *Analysis) ByPhase() map[string]Split {
-	out := make(map[string]Split)
-	for c, s := range a.Cells {
-		t := out[c.Phase]
-		t.Compute += s.Compute
-		t.Wait += s.Wait
-		t.Comm += s.Comm
-		t.Untracked += s.Untracked
-		out[c.Phase] = t
-	}
-	return out
-}
-
-// ByRank folds the cell table over phases.
-func (a *Analysis) ByRank() map[int]Split {
-	out := make(map[int]Split)
-	for c, s := range a.Cells {
-		t := out[c.Rank]
-		t.Compute += s.Compute
-		t.Wait += s.Wait
-		t.Comm += s.Comm
-		t.Untracked += s.Untracked
-		out[c.Rank] = t
-	}
-	return out
-}
-
-// TopEdges returns the k wire edges the path waited longest on.
-func (a *Analysis) TopEdges(k int) []Edge {
-	if k > len(a.Edges) {
-		k = len(a.Edges)
-	}
-	return a.Edges[:k]
-}
-
 // timeline is one rank's elementary-interval decomposition: contiguous
 // half-open segments covering [first span start, last span end], each
 // labeled with the innermost active span (nil in gaps between spans).

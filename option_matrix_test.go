@@ -43,17 +43,22 @@ type matrixSetup struct {
 
 // matrixResult is what one run leaves: the final state by gid, every
 // world rank's virtual clock, the finishing ranks' reports and
-// balancers by world rank, and the injector, registry and tracer the
-// row installed.
+// balancers by world rank, with overlap the interior element count of
+// each world rank's solver as a segment starts and the finishing
+// solvers' total, and the injector, registry and tracer the row
+// installed.
 type matrixResult struct {
-	state   map[int64][]float64
-	clocks  []float64
-	reports map[int]solver.Report
-	lbs     map[int]*loadbal.Balancer
-	stats   *comm.Stats
-	inj     *fault.Injector
-	reg     *obs.Registry
-	tel     *obs.Tracer
+	state       map[int64][]float64
+	clocks      []float64
+	reports     map[int]solver.Report
+	lbs         map[int]*loadbal.Balancer
+	overlap     bool
+	interior    map[int]int
+	interiorEnd int
+	stats       *comm.Stats
+	inj         *fault.Injector
+	reg         *obs.Registry
+	tel         *obs.Tracer
 }
 
 // runMatrix runs the problem. plain runs Solver.Run, the reference;
@@ -77,7 +82,7 @@ func runMatrix(t *testing.T, physics func(*solver.Config), option func(*matrixSe
 	suspended := new(checkpoint.Mem)
 	res := matrixResult{
 		state: map[int64][]float64{}, reports: map[int]solver.Report{}, lbs: map[int]*loadbal.Balancer{},
-		inj: inj, reg: m.reg, tel: m.tel,
+		overlap: m.cfg.Overlap, interior: map[int]int{}, inj: inj, reg: m.reg, tel: m.tel,
 	}
 	var mu sync.Mutex
 	// segment runs the steps from first on; a preempt row's first
@@ -99,6 +104,11 @@ func runMatrix(t *testing.T, physics func(*solver.Config), option func(*matrixSe
 				s.SetInitial(solver.GaussianPulse(
 					float64(m.cfg.ElemGrid[0])/2, float64(m.cfg.ElemGrid[1])/2, float64(m.cfg.ElemGrid[2])/2,
 					0.1, 0.5))
+			}
+			if m.cfg.Overlap {
+				mu.Lock()
+				res.interior[r.WorldID()] = s.InteriorElems()
+				mu.Unlock()
 			}
 			var rep solver.Report
 			var b *loadbal.Balancer
@@ -138,6 +148,7 @@ func runMatrix(t *testing.T, physics func(*solver.Config), option func(*matrixSe
 				res.state[s.Local.GID(e)] = flat
 			}
 			res.reports[r.WorldID()] = rep
+			res.interiorEnd += s.InteriorElems()
 			if b != nil {
 				res.lbs[r.WorldID()] = b
 			}
@@ -169,7 +180,8 @@ func filtered(cfg *solver.Config) { cfg.FilterCutoff = 3 }
 
 // interior gives each rank 4 x 4 x 4 elements, 8 of them interior (no
 // face on a rank boundary), in four runs; at the matrix's 2 x 2 x 2
-// every element is a boundary element and overlap has no interior work.
+// every element is a boundary element and overlap has no interior work,
+// so every overlap row runs on it.
 func interior(cfg *solver.Config) {
 	for d := range cfg.ElemGrid {
 		cfg.ElemGrid[d] = 4 * cfg.ProcGrid[d]
@@ -177,6 +189,8 @@ func interior(cfg *solver.Config) {
 }
 
 func filteredInterior(cfg *solver.Config) { filtered(cfg); interior(cfg) }
+
+func viscousInterior(cfg *solver.Config) { viscousDealias(cfg); interior(cfg) }
 
 func hotRank3(m *matrixSetup) {
 	box, err := m.cfg.Mesh()
@@ -238,7 +252,7 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		},
 		{name: "hier", option: hier, check: checkSameReports},
 		{name: "workers=3", neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
-		{name: "overlap", option: func(m *matrixSetup) { m.cfg.Overlap = true }},
+		{name: "overlap", physics: interior, option: func(m *matrixSetup) { m.cfg.Overlap = true }},
 		{name: "loadbal+hot", option: hotRank3, check: checkMigrated},
 		{name: "message-faults", option: messageFaults, check: checkFaultsCounted},
 		{name: "crash+ckpt", option: crash5, check: checkCrash},
@@ -252,12 +266,12 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		},
 		{
 			name:    "viscous+dealias",
-			physics: viscousDealias,
+			physics: viscousInterior,
 			option:  func(m *matrixSetup) { m.cfg.Workers = 3; m.cfg.Overlap = true },
 		},
 		// The viscous path paired with each option that reorders,
 		// parallelises, migrates or restores its elements.
-		{name: "viscous+overlap", physics: viscousDealias, option: func(m *matrixSetup) { m.cfg.Overlap = true }},
+		{name: "viscous+overlap", physics: viscousInterior, option: func(m *matrixSetup) { m.cfg.Overlap = true }},
 		{name: "viscous+workers=3", physics: viscousDealias, neutral: true, option: func(m *matrixSetup) { m.cfg.Workers = 3 }},
 		{name: "viscous+loadbal+hot", physics: viscousDealias, option: hotRank3, check: checkMigrated},
 		{name: "viscous+crash+ckpt", physics: viscousDealias, option: crash5, check: checkCrash},
@@ -265,12 +279,12 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		// those runs are rebuilt after a Remap and after the Shrink
 		// rebuild.
 		{
-			name:   "overlap+loadbal+hot",
+			name: "overlap+loadbal+hot", physics: interior,
 			option: func(m *matrixSetup) { hotRank3(m); m.cfg.Overlap = true },
 			check:  checkMigrated,
 		},
 		{
-			name: "viscous+overlap+crash+ckpt", physics: viscousDealias,
+			name: "viscous+overlap+crash+ckpt", physics: viscousInterior,
 			option: func(m *matrixSetup) { crash5(m); m.cfg.Overlap = true },
 			check:  checkCrash,
 		},
@@ -281,7 +295,7 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		// The inviscid overlap path runs the interior elements' whole
 		// post-exchange pass (volume, lift, update) inside the exchange
 		// window, on every pool slot, with the filter after the last
-		// stage; these rows' ranks hold interior elements.
+		// stage.
 		{name: "overlap+workers=3", physics: interior, option: func(m *matrixSetup) { m.cfg.Overlap = true; m.cfg.Workers = 3 }},
 		{name: "filter+overlap", physics: filteredInterior, option: func(m *matrixSetup) { m.cfg.Overlap = true }},
 		{
@@ -299,7 +313,7 @@ func TestOptionMatrixInvariance(t *testing.T) {
 			check:  checkMigrated,
 		},
 		{
-			name: "message-faults+overlap",
+			name: "message-faults+overlap", physics: interior,
 			option: func(m *matrixSetup) {
 				messageFaults(m)
 				m.cfg.Overlap = true
@@ -315,7 +329,7 @@ func TestOptionMatrixInvariance(t *testing.T) {
 		// a suspend image into a memory store, restore it onto a fresh
 		// communicator and finish there.
 		{name: "preempt+resume", option: preempt3},
-		{name: "overlap+preempt+resume", option: func(m *matrixSetup) { preempt3(m); m.cfg.Overlap = true }},
+		{name: "overlap+preempt+resume", physics: interior, option: func(m *matrixSetup) { preempt3(m); m.cfg.Overlap = true }},
 		{name: "loadbal+hot+preempt+resume", option: func(m *matrixSetup) { hotRank3(m); preempt3(m) }},
 	}
 	plains := map[uintptr]matrixResult{} // by physics
@@ -334,10 +348,34 @@ func TestOptionMatrixInvariance(t *testing.T) {
 			}
 			again := runMatrix(t, row.physics, row.option, false)
 			compareClocks(t, "first run", again.clocks, got.clocks)
+			if got.overlap {
+				checkInterior(t, got)
+			}
 			if row.check != nil {
 				row.check(t, got, plain)
 			}
 		})
+	}
+}
+
+// checkInterior: an overlap row holds the interior path (work inside the
+// exchange window) only where ranks hold interior elements: every rank
+// when a segment starts, and some rank still at the end, after any
+// Remap or Shrink rebuild. (A rebalanced rank may hold none: the Morton
+// chunks that split overlap+loadbal+hot's hot block give ranks 2-4 22 to
+// 34 elements and no interior one.)
+func checkInterior(t *testing.T, got matrixResult) {
+	t.Helper()
+	if len(got.interior) != matrixRanks {
+		t.Fatalf("interior counts from %d ranks, want %d", len(got.interior), matrixRanks)
+	}
+	for w, n := range got.interior {
+		if n == 0 {
+			t.Errorf("overlap row: rank %d starts with no interior element, so no work overlaps its exchange", w)
+		}
+	}
+	if got.interiorEnd == 0 {
+		t.Error("overlap row: no finishing rank holds an interior element")
 	}
 }
 

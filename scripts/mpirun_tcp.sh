@@ -4,10 +4,10 @@
 #   scripts/mpirun_tcp.sh NP CMD [ARGS...]
 #
 # Forks NP copies of CMD, appending `-transport=tcp -rank=$i -rdv=$file`
-# to each, where $file is a fresh rendezvous file: rank 0 listens on an
-# ephemeral port and publishes its address there, the other ranks poll
-# the file and dial in (so no ports need reserving up front). Waits for
-# every process and exits nonzero if any rank failed.
+# to each, where $file is a fresh rendezvous file: rank 0 hosts the
+# rendezvous broker on an ephemeral port and publishes its address there,
+# the other ranks poll the file and check in (so no ports need reserving
+# up front). Waits for every process and exits nonzero if any rank failed.
 #
 # Set MPIRUN_RDV to override the rendezvous — e.g. a cmtbroker URL
 # (tcp://host:port/job) for runs with no shared filesystem. Set
