@@ -75,7 +75,7 @@ func TestMailboxAwaitWakeups(t *testing.T) {
 			c.boxes[0].put(&message{src: awaitSrc, tag: awaitTag, data: []float64{payload}})
 		}, wantValue(payload)},
 		{"deliverOrQueue", func(c *Comm) {
-			c.boxes[0].deliverOrQueue(c, awaitSrc, awaitTag, []float64{payload}, nil, 0)
+			c.boxes[0].deliverOrQueue(awaitSrc, awaitTag, []float64{payload}, nil, 0)
 		}, wantValue(payload)},
 		{"markDead", func(c *Comm) { c.markDead(awaitSrc) }, func(o outcome) error {
 			var d DeadRankError

@@ -134,7 +134,7 @@ func (r *Rank) recvRawColl(src, tag int, members []int) *message {
 // freeRaw recycles a raw message whose payload has been fully consumed
 // (combined or copied out). Collectives that hand a message's payload to
 // the caller — Bcast, Scatter, the alltoalls — must NOT free it.
-func (r *Rank) freeRaw(m *message) { r.comm.putMessage(m) }
+func (r *Rank) freeRaw(m *message) { r.comm.boxes[r.id].recycle(m) }
 
 // collRegion is an open profiled collective region. It is a value (not
 // a returned closure) so opening one costs no heap allocation — the

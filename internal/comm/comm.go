@@ -112,12 +112,6 @@ type Comm struct {
 	crcDetected atomic.Int64
 	retransmits atomic.Int64
 
-	// msgPool recycles message envelopes (and their payload capacity)
-	// between sends. Messages only return here through Request.Free —
-	// recycling is opt-in, so payload slices handed out by Recv/Wait
-	// stay valid indefinitely unless the receiver frees them.
-	msgPool sync.Pool
-
 	// Distributed-run state, set only on the root (world) communicator of
 	// a RunDistributed process and reached through root from
 	// sub-communicators. localWorld[w] reports whether world rank w is
@@ -130,21 +124,6 @@ type Comm struct {
 	localWorld []bool
 	reg        *ctxRegistry
 	ctx        uint64
-}
-
-// getMessage returns a recycled message envelope, or a fresh one.
-func (c *Comm) getMessage() *message {
-	if m, ok := c.msgPool.Get().(*message); ok {
-		return m
-	}
-	return &message{}
-}
-
-// putMessage returns a message to the pool, keeping payload capacity.
-func (c *Comm) putMessage(m *message) {
-	m.src, m.tag, m.arrival = 0, 0, 0
-	m.crc, m.framed = 0, false
-	c.msgPool.Put(m)
 }
 
 // directEligible reports whether the posted-receive direct-delivery fast

@@ -59,6 +59,71 @@ type mailbox struct {
 	// Behind a transport, misses counts the consecutive polls that ran
 	// out, and the next skip waits park without polling (see await).
 	misses, skip int
+
+	// free holds, behind a transport, the envelopes this mailbox's rank
+	// has consumed (Request.Free, freeRaw), under mu; see recycle.
+	free []*message
+}
+
+// msgPool recycles message envelopes between in-process ranks.
+var msgPool sync.Pool
+
+// maxFreeMsgs bounds a mailbox's free envelope list.
+const maxFreeMsgs = 32
+
+// newMessage returns a recycled message envelope, or a fresh one. The
+// caller holds b.mu.
+func (b *mailbox) newMessage() *message {
+	if b.tr == nil {
+		if m, ok := msgPool.Get().(*message); ok {
+			return m
+		}
+		return &message{}
+	}
+	n := len(b.free)
+	if n == 0 {
+		return &message{}
+	}
+	m := b.free[n-1]
+	b.free[n-1] = nil
+	b.free = b.free[:n-1]
+	return m
+}
+
+// getMessage is newMessage for a caller not holding b.mu.
+func (b *mailbox) getMessage() *message {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.newMessage()
+}
+
+// recycle returns a message this mailbox's rank has consumed, keeping its
+// payload capacity. Recycling is opt-in, so payload slices handed out by
+// Recv/Wait stay valid unless the receiver frees them.
+//
+// In process the envelope goes to msgPool: the sender that takes it next
+// mostly runs on the same P, so the envelope is warm in its cache, and
+// neither Get nor Put takes a lock. Behind a transport a frame is
+// delivered by whichever goroutine reads it — the rank while it polls, a
+// reader goroutine while it is parked — and a pool's per-P slot would
+// hide the rank's envelope from a reader on another P, which then
+// allocates. So there the envelope goes to the mailbox's bounded list,
+// under the lock every delivery takes.
+func (b *mailbox) recycle(m *message) {
+	m.src, m.tag, m.arrival = 0, 0, 0
+	m.crc, m.framed = 0, false
+	if b.tr == nil {
+		msgPool.Put(m)
+		return
+	}
+	b.mu.Lock()
+	if b.free == nil {
+		b.free = make([]*message, 0, maxFreeMsgs)
+	}
+	if len(b.free) < cap(b.free) {
+		b.free = append(b.free, m)
+	}
+	b.mu.Unlock()
 }
 
 // spinBudget bounds how long a blocked receive polls its mailbox before
@@ -269,7 +334,7 @@ func (b *mailbox) matchOrPost(req *Request, src, tag int) {
 // deliverOrQueue is the send side of the fast path: under one lock
 // acquisition it either completes the first matching posted request by
 // copying the payload into its buffers, or stages a message in the queue.
-func (b *mailbox) deliverOrQueue(c *Comm, src, tag int, data []float64, ints []int64, arrival float64) {
+func (b *mailbox) deliverOrQueue(src, tag int, data []float64, ints []int64, arrival float64) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -287,7 +352,7 @@ func (b *mailbox) deliverOrQueue(c *Comm, src, tag int, data []float64, ints []i
 		b.cond.Broadcast()
 		return
 	}
-	m := c.getMessage()
+	m := b.newMessage()
 	m.src, m.tag = src, tag
 	m.data = append(m.data[:0], data...)
 	m.ints = append(m.ints[:0], ints...)

@@ -133,11 +133,11 @@ func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 		nbytes := 8 * int64(len(data)+len(ints))
 		sendVT := r.clock.Now()
 		arrival, hops := r.stampSend(dst, nbytes)
-		c.boxes[dst].deliverOrQueue(c, r.id, tag, data, ints, arrival)
+		c.boxes[dst].deliverOrQueue(r.id, tag, data, ints, arrival)
 		c.trace(c.worldIDOf(r.id), c.worldIDOf(dst), tag, nbytes, hops, sendVT, arrival, r.prof.site)
 		return nbytes
 	}
-	m := c.getMessage()
+	m := c.boxes[dst].getMessage()
 	m.src, m.tag = r.id, tag
 	m.data = append(m.data[:0], data...)
 	m.ints = append(m.ints[:0], ints...)
@@ -152,7 +152,7 @@ func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 		var f fate
 		arrival, f = r.intercept(dst, tag, nbytes, sendVT, arrival)
 		if f.corrupt {
-			bad := c.getMessage()
+			bad := c.boxes[dst].getMessage()
 			bad.src, bad.tag = r.id, tag
 			bad.data = append(bad.data[:0], m.data...)
 			bad.ints = append(bad.ints[:0], m.ints...)
@@ -279,7 +279,7 @@ func (r *Rank) frameOK(m *message) bool {
 	if c.faults != nil {
 		c.faults.CRCDetected(c.worldIDOf(m.src), c.worldIDOf(r.id), m.tag)
 	}
-	c.putMessage(m)
+	c.boxes[r.id].recycle(m)
 	return false
 }
 

@@ -203,7 +203,8 @@ func (req *Request) Source() int {
 }
 
 // Free returns a completed receive's message envelope (and its payload
-// capacity) to the communicator's buffer pool. The payload slices
+// capacity) for a later message to reuse (see mailbox.recycle). The
+// payload slices
 // returned by Wait must not be used after Free. Freeing is optional —
 // unfreed messages are simply left to the garbage collector — and only
 // meaningful on receive requests that went through the queue: the
@@ -214,7 +215,7 @@ func (req *Request) Free() {
 	if req.isSend || !req.done || req.msg == nil {
 		return
 	}
-	req.rank.comm.putMessage(req.msg)
+	req.rank.comm.boxes[req.rank.id].recycle(req.msg)
 	req.msg = nil
 }
 

@@ -11,9 +11,12 @@ import (
 // round trips of a 200-float gs_op-sized message between two ranks over
 // loopback TCP (IsendMsg, IrecvInto, Wait, Free), counted process-wide —
 // both ranks, both transports, their reader and writer goroutines — per
-// message. The ceiling is the worst of 60 runs plus 10 %: 0.0105, about
-// 20 allocations in 2 000 messages, from the comm message pool refilling
-// when a message beats its receive.
+// message. A message that beats its receive is staged in an envelope
+// from the receiving mailbox's free list, which the warm-up fills, so
+// what is left is the runtime's own (parking, the net poller). The worst
+// of 200 runs, half of them beside other test packages, was 0.0065 (13
+// allocations in 2 000 messages); the ceiling leaves 30 % for a busier
+// host.
 func TestTCPExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -22,7 +25,7 @@ func TestTCPExchangeAllocs(t *testing.T) {
 		rounds  = 1000
 		warmup  = 50
 		n       = 200
-		ceiling = 0.012
+		ceiling = 0.0085
 	)
 	var perMsg float64
 	runTCP(t, 2, comm.Options{}, func(r *comm.Rank) error {
@@ -39,6 +42,13 @@ func TestTCPExchangeAllocs(t *testing.T) {
 		for k := 0; k < warmup; k++ {
 			exchange(k)
 		}
+		// One message that surely beats its receive (the barrier's own
+		// messages follow it on the stream) warms the queued path too.
+		r.IsendMsg(peer, 7, data, nil)
+		r.Barrier()
+		r.IrecvInto(&req, peer, 7)
+		req.Wait()
+		req.Free()
 		r.Barrier()
 		var before, after runtime.MemStats
 		if r.ID() == 0 {
@@ -53,6 +63,7 @@ func TestTCPExchangeAllocs(t *testing.T) {
 		}
 		return nil
 	})
+	t.Logf("%.4f allocations per message", perMsg)
 	if perMsg > ceiling {
 		t.Errorf("%.4f allocations per message, want at most %.4f", perMsg, ceiling)
 	}

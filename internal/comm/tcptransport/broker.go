@@ -21,7 +21,8 @@ import (
 // the world size, and its mesh listen address), and waits; a hello
 // declaring more than maxWorld ranks is refused. When all Size
 // ranks of a job have checked in, the broker sends every one of them the
-// completed address table and closes the connections; the ranks then
+// completed address table and closes the connections (a rank whose
+// connection ends before then gives its slot back); the ranks then
 // form the usual full mesh directly (lower rank dials higher). The
 // broker connections are bootstrap-only — no application traffic ever
 // crosses the broker, and one broker serves any number of concurrent
@@ -146,8 +147,8 @@ func (b *Broker) handle(conn net.Conn) {
 	}
 	if size != j.size || j.conns[rank] != nil {
 		// Size disagreement or duplicate rank: reject the newcomer, keep
-		// the roster. The first check-in holds its slot until the job
-		// completes or the broker closes, even if its rank has died.
+		// the roster. The first check-in holds its slot while its
+		// connection is open.
 		b.mu.Unlock()
 		conn.Close()
 		return
@@ -157,6 +158,7 @@ func (b *Broker) handle(conn net.Conn) {
 	j.got++
 	if j.got < j.size {
 		b.mu.Unlock()
+		b.watch(job, j, rank, conn)
 		return
 	}
 	delete(b.jobs, job)
@@ -167,6 +169,26 @@ func (b *Broker) handle(conn net.Conn) {
 	for _, c := range j.conns {
 		_ = writeWireDeadline(c, table, deadline)
 		c.Close()
+	}
+}
+
+// watch waits on a checked-in rank's connection, on which the rank sends
+// nothing more. It returns when the connection ends: the roster completed
+// or the broker closed (and the connection with it), or the rank went
+// away first — then its slot is freed, so that a relaunched rank can
+// check in again, and a job left with no rank is dropped.
+func (b *Broker) watch(job string, j *brokerJob, rank int, conn net.Conn) {
+	var one [1]byte
+	_, _ = conn.Read(one[:]) // EOF, an error or a stray byte: the wait is over
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.jobs[job] != j || j.conns[rank] != conn {
+		return
+	}
+	conn.Close()
+	j.conns[rank], j.addrs[rank] = nil, ""
+	if j.got--; j.got == 0 {
+		delete(b.jobs, job)
 	}
 }
 

@@ -290,3 +290,57 @@ func TestBootstrapFailuresAreTyped(t *testing.T) {
 		t.Errorf("invalid config: New returned %v, want a config error that is not ErrBootstrap", err)
 	}
 }
+
+// A rank that checks in and dies gives its slot back, and the job, left
+// with no rank, is dropped: rank 0 checks in and closes its connection,
+// then ranks 0 and 1 of a relaunch rendezvous under the same job name
+// and connect.
+func TestBrokerFreesDeadRankSlot(t *testing.T) {
+	b := startBroker(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(appendJobHello(nil, "relaunch", 0, 2, "127.0.0.1:9")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); jobCheckedIn(b, "relaunch") != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 0's check-in not taken")
+		}
+	}
+	conn.Close()
+	dropped := func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.jobs["relaunch"] == nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); !dropped(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the broker still holds the job of a rank that went away")
+		}
+	}
+
+	errs := make(chan error, 2)
+	for rank := 0; rank < 2; rank++ {
+		go func(rank int) {
+			tr, err := New(Config{Rank: rank, Size: 2, BrokerAddr: b.Addr(), Job: "relaunch", BootstrapTimeout: 10 * time.Second})
+			if err != nil {
+				errs <- fmt.Errorf("rank %d: %w", rank, err)
+				return
+			}
+			_, err = comm.RunDistributed(tr, comm.Options{}, func(r *comm.Rank) error {
+				if sum := r.Allreduce(comm.OpSum, []float64{1}); sum[0] != 2 {
+					return fmt.Errorf("allreduce = %v, want 2", sum[0])
+				}
+				return nil
+			})
+			errs <- err
+		}(rank)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

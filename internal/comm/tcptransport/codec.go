@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"slices"
 
 	"repro/internal/comm"
@@ -98,15 +99,16 @@ func appendWire(dst []byte, typ byte, body []byte) []byte {
 
 // readWire reads and validates one wire message into *buf, reusing its
 // capacity for the header and then the body: the returned body aliases
-// *buf and is valid until the next call with the same buffer. io.EOF is
-// returned only at a clean message boundary; a partial read is
-// ErrTruncated.
+// *buf and is valid until the next call with the same buffer. At a
+// message boundary io.EOF and an expired read deadline (an error
+// matching os.ErrDeadlineExceeded) come back as they are; any other
+// failed or partial read is ErrTruncated.
 func readWire(r io.Reader, buf *[]byte) (typ byte, body []byte, err error) {
 	*buf = slices.Grow((*buf)[:0], headerLen)
 	h := (*buf)[:headerLen]
 	if _, err := io.ReadFull(r, h[:1]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
+		if err == io.EOF || errors.Is(err, os.ErrDeadlineExceeded) {
+			return 0, nil, err
 		}
 		return 0, nil, ErrTruncated
 	}

@@ -3,9 +3,13 @@ package tcptransport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
+	"net"
+	"os"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 )
@@ -356,4 +360,31 @@ func FuzzReadFrame(f *testing.F) {
 func decodedEqual(a, b decoded) bool {
 	return a.typ == b.typ && bytes.Equal(a.body, b.body) && a.ferr == b.ferr &&
 		(a.frame == nil) == (b.frame == nil) && (a.frame == nil || frameEqual(a.frame, b.frame))
+}
+
+// A read deadline that expires before a message's first byte is a
+// timeout, not a truncated frame; one that expires inside the header or
+// the body cuts a frame short and is ErrTruncated.
+func TestReadWireDeadline(t *testing.T) {
+	good := appendData(nil, &comm.Frame{Data: []float64{1, 2}})
+	for _, tc := range []struct {
+		name string
+		sent []byte
+		want func(error) bool
+	}{
+		{"nothing sent", nil, func(err error) bool {
+			return errors.Is(err, os.ErrDeadlineExceeded) && !errors.Is(err, ErrTruncated)
+		}},
+		{"partial header", good[:5], func(err error) bool { return err == ErrTruncated }},
+		{"partial body", good[:len(good)-3], func(err error) bool { return err == ErrTruncated }},
+	} {
+		a, b := net.Pipe()
+		go b.Write(tc.sent)
+		_, _, err := readWireDeadline(a, time.Now().Add(50*time.Millisecond))
+		a.Close()
+		b.Close()
+		if !tc.want(err) {
+			t.Errorf("%s: err = %v", tc.name, err)
+		}
+	}
 }

@@ -237,10 +237,10 @@ func (c *Comm) acceptFrame(f *Frame) {
 	}
 	box := c.boxes[f.Dst]
 	if c.directEligible() && !f.Framed {
-		box.deliverOrQueue(c, f.Src, f.Tag, f.Data, f.Ints, f.Arrival)
+		box.deliverOrQueue(f.Src, f.Tag, f.Data, f.Ints, f.Arrival)
 		return
 	}
-	m := c.getMessage()
+	m := box.getMessage()
 	m.src, m.tag = f.Src, f.Tag
 	m.data = append(m.data[:0], f.Data...)
 	m.ints = append(m.ints[:0], f.Ints...)

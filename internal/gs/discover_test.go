@@ -15,6 +15,10 @@ import (
 	"repro/internal/mesh"
 )
 
+// discover runs Setup's discovery and returns its result as the
+// Topology the handle exports, the form discoverRef builds.
+func discover(r *comm.Rank, ids []int64) *Topology { return Setup(r, ids).Topology() }
+
 // discoverRef is the map-based discovery that discover replaced, kept
 // as the oracle: the same messages in the same order, and the same
 // Topology, built from one map per grouping and comparison sorts.
@@ -273,21 +277,22 @@ func FuzzDiscover(f *testing.F) {
 	})
 }
 
-// TestSetupAllocs pins the allocation count of one gs.Setup on the
-// compute.n10 layout (two ranks, N = 10, 4 × 4 × 4 elements per rank,
+// TestSetupAllocs pins the allocations and the bytes of one gs.Setup on
+// the compute.n10 layout (two ranks, N = 10, 4 × 4 × 4 elements per rank,
 // DG face ids), as TestStepAllocs pins the step: discovery groups ids by
 // sorting flat arrays, so its count does not grow with the id count.
-// The map-based discovery made 62 861 allocations per rank here; the
-// sort-based one makes 56, and up to 59 when the runtime allocates for
-// the ranks' own scheduling.
+// The map-based discovery made 62 861 allocations per rank here and the
+// key-and-value radix sort 56 allocations and 4.46 MB; sorting int32
+// positions and building the index without a Topology makes 46 to 48
+// allocations and 1.79 MB. The byte ceiling is that plus 10 %.
 func TestSetupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on paths the plain build does not")
 	}
-	const p, ceiling = 2, 64
+	const p, ceiling, bytesCeiling = 2, 64, 1_970_000
 	ids, _ := boxLayouts(t, p, 10, 4)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var mallocs atomic.Uint64
+	var mallocs, bytes atomic.Uint64
 	_, err := comm.RunSimple(p, func(r *comm.Rank) error {
 		Setup(r, ids[r.ID()]) // first use grows the ranks' comm state
 		r.Barrier()
@@ -301,6 +306,7 @@ func TestSetupAllocs(t *testing.T) {
 		if r.ID() == 0 {
 			runtime.ReadMemStats(&m1)
 			mallocs.Store(m1.Mallocs - m0.Mallocs)
+			bytes.Store(m1.TotalAlloc - m0.TotalAlloc)
 		}
 		r.Barrier()
 		return nil
@@ -308,10 +314,13 @@ func TestSetupAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perRank := mallocs.Load() / p
-	t.Logf("gs.Setup: %d allocations per rank", perRank)
+	perRank, bytesPerRank := mallocs.Load()/p, bytes.Load()/p
+	t.Logf("gs.Setup: %d allocations, %d bytes per rank", perRank, bytesPerRank)
 	if perRank > ceiling {
 		t.Errorf("gs.Setup made %d allocations per rank, ceiling %d", perRank, ceiling)
+	}
+	if bytesPerRank > bytesCeiling {
+		t.Errorf("gs.Setup allocated %d bytes per rank, ceiling %d", bytesPerRank, bytesCeiling)
 	}
 }
 

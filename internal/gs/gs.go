@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/obs"
@@ -133,177 +134,165 @@ func Setup(r *comm.Rank, ids []int64) *GS {
 	}
 	r.SetSite("gs_setup")
 	defer r.SetSite("")
-	return newGS(r, discover(r, ids))
-}
-
-// newGS builds a handle from a discovery result — fresh from discover or
-// recorded (SetupFromTopology). It keeps no reference to t.
-func newGS(r *comm.Rank, t *Topology) *GS {
-	g := &GS{rank: r, n: t.N, method: Pairwise, globalShared: t.GlobalShared}
-	var remOf []int32
-	g.ix, remOf = buildIndex(t)
-	g.locVals = make([]float64, len(g.ix.locID))
-	for _, nb := range t.Neighbors {
-		slots := make([]int32, len(nb.Slots))
-		for i, s := range nb.Slots {
-			slots[i] = remOf[s]
-		}
-		g.neighbors = append(g.neighbors, neighbor{rank: nb.Rank, slots: slots})
-	}
-	g.one, g.packed = g.newSite(gsTag), g.newSite(gsTag+2)
+	g := &GS{rank: r, n: len(ids), method: Pairwise}
+	g.discover(ids)
+	g.initSites()
 	return g
 }
 
+// initSites sizes the exchange state that follows from the index and
+// the neighbor lists.
+func (g *GS) initSites() {
+	g.locVals = make([]float64, len(g.ix.locID))
+	g.one, g.packed = g.newSite(gsTag), g.newSite(gsTag+2)
+}
+
 // discover is Setup's collective phase: it finds, for every id this rank
-// holds, the other ranks holding it, and returns the active id table with
-// the per-neighbor slot lists.
+// holds, the other ranks holding it, and builds the handle's index and
+// neighbor lists from the result. SetupFromTopology builds the same
+// lists from a recorded Topology, and Topology exports them.
 //
-// Each grouping is a run of equal ids after a stable radix sort
-// (sortByID): this rank's occurrences of an id, and at the id's owner
-// the ranks holding it. Runs come out in ascending id order and keep
-// input order within, which are the orders the messages and the table
-// are canonical in.
-func discover(r *comm.Rank, ids []int64) *Topology {
-	t := &Topology{N: len(ids)}
+// Each grouping is a run of equal ids after a stable radix sort of int32
+// positions (sortByID): this rank's occurrences of an id, and at the
+// id's owner the ranks holding it. Runs come out in ascending id order
+// and keep input order within, which are the orders the messages and the
+// table are canonical in. No id is copied except into a message.
+func (g *GS) discover(ids []int64) {
+	r := g.rank
 	me, p := r.ID(), r.Size()
 
-	// Group local indices by id. They enter in vector order, so run k,
-	// pos[runs[k]:runs[k+1]], is distinct[k]'s group in vector order.
-	keys, pos := make([]int64, 0, len(ids)), make([]int, 0, len(ids))
-	for i, id := range ids {
+	// Group local positions by id: run k, pos[runs[k]:runs[k+1]], is the
+	// k-th distinct id's group in vector order.
+	m := 0
+	for _, id := range ids {
 		if id >= 0 {
-			keys, pos = append(keys, id), append(pos, i)
+			m++
 		}
 	}
-	keys, pos = sortByID(keys, pos)
-	runs := runStarts(keys)
-	distinct := make([]int64, len(runs)-1)
-	for k := range distinct {
-		distinct[k] = keys[runs[k]]
+	pos := make([]int32, 0, m)
+	for i, id := range ids {
+		if id >= 0 {
+			pos = append(pos, int32(i))
+		}
 	}
+	pos, spare := sortByID(ids, pos, nil)
+	runs := runStarts(ids, pos)
 
 	// Discovery phase: route each distinct id to a hashed "owner" rank,
 	// which observes every rank holding it and replies with the sharer
 	// lists. This is the generalized all-to-all of gs_setup.
 	owner := func(id int64) int { return int(id % int64(p)) }
 	sendCounts := make([]int, p)
-	for _, id := range distinct {
-		sendCounts[owner(id)]++
+	for _, s := range runs[:len(runs)-1] {
+		sendCounts[owner(ids[pos[s]])]++
 	}
-	// distinct is ascending, so one stable pass keeps each destination's
-	// ids ascending.
-	sendIDs := make([]int64, len(distinct))
+	// The runs are ascending, so one stable pass keeps each
+	// destination's ids ascending.
+	sendIDs := make([]int64, len(runs)-1)
 	next := offsets(sendCounts)
-	for _, id := range distinct {
+	for _, s := range runs[:len(runs)-1] {
+		id := ids[pos[s]]
 		q := owner(id)
 		sendIDs[next[q]] = id
 		next[q]++
 	}
 	recvIDs, recvCounts := r.AlltoallvInts(sendIDs, sendCounts)
 
-	// The owner sorts what it received, tagged with the source rank. The
-	// ids arrive in ascending-source blocks, so each run lists its id's
-	// holders in ascending rank order; a run of two or more is shared.
-	src := make([]int, 0, len(recvIDs))
-	for q, c := range recvCounts {
-		for ; c > 0; c-- {
-			src = append(src, q)
-		}
+	// The owner sorts the positions of what it received. The ids arrive
+	// in ascending-source blocks, so each run lists its id's holders in
+	// ascending rank order; a run of two or more is shared.
+	from := offsets(recvCounts)
+	holder := func(j int32) int64 { return int64(sort.SearchInts(from, int(j)+1) - 1) }
+	held := spare[:0]
+	for j := range recvIDs {
+		held = append(held, int32(j))
 	}
-	held, holder := sortByID(recvIDs, src)
-	hruns := runStarts(held)
+	held, _ = sortByID(recvIDs, held, nil)
+	hruns := runStarts(recvIDs, held)
 	// Reply: for every id held by >= 2 ranks, tell each holder the full
 	// holder list, encoded [id, m, rank0..rank_{m-1}].
 	replyCounts := make([]int, p)
 	shared := 0
 	for k := 0; k+1 < len(hruns); k++ {
-		hs := holder[hruns[k]:hruns[k+1]]
+		hs := held[hruns[k]:hruns[k+1]]
 		if len(hs) < 2 {
 			continue
 		}
 		shared++
-		for _, q := range hs {
-			replyCounts[q] += 2 + len(hs)
+		for _, j := range hs {
+			replyCounts[holder(j)] += 2 + len(hs)
 		}
 	}
 	next = offsets(replyCounts)
 	reply := make([]int64, next[p])
 	for k := 0; k+1 < len(hruns); k++ {
-		hs := holder[hruns[k]:hruns[k+1]]
+		hs := held[hruns[k]:hruns[k+1]]
 		if len(hs) < 2 {
 			continue
 		}
-		for _, q := range hs {
+		for _, j := range hs {
+			q := holder(j)
 			c := next[q]
-			reply[c], reply[c+1] = held[hruns[k]], int64(len(hs))
-			for j, h := range hs {
-				reply[c+2+j] = int64(h)
+			reply[c], reply[c+1] = recvIDs[hs[0]], int64(len(hs))
+			for x, h := range hs {
+				reply[c+2+x] = holder(h)
 			}
 			next[q] = c + 2 + len(hs)
 		}
 	}
-	gotReply, _ := r.AlltoallvInts(reply, replyCounts)
+	gotReply, gotCounts := r.AlltoallvInts(reply, replyCounts)
 
 	// Each of this rank's remotely-shared ids has exactly one reply
-	// entry: note where it starts, per distinct id (-1: none).
-	entry := make([]int, len(distinct))
-	for k := range entry {
-		entry[k] = -1
-	}
-	for i := 0; i < len(gotReply); i += 2 + int(gotReply[i+1]) {
-		k, _ := slices.BinarySearch(distinct, gotReply[i])
-		entry[k] = i
-	}
-	holders := func(k int) []int64 {
-		if e := entry[k]; e >= 0 {
-			return gotReply[e+2 : e+2+int(gotReply[e+1])]
+	// entry, in its owner's block, and every block is in ascending id
+	// order: one cursor per owner meets the entries as the runs come.
+	// Active ids — remotely shared, or duplicated locally — are visited
+	// twice, to size the lists and then to fill them in place.
+	end := offsets(gotCounts)
+	cur := make([]int, p)
+	eachActive := func(visit func(id int64, occ []int32, holders []int64)) {
+		copy(cur, end)
+		for k := 0; k+1 < len(runs); k++ {
+			occ := pos[runs[k]:runs[k+1]]
+			id := ids[occ[0]]
+			var hs []int64
+			q := owner(id)
+			if c := cur[q]; c < end[q+1] && gotReply[c] == id {
+				hs = gotReply[c+2 : c+2+int(gotReply[c+1])]
+				cur[q] = c + 2 + len(hs)
+			}
+			if hs != nil || len(occ) > 1 {
+				visit(id, occ, hs)
+			}
 		}
-		return nil
 	}
-
-	// Active ids: remotely shared, or duplicated locally. Count them and
-	// each neighbor's share of them first, so the table and the slot
-	// lists are filled in place.
-	active := func(k int) bool { return entry[k] >= 0 || runs[k+1]-runs[k] > 1 }
-	nActive, nbCount := 0, make([]int, p)
-	for k := range distinct {
-		if !active(k) {
-			continue
-		}
-		nActive++
-		for _, q := range holders(k) {
+	var size indexSize
+	nbCount := make([]int, p)
+	eachActive(func(_ int64, occ []int32, hs []int64) {
+		size.add(hs != nil, len(occ))
+		for _, q := range hs {
 			if int(q) != me {
 				nbCount[q]++
 			}
 		}
-	}
-	if nActive > 0 {
-		t.IDs = make([]int64, 0, nActive)
-		t.Groups = make([][]int, 0, nActive)
-		t.SharedMask = make([]bool, 0, nActive)
-	}
-	// Per-neighbor slot lists, canonical because the table is id-sorted
-	// on every rank: windows of one flat array, filled in slot order.
+	})
+	// Per-neighbor remote slot lists, canonical because the remote slots
+	// are id-sorted on every rank: windows of one flat array, filled in
+	// slot order.
+	g.ix = newIndex(size)
 	next = offsets(nbCount)
-	slots := make([]int, next[p])
-	for k, id := range distinct {
-		if !active(k) {
-			continue
-		}
-		s := len(t.IDs)
-		t.IDs = append(t.IDs, id)
-		t.Groups = append(t.Groups, pos[runs[k]:runs[k+1]:runs[k+1]])
-		t.SharedMask = append(t.SharedMask, entry[k] >= 0)
-		for _, q := range holders(k) {
+	slots := make([]int32, next[p])
+	eachActive(func(id int64, occ []int32, hs []int64) {
+		s := addGroup(&g.ix, id, hs != nil, occ)
+		for _, q := range hs {
 			if int(q) != me {
 				slots[next[q]] = s
 				next[q]++
 			}
 		}
-	}
+	})
 	for q, c := range nbCount {
 		if c > 0 {
-			t.Neighbors = append(t.Neighbors, TopoNeighbor{Rank: q, Slots: slots[next[q]-c : next[q] : next[q]]})
+			g.neighbors = append(g.neighbors, neighbor{rank: q, slots: slots[next[q]-c : next[q] : next[q]]})
 		}
 	}
 
@@ -311,62 +300,65 @@ func discover(r *comm.Rank, ids []int64) *Topology {
 	// counts the shared ids it adjudicated; one integer allreduce sums
 	// them. This sizes the all_reduce big vector without building it.
 	counts := r.AllreduceInts(comm.OpSum, []int64{int64(shared)})
-	t.GlobalShared = counts[0]
-	return t
+	g.globalShared = counts[0]
 }
 
-// sortByID stably sorts the pairs (keys[i], vals[i]) by key, for
+// sortByID stably sorts the positions perm by keys[perm[i]], for
 // non-negative keys: a least-significant-digit radix sort with one
 // counting pass per 8-bit digit up to the largest key's top digit,
-// skipping a digit every key shares. It may use keys and vals as scratch
-// and returns the sorted pairs.
-func sortByID(keys []int64, vals []int) ([]int64, []int) {
-	if len(keys) < 2 {
-		return keys, vals
+// skipping a digit every key shares. tmp is its scratch (allocated when
+// shorter than perm). It returns the sorted positions and the other of
+// the two buffers, free for the caller's next use.
+func sortByID(keys []int64, perm, tmp []int32) (sorted, spare []int32) {
+	if cap(tmp) < len(perm) {
+		tmp = make([]int32, len(perm))
+	}
+	tmp = tmp[:len(perm)]
+	if len(perm) < 2 {
+		return perm, tmp
 	}
 	var top int64 // has the largest key's top bit
-	for _, k := range keys {
-		top |= k
+	for _, j := range perm {
+		top |= keys[j]
 	}
-	kt, vt := make([]int64, len(keys)), make([]int, len(vals))
 	for shift := 0; shift < 63 && top>>shift != 0; shift += 8 {
 		var at [256]int
-		for _, k := range keys {
-			at[k>>shift&0xff]++
+		for _, j := range perm {
+			at[keys[j]>>shift&0xff]++
 		}
-		if at[keys[0]>>shift&0xff] == len(keys) {
+		if at[keys[perm[0]]>>shift&0xff] == len(perm) {
 			continue
 		}
 		sum := 0
 		for d, c := range at {
 			at[d], sum = sum, sum+c
 		}
-		for i, k := range keys {
-			d := k >> shift & 0xff
-			kt[at[d]], vt[at[d]] = k, vals[i]
+		for _, j := range perm {
+			d := keys[j] >> shift & 0xff
+			tmp[at[d]] = j
 			at[d]++
 		}
-		keys, kt = kt, keys
-		vals, vt = vt, vals
+		perm, tmp = tmp, perm
 	}
-	return keys, vals
+	return perm, tmp
 }
 
-// runStarts returns where each run of equal keys starts, then len(keys).
-func runStarts(keys []int64) []int {
+// runStarts returns where each run of equal keys[perm[i]] starts, then
+// len(perm).
+func runStarts(keys []int64, perm []int32) []int32 {
 	n := 0
-	for i := range keys {
-		if i == 0 || keys[i] != keys[i-1] {
+	for i, j := range perm {
+		if i == 0 || keys[j] != keys[perm[i-1]] {
 			n++
 		}
 	}
-	starts := make([]int, 0, n+1)
-	for i := range keys {
-		if i == 0 || keys[i] != keys[i-1] {
-			starts = append(starts, i)
+	starts := make([]int32, 0, n+1)
+	for i, j := range perm {
+		if i == 0 || keys[j] != keys[perm[i-1]] {
+			starts = append(starts, int32(i))
 		}
 	}
-	return append(starts, len(keys))
+	return append(starts, int32(len(perm)))
 }
 
 // offsets returns the exclusive prefix sums of counts: where each

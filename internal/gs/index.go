@@ -32,49 +32,70 @@ type index struct {
 	remID          []int64
 }
 
+// indexSize counts what each class of an index holds, so newIndex can
+// size the lists exactly.
+type indexSize struct{ pairs, loc, locIdx, rem, remIdx int }
+
+// add counts one table entry of n local occurrences.
+func (z *indexSize) add(shared bool, n int) {
+	switch {
+	case shared:
+		z.rem, z.remIdx = z.rem+1, z.remIdx+n
+	case n == 2:
+		z.pairs++
+	default:
+		z.loc, z.locIdx = z.loc+1, z.locIdx+n
+	}
+}
+
+// newIndex returns an empty index with room for exactly z.
+func newIndex(z indexSize) index {
+	return index{
+		pairA: make([]int32, 0, z.pairs), pairB: make([]int32, 0, z.pairs), pairID: make([]int64, 0, z.pairs),
+		locOff: make([]int32, 1, z.loc+1), locIdx: make([]int32, 0, z.locIdx), locID: make([]int64, 0, z.loc),
+		remOff: make([]int32, 1, z.rem+1), remIdx: make([]int32, 0, z.remIdx), remID: make([]int64, 0, z.rem),
+	}
+}
+
+// addGroup appends one table entry — id, whether another rank holds it,
+// and its local occurrences in vector order — to its class, in
+// ascending id order, and returns the remote slot it became (-1 for a
+// local one).
+func addGroup[T int | int32](ix *index, id int64, shared bool, occ []T) int32 {
+	switch {
+	case shared:
+		ix.remID = append(ix.remID, id)
+		for _, i := range occ {
+			ix.remIdx = append(ix.remIdx, int32(i))
+		}
+		ix.remOff = append(ix.remOff, int32(len(ix.remIdx)))
+		return int32(len(ix.remID) - 1)
+	case len(occ) == 2:
+		ix.pairA = append(ix.pairA, int32(occ[0]))
+		ix.pairB = append(ix.pairB, int32(occ[1]))
+		ix.pairID = append(ix.pairID, id)
+	default:
+		ix.locID = append(ix.locID, id)
+		for _, i := range occ {
+			ix.locIdx = append(ix.locIdx, int32(i))
+		}
+		ix.locOff = append(ix.locOff, int32(len(ix.locIdx)))
+	}
+	return -1
+}
+
 // buildIndex splits the discovery table t (validated) into the three
 // classes and returns, per table slot, the remote slot it became (-1 for
 // a local one).
 func buildIndex(t *Topology) (index, []int32) {
-	var np, nl, nlIdx, nr, nrIdx int
+	var size indexSize
 	for s, grp := range t.Groups {
-		switch {
-		case t.SharedMask[s]:
-			nr, nrIdx = nr+1, nrIdx+len(grp)
-		case len(grp) == 2:
-			np++
-		default:
-			nl, nlIdx = nl+1, nlIdx+len(grp)
-		}
+		size.add(t.SharedMask[s], len(grp))
 	}
-	ix := index{
-		pairA: make([]int32, 0, np), pairB: make([]int32, 0, np), pairID: make([]int64, 0, np),
-		locOff: make([]int32, 1, nl+1), locIdx: make([]int32, 0, nlIdx), locID: make([]int64, 0, nl),
-		remOff: make([]int32, 1, nr+1), remIdx: make([]int32, 0, nrIdx), remID: make([]int64, 0, nr),
-	}
+	ix := newIndex(size)
 	remOf := make([]int32, len(t.IDs))
 	for s, id := range t.IDs {
-		grp := t.Groups[s]
-		remOf[s] = -1
-		switch {
-		case t.SharedMask[s]:
-			remOf[s] = int32(len(ix.remID))
-			ix.remID = append(ix.remID, id)
-			for _, i := range grp {
-				ix.remIdx = append(ix.remIdx, int32(i))
-			}
-			ix.remOff = append(ix.remOff, int32(len(ix.remIdx)))
-		case len(grp) == 2:
-			ix.pairA = append(ix.pairA, int32(grp[0]))
-			ix.pairB = append(ix.pairB, int32(grp[1]))
-			ix.pairID = append(ix.pairID, id)
-		default:
-			ix.locID = append(ix.locID, id)
-			for _, i := range grp {
-				ix.locIdx = append(ix.locIdx, int32(i))
-			}
-			ix.locOff = append(ix.locOff, int32(len(ix.locIdx)))
-		}
+		remOf[s] = addGroup(&ix, id, t.SharedMask[s], t.Groups[s])
 	}
 	return ix, remOf
 }

@@ -40,17 +40,13 @@ type Topology struct {
 
 // Topology extracts this handle's discovery result as a deep copy, safe
 // to reuse after the handle (and its run) are gone: the three index
-// classes merged back, by id, into one table.
+// classes merged back, by id, into one table. Empty lists are nil.
 func (g *GS) Topology() *Topology {
 	ix := &g.ix
 	n := g.SharedSlots()
-	t := &Topology{
-		N:            g.n,
-		IDs:          make([]int64, 0, n),
-		Groups:       make([][]int, 0, n),
-		SharedMask:   make([]bool, 0, n),
-		GlobalShared: g.globalShared,
-		Neighbors:    make([]TopoNeighbor, len(g.neighbors)),
+	t := &Topology{N: g.n, GlobalShared: g.globalShared}
+	if n > 0 {
+		t.IDs, t.Groups, t.SharedMask = make([]int64, 0, n), make([][]int, 0, n), make([]bool, 0, n)
 	}
 	add := func(id int64, shared bool, idx ...int32) {
 		grp := make([]int, len(idx))
@@ -77,12 +73,12 @@ func (g *GS) Topology() *Topology {
 			m++
 		}
 	}
-	for i, nb := range g.neighbors {
+	for _, nb := range g.neighbors {
 		slots := make([]int, len(nb.slots))
 		for j, m := range nb.slots {
 			slots[j] = tableOf[m]
 		}
-		t.Neighbors[i] = TopoNeighbor{Rank: nb.rank, Slots: slots}
+		t.Neighbors = append(t.Neighbors, TopoNeighbor{Rank: nb.rank, Slots: slots})
 	}
 	return t
 }
@@ -147,5 +143,16 @@ func SetupFromTopology(r *comm.Rank, t *Topology) (*GS, error) {
 	if err := t.Validate(r.Size(), r.ID()); err != nil {
 		return nil, err
 	}
-	return newGS(r, t), nil
+	g := &GS{rank: r, n: t.N, method: Pairwise, globalShared: t.GlobalShared}
+	var remOf []int32
+	g.ix, remOf = buildIndex(t)
+	for _, nb := range t.Neighbors {
+		slots := make([]int32, len(nb.Slots))
+		for i, s := range nb.Slots {
+			slots[i] = remOf[s]
+		}
+		g.neighbors = append(g.neighbors, neighbor{rank: nb.Rank, slots: slots})
+	}
+	g.initSites()
+	return g, nil
 }

@@ -211,10 +211,7 @@ func runSetup(t *testing.T, ids [][]int64) setupRun {
 // remotePart is t restricted to its ids shared with another rank, the
 // neighbours' slot lists renumbered to match.
 func remotePart(t *gs.Topology) *gs.Topology {
-	out := &gs.Topology{
-		N: t.N, GlobalShared: t.GlobalShared,
-		IDs: []int64{}, Groups: [][]int{}, SharedMask: []bool{}, Neighbors: []gs.TopoNeighbor{},
-	}
+	out := &gs.Topology{N: t.N, GlobalShared: t.GlobalShared}
 	slotOf := make([]int, len(t.IDs))
 	for s, id := range t.IDs {
 		if t.SharedMask[s] {

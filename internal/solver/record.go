@@ -145,10 +145,23 @@ func (s *Solver) Remap(newOwn *mesh.Ownership) (movedElems int, movedBytes int64
 
 	recv, _ := s.Rank.Alltoallv(payload, counts)
 
-	// Swap in the new partition, then store every record over it.
+	// Swap in the new partition, rebuild in New's order — the face
+	// pairing, the gather-scatter handle, then the arrays — and store
+	// every record over it. The records hold the state, so the old
+	// arrays go before discovery.
+	sources := s.Source[0] != nil
+	for c := range s.U {
+		s.U[c], s.Source[c], s.rhs[c], s.u1[c] = nil, nil, nil, nil
+		s.faceU[c], s.faceF[c], s.ownU[c], s.ownF[c] = nil, nil, nil, nil
+	}
 	s.Local = newOwn.Partition(rank)
 	s.ow = newOwn
-	s.allocState(s.Source[0] != nil)
+	s.pairFaces()
+	method := s.gsh.Method()
+	s.Rank.SetSite("")
+	s.setupGS()
+	s.gsh.SetMethod(method)
+	s.allocState(sources)
 	for _, recs := range [][]float64{keep, recv} {
 		for i := 0; i+stride <= len(recs); i += stride {
 			if _, err := s.StoreRecord(recs[i : i+stride]); err != nil {
@@ -157,10 +170,6 @@ func (s *Solver) Remap(newOwn *mesh.Ownership) (movedElems int, movedBytes int64
 		}
 	}
 	s.allocScratch()
-	method := s.gsh.Method()
-	s.Rank.SetSite("")
-	s.setupGS()
-	s.gsh.SetMethod(method)
 	s.rebuildOverlap()
 	reg.End()
 	return movedElems, movedBytes

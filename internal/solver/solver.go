@@ -178,6 +178,37 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		rx:    2, // reference element [-1,1] onto unit cube
 		ow:    cfg.Ownership,
 	}
+	// Set-up order: the face pairing, then the gather-scatter handle
+	// (discovery or the cached topology, and the tuner), and only then
+	// the whole-rank arrays, so that no set-up transient shares the heap
+	// with them. Allocation never touches the clock.
+	s.pairFaces()
+	if cfg.GSTopo != nil {
+		// Cache hit: rebuild the gather-scatter handle from the recorded
+		// discovery result — no setup collectives at all. Validate
+		// guaranteed the table covers every rank, so the skip is
+		// symmetric.
+		gsh, err := gs.SetupFromTopology(r, cfg.GSTopo[r.ID()])
+		if err != nil {
+			return nil, fmt.Errorf("solver: cached gs topology: %w", err)
+		}
+		if n2 := cfg.N * cfg.N; gsh.SharedSlots() != len(s.remote)*n2 {
+			return nil, fmt.Errorf("solver: cached gs topology holds %d ids, the rank-boundary faces %d points",
+				gsh.SharedSlots(), len(s.remote)*n2)
+		}
+		s.gsh = gsh
+		s.gsh.SetSpanner(s.Rec)
+	} else {
+		s.setupGS()
+	}
+	if cfg.AutoTune {
+		reg := s.Rec.Region("gs_autotune", obs.CatComm)
+		gs.TuneModeled(s.gsh, cfg.TuneTrials)
+		reg.End()
+	} else {
+		s.gsh.SetMethod(cfg.GSMethod)
+	}
+
 	s.allocState(false)
 	s.pool = pool.New(cfg.Workers)
 	s.pool.Observe(cfg.Metrics)
@@ -212,34 +243,6 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	}
 	s.sched = newSchedule(cfg.N, ref.NF, cfg.Mu > 0, cfg.Variant)
 	s.allocScratch()
-
-	if cfg.GSTopo != nil {
-		// Cache hit: rebuild the gather-scatter handle from the recorded
-		// discovery result — no setup collectives at all. Validate
-		// guaranteed the table covers every rank, so the skip is
-		// symmetric.
-		gsh, err := gs.SetupFromTopology(r, cfg.GSTopo[r.ID()])
-		if err != nil {
-			s.pool.Close()
-			return nil, fmt.Errorf("solver: cached gs topology: %w", err)
-		}
-		if n2 := cfg.N * cfg.N; gsh.SharedSlots() != len(s.remote)*n2 {
-			s.pool.Close()
-			return nil, fmt.Errorf("solver: cached gs topology holds %d ids, the rank-boundary faces %d points",
-				gsh.SharedSlots(), len(s.remote)*n2)
-		}
-		s.gsh = gsh
-		s.gsh.SetSpanner(s.Rec)
-	} else {
-		s.setupGS()
-	}
-	if cfg.AutoTune {
-		reg := s.Rec.Region("gs_autotune", obs.CatComm)
-		gs.TuneModeled(s.gsh, cfg.TuneTrials)
-		reg.End()
-	} else {
-		s.gsh.SetMethod(cfg.GSMethod)
-	}
 	s.rebuildOverlap()
 	s.ledger = make([]call, 0, 64*(2+len(s.intRuns)+len(s.bndRuns)))
 	return s, nil
@@ -262,9 +265,9 @@ func (s *Solver) allocState(sources bool) {
 
 // allocScratch (re)allocates every local-size-dependent working array —
 // everything except the element state allocState owns, which Remap
-// migrates rather than rebuilds — and refreshes the boundary-face flags
-// and per-element work weights. Called at construction and after every
-// element migration.
+// migrates rather than rebuilds — and refreshes the per-element work
+// weights. Called at construction and after every element migration,
+// after pairFaces and the gather-scatter set-up.
 func (s *Solver) allocScratch() {
 	local, cfg := s.Local, &s.Cfg
 	n3 := cfg.N * cfg.N * cfg.N
@@ -277,7 +280,6 @@ func (s *Solver) allocScratch() {
 		s.u1[c] = make([]float64, vol)
 	}
 	faceLen := sem.FaceSliceLen(cfg.N, local.Nel)
-	s.pairFaces()
 	ownLen := len(s.remote) * cfg.N * cfg.N
 	for c := 0; c < NumFields; c++ {
 		s.faceU[c] = make([]float64, faceLen)
@@ -415,20 +417,30 @@ func (s *Solver) PointCoords(e, i, j, k int) (x, y, z float64) {
 }
 
 // SetInitial fills the conserved variables from a pointwise function of
-// physical coordinates.
+// physical coordinates. Each element's coordinates along each axis are
+// PointCoords' expressions, formed once per element.
 func (s *Solver) SetInitial(f func(x, y, z float64) [NumFields]float64) {
 	n := s.Cfg.N
-	n3 := n * n * n
+	var at [3][]float64
+	for d := range at {
+		at[d] = make([]float64, n)
+	}
+	idx := 0
 	for e := 0; e < s.Local.Nel; e++ {
-		for k := 0; k < n; k++ {
-			for j := 0; j < n; j++ {
-				for i := 0; i < n; i++ {
-					x, y, z := s.PointCoords(e, i, j, k)
+		g := s.Local.GlobalElemCoords(e)
+		for d := range at {
+			for i, x := range s.Ref.X[:n] {
+				at[d][i] = float64(g[d]) + (x+1)/2
+			}
+		}
+		for _, z := range at[2] {
+			for _, y := range at[1] {
+				for _, x := range at[0] {
 					u := f(x, y, z)
-					idx := e*n3 + i + n*j + n*n*k
 					for c := 0; c < NumFields; c++ {
 						s.U[c][idx] = u[c]
 					}
+					idx++
 				}
 			}
 		}

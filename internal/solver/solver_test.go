@@ -1,12 +1,14 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/gs"
+	"repro/internal/mesh"
 	"repro/internal/sem"
 )
 
@@ -483,5 +485,65 @@ func TestStepAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSetInitialMatchesPointCoords holds SetInitial, which forms each
+// element's coordinates once, to PointCoords point by point, in bits: on
+// the uniform split and on an ownership map (Local.Own set, element
+// coordinates from the map's globals).
+func TestSetInitialMatchesPointCoords(t *testing.T) {
+	f := func(x, y, z float64) [NumFields]float64 {
+		return [NumFields]float64{x, y, z, x*y - z/3, math.Sin(x + 2*y + 3*z)}
+	}
+	for _, n := range []int{3, 5, 10} {
+		for _, mapped := range []bool{false, true} {
+			cfg := DefaultConfig(2, n, 2)
+			if mapped {
+				box, err := cfg.Mesh()
+				if err != nil {
+					t.Fatal(err)
+				}
+				owner := make([]int, box.TotalElems())
+				for gid := range owner {
+					owner[gid] = gid % 2
+				}
+				if cfg.Ownership, err = mesh.NewOwnership(box, owner); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := comm.RunSimple(2, func(r *comm.Rank) error {
+				s, err := New(r, cfg)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				if mapped != (s.Local.Own != nil) {
+					return fmt.Errorf("rank %d: Local.Own set %v, want %v", r.ID(), s.Local.Own != nil, mapped)
+				}
+				s.SetInitial(f)
+				n3 := n * n * n
+				for e := 0; e < s.Local.Nel; e++ {
+					for k := 0; k < n; k++ {
+						for j := 0; j < n; j++ {
+							for i := 0; i < n; i++ {
+								want := f(s.PointCoords(e, i, j, k))
+								idx := e*n3 + i + n*j + n*n*k
+								for c := range want {
+									if got := s.U[c][idx]; math.Float64bits(got) != math.Float64bits(want[c]) {
+										return fmt.Errorf("N=%d mapped=%v rank %d: U[%d][%d] = %v, PointCoords gives %v",
+											n, mapped, r.ID(), c, idx, got, want[c])
+									}
+								}
+							}
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
