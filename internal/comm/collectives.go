@@ -132,8 +132,9 @@ func (r *Rank) recvRawColl(src, tag int, members []int) *message {
 }
 
 // freeRaw recycles a raw message whose payload has been fully consumed
-// (combined or copied out). Collectives that hand a message's payload to
-// the caller — Bcast, Scatter, the alltoalls — must NOT free it.
+// (combined or copied out, as the alltoalls copy theirs into the result).
+// Collectives that hand a message's payload to the caller — Bcast,
+// Scatter — must NOT free it.
 func (r *Rank) freeRaw(m *message) { r.comm.boxes[r.id].recycle(m) }
 
 // collRegion is an open profiled collective region. It is a value (not
@@ -603,11 +604,10 @@ func (r *Rank) Alltoall(send []float64, n int) []float64 {
 	for step := 1; step < p; step++ {
 		dst := (id + step) % p
 		src := (id - step + p) % p
-		chunk := make([]float64, n)
-		copy(chunk, send[dst*n:(dst+1)*n])
-		bytes += r.sendRaw(dst, tag, chunk, nil)
+		bytes += r.sendRaw(dst, tag, send[dst*n:(dst+1)*n], nil)
 		m := r.recvRaw(src, tag)
 		copy(out[src*n:], m.data)
+		r.freeRaw(m)
 	}
 	coll.done(bytes)
 	return out
@@ -630,27 +630,31 @@ func (r *Rank) AlltoallvInts(send []int64, sendCounts []int) (recv []int64, recv
 		panic(fmt.Sprintf("comm: alltoallv counts sum %d != payload %d", offs[p], len(send)))
 	}
 	tag := collTagBase + 9
-	chunks := make([][]int64, p)
-	chunks[id] = send[offs[id]:offs[id+1]]
+	got := make([]*message, p)
 	var bytes int64
 	for step := 1; step < p; step++ {
 		dst := (id + step) % p
 		src := (id - step + p) % p
-		chunk := make([]int64, sendCounts[dst])
-		copy(chunk, send[offs[dst]:offs[dst+1]])
-		bytes += r.sendRaw(dst, tag, nil, chunk)
-		m := r.recvRaw(src, tag)
-		chunks[src] = m.ints
+		bytes += r.sendRaw(dst, tag, nil, send[offs[dst]:offs[dst+1]])
+		got[src] = r.recvRaw(src, tag)
 	}
 	recvCounts = make([]int, p)
 	total := 0
-	for i, c := range chunks {
-		recvCounts[i] = len(c)
-		total += len(c)
+	for q, m := range got {
+		recvCounts[q] = sendCounts[id]
+		if m != nil {
+			recvCounts[q] = len(m.ints)
+		}
+		total += recvCounts[q]
 	}
 	recv = make([]int64, 0, total)
-	for _, c := range chunks {
-		recv = append(recv, c...)
+	for q, m := range got {
+		if q == id {
+			recv = append(recv, send[offs[id]:offs[id+1]]...)
+		} else {
+			recv = append(recv, m.ints...)
+			r.freeRaw(m)
+		}
 	}
 	coll.done(bytes)
 	return recv, recvCounts
@@ -671,27 +675,31 @@ func (r *Rank) Alltoallv(send []float64, sendCounts []int) (recv []float64, recv
 		panic(fmt.Sprintf("comm: alltoallv counts sum %d != payload %d", offs[p], len(send)))
 	}
 	tag := collTagBase + 10
-	chunks := make([][]float64, p)
-	chunks[id] = send[offs[id]:offs[id+1]]
+	got := make([]*message, p)
 	var bytes int64
 	for step := 1; step < p; step++ {
 		dst := (id + step) % p
 		src := (id - step + p) % p
-		chunk := make([]float64, sendCounts[dst])
-		copy(chunk, send[offs[dst]:offs[dst+1]])
-		bytes += r.sendRaw(dst, tag, chunk, nil)
-		m := r.recvRaw(src, tag)
-		chunks[src] = m.data
+		bytes += r.sendRaw(dst, tag, send[offs[dst]:offs[dst+1]], nil)
+		got[src] = r.recvRaw(src, tag)
 	}
 	recvCounts = make([]int, p)
 	total := 0
-	for i, c := range chunks {
-		recvCounts[i] = len(c)
-		total += len(c)
+	for q, m := range got {
+		recvCounts[q] = sendCounts[id]
+		if m != nil {
+			recvCounts[q] = len(m.data)
+		}
+		total += recvCounts[q]
 	}
 	recv = make([]float64, 0, total)
-	for _, c := range chunks {
-		recv = append(recv, c...)
+	for q, m := range got {
+		if q == id {
+			recv = append(recv, send[offs[id]:offs[id+1]]...)
+		} else {
+			recv = append(recv, m.data...)
+			r.freeRaw(m)
+		}
 	}
 	coll.done(bytes)
 	return recv, recvCounts

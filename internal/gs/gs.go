@@ -85,6 +85,12 @@ type GS struct {
 	rank *comm.Rank
 	n    int // expected vector length
 
+	// wideN and wideIdx, on a compacted handle (Compact), are the layout
+	// it was discovered over: its length and each remote occurrence's
+	// index there. A vector of that length is exchanged at those indices.
+	wideN   int
+	wideIdx []int32
+
 	ix        index      // the flat local map
 	neighbors []neighbor // ascending rank order
 
@@ -138,6 +144,36 @@ func Setup(r *comm.Rank, ids []int64) *GS {
 	g.discover(ids)
 	g.initSites()
 	return g
+}
+
+// Compact moves the handle onto a compact layout of n entries: the
+// occurrence at index i of the layout it was set up over moves to at(i).
+// It is for an exchange-only id vector, whose every active id another
+// rank holds (the solver's masked face ids): discovery, its messages and
+// its clocks stay those of the wide vector, while the exchange buffers
+// hold the rank-boundary points only. Op, OpFields and Pending then take
+// vectors of length n, or of the wide length, exchanged at the wide
+// indices (for callers that time the exchange over a whole face array);
+// Topology records the compact layout. It fails, leaving the
+// handle as it was, when the handle holds a local-only id or at does not
+// map the occurrences one to one into [0, n).
+func (g *GS) Compact(n int, at func(i int32) int32) error {
+	ix := &g.ix
+	if k := len(ix.pairID) + len(ix.locID); k > 0 {
+		return fmt.Errorf("gs: Compact on a handle with %d local-only ids", k)
+	}
+	idx := make([]int32, len(ix.remIdx))
+	seen := make([]bool, n)
+	for j, i := range ix.remIdx {
+		k := at(i)
+		if k < 0 || int(k) >= n || seen[k] {
+			return fmt.Errorf("gs: Compact maps index %d to %d, not a free index of [0, %d)", i, k, n)
+		}
+		seen[k], idx[j] = true, k
+	}
+	g.wideN, g.wideIdx = g.n, ix.remIdx
+	g.n, ix.remIdx = n, idx
+	return nil
 }
 
 // initSites sizes the exchange state that follows from the index and
@@ -502,14 +538,20 @@ func (g *GS) OpFields(fields [][]float64, op comm.ReduceOp, m Method) {
 	g.run(fields, op, m, &g.packed, "gs_op_fields")
 }
 
-// checkFields panics unless every field is a vector of the setup's
-// length.
-func (g *GS) checkFields(fields [][]float64) {
+// checkFields panics unless every field is a vector of the handle's
+// length — or, on a compacted handle, every one of the wide length — and
+// returns the remote occurrences' indices in that layout.
+func (g *GS) checkFields(fields [][]float64) []int32 {
+	n, idx := g.n, g.ix.remIdx
+	if g.wideIdx != nil && len(fields) > 0 && len(fields[0]) == g.wideN {
+		n, idx = g.wideN, g.wideIdx
+	}
 	for fi, f := range fields {
-		if len(f) != g.n {
-			panic(fmt.Sprintf("gs: field %d has length %d, setup saw %d", fi, len(f), g.n))
+		if len(f) != n {
+			panic(fmt.Sprintf("gs: field %d has length %d, setup saw %d", fi, len(f), n))
 		}
 	}
+	return idx
 }
 
 // run is the one gather-scatter body behind every blocking entry point:
@@ -518,13 +560,13 @@ func (g *GS) checkFields(fields [][]float64) {
 // exchanged slots. Under Pairwise the local pass runs between posting the
 // messages and waiting for them, where it costs the exchange nothing.
 func (g *GS) run(fields [][]float64, op comm.ReduceOp, m Method, st *site, span string) {
-	g.checkFields(fields)
+	idx := g.checkFields(fields)
 	g.rank.SetSite("gs_op")
 	defer g.rank.SetSite("")
 	defer g.spans.Span(span, obs.CatGS).End()
 
 	k, nr := len(fields), len(g.ix.remID)
-	g.gatherRemote(st, fields, op)
+	g.gatherRemote(st, fields, op, idx)
 	if m == Pairwise {
 		g.post(st, k)
 	}
@@ -542,18 +584,18 @@ func (g *GS) run(fields [][]float64, op comm.ReduceOp, m Method, st *site, span 
 	default:
 		panic(fmt.Sprintf("gs: unknown method %d", int(m)))
 	}
-	g.scatterRemote(fields, st)
+	g.scatterRemote(fields, st, idx)
 }
 
-// gatherRemote folds each field's remotely-shared slots into st's
-// partials, field-major: partial[fi*nr+slot].
-func (g *GS) gatherRemote(st *site, fields [][]float64, op comm.ReduceOp) {
+// gatherRemote folds each field's remotely-shared slots, at the remote
+// occurrences idx, into st's partials, field-major: partial[fi*nr+slot].
+func (g *GS) gatherRemote(st *site, fields [][]float64, op comm.ReduceOp, idx []int32) {
 	nr := len(g.ix.remID)
 	if cap(st.partial) < len(fields)*nr {
 		st.partial = make([]float64, len(fields)*nr)
 	}
 	for fi, f := range fields {
-		gather(st.partial[fi*nr:(fi+1)*nr], f, g.ix.remOff, g.ix.remIdx, op)
+		gather(st.partial[fi*nr:(fi+1)*nr], f, g.ix.remOff, idx, op)
 	}
 }
 
@@ -564,11 +606,11 @@ func (g *GS) localPass(fields [][]float64, op comm.ReduceOp) {
 	}
 }
 
-// scatterRemote writes st's exchanged partials to every occurrence of the
-// remotely-shared slots.
-func (g *GS) scatterRemote(fields [][]float64, st *site) {
+// scatterRemote writes st's exchanged partials to every occurrence, idx,
+// of the remotely-shared slots.
+func (g *GS) scatterRemote(fields [][]float64, st *site, idx []int32) {
 	nr := len(g.ix.remID)
 	for fi, f := range fields {
-		scatter(f, st.partial[fi*nr:(fi+1)*nr], g.ix.remOff, g.ix.remIdx)
+		scatter(f, st.partial[fi*nr:(fi+1)*nr], g.ix.remOff, idx)
 	}
 }

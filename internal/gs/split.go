@@ -32,6 +32,7 @@ type Pending struct {
 	st     site // distinct tag per Pending, so concurrent exchanges never mix
 	op     comm.ReduceOp
 	fields [][]float64
+	idx    []int32 // the remote occurrences in the fields' layout
 
 	active   bool
 	fallback bool
@@ -59,7 +60,7 @@ func (p *Pending) Begin(fields [][]float64, op comm.ReduceOp) {
 		panic("gs: Begin on an already-active Pending")
 	}
 	g := p.g
-	g.checkFields(fields)
+	p.idx = g.checkFields(fields)
 	p.active = true
 	p.op = op
 	p.fields = append(p.fields[:0], fields...)
@@ -77,7 +78,7 @@ func (p *Pending) Begin(fields [][]float64, op comm.ReduceOp) {
 	// Every occurrence of a remotely-shared id lives on a boundary
 	// element, which the caller has finished before Begin. Local-only ids
 	// wait for Finish.
-	g.gatherRemote(&p.st, fields, op)
+	g.gatherRemote(&p.st, fields, op, p.idx)
 	g.post(&p.st, len(fields))
 }
 
@@ -112,5 +113,5 @@ func (p *Pending) Finish() {
 	if len(g.neighbors) > 0 {
 		r.Clock().AccountOverlap(p.t0, computeEnd, lastArrival)
 	}
-	g.scatterRemote(p.fields, &p.st)
+	g.scatterRemote(p.fields, &p.st, p.idx)
 }

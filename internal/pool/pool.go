@@ -108,18 +108,29 @@ func (p *Pool) For(n int, body func(lo, hi int)) {
 	p.dispatch(n, chunks, func(_, lo, hi int) { body(lo, hi) })
 }
 
-// ForSlots is For with exactly min(n, Workers()) chunks, each told its
-// chunk index: body(slot, lo, hi) with slot < Workers(). The slot gives
-// each chunk private scratch (per-slot buffers) and a deterministic
-// place to park partial reduction values.
+// ForSlots is For with exactly Slots(n) chunks, each told its chunk
+// index: body(slot, lo, hi) with slot < Workers(). The slot gives each
+// chunk private scratch (per-slot buffers) and a deterministic place to
+// park partial reduction values. Chunk c covers [c*n/k, (c+1)*n/k) of
+// the k chunks; chunks may run in any order and concurrently.
 func (p *Pool) ForSlots(n int, body func(slot, lo, hi int)) {
-	if p == nil || p.nw == 1 || n <= 1 {
+	k := p.Slots(n)
+	if k <= 1 {
 		if n > 0 {
 			body(0, 0, n)
 		}
 		return
 	}
-	p.dispatch(n, min(n, p.nw), body)
+	p.dispatch(n, k, body)
+}
+
+// Slots returns how many chunks ForSlots cuts n iterations into:
+// min(n, Workers()), and one when the pool runs inline.
+func (p *Pool) Slots(n int) int {
+	if p == nil || p.nw == 1 || n <= 1 {
+		return 1
+	}
+	return min(n, p.nw)
 }
 
 // dispatch runs one fork-join region: offer the job to the helpers

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"slices"
+
 	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/sem"
@@ -69,6 +71,16 @@ func (s *Solver) rebuildOverlap() {
 	s.pendF = s.gsh.NewPending()
 }
 
+// postOrder returns the runs of the post-exchange pass in the order they
+// run: with overlap the inviscid path's interior runs, then its boundary
+// runs; otherwise every element in one run.
+func (s *Solver) postOrder() [][2]int {
+	if s.Cfg.Overlap && s.Cfg.Mu == 0 {
+		return append(slices.Clip(s.intRuns), s.bndRuns...)
+	}
+	return [][2]int{{0, s.Local.Nel}}
+}
+
 // InteriorElems returns how many local elements have no remotely-shared
 // face point (only meaningful with Config.Overlap).
 func (s *Solver) InteriorElems() int {
@@ -97,10 +109,8 @@ func (s *Solver) computeRHSOverlap() {
 		// interior traces and post-exchange pass.
 		s.charge(s.sched.surface, s.faceRuns(s.bndRuns, true))
 		reg := s.Rec.Region("gs_op", obs.CatGS)
-		s.saveOwn(&s.ownU, &s.faceU)
-		s.saveOwn(&s.ownF, &s.faceF)
-		s.pendU.Begin(s.faceU[:], comm.OpSum)
-		s.pendF.Begin(s.faceF[:], comm.OpSum)
+		s.pendU.Begin(s.sumU[:], comm.OpSum)
+		s.pendF.Begin(s.sumF[:], comm.OpSum)
 		reg.End()
 
 		s.chargeVolume(s.intRuns)
@@ -120,14 +130,12 @@ func (s *Solver) computeRHSOverlap() {
 		// (which extracts the viscous flux traces) before it can start.
 		s.faceRuns(s.bndRuns, false)
 		reg := s.Rec.Region("gs_op", obs.CatGS)
-		s.saveOwn(&s.ownU, &s.faceU)
-		s.pendU.Begin(s.faceU[:], comm.OpSum)
+		s.pendU.Begin(s.sumU[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(s.bndRuns)
 		reg = s.Rec.Region("gs_op", obs.CatGS)
-		s.saveOwn(&s.ownF, &s.faceF)
-		s.pendF.Begin(s.faceF[:], comm.OpSum)
+		s.pendF.Begin(s.sumF[:], comm.OpSum)
 		reg.End()
 
 		s.volumeRuns(s.intRuns)

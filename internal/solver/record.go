@@ -152,7 +152,7 @@ func (s *Solver) Remap(newOwn *mesh.Ownership) (movedElems int, movedBytes int64
 	sources := s.Source[0] != nil
 	for c := range s.U {
 		s.U[c], s.Source[c], s.rhs[c], s.u1[c] = nil, nil, nil, nil
-		s.faceU[c], s.faceF[c], s.ownU[c], s.ownF[c] = nil, nil, nil, nil
+		s.faceF[c], s.sumU[c], s.sumF[c], s.keep[c] = nil, nil, nil, nil
 	}
 	s.Local = newOwn.Partition(rank)
 	s.ow = newOwn
@@ -170,7 +170,6 @@ func (s *Solver) Remap(newOwn *mesh.Ownership) (movedElems int, movedBytes int64
 		}
 	}
 	s.allocScratch()
-	s.rebuildOverlap()
 	reg.End()
 	return movedElems, movedBytes
 }

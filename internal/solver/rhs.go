@@ -33,15 +33,15 @@ func pressure(u *[NumFields]float64) float64 {
 }
 
 // wallCorrection fills out[c] with (f - f*).n for every conserved field
-// at the slip-wall face point idx: the ghost state mirrors the interior
-// trace with the normal momentum negated, so with the Lax-Friedrichs flux
-// (f - f*).n = sign*(F_in - F_ghost)/2 - lambda*(u_in - u_ghost)/2.
-// Mass and energy fluxes cancel exactly (the box is sealed); normal
-// momentum feels the wall's pressure reaction.
-func (s *Solver) wallCorrection(d int, sign float64, idx int, lam float64, out *[NumFields]float64) {
+// at point q of a slip-wall face whose traces are u: the ghost state
+// mirrors the interior trace with the normal momentum negated, so with
+// the Lax-Friedrichs flux (f - f*).n = sign*(F_in - F_ghost)/2 -
+// lambda*(u_in - u_ghost)/2. Mass and energy fluxes cancel exactly (the
+// box is sealed); normal momentum feels the wall's pressure reaction.
+func wallCorrection(d int, sign float64, u *faceSlabs, q int, lam float64, out *[NumFields]float64) {
 	var us, ug, fin, fg [NumFields]float64
 	for cc := 0; cc < NumFields; cc++ {
-		us[cc] = s.faceU[cc][idx]
+		us[cc] = u[cc][q]
 	}
 	ug = us
 	ug[IMomX+d] = -us[IMomX+d]
@@ -63,10 +63,11 @@ func (s *Solver) wallCorrection(d int, sign float64, idx int, lam float64, out *
 // kernel of the paper's Figure 4 profile; with Mu > 0 the viscous
 // (compressible Navier-Stokes) flux path adds the gradient kernels of the
 // parent code. Before the exchange the inviscid path extracts the traces
-// and the surface flux only: its volume pass runs per element inside the
-// post-exchange pass, into slot scratch, and is billed here, where its
-// whole-rank sweeps stood. The viscous path's flux traces come from its
-// volume pass, which runs before the exchange into s.rhs. The overlap
+// that outlive the face pass and the rank-boundary surface flux only: its
+// volume pass runs per element inside the post-exchange pass, into slot
+// scratch, and is billed here, where its whole-rank sweeps stood, and its
+// lift forms every other face's flux. The viscous path's flux traces come
+// from its volume pass, which runs before the exchange into s.rhs. The overlap
 // path (computeRHSOverlap) runs the same helpers over interior/boundary
 // element runs instead of one full run; every kernel is element-local,
 // so both orders are bit-identical.
@@ -84,37 +85,22 @@ func (s *Solver) computeRHS() {
 	s.charge(s.sched.surface, nf) // where the surface-flux sweep stood
 
 	// --- gs_op: nearest-neighbor exchange of the rank-boundary state and
-	// flux traces, in place. Afterwards each rank-boundary face point of
-	// faceU/faceF holds the in+out sum (its own trace is in ownU/ownF);
-	// every other point still holds its own trace.
+	// flux traces, in place: afterwards sumU/sumF hold the in+out sums.
 	reg := s.Rec.Region("gs_op", obs.CatGS)
-	s.saveOwn(&s.ownU, &s.faceU)
-	s.saveOwn(&s.ownF, &s.faceF)
 	if s.Cfg.PackedExchange {
 		// gs_op_fields: one packed message per neighbor per exchange.
-		s.gsh.OpFields(s.faceU[:], comm.OpSum, s.gsh.Method())
-		s.gsh.OpFields(s.faceF[:], comm.OpSum, s.gsh.Method())
+		s.gsh.OpFields(s.sumU[:], comm.OpSum, s.gsh.Method())
+		s.gsh.OpFields(s.sumF[:], comm.OpSum, s.gsh.Method())
 	} else {
 		for c := 0; c < NumFields; c++ {
-			s.gsh.Op(s.faceU[c], comm.OpSum)
-			s.gsh.Op(s.faceF[c], comm.OpSum)
+			s.gsh.Op(s.sumU[c], comm.OpSum)
+			s.gsh.Op(s.sumF[c], comm.OpSum)
 		}
 	}
 	reg.End()
 
 	s.postRuns(all)
 	s.chargePost()
-}
-
-// saveOwn copies the own traces of the rank-boundary faces out of face
-// into own (face k at k*N^2), before the exchange sums over them.
-func (s *Solver) saveOwn(own, face *[NumFields][]float64) {
-	n2 := s.Cfg.N * s.Cfg.N
-	for c := range face {
-		for k, slot := range s.remote {
-			copy(own[c][k*n2:(k+1)*n2], face[c][int(slot)*n2:])
-		}
-	}
 }
 
 // faceJob is the run faceElems is working through (kept in the Solver,
@@ -124,13 +110,16 @@ type faceJob struct {
 	flux bool
 }
 
-// faceRuns is full2face_cmt over the given element runs — gather the
-// surface traces of the state into s.faceU — and, with flux set, the
-// inviscid surface compute_flux in the same pass: the normal Euler flux
-// at each face point into s.faceF, evaluated from the element's traces
-// while they are in cache (the viscous path extracts it from the volume
-// flux in volumeRuns instead). It bills full2face_cmt and returns how
-// many elements it covered, for the caller to bill the surface flux (an
+// faceRuns is full2face_cmt over the given element runs: it gathers the
+// traces of the state that outlive the pass — the rank-boundary faces'
+// into sumU, for the exchange, and the in-rank faces' that planTraces
+// leaves to it into keep — and, with flux set, the inviscid surface
+// compute_flux of the rank-boundary faces in the same pass: the normal
+// Euler flux at each of their points into sumF, evaluated from the
+// traces while they are in cache. (The lift gathers every other trace and
+// forms every other inviscid flux; the viscous path's flux traces come
+// from its volume pass.) It bills full2face_cmt and returns how many
+// elements it covered, for the caller to bill the surface flux (an
 // inviscid schedule's) where that sweep stood.
 func (s *Solver) faceRuns(runs [][2]int, flux bool) int {
 	s.face.flux = flux
@@ -150,28 +139,61 @@ func (s *Solver) faceRuns(runs [][2]int, flux bool) int {
 // run on pool slot slot.
 func (s *Solver) faceElems(slot, lo, hi int) {
 	job := &s.face
-	n := s.Cfg.N
-	n2, n3 := n*n, n*n*n
-	fpe := sem.NFaces * n2
+	n2 := s.Cfg.N * s.Cfg.N
 	sl := &s.volSlots[slot]
+	var u, fl faceSlabs // views of sumU, sumF and keep
 	sl.t0, sl.last = time.Now(), 0
 	for e := job.elo + lo; e < job.elo+hi; e++ {
-		for c := 0; c < NumFields; c++ {
-			sem.Full2Face(n, s.vol.in[c][e*n3:(e+1)*n3], 1, s.faceU[c][e*fpe:(e+1)*fpe])
+		for f := 0; f < sem.NFaces; f++ {
+			a := e*sem.NFaces + f
+			switch l, k := s.link[a], int(s.keepAt[a]); {
+			case l < 0 && l != domainBoundary:
+				u.at(&s.sumU, int(^l)*n2, n2)
+				s.gatherTrace(e, f, &u)
+			case k >= 0 && k < s.keepPass:
+				u.at(&s.keep, k*n2, n2)
+				s.gatherTrace(e, f, &u)
+			}
 		}
 		sl.lap(faceExt)
 		if job.flux {
 			for f := 0; f < sem.NFaces; f++ {
-				// The normal Euler flux of eulerFlux, on whole face slabs.
-				lo, hi := e*fpe+f*n2, e*fpe+(f+1)*n2
-				u, fl := &s.faceU, &s.faceF
-				surfaceFlux[sem.FaceDir(f)](u[IRho][lo:hi], u[IMomX][lo:hi], u[IMomY][lo:hi], u[IMomZ][lo:hi], u[IEnergy][lo:hi],
-					fl[IRho][lo:hi], fl[IMomX][lo:hi], fl[IMomY][lo:hi], fl[IMomZ][lo:hi], fl[IEnergy][lo:hi])
+				if l := s.link[e*sem.NFaces+f]; l < 0 && l != domainBoundary {
+					u.at(&s.sumU, int(^l)*n2, n2)
+					fl.at(&s.sumF, int(^l)*n2, n2)
+					normalFlux(sem.FaceDir(f), &u, &fl)
+				}
 			}
 			sl.lap(faceFlux)
 		}
 		sl.t0 = time.Time{}
 	}
+}
+
+// faceSlabs is one face of every field: N^2 points each.
+type faceSlabs [NumFields][]float64
+
+// at points fs at the face at offset off of the face arrays a.
+func (fs *faceSlabs) at(a *[NumFields][]float64, off, n2 int) {
+	for c := range fs {
+		fs[c] = a[c][off:][:n2]
+	}
+}
+
+// gatherTrace copies face f of element e of the state the right-hand
+// side reads into dst.
+func (s *Solver) gatherTrace(e, f int, dst *faceSlabs) {
+	n := s.Cfg.N
+	n3 := n * n * n
+	for c := range dst {
+		sem.GatherFace(n, f, s.vol.in[c][e*n3:][:n3], dst[c])
+	}
+}
+
+// normalFlux fills fl with the normal Euler flux (eulerFlux's, along
+// direction d) of the face traces u.
+func normalFlux(d int, u, fl *faceSlabs) {
+	surfaceFlux[d](u[IRho], u[IMomX], u[IMomY], u[IMomZ], u[IEnergy], fl[IRho], fl[IMomX], fl[IMomY], fl[IMomZ], fl[IEnergy])
 }
 
 // surfaceFlux and momentumFlux hold the generated kernels of each
@@ -298,6 +320,12 @@ func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][
 			for d := 0; d < 3; d++ {
 				sem.Full2FaceDir(n, src[d], 1, faces, d)
 			}
+			// The rank-boundary faces' flux traces go to the exchange too.
+			for f, l := range s.link[e*sem.NFaces : (e+1)*sem.NFaces] {
+				if l < 0 && l != domainBoundary {
+					copy(s.sumF[c][int(^l)*n*n:][:n*n], faces[f*n*n:])
+				}
+			}
 			sl.lap(volFace)
 		}
 		for d := 0; d < 3; d++ {
@@ -383,10 +411,7 @@ func (s *Solver) postElems(slot, lo, hi int) {
 		}
 		scr = sl.buf[NumFields*n3:]
 	}
-	var w [NumFields][]float64 // the lift's scratch: one face of corrections per field
-	for c := range w {
-		w[c] = scr[c*n*n:][:n*n]
-	}
+	lb := newLiftBufs(scr, n*n)
 	sl.t0, sl.last = time.Now(), 0
 	for e := job.elo + lo; e < job.elo+hi; e++ {
 		base := e * n3
@@ -397,8 +422,7 @@ func (s *Solver) postElems(slot, lo, hi int) {
 				r[c] = s.rhs[c][base:][:n3]
 			}
 		}
-		s.liftElem(e, &w, &r)
-		sl.lap(postLift)
+		s.liftElem(e, sl, &lb, &r)
 		// Source terms: the conservation law's R (multiphase coupling).
 		// Zero — i.e. absent — in the paper's current CMT-bone; populated
 		// by couplers such as the particle cloud.
@@ -444,45 +468,108 @@ func (s *Solver) postElems(slot, lo, hi int) {
 	}
 }
 
+// liftBufs is the lift's slot scratch, one face of each: the
+// corrections, the element's traces of the state and of the normal flux,
+// and its partner's.
+type liftBufs struct{ w, u, f, uo, fo faceSlabs }
+
+// liftScratchLen is the length of slot scratch newLiftBufs takes at
+// order n.
+func liftScratchLen(n int) int { return 5 * NumFields * n * n }
+
+// newLiftBufs lays the lift's buffers out over scr, n2 points a face.
+func newLiftBufs(scr []float64, n2 int) liftBufs {
+	var b liftBufs
+	for i, fs := range []*faceSlabs{&b.w, &b.u, &b.f, &b.uo, &b.fo} {
+		for c := range fs {
+			fs[c] = scr[(i*NumFields+c)*n2:][:n2]
+		}
+	}
+	return b
+}
+
 // liftElem is the numerical flux (Lax-Friedrichs) and lift of element e,
-// one face at a time: the correction (f - f*).n at each face point,
-// scaled by the diagonal lift factor, into w, then added into the
-// element's residual r of every field while the face's traces are in
-// cache — faces in sem order, so each volume point sees the additions
-// the five whole-rank Face2FullAdd sweeps made, in their order. A face paired on
-// this rank forms the in+out sums from its partner's traces (IEEE
-// addition commutes, so they are the gather-scatter's bits); a
-// rank-boundary face reads the exchanged sums. Domain boundary faces see
-// a mirror ghost state (slip wall) or no correction (freestream).
-func (s *Solver) liftElem(e int, w, r *[NumFields][]float64) {
+// one face at a time, on slot sl's stopwatch with buffers b: the
+// correction (f - f*).n at each face point, scaled by the diagonal lift
+// factor, into b.w, then added into the element's residual r of every
+// field while the face's traces are in cache — faces in sem order, so
+// each volume point sees the additions the five whole-rank Face2FullAdd
+// sweeps made, in their order. The lift gathers the traces it needs: the
+// element's own from the state it reads (the element is updated only
+// after its lift), a partner's on this rank from the partner's state,
+// which is not updated yet either, or from keep where planTraces had the
+// face pass store it. On the inviscid path it forms both sides' normal
+// Euler flux from those traces; the viscous path reads its flux traces
+// from faceF. A face paired on this rank forms the in+out sums from its
+// partner's traces (IEEE addition commutes, so they are the
+// gather-scatter's bits), and when the partner lifts later its correction
+// too, with the same operands, into keep; a face whose partner lifted
+// first adds the correction found there. A rank-boundary face reads the
+// exchanged sums. Domain boundary faces see a mirror ghost state (slip
+// wall) or no correction (freestream). Gathers lap as full2face_cmt and
+// fluxes as compute_flux_surface, the work those calls name.
+func (s *Solver) liftElem(e int, sl *volSlot, b *liftBufs, r *[NumFields][]float64) {
 	n := s.Cfg.N
 	n2 := n * n
 	lam := s.lambda
 	wall := s.Cfg.BC == BCWall
 	var corr [NumFields]float64
+	var kw, ku, kuo, kwo faceSlabs // views of keep
 	for f := 0; f < sem.NFaces; f++ {
 		d := sem.FaceDir(f)
 		sign := float64(sem.FaceSign(f))
 		scale := s.liftScale[d]
-		base := (e*sem.NFaces + f) * n2
-		switch l := s.link[e*sem.NFaces+f]; {
+		a := e*sem.NFaces + f
+		l, k := s.link[a], int(s.keepAt[a])
+		w, u := &b.w, &b.u
+		switch {
+		case k >= s.keepPass:
+			// The partner lifted first and left this face's correction.
+			kw.at(&s.keep, k*n2, n2)
+			w = &kw
 		case l >= 0:
 			// (f - f*).n with the Lax-Friedrichs flux, written in terms of
 			// the in+out sums.
-			po := int(l) * n2
+			if k >= 0 {
+				ku.at(&s.keep, k*n2, n2)
+				u = &ku
+			} else {
+				s.gatherTrace(e, f, u)
+			}
+			uo, ko := &b.uo, int(s.keepAt[l])
+			if ko >= 0 && ko < s.keepPass {
+				kuo.at(&s.keep, ko*n2, n2)
+				uo = &kuo
+			} else {
+				s.gatherTrace(int(l)/sem.NFaces, int(l)%sem.NFaces, uo)
+			}
+			sl.lap(faceExt)
+			fc, fo := s.traceFlux(a, d, u, &b.f), s.traceFlux(int(l), d, uo, &b.fo)
+			sl.lap(faceFlux)
 			for c := 0; c < NumFields; c++ {
-				fc, uc := s.faceF[c][base:base+n2], s.faceU[c][base:base+n2]
-				liftPair(fc, uc, s.faceF[c][po:po+n2], s.faceU[c][po:po+n2], w[c], scale, sign, lam)
+				liftPair(fc[c], u[c], fo[c], uo[c], w[c], scale, sign, lam)
+			}
+			if ko >= s.keepPass {
+				// The partner lifts later: its correction, from the same
+				// operands, waits in keep.
+				kwo.at(&s.keep, ko*n2, n2)
+				for c := 0; c < NumFields; c++ {
+					liftPair(fo[c], uo[c], fc[c], u[c], kwo[c], scale, -sign, lam)
+				}
 			}
 		case l != domainBoundary:
-			own := int(^l) * n2
+			s.gatherTrace(e, f, u)
+			sl.lap(faceExt)
+			fc, at := s.traceFlux(a, d, u, &b.f), int(^l)*n2
+			sl.lap(faceFlux)
 			for c := 0; c < NumFields; c++ {
-				fc, uc := s.ownF[c][own:own+n2], s.ownU[c][own:own+n2]
-				liftBoundary(fc, uc, s.faceF[c][base:base+n2], s.faceU[c][base:base+n2], w[c], scale, sign, lam)
+				liftBoundary(fc[c], u[c], s.sumF[c][at:][:n2], s.sumU[c][at:][:n2], w[c], scale, sign, lam)
 			}
 		case wall:
+			s.gatherTrace(e, f, u)
+			sl.lap(faceExt)
 			for q := 0; q < n2; q++ {
-				s.wallCorrection(d, sign, base+q, lam, &corr)
+				wallCorrection(d, sign, u, q, lam, &corr)
 				for c := range corr {
 					w[c][q] = scale * corr[c]
 				}
@@ -497,5 +584,19 @@ func (s *Solver) liftElem(e int, w, r *[NumFields][]float64) {
 		for c := 0; c < NumFields; c++ {
 			sem.AddFace(n, f, w[c], r[c])
 		}
+		sl.lap(postLift)
 	}
+}
+
+// traceFlux returns fl holding the normal flux traces of face slot a,
+// normal to direction d, whose state traces are u: on the inviscid path
+// formed into fl, on the viscous path pointed at faceF's.
+func (s *Solver) traceFlux(a, d int, u, fl *faceSlabs) *faceSlabs {
+	if s.faceF[0] != nil {
+		n2 := s.Cfg.N * s.Cfg.N
+		fl.at(&s.faceF, a*n2, n2)
+		return fl
+	}
+	normalFlux(d, u, fl)
+	return fl
 }

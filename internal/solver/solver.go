@@ -50,20 +50,32 @@ type Solver struct {
 
 	// Scratch (allocated once). rhs, the viscous right-hand side, is nil
 	// on the inviscid path, whose residual lives in slot scratch.
-	rhs   [NumFields][]float64
-	u1    [NumFields][]float64 // the RK stage register
-	faceU [NumFields][]float64 // face traces of U
-	faceF [NumFields][]float64 // face traces of the normal flux
+	rhs [NumFields][]float64
+	u1  [NumFields][]float64 // the RK stage register
+	// faceF holds the viscous path's flux traces, which its volume pass
+	// extracts with the viscous terms in them. It is nil on the inviscid
+	// path, whose lift forms the normal Euler flux from the state's traces.
+	faceF [NumFields][]float64
 	// The face pairing (pairFaces). link[e*6+f] is where face f of
 	// element e finds its other side: the face slot e'*6+f' of its
 	// partner on this rank (>= 0), ^k for the k-th rank-boundary face
 	// remote[k], or domainBoundary (no neighbor: never exchanged,
-	// corrected by Cfg.BC instead). Only rank-boundary faces go through
-	// the gather-scatter, in place: ownU/ownF keep their own traces
-	// (face k at k*N^2) while faceU/faceF receive the in+out sums.
-	link       []int32
-	remote     []int32
-	ownU, ownF [NumFields][]float64
+	// corrected by Cfg.BC instead).
+	link   []int32
+	remote []int32
+	// The face values that outlive the face pass; the lift gathers every
+	// other trace itself. Only the rank-boundary faces go through the
+	// gather-scatter: sumU/sumF hold their traces of the state and of the
+	// normal flux (face k at k*N^2), and the exchange sums them in place.
+	// keep holds one face per in-rank pair whose two lifts do not both see
+	// the state before its update (planTraces): face slot a at
+	// keepAt[a]*N^2, the first keepPass of them traces of the state that
+	// the face pass stores, the rest corrections that a's partner's lift
+	// leaves for a's.
+	sumU, sumF [NumFields][]float64
+	keep       [NumFields][]float64
+	keepAt     []int32
+	keepPass   int
 
 	// Intra-rank worker pool for the element-indexed kernels (Workers
 	// in Config). The pool parallelizes wall time only: modeled time is
@@ -192,9 +204,9 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 		if err != nil {
 			return nil, fmt.Errorf("solver: cached gs topology: %w", err)
 		}
-		if n2 := cfg.N * cfg.N; gsh.SharedSlots() != len(s.remote)*n2 {
-			return nil, fmt.Errorf("solver: cached gs topology holds %d ids, the rank-boundary faces %d points",
-				gsh.SharedSlots(), len(s.remote)*n2)
+		if n := len(s.remote) * cfg.N * cfg.N; cfg.GSTopo[r.ID()].N != n || gsh.SharedSlots() != n {
+			return nil, fmt.Errorf("solver: cached gs topology has length %d and %d ids, the rank-boundary faces %d points",
+				cfg.GSTopo[r.ID()].N, gsh.SharedSlots(), n)
 		}
 		s.gsh = gsh
 		s.gsh.SetSpanner(s.Rec)
@@ -216,13 +228,13 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	// A slot's scratch: the volume pass's fluxes, their derivatives, the
 	// velocity and the pressure (+ elemGradients' when viscous), which
 	// also holds the post-exchange pass's largest need — the lift's face
-	// of corrections, the filter's scratch, or the dealiasing fine mesh
-	// and scratch. On the inviscid path the element's residual (5·N³)
-	// lies ahead of it: the volume pass runs in the post-exchange pass
-	// and writes the residual that the lift, the dealiasing and the
-	// update read.
+	// of corrections and both sides' traces, the filter's scratch, or the
+	// dealiasing fine mesh and scratch. On the inviscid path the
+	// element's residual (5·N³) lies ahead of it: the volume pass runs in
+	// the post-exchange pass and writes the residual that the lift, the
+	// dealiasing and the update read.
 	n3 := cfg.N * cfg.N * cfg.N
-	slotLen, resid := 10*n3, NumFields*n3
+	slotLen, resid := max(10*n3, liftScratchLen(cfg.N)), NumFields*n3
 	if cfg.Mu > 0 {
 		slotLen, resid = slotLen+(1+3*numGradQ)*n3, 0
 	}
@@ -243,7 +255,6 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	}
 	s.sched = newSchedule(cfg.N, ref.NF, cfg.Mu > 0, cfg.Variant)
 	s.allocScratch()
-	s.rebuildOverlap()
 	s.ledger = make([]call, 0, 64*(2+len(s.intRuns)+len(s.bndRuns)))
 	return s, nil
 }
@@ -265,28 +276,26 @@ func (s *Solver) allocState(sources bool) {
 
 // allocScratch (re)allocates every local-size-dependent working array —
 // everything except the element state allocState owns, which Remap
-// migrates rather than rebuilds — and refreshes the per-element work
-// weights. Called at construction and after every element migration,
-// after pairFaces and the gather-scatter set-up.
+// migrates rather than rebuilds — rebuilds the overlap split and the
+// trace plan over them, and refreshes the per-element work weights.
+// Called at construction and after every element migration, after
+// pairFaces, the gather-scatter set-up and the worker pool.
 func (s *Solver) allocScratch() {
 	local, cfg := s.Local, &s.Cfg
-	n3 := cfg.N * cfg.N * cfg.N
-	vol := local.Nel * n3
+	n2 := cfg.N * cfg.N
+	vol, faceLen, sumLen := local.Nel*n2*cfg.N, sem.FaceSliceLen(cfg.N, local.Nel), len(s.remote)*n2
 	for c := 0; c < NumFields; c++ {
-		s.rhs[c] = nil
+		s.rhs[c], s.faceF[c] = nil, nil
 		if cfg.Mu > 0 {
 			s.rhs[c] = make([]float64, vol)
+			s.faceF[c] = make([]float64, faceLen)
 		}
 		s.u1[c] = make([]float64, vol)
+		s.sumU[c] = make([]float64, sumLen)
+		s.sumF[c] = make([]float64, sumLen)
 	}
-	faceLen := sem.FaceSliceLen(cfg.N, local.Nel)
-	ownLen := len(s.remote) * cfg.N * cfg.N
-	for c := 0; c < NumFields; c++ {
-		s.faceU[c] = make([]float64, faceLen)
-		s.faceF[c] = make([]float64, faceLen)
-		s.ownU[c] = make([]float64, ownLen)
-		s.ownF[c] = make([]float64, ownLen)
-	}
+	s.rebuildOverlap()
+	s.planTraces()
 	s.initWeights()
 }
 
@@ -318,6 +327,58 @@ func (s *Solver) pairFaces() {
 	}
 }
 
+// planTraces decides what the in-rank face pairs keep (keepAt) and sizes
+// keep for it. The post-exchange pass updates each element right after
+// its lift, and RK stage 2 updates the state it reads in place, so a lift
+// may gather its partner's trace from the state only while the partner
+// is not updated yet. When one element of a pair lifts before the other
+// — it sits earlier in the same pool chunk of the same run, or in an
+// earlier run of the pass (postOrder) — its lift gathers both traces
+// while neither element is updated and leaves the later one its finished
+// correction: one face kept, the later face's. The chunks of one run may
+// run concurrently, so a pair split between two of them keeps both
+// traces, stored by the face pass before the exchange. A pair within one
+// element keeps nothing.
+func (s *Solver) planTraces() {
+	// Each element's run, chunk and place in the post-exchange pass.
+	type place struct{ run, chunk, at int }
+	where := make([]place, s.Local.Nel)
+	at := 0
+	for r, run := range s.postOrder() {
+		n := run[1] - run[0]
+		k := s.pool.Slots(n)
+		for c := 0; c < k; c++ {
+			for i := c * n / k; i < (c+1)*n/k; i++ {
+				where[run[0]+i] = place{r, c, at}
+				at++
+			}
+		}
+	}
+	s.keepAt = make([]int32, len(s.link))
+	var later []int // faces whose partner lifts first, numbered after the traces
+	s.keepPass = 0
+	for a, l := range s.link {
+		s.keepAt[a] = -1
+		if l < 0 {
+			continue
+		}
+		switch me, nb := where[a/sem.NFaces], where[int(l)/sem.NFaces]; {
+		case nb == me:
+		case nb.run == me.run && nb.chunk != me.chunk:
+			s.keepAt[a] = int32(s.keepPass)
+			s.keepPass++
+		case nb.at < me.at:
+			later = append(later, a)
+		}
+	}
+	for i, a := range later {
+		s.keepAt[a] = int32(s.keepPass + i)
+	}
+	for c := range s.keep {
+		s.keep[c] = make([]float64, (s.keepPass+len(later))*s.Cfg.N*s.Cfg.N)
+	}
+}
+
 // initWeights rebuilds the per-element work weights from Config.HotElems
 // for the current local element set.
 func (s *Solver) initWeights() {
@@ -343,11 +404,23 @@ func (s *Solver) initWeights() {
 
 // setupGS (re)builds the gather-scatter handle over the current local
 // element set (gs_setup, with its generalized all-to-all discovery
-// phase). Collective.
+// phase) and moves it onto the compact exchange buffers sumU/sumF: the
+// point p of face slot e*6+f with link ^k is sumU[c][k*N^2+p].
+// Collective.
 func (s *Solver) setupGS() {
 	reg := s.Rec.Region("gs_setup", obs.CatComm)
 	s.gsh = gs.Setup(s.Rank, s.exchangeIDs())
 	reg.End()
+	n2 := int32(s.Cfg.N * s.Cfg.N)
+	err := s.gsh.Compact(len(s.remote)*int(n2), func(i int32) int32 {
+		if l := s.link[i/n2]; l < 0 && l != domainBoundary {
+			return ^l*n2 + i%n2
+		}
+		return -1
+	})
+	if err != nil {
+		panic(fmt.Sprintf("solver: the gather-scatter shares a point off the rank-boundary faces: %v", err))
+	}
 	s.gsh.SetSpanner(s.Rec)
 }
 
