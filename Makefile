@@ -39,8 +39,9 @@ race:
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap|TestFacePairing' ./internal/solver/...
 	$(GO) test -race -count=10 -run 'TestVolumeGolden/workers=3|TestSurfaceGolden/workers=3' ./internal/solver/
 	$(GO) test -race -count=5 -run 'TestChargeGolden/workers=3|TestViscousRHSGolden/workers=3|TestTailGolden/workers=3' ./internal/solver/
-	$(GO) test -race -count=10 -run 'TestFaceTraceStore' ./internal/solver/
+	$(GO) test -race -count=10 -run 'TestFaceTraceStore|FuzzFaceGradient' ./internal/solver/
 	$(GO) test -race -count=10 -run 'TestOptionMatrixInvariance/^(workers=3|overlap\+workers=3|viscous\+workers=3)$$' .
+	$(GO) test -race -count=10 -run 'TestOptionMatrixInvariance/^viscous\+overlap' .
 	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestBroker|TestBootstrap|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
@@ -56,9 +57,11 @@ chaos:
 # test requires): the binary parsers plus the differential kernel
 # fuzzers (every kernel MxM can pick vs mxmBasic; every r/s derivative
 # kernel vs the hand loops and each other, bit-exact; every pointwise solver
-# kernel's AVX2 loop vs its Go loop, bit-exact — these two without
-# -race, which builds the AVX2 kernels out; every gs entry point vs a
-# map-based gather-scatter; gs discovery vs the map-based discovery).
+# kernel's AVX2 loop vs its Go loop, bit-exact; the viscous face pass's
+# gradients and flux traces vs the volume pass's at the face points,
+# bit-exact — these three without -race, which builds the AVX2 kernels
+# out; every gs entry point vs a map-based gather-scatter; gs discovery
+# vs the map-based discovery).
 fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDecodeOwnershipWire$$' -fuzztime 10s ./internal/mesh/
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -race -run '^$$' -fuzz '^FuzzMxMKernels$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzDerivKernels$$' -fuzztime 10s ./internal/sem/
 	$(GO) test -run '^$$' -fuzz '^FuzzPointwiseKernels$$' -fuzztime 10s ./internal/solver/
+	$(GO) test -run '^$$' -fuzz '^FuzzFaceGradient$$' -fuzztime 10s ./internal/solver/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzGSLocal$$' -fuzztime 10s ./internal/gs/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzDiscover$$' -fuzztime 10s ./internal/gs/
 	$(GO) test -race -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/comm/tcptransport/
@@ -99,9 +103,10 @@ generate-check: generate
 # The pure-Go fallback build: the semnoasm tag disables the AVX2
 # assembly backend; the kernel packages and their consumers must build
 # and pass bit-exactness tests without it (the r/s kernel table and
-# fuzz corpus, the volume-pipeline and viscous right-hand-side goldens,
-# the allocation ceiling, the kernel-path golden and the option matrix
-# run on the generated Go kernels here). The arm64 cross-build compiles
+# fuzz corpus, the face-gradient seed corpus, the volume-pipeline and
+# viscous right-hand-side goldens, the allocation ceiling, the
+# kernel-path golden and the option matrix run on the generated Go
+# kernels here). The arm64 cross-build compiles
 # the same fallback file set the way a non-amd64 host selects it, by
 # GOARCH rather than by the tag.
 test-noasm:

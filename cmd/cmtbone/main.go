@@ -17,6 +17,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -61,6 +62,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline of per-rank spans to this file; a path ending in .csv gets the per-message flow table (src, dst, tag, bytes, hops, virtual send/arrive times, call site) instead")
 	metricsOut := flag.String("metrics", "", "write a step-metrics JSONL stream (one record per timestep) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve live pprof and expvar on this address (e.g. :6060)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof; every rank this process hosts) to this file")
 	workers := flag.Int("workers", 0, "intra-rank worker-pool width for the spectral-element kernels (0 = GOMAXPROCS/ranks, min 1)")
 	useLB := flag.Bool("loadbal", false, "enable dynamic load balancing (measured-cost SFC repartitioning with element migration)")
 	overlap := flag.Bool("overlap", false, "overlap the gs_op face exchange with interior-element compute (split-phase exchange; bit-identical results)")
@@ -204,6 +206,22 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("debug server: http://%s/debug/pprof/ and /debug/vars\n", srv.Addr())
 	}
+	stopProfile := func() {}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}
+	}
 	opts := cfg.CommOptions(model)
 	if tel != nil || reg != nil {
 		opts.Tracer = obs.NewCommTracer(tel, reg)
@@ -338,6 +356,7 @@ func main() {
 		}
 		return nil
 	})
+	stopProfile()
 	if err != nil {
 		if ferr := sink.Flush(); ferr != nil {
 			log.Printf("telemetry flush: %v", ferr)

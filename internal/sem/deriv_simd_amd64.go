@@ -31,7 +31,7 @@ func derivRTAVX2(dt []float64, n int, u, du []float64, nel int) {
 	}
 	n2 := n * n
 	dt, u, du = dt[:n2], u[:nel*n*n2], du[:nel*n*n2]
-	lanedAVX2(n, &u[0], uintptr(8*n2), &dt[0], 0, &du[0], nel*n)
+	lanedAVX2(n, &u[0], uintptr(8*n2), &dt[0], 0, &du[0], nel*n, n)
 }
 
 // derivRAVX2 is derivRTAVX2 for callers that hold the operator row-major
@@ -55,5 +55,5 @@ func derivSAVX2(d []float64, n int, u, du []float64, nel int) {
 	}
 	n2 := n * n
 	d, u, du = d[:n2], u[:nel*n*n2], du[:nel*n*n2]
-	lanedAVX2(n, &d[0], 0, &u[0], uintptr(8*n2), &du[0], nel*n)
+	lanedAVX2(n, &d[0], 0, &u[0], uintptr(8*n2), &du[0], nel*n, n)
 }

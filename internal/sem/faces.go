@@ -110,27 +110,6 @@ func Full2Face(n int, u []float64, nel int, faces []float64) OpCount {
 	return OpCount{Load: moved, Store: moved}
 }
 
-// Full2FaceDir is Full2Face restricted to the two faces normal to dim
-// (faces 2*dim and 2*dim+1); the other faces of the output are left
-// untouched. Used when a volume field is only meaningful as a flux along
-// one direction (e.g. the d-direction total flux of the viscous solver).
-func Full2FaceDir(n int, u []float64, nel int, faces []float64, dim int) OpCount {
-	n2, n3 := n*n, n*n*n
-	if len(u) < nel*n3 || len(faces) < nel*NFaces*n2 {
-		panic(fmt.Sprintf("sem: full2face size mismatch (u=%d faces=%d nel=%d n=%d)",
-			len(u), len(faces), nel, n))
-	}
-	for e := 0; e < nel; e++ {
-		ue := u[e*n3 : (e+1)*n3]
-		fe := faces[e*NFaces*n2 : (e+1)*NFaces*n2]
-		for f := 2 * dim; f <= 2*dim+1; f++ {
-			GatherFace(n, f, ue, fe[f*n2:(f+1)*n2])
-		}
-	}
-	moved := int64(nel) * 2 * int64(n2)
-	return OpCount{Load: moved, Store: moved}
-}
-
 // Face2FullAdd scatter-adds face values back into the volume array — the
 // inverse of Full2Face used to apply surface flux corrections.
 func Face2FullAdd(n int, faces []float64, nel int, u []float64) OpCount {

@@ -56,35 +56,6 @@ func TestFull2FaceExtractsBoundaryPlanes(t *testing.T) {
 	}
 }
 
-// Full2FaceDir writes exactly the two faces normal to dim, with
-// Full2Face's values, and leaves the other four as they were.
-func TestFull2FaceDirWritesOnlyItsFaces(t *testing.T) {
-	const n, nel, sentinel = 5, 3, -7.25
-	n2 := n * n
-	u := randSlice(rand.New(rand.NewSource(9)), nel*n*n2)
-	all := make([]float64, FaceSliceLen(n, nel))
-	Full2Face(n, u, nel, all)
-	for dim := 0; dim < 3; dim++ {
-		faces := make([]float64, len(all))
-		for i := range faces {
-			faces[i] = sentinel
-		}
-		ops := Full2FaceDir(n, u, nel, faces, dim)
-		if moved := int64(2 * n2 * nel); ops != (OpCount{Load: moved, Store: moved}) {
-			t.Fatalf("dim %d: ops %+v, want %d loads and stores", dim, ops, moved)
-		}
-		for i := range faces {
-			want := sentinel
-			if f := i / n2 % NFaces; FaceDir(f) == dim {
-				want = all[i]
-			}
-			if math.Float64bits(faces[i]) != math.Float64bits(want) {
-				t.Fatalf("dim %d: face value %d = %v, want %v", dim, i, faces[i], want)
-			}
-		}
-	}
-}
-
 func TestFace2FullAddInvertsGather(t *testing.T) {
 	n := 5
 	nel := 3

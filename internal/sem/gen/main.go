@@ -12,7 +12,11 @@
 //	                sem.Deriv(Optimized) runs along r and s without AVX2.
 //	deriv_avx2_amd64.s / deriv_avx2_gen.go — lanedAVX2N4..N16: the
 //	                same r/s dot products four outputs to a vector, and
-//	                their Go declarations — what it runs with AVX2.
+//	                their Go declarations — what it runs with AVX2;
+//	                rowDotAVX2N4..N16: the same dot product of one
+//	                operator row with each of a run of rows, its four
+//	                lanes the vector's (ElemDeriv.FaceApply's normal r
+//	                derivative).
 //
 // and with -solver DIR, from the one table in pointwise.go (each kernel's
 // streams, scalars and one expression tree per written stream):
@@ -50,6 +54,8 @@
 //     lane — separate VMULPD/VADDPD, no FMA, a lane's first product
 //     written straight into its accumulator — so it is bit-identical to
 //     derivRN*/derivSN* on every input, signed zeros included.
+//     rowDotAVX2N* evaluates the same tree with its four partial sums in
+//     one vector's lanes, combined left to right with scalar VADDSDs.
 //   - A pointwise kernel's trees keep the parenthesisation of the solver
 //     loops they replaced, so its Go loop is those loops' arithmetic. Its
 //     AVX2 loop evaluates the same trees in every lane: one VMULPD,
@@ -344,21 +350,35 @@ func genLanedDecls() string {
 	var b bytes.Buffer
 	header(&b, "AVX2 r/s derivative kernels: declarations", avx2Tag, "sem")
 	b.WriteString(`// lanedAVX2 runs the AVX2 kernel of a generated order n: for each of
-// planes consecutive n x n row-major planes, C = A*B with every output's
-// dot product in the 4-lane partial-sum order of dudrOpt/dudsOpt —
-// bit-identical to derivRN*/derivSN*. a and b advance by astep and bstep
-// bytes per plane, c by one plane. (A switch over direct calls, not a
-// table of function values: the kernels' noescape then reaches the
-// caller, whose stack buffers stay on the stack.)
-func lanedAVX2(n int, a *float64, astep uintptr, b *float64, bstep uintptr, c *float64, planes int) {
+// planes consecutive row-major planes, the first rows rows of the n x n
+// product C = A*B with every output's dot product in the 4-lane
+// partial-sum order of dudrOpt/dudsOpt — bit-identical to
+// derivRN*/derivSN*. a and b advance by astep and bstep bytes per plane,
+// c by rows rows. (A switch over direct calls, not a table of function
+// values: the kernels' noescape then reaches the caller, whose stack
+// buffers stay on the stack.)
+func lanedAVX2(n int, a *float64, astep uintptr, b *float64, bstep uintptr, c *float64, planes, rows int) {
 	switch n {
 `)
 	for n := nMin; n <= nMax; n++ {
-		fmt.Fprintf(&b, "\tcase %d:\n\t\tlanedAVX2N%d(a, astep, b, bstep, c, planes)\n", n, n)
+		fmt.Fprintf(&b, "\tcase %d:\n\t\tlanedAVX2N%d(a, astep, b, bstep, c, planes, rows)\n", n, n)
+	}
+	b.WriteString("\tdefault:\n\t\tpanic(\"sem: no AVX2 derivative kernel for this order\")\n\t}\n}\n\n")
+	b.WriteString(`// rowDotAVX2 sets c[r], for each of rows consecutive rows of n values
+// from u, to the dot product of w with row r in the 4-lane partial-sum
+// order of dudrOpt — bit-identical to one output of derivRN*.
+func rowDotAVX2(n int, w, u, c *float64, rows int) {
+	switch n {
+`)
+	for n := nMin; n <= nMax; n++ {
+		fmt.Fprintf(&b, "\tcase %d:\n\t\trowDotAVX2N%d(w, u, c, rows)\n", n, n)
 	}
 	b.WriteString("\tdefault:\n\t\tpanic(\"sem: no AVX2 derivative kernel for this order\")\n\t}\n}\n\n")
 	for n := nMin; n <= nMax; n++ {
-		fmt.Fprintf(&b, "//go:noescape\nfunc lanedAVX2N%d(a *float64, astep uintptr, b *float64, bstep uintptr, c *float64, planes int)\n\n", n)
+		fmt.Fprintf(&b, "//go:noescape\nfunc lanedAVX2N%d(a *float64, astep uintptr, b *float64, bstep uintptr, c *float64, planes, rows int)\n\n", n)
+	}
+	for n := nMin; n <= nMax; n++ {
+		fmt.Fprintf(&b, "//go:noescape\nfunc rowDotAVX2N%d(w, u, c *float64, rows int)\n\n", n)
 	}
 	return b.String()
 }
@@ -375,16 +395,50 @@ func genLanedAsm() string {
 	for n := nMin; n <= nMax; n++ {
 		lanedKernel(&b, n)
 	}
+	b.WriteString(`
+// rowDotAVX2N*: AX = w, SI = row of u, DI = c, CX = rows left;
+//   Y8.. = w's lane vectors, X12.. = its tail terms, Y0 = partial sums
+//   (lane p in vector lane p), X1..X4 = the combine and the tail
+`)
+	for n := nMin; n <= nMax; n++ {
+		rowDotKernel(&b, n)
+	}
 	return b.String()
+}
+
+// rowDotKernel emits rowDotAVX2N<n>: lanedDot over each row, the lanes'
+// partial sums in the lanes of one vector (the first products written
+// straight into it), then ((s0 + s1) + s2) + s3 and the tail terms in
+// scalar.
+func rowDotKernel(b *bytes.Buffer, n int) {
+	n4 := n - n%4
+	fmt.Fprintf(b, "\n// func rowDotAVX2N%d(w, u, c *float64, rows int)\n", n)
+	fmt.Fprintf(b, "TEXT ·rowDotAVX2N%d(SB), NOSPLIT, $0-32\n", n)
+	b.WriteString("\tMOVQ w+0(FP), AX\n\tMOVQ u+8(FP), SI\n\tMOVQ c+16(FP), DI\n\tMOVQ rows+24(FP), CX\n\tTESTQ CX, CX\n\tJLE done\n")
+	for v := 0; v < n4/4; v++ {
+		fmt.Fprintf(b, "\tVMOVUPD %d(AX), Y%d\n", 32*v, 8+v)
+	}
+	for l := n4; l < n; l++ {
+		fmt.Fprintf(b, "\tVMOVSD %d(AX), X%d\n", 8*l, 12+l-n4)
+	}
+	b.WriteString("\nrow:\n\tVMULPD 0(SI), Y8, Y0\n")
+	for v := 1; v < n4/4; v++ {
+		fmt.Fprintf(b, "\tVMULPD %d(SI), Y%d, Y1\n\tVADDPD Y1, Y0, Y0\n", 32*v, 8+v)
+	}
+	b.WriteString("\tVEXTRACTF128 $1, Y0, X1\n\tVPERMILPD $1, X0, X2\n\tVADDSD X2, X0, X0\n\tVADDSD X1, X0, X0\n\tVPERMILPD $1, X1, X3\n\tVADDSD X3, X0, X0\n")
+	for l := n4; l < n; l++ {
+		fmt.Fprintf(b, "\tVMULSD %d(SI), X%d, X4\n\tVADDSD X4, X0, X0\n", 8*l, 12+l-n4)
+	}
+	fmt.Fprintf(b, "\tVMOVSD X0, 0(DI)\n\tADDQ $%d, SI\n\tADDQ $8, DI\n\tDECQ CX\n\tJNZ row\n\ndone:\n\tVZEROUPPER\n\tRET\n", 8*n)
 }
 
 func lanedKernel(b *bytes.Buffer, n int) {
 	n4 := n - n%4
-	fmt.Fprintf(b, "\n// func lanedAVX2N%d(a *float64, astep uintptr, b *float64, bstep uintptr, c *float64, planes int)\n", n)
-	fmt.Fprintf(b, "TEXT ·lanedAVX2N%d(SB), NOSPLIT, $0-48\n", n)
+	fmt.Fprintf(b, "\n// func lanedAVX2N%d(a *float64, astep uintptr, b *float64, bstep uintptr, c *float64, planes, rows int)\n", n)
+	fmt.Fprintf(b, "TEXT ·lanedAVX2N%d(SB), NOSPLIT, $0-56\n", n)
 	b.WriteString("\tMOVQ a+0(FP), R8\n\tMOVQ astep+8(FP), R9\n\tMOVQ b+16(FP), BX\n\tMOVQ bstep+24(FP), R10\n")
 	b.WriteString("\tMOVQ c+32(FP), DI\n\tMOVQ planes+40(FP), R11\n\tTESTQ R11, R11\n\tJLE done\n\n")
-	fmt.Fprintf(b, "plane:\n\tMOVQ R8, SI\n\tMOVQ $%d, R12\n\nrow:\n", n)
+	b.WriteString("plane:\n\tMOVQ R8, SI\n\tMOVQ rows+48(FP), R12\n\nrow:\n")
 	for _, group := range lanedGroups(lanedVecs(n)) {
 		g := len(group)
 		acc := func(p, v int) string { return fmt.Sprintf("Y%d", p*g+v) }

@@ -1,6 +1,9 @@
 package sem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The derivative kernels. Within an element, u holds N^3 values indexed
 // u[i + N*j + N*N*k]; the partial derivatives with respect to the
@@ -166,16 +169,42 @@ func derivResolve(dir Direction, v KernelVariant, n int) axisFunc {
 // cache-resident (the solver's volume pipeline) instead of sweeping a
 // whole batch per direction.
 type ElemDeriv struct {
-	n  int
-	fn [3]axisFunc
-	op [3][]float64 // the operator as fn[dir] takes it
+	n   int
+	fn  [3]axisFunc
+	op  [3][]float64 // the operator as fn[dir] takes it
+	d   []float64    // the operator, row-major (FaceApply)
+	dt  []float64    // and transposed
+	sum [3]sumOrder  // how fn[dir] sums each output's terms
+	// mxmT is set when fn[DirT] is MxM's kernel (Optimized), and simd
+	// when fn[DirR] and fn[DirS] are the AVX2 kernels: FaceApply then runs
+	// them on the face's points too.
+	mxmT, simd bool
+}
+
+// sumOrder is how a derivative kernel sums an output's n terms: in four
+// lanes (lane p the terms with l = p mod 4 below n - n%4, the lanes
+// combined left to right, then the rest) or strictly ascending, every
+// partial sum starting from start — +0, or -0 where the kernel starts
+// from its first product (-0 + x is x for every x).
+type sumOrder struct {
+	lanes bool
+	start float64
 }
 
 // NewElemDeriv resolves the three kernels Deriv(dir, v, ref, ...) runs.
 func NewElemDeriv(v KernelVariant, ref *Ref1D) ElemDeriv {
-	k := ElemDeriv{n: ref.N}
+	k := ElemDeriv{n: ref.N, d: ref.D, dt: ref.Dt, mxmT: v == Optimized, simd: v == Optimized && faceSIMD(ref.N)}
+	first := math.Copysign(0, -1)
 	for dir := DirR; dir <= DirT; dir++ {
 		k.fn[dir], k.op[dir] = derivResolve(dir, v, ref.N), ref.D
+		switch gen := ref.N >= derivGenMinN && ref.N <= derivGenMaxN; {
+		case v == Basic, dir == DirT: // the loop nests (Optimized t: FaceApply runs MxM)
+		default: // the generated kernels or the hand loops dudrOpt/dudsOpt
+			k.sum[dir].lanes = true
+			if gen {
+				k.sum[dir].start = first
+			}
+		}
 	}
 	if v == Optimized && ref.N >= derivGenMinN && ref.N <= derivGenMaxN {
 		// An r kernel that wants the operator transposed gets Ref1D's
@@ -192,6 +221,125 @@ func NewElemDeriv(v KernelVariant, ref *Ref1D) ElemDeriv {
 func (k *ElemDeriv) Apply(dir Direction, u, du []float64) {
 	n3 := k.n * k.n * k.n
 	k.fn[dir](k.op[dir], k.n, u[:n3], du[:n3], 1)
+}
+
+// FaceApply sets du (N^2 values, in GatherFace's order) to face f's
+// points of Apply(dir, u), bit for bit, without the rest: along the
+// face's normal one row of the operator over every line through the
+// face, reading the element u (N^3 terms); within the face plane the
+// operator over tr, face f's points of u (GatherFace's; N^3 terms). It
+// runs the kernel Apply runs where that kernel takes a face's shape —
+// MxM along t (mxmT), the AVX2 r/s kernels (simd) — and otherwise sums
+// each output in that kernel's order from its start (sum). tmp takes N^2
+// values; neither it nor du may alias u or tr.
+func (k *ElemDeriv) FaceApply(dir Direction, f int, u, tr, du, tmp []float64) {
+	n := k.n
+	n2 := n * n
+	du, tmp = du[:n2], tmp[:n2]
+	normal := dir == Direction(FaceDir(f))
+	var t faceTerms
+	if normal { // row i0 of D along every line through the face
+		i0 := (n - 1) * (f % 2)
+		t = faceTerms{n: n, u: u[:n2*n], w: k.d[i0*n:][:n], st: [3]int{1, n, n2}[dir]}
+		_, t.sp, t.sq = faceLayout(n, f)
+	} else {
+		// Within the face: its p points run along the lower of the two
+		// other directions, its q points along the higher.
+		alongP := dir == DirR || dir == DirS && FaceDir(f) == 0
+		t = faceTerms{n: n, u: tr[:n2], w: k.d, sp: 1, sq: n, alongP: alongP, alongQ: !alongP}
+		if alongP {
+			t.w = k.dt
+		}
+	}
+	switch {
+	case k.mxmT && dir == DirT && normal: // the lines run across planes of u
+		MxM(t.w, 1, t.u, n, du, n2)
+	case k.mxmT && dir == DirT: // along q: D times the face
+		MxM(k.d, n, t.u, n, du, n)
+	case !k.simd || dir == DirT:
+		k.sum[dir].sum(&t, du, tmp)
+	case normal && dir == DirR: // each line is a row of u
+		rowDotsAVX2(n, t.w, t.u, du)
+	case normal: // the lines run down the columns of each plane
+		planeRowsAVX2(n, t.w, 0, t.u, n2, du, n, 1)
+	case t.alongP: // the face times D^T
+		planeRowsAVX2(n, t.u, 0, k.dt, 0, du, 1, n)
+	default: // D times the face
+		planeRowsAVX2(n, k.d, 0, t.u, 0, du, 1, n)
+	}
+}
+
+// faceTerms is the l-th term of every point of a face derivative: w[l]
+// times the point's line of u (the normal; face point (p, q) of u at
+// sp*p + sq*q, its line stepping st), or, on the face's own points u
+// (sp = 1, sq = N), D[p][l] (w = D^T) times point (l, q) (alongP) or
+// D[q][l] (w = D) times point (p, l) (alongQ).
+type faceTerms struct {
+	n, sp, sq, st  int
+	alongP, alongQ bool
+	w, u           []float64
+}
+
+// add adds term l of every point onto dst.
+func (t *faceTerms) add(dst []float64, l int) {
+	n, u, sp, sq := t.n, t.u, t.sp, t.sq
+	for q := 0; q < n; q++ {
+		row := dst[n*q:][:n]
+		switch {
+		case t.alongP:
+			w, x := t.w[l*n:][:n], u[sp*l+sq*q]
+			for p := range row {
+				row[p] += w[p] * x
+			}
+		case t.alongQ:
+			w, x := t.w[q*n+l], u[sq*l:]
+			for p := range row {
+				row[p] += w * x[sp*p]
+			}
+		default:
+			w, x := t.w[l], u[t.st*l+sq*q:]
+			for p := range row {
+				row[p] += w * x[sp*p]
+			}
+		}
+	}
+}
+
+// sum sets dst to the sum of t's n terms at every point, in order o,
+// with tmp for the lanes.
+func (o sumOrder) sum(t *faceTerms, dst, tmp []float64) {
+	n, n4 := t.n, 0
+	if o.lanes {
+		n4 = n - n%4
+	}
+	for p := 0; p < min(n4, 4); p++ {
+		lane := dst
+		if p > 0 {
+			lane = tmp
+		}
+		fill(lane, o.start)
+		for l := p; l < n4; l += 4 {
+			t.add(lane, l)
+		}
+		if p > 0 {
+			for i, v := range tmp {
+				dst[i] += v
+			}
+		}
+	}
+	if n4 == 0 {
+		fill(dst, o.start)
+	}
+	for l := n4; l < n; l++ {
+		t.add(dst, l)
+	}
+}
+
+// fill sets every value of x to v.
+func fill(x []float64, v float64) {
+	for i := range x {
+		x[i] = v
+	}
 }
 
 // checkAxis validates one axis-apply call up front, on the caller's

@@ -27,7 +27,7 @@ import (
 // with it the update of Runge-Kutta stage stage (1, 2 or 3) of step size
 // dt, to the overlap or blocking pipeline.
 func (s *Solver) rhsEval(in *[NumFields][]float64, stage int, dt float64) {
-	s.vol = volJob{in: in, kern: sem.NewElemDeriv(s.Cfg.Variant, s.Ref), viscous: s.Cfg.Mu > 0}
+	s.in, s.kern = in, sem.NewElemDeriv(s.Cfg.Variant, s.Ref)
 	s.post = postJob{stage: stage, dt: dt}
 	if s.Cfg.Overlap {
 		s.computeRHSOverlap()
@@ -72,10 +72,10 @@ func (s *Solver) rebuildOverlap() {
 }
 
 // postOrder returns the runs of the post-exchange pass in the order they
-// run: with overlap the inviscid path's interior runs, then its boundary
-// runs; otherwise every element in one run.
+// run: with overlap the interior runs, then the boundary runs; otherwise
+// every element in one run.
 func (s *Solver) postOrder() [][2]int {
-	if s.Cfg.Overlap && s.Cfg.Mu == 0 {
+	if s.Cfg.Overlap {
 		return append(slices.Clip(s.intRuns), s.bndRuns...)
 	}
 	return [][2]int{{0, s.Local.Nel}}
@@ -93,60 +93,38 @@ func (s *Solver) InteriorElems() int {
 
 // computeRHSOverlap is computeRHS with the interior/boundary split: the
 // same helpers over reordered element runs, with the exchange posted as
-// soon as the boundary traces exist. The inviscid path overlaps both
-// exchanges with the interior traces and the interior elements' whole
-// post-exchange pass (an interior element reads no rank-boundary face
-// point, and its update is its own); the viscous path must run the
-// boundary volume kernels before the flux exchange can start (they
-// extract the viscous flux traces), so its flux exchange overlaps the
-// interior volume phase only, and its post-exchange pass follows the
-// exchange.
+// soon as the boundary traces exist and in flight across the interior
+// elements' face pass and whole post-exchange pass (an interior element
+// reads no rank-boundary face point, and its update is its own). The
+// viscous path bills its boundary volume sweeps between posting the
+// state and the flux exchange, where they stood, so no clock moves.
 func (s *Solver) computeRHSOverlap() {
+	viscous := s.Cfg.Mu > 0
 	s.chargeAhead()
 
-	if !s.vol.viscous {
-		// Boundary faces first, then both exchanges in flight across the
-		// interior traces and post-exchange pass.
-		s.charge(s.sched.surface, s.faceRuns(s.bndRuns, true))
-		reg := s.Rec.Region("gs_op", obs.CatGS)
-		s.pendU.Begin(s.sumU[:], comm.OpSum)
-		s.pendF.Begin(s.sumF[:], comm.OpSum)
+	s.charge(s.sched.surface, s.faceRuns(s.bndRuns))
+	reg := s.Rec.Region("gs_op", obs.CatGS)
+	s.pendU.Begin(s.sumU[:], comm.OpSum)
+	if viscous {
 		reg.End()
-
-		s.chargeVolume(s.intRuns)
-		s.charge(s.sched.surface, s.faceRuns(s.intRuns, true))
-		s.postRuns(s.intRuns)
-
-		reg = s.Rec.Region("gs_op", obs.CatGS)
-		s.pendU.Finish()
-		s.pendF.Finish()
-		reg.End()
-
 		s.chargeVolume(s.bndRuns)
-		s.postRuns(s.bndRuns)
-	} else {
-		// The state exchange starts as soon as the boundary traces are
-		// extracted; the flux exchange needs the boundary volume pass
-		// (which extracts the viscous flux traces) before it can start.
-		s.faceRuns(s.bndRuns, false)
-		reg := s.Rec.Region("gs_op", obs.CatGS)
-		s.pendU.Begin(s.sumU[:], comm.OpSum)
-		reg.End()
-
-		s.volumeRuns(s.bndRuns)
 		reg = s.Rec.Region("gs_op", obs.CatGS)
-		s.pendF.Begin(s.sumF[:], comm.OpSum)
-		reg.End()
-
-		s.volumeRuns(s.intRuns)
-		s.faceRuns(s.intRuns, false)
-
-		reg = s.Rec.Region("gs_op", obs.CatGS)
-		s.pendU.Finish()
-		s.pendF.Finish()
-		reg.End()
-
-		s.postRuns([][2]int{{0, s.Local.Nel}})
 	}
+	s.pendF.Begin(s.sumF[:], comm.OpSum)
+	reg.End()
+
+	s.chargeVolume(s.intRuns)
+	s.charge(s.sched.surface, s.faceRuns(s.intRuns))
+	s.postRuns(s.intRuns)
+
+	reg = s.Rec.Region("gs_op", obs.CatGS)
+	s.pendU.Finish()
+	s.pendF.Finish()
+	reg.End()
+
+	if !viscous {
+		s.chargeVolume(s.bndRuns)
+	}
+	s.postRuns(s.bndRuns)
 	s.chargePost()
 }

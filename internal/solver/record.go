@@ -151,8 +151,8 @@ func (s *Solver) Remap(newOwn *mesh.Ownership) (movedElems int, movedBytes int64
 	// arrays go before discovery.
 	sources := s.Source[0] != nil
 	for c := range s.U {
-		s.U[c], s.Source[c], s.rhs[c], s.u1[c] = nil, nil, nil, nil
-		s.faceF[c], s.sumU[c], s.sumF[c], s.keep[c] = nil, nil, nil, nil
+		s.U[c], s.Source[c], s.u1[c] = nil, nil, nil
+		s.sumU[c], s.sumF[c], s.keep[c] = nil, nil, nil
 	}
 	s.Local = newOwn.Partition(rank)
 	s.ow = newOwn

@@ -58,31 +58,21 @@ func wallCorrection(d int, sign float64, u *faceSlabs, q int, lam float64, out *
 }
 
 // computeRHS evaluates the semi-discrete DG right-hand side of the
-// conservation law for the state s.vol names and runs the Runge-Kutta
-// stage update s.post names over it. One call is one pass through every
-// kernel of the paper's Figure 4 profile; with Mu > 0 the viscous
-// (compressible Navier-Stokes) flux path adds the gradient kernels of the
-// parent code. Before the exchange the inviscid path extracts the traces
-// that outlive the face pass and the rank-boundary surface flux only: its
-// volume pass runs per element inside the post-exchange pass, into slot
-// scratch, and is billed here, where its whole-rank sweeps stood, and its
-// lift forms every other face's flux. The viscous path's flux traces come
-// from its volume pass, which runs before the exchange into s.rhs. The overlap
-// path (computeRHSOverlap) runs the same helpers over interior/boundary
-// element runs instead of one full run; every kernel is element-local,
-// so both orders are bit-identical.
+// conservation law for the state s.in names and runs the Runge-Kutta
+// stage update s.post names over it: one pass through every kernel of
+// the paper's Figure 4 profile (Mu > 0 adds the compressible
+// Navier-Stokes gradient kernels). Before the exchange the face pass
+// extracts the traces that outlive it; the volume pass runs per element
+// inside the post-exchange pass and is billed here, where its whole-rank
+// sweeps stood. The overlap path (computeRHSOverlap) runs the same
+// element-local helpers over interior/boundary runs, bit-identically.
 func (s *Solver) computeRHS() {
-	viscous := s.vol.viscous
 	all := [][2]int{{0, s.Local.Nel}} // one run: the split path's helpers and pool partitions
 
 	s.chargeAhead()
-	nf := s.faceRuns(all, !viscous)
-	if viscous {
-		s.volumeRuns(all)
-	} else {
-		s.chargeVolume(all)
-	}
-	s.charge(s.sched.surface, nf) // where the surface-flux sweep stood
+	nf := s.faceRuns(all)
+	s.chargeVolume(all)
+	s.charge(s.sched.surface, nf) // where the inviscid surface-flux sweep stood
 
 	// --- gs_op: nearest-neighbor exchange of the rank-boundary state and
 	// flux traces, in place: afterwards sumU/sumF hold the in+out sums.
@@ -103,30 +93,18 @@ func (s *Solver) computeRHS() {
 	s.chargePost()
 }
 
-// faceJob is the run faceElems is working through (kept in the Solver,
-// like volJob, so a run dispatches to the pool without allocating).
-type faceJob struct {
-	elo  int
-	flux bool
-}
-
 // faceRuns is full2face_cmt over the given element runs: it gathers the
-// traces of the state that outlive the pass — the rank-boundary faces'
-// into sumU, for the exchange, and the in-rank faces' that planTraces
-// leaves to it into keep — and, with flux set, the inviscid surface
-// compute_flux of the rank-boundary faces in the same pass: the normal
-// Euler flux at each of their points into sumF, evaluated from the
-// traces while they are in cache. (The lift gathers every other trace and
-// forms every other inviscid flux; the viscous path's flux traces come
-// from its volume pass.) It bills full2face_cmt and returns how many
-// elements it covered, for the caller to bill the surface flux (an
-// inviscid schedule's) where that sweep stood.
-func (s *Solver) faceRuns(runs [][2]int, flux bool) int {
-	s.face.flux = flux
+// traces that outlive the pass while the element is in cache — the
+// rank-boundary faces' into sumU and their flux into sumF (inviscid, the
+// surface compute_flux of the traces; viscous, the viscous flux traces), the
+// in-rank faces' that planTraces leaves to it into keep. It bills
+// full2face_cmt and returns how many elements it covered, for the caller
+// to bill an inviscid schedule's surface flux where that sweep stood.
+func (s *Solver) faceRuns(runs [][2]int) int {
 	nelr := 0
 	start := time.Now()
 	for _, run := range runs {
-		s.face.elo = run[0]
+		s.faceElo = run[0]
 		s.pool.ForSlots(run[1]-run[0], s.faceBody)
 		nelr += run[1] - run[0]
 	}
@@ -136,35 +114,52 @@ func (s *Solver) faceRuns(runs [][2]int, flux bool) int {
 }
 
 // faceElems runs the surface pass over elements [lo, hi) of the current
-// run on pool slot slot.
+// run on pool slot slot: it gathers the state traces that outlive it
+// (the rank-boundary faces' into sumU, the split pairs' into keep) and
+// forms the flux traces a lift reads before the element's volume pass
+// runs — inviscid the rank-boundary faces' normal flux, viscous theirs
+// and every kept face's (keptFlux) viscous flux traces.
 func (s *Solver) faceElems(slot, lo, hi int) {
-	job := &s.face
-	n2 := s.Cfg.N * s.Cfg.N
-	sl := &s.volSlots[slot]
-	var u, fl faceSlabs // views of sumU, sumF and keep
+	n := s.Cfg.N
+	n2, n3 := n*n, n*n*n
+	sl, viscous := &s.volSlots[slot], s.Cfg.Mu > 0
+	var u, fl, tr faceSlabs // views of sumU, sumF and keep; a later face's state traces
+	prim, scr := sl.buf[:5*n3], tr.lay(sl.buf[5*n3:], n2)
 	sl.t0, sl.last = time.Now(), 0
-	for e := job.elo + lo; e < job.elo+hi; e++ {
+	for e := s.faceElo + lo; e < s.faceElo+hi; e++ {
+		formed := false
 		for f := 0; f < sem.NFaces; f++ {
 			a := e*sem.NFaces + f
-			switch l, k := s.link[a], int(s.keepAt[a]); {
+			l, k := s.link[a], int(s.keepAt[a])
+			st := &u
+			switch {
 			case l < 0 && l != domainBoundary:
 				u.at(&s.sumU, int(^l)*n2, n2)
-				s.gatherTrace(e, f, &u)
+				fl.at(&s.sumF, int(^l)*n2, n2)
 			case k >= 0 && k < s.keepPass:
 				u.at(&s.keep, k*n2, n2)
-				s.gatherTrace(e, f, &u)
+			case k < 0 || !viscous:
+				continue
+			default: // a later face: only its flux traces are kept
+				st = &tr
 			}
-		}
-		sl.lap(faceExt)
-		if job.flux {
-			for f := 0; f < sem.NFaces; f++ {
-				if l := s.link[e*sem.NFaces+f]; l < 0 && l != domainBoundary {
-					u.at(&s.sumU, int(^l)*n2, n2)
-					fl.at(&s.sumF, int(^l)*n2, n2)
-					normalFlux(sem.FaceDir(f), &u, &fl)
+			s.gatherTrace(e, f, st)
+			sl.lap(faceExt)
+			switch {
+			case viscous:
+				if k >= 0 {
+					fl.at(&s.keep, s.keptFlux(k)*n2, n2)
 				}
+				if !formed {
+					s.elemPrimitives(e, prim)
+					sl.lap(volPrim)
+					formed = true
+				}
+				s.faceViscousFlux(f, prim, st, scr, &fl, sl)
+			case l < 0:
+				normalFlux(sem.FaceDir(f), &u, &fl)
+				sl.lap(faceFlux)
 			}
-			sl.lap(faceFlux)
 		}
 		sl.t0 = time.Time{}
 	}
@@ -180,13 +175,22 @@ func (fs *faceSlabs) at(a *[NumFields][]float64, off, n2 int) {
 	}
 }
 
+// lay points fs at the head of scr, n2 points a field, and returns the
+// rest of scr.
+func (fs *faceSlabs) lay(scr []float64, n2 int) []float64 {
+	for c := range fs {
+		fs[c], scr = scr[:n2], scr[n2:]
+	}
+	return scr
+}
+
 // gatherTrace copies face f of element e of the state the right-hand
 // side reads into dst.
 func (s *Solver) gatherTrace(e, f int, dst *faceSlabs) {
 	n := s.Cfg.N
 	n3 := n * n * n
 	for c := range dst {
-		sem.GatherFace(n, f, s.vol.in[c][e*n3:][:n3], dst[c])
+		sem.GatherFace(n, f, s.in[c][e*n3:][:n3], dst[c])
 	}
 }
 
@@ -222,64 +226,19 @@ func (sl *volSlot) lap(stage int) {
 	}
 }
 
-// volJob is the right-hand side's volume pass: the state it reads, the
-// derivative kernels, and the run volumeElems is working through. It
-// lives in the Solver (with the closures over it built once, in New) so
-// that a run dispatches to the pool without allocating.
-type volJob struct {
-	in      *[NumFields][]float64
-	kern    sem.ElemDeriv
-	elo     int
-	viscous bool
-}
-
-// volumeRuns is the viscous derivative kernel (ax_) phase over the given
-// element runs, into s.rhs: volumeElem on every element, each run billed
-// as the sweeps it replaces once it is done. (The inviscid volume pass
-// runs inside postRuns.)
-func (s *Solver) volumeRuns(runs [][2]int) {
-	for _, run := range runs {
-		s.vol.elo = run[0]
-		start := time.Now()
-		s.pool.ForSlots(run[1]-run[0], s.volBody)
-		s.timePass(start)
-		s.charge(s.sched.volume, run[1]-run[0])
-	}
-}
-
-// volumeElems runs the viscous volume pass over elements [lo, hi) of the
-// current run on pool slot slot.
-func (s *Solver) volumeElems(slot, lo, hi int) {
-	sl := &s.volSlots[slot]
-	n3 := s.Cfg.N * s.Cfg.N * s.Cfg.N
-	var dst [NumFields][]float64
-	sl.t0, sl.last = time.Now(), 0
-	for e := s.vol.elo + lo; e < s.vol.elo+hi; e++ {
-		for c := range dst {
-			dst[c] = s.rhs[c][e*n3:][:n3]
-		}
-		s.volumeElem(e, sl, sl.buf, &dst)
-		sl.t0 = time.Time{}
-	}
-}
-
 // volumeElem is the derivative kernel (ax_) phase — the dominant cost —
 // of element e, on slot sl's stopwatch with scratch buf: the element's
 // velocity and pressure are formed in scratch, then for each field the
-// three directional fluxes are evaluated into scratch, D is applied along
-// r, s and t while they are in cache, and the divergence, scaled by the
-// constant metric and negated, goes into dst (the element's residual,
-// N^3 points per field). In the viscous path the flux carries the
-// viscous terms and its face traces are extracted here too (both sides
-// then average them via gs, a BR1-style viscous interface flux). Per
-// point this is the arithmetic of a sweep-per-(field, direction)
-// formulation in the same order, so the state is bit-identical to one.
-func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][]float64) {
-	job := &s.vol
-	in := job.in
+// three directional fluxes, D along r, s and t while they are in cache,
+// and the divergence, scaled by the constant metric and negated, into
+// dst (the element's residual). On the viscous path (own set) the flux
+// carries the viscous terms and its face traces, which the lift reads,
+// go to own. Per point this is the arithmetic of a sweep-per-(field,
+// direction) formulation in the same order, so the bits are its.
+func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][]float64, own *[sem.NFaces]faceSlabs) {
+	in := s.in
 	n := s.Cfg.N
 	n3 := n * n * n
-	fpe := sem.NFaces * n * n
 	// Scratch: the three flux components, then their derivatives, the
 	// velocity and the pressure. (Sliced to a length the compiler can see
 	// is n3, which keeps bounds checks out of the pointwise loops.)
@@ -293,8 +252,8 @@ func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][
 	mx, my, mz := in[IMomX][base:][:n3], in[IMomY][base:][:n3], in[IMomZ][base:][:n3]
 	primitives(rho, mx, my, mz, en, v0, v1, v2, pr)
 	sl.lap(volPrim)
-	if job.viscous {
-		s.elemGradients(vis, &job.kern, rho, vel, pr, sl)
+	if own != nil {
+		s.elemGradients(vis, rho, vel, pr, sl)
 	}
 	for c := 0; c < NumFields; c++ {
 		src := f // what the derivative kernels read
@@ -309,27 +268,20 @@ func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][
 		default: // the normal component carries the pressure
 			momentumFlux[c-IMomX](in[c][base:][:n3], v0, v1, v2, pr, f0, f1, f2)
 		}
-		if job.viscous && c != IRho { // no viscous mass flux
+		if own != nil && c != IRho { // no viscous mass flux
 			for d := 0; d < 3; d++ {
 				s.subViscousFlux(c, d, vel, vis, f[d])
 			}
 		}
 		sl.lap(volFlux)
-		if job.viscous {
-			faces := s.faceF[c][e*fpe : (e+1)*fpe]
-			for d := 0; d < 3; d++ {
-				sem.Full2FaceDir(n, src[d], 1, faces, d)
-			}
-			// The rank-boundary faces' flux traces go to the exchange too.
-			for f, l := range s.link[e*sem.NFaces : (e+1)*sem.NFaces] {
-				if l < 0 && l != domainBoundary {
-					copy(s.sumF[c][int(^l)*n*n:][:n*n], faces[f*n*n:])
-				}
+		if own != nil {
+			for fc := range own {
+				sem.GatherFace(n, fc, src[sem.FaceDir(fc)], own[fc][c])
 			}
 			sl.lap(volFace)
 		}
 		for d := 0; d < 3; d++ {
-			job.kern.Apply(sem.Direction(d), src[d], g[d])
+			s.kern.Apply(sem.Direction(d), src[d], g[d])
 			sl.lap(volR + d)
 		}
 		divergence(g0, g1, g2, dst[c][:n3], s.rx)
@@ -338,7 +290,8 @@ func (s *Solver) volumeElem(e int, sl *volSlot, buf []float64, dst *[NumFields][
 }
 
 // postJob is the Runge-Kutta stage postElems finishes (1 and 2 write u1,
-// 3 writes U and filters it) and the run it is working through.
+// 3 writes U and filters it; 0, for tests, stores the residual in u1)
+// and the run it is working through.
 type postJob struct {
 	stage int
 	dt    float64
@@ -346,14 +299,14 @@ type postJob struct {
 }
 
 // postRuns is everything after the face exchange, in one pass over the
-// elements of the given runs: the inviscid volume pass, numerical flux +
-// lift, source terms, dealiasing, the stage update and, after the last
-// stage, the spectral filter. The blocking path runs it over all
-// elements once the exchanged traces are complete; the inviscid overlap
-// path over the interior runs inside the exchange window and over the
-// boundary runs after it. The once-billed primitives and the volume
-// calls charged for these runs ahead of the pass (chargeVolume) take its
-// wall first; chargePost bills the rest.
+// elements of the given runs: the volume pass, numerical flux + lift,
+// source terms, dealiasing, the stage update and, after the last stage,
+// the spectral filter. The blocking path runs it over all elements once
+// the exchanged traces are complete; the overlap path over the interior
+// runs inside the exchange window and over the boundary runs after it.
+// The once-billed primitives and gradient and the volume calls charged
+// for these runs ahead of the pass (chargeVolume) take its wall first;
+// chargePost bills the rest.
 func (s *Solver) postRuns(runs [][2]int) {
 	start := time.Now()
 	for _, run := range runs {
@@ -390,39 +343,36 @@ func (s *Solver) chargePost() {
 }
 
 // postElems runs the post-exchange pass over elements [lo, hi) of the
-// current run on pool slot slot. The element's residual lives in slot
-// scratch on the inviscid path (its volume pass runs here) and in s.rhs
-// on the viscous one. Per point every step is the whole-rank sweep's, in
-// the sweeps' order, so the state is bit-identical to theirs; the update
-// reads u1 at a point before it writes it there, so stage 2 updates u1
-// in place, and each element's volume pass reads its own points of the
-// state before its update writes them.
+// current run on pool slot slot. The slot's scratch holds the element's
+// residual, then (viscous) its own flux traces, then the volume, lift,
+// dealias and filter scratch. Per point every step is the whole-rank
+// sweep's, in the sweeps' order, so the bits are theirs; the update
+// reads u1 at a point before it writes it there (stage 2 updates u1 in
+// place), after the element's volume pass read its state.
 func (s *Solver) postElems(slot, lo, hi int) {
 	job, sl := &s.post, &s.volSlots[slot]
 	n := s.Cfg.N
-	n3 := n * n * n
+	n2, n3 := n*n, n*n*n
 	dt := job.dt
-	volume := !s.vol.viscous   // the volume pass runs here, into slot scratch
 	var r [NumFields][]float64 // the element's residual
-	scr := sl.buf              // everything else: volume, lift, dealias and filter scratch
-	if volume {
-		for c := range r {
-			r[c] = sl.buf[c*n3:][:n3]
-		}
-		scr = sl.buf[NumFields*n3:]
+	for c := range r {
+		r[c] = sl.buf[c*n3:][:n3]
 	}
-	lb := newLiftBufs(scr, n*n)
+	scr := sl.buf[NumFields*n3:]
+	var ownF [sem.NFaces]faceSlabs
+	var own *[sem.NFaces]faceSlabs // viscous: the element's own flux traces
+	if s.Cfg.Mu > 0 {
+		own = &ownF
+		for f := range ownF {
+			scr = ownF[f].lay(scr, n2)
+		}
+	}
+	lb := newLiftBufs(scr, n2)
 	sl.t0, sl.last = time.Now(), 0
 	for e := job.elo + lo; e < job.elo+hi; e++ {
 		base := e * n3
-		if volume {
-			s.volumeElem(e, sl, scr, &r)
-		} else {
-			for c := range r {
-				r[c] = s.rhs[c][base:][:n3]
-			}
-		}
-		s.liftElem(e, sl, &lb, &r)
+		s.volumeElem(e, sl, scr, &r, own)
+		s.liftElem(e, sl, &lb, &r, own)
 		// Source terms: the conservation law's R (multiphase coupling).
 		// Zero — i.e. absent — in the paper's current CMT-bone; populated
 		// by couplers such as the particle cloud.
@@ -447,6 +397,8 @@ func (s *Solver) postElems(slot, lo, hi int) {
 		for c := 0; c < NumFields; c++ {
 			uc, rc, u1 := s.U[c][base:][:n3], r[c], s.u1[c][base:][:n3]
 			switch job.stage {
+			case 0:
+				copy(u1, rc)
 			case 1: // u1 = U + dt RHS(U)
 				rkStage1(uc, rc, u1, dt)
 			case 2: // u1 = 3/4 U + 1/4 (u1 + dt RHS(u1))
@@ -477,13 +429,24 @@ type liftBufs struct{ w, u, f, uo, fo faceSlabs }
 // order n.
 func liftScratchLen(n int) int { return 5 * NumFields * n * n }
 
+// keptFlux is where in keep the face pass stores the viscous flux trace of
+// the face kept at k: its correction's slot (read, then overwritten, by
+// the partner's lift), or keepF on for a split pair's.
+func (s *Solver) keptFlux(k int) int {
+	if k < s.keepPass {
+		return s.keepF + k
+	}
+	return k
+}
+
+// ownTracesLen is the slot scratch a viscous element's own flux traces take.
+func ownTracesLen(n int) int { return sem.NFaces * NumFields * n * n }
+
 // newLiftBufs lays the lift's buffers out over scr, n2 points a face.
 func newLiftBufs(scr []float64, n2 int) liftBufs {
 	var b liftBufs
-	for i, fs := range []*faceSlabs{&b.w, &b.u, &b.f, &b.uo, &b.fo} {
-		for c := range fs {
-			fs[c] = scr[(i*NumFields+c)*n2:][:n2]
-		}
+	for _, fs := range []*faceSlabs{&b.w, &b.u, &b.f, &b.uo, &b.fo} {
+		scr = fs.lay(scr, n2)
 	}
 	return b
 }
@@ -498,30 +461,33 @@ func newLiftBufs(scr []float64, n2 int) liftBufs {
 // element's own from the state it reads (the element is updated only
 // after its lift), a partner's on this rank from the partner's state,
 // which is not updated yet either, or from keep where planTraces had the
-// face pass store it. On the inviscid path it forms both sides' normal
-// Euler flux from those traces; the viscous path reads its flux traces
-// from faceF. A face paired on this rank forms the in+out sums from its
-// partner's traces (IEEE addition commutes, so they are the
+// face pass store it. Inviscid, it forms both sides' normal Euler flux
+// from them; viscous (own set), the flux traces are its volume pass's
+// (own) and the face pass's (keep). A face paired on this rank forms the in+out
+// sums from its partner's traces (IEEE addition commutes, so they are the
 // gather-scatter's bits), and when the partner lifts later its correction
 // too, with the same operands, into keep; a face whose partner lifted
 // first adds the correction found there. A rank-boundary face reads the
 // exchanged sums. Domain boundary faces see a mirror ghost state (slip
 // wall) or no correction (freestream). Gathers lap as full2face_cmt and
 // fluxes as compute_flux_surface, the work those calls name.
-func (s *Solver) liftElem(e int, sl *volSlot, b *liftBufs, r *[NumFields][]float64) {
+func (s *Solver) liftElem(e int, sl *volSlot, b *liftBufs, r *[NumFields][]float64, own *[sem.NFaces]faceSlabs) {
 	n := s.Cfg.N
 	n2 := n * n
 	lam := s.lambda
 	wall := s.Cfg.BC == BCWall
 	var corr [NumFields]float64
-	var kw, ku, kuo, kwo faceSlabs // views of keep
+	var kw, ku, kuo, kwo, kfo faceSlabs // views of keep
 	for f := 0; f < sem.NFaces; f++ {
 		d := sem.FaceDir(f)
 		sign := float64(sem.FaceSign(f))
 		scale := s.liftScale[d]
 		a := e*sem.NFaces + f
 		l, k := s.link[a], int(s.keepAt[a])
-		w, u := &b.w, &b.u
+		w, u, fc := &b.w, &b.u, &b.f
+		if own != nil {
+			fc = &own[f]
+		}
 		switch {
 		case k >= s.keepPass:
 			// The partner lifted first and left this face's correction.
@@ -536,15 +502,25 @@ func (s *Solver) liftElem(e int, sl *volSlot, b *liftBufs, r *[NumFields][]float
 			} else {
 				s.gatherTrace(e, f, u)
 			}
-			uo, ko := &b.uo, int(s.keepAt[l])
+			pe, pf := int(l)/sem.NFaces, int(l)%sem.NFaces
+			uo, fo, ko := &b.uo, &b.fo, int(s.keepAt[l])
 			if ko >= 0 && ko < s.keepPass {
 				kuo.at(&s.keep, ko*n2, n2)
 				uo = &kuo
 			} else {
-				s.gatherTrace(int(l)/sem.NFaces, int(l)%sem.NFaces, uo)
+				s.gatherTrace(pe, pf, uo)
 			}
 			sl.lap(faceExt)
-			fc, fo := s.traceFlux(a, d, u, &b.f), s.traceFlux(int(l), d, uo, &b.fo)
+			switch {
+			case own == nil:
+				normalFlux(d, u, fc)
+				normalFlux(d, uo, fo)
+			case pe == e:
+				fo = &own[pf]
+			default:
+				kfo.at(&s.keep, s.keptFlux(ko)*n2, n2)
+				fo = &kfo
+			}
 			sl.lap(faceFlux)
 			for c := 0; c < NumFields; c++ {
 				liftPair(fc[c], u[c], fo[c], uo[c], w[c], scale, sign, lam)
@@ -560,7 +536,10 @@ func (s *Solver) liftElem(e int, sl *volSlot, b *liftBufs, r *[NumFields][]float
 		case l != domainBoundary:
 			s.gatherTrace(e, f, u)
 			sl.lap(faceExt)
-			fc, at := s.traceFlux(a, d, u, &b.f), int(^l)*n2
+			if own == nil {
+				normalFlux(d, u, fc)
+			}
+			at := int(^l) * n2
 			sl.lap(faceFlux)
 			for c := 0; c < NumFields; c++ {
 				liftBoundary(fc[c], u[c], s.sumF[c][at:][:n2], s.sumU[c][at:][:n2], w[c], scale, sign, lam)
@@ -586,17 +565,4 @@ func (s *Solver) liftElem(e int, sl *volSlot, b *liftBufs, r *[NumFields][]float
 		}
 		sl.lap(postLift)
 	}
-}
-
-// traceFlux returns fl holding the normal flux traces of face slot a,
-// normal to direction d, whose state traces are u: on the inviscid path
-// formed into fl, on the viscous path pointed at faceF's.
-func (s *Solver) traceFlux(a, d int, u, fl *faceSlabs) *faceSlabs {
-	if s.faceF[0] != nil {
-		n2 := s.Cfg.N * s.Cfg.N
-		fl.at(&s.faceF, a*n2, n2)
-		return fl
-	}
-	normalFlux(d, u, fl)
-	return fl
 }

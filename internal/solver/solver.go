@@ -48,14 +48,9 @@ type Solver struct {
 	// filter operator (nil when the spectral filter is disabled)
 	filterMat []float64
 
-	// Scratch (allocated once). rhs, the viscous right-hand side, is nil
-	// on the inviscid path, whose residual lives in slot scratch.
-	rhs [NumFields][]float64
-	u1  [NumFields][]float64 // the RK stage register
-	// faceF holds the viscous path's flux traces, which its volume pass
-	// extracts with the viscous terms in them. It is nil on the inviscid
-	// path, whose lift forms the normal Euler flux from the state's traces.
-	faceF [NumFields][]float64
+	// u1 is the RK stage register (allocated once). The residual lives in
+	// slot scratch.
+	u1 [NumFields][]float64
 	// The face pairing (pairFaces). link[e*6+f] is where face f of
 	// element e finds its other side: the face slot e'*6+f' of its
 	// partner on this rank (>= 0), ^k for the k-th rank-boundary face
@@ -71,25 +66,27 @@ type Solver struct {
 	// the state before its update (planTraces): face slot a at
 	// keepAt[a]*N^2, the first keepPass of them traces of the state that
 	// the face pass stores, the rest corrections that a's partner's lift
-	// leaves for a's.
+	// leaves for a's (viscous: after reading a's flux trace there). A
+	// viscous face pass keeps the first keepPass' flux traces at keepF+k.
 	sumU, sumF [NumFields][]float64
 	keep       [NumFields][]float64
 	keepAt     []int32
 	keepPass   int
+	keepF      int
 
 	// Intra-rank worker pool for the element-indexed kernels (Workers
 	// in Config). The pool parallelizes wall time only: modeled time is
 	// charged analytically on the rank goroutine, so results and
 	// virtual-time traces are identical at any worker count.
 	pool *pool.Pool
-	// The element-resident pipelines (faceRuns, volumeRuns, postRuns):
-	// per-slot scratch, the runs in progress, and the pool bodies over
-	// them.
+	// The element-resident pipelines (faceRuns, postRuns): per-slot
+	// scratch, the state the right-hand side reads and its derivative
+	// kernels, the runs in progress, and the pool bodies over them.
 	volSlots []volSlot
-	vol      volJob
-	face     faceJob
+	in       *[NumFields][]float64
+	kern     sem.ElemDeriv
+	faceElo  int
 	post     postJob
-	volBody  func(slot, lo, hi int)
 	faceBody func(slot, lo, hi int)
 	postBody func(slot, lo, hi int)
 	wsBody   func(slot, lo, hi int)
@@ -225,28 +222,25 @@ func New(r *comm.Rank, cfg Config) (*Solver, error) {
 	s.pool = pool.New(cfg.Workers)
 	s.pool.Observe(cfg.Metrics)
 	s.wsPart = make([]float64, s.pool.Workers())
-	// A slot's scratch: the volume pass's fluxes, their derivatives, the
-	// velocity and the pressure (+ elemGradients' when viscous), which
-	// also holds the post-exchange pass's largest need — the lift's face
-	// of corrections and both sides' traces, the filter's scratch, or the
-	// dealiasing fine mesh and scratch. On the inviscid path the
-	// element's residual (5·N³) lies ahead of it: the volume pass runs in
-	// the post-exchange pass and writes the residual that the lift, the
-	// dealiasing and the update read.
+	// A slot's scratch: the element's residual (5·N³), viscous its own
+	// flux traces, then the volume pass's fluxes, derivatives, velocity
+	// and pressure (+ elemGradients' when viscous), which also holds the
+	// largest other need: the lift's faces, the filter's or dealiasing's
+	// scratch, or the viscous face pass's (faceViscousFlux).
 	n3 := cfg.N * cfg.N * cfg.N
-	slotLen, resid := max(10*n3, liftScratchLen(cfg.N)), NumFields*n3
+	slotLen, own := max(10*n3, liftScratchLen(cfg.N)), 0
 	if cfg.Mu > 0 {
-		slotLen, resid = slotLen+(1+3*numGradQ)*n3, 0
+		slotLen, own = slotLen+(1+3*numGradQ)*n3, ownTracesLen(cfg.N)
 	}
 	if cfg.Dealias {
 		slotLen = max(slotLen, ref.NF*ref.NF*ref.NF+ref.DealiasScratchLen())
 	}
-	slotLen = resid + max(slotLen, sem.FilterScratchLen(cfg.N))
+	slotLen = NumFields*n3 + own + max(slotLen, sem.FilterScratchLen(cfg.N))
 	s.volSlots = make([]volSlot, s.pool.Workers())
 	for i := range s.volSlots {
 		s.volSlots[i].buf = make([]float64, slotLen)
 	}
-	s.volBody, s.faceBody, s.postBody, s.wsBody = s.volumeElems, s.faceElems, s.postElems, s.waveSpeedPoints
+	s.faceBody, s.postBody, s.wsBody = s.faceElems, s.postElems, s.waveSpeedPoints
 	if cfg.FilterCutoff > 0 {
 		s.filterMat = sem.FilterMatrix(ref.X, cfg.FilterCutoff, 1.0)
 	}
@@ -283,13 +277,8 @@ func (s *Solver) allocState(sources bool) {
 func (s *Solver) allocScratch() {
 	local, cfg := s.Local, &s.Cfg
 	n2 := cfg.N * cfg.N
-	vol, faceLen, sumLen := local.Nel*n2*cfg.N, sem.FaceSliceLen(cfg.N, local.Nel), len(s.remote)*n2
+	vol, sumLen := local.Nel*n2*cfg.N, len(s.remote)*n2
 	for c := 0; c < NumFields; c++ {
-		s.rhs[c], s.faceF[c] = nil, nil
-		if cfg.Mu > 0 {
-			s.rhs[c] = make([]float64, vol)
-			s.faceF[c] = make([]float64, faceLen)
-		}
 		s.u1[c] = make([]float64, vol)
 		s.sumU[c] = make([]float64, sumLen)
 		s.sumF[c] = make([]float64, sumLen)
@@ -338,7 +327,8 @@ func (s *Solver) pairFaces() {
 // correction: one face kept, the later face's. The chunks of one run may
 // run concurrently, so a pair split between two of them keeps both
 // traces, stored by the face pass before the exchange. A pair within one
-// element keeps nothing.
+// element keeps nothing. A viscous lift reads its partner's flux trace
+// from keep too, so a viscous solver keeps it for the first keepPass.
 func (s *Solver) planTraces() {
 	// Each element's run, chunk and place in the post-exchange pass.
 	type place struct{ run, chunk, at int }
@@ -374,8 +364,13 @@ func (s *Solver) planTraces() {
 	for i, a := range later {
 		s.keepAt[a] = int32(s.keepPass + i)
 	}
+	s.keepF = s.keepPass + len(later)
+	faces := s.keepF
+	if s.Cfg.Mu > 0 {
+		faces += s.keepPass
+	}
 	for c := range s.keep {
-		s.keep[c] = make([]float64, (s.keepPass+len(later))*s.Cfg.N*s.Cfg.N)
+		s.keep[c] = make([]float64, faces*s.Cfg.N*s.Cfg.N)
 	}
 }
 

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -16,10 +17,13 @@ import (
 // whose partner lifted first finds its correction left in keep by that
 // lift; a pair split between concurrent chunks has both traces stored by
 // the face pass. With one worker and no overlap exactly one face of each
-// pair of two elements is kept, the later one's. Two ranks of 4 × 4 × 4
-// elements have interior elements, so the overlap rows run an interior
-// and a boundary pass. Each row also steps under its plan, which is what
-// the race detector watches in CI.
+// pair of two elements is kept, the later one's. A viscous lift reads
+// its partner's flux trace from keep, where the face pass formed it from
+// the partner's state: every such trace, and every rank-boundary flux
+// trace in sumF, must be the volume pass's flux at those points, bit for
+// bit. Two ranks of 4 × 4 × 4 elements have interior elements, so the
+// overlap rows run an interior and a boundary pass. Each row also steps
+// under its plan, which is what the race detector watches in CI.
 func TestFaceTraceStore(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		for _, overlap := range []bool{false, true} {
@@ -42,7 +46,10 @@ func TestFaceTraceStore(t *testing.T) {
 						}
 						s.SetInitial(GaussianPulse(2, 2, 2, 0.1, 0.5))
 						s.Run(2)
-						return checkTracePlan(s, workers == 1 && !overlap)
+						if err := checkTracePlan(s, workers == 1 && !overlap); err != nil || !viscous {
+							return err
+						}
+						return checkFluxTraces(s)
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -103,21 +110,67 @@ func checkTracePlan(s *Solver, serial bool) error {
 		case !trace(ko) && p != e && !reader.before(owner):
 			return fmt.Errorf("element %d lifts at %+v and reads face %d of element %d from the state, updated at %+v",
 				e, reader, l, p, owner)
+		case p != e && ko < 0:
+			return fmt.Errorf("element %d lifts face %d and reads face %d's flux trace, which the face pass does not keep", e, a, l)
 		}
 		if serial && p != e && (k >= 0) == (ko >= 0) {
 			return fmt.Errorf("one worker, no overlap: faces %d and %d keep %d and %d, want exactly one", a, l, k, ko)
 		}
 	}
-	if n2 := s.Cfg.N * s.Cfg.N; len(s.keep[0]) != kept*n2 {
-		return fmt.Errorf("keep holds %d points, %d kept faces", len(s.keep[0]), kept)
+	want := kept // a viscous solver keeps the flux trace of a pair split between chunks too
+	if s.Cfg.Mu > 0 {
+		want += s.keepPass
+	}
+	if n2 := s.Cfg.N * s.Cfg.N; s.keepF != kept || len(s.keep[0]) != want*n2 {
+		return fmt.Errorf("keep holds %d points with flux traces from face %d, %d kept faces", len(s.keep[0]), s.keepF, kept)
 	}
 	return nil
 }
 
-// TestLiftScratchFits: behind the inviscid residual, a pool slot's
-// scratch holds the lift's corrections and both sides' traces and fluxes
-// at every order from 2 up, where the volume pass's own scratch is the
-// smaller, and a step runs there.
+// checkFluxTraces runs the face pass over the current state and holds
+// every viscous flux trace it stores — a rank-boundary face's in sumF, a
+// kept face's in keep — to the volume pass's flux at those points, bit
+// for bit.
+func checkFluxTraces(s *Solver) error {
+	n := s.Cfg.N
+	n2 := n * n
+	s.in, s.kern = &s.U, sem.NewElemDeriv(s.Cfg.Variant, s.Ref)
+	s.faceElo = 0
+	s.faceElems(0, 0, s.Nel())
+	r, own, scr := viscousSlot(make([]float64, len(s.volSlots[0].buf)), n)
+	var sl volSlot
+	for e := 0; e < s.Nel(); e++ {
+		s.volumeElem(e, &sl, scr, &r, &own)
+		for f := range own {
+			a := e*sem.NFaces + f
+			var got faceSlabs
+			switch l, k := s.link[a], int(s.keepAt[a]); {
+			case l < 0 && l != domainBoundary:
+				got.at(&s.sumF, int(^l)*n2, n2)
+			case k >= 0:
+				got.at(&s.keep, s.keptFlux(k)*n2, n2)
+			default:
+				continue
+			}
+			for c := range got {
+				for q, v := range got[c] {
+					if math.Float64bits(v) != math.Float64bits(own[f][c][q]) {
+						return fmt.Errorf("element %d face %d field %d point %d: the face pass formed %v, the volume pass %v",
+							e, f, c, q, v, own[f][c][q])
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestLiftScratchFits: behind the residual (and, viscous, the
+// element's own flux traces), a pool slot's scratch holds the volume
+// pass's scratch (with the gradients' when viscous), the lift's
+// corrections and both sides' traces and fluxes, and the viscous face
+// pass's element primitives and face scratch, at every order from 2 up,
+// and a step runs there.
 func TestLiftScratchFits(t *testing.T) {
 	for n := 2; n <= 5; n++ {
 		for _, viscous := range []bool{false, true} {
@@ -131,12 +184,19 @@ func TestLiftScratchFits(t *testing.T) {
 					return err
 				}
 				defer s.Close()
-				scr := len(s.volSlots[0].buf)
-				if !viscous {
-					scr -= NumFields * n * n * n // the residual at the head of the slot
+				n2, n3 := n*n, n*n*n
+				slot := len(s.volSlots[0].buf)
+				scr, vol := slot-NumFields*n3, 10*n3
+				if viscous {
+					scr -= ownTracesLen(n)
+					vol += (1 + 3*numGradQ) * n3
+					if face := 5*n3 + 28*n2; slot < face {
+						return fmt.Errorf("N=%d: %d slot scratch, the viscous face pass takes %d", n, slot, face)
+					}
 				}
-				if scr < liftScratchLen(n) {
-					return fmt.Errorf("N=%d viscous=%v: %d slot scratch after the residual, the lift takes %d", n, viscous, scr, liftScratchLen(n))
+				if scr < max(vol, liftScratchLen(n)) {
+					return fmt.Errorf("N=%d viscous=%v: %d slot scratch after the residual, the volume pass takes %d and the lift %d",
+						n, viscous, scr, vol, liftScratchLen(n))
 				}
 				s.SetInitial(GaussianPulse(1, 1, 1, 0.05, 0.5))
 				s.Run(1)
@@ -177,9 +237,9 @@ func arrayBytes(s *Solver) int {
 // benchmark's compute.n10 shape (inviscid, N = 10, 4 × 4 × 4 elements per
 // rank, one worker) and visc.n10 shape (viscous and dealiased, 3 × 3 × 3)
 // at what was measured plus 5 %, so that a whole-rank array that comes
-// back fails. On the inviscid shape it also holds the layout itself: U,
-// u1, one kept face per in-rank pair, the two rank-boundary buffers, and
-// no whole-rank flux trace or residual.
+// back fails. On both shapes it also holds the layout itself: U, u1, one
+// kept face per in-rank pair, the two rank-boundary buffers, and no
+// other per-field array — no whole-rank flux trace or residual.
 func TestRankFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -188,7 +248,7 @@ func TestRankFootprint(t *testing.T) {
 		bytes   int // measured
 	}{
 		{"compute.n10", 4, false, 6_096_784},
-		{"visc.n10", 3, true, 4_334_416},
+		{"visc.n10", 3, true, 2_606_416},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(2, 10, tc.local)
@@ -204,10 +264,7 @@ func TestRankFootprint(t *testing.T) {
 				}
 				defer s.Close()
 				got[r.ID()] = arrayBytes(s)
-				if !tc.viscous {
-					return checkInviscidLayout(s)
-				}
-				return nil
+				return checkLayout(s)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +279,7 @@ func TestRankFootprint(t *testing.T) {
 	}
 }
 
-func checkInviscidLayout(s *Solver) error {
+func checkLayout(s *Solver) error {
 	n2 := s.Cfg.N * s.Cfg.N
 	vol := s.Nel() * n2 * s.Cfg.N
 	pairs := 0
@@ -232,12 +289,20 @@ func checkInviscidLayout(s *Solver) error {
 		}
 	}
 	pairs /= 2
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; {
+		case v.Field(i).Type() != reflect.TypeOf(s.U):
+		case name != "U" && name != "Source" && name != "u1" && name != "sumU" && name != "sumF" && name != "keep":
+			return fmt.Errorf("the solver holds a per-field array %s", name)
+		}
+	}
 	for c := 0; c < NumFields; c++ {
 		switch {
 		case len(s.U[c]) != vol || len(s.u1[c]) != vol:
 			return fmt.Errorf("field %d: U and u1 hold %d and %d points, the rank %d", c, len(s.U[c]), len(s.u1[c]), vol)
-		case s.rhs[c] != nil || s.faceF[c] != nil || s.Source[c] != nil:
-			return fmt.Errorf("field %d: a whole-rank residual, flux trace or source array is held", c)
+		case s.Source[c] != nil:
+			return fmt.Errorf("field %d: a source array is held", c)
 		case len(s.keep[c]) != pairs*n2:
 			return fmt.Errorf("field %d: %d kept points, %d in-rank pairs", c, len(s.keep[c]), pairs)
 		case len(s.sumU[c]) != len(s.remote)*n2 || len(s.sumF[c]) != len(s.remote)*n2:

@@ -93,10 +93,10 @@ func runViscousRHSGolden(t *testing.T, n int, variant sem.KernelVariant, overlap
 		defer s.Close()
 		roughState(s, 34)
 		s.MaxWaveSpeed()
-		s.rhsEval(&s.U, 1, 0) // the first stage with dt = 0: s.rhs is U's right-hand side
+		s.rhsEval(&s.U, 0, 0) // stage 0 stores U's right-hand side in u1
 		h := fnv.New64a()
 		var buf [8]byte
-		for _, f := range s.rhs {
+		for _, f := range s.u1 {
 			for _, v := range f {
 				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 				h.Write(buf[:])

@@ -1,10 +1,13 @@
 package solver
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/sem"
 )
 
 // shearWaveIC returns u_y = amp*sin(2 pi x / L) on a quiescent uniform
@@ -294,4 +297,116 @@ func TestEntropyWaveSpectralConvergence(t *testing.T) {
 	if fine > 1e-4 {
 		t.Fatalf("N=8 entropy wave error too large: %v", fine)
 	}
+}
+
+// faceGradSpecials are the values FuzzFaceGradient laces its states
+// with: signed zeros and subnormals, which decide the sign of a zero
+// sum and where a kernel starts its accumulator.
+var faceGradSpecials = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-308, -1e-310}
+
+// FuzzFaceGradient holds the viscous face pass to the volume pass at the
+// face points of one random element, bit for bit: every face's
+// derivatives of the velocity and temperature (ElemDeriv.FaceApply
+// against Apply and GatherFace) and its viscous flux trace
+// (faceViscousFlux against volumeElem's own flux traces). The seed
+// corpus covers every order from 2 to 17 with both kernel variants;
+// density d in (0, 8) sets about every d-th value of the state to a
+// signed zero or a subnormal. Any NaN equals any NaN.
+func FuzzFaceGradient(f *testing.F) {
+	for n := 2; n <= 17; n++ {
+		f.Add(int64(n), uint8(n-2), false, uint8(n%4))
+		f.Add(int64(100+n), uint8(n-2), true, uint8(1+n%3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rn uint8, basic bool, density uint8) {
+		if err := faceGradientAgrees(seed, 2+int(rn)%16, basic, int(density)%8); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func faceGradientAgrees(seed int64, n int, basic bool, density int) error {
+	n2, n3 := n*n, n*n*n
+	rng := rand.New(rand.NewSource(seed))
+	v := sem.Optimized
+	if basic {
+		v = sem.Basic
+	}
+	ref := sem.NewRef1D(n)
+	s := &Solver{Cfg: Config{N: n, Mu: 0.01, Pr: 0.72, Variant: v}, Ref: ref, rx: 2}
+	var u [NumFields][]float64
+	for c := range u {
+		u[c] = make([]float64, n3)
+		for i := range u[c] {
+			switch {
+			case density > 0 && rng.Intn(density) == 0 && c != IRho:
+				u[c][i] = faceGradSpecials[rng.Intn(len(faceGradSpecials))]
+			case c == IRho:
+				u[c][i] = 0.5 + rng.Float64()
+			case c == IEnergy:
+				u[c][i] = 2 + rng.Float64()
+			default:
+				u[c][i] = 2*rng.Float64() - 1
+			}
+		}
+	}
+	s.in, s.kern = &u, sem.NewElemDeriv(v, ref)
+	r, own, scr := viscousSlot(make([]float64, NumFields*n3+ownTracesLen(n)+max(23*n3, 5*n3+28*n2)), n)
+	var sl volSlot
+	s.volumeElem(0, &sl, scr, &r, &own)
+
+	prim := scr[:5*n3]
+	s.elemPrimitives(0, prim)
+	full, tr, got, want, tmp := make([]float64, n3), make([]float64, n2), make([]float64, n2), make([]float64, n2), make([]float64, n2)
+	for q, name := range []string{"vx", "vy", "vz", "T"} {
+		x := prim[q*n3:][:n3]
+		for dir := sem.DirR; dir <= sem.DirT; dir++ {
+			s.kern.Apply(dir, x, full)
+			for f := 0; f < sem.NFaces; f++ {
+				sem.GatherFace(n, f, x, tr)
+				sem.GatherFace(n, f, full, want)
+				s.kern.FaceApply(dir, f, x, tr, got, tmp)
+				if i := diffBitsNaN(got, want); i >= 0 {
+					return fmt.Errorf("N=%d %v: %v of %s at face %d point %d: FaceApply %v, Apply %v", n, v, dir, name, f, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	var fl, st faceSlabs
+	st.lay(fl.lay(make([]float64, 2*NumFields*n2), n2), n2)
+	for f := range own {
+		s.gatherTrace(0, f, &st)
+		s.faceViscousFlux(f, prim, &st, scr[5*n3:], &fl, &sl)
+		for c := range fl {
+			if i := diffBitsNaN(fl[c], own[f][c]); i >= 0 {
+				return fmt.Errorf("N=%d %v: face %d field %d point %d: face pass %v, volume pass %v", n, v, f, c, i, fl[c][i], own[f][c][i])
+			}
+		}
+	}
+	return nil
+}
+
+// viscousSlot lays a viscous pool slot's scratch out over buf as
+// postElems does: the residual, the element's own flux traces, then the
+// rest.
+func viscousSlot(buf []float64, n int) (r [NumFields][]float64, own [sem.NFaces]faceSlabs, scr []float64) {
+	n3 := n * n * n
+	for c := range r {
+		r[c] = buf[c*n3:][:n3]
+	}
+	scr = buf[NumFields*n3:]
+	for f := range own {
+		scr = own[f].lay(scr, n*n)
+	}
+	return r, own, scr
+}
+
+// diffBitsNaN returns the first index at which got and want differ by
+// Float64bits, any two NaNs alike, or -1.
+func diffBitsNaN(got, want []float64) int {
+	for i, w := range want {
+		if g := got[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
 }
