@@ -31,9 +31,14 @@ test:
 # table repeats under -race and the comm tests also run on one P, where
 # every wait takes the park-only path; the option matrix runs there too,
 # to show that which wait path runs never reaches physics or clocks.
+# The collective-traffic golden, the collectives' allocation ceilings
+# (which skip themselves under -race, whose runtime drops pooled
+# envelopes at random) and the member-scoped death checks of split
+# groups repeat too.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/pool/... ./internal/gs/... ./internal/sem/...
 	$(GO) test -race -count=50 -run 'TestMailboxAwait|TestSpinGate' ./internal/comm/
+	$(GO) test -race -count=10 -run 'TestCollectiveTraceGolden|TestCollectiveAllocs|TestGroupCollectiveScopedToMembers' ./internal/comm/
 	GOMAXPROCS=1 $(GO) test ./internal/comm/...
 	GOMAXPROCS=1 $(GO) test -run TestOptionMatrixInvariance .
 	$(GO) test -race -run 'TestWorkers|TestStraggler|TestOverlap|TestFacePairing' ./internal/solver/...

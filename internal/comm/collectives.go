@@ -176,21 +176,9 @@ func (r *Rank) Barrier() {
 	if r.hierOn() {
 		bytes = r.barrierHier()
 	} else {
-		bytes = r.barrierRaw()
+		bytes = r.world().barrier(collTagBase + 0)
 	}
 	coll.done(bytes)
-}
-
-// barrierRaw is the flat dissemination barrier.
-func (r *Rank) barrierRaw() int64 {
-	p, id := r.comm.size, r.id
-	tag := collTagBase + 0
-	var bytes int64
-	for k := 1; k < p; k <<= 1 {
-		bytes += r.sendRaw((id+k)%p, tag, nil, nil)
-		r.freeRaw(r.recvRaw((id-k%p+p)%p, tag))
-	}
-	return bytes
 }
 
 // catchDead converts a panicked DeadRankError into a returned error;
@@ -228,60 +216,32 @@ func (r *Rank) AllreduceErr(op ReduceOp, data []float64) (out []float64, err err
 // results). Non-root ranks pass nil and receive the broadcast value;
 // root gets its own slice back.
 func (r *Rank) Bcast(root int, data []float64) []float64 {
-	coll := r.collStart("MPI_Bcast")
-	var (
-		d     []float64
-		bytes int64
-	)
-	if r.hierOn() {
-		d, _, bytes = r.bcastHier(root, data, nil)
-	} else {
-		d, _, bytes = r.bcastRaw(root, data, nil)
-	}
-	coll.done(bytes)
+	d, _ := r.bcast(root, data, nil)
 	return d
 }
 
 // BcastInts is Bcast for int64 payloads.
 func (r *Rank) BcastInts(root int, ints []int64) []int64 {
-	coll := r.collStart("MPI_Bcast")
-	var (
-		is    []int64
-		bytes int64
-	)
-	if r.hierOn() {
-		_, is, bytes = r.bcastHier(root, nil, ints)
-	} else {
-		_, is, bytes = r.bcastRaw(root, nil, ints)
-	}
-	coll.done(bytes)
+	_, is := r.bcast(root, nil, ints)
 	return is
 }
 
-func (r *Rank) bcastRaw(root int, data []float64, ints []int64) ([]float64, []int64, int64) {
-	p, id := r.comm.size, r.id
-	vr := (id - root + p) % p
-	tag := collTagBase + 1
-	var bytes int64
-	// Binomial tree (MPICH shape): receive from the parent identified by
-	// the lowest set bit of vr, then forward to children at successively
-	// lower bits.
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := (id - mask + p) % p
-			m := r.recvRaw(parent, tag)
-			data, ints = m.data, m.ints
-			break
-		}
-		mask <<= 1
+func (r *Rank) bcast(root int, data []float64, ints []int64) ([]float64, []int64) {
+	coll := r.collStart("MPI_Bcast")
+	var (
+		m     *message
+		bytes int64
+	)
+	if r.hierOn() {
+		m, bytes = r.bcastHier(root, data, ints)
+	} else {
+		m, bytes = r.world().bcast(root, collTagBase+1, data, ints)
 	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vr+mask < p {
-			bytes += r.sendRaw((id+mask)%p, tag, data, ints)
-		}
+	coll.done(bytes)
+	if m != nil {
+		return m.data, m.ints
 	}
-	return data, ints, bytes
+	return data, ints
 }
 
 // Reduce combines data from all ranks onto root using a binomial tree.
@@ -290,30 +250,21 @@ func (r *Rank) bcastRaw(root int, data []float64, ints []int64) ([]float64, []in
 // scratch) and the return value is nil.
 func (r *Rank) Reduce(op ReduceOp, root int, data []float64) []float64 {
 	coll := r.collStart("MPI_Reduce")
+	var (
+		held  bool
+		bytes int64
+	)
 	// The hierarchical path requires a node-leader root; rank 0 (the only
 	// root the mini-app reduces onto) is always the leader of its node.
 	if r.hierOn() && root == 0 {
-		out, bytes := r.reduceHier(op, root, data)
-		coll.done(bytes)
-		return out
-	}
-	p, id := r.comm.size, r.id
-	vr := (id - root + p) % p
-	tag := collTagBase + 2
-	var bytes int64
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			bytes += r.sendRaw((vr-mask+root)%p, tag, data, nil)
-			coll.done(bytes)
-			return nil
-		}
-		if vr+mask < p {
-			m := r.recvRaw((vr+mask+root)%p, tag)
-			op.combine(data, m.data)
-			r.freeRaw(m)
-		}
+		held, bytes = r.reduceHier(op, root, data)
+	} else {
+		held, bytes = r.world().reduce(op, root, collTagBase+2, data, nil)
 	}
 	coll.done(bytes)
+	if !held {
+		return nil
+	}
 	return data
 }
 
@@ -342,7 +293,7 @@ func (r *Rank) Allreduce(op ReduceOp, data []float64) []float64 {
 	case r.hierOn():
 		bytes = r.allreduceHier(op, data, nil)
 	default:
-		bytes = r.allreduceRaw(op, data, nil)
+		bytes = r.world().allreduce(op, collTagBase+3, data, nil)
 	}
 	coll.done(bytes)
 	return data
@@ -434,7 +385,7 @@ func (r *Rank) AllreduceInts(op ReduceOp, ints []int64) []int64 {
 	if r.hierOn() {
 		bytes = r.allreduceHier(op, nil, ints)
 	} else {
-		bytes = r.allreduceRaw(op, nil, ints)
+		bytes = r.world().allreduce(op, collTagBase+3, nil, ints)
 	}
 	coll.done(bytes)
 	return ints
@@ -450,44 +401,6 @@ func (r *Rank) combineFrom(op ReduceOp, data []float64, ints []int64, m *message
 		op.combineInts(ints, m.ints)
 	}
 	r.freeRaw(m)
-}
-
-func (r *Rank) allreduceRaw(op ReduceOp, data []float64, ints []int64) int64 {
-	p, id := r.comm.size, r.id
-	tag := collTagBase + 3
-	var bytes int64
-	// Fold ranks beyond the largest power of two into the lower block.
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	rem := p - p2
-	if id >= p2 {
-		bytes += r.sendRaw(id-p2, tag, data, ints)
-		m := r.recvRaw(id-p2, tag)
-		if data != nil {
-			copy(data, m.data)
-		}
-		if ints != nil {
-			copy(ints, m.ints)
-		}
-		r.freeRaw(m)
-		return bytes
-	}
-	if id < rem {
-		m := r.recvRaw(id+p2, tag)
-		r.combineFrom(op, data, ints, m)
-	}
-	// Recursive doubling among the power-of-two block.
-	for mask := 1; mask < p2; mask <<= 1 {
-		partner := id ^ mask
-		bytes += r.sendRaw(partner, tag, data, ints)
-		r.combineFrom(op, data, ints, r.recvRaw(partner, tag))
-	}
-	if id < rem {
-		bytes += r.sendRaw(id+p2, tag, data, ints)
-	}
-	return bytes
 }
 
 // Gather collects fixed-size contributions onto root, concatenated in
@@ -509,6 +422,7 @@ func (r *Rank) Gather(root int, data []float64) []float64 {
 		}
 		m := r.recvRaw(src, tag)
 		copy(out[src*len(data):], m.data)
+		r.freeRaw(m)
 	}
 	coll.done(0)
 	return out
@@ -526,12 +440,9 @@ func (r *Rank) Scatter(root int, send []float64, n int) []float64 {
 		}
 		var bytes int64
 		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
+			if dst != root {
+				bytes += r.sendRaw(dst, tag, send[dst*n:(dst+1)*n], nil)
 			}
-			chunk := make([]float64, n)
-			copy(chunk, send[dst*n:(dst+1)*n])
-			bytes += r.sendRaw(dst, tag, chunk, nil)
 		}
 		out := make([]float64, n)
 		copy(out, send[id*n:(id+1)*n])
@@ -547,23 +458,10 @@ func (r *Rank) Scatter(root int, send []float64, n int) []float64 {
 // order on every rank (ring algorithm, P-1 steps).
 func (r *Rank) Allgather(data []float64) []float64 {
 	coll := r.collStart("MPI_Allgather")
-	p, id := r.comm.size, r.id
 	n := len(data)
-	tag := collTagBase + 6
-	out := make([]float64, n*p)
-	copy(out[id*n:], data)
-	var bytes int64
-	right, left := (id+1)%p, (id-1+p)%p
-	cur := id
-	for step := 0; step < p-1; step++ {
-		chunk := make([]float64, n)
-		copy(chunk, out[cur*n:(cur+1)*n])
-		bytes += r.sendRaw(right, tag, chunk, nil)
-		m := r.recvRaw(left, tag)
-		cur = (cur - 1 + p) % p
-		copy(out[cur*n:], m.data)
-	}
-	coll.done(bytes)
+	out := make([]float64, n*r.comm.size)
+	copy(out[r.id*n:], data)
+	coll.done(r.world().allgather(collTagBase+6, n, out, nil))
 	return out
 }
 
@@ -571,20 +469,9 @@ func (r *Rank) Allgather(data []float64) []float64 {
 // gather-scatter setup uses to learn global sizes.
 func (r *Rank) AllgatherInts(v int64) []int64 {
 	coll := r.collStart("MPI_Allgather")
-	p, id := r.comm.size, r.id
-	tag := collTagBase + 7
-	out := make([]int64, p)
-	out[id] = v
-	var bytes int64
-	right, left := (id+1)%p, (id-1+p)%p
-	cur := id
-	for step := 0; step < p-1; step++ {
-		bytes += r.sendRaw(right, tag, nil, []int64{out[cur]})
-		m := r.recvRaw(left, tag)
-		cur = (cur - 1 + p) % p
-		out[cur] = m.ints[0]
-	}
-	coll.done(bytes)
+	out := make([]int64, r.comm.size)
+	out[r.id] = v
+	coll.done(r.world().allgather(collTagBase+7, 1, nil, out))
 	return out
 }
 
@@ -593,22 +480,16 @@ func (r *Rank) AllgatherInts(v int64) []int64 {
 // the generalized all-to-all the gather-scatter discovery phase uses.
 func (r *Rank) Alltoall(send []float64, n int) []float64 {
 	coll := r.collStart("MPI_Alltoall")
-	p, id := r.comm.size, r.id
+	p := r.comm.size
 	if len(send) != n*p {
 		panic(fmt.Sprintf("comm: alltoall needs %d values, got %d", n*p, len(send)))
 	}
-	tag := collTagBase + 8
-	out := make([]float64, n*p)
-	copy(out[id*n:], send[id*n:(id+1)*n])
-	var bytes int64
-	for step := 1; step < p; step++ {
-		dst := (id + step) % p
-		src := (id - step + p) % p
-		bytes += r.sendRaw(dst, tag, send[dst*n:(dst+1)*n], nil)
-		m := r.recvRaw(src, tag)
-		copy(out[src*n:], m.data)
-		r.freeRaw(m)
+	counts := make([]int, p)
+	for i := range counts {
+		counts[i] = n
 	}
+	got, bytes := r.world().alltoall(collTagBase+8, send, nil, counts)
+	out, _ := concatParts(r, got, send, counts, msgData)
 	coll.done(bytes)
 	return out
 }
@@ -618,44 +499,8 @@ func (r *Rank) Alltoall(send []float64, n int) []float64 {
 // along with the per-source counts.
 func (r *Rank) AlltoallvInts(send []int64, sendCounts []int) (recv []int64, recvCounts []int) {
 	coll := r.collStart("MPI_Alltoallv")
-	p, id := r.comm.size, r.id
-	if len(sendCounts) != p {
-		panic(fmt.Sprintf("comm: alltoallv needs %d counts, got %d", p, len(sendCounts)))
-	}
-	offs := make([]int, p+1)
-	for i, c := range sendCounts {
-		offs[i+1] = offs[i] + c
-	}
-	if offs[p] != len(send) {
-		panic(fmt.Sprintf("comm: alltoallv counts sum %d != payload %d", offs[p], len(send)))
-	}
-	tag := collTagBase + 9
-	got := make([]*message, p)
-	var bytes int64
-	for step := 1; step < p; step++ {
-		dst := (id + step) % p
-		src := (id - step + p) % p
-		bytes += r.sendRaw(dst, tag, nil, send[offs[dst]:offs[dst+1]])
-		got[src] = r.recvRaw(src, tag)
-	}
-	recvCounts = make([]int, p)
-	total := 0
-	for q, m := range got {
-		recvCounts[q] = sendCounts[id]
-		if m != nil {
-			recvCounts[q] = len(m.ints)
-		}
-		total += recvCounts[q]
-	}
-	recv = make([]int64, 0, total)
-	for q, m := range got {
-		if q == id {
-			recv = append(recv, send[offs[id]:offs[id+1]]...)
-		} else {
-			recv = append(recv, m.ints...)
-			r.freeRaw(m)
-		}
-	}
+	got, bytes := r.world().alltoall(collTagBase+9, nil, send, sendCounts)
+	recv, recvCounts = concatParts(r, got, send, sendCounts, msgInts)
 	coll.done(bytes)
 	return recv, recvCounts
 }
@@ -663,44 +508,41 @@ func (r *Rank) AlltoallvInts(send []int64, sendCounts []int) (recv []int64, recv
 // Alltoallv is AlltoallvInts for float64 payloads.
 func (r *Rank) Alltoallv(send []float64, sendCounts []int) (recv []float64, recvCounts []int) {
 	coll := r.collStart("MPI_Alltoallv")
-	p, id := r.comm.size, r.id
-	if len(sendCounts) != p {
-		panic(fmt.Sprintf("comm: alltoallv needs %d counts, got %d", p, len(sendCounts)))
-	}
-	offs := make([]int, p+1)
-	for i, c := range sendCounts {
-		offs[i+1] = offs[i] + c
-	}
-	if offs[p] != len(send) {
-		panic(fmt.Sprintf("comm: alltoallv counts sum %d != payload %d", offs[p], len(send)))
-	}
-	tag := collTagBase + 10
-	got := make([]*message, p)
-	var bytes int64
-	for step := 1; step < p; step++ {
-		dst := (id + step) % p
-		src := (id - step + p) % p
-		bytes += r.sendRaw(dst, tag, send[offs[dst]:offs[dst+1]], nil)
-		got[src] = r.recvRaw(src, tag)
-	}
-	recvCounts = make([]int, p)
-	total := 0
-	for q, m := range got {
-		recvCounts[q] = sendCounts[id]
-		if m != nil {
-			recvCounts[q] = len(m.data)
-		}
-		total += recvCounts[q]
-	}
-	recv = make([]float64, 0, total)
-	for q, m := range got {
-		if q == id {
-			recv = append(recv, send[offs[id]:offs[id+1]]...)
-		} else {
-			recv = append(recv, m.data...)
-			r.freeRaw(m)
-		}
-	}
+	got, bytes := r.world().alltoall(collTagBase+10, send, nil, sendCounts)
+	recv, recvCounts = concatParts(r, got, send, sendCounts, msgData)
 	coll.done(bytes)
 	return recv, recvCounts
+}
+
+func msgData(m *message) []float64 { return m.data }
+func msgInts(m *message) []int64   { return m.ints }
+
+// concatParts assembles an all-to-all's result: in rank order, this
+// rank's own part of send and every other rank's received payload, with
+// the per-source counts. It recycles the messages.
+func concatParts[T any](r *Rank, got []*message, send []T, sendCounts []int, payload func(*message) []T) ([]T, []int) {
+	lo := 0
+	for _, c := range sendCounts[:r.id] {
+		lo += c
+	}
+	own := send[lo : lo+sendCounts[r.id]]
+	counts := make([]int, len(got))
+	total := 0
+	for q, m := range got {
+		counts[q] = len(own)
+		if m != nil {
+			counts[q] = len(payload(m))
+		}
+		total += counts[q]
+	}
+	out := make([]T, 0, total)
+	for _, m := range got {
+		if m == nil {
+			out = append(out, own...)
+			continue
+		}
+		out = append(out, payload(m)...)
+		r.freeRaw(m)
+	}
+	return out, counts
 }

@@ -415,7 +415,7 @@ func TestRabenseifnerMatchesRecursiveDoubling(t *testing.T) {
 			} {
 				rd := append([]float64(nil), c.probe...)
 				rab := append([]float64(nil), c.probe...)
-				r.allreduceRaw(c.op, rd, nil)
+				r.world().allreduce(c.op, collTagBase+3, rd, nil)
 				r.allreduceRabenseifner(c.op, rab)
 				for i := range rd {
 					if math.Float64bits(rd[i]) != math.Float64bits(rab[i]) {

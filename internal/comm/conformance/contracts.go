@@ -285,6 +285,23 @@ var Contracts = []Contract{
 		Seeds:         []int64{1, 4},
 	},
 	{
+		// Split groups of unequal size — five members (not a power of
+		// two), two, and a singleton, each ordered by descending world
+		// rank — run every Group collective at the same time: Barrier,
+		// Bcast from every root, Allreduce under every op and Allgather,
+		// each checked against a serial reference over the group. The
+		// tracer fails the run if a group collective's message leaves
+		// its group.
+		Name:          "split-group-collectives",
+		Ranks:         len(splitColors),
+		Deterministic: true,
+		Opts: func() comm.Options {
+			return comm.Options{Model: netmodel.GigE, Tracer: groupBoundTracer{}}
+		},
+		Rank:  splitGroupCollectives,
+		Seeds: []int64{1, 2},
+	},
+	{
 		// A node leader dying mid-run fails hierarchical collectives fast
 		// with a typed DeadRankError on every rank — including the dead
 		// leader's node members, who must not deadlock waiting for their
@@ -532,8 +549,8 @@ func propertyCollectives(r *comm.Rank, seed int64) error {
 
 // serialRD simulates the flat recursive-doubling allreduce combine tree
 // locally for a power-of-two rank count: at each round every rank folds
-// its partner's pre-round buffer into its own, exactly as allreduceRaw
-// does, so the result is the bitwise reference the hierarchical path
+// its partner's pre-round buffer into its own, exactly as the flat
+// recursive-doubling allreduce does, so the result is the bitwise reference the hierarchical path
 // must reproduce on pow2 block layouts.
 func serialRD(op comm.ReduceOp, inputs [][]float64) []float64 {
 	p := len(inputs)
@@ -620,6 +637,78 @@ func hierCollectivesVsFlat(r *comm.Rank, seed int64) error {
 	if err := r.BarrierErr(); err != nil {
 		return fmt.Errorf("hier barrier: %v", err)
 	}
+	return nil
+}
+
+// splitColors is the rank -> color map of split-group-collectives:
+// groups {0,2,3,5,6}, {1,4} and {7}.
+var splitColors = []int{0, 1, 0, 0, 1, 0, 0, 2}
+
+// splitGroupTagBase is where the split-group collectives' tags start
+// (comm's groupTagBase): color c's collectives use tags
+// splitGroupTagBase+16c+op, and nothing else uses tags that high.
+const splitGroupTagBase = 1 << 26
+
+// groupBoundTracer panics, failing the sending rank, when a message of
+// a group collective goes to or comes from a rank outside the color
+// whose tag window it carries.
+type groupBoundTracer struct{}
+
+func (groupBoundTracer) Record(e comm.TraceEvent) {
+	if e.Tag < splitGroupTagBase {
+		return
+	}
+	c := (e.Tag - splitGroupTagBase) / 16
+	if splitColors[e.Src] != c || splitColors[e.Dst] != c {
+		panic(fmt.Errorf("group message with color %d's tag %d crossed groups: world %d (color %d) -> world %d (color %d)",
+			c, e.Tag, e.Src, splitColors[e.Src], e.Dst, splitColors[e.Dst]))
+	}
+}
+
+func splitGroupCollectives(r *comm.Rank, seed int64) error {
+	id := r.ID()
+	color := splitColors[id]
+	var members []int // group order: keys -world rank, descending rank
+	for w := len(splitColors) - 1; w >= 0; w-- {
+		if splitColors[w] == color {
+			members = append(members, w)
+		}
+	}
+	g := r.Split(color, -id)
+	if got := g.Members(); fmt.Sprint(got) != fmt.Sprint(members) {
+		return fmt.Errorf("color %d members %v, want %v", color, got, members)
+	}
+	const n = 9
+	inputs := make([][]float64, len(members)) // by group index
+	for i, w := range members {
+		inputs[i] = intPayload(rankRNG(seed, w, 7), n)
+	}
+	mine := func() []float64 { return append([]float64(nil), inputs[g.ID()]...) }
+	g.Barrier()
+	for root := range members {
+		var in []float64
+		if g.ID() == root {
+			in = mine()
+		}
+		got := g.Bcast(root, in)
+		if fmt.Sprint(got) != fmt.Sprint(inputs[root]) {
+			return fmt.Errorf("color %d bcast root %d = %v, want %v", color, root, got, inputs[root])
+		}
+	}
+	for _, op := range []comm.ReduceOp{comm.OpSum, comm.OpProd, comm.OpMin, comm.OpMax} {
+		want := serialReduce(op, inputs)
+		if got := g.Allreduce(op, mine()); fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("color %d allreduce %v = %v, want %v", color, op, got, want)
+		}
+	}
+	var want []float64
+	for _, in := range inputs {
+		want = append(want, in...)
+	}
+	if got := g.Allgather(mine()); fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Errorf("color %d allgather = %v, want %v", color, got, want)
+	}
+	g.Barrier()
 	return nil
 }
 

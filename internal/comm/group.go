@@ -37,8 +37,11 @@ func (r *Rank) Split(color, key int) *Group {
 	start := time.Now()
 	v0 := r.clock.Now()
 	// Learn everyone's (color, key): two integer allgathers.
-	colors := r.allgatherInt64Raw(int64(color), collTagBase+12)
-	keys := r.allgatherInt64Raw(int64(key), collTagBase+13)
+	colors := make([]int64, r.comm.size)
+	keys := make([]int64, r.comm.size)
+	colors[r.id], keys[r.id] = int64(color), int64(key)
+	r.world().allgather(collTagBase+12, 1, nil, colors)
+	r.world().allgather(collTagBase+13, 1, nil, keys)
 	type memberKey struct{ key, rank int }
 	var mine []memberKey
 	for rank, c := range colors {
@@ -61,23 +64,6 @@ func (r *Rank) Split(color, key int) *Group {
 	}
 	r.prof.record("MPI_Comm_split", time.Since(start).Seconds(), r.clock.Now()-v0, 0)
 	return g
-}
-
-// allgatherInt64Raw is the ring allgather of one int64 per rank without
-// profiling (used inside Split, which records itself as one MPI call).
-func (r *Rank) allgatherInt64Raw(v int64, tag int) []int64 {
-	p, id := r.comm.size, r.id
-	out := make([]int64, p)
-	out[id] = v
-	right, left := (id+1)%p, (id-1+p)%p
-	cur := id
-	for step := 0; step < p-1; step++ {
-		r.sendRaw(right, tag, nil, []int64{out[cur]})
-		m := r.recvRaw(left, tag)
-		cur = (cur - 1 + p) % p
-		out[cur] = m.ints[0]
-	}
-	return out
 }
 
 // Size returns the group's rank count.
@@ -119,41 +105,27 @@ func (g *Group) Recv(src, tag int) []float64 {
 	return g.r.Recv(w, tag)
 }
 
+// team is the group's members in group order, scoped to them: only a
+// member's death fails a group collective.
+func (g *Group) team() *team {
+	return &team{r: g.r, ranks: g.members, n: len(g.members), me: g.myIdx, scope: g.members}
+}
+
 // Barrier blocks until every group member has entered it (dissemination
 // over the group's members).
 func (g *Group) Barrier() {
 	coll := g.r.collStart("MPI_Barrier")
-	p, id := len(g.members), g.myIdx
-	var bytes int64
-	for k := 1; k < p; k <<= 1 {
-		bytes += g.r.sendRaw(g.members[(id+k)%p], g.tag(0), nil, nil)
-		g.r.recvRawColl(g.members[(id-k%p+p)%p], g.tag(0), g.members)
-	}
-	coll.done(bytes)
+	coll.done(g.team().barrier(g.tag(0)))
 }
 
 // Bcast broadcasts from group root (binomial tree over the group).
 func (g *Group) Bcast(root int, data []float64) []float64 {
 	coll := g.r.collStart("MPI_Bcast")
-	p, id := len(g.members), g.myIdx
-	vr := (id - root + p) % p
-	var bytes int64
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := g.members[(id-mask+p)%p]
-			m := g.r.recvRawColl(parent, g.tag(1), g.members)
-			data = m.data
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vr+mask < p {
-			bytes += g.r.sendRaw(g.members[(id+mask)%p], g.tag(1), data, nil)
-		}
-	}
+	m, bytes := g.team().bcast(root, g.tag(1), data, nil)
 	coll.done(bytes)
+	if m != nil {
+		return m.data
+	}
 	return data
 }
 
@@ -161,35 +133,7 @@ func (g *Group) Bcast(root int, data []float64) []float64 {
 // fold for non-power-of-two group sizes), updating data in place.
 func (g *Group) Allreduce(op ReduceOp, data []float64) []float64 {
 	coll := g.r.collStart("MPI_Allreduce")
-	p, id := len(g.members), g.myIdx
-	tag := g.tag(2)
-	var bytes int64
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	rem := p - p2
-	if id >= p2 {
-		bytes += g.r.sendRaw(g.members[id-p2], tag, data, nil)
-		m := g.r.recvRawColl(g.members[id-p2], tag, g.members)
-		copy(data, m.data)
-		coll.done(bytes)
-		return data
-	}
-	if id < rem {
-		m := g.r.recvRawColl(g.members[id+p2], tag, g.members)
-		op.combine(data, m.data)
-	}
-	for mask := 1; mask < p2; mask <<= 1 {
-		partner := g.members[id^mask]
-		bytes += g.r.sendRaw(partner, tag, data, nil)
-		m := g.r.recvRawColl(partner, tag, g.members)
-		op.combine(data, m.data)
-	}
-	if id < rem {
-		bytes += g.r.sendRaw(g.members[id+p2], tag, data, nil)
-	}
-	coll.done(bytes)
+	coll.done(g.team().allreduce(op, g.tag(2), data, nil))
 	return data
 }
 
@@ -197,22 +141,9 @@ func (g *Group) Allreduce(op ReduceOp, data []float64) []float64 {
 // order on every member (ring over the group).
 func (g *Group) Allgather(data []float64) []float64 {
 	coll := g.r.collStart("MPI_Allgather")
-	p, id := len(g.members), g.myIdx
 	n := len(data)
-	tag := g.tag(3)
-	out := make([]float64, n*p)
-	copy(out[id*n:], data)
-	var bytes int64
-	right, left := g.members[(id+1)%p], g.members[(id-1+p)%p]
-	cur := id
-	for step := 0; step < p-1; step++ {
-		chunk := make([]float64, n)
-		copy(chunk, out[cur*n:(cur+1)*n])
-		bytes += g.r.sendRaw(right, tag, chunk, nil)
-		m := g.r.recvRawColl(left, tag, g.members)
-		cur = (cur - 1 + p) % p
-		copy(out[cur*n:], m.data)
-	}
-	coll.done(bytes)
+	out := make([]float64, n*len(g.members))
+	copy(out[g.myIdx*n:], data)
+	coll.done(g.team().allgather(g.tag(3), n, out, nil))
 	return out
 }

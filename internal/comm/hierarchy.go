@@ -11,17 +11,21 @@ import "fmt"
 // inherits from Nek5000. A communicator runs these collectives exactly
 // when Options.Hierarchy is set.
 //
-// Bit-identity: with power-of-two uniform node sizes, a power-of-two
-// node count and a block (contiguous) rank→node map, the hierarchical
-// allreduce associates floating-point sums along exactly the same
-// combine tree as the flat recursive-doubling path, so results are
-// bit-identical with hierarchy on or off (TestHierBitIdenticalPow2, the
-// hier-collectives-vs-flat conformance contract, and the hier row of
-// TestOptionMatrixInvariance pin this). Other layouts (non-power-of-two
-// nodes, irregular maps) are correct but may differ from flat in the
-// last bits of float reductions, and nothing refuses them
-// (TestHierCollectivesCorrectIrregular). Integer reductions and
-// broadcasts are exact under any layout.
+// Each phase is one of the flat path's own algorithms (team.go) run
+// over a sub-team — the node's members or the node leaders — so a
+// hierarchical collective is a composition, not a second copy. That
+// makes bit-identity hold by construction: with power-of-two uniform
+// node sizes, a power-of-two node count and a block (contiguous)
+// rank→node map, the binomial reduce over a node folds exactly the
+// pairs of the flat recursive doubling's low rounds, and the leader
+// phase is that recursive doubling itself over the high rounds, so
+// float results are bit-identical with hierarchy on or off
+// (TestHierBitIdenticalPow2, the hier-collectives-vs-flat conformance
+// contract, and the hier row of TestOptionMatrixInvariance pin this).
+// Other layouts (non-power-of-two nodes, irregular maps) are correct
+// but may differ from flat in the last bits of float reductions, and
+// nothing refuses them (TestHierCollectivesCorrectIrregular). Integer
+// reductions and broadcasts are exact under any layout.
 type Hierarchy struct {
 	nodeOf  []int   // rank -> node index (dense, 0-based)
 	nodes   [][]int // node -> ascending member ranks
@@ -138,6 +142,19 @@ const (
 // when the communicator has a Hierarchy.
 func (r *Rank) hierOn() bool { return r.comm.hier != nil }
 
+// nodeTeam is the team of r's node, its leader at position 0;
+// leaderTeam is the team of node leaders, node i at position i, which
+// only a leader joins. Like the flat path's, their receives fail on the
+// death of any member of the communicator.
+func (h *Hierarchy) nodeTeam(r *Rank) *team {
+	mem := h.nodes[h.nodeOf[r.id]]
+	return &team{r: r, ranks: mem, n: len(mem), me: h.idx[r.id]}
+}
+
+func (h *Hierarchy) leaderTeam(r *Rank) *team {
+	return &team{r: r, ranks: h.leaders, n: len(h.leaders), me: h.nodeOf[r.id]}
+}
+
 // allreduceHier is the two-level allreduce: binomial intra-node reduce
 // onto the node leader, recursive-doubling allreduce across the leaders,
 // binomial intra-node broadcast of the result. Each node injects exactly
@@ -145,148 +162,49 @@ func (r *Rank) hierOn() bool { return r.comm.hier != nil }
 // over the flat path on a topology-priced network.
 func (r *Rank) allreduceHier(op ReduceOp, data []float64, ints []int64) int64 {
 	h := r.comm.hier
-	node := h.nodeOf[r.id]
-	mem := h.nodes[node]
-	idx := h.idx[r.id]
-	nm := len(mem)
-	var bytes int64
+	node := h.nodeTeam(r)
 	r.flows = 1
-
-	// Intra-node binomial reduce onto mem[0]. The combine order matches
-	// the low rounds of flat recursive doubling under a block map.
-	for mask := 1; mask < nm; mask <<= 1 {
-		if idx&mask != 0 {
-			bytes += r.sendRaw(mem[idx-mask], hierTagReduceUp, data, ints)
-			break
-		}
-		if idx+mask < nm {
-			r.combineFrom(op, data, ints, r.recvRaw(mem[idx+mask], hierTagReduceUp))
-		}
+	_, bytes := node.reduce(op, 0, hierTagReduceUp, data, ints)
+	if node.me == 0 {
+		bytes += h.leaderTeam(r).allreduce(op, hierTagLeader, data, ints)
 	}
-
-	if idx == 0 {
-		bytes += r.allreduceMembers(op, data, ints, h.leaders, node, hierTagLeader)
-	}
-
-	// Intra-node binomial broadcast of the reduced result (MPICH shape).
-	mask := 1
-	for mask < nm {
-		if idx&mask != 0 {
-			m := r.recvRaw(mem[idx-mask], hierTagBcastDown)
-			if data != nil {
-				copy(data, m.data)
-			}
-			if ints != nil {
-				copy(ints, m.ints)
-			}
-			r.freeRaw(m)
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if idx+mask < nm {
-			bytes += r.sendRaw(mem[idx+mask], hierTagBcastDown, data, ints)
-		}
-	}
-	return bytes
-}
-
-// allreduceMembers is recursive-doubling allreduce (with the
-// non-power-of-two fold) over an explicit member list; idx is this
-// rank's position in it. It mirrors allreduceRaw but addresses members.
-func (r *Rank) allreduceMembers(op ReduceOp, data []float64, ints []int64, members []int, idx, tag int) int64 {
-	p := len(members)
-	var bytes int64
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	rem := p - p2
-	if idx >= p2 {
-		bytes += r.sendRaw(members[idx-p2], tag, data, ints)
-		m := r.recvRaw(members[idx-p2], tag)
-		if data != nil {
-			copy(data, m.data)
-		}
-		if ints != nil {
-			copy(ints, m.ints)
-		}
+	m, down := node.bcast(0, hierTagBcastDown, data, ints)
+	if m != nil {
+		copy(data, m.data)
+		copy(ints, m.ints)
 		r.freeRaw(m)
-		return bytes
 	}
-	if idx < rem {
-		r.combineFrom(op, data, ints, r.recvRaw(members[idx+p2], tag))
-	}
-	for mask := 1; mask < p2; mask <<= 1 {
-		partner := members[idx^mask]
-		bytes += r.sendRaw(partner, tag, data, ints)
-		r.combineFrom(op, data, ints, r.recvRaw(partner, tag))
-	}
-	if idx < rem {
-		bytes += r.sendRaw(members[idx+p2], tag, data, ints)
-	}
-	return bytes
+	return bytes + down
 }
 
 // barrierHier: intra-node binomial gather onto the leader, dissemination
 // barrier across leaders, intra-node binomial release.
 func (r *Rank) barrierHier() int64 {
 	h := r.comm.hier
-	node := h.nodeOf[r.id]
-	mem := h.nodes[node]
-	idx := h.idx[r.id]
-	nm := len(mem)
-	var bytes int64
+	node := h.nodeTeam(r)
 	r.flows = 1
-
-	for mask := 1; mask < nm; mask <<= 1 {
-		if idx&mask != 0 {
-			bytes += r.sendRaw(mem[idx-mask], hierTagBarUp, nil, nil)
-			break
-		}
-		if idx+mask < nm {
-			r.freeRaw(r.recvRaw(mem[idx+mask], hierTagBarUp))
-		}
+	_, bytes := node.reduce(OpSum, 0, hierTagBarUp, nil, nil)
+	if node.me == 0 {
+		bytes += h.leaderTeam(r).barrier(hierTagBarDissem)
 	}
-
-	if idx == 0 {
-		nl := len(h.leaders)
-		for k := 1; k < nl; k <<= 1 {
-			bytes += r.sendRaw(h.leaders[(node+k)%nl], hierTagBarDissem, nil, nil)
-			r.freeRaw(r.recvRaw(h.leaders[(node-k%nl+nl)%nl], hierTagBarDissem))
-		}
+	m, rel := node.bcast(0, hierTagBarRel, nil, nil)
+	if m != nil {
+		r.freeRaw(m)
 	}
-
-	mask := 1
-	for mask < nm {
-		if idx&mask != 0 {
-			r.freeRaw(r.recvRaw(mem[idx-mask], hierTagBarRel))
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if idx+mask < nm {
-			bytes += r.sendRaw(mem[idx+mask], hierTagBarRel, nil, nil)
-		}
-	}
-	return bytes
+	return bytes + rel
 }
 
 // bcastHier: the root hands its payload to its node leader, a binomial
 // broadcast runs across the leaders (rooted at the root's node), and
 // each leader broadcasts binomially within its node. Broadcast moves
-// bytes without combining, so it is bit-exact under any layout.
-func (r *Rank) bcastHier(root int, data []float64, ints []int64) ([]float64, []int64, int64) {
+// bytes without combining, so it is bit-exact under any layout. It
+// returns the message whose payload this rank receives, nil at root.
+func (r *Rank) bcastHier(root int, data []float64, ints []int64) (*message, int64) {
 	h := r.comm.hier
-	node := h.nodeOf[r.id]
-	mem := h.nodes[node]
-	idx := h.idx[r.id]
-	nm := len(mem)
+	node := h.nodeTeam(r)
 	rootNode := h.nodeOf[root]
 	rootLeader := h.leaders[rootNode]
-	origData, origInts := data, ints
+	var got *message
 	var bytes int64
 	r.flows = 1
 
@@ -294,49 +212,28 @@ func (r *Rank) bcastHier(root int, data []float64, ints []int64) ([]float64, []i
 		if r.id == root {
 			bytes += r.sendRaw(rootLeader, hierTagBcRoot, data, ints)
 		} else if r.id == rootLeader {
-			m := r.recvRaw(root, hierTagBcRoot)
-			data, ints = m.data, m.ints
+			got = r.recvRaw(root, hierTagBcRoot)
+			data, ints = got.data, got.ints
 		}
 	}
-
-	if idx == 0 {
-		nl := len(h.leaders)
-		vr := (node - rootNode + nl) % nl
-		mask := 1
-		for mask < nl {
-			if vr&mask != 0 {
-				m := r.recvRaw(h.leaders[(node-mask+nl)%nl], hierTagBcLeader)
-				data, ints = m.data, m.ints
-				break
-			}
-			mask <<= 1
-		}
-		for mask >>= 1; mask > 0; mask >>= 1 {
-			if vr+mask < nl {
-				bytes += r.sendRaw(h.leaders[(node+mask)%nl], hierTagBcLeader, data, ints)
-			}
+	if node.me == 0 {
+		m, b := h.leaderTeam(r).bcast(rootNode, hierTagBcLeader, data, ints)
+		bytes += b
+		if m != nil {
+			got, data, ints = m, m.data, m.ints
 		}
 	}
-
-	mask := 1
-	for mask < nm {
-		if idx&mask != 0 {
-			m := r.recvRaw(mem[idx-mask], hierTagBcDown)
-			data, ints = m.data, m.ints
-			break
-		}
-		mask <<= 1
+	m, b := node.bcast(0, hierTagBcDown, data, ints)
+	bytes += b
+	if m != nil {
+		got = m
 	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if idx+mask < nm {
-			bytes += r.sendRaw(mem[idx+mask], hierTagBcDown, data, ints)
-		}
-	}
-	if r.id == root {
+	if r.id == root && got != nil {
 		// The blocking Bcast contract: root gets its own slice back.
-		return origData, origInts, bytes
+		r.freeRaw(got)
+		got = nil
 	}
-	return data, ints, bytes
+	return got, bytes
 }
 
 // reduceHier: intra-node binomial reduce onto each leader, then a
@@ -344,45 +241,18 @@ func (r *Rank) bcastHier(root int, data []float64, ints []int64) ([]float64, []i
 // a node leader (the collective dispatcher only routes here for root 0,
 // which is always the leader of its node); for leader roots under a
 // power-of-two block layout the combine tree matches the flat binomial
-// reduce exactly.
-func (r *Rank) reduceHier(op ReduceOp, root int, data []float64) ([]float64, int64) {
+// reduce exactly. It reports whether this rank holds the result.
+func (r *Rank) reduceHier(op ReduceOp, root int, data []float64) (bool, int64) {
 	h := r.comm.hier
-	node := h.nodeOf[r.id]
-	mem := h.nodes[node]
-	idx := h.idx[r.id]
-	nm := len(mem)
 	rootNode := h.nodeOf[root]
 	if root != h.leaders[rootNode] {
 		panic(fmt.Sprintf("comm: hierarchical reduce root %d is not a node leader", root))
 	}
-	var bytes int64
 	r.flows = 1
-
-	for mask := 1; mask < nm; mask <<= 1 {
-		if idx&mask != 0 {
-			bytes += r.sendRaw(mem[idx-mask], hierTagRedUp, data, nil)
-			return nil, bytes
-		}
-		if idx+mask < nm {
-			m := r.recvRaw(mem[idx+mask], hierTagRedUp)
-			op.combine(data, m.data)
-			r.freeRaw(m)
-		}
+	held, bytes := h.nodeTeam(r).reduce(op, 0, hierTagRedUp, data, nil)
+	if !held {
+		return false, bytes
 	}
-
-	// Leaders: binomial reduce rooted at the root's node leader.
-	nl := len(h.leaders)
-	vr := (node - rootNode + nl) % nl
-	for mask := 1; mask < nl; mask <<= 1 {
-		if vr&mask != 0 {
-			bytes += r.sendRaw(h.leaders[(node-mask+nl)%nl], hierTagRedLeader, data, nil)
-			return nil, bytes
-		}
-		if vr+mask < nl {
-			m := r.recvRaw(h.leaders[(node+mask)%nl], hierTagRedLeader)
-			op.combine(data, m.data)
-			r.freeRaw(m)
-		}
-	}
-	return data, bytes
+	held, b := h.leaderTeam(r).reduce(op, rootNode, hierTagRedLeader, data, nil)
+	return held, bytes + b
 }
