@@ -34,7 +34,9 @@ test:
 # The collective-traffic golden, the collectives' allocation ceilings
 # (which skip themselves under -race, whose runtime drops pooled
 # envelopes at random) and the member-scoped death checks of split
-# groups repeat too.
+# groups repeat too. So do the posted-receive contracts on both
+# backends and the TCP storm: senders and reader goroutines only
+# enqueue, and each rank matches its own receives in posting order.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/obs/... ./internal/pool/... ./internal/gs/... ./internal/sem/...
 	$(GO) test -race -count=50 -run 'TestMailboxAwait|TestSpinGate' ./internal/comm/
@@ -48,6 +50,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestOptionMatrixInvariance/^(workers=3|overlap\+workers=3|viscous\+workers=3)$$' .
 	$(GO) test -race -count=10 -run 'TestOptionMatrixInvariance/^viscous\+overlap' .
 	$(GO) test -race -count=20 -run 'TestTCPIsendIrecvStorm|TestStreamHandOff|TestBroker|TestBootstrap|TestConformance(InProcess|TCP)/eager-send-backlog' ./internal/comm/...
+	$(GO) test -race -count=10 -run 'TestConformance(InProcess|TCP)/posted-|TestTCPPostedReceive|TestTCPIsendIrecvStorm' ./internal/comm/...
 	$(GO) test -race ./internal/loadbal/... ./internal/fault/... ./internal/serve/...
 
 # Fixed-seed chaos suite under the race detector: crash/recovery across 5

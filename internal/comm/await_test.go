@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/netmodel"
 )
 
 // Tests of the spin-then-park wait every blocking receive goes through
@@ -34,35 +36,33 @@ func TestMailboxAwaitWakeups(t *testing.T) {
 		wait func(c *Comm) outcome
 	}{
 		{"takeDead", func(c *Comm) outcome {
-			m, err := c.boxes[0].takeDead(awaitSrc, awaitTag, c)
+			m, err := c.boxes[0].takeDead(&Rank{comm: c}, awaitSrc, awaitTag)
 			if err != nil {
 				return outcome{err: err}
 			}
 			return outcome{val: m.data[0]}
 		}},
 		{"takeCollective", func(c *Comm) outcome {
-			m, err := c.boxes[0].takeCollective(awaitSrc, awaitTag, c, nil)
+			m, err := c.boxes[0].takeCollective(&Rank{comm: c}, awaitSrc, awaitTag, nil)
 			if err != nil {
 				return outcome{err: err}
 			}
 			return outcome{val: m.data[0]}
 		}},
 		{"peek", func(c *Comm) outcome {
-			return outcome{val: c.boxes[0].peek(awaitSrc, awaitTag, c).data[0]}
+			return outcome{val: c.boxes[0].peek(&Rank{comm: c}, awaitSrc, awaitTag).data[0]}
 		}},
 		{"waitRequest", func(c *Comm) outcome {
-			// Posted first, as IrecvInto does on a communicator without a
-			// fault plane, so deliverOrQueue takes its direct branch.
-			r := &Rank{comm: c, id: 0}
-			req := &Request{rank: r, src: awaitSrc, tag: awaitTag, from: AnySource}
-			c.boxes[0].matchOrPost(req, awaitSrc, awaitTag)
-			if err := c.boxes[0].waitRequest(req, r); err != nil {
+			// A pending Irecv waited on: the message reaches it through
+			// the owner's settle, not through a take.
+			r := &Rank{comm: c, prof: newProfile(0), clock: netmodel.NewClock(netmodel.Loopback)}
+			var req Request
+			r.IrecvInto(&req, awaitSrc, awaitTag)
+			data, _, err := req.WaitErr()
+			if err != nil {
 				return outcome{err: err}
 			}
-			if req.direct {
-				return outcome{val: req.buf[0]}
-			}
-			return outcome{val: req.msg.data[0]}
+			return outcome{val: data[0]}
 		}},
 	}
 	const payload = 42.0
@@ -72,10 +72,13 @@ func TestMailboxAwaitWakeups(t *testing.T) {
 		want func(o outcome) error
 	}{
 		{"put", func(c *Comm) {
-			c.boxes[0].put(&message{src: awaitSrc, tag: awaitTag, data: []float64{payload}})
+			c.boxes[0].put(&Frame{Src: awaitSrc, Tag: awaitTag, Data: []float64{payload}})
 		}, wantValue(payload)},
 		{"deliverOrQueue", func(c *Comm) {
-			c.boxes[0].deliverOrQueue(awaitSrc, awaitTag, []float64{payload}, nil, 0)
+			// A rank's send, which only queues into the destination's
+			// mailbox; the waiter does the matching.
+			s := &Rank{comm: c, id: awaitSrc, clock: netmodel.NewClock(netmodel.Loopback), prof: newProfile(awaitSrc)}
+			s.deliver(0, awaitTag, []float64{payload}, nil)
 		}, wantValue(payload)},
 		{"markDead", func(c *Comm) { c.markDead(awaitSrc) }, func(o outcome) error {
 			var d DeadRankError

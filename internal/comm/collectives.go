@@ -119,16 +119,12 @@ func (r *Rank) recvRaw(src, tag int) *message {
 // only the death of a participant fails the collective, never that of
 // an unrelated world rank.
 func (r *Rank) recvRawColl(src, tag int, members []int) *message {
-	for {
-		m, err := r.comm.boxes[r.id].takeCollective(src, tag, r.comm, members)
-		if err != nil {
-			panic(err)
-		}
-		if r.frameOK(m) {
-			r.clock.WaitUntil(m.arrival)
-			return m
-		}
+	m, err := r.comm.boxes[r.id].takeCollective(r, src, tag, members)
+	if err != nil {
+		panic(err)
 	}
+	r.clock.WaitUntil(m.arrival)
+	return m
 }
 
 // freeRaw recycles a raw message whose payload has been fully consumed

@@ -126,11 +126,6 @@ type Comm struct {
 	ctx        uint64
 }
 
-// directEligible reports whether the posted-receive direct-delivery fast
-// path may be used: the fault plane and its CRC framing need the staged
-// message envelope (to verify or re-send frames), so they disable it.
-func (c *Comm) directEligible() bool { return c.faults == nil }
-
 // rankDead reports whether member id of this communicator was killed.
 func (c *Comm) rankDead(id int) bool { return c.dead[id].Load() }
 

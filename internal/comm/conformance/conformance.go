@@ -1,11 +1,12 @@
 // Package conformance is the behavioral bar every comm.Transport backend
 // must clear: one table of contracts — FIFO ordering, Isend/Irecv
-// matching, posted-receive direct delivery, collectives against serial
-// references, CRC reject-and-retransmit, dead-rank error surfacing,
-// Shrink re-formation, and the seeded randomized-collective property
-// suite — run identically against the in-process reference backend and
-// the TCP multi-process backend. A future backend (QUIC, shared memory)
-// lands by passing this same table, not by growing its own tests.
+// matching, posted receives under one matching rule (posting order, on
+// every communicator), collectives against serial references, CRC
+// reject-and-retransmit, dead-rank error surfacing, Shrink re-formation,
+// and the seeded randomized-collective property suite — run identically
+// against the in-process reference backend and the TCP multi-process
+// backend. A future backend (QUIC, shared memory) lands by passing this
+// same table, not by growing its own tests.
 //
 // The in-process harness runs a contract directly under comm.Run. The
 // TCP harness re-executes the test binary once per rank in worker mode

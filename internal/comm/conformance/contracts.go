@@ -94,10 +94,10 @@ var Contracts = []Contract{
 	},
 	{
 		// Receives posted before the matching send arrives complete with
-		// the right payload — on the in-process backend this is the
-		// direct-delivery fast path (no staging copy); over TCP the frame
-		// lands in the posted request from the reader goroutine.
-		Name:          "posted-direct-delivery",
+		// the right payload, in posting order: each arriving message goes
+		// to the earliest-posted receive it matches, whether a local send
+		// or the TCP reader queued it.
+		Name:          "posted-receive",
 		Ranks:         2,
 		Deterministic: true,
 		Opts:          gigeOpts,
@@ -129,6 +129,28 @@ var Contracts = []Contract{
 			}
 			return nil
 		},
+	},
+	{
+		// MPI's posting-order rule, one matching rule on every
+		// communicator: a message goes to the earliest-posted pending
+		// receive it matches, and a later receive — a blocking Recv here
+		// — cannot take it from under a pending Irecv.
+		Name:          "posted-order-matching",
+		Ranks:         2,
+		Deterministic: true,
+		Opts:          gigeOpts,
+		Rank:          postedOrder,
+	},
+	{
+		// posted-order-matching under a fault plane that faults nothing,
+		// which turns CRC framing on.
+		Name:          "posted-order-matching-framed",
+		Ranks:         2,
+		Deterministic: true,
+		Opts: func() comm.Options {
+			return comm.Options{Model: netmodel.GigE, Faults: noFaults{}}
+		},
+		Rank: postedOrder,
 	},
 	{
 		// Sends are eager whatever the wire's buffers hold: both ranks
@@ -338,6 +360,32 @@ var Contracts = []Contract{
 			return nil
 		},
 	},
+}
+
+// postedOrder is the posted-order-matching program. Rank 1 posts
+// Irecv(AnySource, t) then Irecv(0, t) and hands rank 0 the go-ahead;
+// rank 0 sends 1, 2 and 3 on t. Rank 1's blocking Recv(0, t) comes after
+// both posts, so the three receives must get 1 (first post), 2 (second
+// post) and 3 (Recv), however the messages interleave with the calls.
+func postedOrder(r *comm.Rank, seed int64) error {
+	const t, hs = 7, 8
+	if r.ID() == 0 {
+		r.Recv(1, hs)
+		for v := 1; v <= 3; v++ {
+			r.Send(1, t, []float64{float64(v)})
+		}
+		return nil
+	}
+	first := r.Irecv(comm.AnySource, t)
+	second := r.Irecv(0, t)
+	r.Send(0, hs, nil)
+	third := r.Recv(0, t)[0]
+	d2, _ := second.Wait()
+	d1, _ := first.Wait()
+	if got := [3]float64{d1[0], d2[0], third}; got != [3]float64{1, 2, 3} {
+		return fmt.Errorf("(first Irecv, second Irecv, Recv) got %v, want [1 2 3]", got)
+	}
+	return nil
 }
 
 func gigeOpts() comm.Options { return comm.Options{Model: netmodel.GigE} }
@@ -722,6 +770,16 @@ func flatten(inputs [][]float64, isRoot bool) []float64 {
 	}
 	return out
 }
+
+// noFaults is a fault plane that passes every message clean: installing
+// it only turns CRC framing on.
+type noFaults struct{}
+
+func (noFaults) Message(src, dst, tag int, bytes int64, sendVT float64) comm.FaultAction {
+	return comm.FaultAction{}
+}
+
+func (noFaults) CRCDetected(src, dst, tag int) {}
 
 // cyclingFaults deterministically faults every n-th message per (src,
 // dst) pair, cycling corrupt → drop → delay. Per-pair counting keeps the

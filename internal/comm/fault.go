@@ -52,7 +52,8 @@ const DefaultRetransmitVT = 100e-6
 // decisions are stable across communicator shrinks. CRCDetected is a
 // notification that a receiver's CRC check caught an injected corruption
 // (again with world ranks), letting the injector account detections
-// against injections.
+// against injections; the receiving rank makes it with its mailbox
+// locked, so it must return promptly and not call into this package.
 type FaultPlane interface {
 	Message(src, dst, tag int, bytes int64, sendVT float64) FaultAction
 	CRCDetected(src, dst, tag int)

@@ -27,30 +27,24 @@ func (m *message) bytes() int64 {
 	return 8 * int64(len(m.data)+len(m.ints))
 }
 
-// mailbox is one rank's receive queue: an unbounded FIFO with MPI-style
-// (source, tag) matching. FIFO scan order gives the MPI non-overtaking
+// mailbox is one rank's receive side: the messages that arrived and are
+// not matched yet, in arrival order, and the owner's pending receive
+// requests, in posting order. Senders and transport readers only put;
+// every match is made by the owner goroutine. Before any receive looks
+// for its own message, settle hands the queued messages, in arrival
+// order, to the earliest-posted pending request each one matches — MPI's
+// posting-order rule — and FIFO scan order gives the non-overtaking
 // guarantee per (source, tag) pair.
 //
-// posted holds receive requests registered before any matching message
-// arrived (the direct-delivery fast path, enabled only without CRC
-// framing or a fault plane): a sender finding a matching posted request
-// copies the payload straight into request-owned buffers and completes
-// it, skipping the message envelope and the queue scan. Registration
-// (matchOrPost) and delivery (deliverOrQueue) are each one critical
-// section, which maintains the invariant that a queued message and a
-// posted request matching each other never coexist — so per-(source,
-// tag) non-overtaking order is preserved across both paths.
-//
 // Every blocked receive waits in await. seq counts the mutations a
-// waiter can be waiting on (a message queued, a posted request
-// completed, a member marked dead, the box closed); each bumps it inside
-// its critical section, which is what lets a waiter poll it without the
-// lock and still park without missing a wake-up.
+// waiter can be waiting on (a message queued, a member marked dead, the
+// box closed); each bumps it inside its critical section, which is what
+// lets a waiter poll it without the lock and still park without missing
+// a wake-up.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*message
-	posted []*Request
 	closed bool
 	seq    atomic.Uint64
 	budget time.Duration // await's poll interval; zero parks at once
@@ -63,6 +57,10 @@ type mailbox struct {
 	// free holds, behind a transport, the envelopes this mailbox's rank
 	// has consumed (Request.Free, freeRaw), under mu; see recycle.
 	free []*message
+
+	// pending holds the owner's incomplete receive requests in posting
+	// order. Only the owner goroutine reads or writes it.
+	pending []*Request
 }
 
 // msgPool recycles message envelopes between in-process ranks.
@@ -88,13 +86,6 @@ func (b *mailbox) newMessage() *message {
 	b.free[n-1] = nil
 	b.free = b.free[:n-1]
 	return m
-}
-
-// getMessage is newMessage for a caller not holding b.mu.
-func (b *mailbox) getMessage() *message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.newMessage()
 }
 
 // recycle returns a message this mailbox's rank has consumed, keeping its
@@ -206,47 +197,99 @@ func match(m *message, src, tag int) bool {
 	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
 }
 
-// put deposits a message; it never blocks (eager-send semantics).
-func (b *mailbox) put(m *message) {
+// put copies f's payload into a recycled envelope and queues it, under
+// one lock: the one way a message lands, for a local send, the fault
+// plane's corrupt first copy and an inbound transport frame alike. It
+// never blocks (eager-send semantics) and only borrows f.
+func (b *mailbox) put(f *Frame) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return // run is being torn down; drop silently
 	}
+	m := b.newMessage()
+	m.src, m.tag, m.arrival = f.Src, f.Tag, f.Arrival
+	m.crc, m.framed = f.CRC, f.Framed
+	m.data = append(m.data[:0], f.Data...)
+	m.ints = append(m.ints[:0], f.Ints...)
 	b.queue = append(b.queue, m)
 	b.seq.Add(1)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
 
-// take removes and returns the first queued message matching (src, tag),
-// blocking until one arrives. It panics with errAborted if the mailbox is
-// closed while waiting.
-func (b *mailbox) take(src, tag int) *message {
-	m, _ := b.takeDead(src, tag, nil)
-	return m
+// settle hands the queued messages, in arrival order, to the
+// earliest-posted pending request each one matches, and drops the frames
+// that fail their CRC check on the way (the retransmission follows under
+// the non-overtaking order and goes to the same request). Messages no
+// pending request matches stay queued. The owner r calls it with b.mu
+// held before every look for its own message.
+func (b *mailbox) settle(r *Rank) {
+	if len(b.pending) == 0 {
+		return
+	}
+	kept := b.queue[:0]
+	for _, m := range b.queue {
+		req := b.firstPending(m)
+		switch {
+		case req == nil:
+			kept = append(kept, m)
+		case r.frameOK(m):
+			req.complete(m)
+			b.unpend(req)
+		} // else a damaged frame, dropped
+	}
+	clear(b.queue[len(kept):])
+	b.queue = kept
 }
 
-// takeDead is take with dead-rank awareness: when c is non-nil, src names
-// a specific rank, that rank is marked dead in c, and no matching message
-// remains queued, it returns a DeadRankError instead of blocking forever.
-// Queued pre-crash messages are always drained before the error fires, so
-// detection is deterministic: a waiter sees everything the peer sent
-// before dying, then the death. Wakeup is race-free because markDead sets
-// the dead flag before acquiring this mailbox's lock to broadcast (see
-// Comm.markDead).
-func (b *mailbox) takeDead(src, tag int, c *Comm) (*message, error) {
+// firstPending returns the earliest-posted pending request m matches, or
+// nil.
+func (b *mailbox) firstPending(m *message) *Request {
+	for _, req := range b.pending {
+		if match(m, req.src, req.tag) {
+			return req
+		}
+	}
+	return nil
+}
+
+// unpend removes req from the pending list, keeping posting order.
+func (b *mailbox) unpend(req *Request) {
+	for i, q := range b.pending {
+		if q == req {
+			n := len(b.pending) - 1
+			copy(b.pending[i:], b.pending[i+1:])
+			b.pending[n] = nil
+			b.pending = b.pending[:n]
+			return
+		}
+	}
+}
+
+// takeDead removes and returns the first queued message matching (src,
+// tag) for the owner r, blocking until one arrives; it panics with
+// errAborted if the mailbox is closed while waiting. When r is non-nil,
+// src names a specific rank, that rank is marked dead, and no matching
+// message remains queued, it returns a DeadRankError instead of blocking
+// forever. Queued pre-crash messages are always drained before the error
+// fires, so detection is deterministic: a waiter sees everything the
+// peer sent before dying, then the death. Wakeup is race-free because
+// markDead sets the dead flag before acquiring this mailbox's lock to
+// broadcast (see Comm.markDead).
+func (b *mailbox) takeDead(r *Rank, src, tag int) (*message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		if m := b.removeLocked(src, tag); m != nil {
+		b.settle(r)
+		if m := b.removeLocked(r, src, tag); m != nil {
 			return m, nil
 		}
 		if b.closed {
 			panic(errAborted)
 		}
-		if c != nil && src != AnySource && c.rankDead(src) {
-			return nil, DeadRankError{Rank: src, World: c.worldIDOf(src)}
+		if r != nil && src != AnySource && r.comm.rankDead(src) {
+			return nil, DeadRankError{Rank: src, World: r.comm.worldIDOf(src)}
 		}
 		b.await()
 	}
@@ -257,48 +300,39 @@ func (b *mailbox) takeDead(src, tag int, c *Comm) (*message, error) {
 // a collective cannot complete once a member is gone, so a rank stuck
 // waiting for a contribution that will never be forwarded fails fast
 // with the dead member's error (ULFM MPI_ERR_PROC_FAILED semantics)
-// instead of hanging. members scopes the check to a subset of c's
-// member ids (a split Group); nil means every member. Matching queued
-// messages are always drained first, so a participant that completed
-// its part of the collective before dying never aborts it: eager sends
-// are enqueued before Kill marks the death, and the queue is checked
-// before the dead flags.
-func (b *mailbox) takeCollective(src, tag int, c *Comm, members []int) (*message, error) {
+// instead of hanging. members scopes the check to a subset of the
+// communicator's member ids (a split Group); nil means every member.
+// Matching queued messages are always drained first, so a participant
+// that completed its part of the collective before dying never aborts
+// it: eager sends are enqueued before Kill marks the death, and the
+// queue is checked before the dead flags.
+func (b *mailbox) takeCollective(r *Rank, src, tag int, members []int) (*message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		if m := b.removeLocked(src, tag); m != nil {
+		b.settle(r)
+		if m := b.removeLocked(r, src, tag); m != nil {
 			return m, nil
 		}
 		if b.closed {
 			panic(errAborted)
 		}
-		if d := c.firstDead(members); d >= 0 {
-			return nil, DeadRankError{Rank: d, World: c.worldIDOf(d)}
+		if d := r.comm.firstDead(members); d >= 0 {
+			return nil, DeadRankError{Rank: d, World: r.comm.worldIDOf(d)}
 		}
 		b.await()
 	}
-}
-
-// tryTake is take without blocking; it returns nil when no message
-// matches.
-func (b *mailbox) tryTake(src, tag int) *message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		panic(errAborted)
-	}
-	return b.removeLocked(src, tag)
 }
 
 // peek blocks until a matching message is queued and returns it without
 // removing it (MPI_Probe). Like takeDead it refuses to wait forever on a
 // dead peer, but since Probe has no error return the death unwinds as a
 // panicked DeadRankError.
-func (b *mailbox) peek(src, tag int, c *Comm) *message {
+func (b *mailbox) peek(r *Rank, src, tag int) *message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
+		b.settle(r)
 		for _, m := range b.queue {
 			if match(m, src, tag) {
 				return m
@@ -307,130 +341,24 @@ func (b *mailbox) peek(src, tag int, c *Comm) *message {
 		if b.closed {
 			panic(errAborted)
 		}
-		if c != nil && src != AnySource && c.rankDead(src) {
-			panic(DeadRankError{Rank: src, World: c.worldIDOf(src)})
+		if r != nil && src != AnySource && r.comm.rankDead(src) {
+			panic(DeadRankError{Rank: src, World: r.comm.worldIDOf(src)})
 		}
 		b.await()
 	}
 }
 
-// matchOrPost either completes req from an already-queued message or
-// registers it for direct delivery, atomically — the receive side of the
-// fast path. Only called when the communicator has no fault plane, hence
-// no CRC framing, so no frame-check loop is needed.
-func (b *mailbox) matchOrPost(req *Request, src, tag int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		panic(errAborted)
-	}
-	if m := b.removeLocked(src, tag); m != nil {
-		req.complete(m)
-		return
-	}
-	b.posted = append(b.posted, req)
-}
-
-// deliverOrQueue is the send side of the fast path: under one lock
-// acquisition it either completes the first matching posted request by
-// copying the payload into its buffers, or stages a message in the queue.
-func (b *mailbox) deliverOrQueue(src, tag int, data []float64, ints []int64, arrival float64) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return // run is being torn down; drop silently
-	}
-	if req := b.takePostedLocked(src, tag); req != nil {
-		req.buf = append(req.buf[:0], data...)
-		req.ibuf = append(req.ibuf[:0], ints...)
-		req.direct = true
-		req.from = src
-		req.arrival = arrival
-		req.done = true
-		b.seq.Add(1)
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	m := b.newMessage()
-	m.src, m.tag = src, tag
-	m.data = append(m.data[:0], data...)
-	m.ints = append(m.ints[:0], ints...)
-	m.arrival = arrival
-	b.queue = append(b.queue, m)
-	b.seq.Add(1)
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// takePostedLocked removes and returns the first posted request matching
-// (src, tag) — posting order, mirroring the queue's FIFO matching.
-func (b *mailbox) takePostedLocked(src, tag int) *Request {
-	for i, req := range b.posted {
-		if (req.src == AnySource || req.src == src) && (req.tag == AnyTag || req.tag == tag) {
-			b.removePostedAt(i)
-			return req
-		}
-	}
-	return nil
-}
-
-// unpostLocked removes req from the posted list if registered (a waiter
-// abandoning the request on a dead-sender error).
-func (b *mailbox) unpostLocked(req *Request) {
-	for i, q := range b.posted {
-		if q == req {
-			b.removePostedAt(i)
-			return
-		}
-	}
-}
-
-func (b *mailbox) removePostedAt(i int) {
-	copy(b.posted[i:], b.posted[i+1:])
-	b.posted[len(b.posted)-1] = nil
-	b.posted = b.posted[:len(b.posted)-1]
-}
-
-// waitRequest blocks until req completes — by direct delivery (a sender
-// finds it posted), or by a matching queued message — with the same
-// dead-sender and teardown semantics as takeDead. Frame-checked (CRC)
-// communicators never post requests, so the frame loop here only runs
-// for unposted requests, whose fields the owner goroutine holds
-// exclusively.
-func (b *mailbox) waitRequest(req *Request, r *Rank) error {
-	b.mu.Lock()
-	for {
-		if req.done {
-			b.mu.Unlock()
-			return nil
-		}
-		if m := b.removeLocked(req.src, req.tag); m != nil {
-			b.mu.Unlock()
-			if r.frameOK(m) {
-				req.complete(m)
-				return nil
-			}
-			b.mu.Lock()
+// removeLocked removes and returns the first queued message matching
+// (src, tag) whose frame verifies, dropping damaged frames on the way.
+func (b *mailbox) removeLocked(r *Rank, src, tag int) *message {
+	for i := 0; i < len(b.queue); {
+		m := b.queue[i]
+		if !match(m, src, tag) {
+			i++
 			continue
 		}
-		if b.closed {
-			b.mu.Unlock()
-			panic(errAborted)
-		}
-		if req.src != AnySource && r.comm.rankDead(req.src) {
-			b.unpostLocked(req)
-			b.mu.Unlock()
-			return DeadRankError{Rank: req.src, World: r.comm.worldIDOf(req.src)}
-		}
-		b.await()
-	}
-}
-
-func (b *mailbox) removeLocked(src, tag int) *message {
-	for i, m := range b.queue {
-		if match(m, src, tag) {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
+		b.queue = append(b.queue[:i], b.queue[i+1:]...)
+		if r.frameOK(m) {
 			return m
 		}
 	}

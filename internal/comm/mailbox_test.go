@@ -8,10 +8,22 @@ import (
 
 // White-box tests of the mailbox, the correctness core of the transport.
 
+// take is a blocking receive with no owning rank: no dead-rank checks, no
+// pending requests and no CRC frames.
+func (b *mailbox) take(src, tag int) *message {
+	m, _ := b.takeDead(nil, src, tag)
+	return m
+}
+
+// frame is a payload-only Frame for put.
+func frame(src, tag int, data ...float64) *Frame {
+	return &Frame{Src: src, Tag: tag, Data: data}
+}
+
 func TestMailboxFIFOPerSourceTag(t *testing.T) {
 	b := newMailbox(0, nil)
 	for i := 0; i < 5; i++ {
-		b.put(&message{src: 1, tag: 7, data: []float64{float64(i)}})
+		b.put(frame(1, 7, float64(i)))
 	}
 	for i := 0; i < 5; i++ {
 		m := b.take(1, 7)
@@ -23,9 +35,9 @@ func TestMailboxFIFOPerSourceTag(t *testing.T) {
 
 func TestMailboxSelectiveMatching(t *testing.T) {
 	b := newMailbox(0, nil)
-	b.put(&message{src: 1, tag: 1})
-	b.put(&message{src: 2, tag: 1})
-	b.put(&message{src: 1, tag: 2})
+	b.put(frame(1, 1))
+	b.put(frame(2, 1))
+	b.put(frame(1, 2))
 	if m := b.take(2, 1); m.src != 2 {
 		t.Fatalf("matched wrong source %d", m.src)
 	}
@@ -37,30 +49,41 @@ func TestMailboxSelectiveMatching(t *testing.T) {
 	}
 }
 
+// TestMailboxTryTake matches without blocking: Test on a pending receive
+// completes it only once a matching message is queued, and the message
+// is consumed.
 func TestMailboxTryTake(t *testing.T) {
-	b := newMailbox(0, nil)
-	if m := b.tryTake(AnySource, AnyTag); m != nil {
-		t.Fatal("tryTake on empty box returned a message")
+	c, err := newComm(2, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.put(&message{src: 0, tag: 3})
-	if m := b.tryTake(0, 4); m != nil {
-		t.Fatal("tryTake matched wrong tag")
+	r := &Rank{comm: c, id: 0, prof: newProfile(0)}
+	b := c.boxes[0]
+	var req Request
+	r.IrecvInto(&req, 1, 3)
+	if req.Test() {
+		t.Fatal("Test on an empty box completed")
 	}
-	if m := b.tryTake(0, 3); m == nil {
-		t.Fatal("tryTake missed a queued message")
+	b.put(frame(1, 4))
+	if req.Test() {
+		t.Fatal("Test matched the wrong tag")
 	}
-	if m := b.tryTake(0, 3); m != nil {
-		t.Fatal("message not consumed")
+	b.put(frame(1, 3, 8))
+	if !req.Test() || req.msg.data[0] != 8 || req.Source() != 1 {
+		t.Fatal("Test missed a queued message")
+	}
+	if len(b.queue) != 1 || b.queue[0].tag != 4 || len(b.pending) != 0 {
+		t.Fatalf("queue %d pending %d after the match, want the tag-4 message only", len(b.queue), len(b.pending))
 	}
 }
 
 func TestMailboxPeekDoesNotConsume(t *testing.T) {
 	b := newMailbox(0, nil)
-	b.put(&message{src: 5, tag: 9, data: []float64{1}})
-	if m := b.peek(5, 9, nil); m == nil || m.data[0] != 1 {
+	b.put(frame(5, 9, 1))
+	if m := b.peek(nil, 5, 9); m == nil || m.data[0] != 1 {
 		t.Fatal("peek failed")
 	}
-	if m := b.tryTake(5, 9); m == nil {
+	if len(b.queue) != 1 || b.take(5, 9).data[0] != 1 {
 		t.Fatal("peek consumed the message")
 	}
 }
@@ -70,7 +93,7 @@ func TestMailboxBlockingTakeWakesOnPut(t *testing.T) {
 	done := make(chan *message, 1)
 	go func() { done <- b.take(3, 3) }()
 	time.Sleep(2 * time.Millisecond) // let the taker block
-	b.put(&message{src: 3, tag: 3})
+	b.put(frame(3, 3))
 	select {
 	case m := <-done:
 		if m.src != 3 {
@@ -106,13 +129,16 @@ func TestMailboxCloseUnblocksTakers(t *testing.T) {
 func TestMailboxPutAfterCloseDropped(t *testing.T) {
 	b := newMailbox(0, nil)
 	b.close()
-	b.put(&message{src: 0, tag: 0}) // must not panic
+	b.put(frame(0, 0)) // must not panic
+	if len(b.queue) != 0 {
+		t.Fatal("put on a closed box queued the message")
+	}
 	defer func() {
 		if recover() != errAborted {
-			t.Fatal("tryTake on closed box must abort")
+			t.Fatal("take on closed box must abort")
 		}
 	}()
-	b.tryTake(AnySource, AnyTag)
+	b.take(AnySource, AnyTag)
 }
 
 func TestMailboxConcurrentProducersConsumers(t *testing.T) {
@@ -124,7 +150,7 @@ func TestMailboxConcurrentProducersConsumers(t *testing.T) {
 		go func(src int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				b.put(&message{src: src, tag: 0, data: []float64{float64(i)}})
+				b.put(frame(src, 0, float64(i)))
 			}
 		}(p)
 	}

@@ -23,9 +23,9 @@ type Rank struct {
 	// flow). Owned by the rank goroutine like every other Rank field.
 	flows int
 
-	// out is the frame deliverRemote lends to Transport.Send, reused so
-	// a remote send does not allocate; the transport only borrows it for
-	// the call.
+	// out is the frame deliver lends to its sink (a mailbox's put or
+	// Transport.Send), reused so a send does not allocate; the sink only
+	// borrows it for the call.
 	out Frame
 }
 
@@ -105,121 +105,59 @@ func (r *Rank) stampSend(dst int, nbytes int64) (arrival float64, hops int) {
 	return r.clock.SendStamp(int(nbytes), h), h
 }
 
-// deliver copies the payload into a message (eager-buffered send,
-// MPI_Bsend semantics: the caller's buffer is reusable immediately),
-// stamps its modeled arrival time, and drops it into the destination
-// mailbox. It returns the payload byte count — not the message, which
-// belongs to the receiver the moment it is enqueued (the receiver may
-// consume and recycle it at any time).
+// deliver ships one message (eager-buffered send, MPI_Bsend semantics:
+// the caller's buffer is reusable immediately): it stamps the modeled
+// arrival time, lets the fault plane act when one is installed, and
+// hands the frame to its sink — the destination's mailbox when that rank
+// is hosted in this process, the transport otherwise. It returns the
+// payload byte count.
 //
-// With a fault plane installed the message goes through intercept.
-// Corruption relies on the non-overtaking mailbox order per (source,
-// tag): the damaged copy is enqueued before the clean one, so the
-// receiver's CRC check rejects it and the very next matching message is
-// the retransmission.
+// Corruption relies on the non-overtaking order per (source, tag): the
+// damaged copy is shipped before the clean one, so the receiver's CRC
+// check rejects it and the very next matching message is the
+// retransmission. Over a transport its per-(src, dst) ordering plays the
+// role of the mailbox's queue.
 func (r *Rank) deliver(dst, tag int, data []float64, ints []int64) int64 {
 	c := r.comm
-	if !c.isLocalWorld(c.worldIDOf(dst)) {
-		return r.deliverRemote(dst, tag, data, ints)
-	}
-	if c.directEligible() {
-		// Fast path: without a fault plane (and its CRC framing) nothing can
-		// reject or reorder the payload, so deliver straight to the
-		// destination mailbox — into an already-posted receive's buffers
-		// when one matches (one copy, no envelope), or a staged message
-		// otherwise. Timing is identical to the staged path: the same
-		// SendStamp fixes the arrival, so modeled time cannot depend on
-		// whether the receive was posted first.
-		nbytes := 8 * int64(len(data)+len(ints))
-		sendVT := r.clock.Now()
-		arrival, hops := r.stampSend(dst, nbytes)
-		c.boxes[dst].deliverOrQueue(r.id, tag, data, ints, arrival)
-		c.trace(c.worldIDOf(r.id), c.worldIDOf(dst), tag, nbytes, hops, sendVT, arrival, r.prof.site)
-		return nbytes
-	}
-	m := c.boxes[dst].getMessage()
-	m.src, m.tag = r.id, tag
-	m.data = append(m.data[:0], data...)
-	m.ints = append(m.ints[:0], ints...)
-	nbytes := m.bytes()
-	if c.faults != nil {
-		m.crc = payloadCRC(m.data, m.ints)
-		m.framed = true
-	}
-	sendVT := r.clock.Now()
-	arrival, hops := r.stampSend(dst, nbytes)
-	if c.faults != nil {
-		var f fate
-		arrival, f = r.intercept(dst, tag, nbytes, sendVT, arrival)
-		if f.corrupt {
-			bad := c.boxes[dst].getMessage()
-			bad.src, bad.tag = r.id, tag
-			bad.data = append(bad.data[:0], m.data...)
-			bad.ints = append(bad.ints[:0], m.ints...)
-			bad.crc, bad.framed = m.crc, m.framed
-			flipPayloadBit(bad.data, bad.ints, f.flipBit)
-			bad.arrival = f.firstArrival
-			c.boxes[dst].put(bad)
-		}
-	}
-	m.arrival = arrival
-	c.boxes[dst].put(m)
-	c.trace(c.worldIDOf(r.id), c.worldIDOf(dst), tag, nbytes, hops, sendVT, arrival, r.prof.site)
-	return nbytes
-}
-
-// deliverRemote is deliver for a destination hosted in another process:
-// the same eager-send semantics, CRC framing and fault-plane interception
-// as the local staged path, but the message ships as a transport frame
-// carrying the modeled arrival time instead of landing in a local
-// mailbox. The fault plane still acts at the sender — a corrupted first
-// copy is shipped as its own frame before the clean retransmission, and
-// the transport's per-(src, dst) ordering plays the role of the mailbox's
-// non-overtaking queue. Transport.Send only borrows the payload slices,
-// so the caller's buffers stay reusable immediately, exactly like a
-// buffered local send.
-func (r *Rank) deliverRemote(dst, tag int, data []float64, ints []int64) int64 {
-	c := r.comm
-	t := c.root.transport
 	dstWorld := c.worldIDOf(dst)
 	nbytes := 8 * int64(len(data)+len(ints))
-	var crc uint32
-	framed := false
+	r.out = Frame{Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag, Data: data, Ints: ints}
 	if c.faults != nil {
-		crc = payloadCRC(data, ints)
-		framed = true
+		r.out.CRC, r.out.Framed = payloadCRC(data, ints), true
 	}
 	sendVT := r.clock.Now()
+	r.out.SendVT = sendVT
 	arrival, hops := r.stampSend(dst, nbytes)
 	if c.faults != nil {
 		var f fate
 		arrival, f = r.intercept(dst, tag, nbytes, sendVT, arrival)
 		if f.corrupt {
-			badData := append([]float64(nil), data...)
-			badInts := append([]int64(nil), ints...)
-			flipPayloadBit(badData, badInts, f.flipBit)
-			r.out = Frame{
-				Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag,
-				Data: badData, Ints: badInts,
-				SendVT: sendVT, Arrival: f.firstArrival,
-				CRC: crc, Framed: framed,
-			}
-			_ = t.Send(dstWorld, &r.out)
+			r.out.Data = append([]float64(nil), data...)
+			r.out.Ints = append([]int64(nil), ints...)
+			flipPayloadBit(r.out.Data, r.out.Ints, f.flipBit)
+			r.out.Arrival = f.firstArrival
+			r.ship(dstWorld)
+			r.out.Data, r.out.Ints = data, ints
 		}
 	}
-	// A send error means the peer is gone; like an eager send into a dead
-	// rank's mailbox it is dropped silently — the death surfaces on the
-	// receive side as DeadRankError.
-	r.out = Frame{
-		Ctx: c.ctx, Src: r.id, Dst: dst, Tag: tag,
-		Data: data, Ints: ints,
-		SendVT: sendVT, Arrival: arrival,
-		CRC: crc, Framed: framed,
-	}
-	_ = t.Send(dstWorld, &r.out)
+	r.out.Arrival = arrival
+	r.ship(dstWorld)
 	r.out = Frame{} // do not keep the caller's payload reachable
 	c.trace(c.worldIDOf(r.id), dstWorld, tag, nbytes, hops, sendVT, arrival, r.prof.site)
 	return nbytes
+}
+
+// ship hands r.out to its sink, which only borrows it. A transport send
+// error means the peer is gone; like an eager send into a dead rank's
+// mailbox it is dropped silently — the death surfaces on the receive
+// side as DeadRankError.
+func (r *Rank) ship(dstWorld int) {
+	c := r.comm
+	if c.isLocalWorld(dstWorld) {
+		c.boxes[r.out.Dst].put(&r.out)
+		return
+	}
+	_ = c.root.transport.Send(dstWorld, &r.out)
 }
 
 // fate is the fault plane's verdict on one wire message, in modeled
@@ -268,8 +206,9 @@ func (r *Rank) receive(m *message) float64 {
 }
 
 // frameOK verifies a message's CRC frame. A failed check counts the
-// detection, notifies the fault plane, recycles the damaged frame and
-// reports false — the caller loops for the retransmission.
+// detection, notifies the fault plane and reports false: the caller, the
+// receiving rank holding its mailbox lock, drops the damaged frame and
+// matches the retransmission that follows it.
 func (r *Rank) frameOK(m *message) bool {
 	if !m.framed || payloadCRC(m.data, m.ints) == m.crc {
 		return true
@@ -279,30 +218,14 @@ func (r *Rank) frameOK(m *message) bool {
 	if c.faults != nil {
 		c.faults.CRCDetected(c.worldIDOf(m.src), c.worldIDOf(r.id), m.tag)
 	}
-	c.boxes[r.id].recycle(m)
 	return false
 }
 
-// takeChecked blocks for a matching message whose CRC frame verifies,
-// discarding damaged frames (their retransmissions follow under the
-// non-overtaking order). Waiting on a specific dead sender returns a
-// DeadRankError once its queued messages are drained.
-func (r *Rank) takeChecked(src, tag int) (*message, error) {
-	for {
-		m, err := r.comm.boxes[r.id].takeDead(src, tag, r.comm)
-		if err != nil {
-			return nil, err
-		}
-		if r.frameOK(m) {
-			return m, nil
-		}
-	}
-}
-
-// mustTake is takeChecked for the blocking receive paths, which surface a
-// dead sender by unwinding with the typed error.
+// mustTake blocks for a matching message whose CRC frame verifies, for
+// the blocking receive paths, which surface a dead sender by unwinding
+// with the typed error.
 func (r *Rank) mustTake(src, tag int) *message {
-	m, err := r.takeChecked(src, tag)
+	m, err := r.comm.boxes[r.id].takeDead(r, src, tag)
 	if err != nil {
 		panic(err)
 	}
@@ -393,7 +316,7 @@ func (r *Rank) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []fl
 // returns its source, tag and payload byte count without receiving it.
 func (r *Rank) Probe(src, tag int) (fromSrc, fromTag int, bytes int64) {
 	start := time.Now()
-	m := r.comm.boxes[r.id].peek(src, tag, r.comm)
+	m := r.comm.boxes[r.id].peek(r, src, tag)
 	r.prof.record("MPI_Probe", time.Since(start).Seconds(), 0, 0)
 	return m.src, m.tag, m.bytes()
 }

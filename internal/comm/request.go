@@ -7,31 +7,22 @@ import "time"
 // which is where the mini-app — like its MPI parent — accumulates its
 // synchronization time (Figure 9's dominant MPI_Wait).
 //
-// On communicators without a fault plane (hence without CRC framing), an
-// Irecv posted before the matching send completes by direct delivery: the
-// sender copies the payload into the request-owned buf/ibuf, skipping the
-// message envelope. The buffers persist across IrecvInto reposts, so
-// steady-state exchanges stay allocation-free. All completion state is
-// written either by the owning rank goroutine or by a sender holding the
-// owner's mailbox lock, which the owner re-acquires before reading
-// (waitRequest/Test).
+// A receive request waits in its mailbox's pending list, in posting
+// order, until the owning rank hands it the earliest queued message it
+// matches (mailbox.settle) — one matching rule, posting order, on every
+// communicator. Only the owning rank goroutine reads or writes a
+// Request.
 type Request struct {
 	rank     *Rank
 	src, tag int
 	msg      *message
 	done     bool
 	isSend   bool
-
-	// Direct-delivery completion state (posted-receive fast path).
-	direct  bool      // completed by a sender copy, not a queued message
-	from    int       // actual source once complete (AnySource before)
-	arrival float64   // virtual arrival time once complete
-	buf     []float64 // request-owned payload buffers, reused across
-	ibuf    []int64   // reposts of the same Request
+	from     int     // actual source once complete (AnySource before)
+	arrival  float64 // virtual arrival time once complete
 }
 
-// complete marks req satisfied by queued message m. Callers either own
-// req exclusively or hold the owning mailbox's lock.
+// complete marks req satisfied by message m.
 func (req *Request) complete(m *message) {
 	req.msg = m
 	req.from = m.src
@@ -61,8 +52,10 @@ func (r *Rank) IsendInts(dst, tag int, ints []int64) *Request {
 }
 
 // Irecv posts a nonblocking receive for a message from src with tag.
-// Matching happens lazily: Wait blocks until a matching message arrives.
-// src may be AnySource and tag AnyTag.
+// src may be AnySource and tag AnyTag. Receives match in posting order:
+// an arriving message goes to the earliest-posted pending receive it
+// matches, before any later Irecv, Recv, collective round or Probe can
+// see it.
 func (r *Rank) Irecv(src, tag int) *Request {
 	req := &Request{}
 	r.IrecvInto(req, src, tag)
@@ -71,45 +64,31 @@ func (r *Rank) Irecv(src, tag int) *Request {
 
 // IrecvInto is Irecv posting into a caller-owned Request, for hot paths
 // that repost the same receives every exchange and must not allocate.
-// Any previous contents of req are overwritten (the payload buffers are
-// kept and reused); req must not have an incomplete receive outstanding.
+// Any previous contents of req are overwritten; req must not have an
+// incomplete receive outstanding.
 func (r *Rank) IrecvInto(req *Request, src, tag int) {
 	if src != AnySource {
 		r.checkPeer(src)
 	}
 	start := time.Now()
-	buf, ibuf := req.buf, req.ibuf
-	*req = Request{rank: r, src: src, tag: tag, from: AnySource, buf: buf, ibuf: ibuf}
-	if r.comm.directEligible() {
-		// Atomically match an already-queued message or register the
-		// request so the sender can deliver straight into it.
-		r.comm.boxes[r.id].matchOrPost(req, src, tag)
-	} else {
-		// Eagerly match an already-queued message so Test/Wait on a
-		// satisfied receive is cheap and ordering mirrors posting order.
-		// Damaged frames are consumed and discarded here just like in
-		// Wait; their retransmissions follow in order.
-		for {
-			m := r.comm.boxes[r.id].tryTake(src, tag)
-			if m == nil {
-				break
-			}
-			if r.frameOK(m) {
-				req.complete(m)
-				break
-			}
-		}
+	*req = Request{rank: r, src: src, tag: tag, from: AnySource}
+	b := r.comm.boxes[r.id]
+	b.pending = append(b.pending, req)
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		panic(errAborted)
 	}
+	b.settle(r)
+	b.mu.Unlock()
 	r.prof.record("MPI_Irecv", time.Since(start).Seconds(), 0, 0)
 }
 
 // Test reports whether the request has completed, matching a queued
 // message if one is available, without blocking. Behind a transport it
-// first polls it, so a caller looping on Test makes progress. The
-// completion flag is read under the mailbox lock because a sender may be
-// completing a posted request concurrently.
+// first polls it, so a caller looping on Test makes progress.
 func (req *Request) Test() bool {
-	if req.isSend {
+	if req.isSend || req.done {
 		return true
 	}
 	b := req.rank.comm.boxes[req.rank.id]
@@ -117,27 +96,12 @@ func (req *Request) Test() bool {
 		b.tr.Poll()
 	}
 	b.mu.Lock()
-	for {
-		if req.done {
-			b.mu.Unlock()
-			return true
-		}
-		m := b.removeLocked(req.src, req.tag)
-		if m == nil {
-			if b.closed {
-				b.mu.Unlock()
-				panic(errAborted)
-			}
-			b.mu.Unlock()
-			return false
-		}
-		b.mu.Unlock()
-		if req.rank.frameOK(m) {
-			req.complete(m)
-			return true
-		}
-		b.mu.Lock()
+	defer b.mu.Unlock()
+	b.settle(req.rank)
+	if !req.done && b.closed {
+		panic(errAborted)
 	}
+	return req.done
 }
 
 // Wait blocks until the request completes and returns the received
@@ -162,26 +126,34 @@ func (req *Request) Wait() ([]float64, []int64) {
 func (req *Request) WaitErr() ([]float64, []int64, error) {
 	r := req.rank
 	start := time.Now()
-	if !req.isSend {
-		if err := r.comm.boxes[r.id].waitRequest(req, r); err != nil {
-			r.prof.record("MPI_Wait", time.Since(start).Seconds(), 0, 0)
-			return nil, nil, err
+	if !req.isSend && !req.done {
+		b := r.comm.boxes[r.id]
+		b.mu.Lock()
+		for b.settle(r); !req.done; b.settle(r) {
+			// Checked only while req is pending: pre-crash messages
+			// and a box closed after the match do not fail it.
+			if b.closed {
+				b.mu.Unlock()
+				panic(errAborted)
+			}
+			if req.src != AnySource && r.comm.rankDead(req.src) {
+				b.unpend(req)
+				b.mu.Unlock()
+				r.prof.record("MPI_Wait", time.Since(start).Seconds(), 0, 0)
+				return nil, nil, DeadRankError{Rank: req.src, World: r.comm.worldIDOf(req.src)}
+			}
+			b.await()
 		}
+		b.mu.Unlock()
 	}
 	var wait float64
 	var bytes int64
 	var data []float64
 	var ints []int64
-	switch {
-	case req.isSend:
-	case req.direct:
-		wait = r.clock.WaitUntil(req.arrival)
-		bytes = 8 * int64(len(req.buf)+len(req.ibuf))
-		data, ints = req.buf, req.ibuf
-	case req.msg != nil:
-		wait = r.receive(req.msg)
-		bytes = req.msg.bytes()
-		data, ints = req.msg.data, req.msg.ints
+	if m := req.msg; m != nil {
+		wait = r.receive(m)
+		bytes = m.bytes()
+		data, ints = m.data, m.ints
 	}
 	r.prof.record("MPI_Wait", time.Since(start).Seconds(), wait, bytes)
 	return data, ints, nil
@@ -204,15 +176,12 @@ func (req *Request) Source() int {
 
 // Free returns a completed receive's message envelope (and its payload
 // capacity) for a later message to reuse (see mailbox.recycle). The
-// payload slices
-// returned by Wait must not be used after Free. Freeing is optional —
-// unfreed messages are simply left to the garbage collector — and only
-// meaningful on receive requests that went through the queue: the
-// receiver owns a message, so send requests, direct deliveries (whose
-// buffers stay with the request), and incomplete receives are left
-// untouched.
+// payload slices returned by Wait must not be used after Free; Arrival
+// and Source stay readable. Freeing is optional — unfreed messages are
+// simply left to the garbage collector — and send requests and
+// incomplete receives are left untouched.
 func (req *Request) Free() {
-	if req.isSend || !req.done || req.msg == nil {
+	if req.msg == nil {
 		return
 	}
 	req.rank.comm.boxes[req.rank.id].recycle(req.msg)

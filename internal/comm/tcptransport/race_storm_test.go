@@ -16,8 +16,8 @@ import (
 // `-race` (the CI race job runs ./internal/comm/..., which includes this
 // package, and repeats this test 20 times) the detector watches the
 // socket's hand-over between inline writes and the writer's backlog,
-// the direct-delivery completion from the reader goroutine's reused
-// frame, and the teardown path all at once. Payload contents are seeded per (src, batch) so delivery is also
+// the reader goroutine queueing from its reused frame while the rank
+// matches its pending receives, and the teardown path all at once. Payload contents are seeded per (src, batch) so delivery is also
 // verified, not just survived.
 func TestTCPIsendIrecvStorm(t *testing.T) {
 	const size = 3
@@ -36,8 +36,8 @@ func TestTCPIsendIrecvStorm(t *testing.T) {
 			// queues instead of matching this batch's receives.
 			tag := 100 + b
 			// Post all receives first (some match queued messages, some
-			// are completed directly by the transport reader), then fire
-			// all sends, then drain.
+			// wait for frames the transport reader has yet to queue),
+			// then fire all sends, then drain.
 			// Every third batch receives entirely by wildcard; the others
 			// entirely by specific source. Mixing them within one batch
 			// would let a wildcard steal a message a specific receive is

@@ -152,10 +152,11 @@ func TestTCPCollectivesMatchInProcess(t *testing.T) {
 	}
 }
 
-// TestTCPPostedReceiveDirectDelivery exercises the fast path end to end:
-// without a fault plane (hence without CRC framing) a posted Irecv must
-// be completed directly by the transport's reader goroutine.
-func TestTCPPostedReceiveDirectDelivery(t *testing.T) {
+// TestTCPPostedReceive exercises a posted receive end to end: an Irecv
+// posted before its frame arrives completes with the frame's payload,
+// whichever goroutine read the frame (the transport only queues it; the
+// waiting rank matches it).
+func TestTCPPostedReceive(t *testing.T) {
 	const size = 2
 	runTCP(t, size, comm.Options{}, func(r *comm.Rank) error {
 		if r.ID() == 0 {
@@ -166,7 +167,7 @@ func TestTCPPostedReceiveDirectDelivery(t *testing.T) {
 				return err
 			}
 			if len(data) != 3 || data[0] != 7 {
-				return fmt.Errorf("direct-delivered payload wrong: %v", data)
+				return fmt.Errorf("posted receive payload wrong: %v", data)
 			}
 		} else {
 			r.Recv(0, 4)

@@ -8,16 +8,17 @@ import (
 )
 
 // Pluggable wire transport. The mailbox/request semantics of this package
-// — per-(source, tag) non-overtaking FIFO order, eager buffered sends,
-// posted-receive direct delivery, CRC framing with reject-and-retransmit,
-// and the fault plane's DeadRankError/Shrink protocol — are the contract;
+// — per-(source, tag) non-overtaking FIFO order, one matching rule
+// (posting order) on every communicator, eager buffered sends, CRC
+// framing with reject-and-retransmit, and the fault plane's
+// DeadRankError/Shrink protocol — are the contract;
 // a Transport is the wire that carries messages between ranks hosted in
 // different OS processes. The in-process goroutine backend is the
 // reference implementation of the contract: all ranks are local, the
 // "wire" is a mailbox enqueue, and no Transport is involved. A distributed
 // run (RunDistributed) hosts a subset of the ranks and ships every frame
 // addressed to a non-local rank through the Transport; inbound frames are
-// fed back through a Receiver into the exact same mailbox paths, so both
+// fed back through a Receiver into the exact same mailbox put, so both
 // backends are verified against one behavioral bar — the conformance suite
 // in internal/comm/conformance.
 //
@@ -226,27 +227,14 @@ func (c *Comm) markDeadByWorld(w int) {
 	}
 }
 
-// acceptFrame lands an inbound wire frame in the destination mailbox,
-// through the same two paths a local send uses: posted-receive direct
-// delivery when nothing can reject the payload, a staged (possibly
-// CRC-framed) message otherwise. The modeled arrival time was stamped by
-// the sender's clock and rides in the frame.
+// acceptFrame lands an inbound wire frame in the destination mailbox
+// through the same put a local send uses. The modeled arrival time was
+// stamped by the sender's clock and rides in the frame.
 func (c *Comm) acceptFrame(f *Frame) {
 	if f.Dst < 0 || f.Dst >= c.size {
 		return // malformed routing; drop
 	}
-	box := c.boxes[f.Dst]
-	if c.directEligible() && !f.Framed {
-		box.deliverOrQueue(f.Src, f.Tag, f.Data, f.Ints, f.Arrival)
-		return
-	}
-	m := box.getMessage()
-	m.src, m.tag = f.Src, f.Tag
-	m.data = append(m.data[:0], f.Data...)
-	m.ints = append(m.ints[:0], f.Ints...)
-	m.arrival = f.Arrival
-	m.crc, m.framed = f.CRC, f.Framed
-	box.put(m)
+	c.boxes[f.Dst].put(f)
 }
 
 // commReceiver adapts the root communicator to the Transport's Receiver.
